@@ -12,12 +12,19 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 import oracles
 from helpers import make_stack, random_pmfs
-from satbayes.core import build_transition_model, uniform_pmf, validate_pmf
+from satbayes.core import (
+    PROB_FLOOR,
+    build_transition_model,
+    floor_normalize,
+    uniform_pmf,
+    validate_pmf,
+)
 from satbayes.errors import (
     ConfigError,
     DegenerateLikelihoodError,
     InvalidHyperparameterError,
     InvalidMarginalError,
+    ShapeError,
 )
 from satbayes.recursion import (
     RecursionMode,
@@ -329,3 +336,160 @@ class TestClassifyStack:
         assert_allclose(
             out.instantaneous_posteriors[0, 1], direct[:, 1].reshape(4, 4), atol=1e-15
         )
+
+
+class _ScriptedModel:
+    """Returns a fixed (N, K) array per frame, indexed by the frame's position."""
+
+    def __init__(self, stack, outputs):
+        self._index = {fr.date: t for t, fr in enumerate(stack.frames)}
+        self._outputs = outputs
+        self.num_classes = outputs[0].shape[1]
+
+    def frame_likelihood(self, frame):
+        return self._outputs[self._index[frame.date]]
+
+    frame_posterior = frame_likelihood
+
+
+def _scripted_outputs(rng, frames, pixels, k):
+    return [rng.uniform(0.05, 1.0, size=(pixels, k)) for _ in range(frames)]
+
+
+def _nan(out):
+    out[3, 0] = np.nan
+    return out
+
+
+def _negative(out):
+    out[5, 1] = -0.25
+    return out
+
+
+def _zero_row(out):
+    out[7] = 0.0
+    return out
+
+
+def _overflow(out):
+    out[2] = np.finfo(np.float64).max
+    return out
+
+
+def _zero_first_nan_last(out):
+    # a zero row early and a NaN late: the whole-frame check reports the NaN
+    out[0] = 0.0
+    out[-1, 0] = np.nan
+    return out
+
+
+BAD_FRAMES = {
+    "nan": (_nan, ValueError, "non-finite"),
+    "negative": (_negative, ValueError, "negative"),
+    "zero_row": (_zero_row, DegenerateLikelihoodError, "all-zero"),
+    "overflow": (_overflow, ValueError, "sums off"),
+    "precedence": (_zero_first_nan_last, ValueError, "non-finite"),
+    "pixels": (lambda out: out[:-1], ShapeError, "model returned shape"),
+    "classes": (
+        lambda out: np.column_stack([out, out[:, :1]]), ShapeError, "model returned shape"
+    ),
+    "one_class": (lambda out: out[:, :1], ShapeError, "class axis"),
+    "flat": (lambda out: out[:, 0], ShapeError, "model returned shape"),
+}
+
+
+class TestClassifyStackErrors:
+    """A bad model output at frame t >= 1 raises the same error in every mode."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("mode", list(RecursionMode))
+    @pytest.mark.parametrize("case", sorted(BAD_FRAMES))
+    def test_bad_model_output(self, case, mode, workers):
+        corrupt, error, message = BAD_FRAMES[case]
+        stack = _small_stack(frames=4)
+        outputs = _scripted_outputs(np.random.default_rng(3), 4, 64, 2)
+        outputs[2] = corrupt(outputs[2])
+        model = _ScriptedModel(stack, outputs)
+        trans = build_transition_model(2, 0.1)
+        with pytest.raises(error, match=message):
+            classify_stack(stack, model, trans, 0.8, mode, workers=workers)
+
+    def test_negative_lambda_rejected(self):
+        stack = _small_stack(frames=2)
+        trans = build_transition_model(2, 0.1)
+        with pytest.raises(InvalidHyperparameterError):
+            classify_stack(
+                stack, _PosteriorStub(), trans, -0.5, RecursionMode.DISCRIMINATIVE
+            )
+
+
+class TestClassifyStackWorkers:
+    @pytest.mark.parametrize("workers", [2, 3])
+    @pytest.mark.parametrize(
+        "k,mode", [(3, RecursionMode.GENERATIVE), (5, RecursionMode.DISCRIMINATIVE)]
+    )
+    def test_bit_identical_to_one_worker(self, k, mode, workers):
+        stack = _small_stack(frames=5, side=9)
+        outputs = _scripted_outputs(np.random.default_rng(k), 5, 81, k)
+        model = _ScriptedModel(stack, outputs)
+        trans = build_transition_model(k, 0.07)
+        one = classify_stack(stack, model, trans, 0.8, mode)
+        many = classify_stack(stack, model, trans, 0.8, mode, workers=workers)
+        assert one.recursive_posteriors.tobytes() == many.recursive_posteriors.tobytes()
+        assert (
+            one.instantaneous_posteriors.tobytes()
+            == many.instantaneous_posteriors.tobytes()
+        )
+        for a, b in zip(one.recursive_labels + one.instantaneous_labels,
+                        many.recursive_labels + many.instantaneous_labels):
+            assert_array_equal(a.labels, b.labels)
+
+
+class TestClassifyStackEquivalence:
+    """`classify_stack` equals a per-frame loop over the public (..., K) API."""
+
+    @given(
+        seed=st.integers(min_value=0, max_value=2**31),
+        k=st.integers(min_value=2, max_value=5),
+        frames=st.integers(min_value=1, max_value=6),
+        mode=st.sampled_from(list(RecursionMode)),
+        lam=st.sampled_from([0.0, 0.8]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_public_step_loop(self, seed, k, frames, mode, lam):
+        rng = np.random.default_rng(seed)
+        side = 4
+        pixels = side * side
+        outputs = []
+        for _ in range(frames):
+            out = rng.uniform(1e-3, 1.0, size=(pixels, k))
+            # rows near the floor: some entries just above, at, or below it
+            tiny = rng.random(pixels) < 0.3
+            out[tiny] *= PROB_FLOOR * rng.uniform(0.5, 5.0, size=(int(tiny.sum()), k))
+            outputs.append(out)
+        stack = _small_stack(frames=frames, side=side, seed=seed % 1000)
+        trans = build_transition_model(k, float(rng.uniform(0.01, 0.5)))
+        result = classify_stack(stack, _ScriptedModel(stack, outputs), trans, lam, mode)
+
+        update = (
+            generative_update if mode is RecursionMode.GENERATIVE
+            else discriminative_update
+        )
+        state = np.broadcast_to(uniform_pmf(k), (pixels, k))
+        for t, raw in enumerate(outputs):
+            inst = floor_normalize(raw)
+            state = update(regularize(inst, lam), state, trans)
+            assert_allclose(
+                result.instantaneous_posteriors[t].reshape(k, pixels).T, inst,
+                rtol=0.0, atol=1e-12,
+            )
+            assert_allclose(
+                result.recursive_posteriors[t].reshape(k, pixels).T, state,
+                rtol=0.0, atol=1e-12,
+            )
+            assert_array_equal(
+                result.instantaneous_labels[t].labels.ravel(), map_decision(inst)
+            )
+            assert_array_equal(
+                result.recursive_labels[t].labels.ravel(), map_decision(state)
+            )
