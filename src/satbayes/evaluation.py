@@ -15,18 +15,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import ImageStack, LabelRaster, build_transition_model, floor_normalize
+from .core import ImageStack, LabelRaster, build_transition_model
 from .errors import ConfigError, EvaluationError, ShapeError
 from .recursion import (
+    FrameStep,
     RecursionMode,
     StackClassification,
     TransitionModel,
     classify_stack,
-    discriminative_update,
-    generative_update,
-    regularize,
-    uniform_pmf,
-    validate_likelihood,
+    model_output,
 )
 from .textio import format_float
 
@@ -243,9 +240,11 @@ class TimingRecord:
     """Wall-time medians for one algorithm on one stack.
 
     ``baseline_seconds`` times one full-frame instantaneous model
-    evaluation; ``recursion_seconds`` times one smoothing+update step
-    given a precomputed instantaneous output; ``step_seconds[t]`` is the
-    per-step median at step index t across repetitions.
+    evaluation; ``recursion_seconds`` times one `FrameStep` call (the
+    step `classify_stack` runs per frame: validation, smoothing, update
+    and MAP decision) given a precomputed model output;
+    ``step_seconds[t]`` is the per-step median at step index t across
+    repetitions.
     """
 
     algorithm: str
@@ -267,7 +266,7 @@ def timing_bench(
     """Measure recursion overhead against the instantaneous baseline.
 
     Model outputs are computed once outside the timed region, so the
-    recursion numbers isolate the smoothing+update arithmetic. Medians
+    recursion numbers isolate the recursion step. Medians
     over ``repetitions`` (>= 3) keep scheduler noise out.
     """
     if repetitions < 3:
@@ -281,16 +280,8 @@ def timing_bench(
     records = []
     for name, model in models.items():
         mode = modes[name]
-
-        def evaluate(frame):
-            if mode is RecursionMode.GENERATIVE:
-                return model.frame_likelihood(frame)
-            return model.frame_posterior(frame)
-
-        outputs = [
-            floor_normalize(validate_likelihood(evaluate(frame)))
-            for frame in stack.frames
-        ]
+        evaluate = model_output(model, mode)
+        outputs = [evaluate(frame) for frame in stack.frames]
 
         evaluate(stack.frames[0])  # warmup
         baseline_samples = []
@@ -300,17 +291,17 @@ def timing_bench(
             baseline_samples.append(time.perf_counter() - start)
 
         k = model.num_classes
+        inst = np.empty((k, pixels))
+        beliefs = np.empty((2, k, pixels))  # step t reads [(t + 1) % 2], writes [t % 2]
+        labels = np.empty((2, pixels), dtype=np.uint8)
         step_samples = np.empty((repetitions, len(outputs)))
-        for rep in range(repetitions):
-            state = np.broadcast_to(uniform_pmf(k), (pixels, k)).copy()
-            for t, inst_pmf in enumerate(outputs):
-                start = time.perf_counter()
-                weights = regularize(inst_pmf, lam)
-                if mode is RecursionMode.GENERATIVE:
-                    state = generative_update(weights, state, transition)
-                else:
-                    state = discriminative_update(weights, state, transition)
-                step_samples[rep, t] = time.perf_counter() - start
+        with FrameStep(transition, lam, mode, pixels) as step:
+            for rep in range(repetitions):
+                beliefs[1] = 1.0 / k
+                for t, raw in enumerate(outputs):
+                    start = time.perf_counter()
+                    step(raw, inst, beliefs[(t + 1) % 2], beliefs[t % 2], labels)
+                    step_samples[rep, t] = time.perf_counter() - start
 
         records.append(
             TimingRecord(

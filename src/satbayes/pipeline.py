@@ -115,7 +115,10 @@ def write_posterior_cube(path: str | Path, cube: np.ndarray) -> Path:
     t, k, height, width = arr.shape
     header = CUBE_MAGIC + struct.pack("<BIIBI", CONTAINER_VERSION, width, height, k, t)
     out = Path(path)
-    out.write_bytes(header + np.ascontiguousarray(arr, dtype="<f4").tobytes())
+    with out.open("wb") as fh:
+        fh.write(header)
+        for plane in arr:  # one date at a time: no full-size float32 copy
+            fh.write(np.ascontiguousarray(plane, dtype="<f4"))
     return out
 
 

@@ -5,19 +5,23 @@ by propagating a per-pixel class belief through a hidden-Markov chain.
 Two update flavors are provided: a generative update that consumes
 class-conditional likelihoods, and a discriminative update that
 consumes instantaneous posterior probabilities and divides out the
-class marginals. Both operate on float64 arrays whose last axis
-indexes classes, so one call handles a pixel or a whole frame.
+class marginals.
 
-The ``counted_*`` functions are deliberately naive scalar
-re-implementations used as an independent reference: they return the
-same posterior and an exact floating-point operation count that the
-closed-form ``update_operation_count`` formulas must reproduce.
+All update arithmetic is one class-major kernel, `_Kernel`, on (K, N)
+float64 arrays written in place. `FrameStep` runs it once per frame
+for `classify_stack` and `timing_bench`: it copies the model's (N, K)
+output transposed into the posterior cube and validates it once. The
+public `generative_update`, `discriminative_update` and `regularize`
+take (..., K) arrays, validate every input and run the same kernel on
+a transposed (K, M) copy.
 """
 
 from __future__ import annotations
 
 import datetime as dt
 import enum
+import functools
+from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Protocol, runtime_checkable
@@ -28,6 +32,7 @@ from .core import (
     Frame,
     ImageStack,
     LabelRaster,
+    PROB_FLOOR,
     TransitionModel,
     floor_normalize,
     uniform_pmf,
@@ -88,8 +93,7 @@ def generative_update(
     lik = validate_likelihood(likelihood)
     prev = validate_pmf(prev_posterior)
     _check_class_axis(lik, transition.num_classes, "likelihood")
-    prior = predict_prior(prev, transition)
-    return floor_normalize(lik * prior)
+    return _apply_update(lik, prev, transition, None)
 
 
 def discriminative_update(
@@ -116,8 +120,7 @@ def discriminative_update(
         _check_class_axis(marg, transition.num_classes, "marginal")
         if np.any(marg <= 0.0) or not np.all(np.isfinite(marg)):
             raise InvalidMarginalError("marginal entries must be finite and > 0")
-    prior = predict_prior(prev, transition)
-    return floor_normalize((inst / marg) * prior)
+    return _apply_update(inst, prev, transition, marg[:, np.newaxis])
 
 
 def regularize(pmf: np.ndarray, lam: float) -> np.ndarray:
@@ -126,13 +129,105 @@ def regularize(pmf: np.ndarray, lam: float) -> np.ndarray:
     ``lam`` = 0 returns the input unchanged (bit-exact identity); larger
     values pull the vector toward uniform without reordering classes.
     """
-    if not np.isfinite(lam) or lam < 0.0:
-        raise InvalidHyperparameterError(f"lam must be finite and >= 0, got {lam}")
+    _check_lam(lam)
     arr = validate_pmf(pmf)
     if lam == 0.0:
         return arr
-    shifted = arr + lam
-    return shifted / shifted.sum(axis=-1, keepdims=True)
+    pmf_cm = _class_major(arr, arr.shape)
+    smoothed = _Kernel(*pmf_cm.shape).smooth(pmf_cm, lam)
+    return smoothed.T.reshape(arr.shape)
+
+
+def _check_lam(lam: float) -> None:
+    if not np.isfinite(lam) or lam < 0.0:
+        raise InvalidHyperparameterError(f"lam must be finite and >= 0, got {lam}")
+
+
+def _class_major(arr: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """Contiguous (K, M) copy of ``arr`` broadcast to ``shape`` (..., K)."""
+    return np.array(np.broadcast_to(arr, shape).reshape(-1, shape[-1]).T, order="C")
+
+
+def _apply_update(
+    weights: np.ndarray,
+    prev: np.ndarray,
+    transition: TransitionModel,
+    marginal: np.ndarray | None,
+) -> np.ndarray:
+    """`_Kernel.update` on validated (..., K) inputs; returns a (..., K) view."""
+    _check_class_axis(prev, transition.num_classes, "prev_posterior")
+    shape = np.broadcast_shapes(weights.shape, prev.shape)
+    w = _class_major(weights, shape)
+    out = np.empty_like(w)
+    _Kernel(*w.shape).update(w, _class_major(prev, shape), transition, marginal, out)
+    return out.T.reshape(shape)
+
+
+class _Kernel:
+    """The update arithmetic, on class-major (K, n) float64 arrays.
+
+    Row c holds class c for n pixels, so each operation is one
+    vectorized pass per class, written with ``out=`` into the caller's
+    arrays or this kernel's n-pixel scratch. Column sums add rows in
+    class order, which for K < 8 rounds exactly like a sum over the last
+    axis of the (n, K) layout.
+    """
+
+    def __init__(self, num_classes: int, pixels: int) -> None:
+        self.scratch = np.empty((num_classes, pixels))
+        self.total = np.empty(pixels)
+        self.greater = np.empty(pixels, dtype=np.bool_)
+        self.label_step = np.empty(pixels, dtype=np.uint8)
+
+    def normalize(self, x: np.ndarray) -> None:
+        """Divide each column of ``x`` by its sum, in place."""
+        np.sum(x, axis=0, out=self.total)
+        for row in x:
+            np.divide(row, self.total, out=row)
+
+    def floor_normalize(self, x: np.ndarray) -> None:
+        """`floor_normalize` of every column of ``x``, in place."""
+        np.maximum(x, PROB_FLOOR, out=x)
+        self.normalize(x)
+
+    def smooth(self, pmf: np.ndarray, lam: float) -> np.ndarray:
+        """`regularize` (``lam`` > 0) of every column of ``pmf``, into scratch."""
+        np.add(pmf, lam, out=self.scratch)
+        self.normalize(self.scratch)
+        return self.scratch
+
+    def update(
+        self,
+        weights: np.ndarray,
+        prev: np.ndarray,
+        transition: TransitionModel,
+        marginal: np.ndarray | None,
+        out: np.ndarray,
+    ) -> None:
+        """``out`` = floor-normalized (weights / marginal) * M^T prev.
+
+        ``marginal`` is a (K, 1) column, or None for the generative step.
+        """
+        if marginal is not None:
+            weights = np.divide(weights, marginal, out=self.scratch)
+        np.matmul(transition.matrix.T, prev, out=out)
+        np.multiply(out, weights, out=out)
+        self.floor_normalize(out)
+
+    def decide(self, pmf: np.ndarray, labels: np.ndarray) -> None:
+        """MAP class per column into uint8 ``labels``; ties -> lowest index.
+
+        Equals ``argmax(axis=0)`` without its strided per-pixel scan:
+        where class c beats the running maximum, add (c - label).
+        """
+        best, step = self.total, self.label_step
+        labels.fill(0)
+        np.copyto(best, pmf[0])
+        for c in range(1, pmf.shape[0]):
+            np.greater(pmf[c], best, out=self.greater)
+            np.maximum(best, pmf[c], out=best)
+            np.multiply(np.subtract(c, labels, out=step), self.greater, out=step)
+            np.add(labels, step, out=labels)
 
 
 def map_decision(posterior: np.ndarray) -> np.ndarray | int:
@@ -147,7 +242,7 @@ def map_decision(posterior: np.ndarray) -> np.ndarray | int:
 
 
 # ============================================================
-# operation counting (reference scalar implementations)
+# operation counting
 # ============================================================
 
 
@@ -155,10 +250,10 @@ def update_operation_count(num_classes: int, mode: RecursionMode) -> int:
     """Closed-form per-pixel floating-point operation count of one update.
 
     Counts multiply-accumulates, multiplies, and divides of the naive
-    scalar step exactly as `counted_generative_update` /
-    `counted_discriminative_update` perform them (the per-class
-    denominator recomputation is intentional; it is what the closed
-    forms describe).
+    scalar step, in which each class recomputes the shared denominator
+    (that recomputation is what the closed forms describe). The scalar
+    reference loops in the test oracles count their operations the same
+    way and must reproduce these numbers.
     """
     k = int(num_classes)
     if k < 2:
@@ -168,93 +263,6 @@ def update_operation_count(num_classes: int, mode: RecursionMode) -> int:
     if mode is RecursionMode.DISCRIMINATIVE:
         return k * (k * (k + 1) + k + 2)
     raise ConfigError(f"unknown recursion mode: {mode!r}")
-
-
-def counted_generative_update(
-    likelihood: np.ndarray,
-    prev_posterior: np.ndarray,
-    transition: TransitionModel,
-) -> tuple[np.ndarray, int]:
-    """Scalar-loop generative update returning (posterior, op count).
-
-    Pure-Python loops over one probability vector; no flooring, no
-    vectorization. Serves as the independent numerical reference for
-    `generative_update` and as the accounting reference for
-    `update_operation_count`.
-    """
-    lik = validate_likelihood(np.atleast_1d(likelihood))
-    prev = validate_pmf(np.atleast_1d(prev_posterior))
-    if lik.ndim != 1 or prev.ndim != 1:
-        raise ShapeError("counted updates take single probability vectors")
-    m = transition.matrix
-    k = transition.num_classes
-    _check_class_axis(lik, k, "likelihood")
-    ops = 0
-    posterior = np.empty(k)
-    for i in range(k):
-        prior_i = 0.0
-        for j in range(k):
-            prior_i += prev[j] * m[j, i]  # fused multiply-add: 1 op
-            ops += 1
-        denom = 0.0
-        for c in range(k):
-            inner = 0.0
-            for j in range(k):
-                inner += prev[j] * m[j, c]
-                ops += 1
-            denom += lik[c] * inner
-        posterior[i] = lik[i] * prior_i / denom
-        ops += 2  # one multiply, one divide
-    return posterior, ops
-
-
-def counted_discriminative_update(
-    inst_posterior: np.ndarray,
-    prev_posterior: np.ndarray,
-    transition: TransitionModel,
-    marginal: np.ndarray | None = None,
-) -> tuple[np.ndarray, int]:
-    """Scalar-loop discriminative update returning (posterior, op count).
-
-    Identical accounting to `counted_generative_update` plus one
-    division per denominator term for the posterior/marginal ratio.
-    """
-    inst = validate_likelihood(np.atleast_1d(inst_posterior))
-    prev = validate_pmf(np.atleast_1d(prev_posterior))
-    if inst.ndim != 1 or prev.ndim != 1:
-        raise ShapeError("counted updates take single probability vectors")
-    m = transition.matrix
-    k = transition.num_classes
-    _check_class_axis(inst, k, "inst_posterior")
-    if marginal is None:
-        marg = uniform_pmf(k)
-    else:
-        marg = np.asarray(marginal, dtype=np.float64)
-        _check_class_axis(marg, k, "marginal")
-        if np.any(marg <= 0.0) or not np.all(np.isfinite(marg)):
-            raise InvalidMarginalError("marginal entries must be finite and > 0")
-    ops = 0
-    posterior = np.empty(k)
-    for i in range(k):
-        prior_i = 0.0
-        for j in range(k):
-            prior_i += prev[j] * m[j, i]
-            ops += 1
-        denom = 0.0
-        ratio_i = 0.0
-        for c in range(k):
-            inner = 0.0
-            for j in range(k):
-                inner += prev[j] * m[j, c]
-                ops += 1
-            ratio = inst[c] / marg[c]
-            ops += 1
-            if c == i:
-                ratio_i = ratio
-            denom += ratio * inner
-        posterior[i] = ratio_i * prior_i / denom
-        ops += 2
-    return posterior, ops
 
 
 # ============================================================
@@ -294,9 +302,122 @@ class StackClassification:
     instantaneous_labels: tuple[LabelRaster, ...]
 
 
+def model_output(
+    model: FrameModel, mode: RecursionMode
+) -> Callable[[Frame], np.ndarray]:
+    """The model method whose (N, K) output feeds a recursion in ``mode``."""
+    if mode is RecursionMode.DISCRIMINATIVE:
+        return model.frame_posterior
+    if not hasattr(model, "frame_likelihood"):
+        raise ConfigError(
+            "generative recursion needs a likelihood-producing classifier"
+        )
+    return model.frame_likelihood
+
+
+_Chunk = tuple[slice, _Kernel]  # pixel columns and the kernel that owns their scratch
+
+
 def _chunk_slices(total: int, workers: int) -> list[slice]:
-    size = -(-total // workers)
+    size = max(1, -(-total // workers))
     return [slice(lo, min(lo + size, total)) for lo in range(0, total, size)]
+
+
+class FrameStep:
+    """The per-frame recursion step shared by `classify_stack` and `timing_bench`.
+
+    A call takes one frame's (N, K) model output and writes class-major
+    (K, N) arrays: the floor-normalized instantaneous posterior into
+    ``inst`` and the recursive posterior computed from ``prev`` into
+    ``post``, plus their MAP labels into the rows of (2, N) ``labels``.
+    The model output is validated once, with the errors of
+    `validate_likelihood` / `validate_pmf`. ``workers`` > 1 splits the
+    pixels into column chunks on one thread pool, shut down when the
+    step is used as a context manager; results are bit-identical.
+    """
+
+    def __init__(
+        self,
+        transition: TransitionModel,
+        lam: float,
+        mode: RecursionMode,
+        pixels: int,
+        workers: int = 1,
+    ) -> None:
+        if workers < 1:
+            raise ConfigError(f"workers must be >= 1, got {workers}")
+        _check_lam(lam)
+        k = transition.num_classes
+        self.transition = transition
+        self.lam = lam
+        uniform = uniform_pmf(k)[:, np.newaxis]
+        self.marginal = uniform if mode is RecursionMode.DISCRIMINATIVE else None
+        self._shape = (pixels, k)
+        self._max_entry = np.finfo(np.float64).max / (2 * k)  # K-term sums stay finite
+        self._chunks = [
+            (cols, _Kernel(k, cols.stop - cols.start))
+            for cols in _chunk_slices(pixels, workers)
+        ]
+        self._pool = ThreadPoolExecutor(max_workers=workers)
+        self._map = map if workers == 1 else self._pool.map
+
+    def __enter__(self) -> FrameStep:
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self._pool.shutdown()
+
+    def __call__(
+        self,
+        raw: np.ndarray,
+        inst: np.ndarray,
+        prev: np.ndarray,
+        post: np.ndarray,
+        labels: np.ndarray,
+    ) -> None:
+        raw = np.asarray(raw, dtype=np.float64)
+        if raw.shape != self._shape:
+            validate_likelihood(raw)
+            raise ShapeError(
+                f"model returned shape {raw.shape}, expected {self._shape}"
+            )
+        if not all(self._each_chunk(self._load, raw, inst)):
+            # whole-array checks: the same error, and precedence, as unchunked
+            validate_pmf(floor_normalize(validate_likelihood(raw)))
+        self._each_chunk(self._advance, inst, prev, post, labels)
+
+    def _each_chunk(self, fn: Callable[..., bool | None], *args: np.ndarray) -> list:
+        return list(self._map(functools.partial(fn, *args), self._chunks))
+
+    def _load(self, raw: np.ndarray, inst: np.ndarray, chunk: _Chunk) -> bool:
+        """Copy the chunk's rows of ``raw`` transposed into ``inst``.
+
+        True when whole-chunk reductions prove every pixel finite,
+        non-negative, not all zero and far from overflowing its sum.
+        """
+        cols, kernel = chunk
+        inst = inst[:, cols]
+        np.copyto(inst, raw[cols].T)
+        lo, hi = inst.min(), inst.max()
+        if not (lo >= 0.0 and hi < self._max_entry):
+            return False
+        return bool(lo > 0.0 or np.sum(inst, axis=0, out=kernel.total).min() > 0.0)
+
+    def _advance(
+        self,
+        inst: np.ndarray,
+        prev: np.ndarray,
+        post: np.ndarray,
+        labels: np.ndarray,
+        chunk: _Chunk,
+    ) -> None:
+        cols, kernel = chunk
+        inst, post = inst[:, cols], post[:, cols]
+        kernel.floor_normalize(inst)
+        weights = kernel.smooth(inst, self.lam) if self.lam else inst
+        kernel.update(weights, prev[:, cols], self.transition, self.marginal, post)
+        kernel.decide(inst, labels[0, cols])
+        kernel.decide(post, labels[1, cols])
 
 
 def classify_stack(
@@ -311,81 +432,40 @@ def classify_stack(
 
     For each date the model's instantaneous output is row-normalized,
     smoothed with `regularize`, and folded into the running per-pixel
-    belief (initialized uniform). Both the recursive and the raw
-    instantaneous decisions/posteriors are returned so callers can
-    compare them.
+    belief (initialized uniform) by one `FrameStep`. Both the recursive
+    and the raw instantaneous decisions/posteriors are returned so
+    callers can compare them.
 
-    ``workers`` > 1 partitions the update arithmetic across pixel-row
-    chunks in threads; results are bit-identical to ``workers`` = 1.
+    ``workers`` > 1 partitions each step across pixel chunks on one
+    thread pool; results are bit-identical to ``workers`` = 1.
     """
-    if workers < 1:
-        raise ConfigError(f"workers must be >= 1, got {workers}")
     k = model.num_classes
     if k != transition.num_classes:
         raise ConfigError(
             f"model has {k} classes, transition model {transition.num_classes}"
         )
-    if mode is RecursionMode.GENERATIVE and not hasattr(model, "frame_likelihood"):
-        raise ConfigError(
-            "generative recursion needs a likelihood-producing classifier"
-        )
+    evaluate = model_output(model, mode)
     height, width = stack.shape
     n = height * width
     t_total = len(stack)
 
-    rec_cube = np.empty((t_total, k, height, width))
-    inst_cube = np.empty((t_total, k, height, width))
-    rec_labels: list[LabelRaster] = []
-    inst_labels: list[LabelRaster] = []
+    rec_cube = np.empty((t_total, k, n))
+    inst_cube = np.empty((t_total, k, n))
+    labels = np.empty((t_total, 2, n), dtype=np.uint8)  # instantaneous, recursive
+    prev = np.full((k, n), 1.0 / k)
+    with FrameStep(transition, lam, mode, n, workers) as step:
+        for t, frame in enumerate(stack.frames):
+            step(evaluate(frame), inst_cube[t], prev, rec_cube[t], labels[t])
+            prev = rec_cube[t]
 
-    state = np.broadcast_to(uniform_pmf(k), (n, k)).copy()
-    slices = _chunk_slices(n, workers) if workers > 1 else [slice(0, n)]
-
-    def _update_rows(rows: slice, inst_pmf: np.ndarray, out: np.ndarray) -> None:
-        weights = regularize(inst_pmf[rows], lam)
-        if mode is RecursionMode.GENERATIVE:
-            out[rows] = generative_update(weights, state[rows], transition)
-        else:
-            out[rows] = discriminative_update(weights, state[rows], transition)
-
-    for t, frame in enumerate(stack.frames):
-        if mode is RecursionMode.GENERATIVE:
-            raw = model.frame_likelihood(frame)
-        else:
-            raw = model.frame_posterior(frame)
-        raw = validate_likelihood(raw)
-        if raw.shape != (n, k):
-            raise ShapeError(
-                f"model returned shape {raw.shape}, expected {(n, k)}"
-            )
-        inst_pmf = floor_normalize(raw)
-        posterior = np.empty_like(state)
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                futures = [
-                    pool.submit(_update_rows, rows, inst_pmf, posterior)
-                    for rows in slices
-                ]
-                for fut in futures:
-                    fut.result()
-        else:
-            _update_rows(slices[0], inst_pmf, posterior)
-
-        inst_cube[t] = inst_pmf.T.reshape(k, height, width)
-        rec_cube[t] = posterior.T.reshape(k, height, width)
-        inst_labels.append(
-            LabelRaster(map_decision(inst_pmf).reshape(height, width).astype(np.uint8), k)
-        )
-        rec_labels.append(
-            LabelRaster(map_decision(posterior).reshape(height, width).astype(np.uint8), k)
-        )
-        state = posterior
+    def rasters(row: int) -> tuple[LabelRaster, ...]:
+        return tuple(LabelRaster(v.reshape(height, width), k) for v in labels[:, row])
 
     return StackClassification(
         dates=stack.dates,
         num_classes=k,
-        recursive_posteriors=rec_cube,
-        instantaneous_posteriors=inst_cube,
-        recursive_labels=tuple(rec_labels),
-        instantaneous_labels=tuple(inst_labels),
+        recursive_posteriors=rec_cube.reshape(t_total, k, height, width),
+        instantaneous_posteriors=inst_cube.reshape(t_total, k, height, width),
+        recursive_labels=rasters(1),
+        instantaneous_labels=rasters(0),
     )

@@ -13,6 +13,9 @@ import math
 
 import numpy as np
 
+from satbayes.core import TransitionModel, uniform_pmf, validate_likelihood, validate_pmf
+from satbayes.errors import InvalidMarginalError, ShapeError
+
 
 def symmetric_transition(num_classes: int, change_prob: float) -> np.ndarray:
     """Transition matrix built entry by entry from the definition."""
@@ -135,3 +138,97 @@ def softmax_loss_by_hand(
         total -= scores[int(labels[i])] - log_norm
     penalty = l2 * float(np.sum(weights[:, :-1] ** 2))
     return total / n + penalty
+
+
+def _check_classes(arr: np.ndarray, num_classes: int, name: str) -> None:
+    if arr.shape[-1] != num_classes:
+        raise ShapeError(
+            f"{name} has {arr.shape[-1]} classes, transition model has {num_classes}"
+        )
+
+
+def counted_generative_update(
+    likelihood: np.ndarray,
+    prev_posterior: np.ndarray,
+    transition: TransitionModel,
+) -> tuple[np.ndarray, int]:
+    """Scalar-loop generative update returning (posterior, op count).
+
+    Pure-Python loops over one probability vector; no flooring, no
+    vectorization. Serves as the independent numerical reference for
+    `generative_update` and as the accounting reference for
+    `update_operation_count`: each class recomputes the denominator.
+    """
+    lik = validate_likelihood(np.atleast_1d(likelihood))
+    prev = validate_pmf(np.atleast_1d(prev_posterior))
+    if lik.ndim != 1 or prev.ndim != 1:
+        raise ShapeError("counted updates take single probability vectors")
+    m = transition.matrix
+    k = transition.num_classes
+    _check_classes(lik, k, "likelihood")
+    ops = 0
+    posterior = np.empty(k)
+    for i in range(k):
+        prior_i = 0.0
+        for j in range(k):
+            prior_i += prev[j] * m[j, i]  # fused multiply-add: 1 op
+            ops += 1
+        denom = 0.0
+        for c in range(k):
+            inner = 0.0
+            for j in range(k):
+                inner += prev[j] * m[j, c]
+                ops += 1
+            denom += lik[c] * inner
+        posterior[i] = lik[i] * prior_i / denom
+        ops += 2  # one multiply, one divide
+    return posterior, ops
+
+
+def counted_discriminative_update(
+    inst_posterior: np.ndarray,
+    prev_posterior: np.ndarray,
+    transition: TransitionModel,
+    marginal: np.ndarray | None = None,
+) -> tuple[np.ndarray, int]:
+    """Scalar-loop discriminative update returning (posterior, op count).
+
+    Identical accounting to `counted_generative_update` plus one
+    division per denominator term for the posterior/marginal ratio.
+    """
+    inst = validate_likelihood(np.atleast_1d(inst_posterior))
+    prev = validate_pmf(np.atleast_1d(prev_posterior))
+    if inst.ndim != 1 or prev.ndim != 1:
+        raise ShapeError("counted updates take single probability vectors")
+    m = transition.matrix
+    k = transition.num_classes
+    _check_classes(inst, k, "inst_posterior")
+    if marginal is None:
+        marg = uniform_pmf(k)
+    else:
+        marg = np.asarray(marginal, dtype=np.float64)
+        _check_classes(marg, k, "marginal")
+        if np.any(marg <= 0.0) or not np.all(np.isfinite(marg)):
+            raise InvalidMarginalError("marginal entries must be finite and > 0")
+    ops = 0
+    posterior = np.empty(k)
+    for i in range(k):
+        prior_i = 0.0
+        for j in range(k):
+            prior_i += prev[j] * m[j, i]
+            ops += 1
+        denom = 0.0
+        ratio_i = 0.0
+        for c in range(k):
+            inner = 0.0
+            for j in range(k):
+                inner += prev[j] * m[j, c]
+                ops += 1
+            ratio = inst[c] / marg[c]
+            ops += 1
+            if c == i:
+                ratio_i = ratio
+            denom += ratio * inner
+        posterior[i] = ratio_i * prior_i / denom
+        ops += 2
+    return posterior, ops

@@ -46,8 +46,6 @@ from satbayes.pipeline import (
 from satbayes.recursion import (
     RecursionMode,
     classify_stack,
-    counted_discriminative_update,
-    counted_generative_update,
     generative_update,
     regularize,
     update_operation_count,
@@ -235,8 +233,8 @@ def test_c04_operation_count_formulas():
             transition = build_transition_model(k, 0.1)
             prev = random_pmfs(rng, 1, k)[0]
             lik = rng.uniform(0.1, 1.0, size=k)
-            _, gen_ops = counted_generative_update(lik, prev, transition)
-            _, disc_ops = counted_discriminative_update(
+            _, gen_ops = oracles.counted_generative_update(lik, prev, transition)
+            _, disc_ops = oracles.counted_discriminative_update(
                 random_pmfs(rng, 1, k)[0], prev, transition
             )
             ok &= gen_ops == update_operation_count(k, RecursionMode.GENERATIVE)

@@ -29,8 +29,6 @@ from satbayes.errors import (
 from satbayes.recursion import (
     RecursionMode,
     classify_stack,
-    counted_discriminative_update,
-    counted_generative_update,
     discriminative_update,
     generative_update,
     map_decision,
@@ -234,10 +232,10 @@ class TestOperationCounts:
         model = build_transition_model(k, 0.1)
         lik = rng.uniform(0.1, 1.0, size=k)
         prev = random_pmfs(rng, 1, k)[0]
-        _, gen_ops = counted_generative_update(lik, prev, model)
+        _, gen_ops = oracles.counted_generative_update(lik, prev, model)
         assert gen_ops == update_operation_count(k, RecursionMode.GENERATIVE)
         inst = random_pmfs(rng, 1, k)[0]
-        _, disc_ops = counted_discriminative_update(inst, prev, model)
+        _, disc_ops = oracles.counted_discriminative_update(inst, prev, model)
         assert disc_ops == update_operation_count(k, RecursionMode.DISCRIMINATIVE)
 
     @pytest.mark.parametrize("k", [2, 3, 5])
@@ -246,10 +244,10 @@ class TestOperationCounts:
         model = build_transition_model(k, 0.25)
         lik = rng.uniform(0.1, 1.0, size=k)
         prev = random_pmfs(rng, 1, k)[0]
-        counted, _ = counted_generative_update(lik, prev, model)
+        counted, _ = oracles.counted_generative_update(lik, prev, model)
         assert_allclose(counted, generative_update(lik, prev, model), atol=1e-14)
         inst = random_pmfs(rng, 1, k)[0]
-        counted, _ = counted_discriminative_update(inst, prev, model)
+        counted, _ = oracles.counted_discriminative_update(inst, prev, model)
         assert_allclose(counted, discriminative_update(inst, prev, model), atol=1e-14)
 
 
@@ -421,6 +419,30 @@ class TestClassifyStackErrors:
             classify_stack(
                 stack, _PosteriorStub(), trans, -0.5, RecursionMode.DISCRIMINATIVE
             )
+
+
+class TestClassifyStackAcceptsEdgeOutputs:
+    """Valid outputs that trip the fast checks still run the normal step."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("mode", list(RecursionMode))
+    def test_zero_entries_and_huge_rows(self, mode, workers):
+        stack = _small_stack(frames=3)
+        outputs = _scripted_outputs(np.random.default_rng(8), 3, 64, 2)
+        outputs[1][::3, 0] = 0.0  # zero entries, never a whole row
+        outputs[2][5] = np.finfo(np.float64).max / 3.0  # finite row sum
+        trans = build_transition_model(2, 0.1)
+        result = classify_stack(
+            stack, _ScriptedModel(stack, outputs), trans, 0.8, mode, workers=workers
+        )
+        update = (
+            generative_update if mode is RecursionMode.GENERATIVE
+            else discriminative_update
+        )
+        state = uniform_pmf(2)
+        for t, raw in enumerate(outputs):
+            state = update(regularize(floor_normalize(raw), 0.8), state, trans)
+            assert_array_equal(result.recursive_posteriors[t].reshape(2, 64).T, state)
 
 
 class TestClassifyStackWorkers:
