@@ -13,8 +13,16 @@ import math
 
 import numpy as np
 
-from satbayes.core import TransitionModel, uniform_pmf, validate_likelihood, validate_pmf
+from satbayes.core import (
+    TransitionModel,
+    build_transition_model,
+    uniform_pmf,
+    validate_likelihood,
+    validate_pmf,
+)
 from satbayes.errors import InvalidMarginalError, ShapeError
+from satbayes.evaluation import frame_accuracies
+from satbayes.recursion import classify_stack
 
 
 def symmetric_transition(num_classes: int, change_prob: float) -> np.ndarray:
@@ -232,3 +240,34 @@ def counted_discriminative_update(
         posterior[i] = ratio_i * prior_i / denom
         ops += 2
     return posterior, ops
+
+
+def per_epsilon_sweep(stack, models, modes, lam, grid, workers=1):
+    """The epsilon sweep as one full `classify_stack` run per grid value.
+
+    Unlike the rest of this module it reuses package code: it is the
+    straightforward route (re-evaluate every model on every frame, build
+    both posterior cubes, score them with `frame_accuracies`) that the
+    one-pass `epsilon_sweep` must reproduce exactly. Returns the
+    (algorithms, grid) recursive accuracy array and the per-algorithm
+    instantaneous accuracies.
+    """
+    eps = tuple(float(e) for e in grid)
+    algorithms = tuple(models)
+    accuracy = np.zeros((len(algorithms), len(eps)))
+    instantaneous = []
+    for a, name in enumerate(algorithms):
+        inst_score = None
+        for e, epsilon in enumerate(eps):
+            transition = build_transition_model(
+                models[name].num_classes, epsilon
+            )
+            result = classify_stack(
+                stack, models[name], transition, lam, modes[name], workers=workers
+            )
+            scores = frame_accuracies(result, stack)
+            accuracy[a, e] = float(np.mean([s.recursive for s in scores]))
+            if inst_score is None:
+                inst_score = float(np.mean([s.instantaneous for s in scores]))
+        instantaneous.append(inst_score)
+    return accuracy, tuple(instantaneous)

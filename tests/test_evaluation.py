@@ -2,14 +2,21 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 import oracles
 from helpers import WATER_THRESHOLDS, make_stack
-from satbayes.classifiers import IndexClassifier, SpectralIndexKind
-from satbayes.core import build_transition_model
+from satbayes.classifiers import (
+    GaussianMixture,
+    IndexClassifier,
+    MixtureClassifier,
+    SpectralIndexKind,
+)
+from satbayes.core import ImageStack, build_transition_model
 from satbayes.errors import ConfigError, EvaluationError, ShapeError
 from satbayes.evaluation import (
     balanced_accuracy,
@@ -227,6 +234,50 @@ class TestEpsilonSweep:
                 lam=0.8,
                 grid=[0.1],
             )
+
+
+def _gmm():
+    """Generative engine from the benchmark scene's class statistics, unfitted."""
+    cov = np.diag([0.05**2, 0.05**2])[np.newaxis]
+    return MixtureClassifier(
+        bands=("green", "swir1"),
+        mixtures=(
+            GaussianMixture(np.ones(1), np.array([[0.12, 0.28]]), cov),
+            GaussianMixture(np.ones(1), np.array([[0.30, 0.06]]), cov),
+        ),
+    )
+
+
+def _drop_truth(stack, every=3):
+    """The stack with truth removed from every ``every``-th frame, from frame 1."""
+    return ImageStack(frames=tuple(
+        dataclasses.replace(fr, truth=None) if t % every == 1 else fr
+        for t, fr in enumerate(stack.frames)
+    ))
+
+
+class TestEpsilonSweepMatchesPerEpsilonRuns:
+    """The sweep equals one `classify_stack` run per grid value, exactly."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("lam", [0.0, 0.8])
+    @pytest.mark.parametrize("partial_truth", [False, True])
+    def test_equals_oracle(self, benchmark_stack, partial_truth, lam, workers):
+        stack = _drop_truth(benchmark_stack) if partial_truth else benchmark_stack
+        kwargs = dict(
+            models={"sic": _sic(), "gmm": _gmm()},
+            modes={"sic": RecursionMode.DISCRIMINATIVE, "gmm": RecursionMode.GENERATIVE},
+            lam=lam,
+            grid=[0.001, 0.05, 0.3, 0.5, 0.7],
+            workers=workers,
+        )
+        result = epsilon_sweep(stack, **kwargs)
+        accuracy, instantaneous = oracles.per_epsilon_sweep(stack, **kwargs)
+        assert result.algorithms == ("sic", "gmm")
+        assert result.grid == (0.001, 0.05, 0.3, 0.5, 0.7)
+        assert result.recursive_accuracy.shape == accuracy.shape
+        assert result.recursive_accuracy.tolist() == accuracy.tolist()
+        assert result.instantaneous_accuracy == instantaneous
 
 
 class TestTimingBench:

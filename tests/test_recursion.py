@@ -26,6 +26,7 @@ from satbayes.errors import (
     InvalidMarginalError,
     ShapeError,
 )
+from satbayes.evaluation import epsilon_sweep
 from satbayes.recursion import (
     RecursionMode,
     classify_stack,
@@ -419,6 +420,35 @@ class TestClassifyStackErrors:
             classify_stack(
                 stack, _PosteriorStub(), trans, -0.5, RecursionMode.DISCRIMINATIVE
             )
+
+
+class TestEpsilonSweepErrors:
+    """A bad model output at frame t >= 1 fails the sweep as it fails `classify_stack`."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("mode", list(RecursionMode))
+    @pytest.mark.parametrize("case", sorted(BAD_FRAMES))
+    def test_same_error_as_classify_stack(self, case, mode, workers):
+        corrupt, error, _ = BAD_FRAMES[case]
+        rng = np.random.default_rng(5)
+        planes = [[rng.uniform(0.0, 1.0, size=(8, 8))] for _ in range(4)]
+        truths = [rng.integers(0, 2, size=(8, 8)) for _ in range(4)]
+        stack = make_stack(("gray",), planes, truths=truths)
+        outputs = _scripted_outputs(rng, 4, 64, 2)
+        outputs[2] = corrupt(outputs[2])
+        model = _ScriptedModel(stack, outputs)
+        with pytest.raises(error) as expected:
+            classify_stack(
+                stack, model, build_transition_model(2, 0.05), 0.8, mode,
+                workers=workers,
+            )
+        with pytest.raises(error) as swept:
+            epsilon_sweep(
+                stack, {"m": model}, {"m": mode}, 0.8, [0.05, 0.2, 0.4],
+                workers=workers,
+            )
+        assert type(swept.value) is type(expected.value)
+        assert str(swept.value) == str(expected.value)
 
 
 class TestClassifyStackAcceptsEdgeOutputs:
