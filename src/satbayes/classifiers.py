@@ -29,9 +29,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.linalg import cholesky, solve_triangular
-from scipy.optimize import minimize
-from scipy.special import logsumexp
 
 from .core import Frame, LabelRaster, MultibandImage, floor_normalize
 from .errors import (
@@ -222,6 +219,8 @@ class GaussianMixture:
             raise ShapeError(
                 f"expected points of shape (N, {self.num_bands}), got {arr.shape}"
             )
+        from scipy.special import logsumexp
+
         log_terms = _log_gaussian_matrix(arr, self.means, self.covariances)
         return logsumexp(log_terms + np.log(self.weights), axis=1)
 
@@ -233,6 +232,8 @@ def _log_gaussian_matrix(
     x: np.ndarray, means: np.ndarray, covariances: np.ndarray
 ) -> np.ndarray:
     """Log N(x | mean_m, cov_m) for every sample/component pair -> (N, M)."""
+    from scipy.linalg import cholesky, solve_triangular
+
     n, b = x.shape
     m = means.shape[0]
     out = np.empty((n, m))
@@ -265,6 +266,8 @@ def _fit_single_mixture(
     x: np.ndarray, components: int, rng: np.random.Generator
 ) -> tuple[GaussianMixture, list[float]]:
     """EM fit of one class's mixture; returns the model and its mean-LL trace."""
+    from scipy.special import logsumexp
+
     n, b = x.shape
     eye = np.eye(b)
     means = _kmeans_pp_centers(x, components, rng)
@@ -403,6 +406,8 @@ def logistic_loss_grad(
     ``weights_flat`` raveled from (K, B+1). Exposed as a module function
     so the gradient can be checked against finite differences.
     """
+    from scipy.special import logsumexp
+
     n, b_aug = features_aug.shape
     k = labels_onehot.shape[1]
     w = weights_flat.reshape(k, b_aug)
@@ -514,6 +519,8 @@ def fit_logistic_classifier(
     aug = np.hstack([(x - mean) / std, np.ones((x.shape[0], 1))])
     onehot = np.zeros((x.shape[0], num_classes))
     onehot[np.arange(x.shape[0]), y.astype(np.intp)] = 1.0
+
+    from scipy.optimize import minimize
 
     result = minimize(
         logistic_loss_grad,

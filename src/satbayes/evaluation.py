@@ -22,7 +22,6 @@ from .recursion import (
     RecursionMode,
     StackClassification,
     TransitionModel,
-    classify_stack,
     model_output,
 )
 from .textio import format_float
@@ -185,11 +184,15 @@ def epsilon_sweep(
     grid: Sequence[float],
     workers: int = 1,
 ) -> SweepResult:
-    """Re-run the recursion across a grid of transition probabilities.
+    """Run the recursion across a grid of transition probabilities.
 
     Every model in ``models`` is swept over every epsilon in ``grid``
     (strictly increasing, each within (0, 1)); the score is the mean
-    balanced accuracy over the stack's ground-truth frames.
+    balanced accuracy over the stack's ground-truth frames. The sweep is
+    one pass over the frames per model: one `FrameStep` advances a
+    belief per grid value from a single model evaluation per frame, and
+    labels are scored as they come. Scores equal those of one
+    `classify_stack` run per grid value, bit for bit.
     """
     eps = tuple(float(e) for e in grid)
     if not eps:
@@ -205,23 +208,33 @@ def epsilon_sweep(
     if not any(fr.truth is not None for fr in stack.frames):
         raise EvaluationError("no frames carry ground truth")
 
+    height, width = stack.shape
+    pixels = height * width
     algorithms = tuple(models)
     accuracy = np.zeros((len(algorithms), len(eps)))
     instantaneous = []
     for a, name in enumerate(algorithms):
-        inst_score = None
-        for e, epsilon in enumerate(eps):
-            transition = build_transition_model(
-                models[name].num_classes, epsilon
-            )
-            result = classify_stack(
-                stack, models[name], transition, lam, modes[name], workers=workers
-            )
-            scores = frame_accuracies(result, stack)
-            accuracy[a, e] = float(np.mean([s.recursive for s in scores]))
-            if inst_score is None:
-                inst_score = float(np.mean([s.instantaneous for s in scores]))
-        instantaneous.append(inst_score)
+        model = models[name]
+        evaluate = model_output(model, modes[name])
+        k = model.num_classes
+        transitions = [build_transition_model(k, epsilon) for epsilon in eps]
+        inst = np.empty((k, pixels))
+        beliefs = np.empty((2, len(eps), k, pixels))
+        beliefs[1] = 1.0 / k
+        labels = np.empty((1 + len(eps), pixels), dtype=np.uint8)
+        scores = []  # per truth frame: instantaneous, then one per epsilon
+        with FrameStep(transitions, lam, modes[name], pixels, workers) as step:
+            for t, frame in enumerate(stack.frames):
+                prev, post = beliefs[(t + 1) % 2], beliefs[t % 2]
+                step(evaluate(frame), inst, prev, post, labels)
+                if frame.truth is not None:
+                    scores.append([
+                        balanced_accuracy(row.reshape(height, width), frame.truth)
+                        for row in labels
+                    ])
+        means = [float(np.mean(column)) for column in zip(*scores)]
+        instantaneous.append(means[0])
+        accuracy[a] = means[1:]
     return SweepResult(
         grid=eps,
         algorithms=algorithms,
@@ -292,10 +305,10 @@ def timing_bench(
 
         k = model.num_classes
         inst = np.empty((k, pixels))
-        beliefs = np.empty((2, k, pixels))  # step t reads [(t + 1) % 2], writes [t % 2]
+        beliefs = np.empty((2, 1, k, pixels))  # step t: [(t + 1) % 2] -> [t % 2]
         labels = np.empty((2, pixels), dtype=np.uint8)
         step_samples = np.empty((repetitions, len(outputs)))
-        with FrameStep(transition, lam, mode, pixels) as step:
+        with FrameStep([transition], lam, mode, pixels) as step:
             for rep in range(repetitions):
                 beliefs[1] = 1.0 / k
                 for t, raw in enumerate(outputs):

@@ -321,7 +321,8 @@ def load_stack(manifest: StackManifest) -> ImageStack:
 
     Band planes are read at native resolution, nearest-neighbor
     upsampled to the manifest grid, and multiplied by the reflectance
-    scale. Missing or mis-sized files raise LoadError naming the path.
+    scale. Missing or mis-sized files, and planes holding NaN or
+    infinite values, raise LoadError naming the path (and the date).
     """
     factors = manifest.resample_factors()
     names = manifest.band_names
@@ -337,9 +338,13 @@ def load_stack(manifest: StackManifest) -> ImageStack:
                     f"band {band!r}: grid {width}x{height} not divisible by "
                     f"resample factor {factor}"
                 )
-            plane = read_band_plane(
-                manifest.base_dir / paths[band], height // factor, width // factor
-            )
+            path = manifest.base_dir / paths[band]
+            plane = read_band_plane(path, height // factor, width // factor)
+            if not np.isfinite(plane).all():
+                raise LoadError(
+                    f"{path}: band {band!r} on {mf.date.isoformat()} "
+                    "has non-finite values"
+                )
             planes.append(resample_nearest(plane, factor).astype(np.float64))
         data = np.stack(planes) * manifest.scale
         truth = None

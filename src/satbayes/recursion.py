@@ -9,11 +9,13 @@ class marginals.
 
 All update arithmetic is one class-major kernel, `_Kernel`, on (K, N)
 float64 arrays written in place. `FrameStep` runs it once per frame
-for `classify_stack` and `timing_bench`: it copies the model's (N, K)
-output transposed into the posterior cube and validates it once. The
-public `generative_update`, `discriminative_update` and `regularize`
-take (..., K) arrays, validate every input and run the same kernel on
-a transposed (K, M) copy.
+for `classify_stack`, `timing_bench` and `epsilon_sweep`: it copies the
+model's (N, K) output transposed into a (K, N) buffer, validates it
+once, and advances one (K, N) belief per transition model, so a sweep
+over E transition probabilities is a bank of E filters sharing one
+model evaluation per frame. The public `generative_update`,
+`discriminative_update` and `regularize` take (..., K) arrays, validate
+every input and run the same kernel on a transposed (K, M) copy.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from __future__ import annotations
 import datetime as dt
 import enum
 import functools
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Protocol, runtime_checkable
@@ -159,7 +161,9 @@ def _apply_update(
     shape = np.broadcast_shapes(weights.shape, prev.shape)
     w = _class_major(weights, shape)
     out = np.empty_like(w)
-    _Kernel(*w.shape).update(w, _class_major(prev, shape), transition, marginal, out)
+    kernel = _Kernel(*w.shape)
+    w = kernel.weigh(w, marginal)
+    kernel.update(w, _class_major(prev, shape), transition, out)
     return out.T.reshape(shape)
 
 
@@ -196,20 +200,24 @@ class _Kernel:
         self.normalize(self.scratch)
         return self.scratch
 
+    def weigh(self, pmf: np.ndarray, marginal: np.ndarray | None) -> np.ndarray:
+        """Evidence weights: ``pmf`` / ``marginal`` into scratch.
+
+        ``marginal`` is a (K, 1) column, or None for the generative step,
+        which weighs by ``pmf`` itself.
+        """
+        if marginal is None:
+            return pmf
+        return np.divide(pmf, marginal, out=self.scratch)
+
     def update(
         self,
         weights: np.ndarray,
         prev: np.ndarray,
         transition: TransitionModel,
-        marginal: np.ndarray | None,
         out: np.ndarray,
     ) -> None:
-        """``out`` = floor-normalized (weights / marginal) * M^T prev.
-
-        ``marginal`` is a (K, 1) column, or None for the generative step.
-        """
-        if marginal is not None:
-            weights = np.divide(weights, marginal, out=self.scratch)
+        """``out`` = floor-normalized weights * M^T prev."""
         np.matmul(transition.matrix.T, prev, out=out)
         np.multiply(out, weights, out=out)
         self.floor_normalize(out)
@@ -324,21 +332,26 @@ def _chunk_slices(total: int, workers: int) -> list[slice]:
 
 
 class FrameStep:
-    """The per-frame recursion step shared by `classify_stack` and `timing_bench`.
+    """The per-frame recursion step: one belief per transition model.
 
-    A call takes one frame's (N, K) model output and writes class-major
-    (K, N) arrays: the floor-normalized instantaneous posterior into
-    ``inst`` and the recursive posterior computed from ``prev`` into
-    ``post``, plus their MAP labels into the rows of (2, N) ``labels``.
-    The model output is validated once, with the errors of
-    `validate_likelihood` / `validate_pmf`. ``workers`` > 1 splits the
-    pixels into column chunks on one thread pool, shut down when the
-    step is used as a context manager; results are bit-identical.
+    `classify_stack` and `timing_bench` run it with one transition
+    model, `epsilon_sweep` with one per grid value; all share the class
+    count K. A call takes one frame's (N, K) model output and writes
+    class-major arrays: the floor-normalized instantaneous posterior
+    into (K, N) ``inst``, and for each transition model e the recursive
+    posterior computed from ``prev[e]`` into ``post[e]``, both
+    (E, K, N). Row 0 of the (1 + E, N) ``labels`` gets the
+    instantaneous MAP labels and row 1 + e those of ``post[e]``.
+    Validation, smoothing and the division by the marginal run once per
+    call, whatever E is. The model output is validated with the errors
+    of `validate_likelihood` / `validate_pmf`. ``workers`` > 1 splits
+    the pixels into column chunks on one thread pool, shut down when
+    the step is used as a context manager; results are bit-identical.
     """
 
     def __init__(
         self,
-        transition: TransitionModel,
+        transitions: Sequence[TransitionModel],
         lam: float,
         mode: RecursionMode,
         pixels: int,
@@ -347,8 +360,8 @@ class FrameStep:
         if workers < 1:
             raise ConfigError(f"workers must be >= 1, got {workers}")
         _check_lam(lam)
-        k = transition.num_classes
-        self.transition = transition
+        self.transitions = tuple(transitions)
+        k = self.transitions[0].num_classes
         self.lam = lam
         uniform = uniform_pmf(k)[:, np.newaxis]
         self.marginal = uniform if mode is RecursionMode.DISCRIMINATIVE else None
@@ -412,12 +425,15 @@ class FrameStep:
         chunk: _Chunk,
     ) -> None:
         cols, kernel = chunk
-        inst, post = inst[:, cols], post[:, cols]
+        inst = inst[:, cols]
         kernel.floor_normalize(inst)
-        weights = kernel.smooth(inst, self.lam) if self.lam else inst
-        kernel.update(weights, prev[:, cols], self.transition, self.marginal, post)
         kernel.decide(inst, labels[0, cols])
-        kernel.decide(post, labels[1, cols])
+        smoothed = kernel.smooth(inst, self.lam) if self.lam else inst
+        weights = kernel.weigh(smoothed, self.marginal)  # scratch, or inst itself
+        for e, transition in enumerate(self.transitions):
+            out = post[e, :, cols]
+            kernel.update(weights, prev[e, :, cols], transition, out)
+            kernel.decide(out, labels[1 + e, cols])
 
 
 def classify_stack(
@@ -452,11 +468,11 @@ def classify_stack(
     rec_cube = np.empty((t_total, k, n))
     inst_cube = np.empty((t_total, k, n))
     labels = np.empty((t_total, 2, n), dtype=np.uint8)  # instantaneous, recursive
-    prev = np.full((k, n), 1.0 / k)
-    with FrameStep(transition, lam, mode, n, workers) as step:
+    prev = np.full((1, k, n), 1.0 / k)
+    with FrameStep([transition], lam, mode, n, workers) as step:
         for t, frame in enumerate(stack.frames):
-            step(evaluate(frame), inst_cube[t], prev, rec_cube[t], labels[t])
-            prev = rec_cube[t]
+            step(evaluate(frame), inst_cube[t], prev, rec_cube[t : t + 1], labels[t])
+            prev = rec_cube[t : t + 1]
 
     def rasters(row: int) -> tuple[LabelRaster, ...]:
         return tuple(LabelRaster(v.reshape(height, width), k) for v in labels[:, row])

@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import datetime as dt
+import os
+import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -600,6 +604,28 @@ class TestCliExitCodes:
                      "--reps", "1", "--out", str(tmp_path)]) == 1
         capsys.readouterr()
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_band_plane_is_data_exit(self, cli_area, tmp_path, capsys, value):
+        shutil.copytree(cli_area / "data", tmp_path / "data")
+        shutil.copy(cli_area / "exp.cfg", tmp_path / "exp.cfg")
+        plane = sorted((tmp_path / "data" / "bands").glob("*.f32"))[4]
+        values = np.fromfile(plane, dtype="<f4")
+        values[37] = value
+        values.tofile(plane)
+        date = next(
+            line.split()[2] for line in
+            (tmp_path / "data" / "manifest.txt").read_text().splitlines()
+            if plane.name in line
+        )
+        manifest = tmp_path / "data" / "manifest.txt"
+        for argv in (["ingest", "--manifest", str(manifest)],
+                     ["run", "--config", str(tmp_path / "exp.cfg"),
+                      "--out", str(tmp_path / "out")]):
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: ")
+            assert plane.name in err and date in err and "non-finite" in err
+
     def test_eval_empty_prediction_dir(self, tmp_path, capsys):
         (tmp_path / "pred").mkdir()
         (tmp_path / "truth").mkdir()
@@ -607,3 +633,18 @@ class TestCliExitCodes:
                      "--truth", str(tmp_path / "truth"),
                      "--out", str(tmp_path / "s")]) == 2
         capsys.readouterr()
+
+
+def test_cli_import_leaves_scipy_solvers_unloaded():
+    """`import satbayes.cli` must not pay for scipy's solvers; they load on use."""
+    code = (
+        "import sys, satbayes.cli; "
+        "print(sorted(m for m in ('scipy.linalg', 'scipy.optimize', 'scipy.special') "
+        "if m in sys.modules))"
+    )
+    src = str(Path(__import__("satbayes").__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert out.stdout.strip() == "[]"

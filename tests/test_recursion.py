@@ -28,6 +28,7 @@ from satbayes.errors import (
 )
 from satbayes.evaluation import epsilon_sweep
 from satbayes.recursion import (
+    FrameStep,
     RecursionMode,
     classify_stack,
     discriminative_update,
@@ -495,6 +496,56 @@ class TestClassifyStackWorkers:
         for a, b in zip(one.recursive_labels + one.instantaneous_labels,
                         many.recursive_labels + many.instantaneous_labels):
             assert_array_equal(a.labels, b.labels)
+
+
+class TestFrameStepTransitionBank:
+    """E transition models in one `FrameStep` match other worker counts and E = 1."""
+
+    EPSILONS = (0.01, 0.07, 0.3)
+
+    @staticmethod
+    def _run(outputs, k, mode, workers):
+        pixels = outputs[0].shape[0]
+        transitions = [build_transition_model(k, e) for e in
+                       TestFrameStepTransitionBank.EPSILONS]
+        e_count = len(transitions)
+        insts = np.empty((len(outputs), k, pixels))
+        posts = np.empty((len(outputs), e_count, k, pixels))
+        labels = np.empty((len(outputs), 1 + e_count, pixels), dtype=np.uint8)
+        prev = np.full((e_count, k, pixels), 1.0 / k)
+        with FrameStep(transitions, 0.8, mode, pixels, workers) as step:
+            for t, raw in enumerate(outputs):
+                step(raw, insts[t], prev, posts[t], labels[t])
+                prev = posts[t]
+        return insts, posts, labels
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    @pytest.mark.parametrize(
+        "k,mode", [(2, RecursionMode.DISCRIMINATIVE), (3, RecursionMode.GENERATIVE)]
+    )
+    def test_workers_bit_identical(self, k, mode, workers):
+        outputs = _scripted_outputs(np.random.default_rng(40 + k), 5, 81, k)
+        one = self._run(outputs, k, mode, 1)
+        many = self._run(outputs, k, mode, workers)
+        for a, b in zip(one, many):
+            assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize(
+        "k,mode", [(2, RecursionMode.DISCRIMINATIVE), (3, RecursionMode.GENERATIVE)]
+    )
+    def test_each_belief_equals_classify_stack(self, k, mode):
+        stack = _small_stack(frames=5, side=9)
+        outputs = _scripted_outputs(np.random.default_rng(50 + k), 5, 81, k)
+        insts, posts, labels = self._run(outputs, k, mode, 2)
+        for e, epsilon in enumerate(self.EPSILONS):
+            trans = build_transition_model(k, epsilon)
+            ref = classify_stack(stack, _ScriptedModel(stack, outputs), trans, 0.8, mode)
+            assert insts.tobytes() == ref.instantaneous_posteriors.tobytes()
+            assert posts[:, e].tobytes() == ref.recursive_posteriors.tobytes()
+            for t in range(5):
+                inst_labels = ref.instantaneous_labels[t].labels.ravel()
+                assert_array_equal(labels[t, 0], inst_labels)
+                assert_array_equal(labels[t, 1 + e], ref.recursive_labels[t].labels.ravel())
 
 
 class TestClassifyStackEquivalence:
