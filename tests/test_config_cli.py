@@ -24,7 +24,11 @@ from satbayes.config import (
 )
 from satbayes.errors import ConfigError
 from satbayes.evaluation import balanced_accuracy
-from satbayes.pipeline import read_label_raster, read_posterior_cube
+from satbayes.pipeline import (
+    read_label_raster,
+    read_posterior_cube,
+    write_posterior_cube,
+)
 from satbayes.recursion import RecursionMode
 from satbayes.synth import generate_synthetic, parse_synth_spec
 
@@ -633,6 +637,121 @@ class TestCliExitCodes:
                      "--truth", str(tmp_path / "truth"),
                      "--out", str(tmp_path / "s")]) == 2
         capsys.readouterr()
+
+
+def assert_data_exit(argv: list[str], path: Path, capsys) -> str:
+    """`argv` exits 2 with one `error:` line naming `path`, no traceback."""
+    assert main([str(a) for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert str(path) in err
+    assert "Traceback" not in err
+    return err
+
+
+def unwritable(tmp_path: Path) -> Path:
+    """A directory path below a regular file: any write fails, even as root."""
+    blocker = tmp_path / "blocker"
+    blocker.write_text("not a directory\n")
+    return blocker / "out"
+
+
+def write_bad_config(tmp_path: Path) -> Path:
+    """Copy of the CLI config whose manifest does not exist."""
+    config = tmp_path / "missing_manifest.cfg"
+    config.write_text(CLI_CONFIG.replace("data/manifest.txt", "nowhere/manifest.txt"))
+    return config
+
+
+class TestCliFileBoundary:
+    """OS and decoding failures on satbayes files are data errors (exit 2)."""
+
+    @staticmethod
+    def writer_argvs(cli_area: Path, out: Path) -> dict[str, list]:
+        cfg = cli_area / "exp.cfg"
+        truth = cli_area / "data" / "truth"
+        return {
+            "run": ["run", "--config", cfg, "--out", out],
+            "sweep": ["sweep", "--config", cfg, "--eps", "0.05,0.3", "--out", out],
+            "bench": ["bench", "--config", cfg, "--reps", "3", "--out", out],
+            "train": ["train", "--config", cfg, "--out", out],
+            "eval": ["eval", "--pred", truth, "--truth", truth, "--out", out],
+            "synth": ["synth", "--spec", cli_area / "scene.txt", "--out", out],
+            "ingest": ["ingest", "--manifest", cli_area / "data" / "manifest.txt",
+                       "--out", out],
+        }
+
+    @pytest.mark.parametrize(
+        "command", ["run", "sweep", "bench", "train", "eval", "synth", "ingest"]
+    )
+    def test_unwritable_out_is_data_exit(self, cli_area, tmp_path, capsys, command):
+        out = unwritable(tmp_path)
+        assert_data_exit(self.writer_argvs(cli_area, out)[command], out, capsys)
+
+    @pytest.mark.parametrize("command", ["run", "sweep", "bench", "train"])
+    def test_unwritable_out_fails_before_the_stack_is_loaded(
+        self, cli_area, tmp_path, capsys, command
+    ):
+        out = unwritable(tmp_path)
+        argv = self.writer_argvs(cli_area, out)[command]
+        argv[argv.index("--config") + 1] = write_bad_config(tmp_path)
+        err = assert_data_exit(argv, out, capsys)
+        assert "nowhere" not in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "--out", "never", "--epsilon", "1.5", "--config"],
+            ["sweep", "--out", "never", "--eps", "0.1,zebra", "--config"],
+        ],
+    )
+    def test_bad_arguments_create_no_output(self, cli_area, tmp_path, capsys, argv):
+        argv = [tmp_path / "never" if a == "never" else a for a in argv]
+        assert main([str(a) for a in argv] + [str(cli_area / "exp.cfg")]) == 1
+        capsys.readouterr()
+        assert not (tmp_path / "never").exists()
+
+    @pytest.mark.parametrize("flag", ["--config", "--manifest", "--spec"])
+    @pytest.mark.parametrize("kind", ["directory", "invalid-utf8"])
+    def test_unreadable_text_input_is_data_exit(self, tmp_path, capsys, flag, kind):
+        src = tmp_path / "input.txt"
+        if kind == "directory":
+            src.mkdir()
+        else:
+            src.write_bytes(b"name = \xff\xfe\x80 broken\n")
+        argv = {
+            "--config": ["run", "--config", src, "--out", tmp_path / "o"],
+            "--manifest": ["ingest", "--manifest", src],
+            "--spec": ["synth", "--spec", src, "--out", tmp_path / "o"],
+        }[flag]
+        assert_data_exit(argv, src, capsys)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -0.25])
+    def test_bad_external_posterior_is_data_exit(self, cli_area, tmp_path, capsys, value):
+        data = tmp_path / "data"
+        shutil.copytree(cli_area / "data", data)
+        (data / "post").mkdir()
+        lines = []
+        for line in (data / "manifest.txt").read_text().splitlines():
+            if line.startswith("frame = "):
+                date = line.split()[2]
+                cube = np.full((1, 2, 20, 20), 0.5)
+                if date == date_of(3).isoformat():
+                    cube[0, 1, 4, 7] = value
+                write_posterior_cube(data / "post" / f"{date}.cube", cube)
+                line += f" posterior=post/{date}.cube"
+            lines.append(line)
+        (data / "manifest.txt").write_text("\n".join(lines) + "\n")
+        config = tmp_path / "external.cfg"
+        config.write_text(
+            CLI_CONFIG.replace("classifier = index", "classifier = external")
+        )
+        bad = data / "post" / f"{date_of(3).isoformat()}.cube"
+        err = assert_data_exit(
+            ["run", "--config", config, "--out", tmp_path / "out"], bad, capsys
+        )
+        assert date_of(3).isoformat() in err
+        assert not (tmp_path / "out" / "labels").exists()
 
 
 def test_cli_import_leaves_scipy_solvers_unloaded():
