@@ -26,7 +26,6 @@ from .classifiers import (
 )
 from .config import ExperimentConfig, parse_config, serialize_config
 from .core import (
-    ClassSet,
     Frame,
     ImageStack,
     LabelRaster,
@@ -73,7 +72,6 @@ from .recursion import (
 from .synth import SynthSpec, generate_synthetic, parse_synth_spec
 
 __all__ = [
-    "ClassSet",
     "ConfigError",
     "DataError",
     "ExperimentConfig",

@@ -41,6 +41,7 @@ from .errors import (
     LoadError,
     ShapeError,
 )
+from .textio import read_bytes, write_bytes
 
 # ============================================================
 # spectral indices
@@ -647,19 +648,13 @@ def save_model(path: str | Path, model: AnyClassifier) -> Path:
         parts.append(_pack_floats(model.weights))
         parts.append(_pack_floats(model.feature_mean))
         parts.append(_pack_floats(model.feature_std))
-    out = Path(path)
-    out.write_bytes(b"".join(parts))
-    return out
+    return write_bytes(path, b"".join(parts))
 
 
 def load_model(path: str | Path) -> AnyClassifier:
     """Read a classifier back from the model container, bit for bit."""
     src = Path(path)
-    try:
-        blob = src.read_bytes()
-    except OSError as exc:
-        raise LoadError(f"{src}: {exc}") from exc
-    rd = _Reader(blob, src)
+    rd = _Reader(read_bytes(src), src)
     if rd.take(4) != MODEL_MAGIC:
         raise LoadError(f"{src}: not a model file (bad magic)")
     version = rd.u8()

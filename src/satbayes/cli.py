@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .classifiers import save_model
-from .config import parse_config
+from .config import ExperimentConfig, parse_config
 from .core import build_transition_model
 from .errors import ConfigError, DataError, SatBayesError
 from .evaluation import (
@@ -43,7 +43,7 @@ from .pipeline import (
     write_label_raster,
 )
 from .synth import generate_synthetic, parse_synth_spec
-from .textio import format_float
+from .textio import format_float, make_dirs, write_lines
 
 
 class _Parser(argparse.ArgumentParser):
@@ -111,22 +111,18 @@ def _cmd_ingest(args: argparse.Namespace) -> None:
         f"truth_frames = {truth_count}",
         "status = ok",
     ]
-    report = "\n".join(lines) + "\n"
-    print(report, end="")
+    print("\n".join(lines))
     if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "ingest_report.txt").write_text(report)
+        write_lines(Path(args.out) / "ingest_report.txt", lines)
 
 
 def _cmd_train(args: argparse.Namespace) -> None:
     config = parse_config(args.config)
-    prepared = prepare_stacks(config)
-    model = build_classifier(config, config.classifier, prepared.train)
     if config.classifier == "external":
         raise ConfigError("classifier 'external' has nothing to train or save")
-    out = Path(args.out)
-    (out / "models").mkdir(parents=True, exist_ok=True)
+    out = make_dirs(args.out)
+    prepared = prepare_stacks(config)
+    model = build_classifier(config, config.classifier, prepared.train)
     path = save_model(out / "models" / f"{config.classifier}.model", model)
     print(f"saved {path}")
 
@@ -143,10 +139,16 @@ def _cmd_run(args: argparse.Namespace) -> None:
         print(f"mean balanced accuracy: recursive={rec:.4f} instantaneous={inst:.4f}")
 
 
-def _parse_algos(args: argparse.Namespace, default: str) -> tuple[str, ...]:
-    if not args.algos:
-        return (default,)
-    return tuple(a.strip() for a in args.algos.split(",") if a.strip())
+def _prepare_models(args: argparse.Namespace, config: ExperimentConfig):
+    """Output directory, test stack, and a model and mode per --algos kind."""
+    algos = (config.classifier,)
+    if args.algos:
+        algos = tuple(a.strip() for a in args.algos.split(",") if a.strip())
+    out = make_dirs(args.out)
+    prepared = prepare_stacks(config)
+    models = {kind: build_classifier(config, kind, prepared.train) for kind in algos}
+    modes = {kind: classifier_mode(config, kind) for kind in algos}
+    return out, prepared.test, models, modes
 
 
 def _cmd_sweep(args: argparse.Namespace) -> None:
@@ -155,15 +157,8 @@ def _cmd_sweep(args: argparse.Namespace) -> None:
         grid = tuple(float(v) for v in args.eps.split(","))
     except ValueError:
         raise ConfigError(f"bad --eps list: {args.eps!r}") from None
-    algos = _parse_algos(args, config.classifier)
-    prepared = prepare_stacks(config)
-    models = {kind: build_classifier(config, kind, prepared.train) for kind in algos}
-    modes = {kind: classifier_mode(config, kind) for kind in algos}
-    result = epsilon_sweep(
-        prepared.test, models, modes, config.lam, grid, workers=args.workers
-    )
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out, test, models, modes = _prepare_models(args, config)
+    result = epsilon_sweep(test, models, modes, config.lam, grid, workers=args.workers)
     write_sweep_table(result, out / "sweep.csv")
     summary = []
     for idx, name in enumerate(result.algorithms):
@@ -174,22 +169,17 @@ def _cmd_sweep(args: argparse.Namespace) -> None:
             f"accuracy = {format_float(best_acc)} "
             f"instantaneous = {format_float(result.instantaneous_accuracy[idx])}"
         )
-    (out / "sweep_summary.txt").write_text("\n".join(summary) + "\n")
+    write_lines(out / "sweep_summary.txt", summary)
     print("\n".join(summary))
 
 
 def _cmd_bench(args: argparse.Namespace) -> None:
     config = parse_config(args.config)
-    algos = _parse_algos(args, config.classifier)
-    prepared = prepare_stacks(config)
-    models = {kind: build_classifier(config, kind, prepared.train) for kind in algos}
-    modes = {kind: classifier_mode(config, kind) for kind in algos}
+    out, test, models, modes = _prepare_models(args, config)
     transition = build_transition_model(len(config.classes), config.epsilon)
     records = timing_bench(
-        prepared.test, models, modes, transition, config.lam, repetitions=args.reps
+        test, models, modes, transition, config.lam, repetitions=args.reps
     )
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     write_bench_table(records, out / "bench.csv")
     step_lines = ["algorithm,step,seconds"]
     for record in records:
@@ -197,7 +187,7 @@ def _cmd_bench(args: argparse.Namespace) -> None:
             f"{record.algorithm},{t + 1},{format_float(sec)}"
             for t, sec in enumerate(record.step_seconds)
         ]
-    (out / "bench_steps.csv").write_text("\n".join(step_lines) + "\n")
+    write_lines(out / "bench_steps.csv", step_lines)
     for record in records:
         print(
             f"{record.algorithm}: recursion={record.recursion_seconds:.3e}s "
@@ -212,8 +202,7 @@ def _cmd_eval(args: argparse.Namespace) -> None:
     pred_files = sorted(pred_dir.glob("*.lbl"))
     if not pred_files:
         raise DataError(f"no .lbl prediction rasters in {pred_dir}")
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = make_dirs(args.out)
     lines = ["raster,balanced_accuracy"]
     scores = []
     for pred_path in pred_files:
@@ -228,7 +217,7 @@ def _cmd_eval(args: argparse.Namespace) -> None:
         write_label_raster(
             out / f"error_{pred_path.stem}.lbl", error_map(pred, truth)
         )
-    (out / "eval.csv").write_text("\n".join(lines) + "\n")
+    write_lines(out / "eval.csv", lines)
     print(f"mean balanced accuracy over {len(scores)} rasters: "
           f"{float(np.mean(scores)):.4f}")
 

@@ -33,10 +33,17 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .classifiers import SpectralIndexKind
-from .errors import ConfigError, LoadError
+from .errors import ConfigError
 from .pipeline import ReferenceRegion
 from .recursion import RecursionMode
-from .textio import format_float, iter_kv_lines, parse_float, parse_int, split_list
+from .textio import (
+    format_float,
+    iter_kv_lines,
+    parse_float,
+    parse_int,
+    read_text,
+    split_list,
+)
 
 CLASSIFIER_KINDS = ("index", "gmm", "logistic", "external")
 
@@ -217,11 +224,7 @@ def parse_config_text(text: str, source: str = "<str>") -> ExperimentConfig:
 
 def parse_config(path: str | Path) -> ExperimentConfig:
     src = Path(path)
-    try:
-        text = src.read_text()
-    except OSError as exc:
-        raise LoadError(f"{src}: {exc}") from exc
-    config = parse_config_text(text, source=str(src))
+    config = parse_config_text(read_text(src), source=str(src))
     object.__setattr__(config, "base_dir", src.parent)
     return config
 

@@ -32,33 +32,8 @@ PROB_FLOOR = 1e-300
 
 
 # ============================================================
-# class sets and probability vectors
+# probability vectors
 # ============================================================
-
-
-@dataclass(frozen=True)
-class ClassSet:
-    """Ordered set of class labels; index within the tuple is the class id."""
-
-    labels: tuple[str, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.labels) < 2:
-            raise InvalidClassCountError(
-                f"need at least 2 classes, got {len(self.labels)}"
-            )
-        if len(set(self.labels)) != len(self.labels):
-            raise ConfigError(f"duplicate class labels: {self.labels}")
-
-    @property
-    def size(self) -> int:
-        return len(self.labels)
-
-    def index(self, label: str) -> int:
-        try:
-            return self.labels.index(label)
-        except ValueError:
-            raise ConfigError(f"unknown class label {label!r}") from None
 
 
 def uniform_pmf(num_classes: int) -> np.ndarray:

@@ -24,7 +24,7 @@ from .recursion import (
     TransitionModel,
     model_output,
 )
-from .textio import format_float
+from .textio import format_float, write_lines
 
 # ============================================================
 # per-raster metrics
@@ -342,9 +342,7 @@ def write_accuracy_table(scores: Sequence[FrameScore], path: str | Path) -> Path
         f"{s.date.isoformat()},{format_float(s.recursive)},{format_float(s.instantaneous)}"
         for s in scores
     ]
-    out = Path(path)
-    out.write_text("\n".join(lines) + "\n")
-    return out
+    return write_lines(path, lines)
 
 
 def write_sweep_table(result: SweepResult, path: str | Path) -> Path:
@@ -355,9 +353,7 @@ def write_sweep_table(result: SweepResult, path: str | Path) -> Path:
                 f"{format_float(eps)},{name},"
                 f"{format_float(result.recursive_accuracy[a, e])}"
             )
-    out = Path(path)
-    out.write_text("\n".join(lines) + "\n")
-    return out
+    return write_lines(path, lines)
 
 
 def write_bench_table(records: Sequence[TimingRecord], path: str | Path) -> Path:
@@ -370,6 +366,4 @@ def write_bench_table(records: Sequence[TimingRecord], path: str | Path) -> Path
         "baseline_seconds,"
         + ",".join(format_float(r.baseline_seconds) for r in records),
     ]
-    out = Path(path)
-    out.write_text("\n".join(lines) + "\n")
-    return out
+    return write_lines(path, lines)

@@ -26,7 +26,7 @@ from .classifiers import (
     pseudo_labels,
     save_model,
 )
-from .config import ExperimentConfig, serialize_config
+from .config import ExperimentConfig, default_mode, serialize_config
 from .core import ImageStack, build_transition_model
 from .errors import ConfigError, DataError
 from .evaluation import (
@@ -47,6 +47,7 @@ from .pipeline import (
     write_posterior_cube,
 )
 from .recursion import RecursionMode, StackClassification, classify_stack
+from .textio import make_dirs, write_lines
 
 
 @dataclass(frozen=True)
@@ -123,7 +124,7 @@ def classifier_mode(config: ExperimentConfig, kind: str) -> RecursionMode:
     """
     if kind == config.classifier:
         return config.mode
-    return RecursionMode.GENERATIVE if kind == "gmm" else RecursionMode.DISCRIMINATIVE
+    return default_mode(kind)
 
 
 def config_digest(config: ExperimentConfig) -> str:
@@ -155,10 +156,10 @@ def run_experiment(
         if config.out is None:
             raise ConfigError("no output directory: pass --out or set 'out'")
         out_dir = config.base_dir / config.out
-    out = Path(out_dir)
     eps = config.epsilon if epsilon is None else float(epsilon)
     if not (0.0 < eps < 1.0):
         raise ConfigError(f"epsilon must lie in (0, 1), got {eps}")
+    out = make_dirs(out_dir)
 
     prepared = prepare_stacks(config)
     model = build_classifier(config, config.classifier, prepared.train)
@@ -167,47 +168,32 @@ def run_experiment(
         prepared.test, model, transition, config.lam, config.mode, workers=workers
     )
 
-    (out / "labels").mkdir(parents=True, exist_ok=True)
-    (out / "posteriors").mkdir(exist_ok=True)
-    for idx, date in enumerate(classification.dates):
-        tag = date.isoformat()
-        write_label_raster(
-            out / "labels" / f"recursive_{tag}.lbl",
-            classification.recursive_labels[idx],
-        )
-        write_label_raster(
-            out / "labels" / f"instantaneous_{tag}.lbl",
-            classification.instantaneous_labels[idx],
-        )
-    write_posterior_cube(
-        out / "posteriors" / "recursive.cube", classification.recursive_posteriors
+    tracks = (
+        ("recursive", classification.recursive_labels,
+         classification.recursive_posteriors),
+        ("instantaneous", classification.instantaneous_labels,
+         classification.instantaneous_posteriors),
     )
-    write_posterior_cube(
-        out / "posteriors" / "instantaneous.cube",
-        classification.instantaneous_posteriors,
-    )
+    for track, labels, cube in tracks:
+        for date, raster in zip(classification.dates, labels):
+            tag = date.isoformat()
+            write_label_raster(out / "labels" / f"{track}_{tag}.lbl", raster)
+        write_posterior_cube(out / "posteriors" / f"{track}.cube", cube)
     if config.classifier != "external":
-        (out / "models").mkdir(exist_ok=True)
         save_model(out / "models" / f"{config.classifier}.model", model)
 
     scores: tuple[FrameScore, ...] | None = None
     if any(fr.truth is not None for fr in prepared.test.frames):
         scores = frame_accuracies(classification, prepared.test)
-        (out / "metrics").mkdir(exist_ok=True)
         write_accuracy_table(scores, out / "metrics" / "accuracy.csv")
-        (out / "maps").mkdir(exist_ok=True)
         for idx, frame in enumerate(prepared.test.frames):
             if frame.truth is None:
                 continue
-            tag = frame.date.isoformat()
-            write_label_raster(
-                out / "maps" / f"error_recursive_{tag}.lbl",
-                error_map(classification.recursive_labels[idx], frame.truth),
-            )
-            write_label_raster(
-                out / "maps" / f"error_instantaneous_{tag}.lbl",
-                error_map(classification.instantaneous_labels[idx], frame.truth),
-            )
+            for track, labels, _ in tracks:
+                write_label_raster(
+                    out / "maps" / f"error_{track}_{frame.date.isoformat()}.lbl",
+                    error_map(labels[idx], frame.truth),
+                )
 
     metadata = [
         f"name = {config.name}",
@@ -223,7 +209,7 @@ def run_experiment(
         f"test_frames = {len(classification.dates)}",
         f"pixels = {prepared.test.shape[0] * prepared.test.shape[1]}",
     ]
-    (out / "run.txt").write_text("\n".join(metadata) + "\n")
+    write_lines(out / "run.txt", metadata)
 
     return ExperimentResult(
         config=config,

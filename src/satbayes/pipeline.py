@@ -37,7 +37,17 @@ from .errors import (
     ShapeError,
     SplitError,
 )
-from .textio import format_float, iter_kv_lines, parse_float, parse_int
+from .textio import (
+    format_float,
+    iter_kv_lines,
+    open_output,
+    parse_float,
+    parse_int,
+    read_bytes,
+    read_text,
+    write_bytes,
+    write_lines,
+)
 
 LABEL_MAGIC = b"RBCL"
 CUBE_MAGIC = b"RBCP"
@@ -54,17 +64,12 @@ def write_band_plane(path: str | Path, values: np.ndarray) -> Path:
     arr = np.asarray(values)
     if arr.ndim != 2:
         raise ShapeError(f"band plane must be 2-D, got shape {arr.shape}")
-    out = Path(path)
-    out.write_bytes(np.ascontiguousarray(arr, dtype="<f4").tobytes())
-    return out
+    return write_bytes(path, np.ascontiguousarray(arr, dtype="<f4").tobytes())
 
 
 def read_band_plane(path: str | Path, height: int, width: int) -> np.ndarray:
     src = Path(path)
-    try:
-        blob = src.read_bytes()
-    except OSError as exc:
-        raise LoadError(f"{src}: {exc}") from exc
+    blob = read_bytes(src)
     expected = 4 * height * width
     if len(blob) != expected:
         raise LoadError(
@@ -79,25 +84,30 @@ def write_label_raster(path: str | Path, raster: LabelRaster) -> Path:
     header = LABEL_MAGIC + struct.pack(
         "<BIIB", CONTAINER_VERSION, width, height, raster.num_classes
     )
-    out = Path(path)
-    out.write_bytes(header + raster.labels.tobytes())
-    return out
+    return write_bytes(path, header + raster.labels.tobytes())
+
+
+def _read_container(
+    src: Path, layout: str, magic: bytes, what: str
+) -> tuple[bytes, int, list[int]]:
+    """Blob, header size and header fields after magic and version."""
+    blob = read_bytes(src)
+    head = struct.calcsize(layout)
+    if len(blob) < head:
+        raise LoadError(f"{src}: truncated {what} header")
+    found, version, *fields = struct.unpack(layout, blob[:head])
+    if found != magic:
+        raise LoadError(f"{src}: not a {what} (bad magic)")
+    if version != CONTAINER_VERSION:
+        raise LoadError(f"{src}: unsupported {what} version {version}")
+    return blob, head, fields
 
 
 def read_label_raster(path: str | Path) -> LabelRaster:
     src = Path(path)
-    try:
-        blob = src.read_bytes()
-    except OSError as exc:
-        raise LoadError(f"{src}: {exc}") from exc
-    head = struct.calcsize("<4sBIIB")
-    if len(blob) < head:
-        raise LoadError(f"{src}: truncated label raster header")
-    magic, version, width, height, k = struct.unpack("<4sBIIB", blob[:head])
-    if magic != LABEL_MAGIC:
-        raise LoadError(f"{src}: not a label raster (bad magic)")
-    if version != CONTAINER_VERSION:
-        raise LoadError(f"{src}: unsupported label raster version {version}")
+    blob, head, (width, height, k) = _read_container(
+        src, "<4sBIIB", LABEL_MAGIC, "label raster"
+    )
     if len(blob) != head + width * height:
         raise LoadError(f"{src}: expected {width * height} label bytes")
     labels = np.frombuffer(blob[head:], dtype=np.uint8).reshape(height, width)
@@ -114,28 +124,18 @@ def write_posterior_cube(path: str | Path, cube: np.ndarray) -> Path:
         raise ShapeError(f"posterior cube must be 4-D, got shape {arr.shape}")
     t, k, height, width = arr.shape
     header = CUBE_MAGIC + struct.pack("<BIIBI", CONTAINER_VERSION, width, height, k, t)
-    out = Path(path)
-    with out.open("wb") as fh:
+    with open_output(path) as fh:
         fh.write(header)
         for plane in arr:  # one date at a time: no full-size float32 copy
             fh.write(np.ascontiguousarray(plane, dtype="<f4"))
-    return out
+    return Path(path)
 
 
 def read_posterior_cube(path: str | Path) -> np.ndarray:
     src = Path(path)
-    try:
-        blob = src.read_bytes()
-    except OSError as exc:
-        raise LoadError(f"{src}: {exc}") from exc
-    head = struct.calcsize("<4sBIIBI")
-    if len(blob) < head:
-        raise LoadError(f"{src}: truncated posterior cube header")
-    magic, version, width, height, k, t = struct.unpack("<4sBIIBI", blob[:head])
-    if magic != CUBE_MAGIC:
-        raise LoadError(f"{src}: not a posterior cube (bad magic)")
-    if version != CONTAINER_VERSION:
-        raise LoadError(f"{src}: unsupported posterior cube version {version}")
+    blob, head, (width, height, k, t) = _read_container(
+        src, "<4sBIIBI", CUBE_MAGIC, "posterior cube"
+    )
     expected = head + 4 * t * k * height * width
     if len(blob) != expected:
         raise LoadError(f"{src}: expected {expected} bytes, got {len(blob)}")
@@ -192,10 +192,7 @@ class StackManifest:
 
 def parse_manifest(path: str | Path) -> StackManifest:
     src = Path(path)
-    try:
-        text = src.read_text()
-    except OSError as exc:
-        raise LoadError(f"{src}: {exc}") from exc
+    text = read_text(src)
     name = str(src)
     width = height = None
     scale = 1.0
@@ -311,9 +308,7 @@ def write_manifest(manifest: StackManifest, path: str | Path) -> Path:
             tokens.append(f"posterior={fr.posterior_path}")
         tokens.extend(f"{band}={p}" for band, p in fr.band_paths)
         lines.append("frame = " + " ".join(tokens))
-    out = Path(path)
-    out.write_text("\n".join(lines) + "\n")
-    return out
+    return write_lines(path, lines)
 
 
 def load_stack(manifest: StackManifest) -> ImageStack:
@@ -321,8 +316,9 @@ def load_stack(manifest: StackManifest) -> ImageStack:
 
     Band planes are read at native resolution, nearest-neighbor
     upsampled to the manifest grid, and multiplied by the reflectance
-    scale. Missing or mis-sized files, and planes holding NaN or
-    infinite values, raise LoadError naming the path (and the date).
+    scale. Missing or mis-sized files, planes holding NaN or infinite
+    values, and posterior cubes holding NaN, infinite or negative values
+    raise LoadError naming the path (and the date).
     """
     factors = manifest.resample_factors()
     names = manifest.band_names
@@ -352,11 +348,17 @@ def load_stack(manifest: StackManifest) -> ImageStack:
             truth = read_label_raster(manifest.base_dir / mf.truth_path)
         posterior = None
         if mf.posterior_path is not None:
-            cube = read_posterior_cube(manifest.base_dir / mf.posterior_path)
+            path = manifest.base_dir / mf.posterior_path
+            cube = read_posterior_cube(path)
             if cube.shape[0] != 1:
                 raise LoadError(
-                    f"{manifest.base_dir / mf.posterior_path}: per-frame posterior "
+                    f"{path}: per-frame posterior "
                     f"must hold exactly one date, got {cube.shape[0]}"
+                )
+            if not (np.isfinite(cube) & (cube >= 0.0)).all():
+                raise LoadError(
+                    f"{path}: posterior on {mf.date.isoformat()} "
+                    "has non-finite or negative values"
                 )
             posterior = cube[0]
         frames.append(

@@ -34,7 +34,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import LabelRaster
-from .errors import BoundsError, ConfigError, LoadError
+from .errors import BoundsError, ConfigError
 from .pipeline import (
     ManifestFrame,
     ReferenceRegion,
@@ -43,7 +43,7 @@ from .pipeline import (
     write_label_raster,
     write_manifest,
 )
-from .textio import iter_kv_lines, parse_float, parse_int, split_list
+from .textio import iter_kv_lines, parse_float, parse_int, read_text, split_list
 
 SYNTH_BAND_RESOLUTION = 10.0  # synthetic bands share one nominal grid
 
@@ -127,10 +127,7 @@ class SynthSpec:
 
 def parse_synth_spec(path: str | Path) -> SynthSpec:
     src = Path(path)
-    try:
-        text = src.read_text()
-    except OSError as exc:
-        raise LoadError(f"{src}: {exc}") from exc
+    text = read_text(src)
     name = str(src)
     fields: dict = {
         "changes": [],
@@ -256,8 +253,6 @@ def generate_synthetic(spec: SynthSpec, out_dir: str | Path) -> Path:
     bands on one grid). Fully deterministic given ``spec.seed``.
     """
     out = Path(out_dir)
-    (out / "bands").mkdir(parents=True, exist_ok=True)
-    (out / "truth").mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(spec.seed)
     k = len(spec.classes)
     stats = {(c, b): (m, s) for c, b, m, s in spec.class_stats}

@@ -1,4 +1,4 @@
-"""Core type contracts: class sets, probability vectors, transition model."""
+"""Core type contracts: probability vectors, transition model."""
 
 from __future__ import annotations
 
@@ -13,7 +13,6 @@ from numpy.testing import assert_allclose, assert_array_equal
 import oracles
 from helpers import make_image, make_stack
 from satbayes.core import (
-    ClassSet,
     Frame,
     ImageStack,
     LabelRaster,
@@ -33,27 +32,6 @@ from satbayes.errors import (
     InvalidHyperparameterError,
     ShapeError,
 )
-
-
-class TestClassSet:
-    def test_index_and_size(self):
-        cs = ClassSet(labels=("land", "water"))
-        assert cs.size == 2
-        assert cs.index("land") == 0
-        assert cs.index("water") == 1
-
-    def test_unknown_label(self):
-        cs = ClassSet(labels=("land", "water"))
-        with pytest.raises(ConfigError):
-            cs.index("forest")
-
-    def test_too_few_classes(self):
-        with pytest.raises(InvalidClassCountError):
-            ClassSet(labels=("land",))
-
-    def test_duplicate_labels(self):
-        with pytest.raises(ConfigError):
-            ClassSet(labels=("land", "land"))
 
 
 class TestProbabilityVectors:

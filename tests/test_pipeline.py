@@ -16,6 +16,7 @@ from satbayes.errors import (
     ConfigError,
     DataError,
     LoadError,
+    ShapeError,
     SplitError,
 )
 from satbayes.pipeline import (
@@ -36,6 +37,14 @@ from satbayes.pipeline import (
     write_label_raster,
     write_manifest,
     write_posterior_cube,
+)
+from satbayes.textio import (
+    make_dirs,
+    open_output,
+    read_bytes,
+    read_text,
+    write_bytes,
+    write_lines,
 )
 
 
@@ -114,6 +123,76 @@ class TestPosteriorCube:
         path.write_bytes(path.read_bytes()[:-8])
         with pytest.raises(LoadError):
             read_posterior_cube(path)
+
+
+CONTAINERS = {
+    "label raster": (
+        read_label_raster,
+        lambda p: write_label_raster(p, LabelRaster(np.zeros((2, 3), np.uint8), 2)),
+    ),
+    "posterior cube": (
+        read_posterior_cube,
+        lambda p: write_posterior_cube(p, np.full((1, 2, 2, 3), 0.5)),
+    ),
+}
+
+
+class TestContainerHeaders:
+    """Both containers reject a bad header with the same message shapes."""
+
+    @pytest.mark.parametrize("what", sorted(CONTAINERS))
+    def test_header_messages(self, tmp_path, what):
+        read, write = CONTAINERS[what]
+        blob = write(tmp_path / "ok.bin").read_bytes()
+        cases = {
+            "short": (blob[:7], f"truncated {what} header"),
+            "magic": (b"XXXX" + blob[4:], f"not a {what} (bad magic)"),
+            "version": (blob[:4] + b"\x07" + blob[5:], f"unsupported {what} version 7"),
+        }
+        for name, (data, message) in cases.items():
+            path = tmp_path / f"{name}.bin"
+            path.write_bytes(data)
+            with pytest.raises(LoadError) as info:
+                read(path)
+            assert str(info.value) == f"{path}: {message}"
+
+
+class TestFileBoundary:
+    """textio maps OS and decoding failures to data errors naming the path."""
+
+    def test_write_lines_creates_parents_and_returns_path(self, tmp_path):
+        path = write_lines(tmp_path / "a" / "b" / "t.txt", ["x = 1", "y = 2"])
+        assert path == tmp_path / "a" / "b" / "t.txt"
+        assert path.read_bytes() == b"x = 1\ny = 2\n"
+
+    def test_failure_inside_open_output_is_data_error(self, tmp_path):
+        path = tmp_path / "full.bin"
+        with pytest.raises(DataError, match="full.bin.*No space left"):
+            with open_output(path) as fh:
+                fh.write(b"partial")
+                raise OSError(28, "No space left on device")
+
+    def test_other_errors_pass_through_open_output(self, tmp_path):
+        with pytest.raises(ShapeError):
+            with open_output(tmp_path / "x.bin"):
+                raise ShapeError("not an I/O failure")
+
+    def test_write_below_a_file_is_data_error(self, tmp_path):
+        (tmp_path / "f").write_text("")
+        for path, write in ((tmp_path / "f" / "x.bin", lambda p: write_bytes(p, b"")),
+                            (tmp_path / "f" / "d", make_dirs)):
+            with pytest.raises(DataError) as info:
+                write(path)
+            assert str(info.value).startswith(f"{path}: ")
+
+    def test_read_failures_are_load_errors(self, tmp_path):
+        (tmp_path / "bad.txt").write_bytes(b"\xff\xfe")
+        with pytest.raises(LoadError, match="bad.txt.*utf-8"):
+            read_text(tmp_path / "bad.txt")
+        with pytest.raises(LoadError, match="absent"):
+            read_bytes(tmp_path / "absent")
+        with pytest.raises(LoadError):
+            read_text(tmp_path)
 
 
 # ------------------------------------------------------------------
