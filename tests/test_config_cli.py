@@ -25,6 +25,7 @@ from satbayes.config import (
 from satbayes.errors import ConfigError
 from satbayes.evaluation import balanced_accuracy
 from satbayes.pipeline import (
+    ReferenceRegion,
     read_label_raster,
     read_posterior_cube,
     write_posterior_cube,
@@ -199,7 +200,78 @@ class TestConfigParsing:
             )
 
 
-PRESET_DIR = Path(__file__).resolve().parent.parent / "configs"
+class TestConfigText:
+    """Exact parser messages and the exact serialized form."""
+
+    def test_serialized_text_is_pinned(self):
+        # the text feeds `config_sha256_16` in run.txt: it must not drift
+        assert serialize_config(parse_config_text(FULL)) == (
+            "name = demo\nmanifest = data/manifest.txt\nclasses = land, water\n"
+            "classifier = gmm\nmode = generative\nepsilon = 0.02\nlambda = 0.8\n"
+            "seed = 9\nindex = mndwi\nthresholds = -1.0, 0.13, 1.0\n"
+            "train_dates = 2021-01-05\ntest_dates = 2021-01-15, 2021-01-25\n"
+            "feature_bands = green, swir1\ngmm_components = 2\ncrop = 4 8 16 12\n"
+            "bias_region = 0 0 8 8\ncloud_threshold = 0.4\n"
+            "exclude_dates = 2021-02-04\nout = results\n"
+        )
+        assert serialize_config(parse_config_text(MINIMAL)) == (
+            "name = experiment\nmanifest = data/manifest.txt\n"
+            "classes = land, water\nclassifier = index\nmode = discriminative\n"
+            "epsilon = 0.05\nlambda = 0.8\nseed = 3\nindex = mndwi\n"
+            "thresholds = -1.0, 0.13, 1.0\ntest_dates = 2021-01-05, 2021-01-15\n"
+            "gmm_components = 3\n"
+        )
+
+    def test_empty_feature_bands_round_trip(self):
+        config = parse_config_text(MINIMAL + "feature_bands =\n")
+        assert config.feature_bands == ()
+        assert parse_config_text(serialize_config(config)) == config
+
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            ("bogus = 1", "<str>:9: unknown config key 'bogus'"),
+            ("seed = 4", "<str>:9: duplicate key 'seed'"),
+            ("index = ndsi", "<str>:9: duplicate key 'index'"),
+            ("crop = 1 2 3", "<str>:9: region needs 'x y w h', got '1 2 3'"),
+            ("gmm_components = two",
+             "<str>:9: key 'gmm_components': not an integer: 'two'"),
+            ("cloud_threshold = x",
+             "<str>:9: key 'cloud_threshold': not a number: 'x'"),
+            ("exclude_dates = 2021-02-30", "<str>:9: bad date '2021-02-30'"),
+            ("no equals sign", "<str>:9: expected 'key = value', got 'no equals sign'"),
+            ("= 3", "<str>:9: empty key"),
+        ],
+    )
+    def test_line_error_messages(self, extra, message):
+        with pytest.raises(ConfigError) as info:
+            parse_config_text(MINIMAL + extra + "\n")
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("key, value", [("index", "ndsi"), ("mode", "sideways")])
+    def test_unknown_choice_names_the_line(self, key, value):
+        with pytest.raises(ConfigError) as info:
+            parse_config_text(config_lines(**{key: value}))
+        assert str(info.value).endswith(f": unknown {key} {value!r}")
+        assert str(info.value).startswith("<str>:")
+
+    def test_missing_keys_listed_in_order(self):
+        with pytest.raises(ConfigError) as info:
+            parse_config_text(
+                config_lines(manifest=None, seed=None, test_dates=None),
+                source="exp.cfg",
+            )
+        assert str(info.value) == (
+            "exp.cfg: missing required keys: ['manifest', 'seed', 'test_dates']"
+        )
+
+    @pytest.mark.parametrize("key", ["classes", "test_dates"])
+    def test_missing_list_key(self, key):
+        with pytest.raises(ConfigError, match=f"missing required keys: \\['{key}'\\]"):
+            parse_config_text(config_lines(**{key: None}))
+
+
+PRESET_DIR =Path(__file__).resolve().parent.parent / "configs"
 
 # per preset: classes, index kind, thresholds, epsilon, lambda
 PRESET_TABLE = {
@@ -345,6 +417,79 @@ class TestSynthGenerator:
             parse_synth_spec(
                 write_spec(tmp_path, SYNTH_BASE + "corrupt = 2 1.5\n")
             )
+
+
+def spec_without(key: str) -> str:
+    """SYNTH_BASE with every `key = ...` line dropped."""
+    return "".join(
+        line for line in SYNTH_BASE.splitlines(keepends=True)
+        if line.partition("=")[0].strip() != key
+    )
+
+
+class TestSynthSpecParsing:
+    """Exact messages of the synthetic-scene parser; the line is named."""
+
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            ("stat = land green 0.12", "stat needs 'class band mean std'"),
+            ("change = 3 4 2 8 water", "change needs 'frame x y w h class'"),
+            ("corrupt = 2", "corrupt needs 'frame fraction'"),
+            ("cloud = 2 0.1 0.2", "cloud needs 'frame fraction'"),
+            ("change = 3 4 2 8 6 forest", "unknown class 'forest'"),
+            ("corrupt = 2 much", "key 'corrupt': not a number: 'much'"),
+            ("cloud = two 0.1", "key 'cloud': not an integer: 'two'"),
+            ("bogus = 1", "unknown synthetic-scene key 'bogus'"),
+        ],
+    )
+    def test_line_error_messages(self, tmp_path, extra, message):
+        path = write_spec(tmp_path, SYNTH_BASE + extra + "\n")
+        with pytest.raises(ConfigError) as info:
+            parse_synth_spec(path)
+        assert str(info.value) == f"{path}:13: {message}"
+
+    def test_bad_start_date(self, tmp_path):
+        path = write_spec(
+            tmp_path, SYNTH_BASE.replace("2021-01-05", "2021-01-32")
+        )
+        with pytest.raises(ConfigError) as info:
+            parse_synth_spec(path)
+        assert str(info.value) == f"{path}:5: bad date '2021-01-32'"
+
+    @pytest.mark.parametrize(
+        "key, field",
+        [("classes", "classes"), ("width", "width"), ("height", "height"),
+         ("frames", "num_frames"), ("start_date", "start_date"),
+         ("cadence_days", "cadence_days"), ("seed", "seed"), ("bands", "bands")],
+    )
+    def test_missing_key(self, tmp_path, key, field):
+        path = write_spec(tmp_path, spec_without(key))
+        with pytest.raises(ConfigError) as info:
+            parse_synth_spec(path)
+        assert str(info.value) == f"{path}: missing keys: [{field!r}]"
+
+    def test_missing_keys_listed_in_order(self, tmp_path):
+        path = write_spec(tmp_path, spec_without("seed").replace("width", "# width"))
+        with pytest.raises(ConfigError) as info:
+            parse_synth_spec(path)
+        assert str(info.value) == f"{path}: missing keys: ['width', 'seed']"
+
+    def test_event_lines_accumulate(self, tmp_path):
+        spec = parse_synth_spec(write_spec(
+            tmp_path,
+            SYNTH_BASE
+            + "change = 1 0 0 4 4 water\nchange = 3 4 2 8 6 land\n"
+            + "corrupt = 2 0.25\ncorrupt = 4 0.5\ncloud = 0 0.1\ncloud = 3 0.9\n",
+        ))
+        assert [(ev.frame, ev.new_class) for ev in spec.changes] == [(1, 1), (3, 0)]
+        assert spec.changes[1].region == ReferenceRegion(x=4, y=2, width=8, height=6)
+        assert [(ev.frame, ev.fraction) for ev in spec.corruptions] == [
+            (2, 0.25), (4, 0.5)
+        ]
+        assert spec.clouds == ((0, 0.1), (3, 0.9))
+        assert len(spec.class_stats) == 4
+        assert spec.class_stats[0] == ("land", "green", 0.12, 0.04)
 
 
 # ============================================================

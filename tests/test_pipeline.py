@@ -291,6 +291,70 @@ class TestManifest:
             bad.resample_factors()
 
 
+MANIFEST_TEXT = """\
+width = 6
+height = 4
+scale = 1.0
+bands = green:10.0, swir1:20.0
+frame = 2021-01-05 green=a.f32 swir1=b.f32
+"""
+
+
+class TestManifestParsing:
+    """Exact messages of the manifest parser; the line is named."""
+
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            ("bands = blue", "band entry needs name:resolution"),
+            ("bands = blue:x", "key 'bands': not a number: 'x'"),
+            ("frame = 2021-01-06 green", "frame token needs key=value, got 'green'"),
+            ("frame = 2021-02-30 green=c.f32", "bad frame date '2021-02-30'"),
+            ("frame =", "empty frame entry"),
+            ("frame = 2021-01-06 cloud=lots", "key 'cloud': not a number: 'lots'"),
+            ("bogus = 1", "unknown manifest key 'bogus'"),
+        ],
+    )
+    def test_line_error_messages(self, tmp_path, extra, message):
+        path = tmp_path / "manifest.txt"
+        path.write_text(MANIFEST_TEXT + extra + "\n")
+        with pytest.raises(ConfigError) as info:
+            parse_manifest(path)
+        assert str(info.value) == f"{path}:6: {message}"
+
+    @pytest.mark.parametrize("key", ["width", "height"])
+    def test_missing_grid_size(self, tmp_path, key):
+        path = tmp_path / "manifest.txt"
+        path.write_text(MANIFEST_TEXT.replace(f"{key} =", f"# {key} ="))
+        with pytest.raises(ConfigError) as info:
+            parse_manifest(path)
+        assert str(info.value) == f"{path}: manifest needs width and height"
+
+    def test_band_and_frame_lines_accumulate(self, tmp_path):
+        path = tmp_path / "manifest.txt"
+        path.write_text(
+            MANIFEST_TEXT.replace("bands = green:10.0, swir1:20.0",
+                                  "bands = green:10.0\nbands = swir1:20.0")
+            + "frame = 2021-01-06 cloud=0.5 truth=t.lbl posterior=p.cube "
+            "green=c.f32 swir1=d.f32\n"
+        )
+        manifest = parse_manifest(path)
+        assert manifest.bands == (("green", 10.0), ("swir1", 20.0))
+        assert [fr.date for fr in manifest.frames] == [
+            dt.date(2021, 1, 5), dt.date(2021, 1, 6)
+        ]
+        second = manifest.frames[1]
+        assert second.cloud_fraction == 0.5
+        assert second.truth_path == "t.lbl"
+        assert second.posterior_path == "p.cube"
+        assert second.band_paths == (("green", "c.f32"), ("swir1", "d.f32"))
+
+    def test_scale_defaults_to_one(self, tmp_path):
+        path = tmp_path / "manifest.txt"
+        path.write_text(MANIFEST_TEXT.replace("scale = 1.0\n", ""))
+        assert parse_manifest(path).scale == 1.0
+
+
 class TestLoadStack:
     def test_scale_applied(self, tmp_path):
         write_band_plane(tmp_path / "g.f32", np.full((2, 2), 2000.0))
