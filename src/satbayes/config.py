@@ -29,7 +29,10 @@ original values exactly.
 from __future__ import annotations
 
 import datetime as dt
-from dataclasses import dataclass, field
+import enum
+from collections.abc import Callable
+from dataclasses import dataclass, field, fields
+from operator import attrgetter
 from pathlib import Path
 
 from .classifiers import SpectralIndexKind
@@ -37,12 +40,14 @@ from .errors import ConfigError
 from .pipeline import ReferenceRegion
 from .recursion import RecursionMode
 from .textio import (
+    Key,
     format_float,
-    iter_kv_lines,
+    parse_date,
     parse_float,
     parse_int,
+    parse_keys,
+    parse_list,
     read_text,
-    split_list,
 )
 
 CLASSIFIER_KINDS = ("index", "gmm", "logistic", "external")
@@ -141,17 +146,29 @@ class ExperimentConfig:
         return path if path.is_absolute() else self.base_dir / path
 
 
-def _parse_dates(value: str, where: str) -> tuple[dt.date, ...]:
-    out = []
-    for item in split_list(value):
+def _text(value: str, key: str, where: str) -> str:
+    return value
+
+
+def _member(kind: type[enum.Enum]) -> Callable[[str, str, str], enum.Enum]:
+    def parse(value: str, key: str, where: str) -> enum.Enum:
         try:
-            out.append(dt.date.fromisoformat(item))
+            return kind(value)
         except ValueError:
-            raise ConfigError(f"{where}: bad date {item!r}") from None
-    return tuple(out)
+            raise ConfigError(f"{where}: unknown {key} {value!r}") from None
+
+    return parse
 
 
-def _parse_region(value: str, where: str) -> ReferenceRegion:
+def _parse_floats(value: str, key: str, where: str) -> tuple[float, ...]:
+    return tuple(parse_float(v, key, where) for v in parse_list(value, key, where))
+
+
+def _parse_dates(value: str, key: str, where: str) -> tuple[dt.date, ...]:
+    return tuple(parse_date(v, key, where) for v in parse_list(value, key, where))
+
+
+def _parse_region(value: str, key: str, where: str) -> ReferenceRegion:
     parts = value.split()
     if len(parts) != 4:
         raise ConfigError(f"{where}: region needs 'x y w h', got {value!r}")
@@ -159,67 +176,47 @@ def _parse_region(value: str, where: str) -> ReferenceRegion:
     return ReferenceRegion(x=x, y=y, width=w, height=h)
 
 
+def _format_region(region: ReferenceRegion) -> str:
+    return f"{region.x} {region.y} {region.width} {region.height}"
+
+
+def _format_floats(values: tuple[float, ...]) -> str:
+    return ", ".join(format_float(v) for v in values)
+
+
+def _format_dates(dates: tuple[dt.date, ...]) -> str:
+    return ", ".join(d.isoformat() for d in dates)
+
+
+_VALUE = attrgetter("value")
+
+# Every config key, in the order `serialize_config` writes them.
+CONFIG_KEYS = {
+    "name": Key("name", _text),
+    "manifest": Key("manifest", _text, required=True),
+    "classes": Key("classes", parse_list, ", ".join, required=True),
+    "classifier": Key("classifier", _text, required=True),
+    "mode": Key("mode", _member(RecursionMode), _VALUE),
+    "epsilon": Key("epsilon", parse_float, format_float, required=True),
+    "lambda": Key("lam", parse_float, format_float),
+    "seed": Key("seed", parse_int, required=True),
+    "index": Key("index", _member(SpectralIndexKind), _VALUE),
+    "thresholds": Key("thresholds", _parse_floats, _format_floats),
+    "train_dates": Key("train_dates", _parse_dates, _format_dates),
+    "test_dates": Key("test_dates", _parse_dates, _format_dates, required=True),
+    "feature_bands": Key("feature_bands", parse_list, ", ".join),
+    "gmm_components": Key("gmm_components", parse_int),
+    "crop": Key("crop", _parse_region, _format_region),
+    "bias_region": Key("bias_region", _parse_region, _format_region),
+    "cloud_threshold": Key("cloud_threshold", parse_float, format_float),
+    "exclude_dates": Key("exclude_dates", _parse_dates, _format_dates),
+    "out": Key("out", _text),
+}
+
+
 def parse_config_text(text: str, source: str = "<str>") -> ExperimentConfig:
-    values: dict = {}
-    seen: set[str] = set()
-    for lineno, key, value in iter_kv_lines(text, source):
-        where = f"{source}:{lineno}"
-        if key in seen:
-            raise ConfigError(f"{where}: duplicate key {key!r}")
-        seen.add(key)
-        if key == "name":
-            values["name"] = value
-        elif key == "manifest":
-            values["manifest"] = value
-        elif key == "classes":
-            values["classes"] = tuple(split_list(value))
-        elif key == "classifier":
-            values["classifier"] = value
-        elif key == "mode":
-            try:
-                values["mode"] = RecursionMode(value)
-            except ValueError:
-                raise ConfigError(f"{where}: unknown mode {value!r}") from None
-        elif key == "index":
-            try:
-                values["index"] = SpectralIndexKind(value)
-            except ValueError:
-                raise ConfigError(f"{where}: unknown index {value!r}") from None
-        elif key == "thresholds":
-            values["thresholds"] = tuple(
-                parse_float(v, key, where) for v in split_list(value)
-            )
-        elif key == "epsilon":
-            values["epsilon"] = parse_float(value, key, where)
-        elif key == "lambda":
-            values["lam"] = parse_float(value, key, where)
-        elif key == "seed":
-            values["seed"] = parse_int(value, key, where)
-        elif key == "train_dates":
-            values["train_dates"] = _parse_dates(value, where)
-        elif key == "test_dates":
-            values["test_dates"] = _parse_dates(value, where)
-        elif key == "feature_bands":
-            values["feature_bands"] = tuple(split_list(value))
-        elif key == "gmm_components":
-            values["gmm_components"] = parse_int(value, key, where)
-        elif key == "crop":
-            values["crop"] = _parse_region(value, where)
-        elif key == "bias_region":
-            values["bias_region"] = _parse_region(value, where)
-        elif key == "cloud_threshold":
-            values["cloud_threshold"] = parse_float(value, key, where)
-        elif key == "exclude_dates":
-            values["exclude_dates"] = _parse_dates(value, where)
-        elif key == "out":
-            values["out"] = value
-        else:
-            raise ConfigError(f"{where}: unknown config key {key!r}")
-    required = ("manifest", "classes", "classifier", "epsilon", "seed", "test_dates")
-    missing = [k for k in required if k not in values]
-    if missing:
-        raise ConfigError(f"{source}: missing required keys: {missing}")
-    return ExperimentConfig(**values)
+    missing = "missing required keys: {}"
+    return ExperimentConfig(**parse_keys(text, CONFIG_KEYS, "config", missing, source))
 
 
 def parse_config(path: str | Path) -> ExperimentConfig:
@@ -230,42 +227,15 @@ def parse_config(path: str | Path) -> ExperimentConfig:
 
 
 def serialize_config(config: ExperimentConfig) -> str:
-    """Config back to text; parsing the result reproduces the config."""
-    lines = [
-        f"name = {config.name}",
-        f"manifest = {config.manifest}",
-        "classes = " + ", ".join(config.classes),
-        f"classifier = {config.classifier}",
-        f"mode = {config.mode.value}",
-        f"epsilon = {format_float(config.epsilon)}",
-        f"lambda = {format_float(config.lam)}",
-        f"seed = {config.seed}",
-    ]
-    if config.index is not None:
-        lines.append(f"index = {config.index.value}")
-    if config.thresholds is not None:
-        lines.append(
-            "thresholds = " + ", ".join(format_float(t) for t in config.thresholds)
-        )
-    if config.train_dates:
-        lines.append(
-            "train_dates = " + ", ".join(d.isoformat() for d in config.train_dates)
-        )
-    lines.append("test_dates = " + ", ".join(d.isoformat() for d in config.test_dates))
-    if config.feature_bands is not None:
-        lines.append("feature_bands = " + ", ".join(config.feature_bands))
-    lines.append(f"gmm_components = {config.gmm_components}")
-    for key, region in (("crop", config.crop), ("bias_region", config.bias_region)):
-        if region is not None:
-            lines.append(
-                f"{key} = {region.x} {region.y} {region.width} {region.height}"
-            )
-    if config.cloud_threshold is not None:
-        lines.append(f"cloud_threshold = {format_float(config.cloud_threshold)}")
-    if config.exclude_dates:
-        lines.append(
-            "exclude_dates = " + ", ".join(d.isoformat() for d in config.exclude_dates)
-        )
-    if config.out is not None:
-        lines.append(f"out = {config.out}")
+    """Config back to text; parsing the result reproduces the config.
+
+    Fields that hold None, or the empty tuple they default to, are left out.
+    """
+    defaults = {f.name: f.default for f in fields(ExperimentConfig)}
+    lines = []
+    for name, key in CONFIG_KEYS.items():
+        value = getattr(config, key.field)
+        if value is None or value == () == defaults[key.field]:
+            continue
+        lines.append(f"{name} = {key.format(value)}")
     return "\n".join(lines) + "\n"

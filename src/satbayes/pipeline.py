@@ -38,11 +38,12 @@ from .errors import (
     SplitError,
 )
 from .textio import (
+    Key,
     format_float,
-    iter_kv_lines,
     open_output,
     parse_float,
     parse_int,
+    parse_keys,
     read_bytes,
     read_text,
     write_bytes,
@@ -190,35 +191,67 @@ class StackManifest:
         return factors
 
 
+def _parse_bands(value: str, key: str, where: str) -> list[tuple[str, float]]:
+    bands = []
+    for item in value.split(","):
+        if ":" not in item:
+            raise ConfigError(f"{where}: band entry needs name:resolution")
+        name, res = item.split(":", 1)
+        bands.append((name.strip(), parse_float(res.strip(), key, where)))
+    return bands
+
+
+def _parse_frame(value: str, key: str, where: str) -> ManifestFrame:
+    tokens = value.split()
+    if not tokens:
+        raise ConfigError(f"{where}: empty frame entry")
+    try:
+        date = dt.date.fromisoformat(tokens[0])
+    except ValueError:
+        raise ConfigError(f"{where}: bad frame date {tokens[0]!r}") from None
+    cloud = None
+    truth = None
+    posterior = None
+    band_paths: list[tuple[str, str]] = []
+    for token in tokens[1:]:
+        if "=" not in token:
+            raise ConfigError(f"{where}: frame token needs key=value, got {token!r}")
+        name, val = token.split("=", 1)
+        if name == "cloud":
+            cloud = parse_float(val, name, where)
+        elif name == "truth":
+            truth = val
+        elif name == "posterior":
+            posterior = val
+        else:
+            band_paths.append((name, val))
+    return ManifestFrame(
+        date=date,
+        band_paths=tuple(band_paths),
+        cloud_fraction=cloud,
+        truth_path=truth,
+        posterior_path=posterior,
+    )
+
+
+MANIFEST_KEYS = {
+    "width": Key("width", parse_int, required=True),
+    "height": Key("height", parse_int, required=True),
+    "scale": Key("scale", parse_float),
+    "bands": Key("bands", _parse_bands, repeats=True),
+    "frame": Key("frames", _parse_frame, repeats=True),
+}
+
+
 def parse_manifest(path: str | Path) -> StackManifest:
     src = Path(path)
-    text = read_text(src)
-    name = str(src)
-    width = height = None
-    scale = 1.0
-    bands: list[tuple[str, float]] = []
-    frames: list[ManifestFrame] = []
-    for lineno, key, value in iter_kv_lines(text, name):
-        where = f"{name}:{lineno}"
-        if key == "width":
-            width = parse_int(value, key, where)
-        elif key == "height":
-            height = parse_int(value, key, where)
-        elif key == "scale":
-            scale = parse_float(value, key, where)
-        elif key == "bands":
-            for item in value.split(","):
-                item = item.strip()
-                if ":" not in item:
-                    raise ConfigError(f"{where}: band entry needs name:resolution")
-                bname, res = item.split(":", 1)
-                bands.append((bname.strip(), parse_float(res.strip(), key, where)))
-        elif key == "frame":
-            frames.append(_parse_frame_line(value, where))
-        else:
-            raise ConfigError(f"{where}: unknown manifest key {key!r}")
-    if width is None or height is None:
-        raise ConfigError(f"{name}: manifest needs width and height")
+    text, name = read_text(src), str(src)
+    missing = "manifest needs width and height"
+    values = parse_keys(text, MANIFEST_KEYS, "manifest", missing, name)
+    width, height = values["width"], values["height"]
+    scale = values.get("scale", 1.0)
+    bands = [band for line in values["bands"] for band in line]
+    frames = list(values["frames"])
     if width < 1 or height < 1:
         raise ConfigError(f"{name}: width/height must be >= 1")
     if not np.isfinite(scale) or scale <= 0.0:
@@ -254,39 +287,6 @@ def parse_manifest(path: str | Path) -> StackManifest:
     )
     manifest.resample_factors()  # validates resolutions early
     return manifest
-
-
-def _parse_frame_line(value: str, where: str) -> ManifestFrame:
-    tokens = value.split()
-    if not tokens:
-        raise ConfigError(f"{where}: empty frame entry")
-    try:
-        date = dt.date.fromisoformat(tokens[0])
-    except ValueError:
-        raise ConfigError(f"{where}: bad frame date {tokens[0]!r}") from None
-    cloud = None
-    truth = None
-    posterior = None
-    band_paths: list[tuple[str, str]] = []
-    for token in tokens[1:]:
-        if "=" not in token:
-            raise ConfigError(f"{where}: frame token needs key=value, got {token!r}")
-        key, val = token.split("=", 1)
-        if key == "cloud":
-            cloud = parse_float(val, key, where)
-        elif key == "truth":
-            truth = val
-        elif key == "posterior":
-            posterior = val
-        else:
-            band_paths.append((key, val))
-    return ManifestFrame(
-        date=date,
-        band_paths=tuple(band_paths),
-        cloud_fraction=cloud,
-        truth_path=truth,
-        posterior_path=posterior,
-    )
 
 
 def write_manifest(manifest: StackManifest, path: str | Path) -> Path:

@@ -28,7 +28,7 @@ The scene description is a ``key = value`` text file::
 from __future__ import annotations
 
 import datetime as dt
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -43,7 +43,15 @@ from .pipeline import (
     write_label_raster,
     write_manifest,
 )
-from .textio import iter_kv_lines, parse_float, parse_int, read_text, split_list
+from .textio import (
+    Key,
+    parse_date,
+    parse_float,
+    parse_int,
+    parse_keys,
+    parse_list,
+    read_text,
+)
 
 SYNTH_BAND_RESOLUTION = 10.0  # synthetic bands share one nominal grid
 
@@ -125,108 +133,63 @@ class SynthSpec:
                 raise ConfigError(f"cloud fraction {fraction} outside [0, 1]")
 
 
+def _parts(value: str, count: int, usage: str, where: str) -> list[str]:
+    parts = value.split()
+    if len(parts) != count:
+        raise ConfigError(f"{where}: {usage}")
+    return parts
+
+
+def _parse_stat(value: str, key: str, where: str) -> tuple[str, str, float, float]:
+    name, band, mean, std = _parts(value, 4, "stat needs 'class band mean std'", where)
+    return name, band, parse_float(mean, key, where), parse_float(std, key, where)
+
+
+def _parse_change(
+    value: str, key: str, where: str
+) -> tuple[str, int, ReferenceRegion, str]:
+    """Where, frame, region and class name; the name is resolved later."""
+    *numbers, name = _parts(value, 6, "change needs 'frame x y w h class'", where)
+    frame, x, y, w, h = (parse_int(n, key, where) for n in numbers)
+    return where, frame, ReferenceRegion(x=x, y=y, width=w, height=h), name
+
+
+def _frame_fraction(value: str, key: str, where: str) -> tuple[int, float]:
+    frame, fraction = _parts(value, 2, f"{key} needs 'frame fraction'", where)
+    return parse_int(frame, key, where), parse_float(fraction, key, where)
+
+
+SYNTH_KEYS = {
+    "classes": Key("classes", parse_list, required=True),
+    "width": Key("width", parse_int, required=True),
+    "height": Key("height", parse_int, required=True),
+    "frames": Key("num_frames", parse_int, required=True),
+    "start_date": Key("start_date", parse_date, required=True),
+    "cadence_days": Key("cadence_days", parse_int, required=True),
+    "seed": Key("seed", parse_int, required=True),
+    "bands": Key("bands", parse_list, required=True),
+    "stat": Key("class_stats", _parse_stat, repeats=True),
+    "change": Key("changes", _parse_change, repeats=True),
+    "corrupt": Key("corruptions", _frame_fraction, repeats=True),
+    "cloud": Key("clouds", _frame_fraction, repeats=True),
+}
+
+
 def parse_synth_spec(path: str | Path) -> SynthSpec:
     src = Path(path)
-    text = read_text(src)
-    name = str(src)
-    fields: dict = {
-        "changes": [],
-        "corruptions": [],
-        "clouds": [],
-        "class_stats": [],
-    }
-    classes: list[str] = []
-    for lineno, key, value in iter_kv_lines(text, name):
-        where = f"{name}:{lineno}"
-        if key == "classes":
-            classes = split_list(value)
-        elif key == "width":
-            fields["width"] = parse_int(value, key, where)
-        elif key == "height":
-            fields["height"] = parse_int(value, key, where)
-        elif key == "frames":
-            fields["num_frames"] = parse_int(value, key, where)
-        elif key == "start_date":
-            try:
-                fields["start_date"] = dt.date.fromisoformat(value)
-            except ValueError:
-                raise ConfigError(f"{where}: bad date {value!r}") from None
-        elif key == "cadence_days":
-            fields["cadence_days"] = parse_int(value, key, where)
-        elif key == "seed":
-            fields["seed"] = parse_int(value, key, where)
-        elif key == "bands":
-            fields["bands"] = tuple(split_list(value))
-        elif key == "stat":
-            parts = value.split()
-            if len(parts) != 4:
-                raise ConfigError(f"{where}: stat needs 'class band mean std'")
-            fields["class_stats"].append(
-                (
-                    parts[0],
-                    parts[1],
-                    parse_float(parts[2], key, where),
-                    parse_float(parts[3], key, where),
-                )
-            )
-        elif key == "change":
-            parts = value.split()
-            if len(parts) != 6:
-                raise ConfigError(f"{where}: change needs 'frame x y w h class'")
-            if parts[5] not in classes:
-                raise ConfigError(f"{where}: unknown class {parts[5]!r}")
-            fields["changes"].append(
-                ChangeEvent(
-                    frame=parse_int(parts[0], key, where),
-                    region=ReferenceRegion(
-                        x=parse_int(parts[1], key, where),
-                        y=parse_int(parts[2], key, where),
-                        width=parse_int(parts[3], key, where),
-                        height=parse_int(parts[4], key, where),
-                    ),
-                    new_class=classes.index(parts[5]),
-                )
-            )
-        elif key == "corrupt":
-            parts = value.split()
-            if len(parts) != 2:
-                raise ConfigError(f"{where}: corrupt needs 'frame fraction'")
-            fields["corruptions"].append(
-                CorruptionEvent(
-                    frame=parse_int(parts[0], key, where),
-                    fraction=parse_float(parts[1], key, where),
-                )
-            )
-        elif key == "cloud":
-            parts = value.split()
-            if len(parts) != 2:
-                raise ConfigError(f"{where}: cloud needs 'frame fraction'")
-            fields["clouds"].append(
-                (parse_int(parts[0], key, where), parse_float(parts[1], key, where))
-            )
-        else:
-            raise ConfigError(f"{where}: unknown synthetic-scene key {key!r}")
-    required = ("width", "height", "num_frames", "start_date", "cadence_days",
-                "seed", "bands")
-    missing = [k for k in required if k not in fields]
-    if not classes:
-        missing.insert(0, "classes")
-    if missing:
-        raise ConfigError(f"{name}: missing keys: {missing}")
-    return SynthSpec(
-        classes=tuple(classes),
-        width=fields["width"],
-        height=fields["height"],
-        num_frames=fields["num_frames"],
-        start_date=fields["start_date"],
-        cadence_days=fields["cadence_days"],
-        bands=fields["bands"],
-        class_stats=tuple(fields["class_stats"]),
-        seed=fields["seed"],
-        changes=tuple(fields["changes"]),
-        corruptions=tuple(fields["corruptions"]),
-        clouds=tuple(fields["clouds"]),
+    text, missing = read_text(src), "missing keys: {}"
+    values = parse_keys(text, SYNTH_KEYS, "synthetic-scene", missing, str(src))
+    classes = values["classes"]
+    changes = []
+    for where, frame, region, name in values["changes"]:
+        if name not in classes:
+            raise ConfigError(f"{where}: unknown class {name!r}")
+        changes.append(ChangeEvent(frame, region, classes.index(name)))
+    values["changes"] = tuple(changes)
+    values["corruptions"] = tuple(
+        CorruptionEvent(frame, fraction) for frame, fraction in values["corruptions"]
     )
+    return SynthSpec(**values)
 
 
 def _truth_sequence(spec: SynthSpec) -> list[np.ndarray]:

@@ -6,17 +6,22 @@ that cannot be read or decoded as UTF-8 raises `LoadError`, and an
 output that cannot be created or written raises `DataError`; both exit
 2 and name the path.
 
-Config-like files are line-oriented ``key = value`` text: one pair per
-line, ``#`` starts a comment, blank lines are skipped, keys may repeat.
-Floats are written with ``repr`` so values round-trip exactly.
+Configs, synthetic-scene specs and manifests are ``key = value`` text:
+one pair per line, ``#`` starts a comment, blank lines are skipped.
+Each format declares its keys once, as a table of `Key`s; `parse_keys`
+rejects an unknown key, a repeat of a key that does not repeat, and a
+missing required key with a `ConfigError` (exit 1) naming the file or
+line. Floats are written with ``repr`` so values round-trip exactly.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Sequence
+import datetime as dt
+from collections.abc import Callable, Iterator, Mapping, Sequence
 from contextlib import contextmanager
+from dataclasses import dataclass
 from pathlib import Path
-from typing import BinaryIO
+from typing import Any, BinaryIO
 
 from .errors import ConfigError, DataError, LoadError
 
@@ -67,21 +72,52 @@ def write_lines(path: str | Path, lines: Sequence[str]) -> Path:
     return write_bytes(path, ("\n".join(lines) + "\n").encode())
 
 
-def iter_kv_lines(text: str, source: str = "<str>") -> list[tuple[int, str, str]]:
-    """All (line number, key, value) triples of a key = value document."""
-    triples = []
+@dataclass(frozen=True)
+class Key:
+    """One key of a format: ``parse(value, key, where)`` reads the text
+    after ``=`` into ``field`` and ``format`` writes it back. A key that
+    ``repeats`` collects a tuple of values, one per line, in file order.
+    """
+
+    field: str
+    parse: Callable[[str, str, str], Any]
+    format: Callable[[Any], str] = str
+    required: bool = False
+    repeats: bool = False
+
+
+def parse_keys(
+    text: str, keys: Mapping[str, Key], kind: str, missing: str, source: str
+) -> dict[str, Any]:
+    """Field values of a ``kind`` document; absent optional keys are left out.
+
+    ``missing`` is the message for absent required keys, formatted with
+    the list of their fields.
+    """
+    values: dict[str, Any] = {k.field: () for k in keys.values() if k.repeats}
     for lineno, raw in enumerate(text.splitlines(), start=1):
+        where = f"{source}:{lineno}"
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
-            raise ConfigError(f"{source}:{lineno}: expected 'key = value', got {raw!r}")
-        key, value = line.split("=", 1)
-        key = key.strip()
-        if not key:
-            raise ConfigError(f"{source}:{lineno}: empty key")
-        triples.append((lineno, key, value.strip()))
-    return triples
+            raise ConfigError(f"{where}: expected 'key = value', got {raw!r}")
+        name, value = (part.strip() for part in line.split("=", 1))
+        if not name:
+            raise ConfigError(f"{where}: empty key")
+        key = keys.get(name)
+        if key is None:
+            raise ConfigError(f"{where}: unknown {kind} key {name!r}")
+        if key.repeats:
+            values[key.field] += (key.parse(value, name, where),)
+        elif key.field in values:
+            raise ConfigError(f"{where}: duplicate key {name!r}")
+        else:
+            values[key.field] = key.parse(value, name, where)
+    absent = [k.field for k in keys.values() if k.required and k.field not in values]
+    if absent:
+        raise ConfigError(f"{source}: " + missing.format(absent))
+    return values
 
 
 def parse_float(value: str, key: str, source: str = "<str>") -> float:
@@ -103,8 +139,15 @@ def format_float(value: float) -> str:
     return repr(float(value))
 
 
-def split_list(value: str) -> list[str]:
-    """Comma-separated items, stripped; empty string -> empty list."""
+def parse_date(value: str, key: str, source: str = "<str>") -> dt.date:
+    try:
+        return dt.date.fromisoformat(value)
+    except ValueError:
+        raise ConfigError(f"{source}: bad date {value!r}") from None
+
+
+def parse_list(value: str, key: str, source: str = "<str>") -> tuple[str, ...]:
+    """Comma-separated items, stripped; empty string -> empty tuple."""
     if not value.strip():
-        return []
-    return [item.strip() for item in value.split(",")]
+        return ()
+    return tuple(item.strip() for item in value.split(","))

@@ -475,6 +475,18 @@ class TestSynthSpecParsing:
             parse_synth_spec(path)
         assert str(info.value) == f"{path}: missing keys: ['width', 'seed']"
 
+    def test_single_valued_key_given_twice(self, tmp_path):
+        path = write_spec(tmp_path, SYNTH_BASE + "width = 32\n")
+        with pytest.raises(ConfigError) as info:
+            parse_synth_spec(path)
+        assert str(info.value) == f"{path}:13: duplicate key 'width'"
+
+    def test_change_may_precede_classes(self, tmp_path):
+        spec = parse_synth_spec(
+            write_spec(tmp_path, "change = 3 4 2 8 6 land\n" + SYNTH_BASE)
+        )
+        assert spec.changes[0].new_class == spec.classes.index("land")
+
     def test_event_lines_accumulate(self, tmp_path):
         spec = parse_synth_spec(write_spec(
             tmp_path,

@@ -330,6 +330,13 @@ class TestManifestParsing:
             parse_manifest(path)
         assert str(info.value) == f"{path}: manifest needs width and height"
 
+    def test_single_valued_key_given_twice(self, tmp_path):
+        path = tmp_path / "manifest.txt"
+        path.write_text(MANIFEST_TEXT + "width = 8\n")
+        with pytest.raises(ConfigError) as info:
+            parse_manifest(path)
+        assert str(info.value) == f"{path}:6: duplicate key 'width'"
+
     def test_band_and_frame_lines_accumulate(self, tmp_path):
         path = tmp_path / "manifest.txt"
         path.write_text(
