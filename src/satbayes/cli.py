@@ -24,6 +24,8 @@ from .core import build_transition_model
 from .errors import ConfigError, DataError, SatBayesError
 from .evaluation import (
     balanced_accuracy,
+    check_epsilon_grid,
+    check_repetitions,
     epsilon_sweep,
     error_map,
     timing_bench,
@@ -157,6 +159,7 @@ def _cmd_sweep(args: argparse.Namespace) -> None:
         grid = tuple(float(v) for v in args.eps.split(","))
     except ValueError:
         raise ConfigError(f"bad --eps list: {args.eps!r}") from None
+    check_epsilon_grid(grid)
     out, test, models, modes = _prepare_models(args, config)
     result = epsilon_sweep(test, models, modes, config.lam, grid, workers=args.workers)
     write_sweep_table(result, out / "sweep.csv")
@@ -175,6 +178,7 @@ def _cmd_sweep(args: argparse.Namespace) -> None:
 
 def _cmd_bench(args: argparse.Namespace) -> None:
     config = parse_config(args.config)
+    check_repetitions(args.reps)
     out, test, models, modes = _prepare_models(args, config)
     transition = build_transition_model(len(config.classes), config.epsilon)
     records = timing_bench(

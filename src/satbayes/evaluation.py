@@ -176,6 +176,18 @@ class SweepResult:
         return self.grid[int(np.argmax(row))]
 
 
+def check_epsilon_grid(grid: Sequence[float]) -> tuple[float, ...]:
+    """The grid as floats: non-empty, strictly increasing, inside (0, 1)."""
+    eps = tuple(float(e) for e in grid)
+    if not eps:
+        raise ConfigError("epsilon grid is empty")
+    if any(not (0.0 < e < 1.0) for e in eps):
+        raise ConfigError(f"epsilon values must lie in (0, 1): {eps}")
+    if any(b <= a for a, b in zip(eps, eps[1:])):
+        raise ConfigError(f"epsilon grid must strictly increase: {eps}")
+    return eps
+
+
 def epsilon_sweep(
     stack: ImageStack,
     models: Mapping[str, object],
@@ -194,13 +206,7 @@ def epsilon_sweep(
     labels are scored as they come. Scores equal those of one
     `classify_stack` run per grid value, bit for bit.
     """
-    eps = tuple(float(e) for e in grid)
-    if not eps:
-        raise ConfigError("epsilon grid is empty")
-    if any(not (0.0 < e < 1.0) for e in eps):
-        raise ConfigError(f"epsilon values must lie in (0, 1): {eps}")
-    if any(b <= a for a, b in zip(eps, eps[1:])):
-        raise ConfigError(f"epsilon grid must strictly increase: {eps}")
+    eps = check_epsilon_grid(grid)
     if not models:
         raise ConfigError("no models to sweep")
     if set(models) != set(modes):
@@ -268,6 +274,11 @@ class TimingRecord:
     repetitions: int
 
 
+def check_repetitions(repetitions: int) -> None:
+    if repetitions < 3:
+        raise ConfigError(f"repetitions must be >= 3, got {repetitions}")
+
+
 def timing_bench(
     stack: ImageStack,
     models: Mapping[str, object],
@@ -282,8 +293,7 @@ def timing_bench(
     recursion numbers isolate the recursion step. Medians
     over ``repetitions`` (>= 3) keep scheduler noise out.
     """
-    if repetitions < 3:
-        raise ConfigError(f"repetitions must be >= 3, got {repetitions}")
+    check_repetitions(repetitions)
     if not stack.frames:
         raise EvaluationError("cannot bench an empty stack")
     if set(models) != set(modes):

@@ -765,6 +765,25 @@ class TestCliExitCodes:
                      "--reps", "1", "--out", str(tmp_path)]) == 1
         capsys.readouterr()
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["sweep", "--eps", "0.5,0.1"], "epsilon grid must strictly increase"),
+            (["sweep", "--eps", "0.1,1.5"], "epsilon values must lie in (0, 1)"),
+            (["bench", "--reps", "1"], "repetitions must be >= 3, got 1"),
+        ],
+    )
+    def test_bad_grid_or_reps_fail_before_any_work(
+        self, tmp_path, capsys, argv, message
+    ):
+        # the manifest does not exist: the argument check must fire first
+        out = tmp_path / "never"
+        config = write_bad_config(tmp_path)
+        assert main([*argv, "--config", str(config), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_non_finite_band_plane_is_data_exit(self, cli_area, tmp_path, capsys, value):
         shutil.copytree(cli_area / "data", tmp_path / "data")
