@@ -481,7 +481,6 @@ def fit_logistic_classifier(
     labels: np.ndarray,
     num_classes: int,
     bands: tuple[str, ...],
-    seed: int = 0,
     l2: float = LR_L2,
 ) -> LogisticClassifier:
     """Full-batch multinomial logistic regression on standardized features.
@@ -489,10 +488,8 @@ def fit_logistic_classifier(
     Weights start at zero and are optimized with L-BFGS (analytic
     gradient) until the projected gradient norm falls below 1e-9 or
     after 1000 iterations, so refits on reordered samples agree to high
-    precision. Training is deterministic; ``seed`` is accepted for
-    interface symmetry with the mixture fit and not consumed.
+    precision. Training is deterministic.
     """
-    del seed
     x = np.asarray(samples, dtype=np.float64)
     y = np.asarray(labels)
     if num_classes < 2:

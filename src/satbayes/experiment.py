@@ -21,6 +21,7 @@ from . import __version__
 from .classifiers import (
     ExternalPosteriorSource,
     IndexClassifier,
+    _frame_matrix,
     fit_logistic_classifier,
     fit_mixture_classifier,
     pseudo_labels,
@@ -92,14 +93,12 @@ def build_classifier(config: ExperimentConfig, kind: str, train: ImageStack):
         raise ConfigError(f"unknown classifier kind {kind!r}")
     if not train.frames:
         raise DataError(f"classifier {kind!r} needs a nonempty training stack")
-    bands = config.feature_bands or train.bands
+    bands = tuple(config.feature_bands or train.bands)
     pixel_blocks = []
     label_blocks = []
     for frame in train.frames:
         labels = pseudo_labels(frame.image, config.index, config.thresholds)
-        pixel_blocks.append(
-            np.stack([frame.image.band(b).ravel() for b in bands], axis=1)
-        )
+        pixel_blocks.append(_frame_matrix(frame.image, bands))
         label_blocks.append(labels.labels.ravel())
     pixels = np.concatenate(pixel_blocks, axis=0)
     labels = np.concatenate(label_blocks, axis=0)
@@ -107,13 +106,11 @@ def build_classifier(config: ExperimentConfig, kind: str, train: ImageStack):
         samples = [pixels[labels == c] for c in range(k)]
         return fit_mixture_classifier(
             samples,
-            bands=tuple(bands),
+            bands=bands,
             components=config.gmm_components,
             seed=config.seed,
         )
-    return fit_logistic_classifier(
-        pixels, labels, num_classes=k, bands=tuple(bands), seed=config.seed
-    )
+    return fit_logistic_classifier(pixels, labels, num_classes=k, bands=bands)
 
 
 def classifier_mode(config: ExperimentConfig, kind: str) -> RecursionMode:
