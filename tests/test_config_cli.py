@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import datetime as dt
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -16,6 +17,7 @@ from numpy.testing import assert_array_equal
 from satbayes.classifiers import IndexClassifier, SpectralIndexKind
 from satbayes.cli import main
 from satbayes.config import (
+    CONFIG_KEYS,
     DEFAULT_LAMBDA,
     ExperimentConfig,
     parse_config,
@@ -271,7 +273,19 @@ class TestConfigText:
             parse_config_text(config_lines(**{key: None}))
 
 
-PRESET_DIR =Path(__file__).resolve().parent.parent / "configs"
+def test_readme_config_table_lists_every_config_key():
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    section = readme.read_text().split("## Experiment configs", 1)[1]
+    rows = section.split("\n## ", 1)[0].splitlines()
+    listed = [
+        key
+        for row in rows if row.startswith("| `")
+        for key in re.findall(r"`(\w+)`", row.split("|")[1])
+    ]
+    assert sorted(listed) == sorted(CONFIG_KEYS)
+
+
+PRESET_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 # per preset: classes, index kind, thresholds, epsilon, lambda
 PRESET_TABLE = {
