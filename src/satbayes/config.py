@@ -235,7 +235,7 @@ def serialize_config(config: ExperimentConfig) -> str:
     lines = []
     for name, key in CONFIG_KEYS.items():
         value = getattr(config, key.field)
-        if value is None or value == () == defaults[key.field]:
+        if value is None or (value == () and defaults[key.field] == ()):
             continue
         lines.append(f"{name} = {key.format(value)}")
     return "\n".join(lines) + "\n"

@@ -191,58 +191,6 @@ class StackManifest:
         return factors
 
 
-def _parse_bands(value: str, key: str, where: str) -> list[tuple[str, float]]:
-    bands = []
-    for item in value.split(","):
-        if ":" not in item:
-            raise ConfigError(f"{where}: band entry needs name:resolution")
-        name, res = item.split(":", 1)
-        bands.append((name.strip(), parse_float(res.strip(), key, where)))
-    return bands
-
-
-def _parse_frame(value: str, key: str, where: str) -> ManifestFrame:
-    tokens = value.split()
-    if not tokens:
-        raise ConfigError(f"{where}: empty frame entry")
-    try:
-        date = dt.date.fromisoformat(tokens[0])
-    except ValueError:
-        raise ConfigError(f"{where}: bad frame date {tokens[0]!r}") from None
-    cloud = None
-    truth = None
-    posterior = None
-    band_paths: list[tuple[str, str]] = []
-    for token in tokens[1:]:
-        if "=" not in token:
-            raise ConfigError(f"{where}: frame token needs key=value, got {token!r}")
-        name, val = token.split("=", 1)
-        if name == "cloud":
-            cloud = parse_float(val, name, where)
-        elif name == "truth":
-            truth = val
-        elif name == "posterior":
-            posterior = val
-        else:
-            band_paths.append((name, val))
-    return ManifestFrame(
-        date=date,
-        band_paths=tuple(band_paths),
-        cloud_fraction=cloud,
-        truth_path=truth,
-        posterior_path=posterior,
-    )
-
-
-MANIFEST_KEYS = {
-    "width": Key("width", parse_int, required=True),
-    "height": Key("height", parse_int, required=True),
-    "scale": Key("scale", parse_float),
-    "bands": Key("bands", _parse_bands, repeats=True),
-    "frame": Key("frames", _parse_frame, repeats=True),
-}
-
-
 def parse_manifest(path: str | Path) -> StackManifest:
     src = Path(path)
     text, name = read_text(src), str(src)
@@ -287,6 +235,58 @@ def parse_manifest(path: str | Path) -> StackManifest:
     )
     manifest.resample_factors()  # validates resolutions early
     return manifest
+
+
+def _parse_frame_line(value: str, _key: str, where: str) -> ManifestFrame:
+    tokens = value.split()
+    if not tokens:
+        raise ConfigError(f"{where}: empty frame entry")
+    try:
+        date = dt.date.fromisoformat(tokens[0])
+    except ValueError:
+        raise ConfigError(f"{where}: bad frame date {tokens[0]!r}") from None
+    cloud = None
+    truth = None
+    posterior = None
+    band_paths: list[tuple[str, str]] = []
+    for token in tokens[1:]:
+        if "=" not in token:
+            raise ConfigError(f"{where}: frame token needs key=value, got {token!r}")
+        key, val = token.split("=", 1)
+        if key == "cloud":
+            cloud = parse_float(val, key, where)
+        elif key == "truth":
+            truth = val
+        elif key == "posterior":
+            posterior = val
+        else:
+            band_paths.append((key, val))
+    return ManifestFrame(
+        date=date,
+        band_paths=tuple(band_paths),
+        cloud_fraction=cloud,
+        truth_path=truth,
+        posterior_path=posterior,
+    )
+
+
+def _parse_bands(value: str, key: str, where: str) -> list[tuple[str, float]]:
+    bands = []
+    for item in value.split(","):
+        if ":" not in item:
+            raise ConfigError(f"{where}: band entry needs name:resolution")
+        name, res = item.split(":", 1)
+        bands.append((name.strip(), parse_float(res.strip(), key, where)))
+    return bands
+
+
+MANIFEST_KEYS = {
+    "width": Key("width", parse_int, required=True),
+    "height": Key("height", parse_int, required=True),
+    "scale": Key("scale", parse_float),
+    "bands": Key("bands", _parse_bands, repeats=True),
+    "frame": Key("frames", _parse_frame_line, repeats=True),
+}
 
 
 def write_manifest(manifest: StackManifest, path: str | Path) -> Path:
