@@ -47,6 +47,7 @@ from .textio import (
     parse_int,
     parse_keys,
     parse_list,
+    parse_text,
     read_text,
 )
 
@@ -146,10 +147,6 @@ class ExperimentConfig:
         return path if path.is_absolute() else self.base_dir / path
 
 
-def _text(value: str, key: str, where: str) -> str:
-    return value
-
-
 def _member(kind: type[enum.Enum]) -> Callable[[str, str, str], enum.Enum]:
     def parse(value: str, key: str, where: str) -> enum.Enum:
         try:
@@ -192,10 +189,10 @@ _VALUE = attrgetter("value")
 
 # Every config key, in the order `serialize_config` writes them.
 CONFIG_KEYS = {
-    "name": Key("name", _text),
-    "manifest": Key("manifest", _text, required=True),
+    "name": Key("name", parse_text),
+    "manifest": Key("manifest", parse_text, required=True),
     "classes": Key("classes", parse_list, ", ".join, required=True),
-    "classifier": Key("classifier", _text, required=True),
+    "classifier": Key("classifier", parse_text, required=True),
     "mode": Key("mode", _member(RecursionMode), _VALUE),
     "epsilon": Key("epsilon", parse_float, format_float, required=True),
     "lambda": Key("lam", parse_float, format_float),
@@ -210,7 +207,7 @@ CONFIG_KEYS = {
     "bias_region": Key("bias_region", _parse_region, _format_region),
     "cloud_threshold": Key("cloud_threshold", parse_float, format_float),
     "exclude_dates": Key("exclude_dates", _parse_dates, _format_dates),
-    "out": Key("out", _text),
+    "out": Key("out", parse_text),
 }
 
 

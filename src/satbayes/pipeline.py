@@ -44,6 +44,7 @@ from .textio import (
     parse_float,
     parse_int,
     parse_keys,
+    parse_text,
     read_bytes,
     read_text,
     write_bytes,
@@ -193,9 +194,9 @@ class StackManifest:
 
 def parse_manifest(path: str | Path) -> StackManifest:
     src = Path(path)
-    text, name = read_text(src), str(src)
+    name = str(src)
     missing = "manifest needs width and height"
-    values = parse_keys(text, MANIFEST_KEYS, "manifest", missing, name)
+    values = parse_keys(read_text(src), MANIFEST_KEYS, "manifest", missing, name)
     width, height = values["width"], values["height"]
     scale = values.get("scale", 1.0)
     bands = [band for line in values["bands"] for band in line]
@@ -245,29 +246,18 @@ def _parse_frame_line(value: str, _key: str, where: str) -> ManifestFrame:
         date = dt.date.fromisoformat(tokens[0])
     except ValueError:
         raise ConfigError(f"{where}: bad frame date {tokens[0]!r}") from None
-    cloud = None
-    truth = None
-    posterior = None
+    side = {}
     band_paths: list[tuple[str, str]] = []
     for token in tokens[1:]:
         if "=" not in token:
             raise ConfigError(f"{where}: frame token needs key=value, got {token!r}")
         key, val = token.split("=", 1)
-        if key == "cloud":
-            cloud = parse_float(val, key, where)
-        elif key == "truth":
-            truth = val
-        elif key == "posterior":
-            posterior = val
-        else:
+        side_key = _SIDE_TOKENS.get(key)
+        if side_key is None:
             band_paths.append((key, val))
-    return ManifestFrame(
-        date=date,
-        band_paths=tuple(band_paths),
-        cloud_fraction=cloud,
-        truth_path=truth,
-        posterior_path=posterior,
-    )
+        else:
+            side[side_key.field] = side_key.parse(val, key, where)
+    return ManifestFrame(date=date, band_paths=tuple(band_paths), **side)
 
 
 def _parse_bands(value: str, key: str, where: str) -> list[tuple[str, float]]:
@@ -279,6 +269,13 @@ def _parse_bands(value: str, key: str, where: str) -> list[tuple[str, float]]:
         bands.append((name.strip(), parse_float(res.strip(), key, where)))
     return bands
 
+
+# Frame-line tokens other than band=path ones.
+_SIDE_TOKENS = {
+    "cloud": Key("cloud_fraction", parse_float),
+    "truth": Key("truth_path", parse_text),
+    "posterior": Key("posterior_path", parse_text),
+}
 
 MANIFEST_KEYS = {
     "width": Key("width", parse_int, required=True),

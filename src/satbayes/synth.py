@@ -177,8 +177,9 @@ SYNTH_KEYS = {
 
 def parse_synth_spec(path: str | Path) -> SynthSpec:
     src = Path(path)
-    text, missing = read_text(src), "missing keys: {}"
-    values = parse_keys(text, SYNTH_KEYS, "synthetic-scene", missing, str(src))
+    values = parse_keys(
+        read_text(src), SYNTH_KEYS, "synthetic-scene", "missing keys: {}", str(src)
+    )
     classes = values["classes"]
     changes = []
     for where, frame, region, name in values["changes"]:

@@ -74,9 +74,10 @@ def write_lines(path: str | Path, lines: Sequence[str]) -> Path:
 
 @dataclass(frozen=True)
 class Key:
-    """One key of a format: ``parse(value, key, where)`` reads the text
-    after ``=`` into ``field`` and ``format`` writes it back. A key that
-    ``repeats`` collects a tuple of values, one per line, in file order.
+    """How a format reads one key into ``field`` and writes it back.
+
+    ``parse(value, key, where)`` converts the text after ``=``. A key
+    that ``repeats`` collects a tuple of values, one per line.
     """
 
     field: str
@@ -144,6 +145,10 @@ def parse_date(value: str, key: str, source: str = "<str>") -> dt.date:
         return dt.date.fromisoformat(value)
     except ValueError:
         raise ConfigError(f"{source}: bad date {value!r}") from None
+
+
+def parse_text(value: str, key: str, source: str = "<str>") -> str:
+    return value
 
 
 def parse_list(value: str, key: str, source: str = "<str>") -> tuple[str, ...]:
