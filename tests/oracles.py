@@ -13,6 +13,12 @@ import math
 
 import numpy as np
 
+from satbayes.classifiers import (
+    COV_JITTER,
+    EM_MAX_ITER,
+    EM_TOL,
+    _kmeans_pp_centers,
+)
 from satbayes.core import (
     TransitionModel,
     build_transition_model,
@@ -146,6 +152,118 @@ def softmax_loss_by_hand(
         total -= scores[int(labels[i])] - log_norm
     penalty = l2 * float(np.sum(weights[:, :-1] ** 2))
     return total / n + penalty
+
+
+# ------------------------------------------------------------------
+# pixel-major mixtures and softmax loss over scipy.special.logsumexp
+# ------------------------------------------------------------------
+#
+# The package's mixture EM, mixture density and softmax loss as they
+# were written pixel-major, with (N, M) log-term matrices reduced by
+# scipy.special.logsumexp. The class-major package code must reproduce
+# them exactly. Only the k-means++ seeding is shared with the package.
+
+def pixel_major_log_gaussian_matrix(
+    x: np.ndarray, means: np.ndarray, covariances: np.ndarray
+) -> np.ndarray:
+    """Log N(x | mean_m, cov_m) for every sample/component pair -> (N, M)."""
+    from scipy.linalg import cholesky, solve_triangular
+
+    n, b = x.shape
+    m = means.shape[0]
+    out = np.empty((n, m))
+    const = b * math.log(2.0 * math.pi)
+    for j in range(m):
+        chol = cholesky(covariances[j], lower=True)
+        diff = (x - means[j]).T
+        solved = solve_triangular(chol, diff, lower=True)
+        maha = np.sum(solved * solved, axis=0)
+        logdet = 2.0 * np.sum(np.log(np.diag(chol)))
+        out[:, j] = -0.5 * (const + logdet + maha)
+    return out
+
+
+def pixel_major_log_density(mixture, x: np.ndarray) -> np.ndarray:
+    """`GaussianMixture.log_density` over an (N, M) log-term matrix."""
+    from scipy.special import logsumexp
+
+    log_terms = pixel_major_log_gaussian_matrix(
+        x, mixture.means, mixture.covariances
+    )
+    return logsumexp(log_terms + np.log(mixture.weights), axis=1)
+
+
+def pixel_major_likelihood(model, pixels: np.ndarray) -> np.ndarray:
+    """`MixtureClassifier.likelihood`: per-class densities -> (N, K)."""
+    x = np.asarray(pixels, dtype=np.float64)
+    return np.stack(
+        [np.exp(pixel_major_log_density(mix, x)) for mix in model.mixtures], axis=1
+    )
+
+
+def pixel_major_fit_single_mixture(
+    x: np.ndarray, components: int, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[float]]:
+    """EM fit of one class's mixture -> (weights, means, covariances, trace)."""
+    from scipy.special import logsumexp
+
+    n, b = x.shape
+    eye = np.eye(b)
+    means = _kmeans_pp_centers(x, components, rng)
+    base_cov = np.atleast_2d(np.cov(x.T, bias=True)) + COV_JITTER * eye
+    covs = np.repeat(base_cov[np.newaxis], components, axis=0)
+    weights = np.full(components, 1.0 / components)
+
+    trace: list[float] = []
+    for _ in range(EM_MAX_ITER):
+        log_terms = pixel_major_log_gaussian_matrix(x, means, covs) + np.log(weights)
+        log_norm = logsumexp(log_terms, axis=1)
+        trace.append(float(np.mean(log_norm)))
+        if len(trace) > 1 and trace[-1] - trace[-2] < EM_TOL:
+            break
+        resp = np.exp(log_terms - log_norm[:, np.newaxis])
+        bulk = resp.sum(axis=0) + 10.0 * np.finfo(np.float64).tiny
+        weights = bulk / n
+        means = (resp.T @ x) / bulk[:, np.newaxis]
+        covs = np.empty_like(covs)
+        for j in range(components):
+            diff = x - means[j]
+            covs[j] = (resp[:, j] * diff.T) @ diff / bulk[j] + COV_JITTER * eye
+    return weights, means, covs, trace
+
+
+def pixel_major_fit_mixtures(
+    samples_by_class, components: list[int], seed: int
+) -> list[tuple[np.ndarray, np.ndarray, np.ndarray, list[float]]]:
+    """`fit_mixture_classifier`'s per-class loop over one shared RNG."""
+    rng = np.random.default_rng(seed)
+    return [
+        pixel_major_fit_single_mixture(np.asarray(x, dtype=np.float64), m, rng)
+        for x, m in zip(samples_by_class, components)
+    ]
+
+
+def scipy_logistic_loss_grad(
+    weights_flat: np.ndarray,
+    features_aug: np.ndarray,
+    labels_onehot: np.ndarray,
+    l2: float,
+) -> tuple[float, np.ndarray]:
+    """`logistic_loss_grad` with an (N, K) scipy logsumexp."""
+    from scipy.special import logsumexp
+
+    n, b_aug = features_aug.shape
+    k = labels_onehot.shape[1]
+    w = weights_flat.reshape(k, b_aug)
+    scores = features_aug @ w.T
+    log_norm = logsumexp(scores, axis=1)
+    log_probs = scores - log_norm[:, np.newaxis]
+    nll = -float(np.sum(labels_onehot * log_probs)) / n
+    loss = nll + l2 * float(np.sum(w[:, :-1] ** 2))
+    probs = np.exp(log_probs)
+    grad = (probs - labels_onehot).T @ features_aug / n
+    grad[:, :-1] += 2.0 * l2 * w[:, :-1]
+    return loss, grad.ravel()
 
 
 def _check_classes(arr: np.ndarray, num_classes: int, name: str) -> None:

@@ -334,6 +334,91 @@ class TestMixtureFit:
         assert_allclose(model.frame_posterior(frame), norm, atol=1e-12)
 
 
+def _clustered_classes(rng, num_bands, sizes):
+    """Training pixels per class: each class a blend of three blobs."""
+    samples = []
+    for k, size in enumerate(sizes):
+        centers = rng.normal(2.0 * k, 1.0, size=(3, num_bands))
+        picks = rng.integers(3, size=size)
+        samples.append(centers[picks] + rng.normal(0.0, 0.3, size=(size, num_bands)))
+    return samples
+
+
+def _assert_matches_pixel_major(model, samples, components, seed):
+    expect = oracles.pixel_major_fit_mixtures(samples, components, seed)
+    assert len(model.mixtures) == len(expect)
+    for mix, trace, (weights, means, covs, ll) in zip(
+        model.mixtures, model.ll_traces, expect
+    ):
+        assert_array_equal(mix.weights, weights)
+        assert_array_equal(mix.means, means)
+        assert_array_equal(mix.covariances, covs)
+        assert trace == tuple(ll)
+
+
+class TestClassMajorMatchesPixelMajor:
+    """EM, mixture density and softmax loss equal the pixel-major oracles bit for bit."""
+
+    @pytest.mark.parametrize("seed", [0, 4, 11])
+    @pytest.mark.parametrize("num_bands", [1, 2, 3])
+    @pytest.mark.parametrize("components", [1, 2, 3])
+    def test_fit_mixture_classifier(self, components, num_bands, seed):
+        rng = np.random.default_rng(100 + seed)
+        samples = _clustered_classes(rng, num_bands, (120, 205, 333))
+        bands = tuple(f"b{i}" for i in range(num_bands))
+        model = fit_mixture_classifier(samples, bands, components=components, seed=seed)
+        _assert_matches_pixel_major(model, samples, [components] * 3, seed)
+
+    def test_per_class_component_counts(self):
+        rng = np.random.default_rng(41)
+        samples = _clustered_classes(rng, 2, (90, 150, 260))
+        model = fit_mixture_classifier(samples, ("a", "b"), components=[3, 1, 2], seed=6)
+        _assert_matches_pixel_major(model, samples, [3, 1, 2], 6)
+
+    def test_wide_mixture(self):
+        # 9 bands and 9 components: numpy sums runs of 8 or more values
+        # pairwise, not left to right.
+        rng = np.random.default_rng(42)
+        samples = _clustered_classes(rng, 9, (820, 905))
+        bands = tuple(f"b{i}" for i in range(9))
+        model = fit_mixture_classifier(samples, bands, components=9, seed=2)
+        _assert_matches_pixel_major(model, samples, [9, 9], 2)
+
+    @pytest.mark.parametrize(("components", "num_bands"), [(1, 1), (3, 3), (9, 9)])
+    def test_likelihood(self, components, num_bands):
+        rng = np.random.default_rng(43)
+        needed = 10 * components * num_bands
+        samples = _clustered_classes(rng, num_bands, (needed + 17, needed + 40))
+        bands = tuple(f"b{i}" for i in range(num_bands))
+        model = fit_mixture_classifier(samples, bands, components=components, seed=1)
+        pixels = np.concatenate(
+            [
+                rng.normal(1.0, 2.0, size=(500, num_bands)),
+                rng.normal(0.0, 40.0, size=(20, num_bands)),  # densities underflow
+                model.mixtures[0].means,  # a component's own mean
+            ]
+        )
+        assert_array_equal(model.likelihood(pixels), oracles.pixel_major_likelihood(model, pixels))
+        for mix in model.mixtures:
+            assert_array_equal(
+                mix.log_density(pixels), oracles.pixel_major_log_density(mix, pixels)
+            )
+
+    @pytest.mark.parametrize("num_classes", [2, 3, 9])
+    def test_logistic_loss_grad(self, num_classes):
+        rng = np.random.default_rng(44 + num_classes)
+        n, b = 700, 4
+        aug = np.hstack([rng.normal(size=(n, b)), np.ones((n, 1))])
+        onehot = np.zeros((n, num_classes))
+        onehot[np.arange(n), rng.integers(num_classes, size=n)] = 1.0
+        for scale in (0.0, 0.5, 30.0):
+            w = rng.normal(scale=scale, size=num_classes * (b + 1))
+            loss, grad = logistic_loss_grad(w, aug, onehot, 1e-4)
+            expect_loss, expect_grad = oracles.scipy_logistic_loss_grad(w, aug, onehot, 1e-4)
+            assert loss == expect_loss
+            assert_array_equal(grad, expect_grad)
+
+
 # ------------------------------------------------------------------
 # logistic classifier
 # ------------------------------------------------------------------
