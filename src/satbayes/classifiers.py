@@ -7,7 +7,11 @@ Three trained forms plus a pass-through:
   classifies pixels from their index value alone.
 * `MixtureClassifier` holds one full-covariance Gaussian mixture per
   class over raw band values; fitting is plain EM with k-means++
-  seeding.
+  seeding. The EM E-step and the mixture density run class-major, on
+  (M, N) component-by-pixel arrays, and reduce them with a log-sum-exp
+  that follows ``scipy.special.logsumexp``'s algorithm without importing
+  ``scipy.special``, so results match the pixel-major scipy route bit
+  for bit.
 * `LogisticClassifier` is a multinomial softmax over standardized band
   values, fitted full-batch with an L2 penalty.
 * `ExternalPosteriorSource` replays per-frame posterior rasters that
@@ -220,32 +224,86 @@ class GaussianMixture:
             raise ShapeError(
                 f"expected points of shape (N, {self.num_bands}), got {arr.shape}"
             )
-        from scipy.special import logsumexp
-
         log_terms = _log_gaussian_matrix(arr, self.means, self.covariances)
-        return logsumexp(log_terms + np.log(self.weights), axis=1)
+        log_terms += np.log(self.weights)[:, np.newaxis]
+        return _logsumexp_columns(log_terms)
 
     def density(self, x: np.ndarray) -> np.ndarray:
         return np.exp(self.log_density(x))
 
 
+def _sum_rows(a: np.ndarray) -> np.ndarray:
+    """Sum a non-negative (R, N) array over its R rows in numpy's pairwise order.
+
+    numpy sums a contiguous run of R values left to right when R < 8,
+    in eight interleaved partial sums when 8 <= R <= 128, and by halves
+    above that. Following the same order here keeps each column's sum
+    bit-identical to summing the rows of the (N, R) transpose, while
+    every step runs over whole rows of N values.
+    """
+    r = a.shape[0]
+    if r < 8:
+        return np.sum(a, axis=0)
+    if r > 128:
+        half = r // 2 - (r // 2) % 8
+        return _sum_rows(a[:half]) + _sum_rows(a[half:])
+    part = a[:8].copy()
+    stop = r - r % 8
+    for i in range(8, stop, 8):
+        part += a[i : i + 8]
+    total = ((part[0] + part[1]) + (part[2] + part[3])) + (
+        (part[4] + part[5]) + (part[6] + part[7])
+    )
+    for i in range(stop, r):
+        total += a[i]
+    return total
+
+
+def _logsumexp_columns(a: np.ndarray) -> np.ndarray:
+    """log(sum(exp(a), axis=0)) of an (M, N) array -> (N,).
+
+    Bit for bit what ``scipy.special.logsumexp`` returns for the rows of
+    the (N, M) C-ordered transpose, by the same steps: the column max
+    and the count of entries tied at it, the exponentials of the other
+    entries shifted by the max, their sum divided by the tie count,
+    then ``log1p(s) + log(ties) + max``. Columns whose result is not
+    finite (an inf or NaN entry, or all entries -inf) fall back to
+    ``log(sum(exp(a)))``, where summation order cannot matter. scipy's
+    sign handling is left out: without weights the sum is never
+    negative.
+    """
+    a_max = np.max(a, axis=0)
+    at_max = a == a_max
+    ties = np.sum(at_max, axis=0, dtype=np.float64)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        shifted = np.where(at_max, -np.inf, a)
+        shifted -= a_max
+        s = _sum_rows(np.exp(shifted, out=shifted))
+        s = np.where(s == 0, s, s / ties)
+        out = np.log1p(s) + np.log(ties) + a_max
+        bad = ~np.isfinite(out)
+        if bad.any():
+            out[bad] = np.log(np.sum(np.exp(a[:, bad]), axis=0))
+    return out
+
+
 def _log_gaussian_matrix(
     x: np.ndarray, means: np.ndarray, covariances: np.ndarray
 ) -> np.ndarray:
-    """Log N(x | mean_m, cov_m) for every sample/component pair -> (N, M)."""
+    """Log N(x | mean_m, cov_m) for every component/sample pair -> (M, N)."""
     from scipy.linalg import cholesky, solve_triangular
 
     n, b = x.shape
     m = means.shape[0]
-    out = np.empty((n, m))
+    out = np.empty((m, n))
     const = b * math.log(2.0 * math.pi)
     for j in range(m):
         chol = cholesky(covariances[j], lower=True)
-        diff = (x - means[j]).T
-        solved = solve_triangular(chol, diff, lower=True)
-        maha = np.sum(solved * solved, axis=0)
+        solved = solve_triangular(chol, (x - means[j]).T, lower=True)
+        solved *= solved
+        maha = _sum_rows(np.ascontiguousarray(solved))
         logdet = 2.0 * np.sum(np.log(np.diag(chol)))
-        out[:, j] = -0.5 * (const + logdet + maha)
+        out[j] = -0.5 * (const + logdet + maha)
     return out
 
 
@@ -267,8 +325,6 @@ def _fit_single_mixture(
     x: np.ndarray, components: int, rng: np.random.Generator
 ) -> tuple[GaussianMixture, list[float]]:
     """EM fit of one class's mixture; returns the model and its mean-LL trace."""
-    from scipy.special import logsumexp
-
     n, b = x.shape
     eye = np.eye(b)
     means = _kmeans_pp_centers(x, components, rng)
@@ -278,12 +334,15 @@ def _fit_single_mixture(
 
     trace: list[float] = []
     for _ in range(EM_MAX_ITER):
-        log_terms = _log_gaussian_matrix(x, means, covs) + np.log(weights)
-        log_norm = logsumexp(log_terms, axis=1)
+        log_terms = _log_gaussian_matrix(x, means, covs)
+        log_terms += np.log(weights)[:, np.newaxis]
+        log_norm = _logsumexp_columns(log_terms)
         trace.append(float(np.mean(log_norm)))
         if len(trace) > 1 and trace[-1] - trace[-2] < EM_TOL:
             break
-        resp = np.exp(log_terms - log_norm[:, np.newaxis])
+        log_terms -= log_norm
+        # The M-step reads the responsibilities pixel-major, (N, M).
+        resp = np.exp(log_terms, out=log_terms).T.copy()
         bulk = resp.sum(axis=0) + 10.0 * np.finfo(np.float64).tiny
         weights = bulk / n
         means = (resp.T @ x) / bulk[:, np.newaxis]
@@ -407,13 +466,11 @@ def logistic_loss_grad(
     ``weights_flat`` raveled from (K, B+1). Exposed as a module function
     so the gradient can be checked against finite differences.
     """
-    from scipy.special import logsumexp
-
     n, b_aug = features_aug.shape
     k = labels_onehot.shape[1]
     w = weights_flat.reshape(k, b_aug)
     scores = features_aug @ w.T
-    log_norm = logsumexp(scores, axis=1)
+    log_norm = _logsumexp_columns(np.ascontiguousarray(scores.T))
     log_probs = scores - log_norm[:, np.newaxis]
     nll = -float(np.sum(labels_onehot * log_probs)) / n
     loss = nll + l2 * float(np.sum(w[:, :-1] ** 2))

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from satbayes.classifiers import (
     pseudo_labels,
     save_model,
     spectral_index,
+    _logsumexp_columns,
 )
 from satbayes.errors import (
     ConfigError,
@@ -332,6 +334,53 @@ class TestMixtureFit:
             image=make_image(("gray",), [pixels.reshape(5, 6)]),
         )
         assert_allclose(model.frame_posterior(frame), norm, atol=1e-12)
+
+
+def _awkward_columns(rng, m, n=400):
+    """(M, N) log terms with ties, -inf, all--inf, +inf and NaN columns."""
+    a = rng.normal(0.0, 20.0, size=(m, n))
+    a[:, :60] = np.round(a[:, :60] / 20.0)  # small integers: many ties
+    if m >= 2:
+        a[1, 60:80] = a[0, 60:80]  # 2-way tie at an arbitrary value
+        a[0, 80:100] = -np.inf
+    if m >= 3:
+        a[2, 100:120] = a[1, 100:120] = a[0, 100:120]  # 3-way tie
+    a[:, 120:130] = -np.inf
+    a[m - 1, 130:140] = np.inf
+    a[0, 140:145] = np.nan
+    a[m - 1, 145:150] = -np.inf
+    a[0, 145:150] = np.inf
+    a[:, 150:155] = 1e308
+    a[:, 155:160] = -1e308
+    return a
+
+
+class TestLogsumexpColumns:
+    """`_logsumexp_columns` equals scipy.special.logsumexp bit for bit."""
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6])
+    def test_matches_scipy(self, m):
+        from scipy.special import logsumexp
+
+        a = _awkward_columns(np.random.default_rng(m), m)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _logsumexp_columns(a)
+        assert np.array_equal(got, logsumexp(a.T, axis=1), equal_nan=True)
+
+    @pytest.mark.parametrize("m", [7, 8, 9, 15, 16, 17, 130, 300])
+    def test_matches_scipy_on_pixel_major_rows(self, m):
+        # scipy sums each contiguous row of M >= 8 values pairwise
+        from scipy.special import logsumexp
+
+        a = _awkward_columns(np.random.default_rng(m), m)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _logsumexp_columns(a)
+            got_view = _logsumexp_columns(np.ascontiguousarray(a.T).T)
+        expect = logsumexp(np.ascontiguousarray(a.T), axis=1)
+        assert np.array_equal(got, expect, equal_nan=True)
+        assert np.array_equal(got_view, expect, equal_nan=True)
 
 
 def _clustered_classes(rng, num_bands, sizes):
