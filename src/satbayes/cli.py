@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .classifiers import save_model
-from .config import ExperimentConfig, parse_config
+from .config import CLASSIFIER_KINDS, ExperimentConfig, parse_config
 from .core import build_transition_model
 from .errors import ConfigError, DataError, SatBayesError
 from .evaluation import (
@@ -146,6 +146,12 @@ def _prepare_models(args: argparse.Namespace, config: ExperimentConfig):
     algos = (config.classifier,)
     if args.algos:
         algos = tuple(a.strip() for a in args.algos.split(",") if a.strip())
+    for kind in algos:
+        if kind not in CLASSIFIER_KINDS:
+            raise ConfigError(
+                f"--algos: unknown classifier kind {kind!r}; "
+                f"expected one of {', '.join(CLASSIFIER_KINDS)}"
+            )
     out = make_dirs(args.out)
     prepared = prepare_stacks(config)
     models = {kind: build_classifier(config, kind, prepared.train) for kind in algos}

@@ -169,7 +169,7 @@ def _parse_region(value: str, key: str, where: str) -> ReferenceRegion:
     parts = value.split()
     if len(parts) != 4:
         raise ConfigError(f"{where}: region needs 'x y w h', got {value!r}")
-    x, y, w, h = (parse_int(p, "region", where) for p in parts)
+    x, y, w, h = (parse_int(p, key, where) for p in parts)
     return ReferenceRegion(x=x, y=y, width=w, height=h)
 
 

@@ -236,6 +236,9 @@ class TestConfigText:
             ("seed = 4", "<str>:9: duplicate key 'seed'"),
             ("index = ndsi", "<str>:9: duplicate key 'index'"),
             ("crop = 1 2 3", "<str>:9: region needs 'x y w h', got '1 2 3'"),
+            ("crop = 1 2 x 4", "<str>:9: key 'crop': not an integer: 'x'"),
+            ("bias_region = 0 0 8 y",
+             "<str>:9: key 'bias_region': not an integer: 'y'"),
             ("gmm_components = two",
              "<str>:9: key 'gmm_components': not an integer: 'two'"),
             ("cloud_threshold = x",
@@ -796,6 +799,21 @@ class TestCliExitCodes:
         assert main([*argv, "--config", str(config), "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["sweep", "--eps", "0.1,0.5"], ["bench", "--reps", "3"]],
+        ids=["sweep", "bench"],
+    )
+    def test_unknown_algos_kind_fails_before_any_work(self, tmp_path, capsys, argv):
+        # the manifest does not exist: the kind check must fire first
+        out = tmp_path / "never"
+        config = write_bad_config(tmp_path)
+        assert main([*argv, "--config", str(config), "--algos", "gmm,forest",
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "'forest'" in err
         assert not out.exists()
 
     @pytest.mark.parametrize("value", [np.nan, np.inf])
