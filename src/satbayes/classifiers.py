@@ -341,7 +341,8 @@ def _fit_single_mixture(
         if len(trace) > 1 and trace[-1] - trace[-2] < EM_TOL:
             break
         log_terms -= log_norm
-        # The M-step reads the responsibilities pixel-major, (N, M).
+        # The M-step's sums and matmuls round by operand layout: keep
+        # them on a C-ordered (N, M) array.
         resp = np.exp(log_terms, out=log_terms).T.copy()
         bulk = resp.sum(axis=0) + 10.0 * np.finfo(np.float64).tiny
         weights = bulk / n
