@@ -1,9 +1,11 @@
 """Independent oracles for the test suite.
 
-Everything here is written the slow, obvious way (explicit loops,
+Most of this is written the slow, obvious way (explicit loops,
 textbook formulas, brute-force enumeration) and shares no code with the
 package's vectorized implementations. Tests compare the two routes;
-when they agree we trust both.
+when they agree we trust both. The pixel-major mixture and softmax-loss
+functions and `per_epsilon_sweep` are instead the straightforward
+routes the package's faster code must reproduce exactly.
 """
 
 from __future__ import annotations
