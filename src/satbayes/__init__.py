@@ -44,7 +44,6 @@ from .evaluation import (
     balanced_accuracy,
     epsilon_sweep,
     error_map,
-    summarize_distribution,
     timing_bench,
 )
 from .experiment import run_experiment
@@ -64,10 +63,7 @@ from .recursion import (
     classify_stack,
     discriminative_update,
     generative_update,
-    map_decision,
-    predict_prior,
     regularize,
-    update_operation_count,
 )
 from .synth import SynthSpec, generate_synthetic, parse_synth_spec
 
@@ -96,21 +92,17 @@ __all__ = [
     "build_transition_model",
     "classify_stack",
     "crop",
-    "discriminative_update",
     "epsilon_sweep",
     "error_map",
     "filter_frames",
     "fit_logistic_classifier",
     "fit_mixture_classifier",
     "generate_synthetic",
-    "generative_update",
     "load_model",
     "load_stack",
-    "map_decision",
     "parse_config",
     "parse_manifest",
     "parse_synth_spec",
-    "predict_prior",
     "pseudo_labels",
     "regularize",
     "resample_nearest",
@@ -119,8 +111,6 @@ __all__ = [
     "serialize_config",
     "spectral_index",
     "split_dates",
-    "summarize_distribution",
     "timing_bench",
     "uniform_pmf",
-    "update_operation_count",
 ]

@@ -71,14 +71,12 @@ def _build_parser() -> _Parser:
     p.add_argument("--config", required=True)
     p.add_argument("--out", help="output directory (default: config 'out')")
     p.add_argument("--epsilon", type=float, help="override the transition probability")
-    p.add_argument("--workers", type=int, default=1)
 
     p = sub.add_parser("sweep", help="scan transition probabilities")
     p.add_argument("--config", required=True)
     p.add_argument("--eps", required=True, help="comma-separated increasing values")
     p.add_argument("--algos", help="comma-separated classifier kinds (default: config's)")
     p.add_argument("--out", required=True)
-    p.add_argument("--workers", type=int, default=1)
 
     p = sub.add_parser("bench", help="time recursion vs baseline")
     p.add_argument("--config", required=True)
@@ -131,9 +129,7 @@ def _cmd_train(args: argparse.Namespace) -> None:
 
 def _cmd_run(args: argparse.Namespace) -> None:
     config = parse_config(args.config)
-    result = run_experiment(
-        config, out_dir=args.out, epsilon=args.epsilon, workers=args.workers
-    )
+    result = run_experiment(config, out_dir=args.out, epsilon=args.epsilon)
     print(f"wrote artifacts to {result.out_dir}")
     if result.scores is not None:
         rec = float(np.mean([s.recursive for s in result.scores]))
@@ -167,7 +163,7 @@ def _cmd_sweep(args: argparse.Namespace) -> None:
         raise ConfigError(f"bad --eps list: {args.eps!r}") from None
     check_epsilon_grid(grid)
     out, test, models, modes = _prepare_models(args, config)
-    result = epsilon_sweep(test, models, modes, config.lam, grid, workers=args.workers)
+    result = epsilon_sweep(test, models, modes, config.lam, grid)
     write_sweep_table(result, out / "sweep.csv")
     summary = []
     for idx, name in enumerate(result.algorithms):

@@ -81,49 +81,6 @@ def error_map(
 
 
 # ============================================================
-# distribution summaries (boxplot statistics)
-# ============================================================
-
-
-@dataclass(frozen=True)
-class BoxplotStats:
-    """Five-number summary with 1.5*IQR whiskers and outliers."""
-
-    median: float
-    q1: float
-    q3: float
-    iqr: float
-    whisker_low: float
-    whisker_high: float
-    outliers: tuple[float, ...]
-
-
-def summarize_distribution(values: Sequence[float] | np.ndarray) -> BoxplotStats:
-    """Quartiles by linear interpolation; whiskers at the most extreme
-    observations within 1.5*IQR of the quartiles; the rest are outliers."""
-    arr = np.asarray(values, dtype=np.float64).ravel()
-    if arr.size == 0:
-        raise EvaluationError("cannot summarize an empty sample")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("sample has non-finite values")
-    q1, median, q3 = np.percentile(arr, [25.0, 50.0, 75.0])
-    iqr = q3 - q1
-    low_fence = q1 - 1.5 * iqr
-    high_fence = q3 + 1.5 * iqr
-    inside = arr[(arr >= low_fence) & (arr <= high_fence)]
-    outliers = np.sort(arr[(arr < low_fence) | (arr > high_fence)])
-    return BoxplotStats(
-        median=float(median),
-        q1=float(q1),
-        q3=float(q3),
-        iqr=float(iqr),
-        whisker_low=float(inside.min()),
-        whisker_high=float(inside.max()),
-        outliers=tuple(float(v) for v in outliers),
-    )
-
-
-# ============================================================
 # per-frame scores and the epsilon sweep
 # ============================================================
 
@@ -194,7 +151,6 @@ def epsilon_sweep(
     modes: Mapping[str, RecursionMode],
     lam: float,
     grid: Sequence[float],
-    workers: int = 1,
 ) -> SweepResult:
     """Run the recursion across a grid of transition probabilities.
 
@@ -229,15 +185,15 @@ def epsilon_sweep(
         beliefs[1] = 1.0 / k
         labels = np.empty((1 + len(eps), pixels), dtype=np.uint8)
         scores = []  # per truth frame: instantaneous, then one per epsilon
-        with FrameStep(transitions, lam, modes[name], pixels, workers) as step:
-            for t, frame in enumerate(stack.frames):
-                prev, post = beliefs[(t + 1) % 2], beliefs[t % 2]
-                step(evaluate(frame), inst, prev, post, labels)
-                if frame.truth is not None:
-                    scores.append([
-                        balanced_accuracy(row.reshape(height, width), frame.truth)
-                        for row in labels
-                    ])
+        step = FrameStep(transitions, lam, modes[name], pixels)
+        for t, frame in enumerate(stack.frames):
+            prev, post = beliefs[(t + 1) % 2], beliefs[t % 2]
+            step(evaluate(frame), inst, prev, post, labels)
+            if frame.truth is not None:
+                scores.append([
+                    balanced_accuracy(row.reshape(height, width), frame.truth)
+                    for row in labels
+                ])
         means = [float(np.mean(column)) for column in zip(*scores)]
         instantaneous.append(means[0])
         accuracy[a] = means[1:]
@@ -318,13 +274,13 @@ def timing_bench(
         beliefs = np.empty((2, 1, k, pixels))  # step t: [(t + 1) % 2] -> [t % 2]
         labels = np.empty((2, pixels), dtype=np.uint8)
         step_samples = np.empty((repetitions, len(outputs)))
-        with FrameStep([transition], lam, mode, pixels) as step:
-            for rep in range(repetitions):
-                beliefs[1] = 1.0 / k
-                for t, raw in enumerate(outputs):
-                    start = time.perf_counter()
-                    step(raw, inst, beliefs[(t + 1) % 2], beliefs[t % 2], labels)
-                    step_samples[rep, t] = time.perf_counter() - start
+        step = FrameStep([transition], lam, mode, pixels)
+        for rep in range(repetitions):
+            beliefs[1] = 1.0 / k
+            for t, raw in enumerate(outputs):
+                start = time.perf_counter()
+                step(raw, inst, beliefs[(t + 1) % 2], beliefs[t % 2], labels)
+                step_samples[rep, t] = time.perf_counter() - start
 
         records.append(
             TimingRecord(

@@ -141,7 +141,6 @@ def run_experiment(
     config: ExperimentConfig,
     out_dir: str | Path | None = None,
     epsilon: float | None = None,
-    workers: int = 1,
 ) -> ExperimentResult:
     """Execute one config end to end and write artifacts under ``out_dir``.
 
@@ -162,7 +161,7 @@ def run_experiment(
     model = build_classifier(config, config.classifier, prepared.train)
     transition = build_transition_model(len(config.classes), eps)
     classification = classify_stack(
-        prepared.test, model, transition, config.lam, config.mode, workers=workers
+        prepared.test, model, transition, config.lam, config.mode
     )
 
     tracks = (

@@ -260,6 +260,13 @@ def _parse_frame_line(value: str, _key: str, where: str) -> ManifestFrame:
     return ManifestFrame(date=date, band_paths=tuple(band_paths), **side)
 
 
+def _parse_fraction(value: str, key: str, where: str) -> float:
+    fraction = parse_float(value, key, where)
+    if not 0.0 <= fraction <= 1.0:  # NaN fails too
+        raise ConfigError(f"{where}: key {key!r}: fraction outside [0, 1]: {value}")
+    return fraction
+
+
 def _parse_bands(value: str, key: str, where: str) -> list[tuple[str, float]]:
     bands = []
     for item in value.split(","):
@@ -272,7 +279,7 @@ def _parse_bands(value: str, key: str, where: str) -> list[tuple[str, float]]:
 
 # Frame-line tokens other than band=path ones.
 _SIDE_TOKENS = {
-    "cloud": Key("cloud_fraction", parse_float),
+    "cloud": Key("cloud_fraction", _parse_fraction),
     "truth": Key("truth_path", parse_text),
     "posterior": Key("posterior_path", parse_text),
 }

@@ -8,23 +8,22 @@ consumes instantaneous posterior probabilities and divides out the
 class marginals.
 
 All update arithmetic is one class-major kernel, `_Kernel`, on (K, N)
-float64 arrays written in place. `FrameStep` runs it once per frame
-for `classify_stack`, `timing_bench` and `epsilon_sweep`: it copies the
-model's (N, K) output transposed into a (K, N) buffer, validates it
-once, and advances one (K, N) belief per transition model, so a sweep
-over E transition probabilities is a bank of E filters sharing one
-model evaluation per frame. The public `generative_update`,
-`discriminative_update` and `regularize` take (..., K) arrays, validate
-every input and run the same kernel on a transposed (K, M) copy.
+float64 arrays written in place. `FrameStep` runs it once per frame,
+serially over all N pixels, for `classify_stack`, `timing_bench` and
+`epsilon_sweep`: it copies the model's (N, K) output transposed into a
+(K, N) buffer, validates it once, and advances one (K, N) belief per
+transition model, so a sweep over E transition probabilities is a bank
+of E filters sharing one model evaluation per frame. The public
+`generative_update`, `discriminative_update` and `regularize` take
+(..., K) arrays, validate every input and run the same kernel on a
+transposed (K, M) copy.
 """
 
 from __future__ import annotations
 
 import datetime as dt
 import enum
-import functools
 from collections.abc import Callable, Sequence
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Protocol, runtime_checkable
 
@@ -68,18 +67,6 @@ def _check_class_axis(arr: np.ndarray, num_classes: int, name: str) -> None:
         )
 
 
-def predict_prior(prev_posterior: np.ndarray, transition: TransitionModel) -> np.ndarray:
-    """Propagate the previous posterior one step through the transition model.
-
-    ``prev_posterior`` holds probability vectors on the last axis. The
-    result is the predictive prior for the next date and is again a
-    probability vector within 1e-12.
-    """
-    prev = np.asarray(prev_posterior, dtype=np.float64)
-    _check_class_axis(prev, transition.num_classes, "prev_posterior")
-    return prev @ transition.matrix
-
-
 def generative_update(
     likelihood: np.ndarray,
     prev_posterior: np.ndarray,
@@ -88,7 +75,7 @@ def generative_update(
     """One recursion step from class-conditional likelihoods.
 
     Computes posterior_i proportional to likelihood_i * prior_i where the
-    prior comes from `predict_prior`, normalized over classes. Inputs
+    prior is ``prev_posterior`` @ M, normalized over classes. Inputs
     validate per `validate_likelihood` / `validate_pmf`; an all-zero
     likelihood row raises DegenerateLikelihoodError.
     """
@@ -238,41 +225,6 @@ class _Kernel:
             np.add(labels, step, out=labels)
 
 
-def map_decision(posterior: np.ndarray) -> np.ndarray | int:
-    """Most probable class index per probability vector; ties -> lowest index."""
-    arr = np.asarray(posterior, dtype=np.float64)
-    if arr.ndim == 0 or arr.shape[-1] < 2:
-        raise ShapeError(f"posterior needs a class axis, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("posterior has non-finite entries")
-    result = np.argmax(arr, axis=-1)
-    return int(result) if arr.ndim == 1 else result
-
-
-# ============================================================
-# operation counting
-# ============================================================
-
-
-def update_operation_count(num_classes: int, mode: RecursionMode) -> int:
-    """Closed-form per-pixel floating-point operation count of one update.
-
-    Counts multiply-accumulates, multiplies, and divides of the naive
-    scalar step, in which each class recomputes the shared denominator
-    (that recomputation is what the closed forms describe). The scalar
-    reference loops in the test oracles count their operations the same
-    way and must reproduce these numbers.
-    """
-    k = int(num_classes)
-    if k < 2:
-        raise ConfigError(f"need at least 2 classes, got {num_classes}")
-    if mode is RecursionMode.GENERATIVE:
-        return k * (k * k + k + 2)
-    if mode is RecursionMode.DISCRIMINATIVE:
-        return k * (k * (k + 1) + k + 2)
-    raise ConfigError(f"unknown recursion mode: {mode!r}")
-
-
 # ============================================================
 # whole-stack classification
 # ============================================================
@@ -323,14 +275,6 @@ def model_output(
     return model.frame_likelihood
 
 
-_Chunk = tuple[slice, _Kernel]  # pixel columns and the kernel that owns their scratch
-
-
-def _chunk_slices(total: int, workers: int) -> list[slice]:
-    size = max(1, -(-total // workers))
-    return [slice(lo, min(lo + size, total)) for lo in range(0, total, size)]
-
-
 class FrameStep:
     """The per-frame recursion step: one belief per transition model.
 
@@ -344,9 +288,8 @@ class FrameStep:
     instantaneous MAP labels and row 1 + e those of ``post[e]``.
     Validation, smoothing and the division by the marginal run once per
     call, whatever E is. The model output is validated with the errors
-    of `validate_likelihood` / `validate_pmf`. ``workers`` > 1 splits
-    the pixels into column chunks on one thread pool, shut down when
-    the step is used as a context manager; results are bit-identical.
+    of `validate_likelihood` / `validate_pmf`. The step is serial: one
+    `_Kernel` over all N pixel columns holds its scratch.
     """
 
     def __init__(
@@ -355,10 +298,7 @@ class FrameStep:
         lam: float,
         mode: RecursionMode,
         pixels: int,
-        workers: int = 1,
     ) -> None:
-        if workers < 1:
-            raise ConfigError(f"workers must be >= 1, got {workers}")
         _check_lam(lam)
         self.transitions = tuple(transitions)
         k = self.transitions[0].num_classes
@@ -367,18 +307,7 @@ class FrameStep:
         self.marginal = uniform if mode is RecursionMode.DISCRIMINATIVE else None
         self._shape = (pixels, k)
         self._max_entry = np.finfo(np.float64).max / (2 * k)  # K-term sums stay finite
-        self._chunks = [
-            (cols, _Kernel(k, cols.stop - cols.start))
-            for cols in _chunk_slices(pixels, workers)
-        ]
-        self._pool = ThreadPoolExecutor(max_workers=workers)
-        self._map = map if workers == 1 else self._pool.map
-
-    def __enter__(self) -> FrameStep:
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self._pool.shutdown()
+        self._kernel = _Kernel(k, pixels)
 
     def __call__(
         self,
@@ -394,27 +323,24 @@ class FrameStep:
             raise ShapeError(
                 f"model returned shape {raw.shape}, expected {self._shape}"
             )
-        if not all(self._each_chunk(self._load, raw, inst)):
-            # whole-array checks: the same error, and precedence, as unchunked
+        if not self._load(raw, inst):
+            # the exact checks raise their error, or pass an edge case
             validate_pmf(floor_normalize(validate_likelihood(raw)))
-        self._each_chunk(self._advance, inst, prev, post, labels)
+        self._advance(inst, prev, post, labels)
 
-    def _each_chunk(self, fn: Callable[..., bool | None], *args: np.ndarray) -> list:
-        return list(self._map(functools.partial(fn, *args), self._chunks))
+    def _load(self, raw: np.ndarray, inst: np.ndarray) -> bool:
+        """Copy ``raw`` transposed into ``inst``.
 
-    def _load(self, raw: np.ndarray, inst: np.ndarray, chunk: _Chunk) -> bool:
-        """Copy the chunk's rows of ``raw`` transposed into ``inst``.
-
-        True when whole-chunk reductions prove every pixel finite,
+        True when whole-array reductions prove every pixel finite,
         non-negative, not all zero and far from overflowing its sum.
         """
-        cols, kernel = chunk
-        inst = inst[:, cols]
-        np.copyto(inst, raw[cols].T)
-        lo, hi = inst.min(), inst.max()
+        np.copyto(inst, raw.T)
+        # the initial values let a frame of zero pixels pass
+        lo, hi = inst.min(initial=np.inf), inst.max(initial=-np.inf)
         if not (lo >= 0.0 and hi < self._max_entry):
             return False
-        return bool(lo > 0.0 or np.sum(inst, axis=0, out=kernel.total).min() > 0.0)
+        total = self._kernel.total
+        return bool(lo > 0.0 or np.sum(inst, axis=0, out=total).min() > 0.0)
 
     def _advance(
         self,
@@ -422,18 +348,15 @@ class FrameStep:
         prev: np.ndarray,
         post: np.ndarray,
         labels: np.ndarray,
-        chunk: _Chunk,
     ) -> None:
-        cols, kernel = chunk
-        inst = inst[:, cols]
+        kernel = self._kernel
         kernel.floor_normalize(inst)
-        kernel.decide(inst, labels[0, cols])
+        kernel.decide(inst, labels[0])
         smoothed = kernel.smooth(inst, self.lam) if self.lam else inst
         weights = kernel.weigh(smoothed, self.marginal)  # scratch, or inst itself
         for e, transition in enumerate(self.transitions):
-            out = post[e, :, cols]
-            kernel.update(weights, prev[e, :, cols], transition, out)
-            kernel.decide(out, labels[1 + e, cols])
+            kernel.update(weights, prev[e], transition, post[e])
+            kernel.decide(post[e], labels[1 + e])
 
 
 def classify_stack(
@@ -442,7 +365,6 @@ def classify_stack(
     transition: TransitionModel,
     lam: float,
     mode: RecursionMode,
-    workers: int = 1,
 ) -> StackClassification:
     """Run the recursion over a whole stack, frame by frame.
 
@@ -451,9 +373,6 @@ def classify_stack(
     belief (initialized uniform) by one `FrameStep`. Both the recursive
     and the raw instantaneous decisions/posteriors are returned so
     callers can compare them.
-
-    ``workers`` > 1 partitions each step across pixel chunks on one
-    thread pool; results are bit-identical to ``workers`` = 1.
     """
     k = model.num_classes
     if k != transition.num_classes:
@@ -469,10 +388,10 @@ def classify_stack(
     inst_cube = np.empty((t_total, k, n))
     labels = np.empty((t_total, 2, n), dtype=np.uint8)  # instantaneous, recursive
     prev = np.full((1, k, n), 1.0 / k)
-    with FrameStep([transition], lam, mode, n, workers) as step:
-        for t, frame in enumerate(stack.frames):
-            step(evaluate(frame), inst_cube[t], prev, rec_cube[t : t + 1], labels[t])
-            prev = rec_cube[t : t + 1]
+    step = FrameStep([transition], lam, mode, n)
+    for t, frame in enumerate(stack.frames):
+        step(evaluate(frame), inst_cube[t], prev, rec_cube[t : t + 1], labels[t])
+        prev = rec_cube[t : t + 1]
 
     def rasters(row: int) -> tuple[LabelRaster, ...]:
         return tuple(LabelRaster(v.reshape(height, width), k) for v in labels[:, row])

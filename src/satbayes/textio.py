@@ -93,7 +93,7 @@ def parse_keys(
     """Field values of a ``kind`` document; absent optional keys are left out.
 
     ``missing`` is the message for absent required keys, formatted with
-    the list of their fields.
+    the list of those keys as the document writes them.
     """
     values: dict[str, Any] = {k.field: () for k in keys.values() if k.repeats}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -115,7 +115,7 @@ def parse_keys(
             raise ConfigError(f"{where}: duplicate key {name!r}")
         else:
             values[key.field] = key.parse(value, name, where)
-    absent = [k.field for k in keys.values() if k.required and k.field not in values]
+    absent = [name for name, k in keys.items() if k.required and k.field not in values]
     if absent:
         raise ConfigError(f"{source}: " + missing.format(absent))
     return values

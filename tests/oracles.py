@@ -6,6 +6,9 @@ package's vectorized implementations. Tests compare the two routes;
 when they agree we trust both. The pixel-major mixture and softmax-loss
 functions and `per_epsilon_sweep` are instead the straightforward
 routes the package's faster code must reproduce exactly.
+`predict_prior`, `map_decision` and `update_operation_count` are the
+textbook prior step, MAP rule and closed-form operation counts that the
+recursion tests and criterion 4 check against.
 """
 
 from __future__ import annotations
@@ -28,9 +31,9 @@ from satbayes.core import (
     validate_likelihood,
     validate_pmf,
 )
-from satbayes.errors import InvalidMarginalError, ShapeError
+from satbayes.errors import ConfigError, InvalidMarginalError, ShapeError
 from satbayes.evaluation import frame_accuracies
-from satbayes.recursion import classify_stack
+from satbayes.recursion import RecursionMode, classify_stack
 
 
 def symmetric_transition(num_classes: int, change_prob: float) -> np.ndarray:
@@ -118,20 +121,6 @@ def entropy(pmf: np.ndarray) -> float:
         if p > 0.0:
             total -= float(p) * math.log(float(p))
     return total
-
-
-def quartiles_by_hand(values: np.ndarray) -> tuple[float, float, float]:
-    """Linear-interpolation quartiles computed from first principles."""
-
-    def at(sorted_vals: np.ndarray, q: float) -> float:
-        pos = q * (sorted_vals.size - 1)
-        lo = int(math.floor(pos))
-        hi = int(math.ceil(pos))
-        frac = pos - lo
-        return float(sorted_vals[lo] * (1.0 - frac) + sorted_vals[hi] * frac)
-
-    srt = np.sort(np.asarray(values, dtype=np.float64))
-    return at(srt, 0.25), at(srt, 0.5), at(srt, 0.75)
 
 
 def softmax_loss_by_hand(
@@ -275,6 +264,48 @@ def _check_classes(arr: np.ndarray, num_classes: int, name: str) -> None:
         )
 
 
+def predict_prior(prev_posterior: np.ndarray, transition: TransitionModel) -> np.ndarray:
+    """Propagate the previous posterior one step through the transition model.
+
+    ``prev_posterior`` holds probability vectors on the last axis. The
+    result is the predictive prior for the next date and is again a
+    probability vector within 1e-12.
+    """
+    prev = np.asarray(prev_posterior, dtype=np.float64)
+    _check_classes(prev, transition.num_classes, "prev_posterior")
+    return prev @ transition.matrix
+
+
+def map_decision(posterior: np.ndarray) -> np.ndarray | int:
+    """Most probable class index per probability vector; ties -> lowest index."""
+    arr = np.asarray(posterior, dtype=np.float64)
+    if arr.ndim == 0 or arr.shape[-1] < 2:
+        raise ShapeError(f"posterior needs a class axis, got shape {arr.shape}")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("posterior has non-finite entries")
+    result = np.argmax(arr, axis=-1)
+    return int(result) if arr.ndim == 1 else result
+
+
+def update_operation_count(num_classes: int, mode: RecursionMode) -> int:
+    """Closed-form per-pixel floating-point operation count of one update.
+
+    Counts multiply-accumulates, multiplies, and divides of the naive
+    scalar step, in which each class recomputes the shared denominator
+    (that recomputation is what the closed forms describe). The scalar
+    reference loops below count their operations the same way and must
+    reproduce these numbers.
+    """
+    k = int(num_classes)
+    if k < 2:
+        raise ConfigError(f"need at least 2 classes, got {num_classes}")
+    if mode is RecursionMode.GENERATIVE:
+        return k * (k * k + k + 2)
+    if mode is RecursionMode.DISCRIMINATIVE:
+        return k * (k * (k + 1) + k + 2)
+    raise ConfigError(f"unknown recursion mode: {mode!r}")
+
+
 def counted_generative_update(
     likelihood: np.ndarray,
     prev_posterior: np.ndarray,
@@ -362,7 +393,7 @@ def counted_discriminative_update(
     return posterior, ops
 
 
-def per_epsilon_sweep(stack, models, modes, lam, grid, workers=1):
+def per_epsilon_sweep(stack, models, modes, lam, grid):
     """The epsilon sweep as one full `classify_stack` run per grid value.
 
     Unlike the rest of this module it reuses package code: it is the
@@ -382,9 +413,7 @@ def per_epsilon_sweep(stack, models, modes, lam, grid, workers=1):
             transition = build_transition_model(
                 models[name].num_classes, epsilon
             )
-            result = classify_stack(
-                stack, models[name], transition, lam, modes[name], workers=workers
-            )
+            result = classify_stack(stack, models[name], transition, lam, modes[name])
             scores = frame_accuracies(result, stack)
             accuracy[a, e] = float(np.mean([s.recursive for s in scores]))
             if inst_score is None:

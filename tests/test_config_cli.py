@@ -33,7 +33,7 @@ from satbayes.pipeline import (
     write_posterior_cube,
 )
 from satbayes.recursion import RecursionMode
-from satbayes.synth import generate_synthetic, parse_synth_spec
+from satbayes.synth import SYNTH_KEYS, generate_synthetic, parse_synth_spec
 
 from helpers import date_of
 
@@ -481,10 +481,12 @@ class TestSynthSpecParsing:
          ("cadence_days", "cadence_days"), ("seed", "seed"), ("bands", "bands")],
     )
     def test_missing_key(self, tmp_path, key, field):
+        # the message names the key the spec writes, not the SynthSpec field
+        assert SYNTH_KEYS[key].field == field
         path = write_spec(tmp_path, spec_without(key))
         with pytest.raises(ConfigError) as info:
             parse_synth_spec(path)
-        assert str(info.value) == f"{path}: missing keys: [{field!r}]"
+        assert str(info.value) == f"{path}: missing keys: [{key!r}]"
 
     def test_missing_keys_listed_in_order(self, tmp_path):
         path = write_spec(tmp_path, spec_without("seed").replace("width", "# width"))
@@ -654,17 +656,6 @@ class TestCliWorkflow:
         a = (tmp_path / "a" / "posteriors" / "recursive.cube").read_bytes()
         b = (tmp_path / "b" / "posteriors" / "recursive.cube").read_bytes()
         assert a != b
-
-    def test_workers_match_serial(self, cli_area, tmp_path):
-        config = str(cli_area / "exp.cfg")
-        assert main(["run", "--config", config, "--out", str(tmp_path / "s")]) == 0
-        assert main(["run", "--config", config, "--out", str(tmp_path / "p"),
-                     "--workers", "4"]) == 0
-        serial = tree_bytes(tmp_path / "s")
-        parallel = tree_bytes(tmp_path / "p")
-        assert set(serial) == set(parallel)
-        for rel, blob in serial.items():
-            assert parallel[rel] == blob, rel
 
     def test_sweep_writes_tables(self, cli_area, tmp_path, capsys):
         code = main([
@@ -837,6 +828,27 @@ class TestCliExitCodes:
             err = capsys.readouterr().err
             assert err.startswith("error: ")
             assert plane.name in err and date in err and "non-finite" in err
+
+    @pytest.mark.parametrize("value", ["1.5", "-0.25", "nan"])
+    def test_manifest_cloud_outside_unit_interval_is_config_exit(
+        self, cli_area, tmp_path, capsys, value
+    ):
+        shutil.copytree(cli_area / "data", tmp_path / "data")
+        shutil.copy(cli_area / "exp.cfg", tmp_path / "exp.cfg")
+        manifest = tmp_path / "data" / "manifest.txt"
+        lines = manifest.read_text().splitlines()
+        lineno = next(i for i, line in enumerate(lines, 1) if line.startswith("frame"))
+        date = lines[lineno - 1].split()[2]
+        lines[lineno - 1] = lines[lineno - 1].replace(date, f"{date} cloud={value}")
+        manifest.write_text("\n".join(lines) + "\n")
+        for argv in (["ingest", "--manifest", str(manifest)],
+                     ["run", "--config", str(tmp_path / "exp.cfg"),
+                      "--out", str(tmp_path / "out")]):
+            assert main(argv) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: ")
+            assert f"{manifest}:{lineno}: key 'cloud'" in err and value in err
+            assert "Traceback" not in err
 
     def test_eval_empty_prediction_dir(self, tmp_path, capsys):
         (tmp_path / "pred").mkdir()

@@ -24,7 +24,6 @@ from satbayes.evaluation import (
     epsilon_sweep,
     error_map,
     frame_accuracies,
-    summarize_distribution,
     timing_bench,
     write_accuracy_table,
     write_bench_table,
@@ -95,40 +94,6 @@ class TestErrorMap:
         out = error_map(pred, truth)
         assert out.num_classes == 2
         assert_array_equal(out.labels, [[0, 1], [0, 1]])
-
-
-class TestSummarizeDistribution:
-    def test_five_number_example(self):
-        stats = summarize_distribution([1.0, 2.0, 3.0, 4.0, 5.0])
-        assert stats.median == 3.0
-        assert stats.q1 == 2.0
-        assert stats.q3 == 4.0
-        assert stats.iqr == 2.0
-        assert stats.whisker_low == 1.0
-        assert stats.whisker_high == 5.0
-        assert stats.outliers == ()
-
-    def test_outlier_example(self):
-        stats = summarize_distribution([1.0, 1.0, 1.0, 1.0, 100.0])
-        assert stats.outliers == (100.0,)
-        assert stats.whisker_high == 1.0
-
-    def test_matches_hand_quartiles(self):
-        rng = np.random.default_rng(3)
-        values = rng.normal(size=101)
-        stats = summarize_distribution(values)
-        q1, med, q3 = oracles.quartiles_by_hand(values)
-        assert stats.q1 == pytest.approx(q1, abs=1e-12)
-        assert stats.median == pytest.approx(med, abs=1e-12)
-        assert stats.q3 == pytest.approx(q3, abs=1e-12)
-
-    def test_empty_rejected(self):
-        with pytest.raises(EvaluationError):
-            summarize_distribution([])
-
-    def test_nan_rejected(self):
-        with pytest.raises(ValueError):
-            summarize_distribution([1.0, np.nan])
 
 
 class TestFrameAccuracies:
@@ -259,17 +224,15 @@ def _drop_truth(stack, every=3):
 class TestEpsilonSweepMatchesPerEpsilonRuns:
     """The sweep equals one `classify_stack` run per grid value, exactly."""
 
-    @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("lam", [0.0, 0.8])
     @pytest.mark.parametrize("partial_truth", [False, True])
-    def test_equals_oracle(self, benchmark_stack, partial_truth, lam, workers):
+    def test_equals_oracle(self, benchmark_stack, partial_truth, lam):
         stack = _drop_truth(benchmark_stack) if partial_truth else benchmark_stack
         kwargs = dict(
             models={"sic": _sic(), "gmm": _gmm()},
             modes={"sic": RecursionMode.DISCRIMINATIVE, "gmm": RecursionMode.GENERATIVE},
             lam=lam,
             grid=[0.001, 0.05, 0.3, 0.5, 0.7],
-            workers=workers,
         )
         result = epsilon_sweep(stack, **kwargs)
         accuracy, instantaneous = oracles.per_epsilon_sweep(stack, **kwargs)

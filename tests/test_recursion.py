@@ -14,6 +14,7 @@ import oracles
 from helpers import make_stack, random_pmfs
 from satbayes.core import (
     PROB_FLOOR,
+    TransitionModel,
     build_transition_model,
     floor_normalize,
     uniform_pmf,
@@ -33,10 +34,7 @@ from satbayes.recursion import (
     classify_stack,
     discriminative_update,
     generative_update,
-    map_decision,
-    predict_prior,
     regularize,
-    update_operation_count,
 )
 
 T2 = build_transition_model(2, 0.2)
@@ -44,18 +42,20 @@ T2 = build_transition_model(2, 0.2)
 
 class TestPredictPrior:
     def test_worked_example(self):
-        assert_allclose(predict_prior(np.array([0.9, 0.1]), T2), [0.74, 0.26], atol=1e-15)
+        prior = oracles.predict_prior(np.array([0.9, 0.1]), T2)
+        assert_allclose(prior, [0.74, 0.26], atol=1e-15)
 
     @pytest.mark.parametrize("eps", [0.001, 0.2, 0.49])
     @pytest.mark.parametrize("k", [2, 3, 5])
     def test_uniform_is_stationary(self, k, eps):
         model = build_transition_model(k, eps)
-        assert_allclose(predict_prior(uniform_pmf(k), model), uniform_pmf(k), atol=1e-15)
+        prior = oracles.predict_prior(uniform_pmf(k), model)
+        assert_allclose(prior, uniform_pmf(k), atol=1e-15)
 
     def test_preserves_normalization_batch(self):
         rng = np.random.default_rng(11)
         batch = random_pmfs(rng, 50, 3)
-        prior = predict_prior(batch, build_transition_model(3, 0.3))
+        prior = oracles.predict_prior(batch, build_transition_model(3, 0.3))
         assert_allclose(prior.sum(axis=1), 1.0, atol=1e-12)
         assert prior.min() >= 0.0
 
@@ -209,22 +209,24 @@ class TestRegularize:
 
 class TestMapDecision:
     def test_single_vector(self):
-        assert map_decision(np.array([0.2, 0.8])) == 1
+        assert oracles.map_decision(np.array([0.2, 0.8])) == 1
 
     def test_tie_takes_lowest_index(self):
-        assert map_decision(np.array([0.5, 0.5])) == 0
-        assert map_decision(np.array([0.2, 0.4, 0.4])) == 1
+        assert oracles.map_decision(np.array([0.5, 0.5])) == 0
+        assert oracles.map_decision(np.array([0.2, 0.4, 0.4])) == 1
 
     def test_batch(self):
         batch = np.array([[0.9, 0.1], [0.1, 0.9]])
-        assert_array_equal(map_decision(batch), [0, 1])
+        assert_array_equal(oracles.map_decision(batch), [0, 1])
 
 
 class TestOperationCounts:
     @pytest.mark.parametrize("k", range(2, 11))
     def test_formulas(self, k):
-        assert update_operation_count(k, RecursionMode.GENERATIVE) == k**3 + k**2 + 2 * k
-        assert update_operation_count(k, RecursionMode.DISCRIMINATIVE) == (
+        assert oracles.update_operation_count(k, RecursionMode.GENERATIVE) == (
+            k**3 + k**2 + 2 * k
+        )
+        assert oracles.update_operation_count(k, RecursionMode.DISCRIMINATIVE) == (
             k**3 + 2 * k**2 + 2 * k
         )
 
@@ -235,10 +237,12 @@ class TestOperationCounts:
         lik = rng.uniform(0.1, 1.0, size=k)
         prev = random_pmfs(rng, 1, k)[0]
         _, gen_ops = oracles.counted_generative_update(lik, prev, model)
-        assert gen_ops == update_operation_count(k, RecursionMode.GENERATIVE)
+        assert gen_ops == oracles.update_operation_count(k, RecursionMode.GENERATIVE)
         inst = random_pmfs(rng, 1, k)[0]
         _, disc_ops = oracles.counted_discriminative_update(inst, prev, model)
-        assert disc_ops == update_operation_count(k, RecursionMode.DISCRIMINATIVE)
+        assert disc_ops == oracles.update_operation_count(
+            k, RecursionMode.DISCRIMINATIVE
+        )
 
     @pytest.mark.parametrize("k", [2, 3, 5])
     def test_instrumented_posterior_matches_vectorized(self, k):
@@ -284,19 +288,6 @@ def _small_stack(frames=6, side=8, seed=0):
 
 
 class TestClassifyStack:
-    def test_workers_bit_identical(self):
-        stack = _small_stack()
-        model = _PosteriorStub()
-        trans = build_transition_model(2, 0.1)
-        one = classify_stack(stack, model, trans, 0.8, RecursionMode.DISCRIMINATIVE)
-        four = classify_stack(
-            stack, model, trans, 0.8, RecursionMode.DISCRIMINATIVE, workers=4
-        )
-        assert one.recursive_posteriors.tobytes() == four.recursive_posteriors.tobytes()
-        assert one.instantaneous_posteriors.tobytes() == four.instantaneous_posteriors.tobytes()
-        for a, b in zip(one.recursive_labels, four.recursive_labels):
-            assert_array_equal(a.labels, b.labels)
-
     def test_generative_mode_needs_likelihood(self):
         stack = _small_stack()
         trans = build_transition_model(2, 0.1)
@@ -401,10 +392,9 @@ BAD_FRAMES = {
 class TestClassifyStackErrors:
     """A bad model output at frame t >= 1 raises the same error in every mode."""
 
-    @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("mode", list(RecursionMode))
     @pytest.mark.parametrize("case", sorted(BAD_FRAMES))
-    def test_bad_model_output(self, case, mode, workers):
+    def test_bad_model_output(self, case, mode):
         corrupt, error, message = BAD_FRAMES[case]
         stack = _small_stack(frames=4)
         outputs = _scripted_outputs(np.random.default_rng(3), 4, 64, 2)
@@ -412,7 +402,7 @@ class TestClassifyStackErrors:
         model = _ScriptedModel(stack, outputs)
         trans = build_transition_model(2, 0.1)
         with pytest.raises(error, match=message):
-            classify_stack(stack, model, trans, 0.8, mode, workers=workers)
+            classify_stack(stack, model, trans, 0.8, mode)
 
     def test_negative_lambda_rejected(self):
         stack = _small_stack(frames=2)
@@ -426,10 +416,9 @@ class TestClassifyStackErrors:
 class TestEpsilonSweepErrors:
     """A bad model output at frame t >= 1 fails the sweep as it fails `classify_stack`."""
 
-    @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("mode", list(RecursionMode))
     @pytest.mark.parametrize("case", sorted(BAD_FRAMES))
-    def test_same_error_as_classify_stack(self, case, mode, workers):
+    def test_same_error_as_classify_stack(self, case, mode):
         corrupt, error, _ = BAD_FRAMES[case]
         rng = np.random.default_rng(5)
         planes = [[rng.uniform(0.0, 1.0, size=(8, 8))] for _ in range(4)]
@@ -439,15 +428,9 @@ class TestEpsilonSweepErrors:
         outputs[2] = corrupt(outputs[2])
         model = _ScriptedModel(stack, outputs)
         with pytest.raises(error) as expected:
-            classify_stack(
-                stack, model, build_transition_model(2, 0.05), 0.8, mode,
-                workers=workers,
-            )
+            classify_stack(stack, model, build_transition_model(2, 0.05), 0.8, mode)
         with pytest.raises(error) as swept:
-            epsilon_sweep(
-                stack, {"m": model}, {"m": mode}, 0.8, [0.05, 0.2, 0.4],
-                workers=workers,
-            )
+            epsilon_sweep(stack, {"m": model}, {"m": mode}, 0.8, [0.05, 0.2, 0.4])
         assert type(swept.value) is type(expected.value)
         assert str(swept.value) == str(expected.value)
 
@@ -455,17 +438,14 @@ class TestEpsilonSweepErrors:
 class TestClassifyStackAcceptsEdgeOutputs:
     """Valid outputs that trip the fast checks still run the normal step."""
 
-    @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("mode", list(RecursionMode))
-    def test_zero_entries_and_huge_rows(self, mode, workers):
+    def test_zero_entries_and_huge_rows(self, mode):
         stack = _small_stack(frames=3)
         outputs = _scripted_outputs(np.random.default_rng(8), 3, 64, 2)
         outputs[1][::3, 0] = 0.0  # zero entries, never a whole row
         outputs[2][5] = np.finfo(np.float64).max / 3.0  # finite row sum
         trans = build_transition_model(2, 0.1)
-        result = classify_stack(
-            stack, _ScriptedModel(stack, outputs), trans, 0.8, mode, workers=workers
-        )
+        result = classify_stack(stack, _ScriptedModel(stack, outputs), trans, 0.8, mode)
         update = (
             generative_update if mode is RecursionMode.GENERATIVE
             else discriminative_update
@@ -475,36 +455,49 @@ class TestClassifyStackAcceptsEdgeOutputs:
             state = update(regularize(floor_normalize(raw), 0.8), state, trans)
             assert_array_equal(result.recursive_posteriors[t].reshape(2, 64).T, state)
 
+    @pytest.mark.parametrize("mode", list(RecursionMode))
+    def test_empty_image(self, mode):
+        stack = make_stack(("gray",), [[np.zeros((0, 4))] for _ in range(2)])
+        outputs = [np.empty((0, 2)) for _ in range(2)]
+        trans = build_transition_model(2, 0.1)
+        result = classify_stack(stack, _ScriptedModel(stack, outputs), trans, 0.8, mode)
+        assert result.recursive_posteriors.shape == (2, 2, 0, 4)
+        assert [r.labels.shape for r in result.recursive_labels] == [(0, 4)] * 2
 
-class TestClassifyStackWorkers:
-    @pytest.mark.parametrize("workers", [2, 3])
+
+class TestClassifyStackTies:
+    """Exactly tied classes take the lowest index, as ``argmax`` does."""
+
+    @pytest.mark.parametrize("mode", list(RecursionMode))
     @pytest.mark.parametrize(
-        "k,mode", [(3, RecursionMode.GENERATIVE), (5, RecursionMode.DISCRIMINATIVE)]
+        "row, matrix",
+        [
+            ([0.5, 0.5], build_transition_model(2, 0.1).matrix),
+            # equal columns 1 and 2: those classes get the same prior from
+            # any belief, so their posteriors stay tied bit for bit
+            ([0.2, 0.4, 0.4], [[0.6, 0.2, 0.2], [0.1, 0.45, 0.45], [0.1, 0.45, 0.45]]),
+        ],
+        ids=["k2", "k3"],
     )
-    def test_bit_identical_to_one_worker(self, k, mode, workers):
-        stack = _small_stack(frames=5, side=9)
-        outputs = _scripted_outputs(np.random.default_rng(k), 5, 81, k)
-        model = _ScriptedModel(stack, outputs)
-        trans = build_transition_model(k, 0.07)
-        one = classify_stack(stack, model, trans, 0.8, mode)
-        many = classify_stack(stack, model, trans, 0.8, mode, workers=workers)
-        assert one.recursive_posteriors.tobytes() == many.recursive_posteriors.tobytes()
-        assert (
-            one.instantaneous_posteriors.tobytes()
-            == many.instantaneous_posteriors.tobytes()
-        )
-        for a, b in zip(one.recursive_labels + one.instantaneous_labels,
-                        many.recursive_labels + many.instantaneous_labels):
-            assert_array_equal(a.labels, b.labels)
+    def test_lowest_tied_class_wins(self, row, matrix, mode):
+        k, lowest = len(row), row.index(max(row))
+        stack = _small_stack(frames=4)
+        outputs = [np.tile(row, (64, 1)) for _ in range(4)]
+        trans = TransitionModel(np.array(matrix), change_prob=0.1)
+        result = classify_stack(stack, _ScriptedModel(stack, outputs), trans, 0.8, mode)
+        for cube in (result.instantaneous_posteriors, result.recursive_posteriors):
+            assert_array_equal(cube[:, lowest], cube[:, k - 1])  # the tie holds
+        for raster in result.instantaneous_labels + result.recursive_labels:
+            assert_array_equal(raster.labels, np.full((8, 8), lowest))
 
 
 class TestFrameStepTransitionBank:
-    """E transition models in one `FrameStep` match other worker counts and E = 1."""
+    """E transition models in one `FrameStep` each match an E = 1 run."""
 
     EPSILONS = (0.01, 0.07, 0.3)
 
     @staticmethod
-    def _run(outputs, k, mode, workers):
+    def _run(outputs, k, mode):
         pixels = outputs[0].shape[0]
         transitions = [build_transition_model(k, e) for e in
                        TestFrameStepTransitionBank.EPSILONS]
@@ -513,22 +506,11 @@ class TestFrameStepTransitionBank:
         posts = np.empty((len(outputs), e_count, k, pixels))
         labels = np.empty((len(outputs), 1 + e_count, pixels), dtype=np.uint8)
         prev = np.full((e_count, k, pixels), 1.0 / k)
-        with FrameStep(transitions, 0.8, mode, pixels, workers) as step:
-            for t, raw in enumerate(outputs):
-                step(raw, insts[t], prev, posts[t], labels[t])
-                prev = posts[t]
+        step = FrameStep(transitions, 0.8, mode, pixels)
+        for t, raw in enumerate(outputs):
+            step(raw, insts[t], prev, posts[t], labels[t])
+            prev = posts[t]
         return insts, posts, labels
-
-    @pytest.mark.parametrize("workers", [2, 3])
-    @pytest.mark.parametrize(
-        "k,mode", [(2, RecursionMode.DISCRIMINATIVE), (3, RecursionMode.GENERATIVE)]
-    )
-    def test_workers_bit_identical(self, k, mode, workers):
-        outputs = _scripted_outputs(np.random.default_rng(40 + k), 5, 81, k)
-        one = self._run(outputs, k, mode, 1)
-        many = self._run(outputs, k, mode, workers)
-        for a, b in zip(one, many):
-            assert a.tobytes() == b.tobytes()
 
     @pytest.mark.parametrize(
         "k,mode", [(2, RecursionMode.DISCRIMINATIVE), (3, RecursionMode.GENERATIVE)]
@@ -536,7 +518,7 @@ class TestFrameStepTransitionBank:
     def test_each_belief_equals_classify_stack(self, k, mode):
         stack = _small_stack(frames=5, side=9)
         outputs = _scripted_outputs(np.random.default_rng(50 + k), 5, 81, k)
-        insts, posts, labels = self._run(outputs, k, mode, 2)
+        insts, posts, labels = self._run(outputs, k, mode)
         for e, epsilon in enumerate(self.EPSILONS):
             trans = build_transition_model(k, epsilon)
             ref = classify_stack(stack, _ScriptedModel(stack, outputs), trans, 0.8, mode)
@@ -591,8 +573,8 @@ class TestClassifyStackEquivalence:
                 rtol=0.0, atol=1e-12,
             )
             assert_array_equal(
-                result.instantaneous_labels[t].labels.ravel(), map_decision(inst)
+                result.instantaneous_labels[t].labels.ravel(), oracles.map_decision(inst)
             )
             assert_array_equal(
-                result.recursive_labels[t].labels.ravel(), map_decision(state)
+                result.recursive_labels[t].labels.ravel(), oracles.map_decision(state)
             )
