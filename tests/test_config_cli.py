@@ -829,9 +829,10 @@ class TestCliExitCodes:
             assert err.startswith("error: ")
             assert plane.name in err and date in err and "non-finite" in err
 
+    @pytest.mark.parametrize("command", ["ingest", "run"])
     @pytest.mark.parametrize("value", ["1.5", "-0.25", "nan"])
     def test_manifest_cloud_outside_unit_interval_is_config_exit(
-        self, cli_area, tmp_path, capsys, value
+        self, cli_area, tmp_path, capsys, value, command
     ):
         shutil.copytree(cli_area / "data", tmp_path / "data")
         shutil.copy(cli_area / "exp.cfg", tmp_path / "exp.cfg")
@@ -841,14 +842,16 @@ class TestCliExitCodes:
         date = lines[lineno - 1].split()[2]
         lines[lineno - 1] = lines[lineno - 1].replace(date, f"{date} cloud={value}")
         manifest.write_text("\n".join(lines) + "\n")
-        for argv in (["ingest", "--manifest", str(manifest)],
-                     ["run", "--config", str(tmp_path / "exp.cfg"),
-                      "--out", str(tmp_path / "out")]):
-            assert main(argv) == 1
-            err = capsys.readouterr().err
-            assert err.startswith("error: ")
-            assert f"{manifest}:{lineno}: key 'cloud'" in err and value in err
-            assert "Traceback" not in err
+        argv = {
+            "ingest": ["ingest", "--manifest", str(manifest)],
+            "run": ["run", "--config", str(tmp_path / "exp.cfg"),
+                    "--out", str(tmp_path / "out")],
+        }[command]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert f"{manifest}:{lineno}: key 'cloud'" in err and value in err
+        assert "Traceback" not in err
 
     def test_eval_empty_prediction_dir(self, tmp_path, capsys):
         (tmp_path / "pred").mkdir()

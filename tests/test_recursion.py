@@ -390,16 +390,17 @@ BAD_FRAMES = {
 
 
 class TestClassifyStackErrors:
-    """A bad model output at frame t >= 1 raises the same error in every mode."""
+    """A bad model output at the first or a later frame raises the same error in every mode."""
 
+    @pytest.mark.parametrize("frame", [0, 2])
     @pytest.mark.parametrize("mode", list(RecursionMode))
     @pytest.mark.parametrize("case", sorted(BAD_FRAMES))
-    def test_bad_model_output(self, case, mode):
+    def test_bad_model_output(self, case, mode, frame):
         corrupt, error, message = BAD_FRAMES[case]
         stack = _small_stack(frames=4)
         outputs = _scripted_outputs(np.random.default_rng(3), 4, 64, 2)
-        outputs[2] = corrupt(outputs[2])
-        model = _ScriptedModel(stack, outputs)
+        model = _ScriptedModel(stack, outputs)  # reads K before the corruption
+        outputs[frame] = corrupt(outputs[frame])
         trans = build_transition_model(2, 0.1)
         with pytest.raises(error, match=message):
             classify_stack(stack, model, trans, 0.8, mode)
@@ -414,19 +415,20 @@ class TestClassifyStackErrors:
 
 
 class TestEpsilonSweepErrors:
-    """A bad model output at frame t >= 1 fails the sweep as it fails `classify_stack`."""
+    """A bad model output at any frame fails the sweep as it fails `classify_stack`."""
 
+    @pytest.mark.parametrize("frame", [0, 2])
     @pytest.mark.parametrize("mode", list(RecursionMode))
     @pytest.mark.parametrize("case", sorted(BAD_FRAMES))
-    def test_same_error_as_classify_stack(self, case, mode):
+    def test_same_error_as_classify_stack(self, case, mode, frame):
         corrupt, error, _ = BAD_FRAMES[case]
         rng = np.random.default_rng(5)
         planes = [[rng.uniform(0.0, 1.0, size=(8, 8))] for _ in range(4)]
         truths = [rng.integers(0, 2, size=(8, 8)) for _ in range(4)]
         stack = make_stack(("gray",), planes, truths=truths)
         outputs = _scripted_outputs(rng, 4, 64, 2)
-        outputs[2] = corrupt(outputs[2])
-        model = _ScriptedModel(stack, outputs)
+        model = _ScriptedModel(stack, outputs)  # reads K before the corruption
+        outputs[frame] = corrupt(outputs[frame])
         with pytest.raises(error) as expected:
             classify_stack(stack, model, build_transition_model(2, 0.05), 0.8, mode)
         with pytest.raises(error) as swept:
@@ -463,6 +465,33 @@ class TestClassifyStackAcceptsEdgeOutputs:
         result = classify_stack(stack, _ScriptedModel(stack, outputs), trans, 0.8, mode)
         assert result.recursive_posteriors.shape == (2, 2, 0, 4)
         assert [r.labels.shape for r in result.recursive_labels] == [(0, 4)] * 2
+
+
+class TestClassifyStackPixelIndependence:
+    """Each pixel is its own chain: a band of rows run alone matches the whole image."""
+
+    @pytest.mark.parametrize("lam", [0.0, 0.8])
+    @pytest.mark.parametrize("mode", list(RecursionMode))
+    @pytest.mark.parametrize("k", [2, 3, 5])
+    def test_row_band_matches_whole_image(self, k, mode, lam):
+        side, rows = 8, slice(3, 6)
+        stack = _small_stack(frames=4, side=side)
+        outputs = _scripted_outputs(np.random.default_rng(20 + k), 4, side * side, k)
+        trans = build_transition_model(k, 0.1)
+        whole = classify_stack(stack, _ScriptedModel(stack, outputs), trans, lam, mode)
+
+        band_stack = make_stack(("gray",), [[np.zeros((3, side))] for _ in range(4)])
+        pixels = slice(rows.start * side, rows.stop * side)
+        band_outputs = [out[pixels] for out in outputs]
+        band = classify_stack(
+            band_stack, _ScriptedModel(band_stack, band_outputs), trans, lam, mode
+        )
+        for name in ("recursive_posteriors", "instantaneous_posteriors"):
+            expected = getattr(whole, name)[:, :, rows]
+            assert getattr(band, name).tobytes() == np.ascontiguousarray(expected).tobytes()
+        for a, b in zip(whole.recursive_labels + whole.instantaneous_labels,
+                        band.recursive_labels + band.instantaneous_labels):
+            assert_array_equal(a.labels[rows], b.labels)
 
 
 class TestClassifyStackTies:
@@ -528,6 +557,17 @@ class TestFrameStepTransitionBank:
                 inst_labels = ref.instantaneous_labels[t].labels.ravel()
                 assert_array_equal(labels[t, 0], inst_labels)
                 assert_array_equal(labels[t, 1 + e], ref.recursive_labels[t].labels.ravel())
+
+    @pytest.mark.parametrize(
+        "k,mode", [(2, RecursionMode.DISCRIMINATIVE), (3, RecursionMode.GENERATIVE)]
+    )
+    def test_pixel_slices_match_whole_step(self, k, mode):
+        outputs = _scripted_outputs(np.random.default_rng(60 + k), 4, 81, k)
+        whole = self._run(outputs, k, mode)
+        for cut in (slice(0, 1), slice(1, 40), slice(40, 81)):
+            part = self._run([out[cut] for out in outputs], k, mode)
+            for got, full in zip(part, whole):
+                assert got.tobytes() == np.ascontiguousarray(full[..., cut]).tobytes()
 
 
 class TestClassifyStackEquivalence:
