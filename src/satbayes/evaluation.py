@@ -160,7 +160,8 @@ def epsilon_sweep(
     one pass over the frames per model: one `FrameStep` advances a
     belief per grid value from a single model evaluation per frame, and
     labels are scored as they come. Scores equal those of one
-    `classify_stack` run per grid value, bit for bit.
+    `classify_stack` run per grid value, bit for bit, and a bad model
+    output raises the same error, naming the frame's date.
     """
     eps = check_epsilon_grid(grid)
     if not models:
@@ -188,7 +189,7 @@ def epsilon_sweep(
         step = FrameStep(transitions, lam, modes[name], pixels)
         for t, frame in enumerate(stack.frames):
             prev, post = beliefs[(t + 1) % 2], beliefs[t % 2]
-            step(evaluate(frame), inst, prev, post, labels)
+            step(evaluate(frame), inst, prev, post, labels, frame.date)
             if frame.truth is not None:
                 scores.append([
                     balanced_accuracy(row.reshape(height, width), frame.truth)
@@ -277,9 +278,9 @@ def timing_bench(
         step = FrameStep([transition], lam, mode, pixels)
         for rep in range(repetitions):
             beliefs[1] = 1.0 / k
-            for t, raw in enumerate(outputs):
+            for t, (raw, date) in enumerate(zip(outputs, stack.dates)):
                 start = time.perf_counter()
-                step(raw, inst, beliefs[(t + 1) % 2], beliefs[t % 2], labels)
+                step(raw, inst, beliefs[(t + 1) % 2], beliefs[t % 2], labels, date)
                 step_samples[rep, t] = time.perf_counter() - start
 
         records.append(

@@ -3,9 +3,12 @@
 `run_experiment` turns one config into artifacts on disk: label rasters
 (recursive and instantaneous, one per test date), posterior cubes,
 per-date accuracy tables and error maps when truth is available, the
-trained model, and a small metadata record. Reruns with the same config
-and seed produce byte-identical artifacts; nothing time- or
-machine-dependent is written.
+trained model, and a small metadata record. Each date's posterior
+planes go to the two cubes as the recursion computes them, so no
+whole-stack posterior array is held; a run that fails during the
+recursion deletes its partial cubes, and the metadata record is written
+last. Reruns with the same config and seed produce byte-identical
+artifacts; nothing time- or machine-dependent is written.
 """
 
 from __future__ import annotations
@@ -43,9 +46,10 @@ from .pipeline import (
     filter_frames,
     load_stack,
     parse_manifest,
+    posterior_cube_writer,
     split_dates,
     write_label_raster,
-    write_posterior_cube,
+    write_posterior_cube,  # noqa: F401  (perfbench/tracing.py wraps this name)
 )
 from .recursion import RecursionMode, StackClassification, classify_stack
 from .textio import make_dirs, write_lines
@@ -130,6 +134,8 @@ def config_digest(config: ExperimentConfig) -> str:
 
 @dataclass(frozen=True)
 class ExperimentResult:
+    """What one run did; ``classification`` holds labels, not cubes."""
+
     config: ExperimentConfig
     out_dir: Path
     epsilon: float
@@ -160,21 +166,27 @@ def run_experiment(
     prepared = prepare_stacks(config)
     model = build_classifier(config, config.classifier, prepared.train)
     transition = build_transition_model(len(config.classes), eps)
-    classification = classify_stack(
-        prepared.test, model, transition, config.lam, config.mode
-    )
+    shape = (len(prepared.test), model.num_classes, *prepared.test.shape)
+    cube_dir = out / "posteriors"
+    with posterior_cube_writer(cube_dir / "recursive.cube", shape) as write_rec, \
+            posterior_cube_writer(cube_dir / "instantaneous.cube", shape) as write_inst:
+
+        def sink(t: int, inst: np.ndarray, post: np.ndarray) -> None:
+            write_rec(post.reshape(shape[1:]))
+            write_inst(inst.reshape(shape[1:]))
+
+        classification = classify_stack(
+            prepared.test, model, transition, config.lam, config.mode, sink=sink
+        )
 
     tracks = (
-        ("recursive", classification.recursive_labels,
-         classification.recursive_posteriors),
-        ("instantaneous", classification.instantaneous_labels,
-         classification.instantaneous_posteriors),
+        ("recursive", classification.recursive_labels),
+        ("instantaneous", classification.instantaneous_labels),
     )
-    for track, labels, cube in tracks:
+    for track, labels in tracks:
         for date, raster in zip(classification.dates, labels):
             tag = date.isoformat()
             write_label_raster(out / "labels" / f"{track}_{tag}.lbl", raster)
-        write_posterior_cube(out / "posteriors" / f"{track}.cube", cube)
     if config.classifier != "external":
         save_model(out / "models" / f"{config.classifier}.model", model)
 
@@ -185,7 +197,7 @@ def run_experiment(
         for idx, frame in enumerate(prepared.test.frames):
             if frame.truth is None:
                 continue
-            for track, labels, _ in tracks:
+            for track, labels in tracks:
                 write_label_raster(
                     out / "maps" / f"error_{track}_{frame.date.isoformat()}.lbl",
                     error_map(labels[idx], frame.truth),

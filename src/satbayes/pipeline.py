@@ -16,6 +16,11 @@ Container formats (all little-endian):
 * posterior cube: magic ``RBCP``, version u8, u32 width, u32 height,
   u8 class count, u32 date count, then one float32 plane per
   (date, class), date-major, each row-major.
+
+Posterior cubes are written by one writer, `posterior_cube_writer`,
+which takes one date's (classes, height, width) plane at a time, so a
+caller never needs the whole cube in memory; a cube it could not finish
+is deleted.
 """
 
 from __future__ import annotations
@@ -23,6 +28,8 @@ from __future__ import annotations
 import datetime as dt
 import struct
 import warnings
+from collections.abc import Callable, Iterator
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -119,17 +126,59 @@ def read_label_raster(path: str | Path) -> LabelRaster:
         raise LoadError(f"{src}: {exc}") from exc
 
 
+@contextmanager
+def posterior_cube_writer(
+    path: str | Path, shape: tuple[int, int, int, int]
+) -> Iterator[Callable[[np.ndarray], None]]:
+    """Write a (dates, classes, height, width) cube one date at a time.
+
+    Writes the header on entry and yields ``write(plane)``, which
+    appends one (classes, height, width) plane as float32; a plane of
+    another shape, or one past the last date, raises ShapeError. On
+    exit a short plane count raises ShapeError. When the block raises,
+    the partial file is deleted and the error propagates; I/O failures
+    are DataErrors naming ``path``.
+    """
+    path = Path(path)
+    dates, k, height, width = shape
+    plane_shape = (k, height, width)
+    written = 0
+
+    def write(plane: np.ndarray) -> None:
+        nonlocal written
+        arr = np.asarray(plane)
+        if arr.shape != plane_shape or written == dates:
+            raise ShapeError(
+                f"{path}: plane {written} of shape {arr.shape} does not "
+                f"fit a cube of shape {tuple(shape)}"
+            )
+        fh.write(np.ascontiguousarray(arr, dtype="<f4"))
+        written += 1
+
+    header = CUBE_MAGIC + struct.pack(
+        "<BIIBI", CONTAINER_VERSION, width, height, k, dates
+    )
+    with open_output(path) as fh:
+        try:
+            fh.write(header)
+            yield write
+            if written != dates:
+                raise ShapeError(f"{path}: wrote {written} of {dates} dates")
+        except BaseException:
+            fh.close()
+            with suppress(OSError):
+                path.unlink()
+            raise
+
+
 def write_posterior_cube(path: str | Path, cube: np.ndarray) -> Path:
     """Cube of shape (dates, classes, height, width), stored as float32."""
     arr = np.asarray(cube)
     if arr.ndim != 4:
         raise ShapeError(f"posterior cube must be 4-D, got shape {arr.shape}")
-    t, k, height, width = arr.shape
-    header = CUBE_MAGIC + struct.pack("<BIIBI", CONTAINER_VERSION, width, height, k, t)
-    with open_output(path) as fh:
-        fh.write(header)
-        for plane in arr:  # one date at a time: no full-size float32 copy
-            fh.write(np.ascontiguousarray(plane, dtype="<f4"))
+    with posterior_cube_writer(path, arr.shape) as write:
+        for plane in arr:
+            write(plane)
     return Path(path)
 
 

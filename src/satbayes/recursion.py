@@ -13,7 +13,10 @@ serially over all N pixels, for `classify_stack`, `timing_bench` and
 `epsilon_sweep`: it copies the model's (N, K) output transposed into a
 (K, N) buffer, validates it once, and advances one (K, N) belief per
 transition model, so a sweep over E transition probabilities is a bank
-of E filters sharing one model evaluation per frame. The public
+of E filters sharing one model evaluation per frame. The filter needs
+only the previous date's belief: `classify_stack` hands each date's
+(K, N) posteriors to a per-frame sink, and collects them into float64
+cubes only when the caller passes none. The public
 `generative_update`, `discriminative_update` and `regularize` take
 (..., K) arrays, validate every input and run the same kernel on a
 transposed (K, M) copy.
@@ -44,6 +47,7 @@ from .errors import (
     ConfigError,
     InvalidHyperparameterError,
     InvalidMarginalError,
+    SatBayesError,
     ShapeError,
 )
 
@@ -250,14 +254,15 @@ class FrameModel(Protocol):
 class StackClassification:
     """Output of `classify_stack` for one stack.
 
-    Posterior cubes have shape (dates, classes, H, W) in float64;
+    Posterior cubes have shape (dates, classes, H, W) in float64, or
+    are None when `classify_stack` handed the posteriors to a sink;
     label lists hold one LabelRaster per date.
     """
 
     dates: tuple[dt.date, ...]
     num_classes: int
-    recursive_posteriors: np.ndarray
-    instantaneous_posteriors: np.ndarray
+    recursive_posteriors: np.ndarray | None
+    instantaneous_posteriors: np.ndarray | None
     recursive_labels: tuple[LabelRaster, ...]
     instantaneous_labels: tuple[LabelRaster, ...]
 
@@ -288,8 +293,10 @@ class FrameStep:
     instantaneous MAP labels and row 1 + e those of ``post[e]``.
     Validation, smoothing and the division by the marginal run once per
     call, whatever E is. The model output is validated with the errors
-    of `validate_likelihood` / `validate_pmf`. The step is serial: one
-    `_Kernel` over all N pixel columns holds its scratch.
+    of `validate_likelihood` / `validate_pmf`; given the frame's
+    ``date``, the message starts with its ISO form and the error keeps
+    its type. The step is serial: one `_Kernel` over all N pixel
+    columns holds its scratch.
     """
 
     def __init__(
@@ -316,7 +323,18 @@ class FrameStep:
         prev: np.ndarray,
         post: np.ndarray,
         labels: np.ndarray,
+        date: dt.date | None = None,
     ) -> None:
+        try:
+            self._check(raw, inst)
+        except (ValueError, SatBayesError) as exc:
+            if date is None:
+                raise
+            raise type(exc)(f"{date.isoformat()}: {exc}") from exc
+        self._advance(inst, prev, post, labels)
+
+    def _check(self, raw: np.ndarray, inst: np.ndarray) -> None:
+        """Validate the model output and load it into ``inst``."""
         raw = np.asarray(raw, dtype=np.float64)
         if raw.shape != self._shape:
             validate_likelihood(raw)
@@ -326,7 +344,6 @@ class FrameStep:
         if not self._load(raw, inst):
             # the exact checks raise their error, or pass an edge case
             validate_pmf(floor_normalize(validate_likelihood(raw)))
-        self._advance(inst, prev, post, labels)
 
     def _load(self, raw: np.ndarray, inst: np.ndarray) -> bool:
         """Copy ``raw`` transposed into ``inst``.
@@ -365,14 +382,22 @@ def classify_stack(
     transition: TransitionModel,
     lam: float,
     mode: RecursionMode,
+    sink: Callable[[int, np.ndarray, np.ndarray], None] | None = None,
 ) -> StackClassification:
     """Run the recursion over a whole stack, frame by frame.
 
     For each date the model's instantaneous output is row-normalized,
     smoothed with `regularize`, and folded into the running per-pixel
-    belief (initialized uniform) by one `FrameStep`. Both the recursive
-    and the raw instantaneous decisions/posteriors are returned so
-    callers can compare them.
+    belief (initialized uniform) by one `FrameStep`, which holds only
+    the previous date's belief. Both the recursive and the raw
+    instantaneous decisions are returned so callers can compare them.
+
+    After each date t, ``sink(t, inst, post)`` receives the date's
+    instantaneous and recursive posteriors as (K, H*W) float64 views,
+    valid only during the call. Without a sink they are collected into
+    the returned float64 cubes; with one, the cube fields are None and
+    only the uint8 labels are kept. A bad model output raises the error
+    of `FrameStep`, prefixed with the frame's ISO date.
     """
     k = model.num_classes
     if k != transition.num_classes:
@@ -384,23 +409,35 @@ def classify_stack(
     n = height * width
     t_total = len(stack)
 
-    rec_cube = np.empty((t_total, k, n))
-    inst_cube = np.empty((t_total, k, n))
+    cubes = None
+    if sink is None:
+        cubes = np.empty((2, t_total, k, n))  # recursive, instantaneous
+
+        def sink(t: int, inst: np.ndarray, post: np.ndarray) -> None:
+            cubes[0, t] = post
+            cubes[1, t] = inst
+
+    inst = np.empty((k, n))
+    beliefs = np.empty((2, 1, k, n))  # step t: [(t + 1) % 2] -> [t % 2]
+    beliefs[1] = 1.0 / k
     labels = np.empty((t_total, 2, n), dtype=np.uint8)  # instantaneous, recursive
-    prev = np.full((1, k, n), 1.0 / k)
     step = FrameStep([transition], lam, mode, n)
     for t, frame in enumerate(stack.frames):
-        step(evaluate(frame), inst_cube[t], prev, rec_cube[t : t + 1], labels[t])
-        prev = rec_cube[t : t + 1]
+        prev, post = beliefs[(t + 1) % 2], beliefs[t % 2]
+        step(evaluate(frame), inst, prev, post, labels[t], frame.date)
+        sink(t, inst, post[0])
 
     def rasters(row: int) -> tuple[LabelRaster, ...]:
         return tuple(LabelRaster(v.reshape(height, width), k) for v in labels[:, row])
 
+    def cube(which: int) -> np.ndarray | None:
+        return None if cubes is None else cubes[which].reshape(t_total, k, height, width)
+
     return StackClassification(
         dates=stack.dates,
         num_classes=k,
-        recursive_posteriors=rec_cube.reshape(t_total, k, height, width),
-        instantaneous_posteriors=inst_cube.reshape(t_total, k, height, width),
+        recursive_posteriors=cube(0),
+        instantaneous_posteriors=cube(1),
         recursive_labels=rasters(1),
         instantaneous_labels=rasters(0),
     )

@@ -8,6 +8,7 @@ import re
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +27,7 @@ from satbayes.config import (
 )
 from satbayes.errors import ConfigError
 from satbayes.evaluation import balanced_accuracy
+from satbayes.experiment import run_experiment
 from satbayes.pipeline import (
     ReferenceRegion,
     read_label_raster,
@@ -948,30 +950,95 @@ class TestCliFileBoundary:
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -0.25])
     def test_bad_external_posterior_is_data_exit(self, cli_area, tmp_path, capsys, value):
-        data = tmp_path / "data"
-        shutil.copytree(cli_area / "data", data)
-        (data / "post").mkdir()
-        lines = []
-        for line in (data / "manifest.txt").read_text().splitlines():
-            if line.startswith("frame = "):
-                date = line.split()[2]
-                cube = np.full((1, 2, 20, 20), 0.5)
-                if date == date_of(3).isoformat():
-                    cube[0, 1, 4, 7] = value
-                write_posterior_cube(data / "post" / f"{date}.cube", cube)
-                line += f" posterior=post/{date}.cube"
-            lines.append(line)
-        (data / "manifest.txt").write_text("\n".join(lines) + "\n")
-        config = tmp_path / "external.cfg"
-        config.write_text(
-            CLI_CONFIG.replace("classifier = index", "classifier = external")
-        )
-        bad = data / "post" / f"{date_of(3).isoformat()}.cube"
+        config = write_external_area(cli_area, tmp_path, [1], value)
+        bad = tmp_path / "data" / "post" / f"{date_of(3).isoformat()}.cube"
         err = assert_data_exit(
             ["run", "--config", config, "--out", tmp_path / "out"], bad, capsys
         )
         assert date_of(3).isoformat() in err
         assert not (tmp_path / "out" / "labels").exists()
+
+
+def write_external_area(cli_area: Path, tmp_path: Path, classes, value) -> Path:
+    """External-classifier copy of the CLI scene; returns its config.
+
+    Every date's posterior cube holds 0.5, except that pixel (4, 7) of
+    ``date_of(3)`` holds ``value`` in the listed ``classes``.
+    """
+    data = tmp_path / "data"
+    shutil.copytree(cli_area / "data", data)
+    (data / "post").mkdir()
+    lines = []
+    for line in (data / "manifest.txt").read_text().splitlines():
+        if line.startswith("frame = "):
+            date = line.split()[2]
+            cube = np.full((1, 2, 20, 20), 0.5)
+            if date == date_of(3).isoformat():
+                cube[0, classes, 4, 7] = value
+            write_posterior_cube(data / "post" / f"{date}.cube", cube)
+            line += f" posterior=post/{date}.cube"
+        lines.append(line)
+    (data / "manifest.txt").write_text("\n".join(lines) + "\n")
+    config = tmp_path / "external.cfg"
+    config.write_text(CLI_CONFIG.replace("classifier = index", "classifier = external"))
+    return config
+
+
+class TestRunStreamsPosteriors:
+    """`run` writes posterior planes as it goes and holds no posterior cube."""
+
+    def test_degenerate_model_output_names_its_date_and_leaves_no_file(
+        self, cli_area, tmp_path, capsys
+    ):
+        # pixel (4, 7) of 2021-02-04 is all zero: no class information
+        assert date_of(3) == dt.date(2021, 2, 4)
+        config = write_external_area(cli_area, tmp_path, [0, 1], 0.0)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(config), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: 2021-02-04: ")
+        assert "all-zero likelihood vector" in err
+        assert "Traceback" not in err
+        assert [p for p in out.rglob("*") if p.is_file()] == []
+
+    def test_peak_memory_stays_below_one_cube(self, tmp_path):
+        # K = 5 classes from 2 bands: each float64 posterior cube is 2.5x
+        # the float64 stack, so holding either cube breaks the bound
+        frames, side, k, bands = 60, 48, 5, 2
+        names = [f"c{c}" for c in range(k)]
+        stats = "".join(
+            f"stat = {name} green {0.1 + 0.05 * c} 0.05\n"
+            f"stat = {name} swir1 {0.3 - 0.05 * c} 0.05\n"
+            for c, name in enumerate(names)
+        )
+        spec = write_spec(tmp_path, (
+            f"classes = {', '.join(names)}\nwidth = {side}\nheight = {side}\n"
+            f"frames = {frames}\nstart_date = 2021-01-05\ncadence_days = 10\n"
+            f"seed = 4\nbands = green, swir1\n{stats}"
+        ))
+        assert main(["synth", "--spec", str(spec), "--out", str(tmp_path / "data")]) == 0
+        dates = ", ".join(date_of(t).isoformat() for t in range(frames))
+        config_path = tmp_path / "k5.cfg"
+        config_path.write_text(
+            "manifest = data/manifest.txt\n"
+            f"classes = {', '.join(names)}\n"
+            "classifier = index\nindex = mndwi\n"
+            "thresholds = -1, -0.5, -0.2, 0.1, 0.4, 1\n"
+            f"epsilon = 0.05\nseed = 3\ntest_dates = {dates}\n"
+        )
+        config = parse_config(config_path)
+        pixels = side * side
+        stack_bytes = frames * bands * pixels * 8
+        cube_bytes = frames * k * pixels * 8
+        tracemalloc.start()
+        try:
+            run_experiment(config, out_dir=tmp_path / "out")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < stack_bytes + cube_bytes / 2
+        cube = read_posterior_cube(tmp_path / "out" / "posteriors" / "recursive.cube")
+        assert cube.shape == (frames, k, side, side)
 
 
 def test_cli_import_leaves_scipy_solvers_unloaded():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import datetime as dt
+import struct
 import warnings
 
 import numpy as np
@@ -28,6 +29,7 @@ from satbayes.pipeline import (
     filter_frames,
     load_stack,
     parse_manifest,
+    posterior_cube_writer,
     read_band_plane,
     read_label_raster,
     read_posterior_cube,
@@ -123,6 +125,61 @@ class TestPosteriorCube:
         path.write_bytes(path.read_bytes()[:-8])
         with pytest.raises(LoadError):
             read_posterior_cube(path)
+
+
+class TestPosteriorCubeWriter:
+    """One date's plane per write; a cube it cannot finish is deleted."""
+
+    SHAPE = (3, 2, 4, 5)
+
+    def cube(self) -> np.ndarray:
+        return np.random.default_rng(4).uniform(0.0, 1.0, size=self.SHAPE)
+
+    def test_bytes_match_the_container_layout(self, tmp_path):
+        cube = self.cube()
+        t, k, height, width = cube.shape
+        expected = (
+            b"RBCP" + struct.pack("<BIIBI", 1, width, height, k, t)
+            + cube.astype("<f4").tobytes()
+        )
+        with posterior_cube_writer(tmp_path / "w.cube", cube.shape) as write:
+            for plane in cube:
+                write(plane)
+        assert (tmp_path / "w.cube").read_bytes() == expected
+        assert write_posterior_cube(tmp_path / "c.cube", cube).read_bytes() == expected
+
+    @pytest.mark.parametrize("shape", [(2, 4, 4), (3, 4, 5), (2, 20), (2, 4, 5, 1)])
+    def test_wrong_plane_shape_is_shape_error(self, tmp_path, shape):
+        path = tmp_path / "w.cube"
+        with pytest.raises(ShapeError, match="does not fit"):
+            with posterior_cube_writer(path, self.SHAPE) as write:
+                write(np.zeros(shape))
+        assert not path.exists()
+
+    @pytest.mark.parametrize("planes", [0, 2, 4])
+    def test_wrong_plane_count_leaves_no_file(self, tmp_path, planes):
+        path = tmp_path / "w.cube"
+        cube = np.concatenate([self.cube(), self.cube()[:1]])
+        with pytest.raises(ShapeError, match=str(path)):
+            with posterior_cube_writer(path, self.SHAPE) as write:
+                for plane in cube[:planes]:
+                    write(plane)
+        assert not path.exists()
+
+    def test_error_inside_block_propagates_and_leaves_no_file(self, tmp_path):
+        path = tmp_path / "w.cube"
+        with pytest.raises(KeyError, match="boom"):
+            with posterior_cube_writer(path, self.SHAPE) as write:
+                write(self.cube()[0])
+                raise KeyError("boom")
+        assert not path.exists()
+
+    def test_unwritable_path_is_data_error(self, tmp_path):
+        (tmp_path / "blocker").write_text("not a directory\n")
+        path = tmp_path / "blocker" / "w.cube"
+        with pytest.raises(DataError, match=str(path)):
+            with posterior_cube_writer(path, self.SHAPE):
+                pytest.fail("the block must not run")
 
 
 CONTAINERS = {

@@ -329,6 +329,36 @@ class TestClassifyStack:
         )
 
 
+class TestClassifyStackSink:
+    """A sink gets each date's (K, N) posteriors; no cube is built."""
+
+    @pytest.mark.parametrize("mode", list(RecursionMode))
+    def test_sink_sees_the_collected_cubes(self, mode):
+        stack = _small_stack(frames=5, side=6, seed=2)
+        outputs = _scripted_outputs(np.random.default_rng(9), 5, 36, 3)
+        model = _ScriptedModel(stack, outputs)
+        trans = build_transition_model(3, 0.1)
+        collected = classify_stack(stack, model, trans, 0.8, mode)
+        seen = []
+
+        def sink(t, inst, post):
+            assert inst.shape == post.shape == (3, 36)
+            assert inst.dtype == post.dtype == np.float64
+            seen.append((t, inst.copy(), post.copy()))
+
+        streamed = classify_stack(stack, model, trans, 0.8, mode, sink=sink)
+        assert [t for t, _, _ in seen] == list(range(5))
+        for t, inst, post in seen:
+            inst_plane = collected.instantaneous_posteriors[t].reshape(3, 36)
+            assert inst.tobytes() == inst_plane.tobytes()
+            assert post.tobytes() == collected.recursive_posteriors[t].reshape(3, 36).tobytes()
+        assert streamed.recursive_posteriors is None
+        assert streamed.instantaneous_posteriors is None
+        for track in ("recursive_labels", "instantaneous_labels"):
+            for got, want in zip(getattr(streamed, track), getattr(collected, track)):
+                assert_array_equal(got.labels, want.labels)
+
+
 class _ScriptedModel:
     """Returns a fixed (N, K) array per frame, indexed by the frame's position."""
 
@@ -402,8 +432,10 @@ class TestClassifyStackErrors:
         model = _ScriptedModel(stack, outputs)  # reads K before the corruption
         outputs[frame] = corrupt(outputs[frame])
         trans = build_transition_model(2, 0.1)
-        with pytest.raises(error, match=message):
+        with pytest.raises(error, match=message) as raised:
             classify_stack(stack, model, trans, 0.8, mode)
+        assert type(raised.value) is error
+        assert str(raised.value).startswith(f"{stack.dates[frame].isoformat()}: ")
 
     def test_negative_lambda_rejected(self):
         stack = _small_stack(frames=2)
