@@ -27,6 +27,7 @@ from satbayes.classifiers import (
 from satbayes.core import (
     TransitionModel,
     build_transition_model,
+    floor_normalize,
     uniform_pmf,
     validate_likelihood,
     validate_pmf,
@@ -255,6 +256,36 @@ def scipy_logistic_loss_grad(
     grad = (probs - labels_onehot).T @ features_aug / n
     grad[:, :-1] += 2.0 * l2 * w[:, :-1]
     return loss, grad.ravel()
+
+
+# ------------------------------------------------------------------
+#
+# The index and softmax engines' outputs as they were built pixel-major,
+# on (..., K) arrays reduced over the last axis. The class-major engines
+# must reproduce them exactly; `pixel_major_likelihood` above plays the
+# same part for the mixture engine.
+
+def pixel_major_index_posterior(classifier, values) -> np.ndarray:
+    """`IndexClassifier.posterior_from_index` over (..., K) densities."""
+    y = np.asarray(values, dtype=np.float64)[..., np.newaxis]
+    z = (y - classifier.means) / classifier.sigmas
+    dens = np.exp(-0.5 * z * z) / (classifier.sigmas * math.sqrt(2.0 * math.pi))
+    return floor_normalize(dens)
+
+
+def pixel_major_softmax(model, pixels: np.ndarray) -> np.ndarray:
+    """`LogisticClassifier.posterior` over (N, K) scores."""
+    x = np.asarray(pixels, dtype=np.float64)
+    if x.ndim != 2 or x.shape[1] != len(model.bands):
+        raise ShapeError(
+            f"expected pixels of shape (N, {len(model.bands)}), got {x.shape}"
+        )
+    std = (x - model.feature_mean) / model.feature_std
+    aug = np.hstack([std, np.ones((std.shape[0], 1))])
+    scores = aug @ model.weights.T
+    scores -= scores.max(axis=1, keepdims=True)
+    expd = np.exp(scores)
+    return expd / expd.sum(axis=1, keepdims=True)
 
 
 def _check_classes(arr: np.ndarray, num_classes: int, name: str) -> None:

@@ -26,6 +26,7 @@ from satbayes.classifiers import (
     spectral_index,
     _logsumexp_columns,
 )
+from satbayes.core import floor_normalize
 from satbayes.errors import (
     ConfigError,
     DataError,
@@ -466,6 +467,113 @@ class TestClassMajorMatchesPixelMajor:
             expect_loss, expect_grad = oracles.scipy_logistic_loss_grad(w, aug, onehot, 1e-4)
             assert loss == expect_loss
             assert_array_equal(grad, expect_grad)
+
+
+INDEX_TAUS = {
+    2: WATER_TAU,
+    3: LANDCOVER_TAU,
+    9: (-1.0, -0.8, -0.55, -0.3, -0.1, 0.05, 0.3, 0.5, 0.77, 1.0),
+}
+
+
+def _index_values(classifier, rng):
+    """Thresholds, class centers, values inside and outside [-1, 1], and
+    values far enough out that every class density underflows to 0."""
+    return np.concatenate(
+        [
+            classifier.thresholds,
+            classifier.means,
+            rng.uniform(-1.0, 1.0, size=300),
+            rng.uniform(-3.0, 3.0, size=40),
+            [0.0, -0.0, -1.5, 1.5, -40.0, 40.0, 1e6],
+        ]
+    )
+
+
+def _frame(bands, planes):
+    import datetime as dt
+
+    from satbayes.core import Frame
+
+    return Frame(date=dt.date(2021, 1, 1), image=make_image(bands, planes))
+
+
+class TestEngineOutputsMatchPixelMajor:
+    """Engine outputs equal the pixel-major oracles bit for bit."""
+
+    @pytest.mark.parametrize("k", [2, 3, 9])
+    def test_index_posterior(self, k):
+        classifier = IndexClassifier.from_thresholds(INDEX_TAUS[k], SpectralIndexKind.NDVI)
+        values = _index_values(classifier, np.random.default_rng(50 + k))
+        probes = [values, values[:340].reshape(17, 20)]
+        probes += [float(v) for v in values[: 2 * k + 1]] + [np.float64(values[-1])]
+        for probe in probes:
+            assert_array_equal(
+                classifier.posterior_from_index(probe),
+                oracles.pixel_major_index_posterior(classifier, probe),
+                strict=True,
+            )
+
+    @pytest.mark.parametrize("k", [2, 3, 9])
+    def test_index_frame_posterior(self, k):
+        classifier = IndexClassifier.from_thresholds(INDEX_TAUS[k], SpectralIndexKind.NDVI)
+        rng = np.random.default_rng(53 + k)
+        nir, red = rng.uniform(0.0, 0.5, size=(2, 6, 7))
+        nir[0, :3] = red[0, :3] = 0.0  # zero denominators
+        nir[1, 0], red[1, 0] = 0.2, -0.2  # zero denominator, non-zero bands
+        nir[1, 1], red[1, 1] = 0.3, -0.1  # index 2, outside [-1, 1]
+        nir[1, 2], red[1, 2] = 0.3, 0.0  # index exactly 1
+        frame = _frame(("nir", "red"), [nir, red])
+        values, flags = spectral_index(frame.image, SpectralIndexKind.NDVI)
+        assert flags.sum() == 4
+        assert_array_equal(
+            classifier.frame_posterior(frame),
+            oracles.pixel_major_index_posterior(classifier, values.ravel()),
+            strict=True,
+        )
+
+    @pytest.mark.parametrize("k", [2, 3, 9])
+    def test_logistic_posterior(self, k):
+        rng = np.random.default_rng(60 + k)
+        b = 4
+        pixels = rng.normal(0.2, 0.1, size=(500, b))
+        for scale in (0.0, 0.5, 30.0):
+            model = LogisticClassifier(
+                bands=tuple(f"b{i}" for i in range(b)),
+                weights=rng.normal(scale=scale, size=(k, b + 1)),
+                feature_mean=rng.normal(0.2, 0.05, size=b),
+                feature_std=rng.uniform(0.05, 0.2, size=b),
+            )
+            assert_array_equal(
+                model.posterior(pixels), oracles.pixel_major_softmax(model, pixels), strict=True
+            )
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_mixture_outputs(self, k):
+        rng = np.random.default_rng(70 + k)
+        samples = _clustered_classes(rng, 2, [90 + 30 * c for c in range(k)])
+        model = fit_mixture_classifier(samples, ("a", "b"), components=2, seed=k)
+        planes = rng.normal(2.0, 3.0, size=(2, 9, 11))
+        planes[:, 0, :4] = 60.0  # every class density underflows
+        frame = _frame(("a", "b"), planes)
+        pixels = planes.reshape(2, -1).T
+        expect = oracles.pixel_major_likelihood(model, pixels)
+        assert_array_equal(model.likelihood(pixels), expect, strict=True)
+        assert_array_equal(model.frame_likelihood(frame), expect, strict=True)
+        assert_array_equal(model.frame_posterior(frame), floor_normalize(expect), strict=True)
+
+    def test_wide_mixture_posterior(self):
+        # 9 classes: numpy sums a row of 8 or more classes pairwise
+        mixtures = tuple(
+            GaussianMixture(np.ones(1), np.full((1, 1), 0.4 * c), np.full((1, 1, 1), 0.1))
+            for c in range(9)
+        )
+        model = MixtureClassifier(bands=("a",), mixtures=mixtures)
+        planes = np.random.default_rng(79).uniform(-1.0, 5.0, size=(1, 12, 15))
+        planes[0, 0, :3] = 90.0  # every class density underflows
+        frame = _frame(("a",), planes)
+        expect = oracles.pixel_major_likelihood(model, planes.reshape(1, -1).T)
+        assert_array_equal(model.frame_posterior(frame), floor_normalize(expect), strict=True)
 
 
 # ------------------------------------------------------------------
