@@ -18,7 +18,9 @@ Three trained forms plus a pass-through:
   some outside model produced.
 
 All classifiers expose ``frame_posterior(frame) -> (H*W, K)``;
-generative ones also expose ``frame_likelihood``. Model files use a
+generative ones also expose ``frame_likelihood``. The built-in engines
+compute each output class-major, in one C-ordered (K, H*W) buffer, and
+return its (H*W, K) transpose view. Model files use a
 small versioned binary container that round-trips parameters bit for
 bit.
 """
@@ -28,13 +30,14 @@ from __future__ import annotations
 import enum
 import math
 import struct
+import warnings
 from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .core import Frame, LabelRaster, MultibandImage, floor_normalize
+from .core import PROB_FLOOR, Frame, LabelRaster, MultibandImage
 from .errors import (
     ConfigError,
     DataError,
@@ -43,6 +46,7 @@ from .errors import (
     InvalidHyperparameterError,
     InvalidThresholdError,
     LoadError,
+    NumericalError,
     ShapeError,
 )
 from .textio import read_bytes, write_bytes
@@ -138,7 +142,8 @@ class IndexClassifier:
     Class j gets a Gaussian centered in the j-th threshold interval:
     mean at the interval midpoint, standard deviation half the interval
     length. Posteriors are the normalized Gaussian densities of the
-    pixel's index value.
+    pixel's index value, computed one class row at a time into a (K, n)
+    buffer; bit for bit what the broadcast (n, K) expression gives.
     """
 
     kind: SpectralIndexKind
@@ -169,10 +174,16 @@ class IndexClassifier:
 
     def posterior_from_index(self, values: np.ndarray | float) -> np.ndarray:
         """Posterior probabilities for index values of any shape -> (..., K)."""
-        y = np.asarray(values, dtype=np.float64)[..., np.newaxis]
-        z = (y - self.means) / self.sigmas
-        dens = np.exp(-0.5 * z * z) / (self.sigmas * math.sqrt(2.0 * math.pi))
-        return floor_normalize(dens)
+        y = np.asarray(values, dtype=np.float64)
+        flat = y.reshape(-1)
+        dens = np.empty((self.num_classes, flat.size))
+        z = np.empty(flat.size)
+        for row, mean, sigma in zip(dens, self.means, self.sigmas):
+            np.divide(np.subtract(flat, mean, out=z), sigma, out=z)
+            np.multiply(np.multiply(z, -0.5, out=row), z, out=row)
+            np.divide(np.exp(row, out=row), sigma * math.sqrt(2.0 * math.pi), out=row)
+        _floor_normalize_rows(dens)
+        return np.moveaxis(dens.reshape(dens.shape[0], *y.shape), 0, -1)
 
     def frame_posterior(self, frame: Frame) -> np.ndarray:
         values, _ = spectral_index(frame.image, self.kind)
@@ -259,6 +270,17 @@ def _sum_rows(a: np.ndarray) -> np.ndarray:
     return total
 
 
+def _floor_normalize_rows(a: np.ndarray) -> np.ndarray:
+    """`floor_normalize` of each column of a (K, N) array, in place.
+
+    Returns ``a``. Equals `floor_normalize` of the (N, K) C-ordered
+    transpose bit for bit, since `_sum_rows` adds the classes in the
+    order of numpy's last-axis sum.
+    """
+    np.maximum(a, PROB_FLOOR, out=a)
+    return np.divide(a, _sum_rows(a), out=a)
+
+
 def _logsumexp_columns(a: np.ndarray) -> np.ndarray:
     """log(sum(exp(a), axis=0)) of an (M, N) array -> (N,).
 
@@ -321,6 +343,11 @@ def _kmeans_pp_centers(x: np.ndarray, m: int, rng: np.random.Generator) -> np.nd
     return centers
 
 
+def _em_converged(trace: list[float]) -> bool:
+    """EM's stopping rule: the last iteration gained less than EM_TOL."""
+    return len(trace) > 1 and trace[-1] - trace[-2] < EM_TOL
+
+
 def _fit_single_mixture(
     x: np.ndarray, components: int, rng: np.random.Generator
 ) -> tuple[GaussianMixture, list[float]]:
@@ -338,7 +365,7 @@ def _fit_single_mixture(
         log_terms += np.log(weights)[:, np.newaxis]
         log_norm = _logsumexp_columns(log_terms)
         trace.append(float(np.mean(log_norm)))
-        if len(trace) > 1 and trace[-1] - trace[-2] < EM_TOL:
+        if _em_converged(trace):
             break
         log_terms -= log_norm
         # The M-step's sums and matmuls round by operand layout: keep
@@ -383,14 +410,14 @@ class MixtureClassifier:
             raise ShapeError(
                 f"expected pixels of shape (N, {len(self.bands)}), got {x.shape}"
             )
-        return np.stack([mix.density(x) for mix in self.mixtures], axis=1)
+        return np.stack([mix.density(x) for mix in self.mixtures], axis=0).T
 
     def frame_likelihood(self, frame: Frame) -> np.ndarray:
         return self.likelihood(_frame_matrix(frame.image, self.bands))
 
     def frame_posterior(self, frame: Frame) -> np.ndarray:
         # Posterior under a uniform class prior.
-        return floor_normalize(self.frame_likelihood(frame))
+        return _floor_normalize_rows(self.frame_likelihood(frame).T).T
 
 
 def fit_mixture_classifier(
@@ -407,7 +434,13 @@ def fit_mixture_classifier(
     ``seed``; EM stops when the mean log-likelihood improves by less
     than 1e-6 or after 200 iterations. Each class must supply at least
     10 * components * len(bands) samples; thinner classes raise
-    InsufficientDataError.
+    InsufficientDataError. A covariance that is not positive definite
+    (collinear bands, say) raises NumericalError naming the class.
+
+    Policy for a fit that does not converge: warn, never raise. A class
+    whose EM stops at the iteration limit emits a RuntimeWarning naming
+    the class and its final mean log-likelihood, and its mixture is
+    kept as the last iteration left it.
     """
     if len(samples_by_class) < 2:
         raise InvalidClassCountError("need samples for at least 2 classes")
@@ -438,7 +471,19 @@ def fit_mixture_classifier(
                 f"class {k}: {x.shape[0]} samples < {needed} "
                 f"(10 * {per_class[k]} components * {num_bands} bands)"
             )
-        mix, trace = _fit_single_mixture(x, per_class[k], rng)
+        try:
+            mix, trace = _fit_single_mixture(x, per_class[k], rng)
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError(
+                f"class {k}: mixture covariance is not positive definite ({exc})"
+            ) from exc
+        if not _em_converged(trace):
+            warnings.warn(
+                f"class {k}: EM stopped at the {EM_MAX_ITER}-iteration limit "
+                f"before converging; final mean log-likelihood {trace[-1]:.6g}",
+                RuntimeWarning,
+                stacklevel=2,
+            )
         mixtures.append(mix)
         traces.append(tuple(trace))
     return MixtureClassifier(
@@ -487,7 +532,9 @@ class LogisticClassifier:
 
     ``weights`` has shape (K, B+1); the last column is the bias on the
     standardized features. Standardization statistics come from the
-    training data and travel with the model.
+    training data and travel with the model. The softmax runs on a
+    class-major copy of the (N, K) scores, whose matmul keeps its
+    operand layout because BLAS rounding depends on it.
     """
 
     bands: tuple[str, ...]
@@ -525,10 +572,10 @@ class LogisticClassifier:
             )
         std = (x - self.feature_mean) / self.feature_std
         aug = np.hstack([std, np.ones((std.shape[0], 1))])
-        scores = aug @ self.weights.T
-        scores -= scores.max(axis=1, keepdims=True)
-        expd = np.exp(scores)
-        return expd / expd.sum(axis=1, keepdims=True)
+        scores = np.ascontiguousarray((aug @ self.weights.T).T)
+        scores -= scores.max(axis=0)
+        np.exp(scores, out=scores)
+        return np.divide(scores, _sum_rows(scores), out=scores).T
 
     def frame_posterior(self, frame: Frame) -> np.ndarray:
         return self.posterior(_frame_matrix(frame.image, self.bands))
@@ -547,6 +594,10 @@ def fit_logistic_classifier(
     gradient) until the projected gradient norm falls below 1e-9 or
     after 1000 iterations, so refits on reordered samples agree to high
     precision. Training is deterministic.
+
+    Policy for a fit that does not converge: warn, never raise. When
+    L-BFGS reports failure, a RuntimeWarning names its message, and the
+    weights it returned are used.
     """
     x = np.asarray(samples, dtype=np.float64)
     y = np.asarray(labels)
@@ -586,6 +637,12 @@ def fit_logistic_classifier(
         jac=True,
         options={"maxiter": LR_MAX_ITER, "gtol": LR_PGTOL, "ftol": 1e-16},
     )
+    if not result.success:
+        warnings.warn(
+            f"logistic fit: L-BFGS did not converge: {result.message}",
+            RuntimeWarning,
+            stacklevel=2,
+        )
     weights = result.x.reshape(num_classes, len(bands) + 1)
     return LogisticClassifier(
         bands=tuple(bands), weights=weights, feature_mean=mean, feature_std=std

@@ -241,7 +241,10 @@ class FrameModel(Protocol):
     ``frame_posterior`` must return per-pixel posterior probabilities of
     shape (H*W, num_classes) in row-major pixel order. Generative models
     additionally provide ``frame_likelihood`` with the same shape
-    holding class-conditional densities.
+    holding class-conditional densities. The built-in engines return
+    the transpose view of a C-ordered (num_classes, H*W) buffer, which
+    `FrameStep` loads with one contiguous copy; a C-ordered (H*W,
+    num_classes) array works too, at the cost of one strided copy.
     """
 
     @property
@@ -348,7 +351,9 @@ class FrameStep:
     def _load(self, raw: np.ndarray, inst: np.ndarray) -> bool:
         """Copy ``raw`` transposed into ``inst``.
 
-        True when whole-array reductions prove every pixel finite,
+        The copy is contiguous when ``raw`` is the transpose view of a
+        C-ordered (K, N) buffer, as the built-in engines return. True
+        when whole-array reductions prove every pixel finite,
         non-negative, not all zero and far from overflowing its sum.
         """
         np.copyto(inst, raw.T)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import datetime as dt
 import math
 import warnings
 
@@ -12,6 +13,8 @@ from numpy.testing import assert_allclose, assert_array_equal
 import oracles
 from helpers import make_image
 from satbayes.classifiers import (
+    EM_MAX_ITER,
+    ExternalPosteriorSource,
     GaussianMixture,
     IndexClassifier,
     LogisticClassifier,
@@ -26,13 +29,14 @@ from satbayes.classifiers import (
     spectral_index,
     _logsumexp_columns,
 )
-from satbayes.core import floor_normalize
+from satbayes.core import Frame, floor_normalize
 from satbayes.errors import (
     ConfigError,
     DataError,
     InsufficientDataError,
     InvalidThresholdError,
     LoadError,
+    NumericalError,
     ShapeError,
 )
 
@@ -336,6 +340,36 @@ class TestMixtureFit:
         )
         assert_allclose(model.frame_posterior(frame), norm, atol=1e-12)
 
+    def test_em_at_iteration_limit_warns_and_keeps_the_fit(self):
+        # class 0 of this scene is still improving after EM_MAX_ITER iterations
+        samples = _clustered_classes(np.random.default_rng(203), 1, (120, 205, 333))
+        with pytest.warns(RuntimeWarning) as record:
+            model = fit_mixture_classifier(samples, ("b0",), components=3, seed=3)
+        assert [len(t) for t in model.ll_traces] == [EM_MAX_ITER, 36, 93]
+        assert len(record) == 1
+        assert str(record[0].message) == (
+            f"class 0: EM stopped at the {EM_MAX_ITER}-iteration limit before "
+            f"converging; final mean log-likelihood {model.ll_traces[0][-1]:.6g}"
+        )
+
+    def test_converged_em_is_silent(self):
+        rng = np.random.default_rng(21)
+        data = [rng.normal(0.0, 0.1, size=(400, 1)), rng.normal(1.0, 0.1, size=(400, 1))]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fit_mixture_classifier(data, ("gray",), components=2, seed=5)
+
+    def test_collinear_bands_are_numerical_error(self):
+        # the second band doubles the first: at this scale the covariance
+        # jitter is lost and the covariance is singular
+        rng = np.random.default_rng(23)
+        samples = []
+        for center in (0.1, 0.3):
+            band = rng.normal(center, 0.05, size=200) * 1e9
+            samples.append(np.stack([band, 2.0 * band], axis=1))
+        with pytest.raises(NumericalError, match=r"^class 0: mixture covariance is not positive definite"):
+            fit_mixture_classifier(samples, ("green", "nir"), components=2, seed=0)
+
 
 def _awkward_columns(rng, m, n=400):
     """(M, N) log terms with ties, -inf, all--inf, +inf and NaN columns."""
@@ -490,12 +524,8 @@ def _index_values(classifier, rng):
     )
 
 
-def _frame(bands, planes):
-    import datetime as dt
-
-    from satbayes.core import Frame
-
-    return Frame(date=dt.date(2021, 1, 1), image=make_image(bands, planes))
+def _frame(bands, planes, **side):
+    return Frame(date=dt.date(2021, 1, 1), image=make_image(bands, planes), **side)
 
 
 class TestEngineOutputsMatchPixelMajor:
@@ -575,6 +605,28 @@ class TestEngineOutputsMatchPixelMajor:
         expect = oracles.pixel_major_likelihood(model, planes.reshape(1, -1).T)
         assert_array_equal(model.frame_posterior(frame), floor_normalize(expect), strict=True)
 
+    def test_outputs_are_transposed_class_major_buffers(self):
+        # `FrameStep._load` copies output.T into its (K, N) buffer: one
+        # contiguous copy when output.T is C-ordered
+        rng = np.random.default_rng(80)
+        bands = ("nir", "red")
+        planes = rng.uniform(0.0, 0.5, size=(2, 5, 6))
+        frame = _frame(bands, planes, external_posterior=np.full((3, 5, 6), 1.0 / 3.0))
+        x, y = _blobs(rng, [(0.1, 0.4), (0.4, 0.1), (0.3, 0.3)], 60, spread=0.05)
+        index = IndexClassifier.from_thresholds(LANDCOVER_TAU, SpectralIndexKind.NDVI)
+        gmm = fit_mixture_classifier([x[y == c] for c in range(3)], bands, components=1)
+        logistic = fit_logistic_classifier(x, y, 3, bands)
+        outputs = {
+            "index": index.frame_posterior(frame),
+            "gmm likelihood": gmm.frame_likelihood(frame),
+            "gmm posterior": gmm.frame_posterior(frame),
+            "logistic": logistic.frame_posterior(frame),
+            "external": ExternalPosteriorSource(3).frame_posterior(frame),
+        }
+        for name, output in outputs.items():
+            assert output.shape == (30, 3), name
+            assert output.T.flags.c_contiguous, name
+
 
 # ------------------------------------------------------------------
 # logistic classifier
@@ -590,6 +642,22 @@ def _blobs(rng, centers, count, spread=0.3):
 
 
 class TestLogisticFit:
+    def test_lbfgs_failure_warns_and_keeps_the_fit(self, monkeypatch):
+        import satbayes.classifiers as classifiers
+
+        rng = np.random.default_rng(30)
+        x, y = _blobs(rng, [(0.0, 0.0), (1.0, 0.5)], 50)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            converged = fit_logistic_classifier(x, y, 2, ("a", "b"))
+        monkeypatch.setattr(classifiers, "LR_MAX_ITER", 2)
+        with pytest.warns(
+            RuntimeWarning, match=r"(?i)^logistic fit: L-BFGS did not converge: .*iterations"
+        ) as record:
+            model = fit_logistic_classifier(x, y, 2, ("a", "b"))
+        assert len(record) == 1
+        assert not np.array_equal(model.weights, converged.weights)
+
     def test_separable_blobs_high_accuracy(self):
         rng = np.random.default_rng(31)
         x, y = _blobs(rng, [(0.0, 0.0), (4.0, 0.0), (0.0, 4.0)], 100)

@@ -855,6 +855,37 @@ class TestCliExitCodes:
         assert f"{manifest}:{lineno}: key 'cloud'" in err and value in err
         assert "Traceback" not in err
 
+    def test_singular_covariance_is_numerical_exit(self, cli_area, tmp_path, capsys):
+        # a nir band that doubles green is collinear with it; at a manifest
+        # scale of 1e9 the covariance jitter is lost and the class
+        # covariance is singular
+        data = tmp_path / "data"
+        shutil.copytree(cli_area / "data", data)
+        lines = []
+        for line in (data / "manifest.txt").read_text().splitlines():
+            if line.startswith("scale = "):
+                line = "scale = 1e9"
+            elif line.startswith("bands = "):
+                line += ", nir:10.0"
+            elif line.startswith("frame = "):
+                green = next(t[6:] for t in line.split() if t.startswith("green="))
+                nir = green.replace("_green", "_nir")
+                (2 * np.fromfile(data / green, dtype="<f4")).tofile(data / nir)
+                line += f" nir={nir}"
+            lines.append(line)
+        (data / "manifest.txt").write_text("\n".join(lines) + "\n")
+        test_dates = ", ".join(date_of(t).isoformat() for t in range(1, 6))
+        config = tmp_path / "gmm.cfg"
+        config.write_text(
+            CLI_CONFIG.replace("classifier = index", "classifier = gmm")
+            .replace(CLI_DATES, test_dates)
+            + f"train_dates = {date_of(0).isoformat()}\nfeature_bands = green, nir\n"
+        )
+        assert main(["run", "--config", str(config), "--out", str(tmp_path / "out")]) == 3
+        err = capsys.readouterr().err
+        assert re.match(r"error: class [01]: mixture covariance is not positive definite", err)
+        assert "Traceback" not in err
+
     def test_eval_empty_prediction_dir(self, tmp_path, capsys):
         (tmp_path / "pred").mkdir()
         (tmp_path / "truth").mkdir()
