@@ -58,13 +58,7 @@ from .pipeline import (
     resample_nearest,
     split_dates,
 )
-from .recursion import (
-    RecursionMode,
-    classify_stack,
-    discriminative_update,
-    generative_update,
-    regularize,
-)
+from .recursion import RecursionMode, classify_stack, regularize
 from .synth import SynthSpec, generate_synthetic, parse_synth_spec
 
 __all__ = [

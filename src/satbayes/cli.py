@@ -7,13 +7,15 @@ probabilities, ``bench`` times the recursion against its baseline, and
 ``eval`` scores prediction rasters against truth rasters.
 
 Exit codes: 0 success, 1 configuration error, 2 data error,
-3 numerical error.
+3 numerical error. Errors print as one ``error:`` line on stderr, and
+warnings as one ``warning:`` line each.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -245,14 +247,20 @@ _COMMANDS = {
 }
 
 
+def _show_warning(message, category, filename, lineno, file=None, line=None) -> None:
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
-    try:
-        args = parser.parse_args(argv)
-        _COMMANDS[args.command](args)
-    except SatBayesError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.exit_code
+    with warnings.catch_warnings():
+        warnings.showwarning = _show_warning
+        try:
+            args = parser.parse_args(argv)
+            _COMMANDS[args.command](args)
+        except SatBayesError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return exc.exit_code
     return 0
 
 

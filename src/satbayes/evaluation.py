@@ -179,21 +179,15 @@ def epsilon_sweep(
     for a, name in enumerate(algorithms):
         model = models[name]
         evaluate = model_output(model, modes[name])
-        k = model.num_classes
-        transitions = [build_transition_model(k, epsilon) for epsilon in eps]
-        inst = np.empty((k, pixels))
-        beliefs = np.empty((2, len(eps), k, pixels))
-        beliefs[1] = 1.0 / k
-        labels = np.empty((1 + len(eps), pixels), dtype=np.uint8)
+        transitions = [build_transition_model(model.num_classes, e) for e in eps]
         scores = []  # per truth frame: instantaneous, then one per epsilon
         step = FrameStep(transitions, lam, modes[name], pixels)
-        for t, frame in enumerate(stack.frames):
-            prev, post = beliefs[(t + 1) % 2], beliefs[t % 2]
-            step(evaluate(frame), inst, prev, post, labels, frame.date)
+        for frame in stack.frames:
+            step(evaluate(frame), frame.date)
             if frame.truth is not None:
                 scores.append([
                     balanced_accuracy(row.reshape(height, width), frame.truth)
-                    for row in labels
+                    for row in step.labels
                 ])
         means = [float(np.mean(column)) for column in zip(*scores)]
         instantaneous.append(means[0])
@@ -247,8 +241,10 @@ def timing_bench(
     """Measure recursion overhead against the instantaneous baseline.
 
     Model outputs are computed once outside the timed region, so the
-    recursion numbers isolate the recursion step. Medians
-    over ``repetitions`` (>= 3) keep scheduler noise out.
+    recursion numbers isolate the recursion step. One `FrameStep` per
+    algorithm is `reset` before each repetition, so repetitions reuse its
+    buffers. Medians over ``repetitions`` (>= 3) keep scheduler noise
+    out.
     """
     check_repetitions(repetitions)
     if not stack.frames:
@@ -270,17 +266,13 @@ def timing_bench(
             evaluate(stack.frames[0])
             baseline_samples.append(time.perf_counter() - start)
 
-        k = model.num_classes
-        inst = np.empty((k, pixels))
-        beliefs = np.empty((2, 1, k, pixels))  # step t: [(t + 1) % 2] -> [t % 2]
-        labels = np.empty((2, pixels), dtype=np.uint8)
         step_samples = np.empty((repetitions, len(outputs)))
         step = FrameStep([transition], lam, mode, pixels)
         for rep in range(repetitions):
-            beliefs[1] = 1.0 / k
+            step.reset()
             for t, (raw, date) in enumerate(zip(outputs, stack.dates)):
                 start = time.perf_counter()
-                step(raw, inst, beliefs[(t + 1) % 2], beliefs[t % 2], labels, date)
+                step(raw, date)
                 step_samples[rep, t] = time.perf_counter() - start
 
         records.append(

@@ -370,8 +370,9 @@ def load_stack(manifest: StackManifest) -> ImageStack:
     Band planes are read at native resolution, nearest-neighbor
     upsampled to the manifest grid, and multiplied by the reflectance
     scale. Missing or mis-sized files, planes holding NaN or infinite
-    values, and posterior cubes holding NaN, infinite or negative values
-    raise LoadError naming the path (and the date).
+    values (in the file, or once scaled), and posterior cubes holding
+    NaN, infinite or negative values raise LoadError naming the path
+    (and the date).
     """
     factors = manifest.resample_factors()
     names = manifest.band_names
@@ -389,13 +390,15 @@ def load_stack(manifest: StackManifest) -> ImageStack:
                 )
             path = manifest.base_dir / paths[band]
             plane = read_band_plane(path, height // factor, width // factor)
+            with np.errstate(over="ignore"):  # reported below
+                plane = plane.astype(np.float64) * manifest.scale
             if not np.isfinite(plane).all():
                 raise LoadError(
                     f"{path}: band {band!r} on {mf.date.isoformat()} "
-                    "has non-finite values"
+                    f"has non-finite values at scale {manifest.scale:g}"
                 )
-            planes.append(resample_nearest(plane, factor).astype(np.float64))
-        data = np.stack(planes) * manifest.scale
+            planes.append(resample_nearest(plane, factor))
+        data = np.stack(planes)
         truth = None
         if mf.truth_path is not None:
             truth = read_label_raster(manifest.base_dir / mf.truth_path)
@@ -512,18 +515,25 @@ def bias_correct(stack: ImageStack, region: ReferenceRegion) -> ImageStack:
     mean of frame 0) - (reference region mean of that frame), so all
     frames agree on the region's mean value. The first frame is
     returned unchanged, and reapplying the correction is a no-op up to
-    float64 rounding.
+    float64 rounding. A frame whose shifted values are not finite, as
+    when a region mean overflows, raises DataError naming its date.
     """
     if not stack.frames:
         raise DataError("cannot bias-correct an empty stack")
     _check_region(region, stack.shape)
     rows, cols = region.slices()
-    reference = stack.frames[0].image.data[:, rows, cols].mean(axis=(1, 2))
+    with np.errstate(over="ignore"):  # reported below
+        reference = stack.frames[0].image.data[:, rows, cols].mean(axis=(1, 2))
     frames = [stack.frames[0]]
     for fr in stack.frames[1:]:
-        current = fr.image.data[:, rows, cols].mean(axis=(1, 2))
-        bias = reference - current
-        shifted = fr.image.data + bias[:, np.newaxis, np.newaxis]
+        with np.errstate(over="ignore", invalid="ignore"):
+            current = fr.image.data[:, rows, cols].mean(axis=(1, 2))
+            bias = reference - current
+            shifted = fr.image.data + bias[:, np.newaxis, np.newaxis]
+        if not np.isfinite(shifted).all():
+            raise DataError(
+                f"{fr.date.isoformat()}: bias-corrected frame has non-finite values"
+            )
         frames.append(
             replace(fr, image=MultibandImage(bands=fr.image.bands, data=shifted))
         )

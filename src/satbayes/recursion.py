@@ -8,15 +8,16 @@ consumes instantaneous posterior probabilities and divides out the
 class marginals.
 
 All update arithmetic is one class-major kernel, `_Kernel`, on (K, N)
-float64 arrays written in place. `FrameStep` runs it once per frame,
-serially over all N pixels, for `classify_stack`, `timing_bench` and
-`epsilon_sweep`: it copies the model's (N, K) output transposed into a
-(K, N) buffer, validates it once, and advances one (K, N) belief per
-transition model, so a sweep over E transition probabilities is a bank
-of E filters sharing one model evaluation per frame. The filter needs
-only the previous date's belief: `classify_stack` hands each date's
-(K, N) posteriors to a per-frame sink, and collects them into float64
-cubes only when the caller passes none. The public
+float64 arrays written in place. `FrameStep` owns the filter state and
+runs the kernel once per frame, serially over all N pixels, for
+`classify_stack`, `timing_bench` and `epsilon_sweep`: it copies the
+model's (N, K) output transposed into its (K, N) ``inst``, validates it
+once, and updates one (K, N) belief per transition model in place, so a
+sweep over E transition probabilities is a bank of E filters sharing
+one model evaluation per frame. The filter needs only the previous
+date's belief: `classify_stack` hands each date's (K, N) posteriors to a
+per-frame sink, and collects them into float64 cubes only when the
+caller passes none. The public
 `generative_update`, `discriminative_update` and `regularize` take
 (..., K) arrays, validate every input and run the same kernel on a
 transposed (K, M) copy.
@@ -28,7 +29,7 @@ import datetime as dt
 import enum
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
-from typing import Protocol, runtime_checkable
+from typing import Protocol
 
 import numpy as np
 
@@ -151,11 +152,10 @@ def _apply_update(
     _check_class_axis(prev, transition.num_classes, "prev_posterior")
     shape = np.broadcast_shapes(weights.shape, prev.shape)
     w = _class_major(weights, shape)
-    out = np.empty_like(w)
+    belief = _class_major(prev, shape)
     kernel = _Kernel(*w.shape)
-    w = kernel.weigh(w, marginal)
-    kernel.update(w, _class_major(prev, shape), transition, out)
-    return out.T.reshape(shape)
+    kernel.update(kernel.weigh(w, marginal), belief, transition)
+    return belief.T.reshape(shape)
 
 
 class _Kernel:
@@ -170,6 +170,7 @@ class _Kernel:
 
     def __init__(self, num_classes: int, pixels: int) -> None:
         self.scratch = np.empty((num_classes, pixels))
+        self.prior = np.empty((num_classes, pixels))
         self.total = np.empty(pixels)
         self.greater = np.empty(pixels, dtype=np.bool_)
         self.label_step = np.empty(pixels, dtype=np.uint8)
@@ -202,16 +203,12 @@ class _Kernel:
         return np.divide(pmf, marginal, out=self.scratch)
 
     def update(
-        self,
-        weights: np.ndarray,
-        prev: np.ndarray,
-        transition: TransitionModel,
-        out: np.ndarray,
+        self, weights: np.ndarray, belief: np.ndarray, transition: TransitionModel
     ) -> None:
-        """``out`` = floor-normalized weights * M^T prev."""
-        np.matmul(transition.matrix.T, prev, out=out)
-        np.multiply(out, weights, out=out)
-        self.floor_normalize(out)
+        """``belief`` = floor-normalized weights * M^T belief, in place."""
+        np.matmul(transition.matrix.T, belief, out=self.prior)
+        np.multiply(self.prior, weights, out=belief)
+        self.floor_normalize(belief)
 
     def decide(self, pmf: np.ndarray, labels: np.ndarray) -> None:
         """MAP class per column into uint8 ``labels``; ties -> lowest index.
@@ -234,7 +231,6 @@ class _Kernel:
 # ============================================================
 
 
-@runtime_checkable
 class FrameModel(Protocol):
     """Instantaneous classifier usable by `classify_stack`.
 
@@ -284,22 +280,22 @@ def model_output(
 
 
 class FrameStep:
-    """The per-frame recursion step: one belief per transition model.
+    """The per-frame recursion step, sole owner of the filter state.
 
     `classify_stack` and `timing_bench` run it with one transition
     model, `epsilon_sweep` with one per grid value; all share the class
-    count K. A call takes one frame's (N, K) model output and writes
-    class-major arrays: the floor-normalized instantaneous posterior
-    into (K, N) ``inst``, and for each transition model e the recursive
-    posterior computed from ``prev[e]`` into ``post[e]``, both
-    (E, K, N). Row 0 of the (1 + E, N) ``labels`` gets the
-    instantaneous MAP labels and row 1 + e those of ``post[e]``.
+    count K. Its class-major arrays are ``inst`` (K, N), the
+    floor-normalized instantaneous posterior; ``post`` (E, K, N), one
+    belief per transition model, uniform after construction or `reset`;
+    and the uint8 MAP ``labels`` (1 + E, N), row 0 from ``inst`` and row
+    1 + e from ``post[e]``. ``step(raw, date)`` loads one frame's (N, K)
+    model output into ``inst`` and updates each ``post[e]`` in place.
     Validation, smoothing and the division by the marginal run once per
     call, whatever E is. The model output is validated with the errors
     of `validate_likelihood` / `validate_pmf`; given the frame's
     ``date``, the message starts with its ISO form and the error keeps
-    its type. The step is serial: one `_Kernel` over all N pixel
-    columns holds its scratch.
+    its type, and ``post`` is left as it was. The step is serial: one
+    `_Kernel` over all N pixel columns holds its scratch.
     """
 
     def __init__(
@@ -318,25 +314,25 @@ class FrameStep:
         self._shape = (pixels, k)
         self._max_entry = np.finfo(np.float64).max / (2 * k)  # K-term sums stay finite
         self._kernel = _Kernel(k, pixels)
+        self.inst = np.empty((k, pixels))
+        self.post = np.empty((len(self.transitions), k, pixels))
+        self.labels = np.empty((1 + len(self.transitions), pixels), dtype=np.uint8)
+        self.reset()
 
-    def __call__(
-        self,
-        raw: np.ndarray,
-        inst: np.ndarray,
-        prev: np.ndarray,
-        post: np.ndarray,
-        labels: np.ndarray,
-        date: dt.date | None = None,
-    ) -> None:
+    def reset(self) -> None:
+        """Start every belief again from the uniform prior."""
+        self.post.fill(1.0 / self.post.shape[1])
+
+    def __call__(self, raw: np.ndarray, date: dt.date | None = None) -> None:
         try:
-            self._check(raw, inst)
+            self._check(raw)
         except (ValueError, SatBayesError) as exc:
             if date is None:
                 raise
             raise type(exc)(f"{date.isoformat()}: {exc}") from exc
-        self._advance(inst, prev, post, labels)
+        self._advance()
 
-    def _check(self, raw: np.ndarray, inst: np.ndarray) -> None:
+    def _check(self, raw: np.ndarray) -> None:
         """Validate the model output and load it into ``inst``."""
         raw = np.asarray(raw, dtype=np.float64)
         if raw.shape != self._shape:
@@ -344,11 +340,11 @@ class FrameStep:
             raise ShapeError(
                 f"model returned shape {raw.shape}, expected {self._shape}"
             )
-        if not self._load(raw, inst):
+        if not self._load(raw):
             # the exact checks raise their error, or pass an edge case
             validate_pmf(floor_normalize(validate_likelihood(raw)))
 
-    def _load(self, raw: np.ndarray, inst: np.ndarray) -> bool:
+    def _load(self, raw: np.ndarray) -> bool:
         """Copy ``raw`` transposed into ``inst``.
 
         The copy is contiguous when ``raw`` is the transpose view of a
@@ -356,6 +352,7 @@ class FrameStep:
         when whole-array reductions prove every pixel finite,
         non-negative, not all zero and far from overflowing its sum.
         """
+        inst = self.inst
         np.copyto(inst, raw.T)
         # the initial values let a frame of zero pixels pass
         lo, hi = inst.min(initial=np.inf), inst.max(initial=-np.inf)
@@ -364,21 +361,15 @@ class FrameStep:
         total = self._kernel.total
         return bool(lo > 0.0 or np.sum(inst, axis=0, out=total).min() > 0.0)
 
-    def _advance(
-        self,
-        inst: np.ndarray,
-        prev: np.ndarray,
-        post: np.ndarray,
-        labels: np.ndarray,
-    ) -> None:
-        kernel = self._kernel
+    def _advance(self) -> None:
+        kernel, inst = self._kernel, self.inst
         kernel.floor_normalize(inst)
-        kernel.decide(inst, labels[0])
+        kernel.decide(inst, self.labels[0])
         smoothed = kernel.smooth(inst, self.lam) if self.lam else inst
         weights = kernel.weigh(smoothed, self.marginal)  # scratch, or inst itself
         for e, transition in enumerate(self.transitions):
-            kernel.update(weights, prev[e], transition, post[e])
-            kernel.decide(post[e], labels[1 + e])
+            kernel.update(weights, self.post[e], transition)
+            kernel.decide(self.post[e], self.labels[1 + e])
 
 
 def classify_stack(
@@ -393,9 +384,9 @@ def classify_stack(
 
     For each date the model's instantaneous output is row-normalized,
     smoothed with `regularize`, and folded into the running per-pixel
-    belief (initialized uniform) by one `FrameStep`, which holds only
-    the previous date's belief. Both the recursive and the raw
-    instantaneous decisions are returned so callers can compare them.
+    belief (initialized uniform) by one `FrameStep`, which updates that
+    belief in place. Both the recursive and the raw instantaneous
+    decisions are returned so callers can compare them.
 
     After each date t, ``sink(t, inst, post)`` receives the date's
     instantaneous and recursive posteriors as (K, H*W) float64 views,
@@ -422,15 +413,12 @@ def classify_stack(
             cubes[0, t] = post
             cubes[1, t] = inst
 
-    inst = np.empty((k, n))
-    beliefs = np.empty((2, 1, k, n))  # step t: [(t + 1) % 2] -> [t % 2]
-    beliefs[1] = 1.0 / k
     labels = np.empty((t_total, 2, n), dtype=np.uint8)  # instantaneous, recursive
     step = FrameStep([transition], lam, mode, n)
     for t, frame in enumerate(stack.frames):
-        prev, post = beliefs[(t + 1) % 2], beliefs[t % 2]
-        step(evaluate(frame), inst, prev, post, labels[t], frame.date)
-        sink(t, inst, post[0])
+        step(evaluate(frame), frame.date)
+        labels[t] = step.labels
+        sink(t, step.inst, step.post[0])
 
     def rasters(row: int) -> tuple[LabelRaster, ...]:
         return tuple(LabelRaster(v.reshape(height, width), k) for v in labels[:, row])

@@ -9,12 +9,14 @@ import shutil
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
 
+from satbayes import classifiers
 from satbayes.classifiers import IndexClassifier, SpectralIndexKind
 from satbayes.cli import main
 from satbayes.config import (
@@ -885,6 +887,63 @@ class TestCliExitCodes:
         err = capsys.readouterr().err
         assert re.match(r"error: class [01]: mixture covariance is not positive definite", err)
         assert "Traceback" not in err
+
+    def test_band_overflowing_its_scale_is_data_exit(self, cli_area, tmp_path, capsys):
+        data = tmp_path / "data"
+        shutil.copytree(cli_area / "data", data)
+        plane = sorted((data / "bands").glob("*.f32"))[2]
+        values = np.fromfile(plane, dtype="<f4")
+        values[11] = 3.0  # 3e308 overflows float64
+        values.tofile(plane)
+        manifest = data / "manifest.txt"
+        manifest.write_text(
+            re.sub(r"(?m)^scale = .*$", "scale = 1e308", manifest.read_text())
+        )
+        assert main(["ingest", "--manifest", str(manifest)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert plane.name in err and "non-finite" in err
+        assert "Traceback" not in err
+
+    def test_overflowing_bias_region_mean_is_data_exit(self, cli_area, tmp_path, capsys):
+        # every value is finite at this scale, but a 16x16 region sums past
+        # the float64 maximum, so the region mean and the shift are not
+        data = tmp_path / "data"
+        shutil.copytree(cli_area / "data", data)
+        manifest = data / "manifest.txt"
+        manifest.write_text(
+            re.sub(r"(?m)^scale = .*$", "scale = 1e307", manifest.read_text())
+        )
+        config = tmp_path / "bias.cfg"
+        config.write_text(CLI_CONFIG + "bias_region = 0 0 16 16\n")
+        argv = ["run", "--config", str(config), "--out", str(tmp_path / "out")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert date_of(1).isoformat() in err and "non-finite" in err
+        assert "Traceback" not in err
+
+    def test_warnings_print_as_one_line_each(self, cli_area, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(classifiers, "EM_MAX_ITER", 1)
+        test_dates = ", ".join(date_of(t).isoformat() for t in range(1, 6))
+        config = tmp_path / "gmm.cfg"
+        config.write_text(
+            CLI_CONFIG.replace("data/manifest.txt", str(cli_area / "data" / "manifest.txt"))
+            .replace("classifier = index", "classifier = gmm")
+            .replace(CLI_DATES, test_dates)
+            + f"train_dates = {date_of(0).isoformat()}\nfeature_bands = green, swir1\n"
+        )
+        shown = warnings.showwarning
+        assert main(["train", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
+        assert warnings.showwarning is shown  # restored for library callers
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 2
+        for k, line in enumerate(err):
+            assert re.fullmatch(
+                rf"warning: class {k}: EM stopped at the 1-iteration limit before "
+                r"converging; final mean log-likelihood \S+",
+                line,
+            )
 
     def test_eval_empty_prediction_dir(self, tmp_path, capsys):
         (tmp_path / "pred").mkdir()

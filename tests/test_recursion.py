@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 import oracles
-from helpers import make_stack, random_pmfs
+from helpers import date_of, make_stack, random_pmfs
 from satbayes.core import (
     PROB_FLOOR,
     TransitionModel,
@@ -566,11 +566,10 @@ class TestFrameStepTransitionBank:
         insts = np.empty((len(outputs), k, pixels))
         posts = np.empty((len(outputs), e_count, k, pixels))
         labels = np.empty((len(outputs), 1 + e_count, pixels), dtype=np.uint8)
-        prev = np.full((e_count, k, pixels), 1.0 / k)
         step = FrameStep(transitions, 0.8, mode, pixels)
         for t, raw in enumerate(outputs):
-            step(raw, insts[t], prev, posts[t], labels[t])
-            prev = posts[t]
+            step(raw)
+            insts[t], posts[t], labels[t] = step.inst, step.post, step.labels
         return insts, posts, labels
 
     @pytest.mark.parametrize(
@@ -600,6 +599,49 @@ class TestFrameStepTransitionBank:
             part = self._run([out[cut] for out in outputs], k, mode)
             for got, full in zip(part, whole):
                 assert got.tobytes() == np.ascontiguousarray(full[..., cut]).tobytes()
+
+
+class TestFrameStepState:
+    """`FrameStep` owns its beliefs: `reset` restarts them, a bad frame leaves them."""
+
+    TRANSITIONS = [build_transition_model(3, e) for e in (0.02, 0.2)]
+    DATES = [date_of(t) for t in range(4)]
+
+    @staticmethod
+    def _states(step, outputs, dates):
+        states = []
+        for raw, date in zip(outputs, dates):
+            step(raw, date)
+            states.append(b"".join(a.tobytes() for a in (step.inst, step.post, step.labels)))
+        return states
+
+    @pytest.mark.parametrize("mode", list(RecursionMode))
+    def test_reset_then_frames_equals_fresh_step(self, mode):
+        outputs = _scripted_outputs(np.random.default_rng(70), 4, 49, 3)
+        fresh = self._states(FrameStep(self.TRANSITIONS, 0.8, mode, 49), outputs, self.DATES)
+        step = FrameStep(self.TRANSITIONS, 0.8, mode, 49)
+        self._states(step, outputs[::-1], self.DATES)  # some other history
+        step.reset()
+        assert self._states(step, outputs, self.DATES) == fresh
+
+    @pytest.mark.parametrize("mode", list(RecursionMode))
+    def test_bad_frame_leaves_beliefs_as_they_were(self, mode):
+        outputs = _scripted_outputs(np.random.default_rng(71), 4, 49, 3)
+        bad = outputs[1].copy()
+        bad[6] = np.nan
+        step = FrameStep(self.TRANSITIONS, 0.8, mode, 49)
+        step(outputs[0], self.DATES[0])
+        after_first = step.post.copy()
+        with pytest.raises(ValueError, match=rf"^{self.DATES[1].isoformat()}: .*non-finite"):
+            step(bad, self.DATES[1])
+        assert step.post.tobytes() == after_first.tobytes()
+        # the good frames continue as if the bad one had never been offered
+        kept = [0, 2, 3]
+        reference = self._states(
+            FrameStep(self.TRANSITIONS, 0.8, mode, 49),
+            [outputs[t] for t in kept], [self.DATES[t] for t in kept],
+        )
+        assert self._states(step, outputs[2:], self.DATES[2:]) == reference[1:]
 
 
 class TestClassifyStackEquivalence:
