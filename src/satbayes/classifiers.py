@@ -7,11 +7,12 @@ Three trained forms plus a pass-through:
   classifies pixels from their index value alone.
 * `MixtureClassifier` holds one full-covariance Gaussian mixture per
   class over raw band values; fitting is plain EM with k-means++
-  seeding. The EM E-step and the mixture density run class-major, on
-  (M, N) component-by-pixel arrays, and reduce them with a log-sum-exp
-  that follows ``scipy.special.logsumexp``'s algorithm without importing
-  ``scipy.special``, so results match the pixel-major scipy route bit
-  for bit.
+  seeding. The EM E-step and the mixture density run class-major: one
+  small matmul by each component's inverse Cholesky factor turns
+  band-major pixels into (M, N) component-by-pixel log terms, reduced
+  by a log-sum-exp that follows ``scipy.special.logsumexp``'s algorithm
+  without importing ``scipy.special``, so results match the pixel-major
+  scipy route bit for bit.
 * `LogisticClassifier` is a multinomial softmax over standardized band
   values, fitted full-batch with an L2 penalty.
 * `ExternalPosteriorSource` replays per-frame posterior rasters that
@@ -229,13 +230,19 @@ class GaussianMixture:
         return self.means.shape[1]
 
     def log_density(self, x: np.ndarray) -> np.ndarray:
-        """Log mixture density at each row of x, shape (N,)."""
+        """Log mixture density at each row of x, shape (N,).
+
+        A NaN or inf in x raises ValueError.
+        """
         arr = np.asarray(x, dtype=np.float64)
         if arr.ndim != 2 or arr.shape[1] != self.num_bands:
             raise ShapeError(
                 f"expected points of shape (N, {self.num_bands}), got {arr.shape}"
             )
-        log_terms = _log_gaussian_matrix(arr, self.means, self.covariances)
+        if not np.isfinite(arr).all():
+            raise ValueError("array must not contain infs or NaNs")
+        xt = np.ascontiguousarray(arr.T)
+        log_terms = _log_gaussian_matrix(xt, self.means, self.covariances)
         log_terms += np.log(self.weights)[:, np.newaxis]
         return _logsumexp_columns(log_terms)
 
@@ -310,22 +317,38 @@ def _logsumexp_columns(a: np.ndarray) -> np.ndarray:
 
 
 def _log_gaussian_matrix(
-    x: np.ndarray, means: np.ndarray, covariances: np.ndarray
+    xt: np.ndarray, means: np.ndarray, covariances: np.ndarray
 ) -> np.ndarray:
-    """Log N(x | mean_m, cov_m) for every component/sample pair -> (M, N)."""
-    from scipy.linalg import cholesky, solve_triangular
+    """Log N(x | mean_m, cov_m) for band-major pixels xt (B, N) -> (M, N).
 
-    n, b = x.shape
+    Each component's Mahalanobis term is the squared norm of
+    ``prec @ (xt - mean)``, where ``prec`` is the inverse of the lower
+    Cholesky factor of its covariance: one (B, B) by (B, N) matmul in
+    place of a triangular solve. The pixels are centred before the
+    product, so a cluster far from the origin keeps its precision.
+    A covariance that is not positive definite raises LinAlgError; the
+    pixels are not checked for NaN or inf here.
+    """
+    from scipy.linalg import cholesky
+    from scipy.linalg.lapack import dtrtri
+
+    b, n = xt.shape
     m = means.shape[0]
     out = np.empty((m, n))
+    centred = np.empty((b, n))
+    y = np.empty((b, n))
     const = b * math.log(2.0 * math.pi)
     for j in range(m):
         chol = cholesky(covariances[j], lower=True)
-        solved = solve_triangular(chol, (x - means[j]).T, lower=True)
-        solved *= solved
-        maha = _sum_rows(np.ascontiguousarray(solved))
-        logdet = 2.0 * np.sum(np.log(np.diag(chol)))
-        out[j] = -0.5 * (const + logdet + maha)
+        prec, info = dtrtri(chol, lower=1)
+        if info != 0:
+            raise np.linalg.LinAlgError(f"singular Cholesky factor (dtrtri info {info})")
+        np.subtract(xt, means[j][:, np.newaxis], out=centred)
+        np.matmul(prec, centred, out=y)
+        y *= y
+        maha = _sum_rows(y)
+        maha += const + 2.0 * np.sum(np.log(np.diag(chol)))
+        np.multiply(maha, -0.5, out=out[j])
     return out
 
 
@@ -353,6 +376,7 @@ def _fit_single_mixture(
 ) -> tuple[GaussianMixture, list[float]]:
     """EM fit of one class's mixture; returns the model and its mean-LL trace."""
     n, b = x.shape
+    xt = np.ascontiguousarray(x.T)
     eye = np.eye(b)
     means = _kmeans_pp_centers(x, components, rng)
     base_cov = np.atleast_2d(np.cov(x.T, bias=True)) + COV_JITTER * eye
@@ -361,7 +385,7 @@ def _fit_single_mixture(
 
     trace: list[float] = []
     for _ in range(EM_MAX_ITER):
-        log_terms = _log_gaussian_matrix(x, means, covs)
+        log_terms = _log_gaussian_matrix(xt, means, covs)
         log_terms += np.log(weights)[:, np.newaxis]
         log_norm = _logsumexp_columns(log_terms)
         trace.append(float(np.mean(log_norm)))
@@ -433,9 +457,11 @@ def fit_mixture_classifier(
     class or one count per class. Seeding is k-means++ driven by
     ``seed``; EM stops when the mean log-likelihood improves by less
     than 1e-6 or after 200 iterations. Each class must supply at least
-    10 * components * len(bands) samples; thinner classes raise
-    InsufficientDataError. A covariance that is not positive definite
-    (collinear bands, say) raises NumericalError naming the class.
+    10 * components * len(bands) samples, all finite: thinner classes
+    raise InsufficientDataError and a NaN or inf sample raises DataError,
+    both before any class is fitted. A covariance that is not positive
+    definite (collinear bands, say) raises NumericalError naming the
+    class.
 
     Policy for a fit that does not converge: warn, never raise. A class
     whose EM stops at the iteration limit emits a RuntimeWarning naming
@@ -456,21 +482,26 @@ def fit_mixture_classifier(
     if any(m < 1 for m in per_class):
         raise InvalidHyperparameterError(f"components must be >= 1, got {per_class}")
     num_bands = len(bands)
-    rng = np.random.default_rng(seed)
-    mixtures = []
-    traces = []
+    classes = []
     for k, samples in enumerate(samples_by_class):
         x = np.asarray(samples, dtype=np.float64)
         if x.ndim != 2 or x.shape[1] != num_bands:
             raise ShapeError(
                 f"class {k}: expected samples of shape (n, {num_bands}), got {x.shape}"
             )
+        if not np.isfinite(x).all():
+            raise DataError(f"class {k}: training samples contain non-finite values")
         needed = 10 * per_class[k] * num_bands
         if x.shape[0] < needed:
             raise InsufficientDataError(
                 f"class {k}: {x.shape[0]} samples < {needed} "
                 f"(10 * {per_class[k]} components * {num_bands} bands)"
             )
+        classes.append(x)
+    rng = np.random.default_rng(seed)
+    mixtures = []
+    traces = []
+    for k, x in enumerate(classes):
         try:
             mix, trace = _fit_single_mixture(x, per_class[k], rng)
         except np.linalg.LinAlgError as exc:

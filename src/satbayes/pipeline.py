@@ -515,16 +515,22 @@ def bias_correct(stack: ImageStack, region: ReferenceRegion) -> ImageStack:
     mean of frame 0) - (reference region mean of that frame), so all
     frames agree on the region's mean value. The first frame is
     returned unchanged, and reapplying the correction is a no-op up to
-    float64 rounding. A frame whose shifted values are not finite, as
-    when a region mean overflows, raises DataError naming its date.
+    float64 rounding. A non-finite region mean in frame 0, or a later
+    frame whose shifted values are not finite, as when its region mean
+    overflows, raises DataError naming that frame's date.
     """
     if not stack.frames:
         raise DataError("cannot bias-correct an empty stack")
     _check_region(region, stack.shape)
     rows, cols = region.slices()
+    first = stack.frames[0]
     with np.errstate(over="ignore"):  # reported below
-        reference = stack.frames[0].image.data[:, rows, cols].mean(axis=(1, 2))
-    frames = [stack.frames[0]]
+        reference = first.image.data[:, rows, cols].mean(axis=(1, 2))
+    if not np.isfinite(reference).all():
+        raise DataError(
+            f"{first.date.isoformat()}: bias reference region mean is non-finite"
+        )
+    frames = [first]
     for fr in stack.frames[1:]:
         with np.errstate(over="ignore", invalid="ignore"):
             current = fr.image.data[:, rows, cols].mean(axis=(1, 2))

@@ -154,12 +154,16 @@ def softmax_loss_by_hand(
 # were written pixel-major, with (N, M) log-term matrices reduced by
 # scipy.special.logsumexp. The class-major package code must reproduce
 # them exactly. Only the k-means++ seeding is shared with the package.
+# Each component's Mahalanobis term is the squared norm of the centred
+# pixels times the transposed inverse Cholesky factor, the same
+# products the package forms band-major as prec @ (x - mean).T.
 
 def pixel_major_log_gaussian_matrix(
     x: np.ndarray, means: np.ndarray, covariances: np.ndarray
 ) -> np.ndarray:
     """Log N(x | mean_m, cov_m) for every sample/component pair -> (N, M)."""
-    from scipy.linalg import cholesky, solve_triangular
+    from scipy.linalg import cholesky
+    from scipy.linalg.lapack import dtrtri
 
     n, b = x.shape
     m = means.shape[0]
@@ -167,9 +171,10 @@ def pixel_major_log_gaussian_matrix(
     const = b * math.log(2.0 * math.pi)
     for j in range(m):
         chol = cholesky(covariances[j], lower=True)
-        diff = (x - means[j]).T
-        solved = solve_triangular(chol, diff, lower=True)
-        maha = np.sum(solved * solved, axis=0)
+        prec, info = dtrtri(chol, lower=1)
+        assert info == 0
+        y = (x - means[j]) @ prec.T
+        maha = np.sum(y * y, axis=1)
         logdet = 2.0 * np.sum(np.log(np.diag(chol)))
         out[:, j] = -0.5 * (const + logdet + maha)
     return out

@@ -249,6 +249,66 @@ class TestGaussianMixture:
             mix.density(np.zeros((4, 3)))
 
 
+def _longdouble_log_density(mix, x):
+    """Log mixture density at the rows of x, evaluated in np.longdouble
+    by textbook Cholesky and forward substitution on centred pixels."""
+    x = np.asarray(x, dtype=np.longdouble)
+    b = x.shape[1]
+    terms = []
+    for w, mu, cov in zip(mix.weights, mix.means, mix.covariances):
+        cov = cov.astype(np.longdouble)
+        chol = np.zeros_like(cov)
+        for i in range(b):
+            for k in range(i + 1):
+                s = cov[i, k] - np.sum(chol[i, :k] * chol[k, :k])
+                chol[i, k] = np.sqrt(s) if i == k else s / chol[k, k]
+        diff = x - mu.astype(np.longdouble)
+        z = np.empty_like(diff)
+        for i in range(b):
+            z[:, i] = (diff[:, i] - np.sum(z[:, :i] * chol[i, :i], axis=1)) / chol[i, i]
+        logdet = 2 * np.sum(np.log(np.diagonal(chol)))
+        log_2pi = np.log(8 * np.arctan(np.longdouble(1)))
+        maha = np.sum(z * z, axis=1)
+        terms.append(np.log(np.longdouble(w)) - (b * log_2pi + logdet + maha) / 2)
+    terms = np.stack(terms)
+    top = terms.max(axis=0)
+    return top + np.log(np.sum(np.exp(terms - top), axis=0))
+
+
+class TestMixtureKernelAccuracy:
+    """The mixture kernel keeps its precision on data far from the origin."""
+
+    @pytest.mark.parametrize("offset", [1e2, 1e4])
+    def test_log_density_matches_longdouble(self, offset):
+        # A precision factor applied to uncentred pixels cancels two
+        # values near offset / spread and loses ~1e-10 at offset 1e4.
+        rng = np.random.default_rng(90)
+        spread = 0.05
+        shape = rng.normal(size=(2, 3, 3))
+        covs = spread**2 * (shape @ shape.transpose(0, 2, 1) / 3.0 + 0.5 * np.eye(3))
+        mix = GaussianMixture(
+            weights=np.array([0.4, 0.6]),
+            means=offset + rng.normal(0.0, spread, size=(2, 3)),
+            covariances=covs,
+        )
+        x = offset + rng.normal(0.0, spread, size=(600, 3))
+        expect = _longdouble_log_density(mix, x).astype(np.float64)
+        assert_allclose(mix.log_density(x), expect, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_input_is_value_error(self, bad):
+        rng = np.random.default_rng(91)
+        data = [rng.normal(0, 0.4, size=(120, 2)), rng.normal(2, 0.4, size=(120, 2))]
+        model = fit_mixture_classifier(data, ("a", "b"), components=1, seed=0)
+        pixels = rng.normal(1.0, 1.0, size=(30, 2))
+        pixels[7, 1] = bad
+        message = "array must not contain infs or NaNs"
+        with pytest.raises(ValueError, match=message):
+            model.mixtures[0].log_density(pixels)
+        with pytest.raises(ValueError, match=message):
+            model.likelihood(pixels)
+
+
 class TestMixtureFit:
     def test_recovers_separated_means(self):
         rng = np.random.default_rng(21)
@@ -314,6 +374,17 @@ class TestMixtureFit:
         data = [rng.normal(size=(100, 1)), rng.normal(size=(100, 1))]
         with pytest.raises(Exception):
             fit_mixture_classifier(data, ("gray",), components=[1, 2, 3])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("components", [1, 2])
+    def test_non_finite_samples_are_data_error(self, components, bad):
+        rng = np.random.default_rng(30)
+        data = [rng.normal(0, 1, size=(100, 2)), rng.normal(3, 1, size=(100, 2))]
+        data[1][40, 0] = bad
+        with pytest.raises(
+            DataError, match=r"^class 1: training samples contain non-finite values$"
+        ):
+            fit_mixture_classifier(data, ("a", "b"), components=components)
 
     def test_empty_class_rejected(self):
         rng = np.random.default_rng(28)

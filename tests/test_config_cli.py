@@ -920,7 +920,7 @@ class TestCliExitCodes:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and len(err.splitlines()) == 1
-        assert date_of(1).isoformat() in err and "non-finite" in err
+        assert date_of(0).isoformat() in err and "non-finite" in err
         assert "Traceback" not in err
 
     def test_warnings_print_as_one_line_each(self, cli_area, tmp_path, capsys, monkeypatch):

@@ -600,6 +600,17 @@ class TestBiasCorrect:
         )
 
 
+    def test_overflowing_reference_names_the_first_date(self):
+        # frame 0's region mean overflows: the fault is in the reference,
+        # not in the later frame that would be shifted by it
+        rng = np.random.default_rng(8)
+        base = rng.uniform(0.2, 0.6, size=(6, 6))
+        stack = make_stack(("green",), [[np.full((6, 6), 1e307)], [base], [base + 0.05]])
+        region = ReferenceRegion(x=0, y=0, width=6, height=6)
+        with pytest.raises(DataError, match=rf"^{date_of(0).isoformat()}: .*non-finite"):
+            bias_correct(stack, region)
+
+
 class TestFilterFrames:
     def _cloudy_stack(self):
         planes = [[np.full((2, 2), 0.1 * t)] for t in range(4)]
