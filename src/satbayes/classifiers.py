@@ -18,12 +18,12 @@ Three trained forms plus a pass-through:
 * `ExternalPosteriorSource` replays per-frame posterior rasters that
   some outside model produced.
 
-All classifiers expose ``frame_posterior(frame) -> (H*W, K)``;
-generative ones also expose ``frame_likelihood``. The built-in engines
-compute each output class-major, in one C-ordered (K, H*W) buffer, and
-return its (H*W, K) transpose view. Model files use a
-small versioned binary container that round-trips parameters bit for
-bit.
+All classifiers expose ``frame_posterior(frame) -> (K, H*W)``, class
+major: row k holds class k for every pixel in row-major pixel order.
+Generative ones also expose ``frame_likelihood`` in the same layout.
+The built-in engines return one C-ordered float64 buffer. Model
+files use a small versioned binary container that round-trips
+parameters bit for bit.
 """
 
 from __future__ import annotations
@@ -144,7 +144,7 @@ class IndexClassifier:
     mean at the interval midpoint, standard deviation half the interval
     length. Posteriors are the normalized Gaussian densities of the
     pixel's index value, computed one class row at a time into a (K, n)
-    buffer; bit for bit what the broadcast (n, K) expression gives.
+    buffer; bit for bit the transpose of the broadcast (n, K) expression.
     """
 
     kind: SpectralIndexKind
@@ -174,7 +174,7 @@ class IndexClassifier:
         return len(self.thresholds) - 1
 
     def posterior_from_index(self, values: np.ndarray | float) -> np.ndarray:
-        """Posterior probabilities for index values of any shape -> (..., K)."""
+        """Posterior probabilities for index values of any shape -> (K, ...)."""
         y = np.asarray(values, dtype=np.float64)
         flat = y.reshape(-1)
         dens = np.empty((self.num_classes, flat.size))
@@ -184,7 +184,7 @@ class IndexClassifier:
             np.multiply(np.multiply(z, -0.5, out=row), z, out=row)
             np.divide(np.exp(row, out=row), sigma * math.sqrt(2.0 * math.pi), out=row)
         _floor_normalize_rows(dens)
-        return np.moveaxis(dens.reshape(dens.shape[0], *y.shape), 0, -1)
+        return dens.reshape(dens.shape[0], *y.shape)
 
     def frame_posterior(self, frame: Frame) -> np.ndarray:
         values, _ = spectral_index(frame.image, self.kind)
@@ -428,20 +428,20 @@ class MixtureClassifier:
         return len(self.mixtures)
 
     def likelihood(self, pixels: np.ndarray) -> np.ndarray:
-        """Class-conditional densities for (N, B) pixel rows -> (N, K)."""
+        """Class-conditional densities for (N, B) pixel rows -> (K, N)."""
         x = np.asarray(pixels, dtype=np.float64)
         if x.ndim != 2 or x.shape[1] != len(self.bands):
             raise ShapeError(
                 f"expected pixels of shape (N, {len(self.bands)}), got {x.shape}"
             )
-        return np.stack([mix.density(x) for mix in self.mixtures], axis=0).T
+        return np.stack([mix.density(x) for mix in self.mixtures], axis=0)
 
     def frame_likelihood(self, frame: Frame) -> np.ndarray:
         return self.likelihood(_frame_matrix(frame.image, self.bands))
 
     def frame_posterior(self, frame: Frame) -> np.ndarray:
         # Posterior under a uniform class prior.
-        return _floor_normalize_rows(self.frame_likelihood(frame).T).T
+        return _floor_normalize_rows(self.frame_likelihood(frame))
 
 
 def fit_mixture_classifier(
@@ -595,7 +595,7 @@ class LogisticClassifier:
         return self.weights.shape[0]
 
     def posterior(self, pixels: np.ndarray) -> np.ndarray:
-        """Softmax class probabilities for (N, B) pixel rows -> (N, K)."""
+        """Softmax class probabilities for (N, B) pixel rows -> (K, N)."""
         x = np.asarray(pixels, dtype=np.float64)
         if x.ndim != 2 or x.shape[1] != len(self.bands):
             raise ShapeError(
@@ -606,7 +606,7 @@ class LogisticClassifier:
         scores = np.ascontiguousarray((aug @ self.weights.T).T)
         scores -= scores.max(axis=0)
         np.exp(scores, out=scores)
-        return np.divide(scores, _sum_rows(scores), out=scores).T
+        return np.divide(scores, _sum_rows(scores), out=scores)
 
     def frame_posterior(self, frame: Frame) -> np.ndarray:
         return self.posterior(_frame_matrix(frame.image, self.bands))
@@ -706,8 +706,7 @@ class ExternalPosteriorSource:
                 f"frame {frame.date}: posterior has {post.shape[0]} classes, "
                 f"expected {self.num_classes}"
             )
-        k = post.shape[0]
-        return post.reshape(k, -1).T
+        return post.reshape(self.num_classes, -1)
 
 
 # ============================================================

@@ -1,8 +1,8 @@
 """Shared value types for probabilistic time-series classification.
 
-Probability and likelihood vectors are plain numpy arrays whose last
-axis indexes classes; the helpers here validate that convention instead
-of wrapping every pixel in an object. Images and stacks are immutable
+The vector helpers here and `recursion`'s single-step updates take
+numpy arrays whose last axis indexes classes; engine outputs and the
+frame step are class-major. Images and stacks are immutable
 containers: their arrays are C-contiguous float64 with the write flag
 cleared, so downstream code can share them without defensive copies.
 """

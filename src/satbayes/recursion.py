@@ -10,11 +10,11 @@ class marginals.
 All update arithmetic is one class-major kernel, `_Kernel`, on (K, N)
 float64 arrays written in place. `FrameStep` owns the filter state and
 runs the kernel once per frame, serially over all N pixels, for
-`classify_stack`, `timing_bench` and `epsilon_sweep`: it copies the
-model's (N, K) output transposed into its (K, N) ``inst``, validates it
-once, and updates one (K, N) belief per transition model in place, so a
-sweep over E transition probabilities is a bank of E filters sharing
-one model evaluation per frame. The filter needs only the previous
+`classify_stack`, `timing_bench` and `epsilon_sweep`: it validates the
+model's (K, N) output once, floors it into its (K, N) ``inst``, and
+updates one (K, N) belief per transition model in place, so a sweep
+over E transition probabilities is a bank of E filters sharing one
+model evaluation per frame. The filter needs only the previous
 date's belief: `classify_stack` hands each date's (K, N) posteriors to a
 per-frame sink, and collects them into float64 cubes only when the
 caller passes none. The public
@@ -181,10 +181,10 @@ class _Kernel:
         for row in x:
             np.divide(row, self.total, out=row)
 
-    def floor_normalize(self, x: np.ndarray) -> None:
-        """`floor_normalize` of every column of ``x``, in place."""
-        np.maximum(x, PROB_FLOOR, out=x)
-        self.normalize(x)
+    def floor_normalize(self, x: np.ndarray, out: np.ndarray) -> None:
+        """`floor_normalize` of every column of ``x``, into ``out``."""
+        np.maximum(x, PROB_FLOOR, out=out)
+        self.normalize(out)
 
     def smooth(self, pmf: np.ndarray, lam: float) -> np.ndarray:
         """`regularize` (``lam`` > 0) of every column of ``pmf``, into scratch."""
@@ -208,7 +208,7 @@ class _Kernel:
         """``belief`` = floor-normalized weights * M^T belief, in place."""
         np.matmul(transition.matrix.T, belief, out=self.prior)
         np.multiply(self.prior, weights, out=belief)
-        self.floor_normalize(belief)
+        self.floor_normalize(belief, belief)
 
     def decide(self, pmf: np.ndarray, labels: np.ndarray) -> None:
         """MAP class per column into uint8 ``labels``; ties -> lowest index.
@@ -235,12 +235,11 @@ class FrameModel(Protocol):
     """Instantaneous classifier usable by `classify_stack`.
 
     ``frame_posterior`` must return per-pixel posterior probabilities of
-    shape (H*W, num_classes) in row-major pixel order. Generative models
-    additionally provide ``frame_likelihood`` with the same shape
-    holding class-conditional densities. The built-in engines return
-    the transpose view of a C-ordered (num_classes, H*W) buffer, which
-    `FrameStep` loads with one contiguous copy; a C-ordered (H*W,
-    num_classes) array works too, at the cost of one strided copy.
+    shape (num_classes, H*W), class major: row k holds class k for every
+    pixel in row-major pixel order. Generative models additionally
+    provide ``frame_likelihood`` with the same shape holding
+    class-conditional densities. Any real dtype and memory layout is
+    accepted; `FrameStep` reads the values as float64.
     """
 
     @property
@@ -269,7 +268,7 @@ class StackClassification:
 def model_output(
     model: FrameModel, mode: RecursionMode
 ) -> Callable[[Frame], np.ndarray]:
-    """The model method whose (N, K) output feeds a recursion in ``mode``."""
+    """The model method whose (K, N) output feeds a recursion in ``mode``."""
     if mode is RecursionMode.DISCRIMINATIVE:
         return model.frame_posterior
     if not hasattr(model, "frame_likelihood"):
@@ -288,14 +287,14 @@ class FrameStep:
     floor-normalized instantaneous posterior; ``post`` (E, K, N), one
     belief per transition model, uniform after construction or `reset`;
     and the uint8 MAP ``labels`` (1 + E, N), row 0 from ``inst`` and row
-    1 + e from ``post[e]``. ``step(raw, date)`` loads one frame's (N, K)
+    1 + e from ``post[e]``. ``step(raw, date)`` loads one frame's (K, N)
     model output into ``inst`` and updates each ``post[e]`` in place.
     Validation, smoothing and the division by the marginal run once per
     call, whatever E is. The model output is validated with the errors
-    of `validate_likelihood` / `validate_pmf`; given the frame's
-    ``date``, the message starts with its ISO form and the error keeps
-    its type, and ``post`` is left as it was. The step is serial: one
-    `_Kernel` over all N pixel columns holds its scratch.
+    of `validate_likelihood` / `validate_pmf` on its (N, K) transpose;
+    given the frame's ``date``, the message starts with its ISO form and
+    the error keeps its type, and the state is left as it was. The step
+    is serial: one `_Kernel` over all N pixel columns holds its scratch.
     """
 
     def __init__(
@@ -311,7 +310,7 @@ class FrameStep:
         self.lam = lam
         uniform = uniform_pmf(k)[:, np.newaxis]
         self.marginal = uniform if mode is RecursionMode.DISCRIMINATIVE else None
-        self._shape = (pixels, k)
+        self._shape = (k, pixels)
         self._max_entry = np.finfo(np.float64).max / (2 * k)  # K-term sums stay finite
         self._kernel = _Kernel(k, pixels)
         self.inst = np.empty((k, pixels))
@@ -325,45 +324,37 @@ class FrameStep:
 
     def __call__(self, raw: np.ndarray, date: dt.date | None = None) -> None:
         try:
-            self._check(raw)
+            raw = self._check(raw)
         except (ValueError, SatBayesError) as exc:
             if date is None:
                 raise
             raise type(exc)(f"{date.isoformat()}: {exc}") from exc
-        self._advance()
+        self._advance(raw)
 
-    def _check(self, raw: np.ndarray) -> None:
-        """Validate the model output and load it into ``inst``."""
+    def _check(self, raw: np.ndarray) -> np.ndarray:
+        """The model output as float64, once it passes validation."""
         raw = np.asarray(raw, dtype=np.float64)
         if raw.shape != self._shape:
-            validate_likelihood(raw)
+            validate_likelihood(raw.T)
             raise ShapeError(
                 f"model returned shape {raw.shape}, expected {self._shape}"
             )
-        if not self._load(raw):
-            # the exact checks raise their error, or pass an edge case
-            validate_pmf(floor_normalize(validate_likelihood(raw)))
+        # Whole-array reductions prove every pixel column finite,
+        # non-negative, not all zero and far from overflowing its sum; the
+        # initial values let a frame of zero pixels pass. Otherwise the
+        # exact checks raise their error, or pass an edge case.
+        lo, hi = raw.min(initial=np.inf), raw.max(initial=-np.inf)
+        if not (
+            lo >= 0.0
+            and hi < self._max_entry
+            and (lo > 0.0 or np.sum(raw, axis=0, out=self._kernel.total).min() > 0.0)
+        ):
+            validate_pmf(floor_normalize(validate_likelihood(raw.T)))
+        return raw
 
-    def _load(self, raw: np.ndarray) -> bool:
-        """Copy ``raw`` transposed into ``inst``.
-
-        The copy is contiguous when ``raw`` is the transpose view of a
-        C-ordered (K, N) buffer, as the built-in engines return. True
-        when whole-array reductions prove every pixel finite,
-        non-negative, not all zero and far from overflowing its sum.
-        """
-        inst = self.inst
-        np.copyto(inst, raw.T)
-        # the initial values let a frame of zero pixels pass
-        lo, hi = inst.min(initial=np.inf), inst.max(initial=-np.inf)
-        if not (lo >= 0.0 and hi < self._max_entry):
-            return False
-        total = self._kernel.total
-        return bool(lo > 0.0 or np.sum(inst, axis=0, out=total).min() > 0.0)
-
-    def _advance(self) -> None:
+    def _advance(self, raw: np.ndarray) -> None:
         kernel, inst = self._kernel, self.inst
-        kernel.floor_normalize(inst)
+        kernel.floor_normalize(raw, inst)
         kernel.decide(inst, self.labels[0])
         smoothed = kernel.smooth(inst, self.lam) if self.lam else inst
         weights = kernel.weigh(smoothed, self.marginal)  # scratch, or inst itself

@@ -168,10 +168,10 @@ SYNTH_KEYS = {
     "cadence_days": Key("cadence_days", parse_int, required=True),
     "seed": Key("seed", parse_int, required=True),
     "bands": Key("bands", parse_list, required=True),
-    "stat": Key("class_stats", _parse_stat, repeats=True),
+    "stat": Key("class_stats", _parse_stat, repeats=True, once_per=("class", "band")),
     "change": Key("changes", _parse_change, repeats=True),
-    "corrupt": Key("corruptions", _frame_fraction, repeats=True),
-    "cloud": Key("clouds", _frame_fraction, repeats=True),
+    "corrupt": Key("corruptions", _frame_fraction, repeats=True, once_per=("frame",)),
+    "cloud": Key("clouds", _frame_fraction, repeats=True, once_per=("frame",)),
 }
 
 
@@ -214,20 +214,16 @@ def generate_synthetic(spec: SynthSpec, out_dir: str | Path) -> Path:
 
     Layout: ``bands/f<idx>_<band>.f32`` planes, ``truth/f<idx>.lbl``
     rasters, and ``manifest.txt`` tying them together (scale 1.0, all
-    bands on one grid). Fully deterministic given ``spec.seed``.
+    bands on one grid). Fully deterministic given ``spec.seed``. A stat
+    whose draws overflow float32 raises ConfigError naming its class
+    and band.
     """
     out = Path(out_dir)
     rng = np.random.default_rng(spec.seed)
     k = len(spec.classes)
     stats = {(c, b): (m, s) for c, b, m, s in spec.class_stats}
-    mean_maps = {
-        band: np.array([stats[(c, band)][0] for c in spec.classes])
-        for band in spec.bands
-    }
-    std_maps = {
-        band: np.array([stats[(c, band)][1] for c in spec.classes])
-        for band in spec.bands
-    }
+    # per band, a (K, 2) table of each class's mean and std
+    tables = {b: np.array([stats[(c, b)] for c in spec.classes]) for b in spec.bands}
     truths = _truth_sequence(spec)
     corruption_at = {ev.frame: ev.fraction for ev in spec.corruptions}
     cloud_at = dict(spec.clouds)
@@ -246,11 +242,15 @@ def generate_synthetic(spec: SynthSpec, out_dir: str | Path) -> Path:
             observed_class[hit] = (observed_class[hit] + shift) % k
         band_paths = []
         for band in spec.bands:
-            loc = mean_maps[band][observed_class]
-            scale = std_maps[band][observed_class]
-            values = rng.normal(loc, scale).reshape(spec.height, spec.width)
+            loc, scale = tables[band][observed_class].T
+            with np.errstate(over="ignore"):
+                values = rng.normal(loc, scale).astype(np.float32)
+            bad = ~np.isfinite(values)
+            if bad.any():
+                name = spec.classes[observed_class[np.argmax(bad)]]
+                raise ConfigError(f"stat for {name}/{band}: draws overflow float32")
             rel = f"bands/f{t:03d}_{band}.f32"
-            write_band_plane(out / rel, values.astype(np.float32))
+            write_band_plane(out / rel, values.reshape(spec.height, spec.width))
             band_paths.append((band, rel))
         truth_rel = f"truth/f{t:03d}.lbl"
         write_label_raster(out / truth_rel, LabelRaster(truth, num_classes=k))

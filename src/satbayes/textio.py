@@ -77,7 +77,8 @@ class Key:
     """How a format reads one key into ``field`` and writes it back.
 
     ``parse(value, key, where)`` converts the text after ``=``. A key
-    that ``repeats`` collects a tuple of values, one per line.
+    that ``repeats`` collects a tuple of values, one per line; ``once_per``
+    names the leading fields of a value that no two lines may share.
     """
 
     field: str
@@ -85,6 +86,7 @@ class Key:
     format: Callable[[Any], str] = str
     required: bool = False
     repeats: bool = False
+    once_per: tuple[str, ...] = ()
 
 
 def parse_keys(
@@ -110,7 +112,14 @@ def parse_keys(
         if key is None:
             raise ConfigError(f"{where}: unknown {kind} key {name!r}")
         if key.repeats:
-            values[key.field] += (key.parse(value, name, where),)
+            item = key.parse(value, name, where)
+            width = len(key.once_per)
+            if width and any(v[:width] == item[:width] for v in values[key.field]):
+                raise ConfigError(
+                    f"{where}: {name} for {'/'.join(key.once_per)} "
+                    f"{'/'.join(map(str, item[:width]))} already given"
+                )
+            values[key.field] += (item,)
         elif key.field in values:
             raise ConfigError(f"{where}: duplicate key {name!r}")
         else:

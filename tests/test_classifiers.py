@@ -179,7 +179,8 @@ class TestIndexClassifier:
         rng = np.random.default_rng(8)
         classifier = IndexClassifier.from_thresholds(LANDCOVER_TAU, SpectralIndexKind.NDVI)
         post = classifier.posterior_from_index(rng.uniform(-1.0, 1.0, size=1000))
-        assert_allclose(post.sum(axis=1), 1.0, atol=1e-9)
+        assert post.shape == (3, 1000)
+        assert_allclose(post.sum(axis=0), 1.0, atol=1e-9)
         assert post.min() >= 0.0
 
     @pytest.mark.parametrize(
@@ -400,7 +401,8 @@ class TestMixtureFit:
         pixels = rng.normal(1.0, 1.0, size=(30, 1))
         lik = model.likelihood(pixels)
         assert lik.min() >= 0.0
-        norm = lik / lik.sum(axis=1, keepdims=True)
+        assert lik.shape == (2, 30)
+        norm = lik / lik.sum(axis=0, keepdims=True)
         import datetime as dt
 
         from satbayes.core import Frame
@@ -553,7 +555,9 @@ class TestClassMajorMatchesPixelMajor:
                 model.mixtures[0].means,  # a component's own mean
             ]
         )
-        assert_array_equal(model.likelihood(pixels), oracles.pixel_major_likelihood(model, pixels))
+        assert_array_equal(
+            model.likelihood(pixels), oracles.pixel_major_likelihood(model, pixels).T
+        )
         for mix in model.mixtures:
             assert_array_equal(
                 mix.log_density(pixels), oracles.pixel_major_log_density(mix, pixels)
@@ -611,7 +615,7 @@ class TestEngineOutputsMatchPixelMajor:
         for probe in probes:
             assert_array_equal(
                 classifier.posterior_from_index(probe),
-                oracles.pixel_major_index_posterior(classifier, probe),
+                np.moveaxis(oracles.pixel_major_index_posterior(classifier, probe), -1, 0),
                 strict=True,
             )
 
@@ -629,7 +633,7 @@ class TestEngineOutputsMatchPixelMajor:
         assert flags.sum() == 4
         assert_array_equal(
             classifier.frame_posterior(frame),
-            oracles.pixel_major_index_posterior(classifier, values.ravel()),
+            oracles.pixel_major_index_posterior(classifier, values.ravel()).T,
             strict=True,
         )
 
@@ -646,7 +650,7 @@ class TestEngineOutputsMatchPixelMajor:
                 feature_std=rng.uniform(0.05, 0.2, size=b),
             )
             assert_array_equal(
-                model.posterior(pixels), oracles.pixel_major_softmax(model, pixels), strict=True
+                model.posterior(pixels), oracles.pixel_major_softmax(model, pixels).T, strict=True
             )
 
     @pytest.mark.parametrize("k", [2, 3])
@@ -659,9 +663,9 @@ class TestEngineOutputsMatchPixelMajor:
         frame = _frame(("a", "b"), planes)
         pixels = planes.reshape(2, -1).T
         expect = oracles.pixel_major_likelihood(model, pixels)
-        assert_array_equal(model.likelihood(pixels), expect, strict=True)
-        assert_array_equal(model.frame_likelihood(frame), expect, strict=True)
-        assert_array_equal(model.frame_posterior(frame), floor_normalize(expect), strict=True)
+        assert_array_equal(model.likelihood(pixels), expect.T, strict=True)
+        assert_array_equal(model.frame_likelihood(frame), expect.T, strict=True)
+        assert_array_equal(model.frame_posterior(frame), floor_normalize(expect).T, strict=True)
 
     def test_wide_mixture_posterior(self):
         # 9 classes: numpy sums a row of 8 or more classes pairwise
@@ -674,11 +678,10 @@ class TestEngineOutputsMatchPixelMajor:
         planes[0, 0, :3] = 90.0  # every class density underflows
         frame = _frame(("a",), planes)
         expect = oracles.pixel_major_likelihood(model, planes.reshape(1, -1).T)
-        assert_array_equal(model.frame_posterior(frame), floor_normalize(expect), strict=True)
+        assert_array_equal(model.frame_posterior(frame), floor_normalize(expect).T, strict=True)
 
-    def test_outputs_are_transposed_class_major_buffers(self):
-        # `FrameStep._load` copies output.T into its (K, N) buffer: one
-        # contiguous copy when output.T is C-ordered
+    def test_outputs_are_c_ordered_class_major_buffers(self):
+        # what `FrameStep` reads best: (K, N), C-ordered float64
         rng = np.random.default_rng(80)
         bands = ("nir", "red")
         planes = rng.uniform(0.0, 0.5, size=(2, 5, 6))
@@ -695,8 +698,9 @@ class TestEngineOutputsMatchPixelMajor:
             "external": ExternalPosteriorSource(3).frame_posterior(frame),
         }
         for name, output in outputs.items():
-            assert output.shape == (30, 3), name
-            assert output.T.flags.c_contiguous, name
+            assert output.shape == (3, 30), name
+            assert output.dtype == np.float64, name
+            assert output.flags.c_contiguous, name
 
 
 # ------------------------------------------------------------------
@@ -733,7 +737,7 @@ class TestLogisticFit:
         rng = np.random.default_rng(31)
         x, y = _blobs(rng, [(0.0, 0.0), (4.0, 0.0), (0.0, 4.0)], 100)
         model = fit_logistic_classifier(x, y, 3, ("a", "b"))
-        pred = np.argmax(model.posterior(x), axis=1)
+        pred = np.argmax(model.posterior(x), axis=0)
         assert np.mean(pred == y) >= 0.99
 
     def test_gradient_matches_finite_differences(self):
@@ -799,7 +803,7 @@ class TestLogisticFit:
         scores = std @ model.weights[:, :-1].T + model.weights[:, -1]
         expect = np.exp(scores - scores.max(axis=1, keepdims=True))
         expect /= expect.sum(axis=1, keepdims=True)
-        assert_allclose(model.posterior(probe), expect, atol=1e-12)
+        assert_allclose(model.posterior(probe), expect.T, atol=1e-12)
 
     def test_single_class_labels_rejected(self):
         rng = np.random.default_rng(37)

@@ -408,7 +408,7 @@ class TestSynthGenerator:
         scores = []
         for frame in stack.frames:
             post = model.frame_posterior(frame)
-            pred = np.argmax(post, axis=1).reshape(frame.truth.labels.shape)
+            pred = np.argmax(post, axis=0).reshape(frame.truth.labels.shape)
             scores.append(balanced_accuracy(pred, frame.truth))
         clean = [s for t, s in enumerate(scores) if t != 2]
         assert scores[2] < min(clean) - 0.05
@@ -503,6 +503,22 @@ class TestSynthSpecParsing:
         with pytest.raises(ConfigError) as info:
             parse_synth_spec(path)
         assert str(info.value) == f"{path}:13: duplicate key 'width'"
+
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            ("stat = land green 0.2 0.04", "stat for class/band land/green already given"),
+            ("corrupt = 2 0.25\ncorrupt = 2 0.5", "corrupt for frame 2 already given"),
+            ("cloud = 1 0.5\ncloud = 1 0.7", "cloud for frame 1 already given"),
+        ],
+        ids=["stat", "corrupt", "cloud"],
+    )
+    def test_repeated_line_is_named(self, tmp_path, extra, message):
+        # a repeat would silently replace the earlier line's value
+        path = write_spec(tmp_path, SYNTH_BASE + extra + "\n")
+        with pytest.raises(ConfigError) as info:
+            parse_synth_spec(path)
+        assert str(info.value) == f"{path}:{13 + extra.count(chr(10))}: {message}"
 
     def test_change_may_precede_classes(self, tmp_path):
         spec = parse_synth_spec(
@@ -754,6 +770,24 @@ class TestCliExitCodes:
         assert main(["synth", "--spec", str(tmp_path / "nope.txt"),
                      "--out", str(tmp_path / "d")]) == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize(
+        "stat", ["land green 1e39 0.05", "land green -1e39 0.05", "water swir1 0.06 1e300"]
+    )
+    def test_overflowing_synth_stat_is_config_exit(self, tmp_path, capsys, stat):
+        name, band = stat.split()[:2]
+        text = re.sub(rf"(?m)^stat = {name} {band} .*$", f"stat = {stat}", SYNTH_BASE)
+        assert f"stat = {stat}\n" in text
+        spec = write_spec(tmp_path, text)
+        assert main(["synth", "--spec", str(spec), "--out", str(tmp_path / "d")]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: stat for {name}/{band}: draws overflow float32\n"
+
+    def test_repeated_synth_cloud_is_config_exit(self, tmp_path, capsys):
+        spec = write_spec(tmp_path, SYNTH_BASE + "cloud = 1 0.5\ncloud = 1 0.7\n")
+        assert main(["synth", "--spec", str(spec), "--out", str(tmp_path / "d")]) == 1
+        assert capsys.readouterr().err == f"error: {spec}:14: cloud for frame 1 already given\n"
+        assert not (tmp_path / "d").exists()
 
     def test_zero_epsilon_rejected_before_any_data_access(self, tmp_path, capsys):
         # manifest path is bogus on purpose: the config check must fire first

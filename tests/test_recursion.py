@@ -278,7 +278,7 @@ class _PosteriorStub:
     def frame_posterior(self, frame):
         vals = frame.image.pixels()[:, 0]
         p1 = 1.0 / (1.0 + np.exp(-8.0 * (vals - 0.5)))
-        return np.column_stack([1.0 - p1, p1])
+        return np.stack([1.0 - p1, p1])
 
 
 def _small_stack(frames=6, side=8, seed=0):
@@ -325,7 +325,7 @@ class TestClassifyStack:
         out = classify_stack(stack, _PosteriorStub(), trans, 0.0, RecursionMode.DISCRIMINATIVE)
         direct = _PosteriorStub().frame_posterior(stack.frames[0])
         assert_allclose(
-            out.instantaneous_posteriors[0, 1], direct[:, 1].reshape(4, 4), atol=1e-15
+            out.instantaneous_posteriors[0, 1], direct[1].reshape(4, 4), atol=1e-15
         )
 
 
@@ -360,12 +360,12 @@ class TestClassifyStackSink:
 
 
 class _ScriptedModel:
-    """Returns a fixed (N, K) array per frame, indexed by the frame's position."""
+    """Returns a fixed (K, N) array per frame, indexed by the frame's position."""
 
     def __init__(self, stack, outputs):
         self._index = {fr.date: t for t, fr in enumerate(stack.frames)}
         self._outputs = outputs
-        self.num_classes = outputs[0].shape[1]
+        self.num_classes = outputs[0].shape[0]
 
     def frame_likelihood(self, frame):
         return self._outputs[self._index[frame.date]]
@@ -374,48 +374,47 @@ class _ScriptedModel:
 
 
 def _scripted_outputs(rng, frames, pixels, k):
-    return [rng.uniform(0.05, 1.0, size=(pixels, k)) for _ in range(frames)]
+    return [rng.uniform(0.05, 1.0, size=(k, pixels)) for _ in range(frames)]
 
 
 def _nan(out):
-    out[3, 0] = np.nan
+    out[0, 3] = np.nan
     return out
 
 
 def _negative(out):
-    out[5, 1] = -0.25
+    out[1, 5] = -0.25
     return out
 
 
-def _zero_row(out):
-    out[7] = 0.0
+def _zero_pixel(out):
+    out[:, 7] = 0.0
     return out
 
 
 def _overflow(out):
-    out[2] = np.finfo(np.float64).max
+    out[:, 2] = np.finfo(np.float64).max
     return out
 
 
 def _zero_first_nan_last(out):
-    # a zero row early and a NaN late: the whole-frame check reports the NaN
-    out[0] = 0.0
-    out[-1, 0] = np.nan
+    # a zero pixel early and a NaN late: the whole-frame check reports the NaN
+    out[:, 0] = 0.0
+    out[0, -1] = np.nan
     return out
 
 
 BAD_FRAMES = {
     "nan": (_nan, ValueError, "non-finite"),
     "negative": (_negative, ValueError, "negative"),
-    "zero_row": (_zero_row, DegenerateLikelihoodError, "all-zero"),
+    "zero_row": (_zero_pixel, DegenerateLikelihoodError, "all-zero"),
     "overflow": (_overflow, ValueError, "sums off"),
     "precedence": (_zero_first_nan_last, ValueError, "non-finite"),
-    "pixels": (lambda out: out[:-1], ShapeError, "model returned shape"),
-    "classes": (
-        lambda out: np.column_stack([out, out[:, :1]]), ShapeError, "model returned shape"
-    ),
-    "one_class": (lambda out: out[:, :1], ShapeError, "class axis"),
-    "flat": (lambda out: out[:, 0], ShapeError, "model returned shape"),
+    "pixels": (lambda out: out[:, :-1], ShapeError, "model returned shape"),
+    "classes": (lambda out: np.vstack([out, out[:1]]), ShapeError, "model returned shape"),
+    "one_class": (lambda out: out[:1], ShapeError, "class axis"),
+    "flat": (lambda out: out[0], ShapeError, "model returned shape"),
+    "pixel_major": (lambda out: out.T.copy(), ShapeError, "model returned shape"),
 }
 
 
@@ -476,8 +475,8 @@ class TestClassifyStackAcceptsEdgeOutputs:
     def test_zero_entries_and_huge_rows(self, mode):
         stack = _small_stack(frames=3)
         outputs = _scripted_outputs(np.random.default_rng(8), 3, 64, 2)
-        outputs[1][::3, 0] = 0.0  # zero entries, never a whole row
-        outputs[2][5] = np.finfo(np.float64).max / 3.0  # finite row sum
+        outputs[1][0, ::3] = 0.0  # zero entries, never a whole pixel
+        outputs[2][:, 5] = np.finfo(np.float64).max / 3.0  # finite pixel sum
         trans = build_transition_model(2, 0.1)
         result = classify_stack(stack, _ScriptedModel(stack, outputs), trans, 0.8, mode)
         update = (
@@ -486,17 +485,46 @@ class TestClassifyStackAcceptsEdgeOutputs:
         )
         state = uniform_pmf(2)
         for t, raw in enumerate(outputs):
-            state = update(regularize(floor_normalize(raw), 0.8), state, trans)
+            state = update(regularize(floor_normalize(raw.T), 0.8), state, trans)
             assert_array_equal(result.recursive_posteriors[t].reshape(2, 64).T, state)
 
     @pytest.mark.parametrize("mode", list(RecursionMode))
     def test_empty_image(self, mode):
         stack = make_stack(("gray",), [[np.zeros((0, 4))] for _ in range(2)])
-        outputs = [np.empty((0, 2)) for _ in range(2)]
+        outputs = [np.empty((2, 0)) for _ in range(2)]
         trans = build_transition_model(2, 0.1)
         result = classify_stack(stack, _ScriptedModel(stack, outputs), trans, 0.8, mode)
         assert result.recursive_posteriors.shape == (2, 2, 0, 4)
         assert [r.labels.shape for r in result.recursive_labels] == [(0, 4)] * 2
+
+
+class TestThirdPartyModelOutputs:
+    """A (K, N) output in any memory layout or real dtype runs as its C-ordered float64 copy."""
+
+    LAYOUTS = {
+        "transposed_buffer": lambda out: np.ascontiguousarray(out.T).T,
+        "strided_view": lambda out: np.repeat(out, 2, axis=1)[:, ::2],
+        "float32": lambda out: out.astype(np.float32),
+    }
+
+    @pytest.mark.parametrize("mode", list(RecursionMode))
+    @pytest.mark.parametrize("layout", sorted(LAYOUTS))
+    def test_same_labels_and_cubes(self, layout, mode):
+        stack = _small_stack(frames=4)
+        rng = np.random.default_rng(12)
+        # float32-exact values, so the float32 output holds the same numbers
+        outputs = [out.astype(np.float32).astype(np.float64)
+                   for out in _scripted_outputs(rng, 4, 64, 3)]
+        variants = [self.LAYOUTS[layout](out) for out in outputs]
+        assert not (variants[0].flags.c_contiguous and variants[0].dtype == np.float64)
+        trans = build_transition_model(3, 0.1)
+        want = classify_stack(stack, _ScriptedModel(stack, outputs), trans, 0.8, mode)
+        got = classify_stack(stack, _ScriptedModel(stack, variants), trans, 0.8, mode)
+        for name in ("recursive_posteriors", "instantaneous_posteriors"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+        for a, b in zip(got.recursive_labels + got.instantaneous_labels,
+                        want.recursive_labels + want.instantaneous_labels):
+            assert_array_equal(a.labels, b.labels)
 
 
 class TestClassifyStackPixelIndependence:
@@ -514,7 +542,7 @@ class TestClassifyStackPixelIndependence:
 
         band_stack = make_stack(("gray",), [[np.zeros((3, side))] for _ in range(4)])
         pixels = slice(rows.start * side, rows.stop * side)
-        band_outputs = [out[pixels] for out in outputs]
+        band_outputs = [out[:, pixels] for out in outputs]
         band = classify_stack(
             band_stack, _ScriptedModel(band_stack, band_outputs), trans, lam, mode
         )
@@ -543,7 +571,7 @@ class TestClassifyStackTies:
     def test_lowest_tied_class_wins(self, row, matrix, mode):
         k, lowest = len(row), row.index(max(row))
         stack = _small_stack(frames=4)
-        outputs = [np.tile(row, (64, 1)) for _ in range(4)]
+        outputs = [np.tile(np.array(row)[:, np.newaxis], (1, 64)) for _ in range(4)]
         trans = TransitionModel(np.array(matrix), change_prob=0.1)
         result = classify_stack(stack, _ScriptedModel(stack, outputs), trans, 0.8, mode)
         for cube in (result.instantaneous_posteriors, result.recursive_posteriors):
@@ -559,7 +587,7 @@ class TestFrameStepTransitionBank:
 
     @staticmethod
     def _run(outputs, k, mode):
-        pixels = outputs[0].shape[0]
+        pixels = outputs[0].shape[1]
         transitions = [build_transition_model(k, e) for e in
                        TestFrameStepTransitionBank.EPSILONS]
         e_count = len(transitions)
@@ -596,9 +624,40 @@ class TestFrameStepTransitionBank:
         outputs = _scripted_outputs(np.random.default_rng(60 + k), 4, 81, k)
         whole = self._run(outputs, k, mode)
         for cut in (slice(0, 1), slice(1, 40), slice(40, 81)):
-            part = self._run([out[cut] for out in outputs], k, mode)
+            part = self._run([out[:, cut] for out in outputs], k, mode)
             for got, full in zip(part, whole):
                 assert got.tobytes() == np.ascontiguousarray(full[..., cut]).tobytes()
+
+
+class TestFrameStepMatchesEnumeration:
+    """Each belief of `FrameStep` equals exhaustive path enumeration (criterion 2's bound)."""
+
+    @given(
+        seed=st.integers(min_value=0, max_value=2**31),
+        k=st.integers(min_value=2, max_value=6),
+        steps=st.integers(min_value=1, max_value=5),
+        bank=st.integers(min_value=1, max_value=3),
+        mode=st.sampled_from(list(RecursionMode)),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_every_belief_matches_enumeration(self, seed, k, steps, bank, mode):
+        rng = np.random.default_rng(seed)
+        pixels = 3
+        transitions = [
+            build_transition_model(k, float(rng.uniform(0.01, 0.6))) for _ in range(bank)
+        ]
+        outputs = [rng.uniform(0.05, 1.0, size=(k, pixels)) for _ in range(steps)]
+        step = FrameStep(transitions, 0.0, mode, pixels)
+        for raw in outputs:
+            step(raw)
+        # each frame's normalization and the uniform marginal rescale a
+        # step's weights, which drops out of the enumerated posterior
+        for e, transition in enumerate(transitions):
+            for p in range(pixels):
+                expect = oracles.enumerate_posterior(
+                    uniform_pmf(k), transition.matrix, [raw[:, p] for raw in outputs]
+                )
+                assert np.max(np.abs(step.post[e, :, p] - expect)) < 1e-10
 
 
 class TestFrameStepState:
@@ -628,7 +687,7 @@ class TestFrameStepState:
     def test_bad_frame_leaves_beliefs_as_they_were(self, mode):
         outputs = _scripted_outputs(np.random.default_rng(71), 4, 49, 3)
         bad = outputs[1].copy()
-        bad[6] = np.nan
+        bad[:, 6] = np.nan
         step = FrameStep(self.TRANSITIONS, 0.8, mode, 49)
         step(outputs[0], self.DATES[0])
         after_first = step.post.copy()
@@ -661,10 +720,10 @@ class TestClassifyStackEquivalence:
         pixels = side * side
         outputs = []
         for _ in range(frames):
-            out = rng.uniform(1e-3, 1.0, size=(pixels, k))
-            # rows near the floor: some entries just above, at, or below it
+            out = rng.uniform(1e-3, 1.0, size=(k, pixels))
+            # pixels near the floor: some entries just above, at, or below it
             tiny = rng.random(pixels) < 0.3
-            out[tiny] *= PROB_FLOOR * rng.uniform(0.5, 5.0, size=(int(tiny.sum()), k))
+            out[:, tiny] *= PROB_FLOOR * rng.uniform(0.5, 5.0, size=(k, int(tiny.sum())))
             outputs.append(out)
         stack = _small_stack(frames=frames, side=side, seed=seed % 1000)
         trans = build_transition_model(k, float(rng.uniform(0.01, 0.5)))
@@ -676,7 +735,7 @@ class TestClassifyStackEquivalence:
         )
         state = np.broadcast_to(uniform_pmf(k), (pixels, k))
         for t, raw in enumerate(outputs):
-            inst = floor_normalize(raw)
+            inst = floor_normalize(raw.T)
             state = update(regularize(inst, lam), state, trans)
             assert_allclose(
                 result.instantaneous_posteriors[t].reshape(k, pixels).T, inst,
