@@ -7,14 +7,12 @@ Three trained forms plus a pass-through:
   classifies pixels from their index value alone.
 * `MixtureClassifier` holds one full-covariance Gaussian mixture per
   class over raw band values; fitting is plain EM with k-means++
-  seeding. The EM E-step and the mixture density run class-major: one
-  small matmul by each component's inverse Cholesky factor turns
-  band-major pixels into (M, N) component-by-pixel log terms, reduced
-  by a log-sum-exp that follows ``scipy.special.logsumexp``'s algorithm
-  without importing ``scipy.special``, so results match the pixel-major
-  scipy route bit for bit.
+  seeding. EM and the mixture density run class-major on band-major
+  pixels: (M, N) component-by-pixel log terms, reduced by a max-shift
+  log-sum-exp.
 * `LogisticClassifier` is a multinomial softmax over standardized band
-  values, fitted full-batch with an L2 penalty.
+  values, fitted full-batch with an L2 penalty by L-BFGS on a
+  class-major (K, N) objective.
 * `ExternalPosteriorSource` replays per-frame posterior rasters that
   some outside model produced.
 
@@ -291,25 +289,16 @@ def _floor_normalize_rows(a: np.ndarray) -> np.ndarray:
 def _logsumexp_columns(a: np.ndarray) -> np.ndarray:
     """log(sum(exp(a), axis=0)) of an (M, N) array -> (N,).
 
-    Bit for bit what ``scipy.special.logsumexp`` returns for the rows of
-    the (N, M) C-ordered transpose, by the same steps: the column max
-    and the count of entries tied at it, the exponentials of the other
-    entries shifted by the max, their sum divided by the tie count,
-    then ``log1p(s) + log(ties) + max``. Columns whose result is not
+    The plain max-shift: ``log(sum(exp(a - max))) + max`` per column,
+    the sum taken by `_sum_rows`, so each column equals the same steps
+    on a row of the (N, M) transpose. Columns whose result is not
     finite (an inf or NaN entry, or all entries -inf) fall back to
-    ``log(sum(exp(a)))``, where summation order cannot matter. scipy's
-    sign handling is left out: without weights the sum is never
-    negative.
+    ``log(sum(exp(a)))``, where summation order cannot matter.
     """
     a_max = np.max(a, axis=0)
-    at_max = a == a_max
-    ties = np.sum(at_max, axis=0, dtype=np.float64)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        shifted = np.where(at_max, -np.inf, a)
-        shifted -= a_max
-        s = _sum_rows(np.exp(shifted, out=shifted))
-        s = np.where(s == 0, s, s / ties)
-        out = np.log1p(s) + np.log(ties) + a_max
+        shifted = a - a_max
+        out = np.log(_sum_rows(np.exp(shifted, out=shifted))) + a_max
         bad = ~np.isfinite(out)
         if bad.any():
             out[bad] = np.log(np.sum(np.exp(a[:, bad]), axis=0))
@@ -374,9 +363,11 @@ def _em_converged(trace: list[float]) -> bool:
 def _fit_single_mixture(
     x: np.ndarray, components: int, rng: np.random.Generator
 ) -> tuple[GaussianMixture, list[float]]:
-    """EM fit of one class's mixture; returns the model and its mean-LL trace."""
+    """Class-major EM fit of one class's mixture -> (model, mean-LL trace)."""
     n, b = x.shape
     xt = np.ascontiguousarray(x.T)
+    centred = np.empty((b, n))
+    weighted = np.empty((b, n))
     eye = np.eye(b)
     means = _kmeans_pp_centers(x, components, rng)
     base_cov = np.atleast_2d(np.cov(x.T, bias=True)) + COV_JITTER * eye
@@ -392,16 +383,15 @@ def _fit_single_mixture(
         if _em_converged(trace):
             break
         log_terms -= log_norm
-        # The M-step's sums and matmuls round by operand layout: keep
-        # them on a C-ordered (N, M) array.
-        resp = np.exp(log_terms, out=log_terms).T.copy()
-        bulk = resp.sum(axis=0) + 10.0 * np.finfo(np.float64).tiny
+        resp = np.exp(log_terms, out=log_terms)
+        bulk = resp.sum(axis=1) + 10.0 * np.finfo(np.float64).tiny
         weights = bulk / n
-        means = (resp.T @ x) / bulk[:, np.newaxis]
+        means = (resp @ x) / bulk[:, np.newaxis]
         covs = np.empty_like(covs)
         for j in range(components):
-            diff = x - means[j]
-            covs[j] = (resp[:, j] * diff.T) @ diff / bulk[j] + COV_JITTER * eye
+            np.subtract(xt, means[j][:, np.newaxis], out=centred)
+            np.multiply(centred, resp[j], out=weighted)
+            covs[j] = weighted @ centred.T / bulk[j] + COV_JITTER * eye
     return GaussianMixture(weights, means, covs), trace
 
 
@@ -543,16 +533,13 @@ def logistic_loss_grad(
     ``weights_flat`` raveled from (K, B+1). Exposed as a module function
     so the gradient can be checked against finite differences.
     """
-    n, b_aug = features_aug.shape
-    k = labels_onehot.shape[1]
-    w = weights_flat.reshape(k, b_aug)
-    scores = features_aug @ w.T
-    log_norm = _logsumexp_columns(np.ascontiguousarray(scores.T))
-    log_probs = scores - log_norm[:, np.newaxis]
-    nll = -float(np.sum(labels_onehot * log_probs)) / n
-    loss = nll + l2 * float(np.sum(w[:, :-1] ** 2))
-    probs = np.exp(log_probs)
-    grad = (probs - labels_onehot).T @ features_aug / n
+    n = features_aug.shape[0]
+    w = weights_flat.reshape(labels_onehot.shape[1], -1)
+    onehot = labels_onehot.T
+    log_probs = w @ features_aug.T
+    log_probs -= _logsumexp_columns(log_probs)
+    loss = -float(np.sum(onehot * log_probs)) / n + l2 * float(np.sum(w[:, :-1] ** 2))
+    grad = (np.exp(log_probs, out=log_probs) - onehot) @ features_aug / n
     grad[:, :-1] += 2.0 * l2 * w[:, :-1]
     return loss, grad.ravel()
 

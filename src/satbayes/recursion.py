@@ -28,6 +28,7 @@ from __future__ import annotations
 import datetime as dt
 import enum
 from collections.abc import Callable, Sequence
+from contextlib import suppress
 from dataclasses import dataclass
 from typing import Protocol
 
@@ -48,6 +49,7 @@ from .errors import (
     ConfigError,
     InvalidHyperparameterError,
     InvalidMarginalError,
+    NumericalError,
     SatBayesError,
     ShapeError,
 )
@@ -290,9 +292,10 @@ class FrameStep:
     1 + e from ``post[e]``. ``step(raw, date)`` loads one frame's (K, N)
     model output into ``inst`` and updates each ``post[e]`` in place.
     Validation, smoothing and the division by the marginal run once per
-    call, whatever E is. The model output is validated with the errors
-    of `validate_likelihood` / `validate_pmf` on its (N, K) transpose;
-    given the frame's ``date``, the message starts with its ISO form and
+    call, whatever E is. An output of another shape is a ShapeError;
+    one of the right shape is validated with the errors of
+    `validate_likelihood` / `validate_pmf` on its (N, K) transpose.
+    Given the frame's ``date``, the message starts with its ISO form and
     the error keeps its type, and the state is left as it was. The step
     is serial: one `_Kernel` over all N pixel columns holds its scratch.
     """
@@ -335,7 +338,8 @@ class FrameStep:
         """The model output as float64, once it passes validation."""
         raw = np.asarray(raw, dtype=np.float64)
         if raw.shape != self._shape:
-            validate_likelihood(raw.T)
+            with suppress(ValueError, NumericalError):
+                validate_likelihood(raw.T)  # only its class-axis ShapeError escapes
             raise ShapeError(
                 f"model returned shape {raw.shape}, expected {self._shape}"
             )

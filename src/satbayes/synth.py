@@ -28,6 +28,7 @@ The scene description is a ``key = value`` text file::
 from __future__ import annotations
 
 import datetime as dt
+from contextlib import suppress
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -216,7 +217,7 @@ def generate_synthetic(spec: SynthSpec, out_dir: str | Path) -> Path:
     rasters, and ``manifest.txt`` tying them together (scale 1.0, all
     bands on one grid). Fully deterministic given ``spec.seed``. A stat
     whose draws overflow float32 raises ConfigError naming its class
-    and band.
+    and band. A scene that fails removes the planes and rasters it wrote.
     """
     out = Path(out_dir)
     rng = np.random.default_rng(spec.seed)
@@ -230,44 +231,53 @@ def generate_synthetic(spec: SynthSpec, out_dir: str | Path) -> Path:
     n = spec.height * spec.width
 
     frames = []
-    for t in range(spec.num_frames):
-        truth = truths[t]
-        observed_class = truth.ravel().copy()
-        fraction = corruption_at.get(t)
-        if fraction:
-            count = int(round(fraction * n))
-            count = min(count, n)
-            hit = rng.choice(n, size=count, replace=False)
-            shift = rng.integers(1, k, size=count)
-            observed_class[hit] = (observed_class[hit] + shift) % k
-        band_paths = []
-        for band in spec.bands:
-            loc, scale = tables[band][observed_class].T
-            with np.errstate(over="ignore"):
-                values = rng.normal(loc, scale).astype(np.float32)
-            bad = ~np.isfinite(values)
-            if bad.any():
-                name = spec.classes[observed_class[np.argmax(bad)]]
-                raise ConfigError(f"stat for {name}/{band}: draws overflow float32")
-            rel = f"bands/f{t:03d}_{band}.f32"
-            write_band_plane(out / rel, values.reshape(spec.height, spec.width))
-            band_paths.append((band, rel))
-        truth_rel = f"truth/f{t:03d}.lbl"
-        write_label_raster(out / truth_rel, LabelRaster(truth, num_classes=k))
-        frames.append(
-            ManifestFrame(
-                date=spec.start_date + dt.timedelta(days=t * spec.cadence_days),
-                band_paths=tuple(band_paths),
-                cloud_fraction=cloud_at.get(t),
-                truth_path=truth_rel,
+    written: list[Path] = []  # removed again if the scene fails
+    try:
+        for t in range(spec.num_frames):
+            truth = truths[t]
+            observed_class = truth.ravel().copy()
+            fraction = corruption_at.get(t)
+            if fraction:
+                count = int(round(fraction * n))
+                count = min(count, n)
+                hit = rng.choice(n, size=count, replace=False)
+                shift = rng.integers(1, k, size=count)
+                observed_class[hit] = (observed_class[hit] + shift) % k
+            band_paths = []
+            for band in spec.bands:
+                loc, scale = tables[band][observed_class].T
+                with np.errstate(over="ignore"):
+                    values = rng.normal(loc, scale).astype(np.float32)
+                bad = ~np.isfinite(values)
+                if bad.any():
+                    name = spec.classes[observed_class[np.argmax(bad)]]
+                    raise ConfigError(f"stat for {name}/{band}: draws overflow float32")
+                rel = f"bands/f{t:03d}_{band}.f32"
+                written.append(out / rel)
+                write_band_plane(written[-1], values.reshape(spec.height, spec.width))
+                band_paths.append((band, rel))
+            truth_rel = f"truth/f{t:03d}.lbl"
+            written.append(out / truth_rel)
+            write_label_raster(written[-1], LabelRaster(truth, num_classes=k))
+            frames.append(
+                ManifestFrame(
+                    date=spec.start_date + dt.timedelta(days=t * spec.cadence_days),
+                    band_paths=tuple(band_paths),
+                    cloud_fraction=cloud_at.get(t),
+                    truth_path=truth_rel,
+                )
             )
+        manifest = StackManifest(
+            width=spec.width,
+            height=spec.height,
+            scale=1.0,
+            bands=tuple((b, SYNTH_BAND_RESOLUTION) for b in spec.bands),
+            frames=tuple(frames),
+            base_dir=out,
         )
-    manifest = StackManifest(
-        width=spec.width,
-        height=spec.height,
-        scale=1.0,
-        bands=tuple((b, SYNTH_BAND_RESOLUTION) for b in spec.bands),
-        frames=tuple(frames),
-        base_dir=out,
-    )
-    return write_manifest(manifest, out / "manifest.txt")
+        return write_manifest(manifest, out / "manifest.txt")
+    except BaseException:
+        for path in written:
+            with suppress(OSError):
+                path.unlink()
+        raise

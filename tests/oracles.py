@@ -3,9 +3,10 @@
 Most of this is written the slow, obvious way (explicit loops,
 textbook formulas, brute-force enumeration) and shares no code with the
 package's vectorized implementations. Tests compare the two routes;
-when they agree we trust both. The pixel-major mixture and softmax-loss
-functions and `per_epsilon_sweep` are instead the straightforward
-routes the package's faster code must reproduce exactly.
+when they agree we trust both. The mixture and softmax-loss functions
+over `max_shift_logsumexp` and `per_epsilon_sweep` are instead the
+straightforward routes the package's faster code must reproduce
+exactly.
 `predict_prior`, `map_decision` and `update_operation_count` are the
 textbook prior step, MAP rule and closed-form operation counts that the
 recursion tests and criterion 4 check against.
@@ -147,16 +148,32 @@ def softmax_loss_by_hand(
 
 
 # ------------------------------------------------------------------
-# pixel-major mixtures and softmax loss over scipy.special.logsumexp
+# mixtures and softmax loss over a max-shift log-sum-exp
 # ------------------------------------------------------------------
 #
-# The package's mixture EM, mixture density and softmax loss as they
-# were written pixel-major, with (N, M) log-term matrices reduced by
-# scipy.special.logsumexp. The class-major package code must reproduce
-# them exactly. Only the k-means++ seeding is shared with the package.
+# The package's mixture density, EM and softmax loss, written with
+# numpy alone. The mixture density and the EM E-step run pixel-major:
+# (N, M) log-term matrices, each row reduced by `max_shift_logsumexp`.
 # Each component's Mahalanobis term is the squared norm of the centred
 # pixels times the transposed inverse Cholesky factor, the same
-# products the package forms band-major as prec @ (x - mean).T.
+# products the package forms band-major as prec @ (x - mean).T. The EM
+# M-step and the softmax loss form their sums and matmuls on the same
+# class-major and band-major operands as the package, because BLAS
+# rounds by operand layout. The package code must reproduce all of
+# them exactly. Only the k-means++ seeding is shared with the package.
+
+def max_shift_logsumexp(a: np.ndarray) -> np.ndarray:
+    """log(sum(exp(a), axis=1)) of an (N, M) array: shift each row by its max.
+
+    Rows whose result is not finite take log(sum(exp(row))) instead.
+    """
+    a_max = a.max(axis=1)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        out = np.log(np.sum(np.exp(a - a_max[:, np.newaxis]), axis=1)) + a_max
+        bad = ~np.isfinite(out)
+        out[bad] = np.log(np.sum(np.exp(a[bad]), axis=1))
+    return out
+
 
 def pixel_major_log_gaussian_matrix(
     x: np.ndarray, means: np.ndarray, covariances: np.ndarray
@@ -182,12 +199,10 @@ def pixel_major_log_gaussian_matrix(
 
 def pixel_major_log_density(mixture, x: np.ndarray) -> np.ndarray:
     """`GaussianMixture.log_density` over an (N, M) log-term matrix."""
-    from scipy.special import logsumexp
-
     log_terms = pixel_major_log_gaussian_matrix(
         x, mixture.means, mixture.covariances
     )
-    return logsumexp(log_terms + np.log(mixture.weights), axis=1)
+    return max_shift_logsumexp(log_terms + np.log(mixture.weights))
 
 
 def pixel_major_likelihood(model, pixels: np.ndarray) -> np.ndarray:
@@ -198,13 +213,16 @@ def pixel_major_likelihood(model, pixels: np.ndarray) -> np.ndarray:
     )
 
 
-def pixel_major_fit_single_mixture(
+def reference_fit_single_mixture(
     x: np.ndarray, components: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[float]]:
-    """EM fit of one class's mixture -> (weights, means, covariances, trace)."""
-    from scipy.special import logsumexp
+    """EM fit of one class's mixture -> (weights, means, covariances, trace).
 
+    The E-step is pixel-major; the M-step weighs band-major pixels by
+    class-major (M, N) responsibilities.
+    """
     n, b = x.shape
+    xt = np.ascontiguousarray(x.T)
     eye = np.eye(b)
     means = _kmeans_pp_centers(x, components, rng)
     base_cov = np.atleast_2d(np.cov(x.T, bias=True)) + COV_JITTER * eye
@@ -214,51 +232,48 @@ def pixel_major_fit_single_mixture(
     trace: list[float] = []
     for _ in range(EM_MAX_ITER):
         log_terms = pixel_major_log_gaussian_matrix(x, means, covs) + np.log(weights)
-        log_norm = logsumexp(log_terms, axis=1)
+        log_norm = max_shift_logsumexp(log_terms)
         trace.append(float(np.mean(log_norm)))
         if len(trace) > 1 and trace[-1] - trace[-2] < EM_TOL:
             break
-        resp = np.exp(log_terms - log_norm[:, np.newaxis])
-        bulk = resp.sum(axis=0) + 10.0 * np.finfo(np.float64).tiny
+        resp = np.ascontiguousarray(np.exp(log_terms - log_norm[:, np.newaxis]).T)
+        bulk = resp.sum(axis=1) + 10.0 * np.finfo(np.float64).tiny
         weights = bulk / n
-        means = (resp.T @ x) / bulk[:, np.newaxis]
+        means = (resp @ x) / bulk[:, np.newaxis]
         covs = np.empty_like(covs)
         for j in range(components):
-            diff = x - means[j]
-            covs[j] = (resp[:, j] * diff.T) @ diff / bulk[j] + COV_JITTER * eye
+            centred = xt - means[j][:, np.newaxis]
+            covs[j] = (centred * resp[j]) @ centred.T / bulk[j] + COV_JITTER * eye
     return weights, means, covs, trace
 
 
-def pixel_major_fit_mixtures(
+def reference_fit_mixtures(
     samples_by_class, components: list[int], seed: int
 ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray, list[float]]]:
     """`fit_mixture_classifier`'s per-class loop over one shared RNG."""
     rng = np.random.default_rng(seed)
     return [
-        pixel_major_fit_single_mixture(np.asarray(x, dtype=np.float64), m, rng)
+        reference_fit_single_mixture(np.asarray(x, dtype=np.float64), m, rng)
         for x, m in zip(samples_by_class, components)
     ]
 
 
-def scipy_logistic_loss_grad(
+def reference_logistic_loss_grad(
     weights_flat: np.ndarray,
     features_aug: np.ndarray,
     labels_onehot: np.ndarray,
     l2: float,
 ) -> tuple[float, np.ndarray]:
-    """`logistic_loss_grad` with an (N, K) scipy logsumexp."""
-    from scipy.special import logsumexp
-
+    """`logistic_loss_grad` on (K, N) scores, normalized pixel-major."""
     n, b_aug = features_aug.shape
     k = labels_onehot.shape[1]
     w = weights_flat.reshape(k, b_aug)
-    scores = features_aug @ w.T
-    log_norm = logsumexp(scores, axis=1)
-    log_probs = scores - log_norm[:, np.newaxis]
-    nll = -float(np.sum(labels_onehot * log_probs)) / n
+    scores = w @ features_aug.T
+    log_norm = max_shift_logsumexp(np.ascontiguousarray(scores.T))
+    log_probs = scores - log_norm
+    nll = -float(np.sum(labels_onehot.T * log_probs)) / n
     loss = nll + l2 * float(np.sum(w[:, :-1] ** 2))
-    probs = np.exp(log_probs)
-    grad = (probs - labels_onehot).T @ features_aug / n
+    grad = (np.exp(log_probs) - labels_onehot.T) @ features_aug / n
     grad[:, :-1] += 2.0 * l2 * w[:, :-1]
     return loss, grad.ravel()
 

@@ -782,6 +782,8 @@ class TestCliExitCodes:
         assert main(["synth", "--spec", str(spec), "--out", str(tmp_path / "d")]) == 1
         err = capsys.readouterr().err
         assert err == f"error: stat for {name}/{band}: draws overflow float32\n"
+        # water swir1 overflows after planes have been written: none is left
+        assert not [p for p in (tmp_path / "d").rglob("*") if p.is_file()]
 
     def test_repeated_synth_cloud_is_config_exit(self, tmp_path, capsys):
         spec = write_spec(tmp_path, SYNTH_BASE + "cloud = 1 0.5\ncloud = 1 0.7\n")

@@ -415,6 +415,13 @@ BAD_FRAMES = {
     "one_class": (lambda out: out[:1], ShapeError, "class axis"),
     "flat": (lambda out: out[0], ShapeError, "model returned shape"),
     "pixel_major": (lambda out: out.T.copy(), ShapeError, "model returned shape"),
+    # (N, K) one-hot rows that never choose class 1: the transposed
+    # pre-check sees an all-zero row, but the shape is what is wrong
+    "pixel_major_absent_class": (
+        lambda out: np.eye(out.shape[0])[np.zeros(out.shape[1], dtype=np.intp)],
+        ShapeError,
+        "model returned shape",
+    ),
 }
 
 
