@@ -19,9 +19,10 @@ Three trained forms plus a pass-through:
 All classifiers expose ``frame_posterior(frame) -> (K, H*W)``, class
 major: row k holds class k for every pixel in row-major pixel order.
 Generative ones also expose ``frame_likelihood`` in the same layout.
-The built-in engines return one C-ordered float64 buffer. Model
-files use a small versioned binary container that round-trips
-parameters bit for bit.
+The built-in engines return one C-ordered float64 buffer, summed and
+normalized over classes by `core`'s column helpers, as in the
+recursion. Model files use a small versioned binary container that
+round-trips parameters bit for bit.
 """
 
 from __future__ import annotations
@@ -30,13 +31,19 @@ import enum
 import math
 import struct
 import warnings
-from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .core import PROB_FLOOR, Frame, LabelRaster, MultibandImage
+from .core import (
+    Frame,
+    LabelRaster,
+    MultibandImage,
+    column_sums,
+    floor_normalize_columns,
+    normalize_columns,
+)
 from .errors import (
     ConfigError,
     DataError,
@@ -181,7 +188,7 @@ class IndexClassifier:
             np.divide(np.subtract(flat, mean, out=z), sigma, out=z)
             np.multiply(np.multiply(z, -0.5, out=row), z, out=row)
             np.divide(np.exp(row, out=row), sigma * math.sqrt(2.0 * math.pi), out=row)
-        _floor_normalize_rows(dens)
+        floor_normalize_columns(dens)
         return dens.reshape(dens.shape[0], *y.shape)
 
     def frame_posterior(self, frame: Frame) -> np.ndarray:
@@ -248,49 +255,11 @@ class GaussianMixture:
         return np.exp(self.log_density(x))
 
 
-def _sum_rows(a: np.ndarray) -> np.ndarray:
-    """Sum a non-negative (R, N) array over its R rows in numpy's pairwise order.
-
-    numpy sums a contiguous run of R values left to right when R < 8,
-    in eight interleaved partial sums when 8 <= R <= 128, and by halves
-    above that. Following the same order here keeps each column's sum
-    bit-identical to summing the rows of the (N, R) transpose, while
-    every step runs over whole rows of N values.
-    """
-    r = a.shape[0]
-    if r < 8:
-        return np.sum(a, axis=0)
-    if r > 128:
-        half = r // 2 - (r // 2) % 8
-        return _sum_rows(a[:half]) + _sum_rows(a[half:])
-    part = a[:8].copy()
-    stop = r - r % 8
-    for i in range(8, stop, 8):
-        part += a[i : i + 8]
-    total = ((part[0] + part[1]) + (part[2] + part[3])) + (
-        (part[4] + part[5]) + (part[6] + part[7])
-    )
-    for i in range(stop, r):
-        total += a[i]
-    return total
-
-
-def _floor_normalize_rows(a: np.ndarray) -> np.ndarray:
-    """`floor_normalize` of each column of a (K, N) array, in place.
-
-    Returns ``a``. Equals `floor_normalize` of the (N, K) C-ordered
-    transpose bit for bit, since `_sum_rows` adds the classes in the
-    order of numpy's last-axis sum.
-    """
-    np.maximum(a, PROB_FLOOR, out=a)
-    return np.divide(a, _sum_rows(a), out=a)
-
-
 def _logsumexp_columns(a: np.ndarray) -> np.ndarray:
     """log(sum(exp(a), axis=0)) of an (M, N) array -> (N,).
 
     The plain max-shift: ``log(sum(exp(a - max))) + max`` per column,
-    the sum taken by `_sum_rows`, so each column equals the same steps
+    the sum taken by `column_sums`, so each column equals the same steps
     on a row of the (N, M) transpose. Columns whose result is not
     finite (an inf or NaN entry, or all entries -inf) fall back to
     ``log(sum(exp(a)))``, where summation order cannot matter.
@@ -298,7 +267,7 @@ def _logsumexp_columns(a: np.ndarray) -> np.ndarray:
     a_max = np.max(a, axis=0)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         shifted = a - a_max
-        out = np.log(_sum_rows(np.exp(shifted, out=shifted))) + a_max
+        out = np.log(column_sums(np.exp(shifted, out=shifted))) + a_max
         bad = ~np.isfinite(out)
         if bad.any():
             out[bad] = np.log(np.sum(np.exp(a[:, bad]), axis=0))
@@ -335,7 +304,7 @@ def _log_gaussian_matrix(
         np.subtract(xt, means[j][:, np.newaxis], out=centred)
         np.matmul(prec, centred, out=y)
         y *= y
-        maha = _sum_rows(y)
+        maha = column_sums(y)
         maha += const + 2.0 * np.sum(np.log(np.diag(chol)))
         np.multiply(maha, -0.5, out=out[j])
     return out
@@ -431,27 +400,27 @@ class MixtureClassifier:
 
     def frame_posterior(self, frame: Frame) -> np.ndarray:
         # Posterior under a uniform class prior.
-        return _floor_normalize_rows(self.frame_likelihood(frame))
+        return floor_normalize_columns(self.frame_likelihood(frame))
 
 
 def fit_mixture_classifier(
     samples_by_class: list[np.ndarray] | tuple[np.ndarray, ...],
     bands: tuple[str, ...],
-    components: int | Sequence[int] = 3,
+    components: int = 3,
     seed: int = 0,
 ) -> MixtureClassifier:
     """Fit one mixture per class with EM.
 
     ``samples_by_class[k]`` holds class k's training pixels, shape
-    (n_k, len(bands)). ``components`` is a single count shared by every
-    class or one count per class. Seeding is k-means++ driven by
-    ``seed``; EM stops when the mean log-likelihood improves by less
-    than 1e-6 or after 200 iterations. Each class must supply at least
-    10 * components * len(bands) samples, all finite: thinner classes
-    raise InsufficientDataError and a NaN or inf sample raises DataError,
-    both before any class is fitted. A covariance that is not positive
-    definite (collinear bands, say) raises NumericalError naming the
-    class.
+    (n_k, len(bands)); each is fitted with ``components`` components.
+    Seeding is k-means++ driven by ``seed``; EM stops when the mean
+    log-likelihood improves by less than 1e-6 or after 200 iterations.
+    Each class must supply at least 10 * components * len(bands)
+    samples, all finite, whose summed squared distances fit in float64.
+    Before any class is fitted, thinner classes raise
+    InsufficientDataError, a NaN or inf sample DataError and an overflow
+    NumericalError. A covariance that is not positive definite
+    (collinear bands, say) raises NumericalError naming the class.
 
     Policy for a fit that does not converge: warn, never raise. A class
     whose EM stops at the iteration limit emits a RuntimeWarning naming
@@ -460,17 +429,8 @@ def fit_mixture_classifier(
     """
     if len(samples_by_class) < 2:
         raise InvalidClassCountError("need samples for at least 2 classes")
-    if isinstance(components, int):
-        per_class = [components] * len(samples_by_class)
-    else:
-        per_class = [int(m) for m in components]
-        if len(per_class) != len(samples_by_class):
-            raise InvalidHyperparameterError(
-                f"got {len(per_class)} component counts for "
-                f"{len(samples_by_class)} classes"
-            )
-    if any(m < 1 for m in per_class):
-        raise InvalidHyperparameterError(f"components must be >= 1, got {per_class}")
+    if components < 1:
+        raise InvalidHyperparameterError(f"components must be >= 1, got {components}")
     num_bands = len(bands)
     classes = []
     for k, samples in enumerate(samples_by_class):
@@ -481,19 +441,23 @@ def fit_mixture_classifier(
             )
         if not np.isfinite(x).all():
             raise DataError(f"class {k}: training samples contain non-finite values")
-        needed = 10 * per_class[k] * num_bands
+        needed = 10 * components * num_bands
         if x.shape[0] < needed:
             raise InsufficientDataError(
                 f"class {k}: {x.shape[0]} samples < {needed} "
-                f"(10 * {per_class[k]} components * {num_bands} bands)"
+                f"(10 * {components} components * {num_bands} bands)"
             )
+        with np.errstate(over="ignore"):  # bounds the k-means++ and covariance sums
+            spread = x.shape[0] * np.sum(np.square(np.ptp(x, axis=0)))
+        if not np.isfinite(spread):
+            raise NumericalError(f"class {k}: squared sample distances overflow float64")
         classes.append(x)
     rng = np.random.default_rng(seed)
     mixtures = []
     traces = []
     for k, x in enumerate(classes):
         try:
-            mix, trace = _fit_single_mixture(x, per_class[k], rng)
+            mix, trace = _fit_single_mixture(x, components, rng)
         except np.linalg.LinAlgError as exc:
             raise NumericalError(
                 f"class {k}: mixture covariance is not positive definite ({exc})"
@@ -593,7 +557,7 @@ class LogisticClassifier:
         scores = np.ascontiguousarray((aug @ self.weights.T).T)
         scores -= scores.max(axis=0)
         np.exp(scores, out=scores)
-        return np.divide(scores, _sum_rows(scores), out=scores)
+        return normalize_columns(scores)
 
     def frame_posterior(self, frame: Frame) -> np.ndarray:
         return self.posterior(_frame_matrix(frame.image, self.bands))

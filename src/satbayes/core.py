@@ -1,10 +1,12 @@
 """Shared value types for probabilistic time-series classification.
 
-The vector helpers here and `recursion`'s single-step updates take
+The validation helpers here and `recursion`'s single-step updates take
 numpy arrays whose last axis indexes classes; engine outputs and the
-frame step are class-major. Images and stacks are immutable
-containers: their arrays are C-contiguous float64 with the write flag
-cleared, so downstream code can share them without defensive copies.
+frame step are class-major, and share this module's (K, N) column
+arithmetic: `column_sums`, `normalize_columns`, `floor_normalize_columns`.
+Images and stacks are immutable containers: their arrays are
+C-contiguous float64 with the write flag cleared, so downstream code
+can share them without defensive copies.
 """
 
 from __future__ import annotations
@@ -43,10 +45,10 @@ def uniform_pmf(num_classes: int) -> np.ndarray:
     return np.full(num_classes, 1.0 / num_classes)
 
 
-def validate_pmf(values: np.ndarray, *, atol: float = PMF_ATOL) -> np.ndarray:
+def validate_pmf(values: np.ndarray) -> np.ndarray:
     """Check that ``values`` holds probability vectors along the last axis.
 
-    Entries must be finite, non-negative, and sum to 1 within ``atol``.
+    Entries must be finite, non-negative, and sum to 1 within PMF_ATOL.
     Returns the input as a float64 array.
     """
     arr = np.asarray(values, dtype=np.float64)
@@ -57,16 +59,54 @@ def validate_pmf(values: np.ndarray, *, atol: float = PMF_ATOL) -> np.ndarray:
     if np.any(arr < 0.0):
         raise ValueError("probability vector has negative entries")
     sums = arr.sum(axis=-1)
-    if not np.allclose(sums, 1.0, rtol=0.0, atol=atol):
+    if not np.allclose(sums, 1.0, rtol=0.0, atol=PMF_ATOL):
         worst = float(np.max(np.abs(sums - 1.0)))
         raise ValueError(f"probability vector sums off by {worst:.3e}")
     return arr
 
 
-def floor_normalize(values: np.ndarray) -> np.ndarray:
-    """Floor at PROB_FLOOR, then normalize the last axis to sum to one."""
-    floored = np.maximum(values, PROB_FLOOR)
-    return floored / floored.sum(axis=-1, keepdims=True)
+def column_sums(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Sum an (R, N) array over its R rows in numpy's pairwise order -> (N,).
+
+    numpy sums a contiguous run of R values left to right when R < 8,
+    in eight interleaved partial sums when 8 <= R <= 128, and by halves
+    above that. Following the same order here keeps each column's sum
+    bit-identical to summing the rows of the C-ordered (N, R) transpose,
+    while every step runs over whole rows of N values. The sum goes
+    into ``out`` when given; for R >= 8 the partial sums are allocated.
+    """
+    r = a.shape[0]
+    if r < 8:
+        return np.sum(a, axis=0, out=out)
+    if r > 128:
+        half = r // 2 - (r // 2) % 8
+        return np.add(column_sums(a[:half]), column_sums(a[half:]), out=out)
+    stop = r - r % 8
+    part = a[:8].copy()
+    for i in range(8, stop, 8):
+        part += a[i : i + 8]
+    part[0::2] += part[1::2]  # (p0 + p1), (p2 + p3), (p4 + p5), (p6 + p7)
+    part[0::4] += part[2::4]  # ((p0 + p1) + (p2 + p3)), ((p4 + p5) + (p6 + p7))
+    out = np.add(part[0], part[4], out=out)
+    for row in a[stop:]:
+        out += row
+    return out
+
+
+def normalize_columns(x: np.ndarray, total: np.ndarray | None = None) -> np.ndarray:
+    """Divide each (K, N) column by its `column_sums` in place; returns ``x``.
+
+    ``total`` is an optional (N,) buffer for the sums.
+    """
+    return np.divide(x, column_sums(x, total), out=x)
+
+
+def floor_normalize_columns(
+    x: np.ndarray, out: np.ndarray | None = None, total: np.ndarray | None = None
+) -> np.ndarray:
+    """Floor at PROB_FLOOR, then `normalize_columns`; in place unless ``out``."""
+    floored = np.maximum(x, PROB_FLOOR, out=x if out is None else out)
+    return normalize_columns(floored, total)
 
 
 def validate_likelihood(values: np.ndarray) -> np.ndarray:
@@ -219,11 +259,6 @@ class MultibandImage:
             return self.data[self.bands.index(name)]
         except ValueError:
             raise ConfigError(f"image has no band {name!r}") from None
-
-    def pixels(self) -> np.ndarray:
-        """Flattened (H*W, bands) row-major view of the pixel values."""
-        b, h, w = self.data.shape
-        return self.data.reshape(b, h * w).T
 
 
 @dataclass(frozen=True)

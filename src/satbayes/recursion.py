@@ -8,19 +8,20 @@ consumes instantaneous posterior probabilities and divides out the
 class marginals.
 
 All update arithmetic is one class-major kernel, `_Kernel`, on (K, N)
-float64 arrays written in place. `FrameStep` owns the filter state and
-runs the kernel once per frame, serially over all N pixels, for
-`classify_stack`, `timing_bench` and `epsilon_sweep`: it validates the
-model's (K, N) output once, floors it into its (K, N) ``inst``, and
-updates one (K, N) belief per transition model in place, so a sweep
-over E transition probabilities is a bank of E filters sharing one
-model evaluation per frame. The filter needs only the previous
-date's belief: `classify_stack` hands each date's (K, N) posteriors to a
+float64 arrays written in place, normalized by `core` as the engines
+are. `FrameStep` owns the filter state and runs the kernel once per
+frame, serially over all N pixels, for `classify_stack`,
+`timing_bench` and `epsilon_sweep`: it validates the model's (K, N)
+output once, floors it into its (K, N) ``inst``, and updates one
+(K, N) belief per transition model in place, so a sweep over E
+transition probabilities is a bank of E filters sharing one model
+evaluation per frame. The filter needs only the previous date's
+belief: `classify_stack` hands each date's (K, N) posteriors to a
 per-frame sink, and collects them into float64 cubes only when the
-caller passes none. The public
-`generative_update`, `discriminative_update` and `regularize` take
-(..., K) arrays, validate every input and run the same kernel on a
-transposed (K, M) copy.
+caller passes none. The public `generative_update`,
+`discriminative_update` and `regularize` take (..., K) arrays,
+validate every input and run the same arithmetic on a transposed
+(K, M) copy.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from __future__ import annotations
 import datetime as dt
 import enum
 from collections.abc import Callable, Sequence
-from contextlib import suppress
 from dataclasses import dataclass
 from typing import Protocol
 
@@ -38,18 +38,19 @@ from .core import (
     Frame,
     ImageStack,
     LabelRaster,
-    PROB_FLOOR,
     TransitionModel,
-    floor_normalize,
+    column_sums,
+    floor_normalize_columns,
+    normalize_columns,
     uniform_pmf,
     validate_likelihood,
     validate_pmf,
 )
 from .errors import (
     ConfigError,
+    DegenerateLikelihoodError,
     InvalidHyperparameterError,
     InvalidMarginalError,
-    NumericalError,
     SatBayesError,
     ShapeError,
 )
@@ -130,8 +131,8 @@ def regularize(pmf: np.ndarray, lam: float) -> np.ndarray:
     if lam == 0.0:
         return arr
     pmf_cm = _class_major(arr, arr.shape)
-    smoothed = _Kernel(*pmf_cm.shape).smooth(pmf_cm, lam)
-    return smoothed.T.reshape(arr.shape)
+    pmf_cm += lam
+    return normalize_columns(pmf_cm).T.reshape(arr.shape)
 
 
 def _check_lam(lam: float) -> None:
@@ -165,9 +166,9 @@ class _Kernel:
 
     Row c holds class c for n pixels, so each operation is one
     vectorized pass per class, written with ``out=`` into the caller's
-    arrays or this kernel's n-pixel scratch. Column sums add rows in
-    class order, which for K < 8 rounds exactly like a sum over the last
-    axis of the (n, K) layout.
+    arrays or this kernel's n-pixel scratch. Columns are normalized by
+    `core.normalize_columns` into the ``total`` row, so they round
+    exactly like a normalization over the last axis of the (n, K) layout.
     """
 
     def __init__(self, num_classes: int, pixels: int) -> None:
@@ -177,22 +178,10 @@ class _Kernel:
         self.greater = np.empty(pixels, dtype=np.bool_)
         self.label_step = np.empty(pixels, dtype=np.uint8)
 
-    def normalize(self, x: np.ndarray) -> None:
-        """Divide each column of ``x`` by its sum, in place."""
-        np.sum(x, axis=0, out=self.total)
-        for row in x:
-            np.divide(row, self.total, out=row)
-
-    def floor_normalize(self, x: np.ndarray, out: np.ndarray) -> None:
-        """`floor_normalize` of every column of ``x``, into ``out``."""
-        np.maximum(x, PROB_FLOOR, out=out)
-        self.normalize(out)
-
     def smooth(self, pmf: np.ndarray, lam: float) -> np.ndarray:
         """`regularize` (``lam`` > 0) of every column of ``pmf``, into scratch."""
         np.add(pmf, lam, out=self.scratch)
-        self.normalize(self.scratch)
-        return self.scratch
+        return normalize_columns(self.scratch, total=self.total)
 
     def weigh(self, pmf: np.ndarray, marginal: np.ndarray | None) -> np.ndarray:
         """Evidence weights: ``pmf`` / ``marginal`` into scratch.
@@ -210,7 +199,7 @@ class _Kernel:
         """``belief`` = floor-normalized weights * M^T belief, in place."""
         np.matmul(transition.matrix.T, belief, out=self.prior)
         np.multiply(self.prior, weights, out=belief)
-        self.floor_normalize(belief, belief)
+        floor_normalize_columns(belief, total=self.total)
 
     def decide(self, pmf: np.ndarray, labels: np.ndarray) -> None:
         """MAP class per column into uint8 ``labels``; ties -> lowest index.
@@ -292,12 +281,13 @@ class FrameStep:
     1 + e from ``post[e]``. ``step(raw, date)`` loads one frame's (K, N)
     model output into ``inst`` and updates each ``post[e]`` in place.
     Validation, smoothing and the division by the marginal run once per
-    call, whatever E is. An output of another shape is a ShapeError;
-    one of the right shape is validated with the errors of
-    `validate_likelihood` / `validate_pmf` on its (N, K) transpose.
-    Given the frame's ``date``, the message starts with its ISO form and
-    the error keeps its type, and the state is left as it was. The step
-    is serial: one `_Kernel` over all N pixel columns holds its scratch.
+    call, whatever E is. An output of another shape is a ShapeError; in
+    one of the right shape, a non-finite, then a negative entry is a
+    ValueError, an all-zero pixel column a DegenerateLikelihoodError and
+    an overflowing column sum a ValueError. Given the frame's ``date``,
+    the message starts with its ISO form and the error keeps its type,
+    and the state is left as it was. The step is serial: one `_Kernel`
+    over all N pixel columns holds its scratch.
     """
 
     def __init__(
@@ -338,27 +328,30 @@ class FrameStep:
         """The model output as float64, once it passes validation."""
         raw = np.asarray(raw, dtype=np.float64)
         if raw.shape != self._shape:
-            with suppress(ValueError, NumericalError):
-                validate_likelihood(raw.T)  # only its class-axis ShapeError escapes
             raise ShapeError(
                 f"model returned shape {raw.shape}, expected {self._shape}"
             )
-        # Whole-array reductions prove every pixel column finite,
-        # non-negative, not all zero and far from overflowing its sum; the
-        # initial values let a frame of zero pixels pass. Otherwise the
-        # exact checks raise their error, or pass an edge case.
+        # Whole-array reductions prove every pixel column finite, positive
+        # and far from overflowing its sum; the initial values let a frame
+        # of zero pixels pass. Otherwise the exact checks raise their
+        # error, or pass an edge case: zero entries, or huge finite sums.
         lo, hi = raw.min(initial=np.inf), raw.max(initial=-np.inf)
-        if not (
-            lo >= 0.0
-            and hi < self._max_entry
-            and (lo > 0.0 or np.sum(raw, axis=0, out=self._kernel.total).min() > 0.0)
-        ):
-            validate_pmf(floor_normalize(validate_likelihood(raw.T)))
+        if lo > 0.0 and hi < self._max_entry:
+            return raw
+        if not (np.isfinite(lo) and np.isfinite(hi)):
+            raise ValueError("likelihood vector has non-finite entries")
+        if lo < 0.0:
+            raise ValueError("likelihood vector has negative entries")
+        total = column_sums(raw, self._kernel.total)  # finite entries >= 0
+        if total.min() == 0.0:
+            raise DegenerateLikelihoodError("all-zero likelihood vector")
+        if total.max() == np.inf:
+            raise ValueError("likelihood vector sum overflows float64")
         return raw
 
     def _advance(self, raw: np.ndarray) -> None:
         kernel, inst = self._kernel, self.inst
-        kernel.floor_normalize(raw, inst)
+        floor_normalize_columns(raw, inst, kernel.total)
         kernel.decide(inst, self.labels[0])
         smoothed = kernel.smooth(inst, self.lam) if self.lam else inst
         weights = kernel.weigh(smoothed, self.marginal)  # scratch, or inst itself

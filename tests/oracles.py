@@ -9,7 +9,9 @@ straightforward routes the package's faster code must reproduce
 exactly.
 `predict_prior`, `map_decision` and `update_operation_count` are the
 textbook prior step, MAP rule and closed-form operation counts that the
-recursion tests and criterion 4 check against.
+recursion tests and criterion 4 check against, and `floor_normalize` is
+the pixel-major (..., K) form of the package's class-major
+floor-normalization.
 """
 
 from __future__ import annotations
@@ -26,9 +28,9 @@ from satbayes.classifiers import (
     _kmeans_pp_centers,
 )
 from satbayes.core import (
+    PROB_FLOOR,
     TransitionModel,
     build_transition_model,
-    floor_normalize,
     uniform_pmf,
     validate_likelihood,
     validate_pmf,
@@ -36,6 +38,12 @@ from satbayes.core import (
 from satbayes.errors import ConfigError, InvalidMarginalError, ShapeError
 from satbayes.evaluation import frame_accuracies
 from satbayes.recursion import RecursionMode, classify_stack
+
+
+def floor_normalize(values: np.ndarray) -> np.ndarray:
+    """Floor at PROB_FLOOR, then normalize the last axis to sum to one."""
+    floored = np.maximum(values, PROB_FLOOR)
+    return floored / floored.sum(axis=-1, keepdims=True)
 
 
 def symmetric_transition(num_classes: int, change_prob: float) -> np.ndarray:
@@ -248,13 +256,13 @@ def reference_fit_single_mixture(
 
 
 def reference_fit_mixtures(
-    samples_by_class, components: list[int], seed: int
+    samples_by_class, components: int, seed: int
 ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray, list[float]]]:
     """`fit_mixture_classifier`'s per-class loop over one shared RNG."""
     rng = np.random.default_rng(seed)
     return [
-        reference_fit_single_mixture(np.asarray(x, dtype=np.float64), m, rng)
-        for x, m in zip(samples_by_class, components)
+        reference_fit_single_mixture(np.asarray(x, dtype=np.float64), components, rng)
+        for x in samples_by_class
     ]
 
 

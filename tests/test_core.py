@@ -13,13 +13,16 @@ from numpy.testing import assert_allclose, assert_array_equal
 import oracles
 from helpers import make_image, make_stack
 from satbayes.core import (
+    PROB_FLOOR,
     Frame,
     ImageStack,
     LabelRaster,
     MultibandImage,
     TransitionModel,
     build_transition_model,
-    floor_normalize,
+    column_sums,
+    floor_normalize_columns,
+    normalize_columns,
     uniform_pmf,
     validate_likelihood,
     validate_pmf,
@@ -55,17 +58,18 @@ class TestProbabilityVectors:
             validate_pmf(np.array(1.0))
 
     def test_floor_normalize_handles_zeros(self):
-        out = floor_normalize(np.array([0.0, 2.0]))
+        out = floor_normalize_columns(np.array([[0.0], [2.0]]))
         assert np.all(out > 0.0)
         assert out.sum() == pytest.approx(1.0, abs=1e-15)
 
     def test_floor_normalize_keeps_ratios(self):
-        out = floor_normalize(np.array([1.0, 3.0]))
-        assert_allclose(out, [0.25, 0.75], atol=1e-15)
+        out = floor_normalize_columns(np.array([[1.0], [3.0]]))
+        assert_allclose(out[:, 0], [0.25, 0.75], atol=1e-15)
 
     def test_floor_normalize_rows(self):
-        out = floor_normalize(np.array([[1.0, 1.0], [0.0, 5.0]]))
-        assert_allclose(out.sum(axis=1), 1.0, atol=1e-15)
+        # one pixel per column: (1, 1) and (0, 5)
+        out = floor_normalize_columns(np.array([[1.0, 0.0], [1.0, 5.0]]))
+        assert_allclose(out.sum(axis=0), 1.0, atol=1e-15)
 
     def test_likelihood_all_zero_rejected(self):
         with pytest.raises(DegenerateLikelihoodError):
@@ -77,9 +81,46 @@ class TestProbabilityVectors:
     @settings(max_examples=50, deadline=None)
     def test_floor_normalize_always_valid(self, k, seed):
         rng = np.random.default_rng(seed)
-        raw = rng.uniform(0.0, 5.0, size=k)
-        out = floor_normalize(raw)
-        validate_pmf(out)
+        raw = rng.uniform(0.0, 5.0, size=(k, 3))
+        out = floor_normalize_columns(raw)
+        validate_pmf(out.T)
+
+
+class TestColumnArithmetic:
+    """The class-major column helpers equal their pixel-major forms bit for bit."""
+
+    ROWS = [1, 2, 3, 5, 7, 8, 9, 15, 16, 17, 130, 300]
+
+    @pytest.mark.parametrize("rows", ROWS)
+    def test_column_sums_match_pixel_major_rows(self, rows):
+        a = np.random.default_rng(rows).uniform(0.0, 1.0, size=(rows, 257))
+        expect = np.ascontiguousarray(a.T).sum(axis=-1)
+        assert_array_equal(column_sums(a), expect, strict=True)
+        total = np.empty(257)
+        assert column_sums(a, total) is total
+        assert_array_equal(total, expect)
+
+    @pytest.mark.parametrize("rows", ROWS[1:])
+    def test_floor_normalize_matches_pixel_major_rows(self, rows):
+        rng = np.random.default_rng(50 + rows)
+        a = rng.uniform(0.0, 1.0, size=(rows, 101))
+        a[:, ::7] *= PROB_FLOOR * rng.uniform(0.0, 5.0, size=(rows, 15))
+        expect = oracles.floor_normalize(np.ascontiguousarray(a.T)).T
+        out, total = np.empty_like(a), np.empty(101)
+        assert floor_normalize_columns(a, out, total) is out
+        assert_array_equal(out, expect)
+        assert floor_normalize_columns(a) is a  # in place
+        assert_array_equal(a, expect)
+
+    @pytest.mark.parametrize("rows", [2, 3, 9])
+    def test_normalize_columns(self, rows):
+        a = np.random.default_rng(rows).uniform(0.5, 2.0, size=(rows, 40))
+        rows_major = np.ascontiguousarray(a.T)
+        sums = rows_major.sum(axis=-1)
+        total = np.empty(40)
+        assert normalize_columns(a, total) is a  # in place
+        assert_array_equal(a, (rows_major / sums[:, np.newaxis]).T)
+        assert_array_equal(total, sums)
 
 
 class TestTransitionModel:
@@ -160,8 +201,7 @@ class TestMultibandImage:
     def test_band_accessor_and_pixel_layout(self):
         img = make_image(("green", "swir1"), [[[1.0, 2.0]], [[3.0, 4.0]]])
         assert_array_equal(img.band("green"), [[1.0, 2.0]])
-        # pixels() is row-major: pixel index = y * width + x
-        assert_array_equal(img.pixels(), [[1.0, 3.0], [2.0, 4.0]])
+        assert_array_equal(img.data[:, 0], [[1.0, 2.0], [3.0, 4.0]])
 
     def test_unknown_band(self):
         img = make_image(("green",), [[[1.0]]])

@@ -16,7 +16,6 @@ from satbayes.core import (
     PROB_FLOOR,
     TransitionModel,
     build_transition_model,
-    floor_normalize,
     uniform_pmf,
     validate_pmf,
 )
@@ -276,7 +275,7 @@ class _PosteriorStub:
     num_classes = 2
 
     def frame_posterior(self, frame):
-        vals = frame.image.pixels()[:, 0]
+        vals = frame.image.band("gray").ravel()
         p1 = 1.0 / (1.0 + np.exp(-8.0 * (vals - 0.5)))
         return np.stack([1.0 - p1, p1])
 
@@ -408,15 +407,15 @@ BAD_FRAMES = {
     "nan": (_nan, ValueError, "non-finite"),
     "negative": (_negative, ValueError, "negative"),
     "zero_row": (_zero_pixel, DegenerateLikelihoodError, "all-zero"),
-    "overflow": (_overflow, ValueError, "sums off"),
+    "overflow": (_overflow, ValueError, "sum overflows"),
     "precedence": (_zero_first_nan_last, ValueError, "non-finite"),
     "pixels": (lambda out: out[:, :-1], ShapeError, "model returned shape"),
     "classes": (lambda out: np.vstack([out, out[:1]]), ShapeError, "model returned shape"),
-    "one_class": (lambda out: out[:1], ShapeError, "class axis"),
+    "one_class": (lambda out: out[:1], ShapeError, "model returned shape"),
     "flat": (lambda out: out[0], ShapeError, "model returned shape"),
     "pixel_major": (lambda out: out.T.copy(), ShapeError, "model returned shape"),
-    # (N, K) one-hot rows that never choose class 1: the transposed
-    # pre-check sees an all-zero row, but the shape is what is wrong
+    # (N, K) one-hot rows that never choose class 1: read class-major they
+    # would hold an all-zero row, but the shape is what is wrong
     "pixel_major_absent_class": (
         lambda out: np.eye(out.shape[0])[np.zeros(out.shape[1], dtype=np.intp)],
         ShapeError,
@@ -492,7 +491,7 @@ class TestClassifyStackAcceptsEdgeOutputs:
         )
         state = uniform_pmf(2)
         for t, raw in enumerate(outputs):
-            state = update(regularize(floor_normalize(raw.T), 0.8), state, trans)
+            state = update(regularize(oracles.floor_normalize(raw.T), 0.8), state, trans)
             assert_array_equal(result.recursive_posteriors[t].reshape(2, 64).T, state)
 
     @pytest.mark.parametrize("mode", list(RecursionMode))
@@ -710,6 +709,23 @@ class TestFrameStepState:
         assert self._states(step, outputs[2:], self.DATES[2:]) == reference[1:]
 
 
+class TestFrameStepNormalization:
+    """`FrameStep.inst` is the C-ordered pixel-major floor-normalization, bit for bit."""
+
+    @pytest.mark.parametrize("mode", list(RecursionMode))
+    @pytest.mark.parametrize("k", [2, 3, 5, 8, 9, 16])
+    def test_inst_equals_pixel_major_oracle(self, k, mode):
+        rng = np.random.default_rng(80 + k)
+        step = FrameStep([build_transition_model(k, 0.1)], 0.8, mode, 301)
+        for _ in range(3):
+            raw = rng.uniform(0.0, 1.0, size=(k, 301))
+            # some columns near the floor: entries just above, at, or below it
+            raw[:, ::5] *= PROB_FLOOR * rng.uniform(0.5, 5.0, size=(k, 61))
+            step(raw)
+            expect = oracles.floor_normalize(np.ascontiguousarray(raw.T)).T
+            assert_array_equal(step.inst, expect)
+
+
 class TestClassifyStackEquivalence:
     """`classify_stack` equals a per-frame loop over the public (..., K) API."""
 
@@ -742,7 +758,7 @@ class TestClassifyStackEquivalence:
         )
         state = np.broadcast_to(uniform_pmf(k), (pixels, k))
         for t, raw in enumerate(outputs):
-            inst = floor_normalize(raw.T)
+            inst = oracles.floor_normalize(raw.T)
             state = update(regularize(inst, lam), state, trans)
             assert_allclose(
                 result.instantaneous_posteriors[t].reshape(k, pixels).T, inst,
