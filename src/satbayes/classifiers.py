@@ -19,10 +19,14 @@ Three trained forms plus a pass-through:
 All classifiers expose ``frame_posterior(frame) -> (K, H*W)``, class
 major: row k holds class k for every pixel in row-major pixel order.
 Generative ones also expose ``frame_likelihood`` in the same layout.
-The built-in engines return one C-ordered float64 buffer, summed and
-normalized over classes by `core`'s column helpers, as in the
-recursion. Model files use a small versioned binary container that
-round-trips parameters bit for bit.
+The built-in engines return a new C-ordered float64 buffer on every
+call, summed and normalized over classes by `core`'s column helpers,
+as in the recursion. The index, mixture and logistic engines keep
+their frame work arrays in a per-instance ``_scratch`` dict outside the
+dataclass fields (`save_model`, ``==`` and ``repr`` ignore it), so one
+instance must not be evaluated from two threads at once. Model files
+use a small versioned binary container that round-trips parameters
+bit for bit.
 """
 
 from __future__ import annotations
@@ -81,21 +85,36 @@ _INDEX_BANDS = {
 }
 
 
+def _buffer(
+    scratch: dict | None, name: str, shape: tuple[int, ...], dtype: type = np.float64
+) -> np.ndarray:
+    """Work array ``scratch[name]`` as ``shape``, reallocated when its size
+    changes; a new array when ``scratch`` is None."""
+    scratch = {} if scratch is None else scratch
+    buf = scratch.get(name)
+    if buf is None or buf.size != math.prod(shape):
+        buf = scratch[name] = np.empty(math.prod(shape), dtype)
+    return buf.reshape(shape)
+
+
 def spectral_index(
-    image: MultibandImage, kind: SpectralIndexKind
+    image: MultibandImage, kind: SpectralIndexKind, _scratch: dict | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-pixel normalized-difference index value and zero-denominator flags.
 
     Flagged pixels (band sum exactly zero) get index value 0.0 so they
-    fall into whichever class owns that point of the index axis.
+    fall into whichever class owns that point of the index axis. Given
+    ``_scratch``, both results are its buffers.
     """
     first, second = kind.band_pair
     a = image.band(first)
     b = image.band(second)
-    denom = a + b
-    flags = denom == 0.0
-    safe = np.where(flags, 1.0, denom)
-    values = np.where(flags, 0.0, (a - b) / safe)
+    safe = np.add(a, b, out=_buffer(_scratch, "index", a.shape))
+    flags = np.equal(safe, 0.0, out=_buffer(_scratch, "flags", a.shape, bool))
+    np.copyto(safe, 1.0, where=flags)
+    values = np.subtract(a, b, out=_buffer(_scratch, "work", a.shape))
+    values = np.divide(values, safe, out=safe)
+    np.copyto(values, 0.0, where=flags)
     return values, flags
 
 
@@ -178,12 +197,14 @@ class IndexClassifier:
     def num_classes(self) -> int:
         return len(self.thresholds) - 1
 
-    def posterior_from_index(self, values: np.ndarray | float) -> np.ndarray:
+    def posterior_from_index(
+        self, values: np.ndarray | float, _scratch: dict | None = None
+    ) -> np.ndarray:
         """Posterior probabilities for index values of any shape -> (K, ...)."""
         y = np.asarray(values, dtype=np.float64)
         flat = y.reshape(-1)
         dens = np.empty((self.num_classes, flat.size))
-        z = np.empty(flat.size)
+        z = _buffer(_scratch, "work", (flat.size,))
         for row, mean, sigma in zip(dens, self.means, self.sigmas):
             np.divide(np.subtract(flat, mean, out=z), sigma, out=z)
             np.multiply(np.multiply(z, -0.5, out=row), z, out=row)
@@ -192,8 +213,9 @@ class IndexClassifier:
         return dens.reshape(dens.shape[0], *y.shape)
 
     def frame_posterior(self, frame: Frame) -> np.ndarray:
-        values, _ = spectral_index(frame.image, self.kind)
-        return self.posterior_from_index(values.ravel())
+        scratch = vars(self).setdefault("_scratch", {})
+        values, _ = spectral_index(frame.image, self.kind, scratch)
+        return self.posterior_from_index(values.ravel(), scratch)
 
 
 # ============================================================
@@ -246,28 +268,35 @@ class GaussianMixture:
             )
         if not np.isfinite(arr).all():
             raise ValueError("array must not contain infs or NaNs")
-        xt = np.ascontiguousarray(arr.T)
-        log_terms = _log_gaussian_matrix(xt, self.means, self.covariances)
+        return self._log_density(np.ascontiguousarray(arr.T))
+
+    def _log_density(self, xt: np.ndarray, scratch: dict | None = None) -> np.ndarray:
+        """`log_density` of unchecked band-major pixels (B, N)."""
+        log_terms = _log_gaussian_matrix(xt, self.means, self.covariances, scratch)
         log_terms += np.log(self.weights)[:, np.newaxis]
-        return _logsumexp_columns(log_terms)
+        return _logsumexp_columns(log_terms, scratch)
 
     def density(self, x: np.ndarray) -> np.ndarray:
         return np.exp(self.log_density(x))
 
 
-def _logsumexp_columns(a: np.ndarray) -> np.ndarray:
+def _logsumexp_columns(a: np.ndarray, scratch: dict | None = None) -> np.ndarray:
     """log(sum(exp(a), axis=0)) of an (M, N) array -> (N,).
 
     The plain max-shift: ``log(sum(exp(a - max))) + max`` per column,
     the sum taken by `column_sums`, so each column equals the same steps
     on a row of the (N, M) transpose. Columns whose result is not
     finite (an inf or NaN entry, or all entries -inf) fall back to
-    ``log(sum(exp(a)))``, where summation order cannot matter.
+    ``log(sum(exp(a)))``, where summation order cannot matter. The
+    result is ``scratch``'s "log_norm"; its "shifted" is free on return.
     """
-    a_max = np.max(a, axis=0)
+    a_max = np.max(a, axis=0, out=_buffer(scratch, "shift", a.shape[1:]))
+    out = _buffer(scratch, "log_norm", a.shape[1:])
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        shifted = a - a_max
-        out = np.log(column_sums(np.exp(shifted, out=shifted))) + a_max
+        shifted = np.subtract(a, a_max, out=_buffer(scratch, "shifted", a.shape))
+        out = column_sums(np.exp(shifted, out=shifted), out)
+        np.log(out, out=out)
+        out += a_max
         bad = ~np.isfinite(out)
         if bad.any():
             out[bad] = np.log(np.sum(np.exp(a[:, bad]), axis=0))
@@ -275,7 +304,7 @@ def _logsumexp_columns(a: np.ndarray) -> np.ndarray:
 
 
 def _log_gaussian_matrix(
-    xt: np.ndarray, means: np.ndarray, covariances: np.ndarray
+    xt: np.ndarray, means: np.ndarray, covs: np.ndarray, scratch: dict | None = None
 ) -> np.ndarray:
     """Log N(x | mean_m, cov_m) for band-major pixels xt (B, N) -> (M, N).
 
@@ -285,28 +314,27 @@ def _log_gaussian_matrix(
     place of a triangular solve. The pixels are centred before the
     product, so a cluster far from the origin keeps its precision.
     A covariance that is not positive definite raises LinAlgError; the
-    pixels are not checked for NaN or inf here.
+    pixels are not checked for NaN or inf here. The result is a ``scratch`` buffer.
     """
     from scipy.linalg import cholesky
     from scipy.linalg.lapack import dtrtri
 
     b, n = xt.shape
-    m = means.shape[0]
-    out = np.empty((m, n))
-    centred = np.empty((b, n))
-    y = np.empty((b, n))
+    out = _buffer(scratch, "log_terms", (means.shape[0], n))
+    centred = _buffer(scratch, "centred", (b, n))
+    y = _buffer(scratch, "product", (b, n))
     const = b * math.log(2.0 * math.pi)
-    for j in range(m):
-        chol = cholesky(covariances[j], lower=True)
+    for j, row in enumerate(out):
+        chol = cholesky(covs[j], lower=True)
         prec, info = dtrtri(chol, lower=1)
         if info != 0:
             raise np.linalg.LinAlgError(f"singular Cholesky factor (dtrtri info {info})")
         np.subtract(xt, means[j][:, np.newaxis], out=centred)
         np.matmul(prec, centred, out=y)
         y *= y
-        maha = column_sums(y)
-        maha += const + 2.0 * np.sum(np.log(np.diag(chol)))
-        np.multiply(maha, -0.5, out=out[j])
+        column_sums(y, row)  # the Mahalanobis terms
+        row += const + 2.0 * np.sum(np.log(np.diag(chol)))
+        row *= -0.5
     return out
 
 
@@ -335,8 +363,9 @@ def _fit_single_mixture(
     """Class-major EM fit of one class's mixture -> (model, mean-LL trace)."""
     n, b = x.shape
     xt = np.ascontiguousarray(x.T)
-    centred = np.empty((b, n))
-    weighted = np.empty((b, n))
+    scratch: dict = {}  # the E-step's buffers; "centred" and "product" the M-step's too
+    centred = _buffer(scratch, "centred", (b, n))
+    weighted = _buffer(scratch, "product", (b, n))
     eye = np.eye(b)
     means = _kmeans_pp_centers(x, components, rng)
     base_cov = np.atleast_2d(np.cov(x.T, bias=True)) + COV_JITTER * eye
@@ -345,9 +374,9 @@ def _fit_single_mixture(
 
     trace: list[float] = []
     for _ in range(EM_MAX_ITER):
-        log_terms = _log_gaussian_matrix(xt, means, covs)
+        log_terms = _log_gaussian_matrix(xt, means, covs, scratch)
         log_terms += np.log(weights)[:, np.newaxis]
-        log_norm = _logsumexp_columns(log_terms)
+        log_norm = _logsumexp_columns(log_terms, scratch)
         trace.append(float(np.mean(log_norm)))
         if _em_converged(trace):
             break
@@ -393,10 +422,22 @@ class MixtureClassifier:
             raise ShapeError(
                 f"expected pixels of shape (N, {len(self.bands)}), got {x.shape}"
             )
-        return np.stack([mix.density(x) for mix in self.mixtures], axis=0)
+        return self._likelihood(np.ascontiguousarray(x.T))
 
     def frame_likelihood(self, frame: Frame) -> np.ndarray:
-        return self.likelihood(_frame_matrix(frame.image, self.bands))
+        scratch = vars(self).setdefault("_scratch", {})
+        planes = [frame.image.band(b).ravel() for b in self.bands]
+        pixels = _buffer(scratch, "pixels", (len(planes), planes[0].size))
+        return self._likelihood(np.stack(planes, out=pixels), scratch)
+
+    def _likelihood(self, xt: np.ndarray, scratch: dict | None = None) -> np.ndarray:
+        """Densities of band-major pixels (B, N), checked once, -> new (K, N)."""
+        if not np.isfinite(xt).all():
+            raise ValueError("array must not contain infs or NaNs")
+        out = np.empty((self.num_classes, xt.shape[1]))
+        for mix, row in zip(self.mixtures, out):
+            np.exp(mix._log_density(xt, scratch), out=row)
+        return out
 
     def frame_posterior(self, frame: Frame) -> np.ndarray:
         # Posterior under a uniform class prior.
@@ -490,6 +531,7 @@ def logistic_loss_grad(
     features_aug: np.ndarray,
     labels_onehot: np.ndarray,
     l2: float,
+    _scratch: dict | None = None,
 ) -> tuple[float, np.ndarray]:
     """Mean cross-entropy plus L2 penalty (bias column excluded), with gradient.
 
@@ -500,10 +542,14 @@ def logistic_loss_grad(
     n = features_aug.shape[0]
     w = weights_flat.reshape(labels_onehot.shape[1], -1)
     onehot = labels_onehot.T
-    log_probs = w @ features_aug.T
-    log_probs -= _logsumexp_columns(log_probs)
-    loss = -float(np.sum(onehot * log_probs)) / n + l2 * float(np.sum(w[:, :-1] ** 2))
-    grad = (np.exp(log_probs, out=log_probs) - onehot) @ features_aug / n
+    log_probs = _buffer(_scratch, "scores", onehot.shape)
+    np.matmul(w, features_aug.T, out=log_probs)
+    log_probs -= _logsumexp_columns(log_probs, _scratch)
+    product = _buffer(_scratch, "shifted", onehot.shape)  # free after the log-sum-exp
+    loss = -float(np.sum(np.multiply(onehot, log_probs, out=product))) / n
+    loss += l2 * float(np.sum(w[:, :-1] ** 2))
+    np.subtract(np.exp(log_probs, out=log_probs), onehot, out=product)
+    grad = product @ features_aug / n
     grad[:, :-1] += 2.0 * l2 * w[:, :-1]
     return loss, grad.ravel()
 
@@ -545,22 +591,30 @@ class LogisticClassifier:
     def num_classes(self) -> int:
         return self.weights.shape[0]
 
-    def posterior(self, pixels: np.ndarray) -> np.ndarray:
+    def posterior(self, pixels: np.ndarray, _scratch: dict | None = None) -> np.ndarray:
         """Softmax class probabilities for (N, B) pixel rows -> (K, N)."""
         x = np.asarray(pixels, dtype=np.float64)
         if x.ndim != 2 or x.shape[1] != len(self.bands):
             raise ShapeError(
                 f"expected pixels of shape (N, {len(self.bands)}), got {x.shape}"
             )
-        std = (x - self.feature_mean) / self.feature_std
-        aug = np.hstack([std, np.ones((std.shape[0], 1))])
-        scores = np.ascontiguousarray((aug @ self.weights.T).T)
-        scores -= scores.max(axis=0)
+        n, b = x.shape
+        aug = _buffer(_scratch, "aug", (n, b + 1))
+        std = np.subtract(x, self.feature_mean, out=aug[:, :b])
+        np.divide(std, self.feature_std, out=std)
+        aug[:, b] = 1.0
+        scores_nk = _buffer(_scratch, "scores", (n, self.num_classes))
+        scores = np.matmul(aug, self.weights.T, out=scores_nk).T.copy()
+        row = np.max(scores, axis=0, out=_buffer(_scratch, "row", (n,)))
+        scores -= row
         np.exp(scores, out=scores)
-        return normalize_columns(scores)
+        return normalize_columns(scores, row)
 
     def frame_posterior(self, frame: Frame) -> np.ndarray:
-        return self.posterior(_frame_matrix(frame.image, self.bands))
+        scratch = vars(self).setdefault("_scratch", {})
+        planes = [frame.image.band(b).ravel() for b in self.bands]
+        pixels = _buffer(scratch, "pixels", (planes[0].size, len(planes)))
+        return self.posterior(np.stack(planes, axis=1, out=pixels), scratch)
 
 
 def fit_logistic_classifier(
@@ -575,7 +629,8 @@ def fit_logistic_classifier(
     Weights start at zero and are optimized with L-BFGS (analytic
     gradient) until the projected gradient norm falls below 1e-9 or
     after 1000 iterations, so refits on reordered samples agree to high
-    precision. Training is deterministic.
+    precision. Training is deterministic. A band whose standard deviation
+    overflows float64 (as it does when its mean does) is a NumericalError.
 
     Policy for a fit that does not converge: warn, never raise. When
     L-BFGS reports failure, a RuntimeWarning names its message, and the
@@ -602,8 +657,11 @@ def fit_logistic_classifier(
     if l2 < 0.0:
         raise InvalidHyperparameterError(f"l2 must be >= 0, got {l2}")
 
-    mean = x.mean(axis=0)
-    std = x.std(axis=0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean, std = x.mean(axis=0), x.std(axis=0)
+    if not np.isfinite(std).all():
+        names = ", ".join(np.array(bands)[~np.isfinite(std)])
+        raise NumericalError(f"band(s) {names}: standard deviation overflows float64")
     std = np.where(std == 0.0, 1.0, std)  # constant feature: leave centered
     aug = np.hstack([(x - mean) / std, np.ones((x.shape[0], 1))])
     onehot = np.zeros((x.shape[0], num_classes))
@@ -614,7 +672,7 @@ def fit_logistic_classifier(
     result = minimize(
         logistic_loss_grad,
         np.zeros(num_classes * (len(bands) + 1)),
-        args=(aug, onehot, l2),
+        args=(aug, onehot, l2, {}),
         method="L-BFGS-B",
         jac=True,
         options={"maxiter": LR_MAX_ITER, "gtol": LR_PGTOL, "ftol": 1e-16},

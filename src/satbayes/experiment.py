@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .classifiers import (
@@ -203,6 +202,7 @@ def run_experiment(
                     error_map(labels[idx], frame.truth),
                 )
 
+    import scipy  # here, not at module level: `import satbayes.cli` stays scipy-free
     metadata = [
         f"name = {config.name}",
         f"package_version = {__version__}",

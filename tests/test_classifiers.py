@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import dataclasses
 import datetime as dt
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -721,6 +723,91 @@ class TestEngineOutputsMatchPixelMajor:
             assert output.flags.c_contiguous, name
 
 
+SCRATCH_BANDS = ("nir", "red")
+SCRATCH_ENGINES = ["index", "gmm likelihood", "gmm posterior", "logistic"]
+
+
+def _scratch_engine(name):
+    """A fitted engine and the name of its frame method."""
+    rng = np.random.default_rng(90)
+    x, y = _blobs(rng, [(0.1, 0.4), (0.4, 0.1), (0.3, 0.3)], 60, spread=0.05)
+    if name == "index":
+        model = IndexClassifier.from_thresholds(LANDCOVER_TAU, SpectralIndexKind.NDVI)
+    elif name == "logistic":
+        model = fit_logistic_classifier(x, y, 3, SCRATCH_BANDS)
+    else:
+        model = fit_mixture_classifier(
+            [x[y == c] for c in range(3)], SCRATCH_BANDS, components=2
+        )
+    return model, "frame_likelihood" if name == "gmm likelihood" else "frame_posterior"
+
+
+class TestFrameScratch:
+    """Engines reuse per-instance frame scratch but return fresh arrays."""
+
+    @pytest.mark.parametrize("name", SCRATCH_ENGINES)
+    def test_consecutive_outputs_are_fresh(self, name):
+        model, method = _scratch_engine(name)
+        rng = np.random.default_rng(91)
+        frames = [
+            _frame(SCRATCH_BANDS, rng.uniform(0.0, 0.5, size=(2, 16, 16)))
+            for _ in range(2)
+        ]
+        outputs = [getattr(model, method)(frame) for frame in frames]
+        assert not np.shares_memory(outputs[0], outputs[1])
+        for frame, output in zip(frames, outputs):
+            fresh = dataclasses.replace(model)
+            assert_array_equal(output, getattr(fresh, method)(frame), strict=True)
+            for buf in model._scratch.values():
+                assert not np.shares_memory(output, buf)
+
+    @pytest.mark.parametrize("name", SCRATCH_ENGINES)
+    def test_pixel_count_change_matches_fresh_instances(self, name):
+        model, method = _scratch_engine(name)
+        planes = np.random.default_rng(92).uniform(0.0, 0.5, size=(2, 16, 16))
+        full = _frame(SCRATCH_BANDS, planes)
+        crop = _frame(SCRATCH_BANDS, planes[:, 4:12, 4:12])
+        for frame in (full, crop, full):
+            fresh = dataclasses.replace(model)
+            assert_array_equal(
+                getattr(model, method)(frame), getattr(fresh, method)(frame), strict=True
+            )
+
+    def test_scratch_is_not_a_field(self):
+        model, method = _scratch_engine("logistic")
+        before = repr(model)
+        getattr(model, method)(_frame(SCRATCH_BANDS, np.full((2, 4, 4), 0.2)))
+        assert "_scratch" in vars(model)
+        assert repr(model) == before
+        assert "_scratch" not in {f.name for f in dataclasses.fields(model)}
+
+    @pytest.mark.parametrize("fit", ["gmm", "logistic"])
+    def test_fit_scratch_is_freed_on_return(self, fit):
+        rng = np.random.default_rng(93)
+        x, y = _blobs(rng, [(0.0, 0.0), (3.0, 0.0), (0.0, 3.0)], 4000)
+
+        def run(x, y):
+            if fit == "logistic":
+                return fit_logistic_classifier(x, y, 3, ("a", "b"))
+            samples = [x[y == c] for c in range(3)]
+            return fit_mixture_classifier(samples, ("a", "b"), components=2)
+
+        # imports and first-call caches stay outside the traced window; a
+        # smaller warm-up fit leaves nothing of the right size to reuse
+        run(x[::10], y[::10])
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            model = run(x, y)
+            after, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        one_kn_array = 3 * len(x) * 8
+        assert peak - before > len(x) * 8  # the fit's work arrays are traced
+        assert after - before <= one_kn_array
+        assert model.num_classes == 3
+
+
 # ------------------------------------------------------------------
 # logistic classifier
 # ------------------------------------------------------------------
@@ -750,6 +837,16 @@ class TestLogisticFit:
             model = fit_logistic_classifier(x, y, 2, ("a", "b"))
         assert len(record) == 1
         assert not np.array_equal(model.weights, converged.weights)
+
+    def test_overflowing_statistics_name_the_band(self):
+        rng = np.random.default_rng(33)
+        x, y = _blobs(rng, [(0.0, 0.0), (1.0, 0.5)], 100)
+        x[:, 1] *= 1e160  # finite, but its squared deviations overflow
+        with pytest.raises(
+            NumericalError,
+            match=r"^band\(s\) b: standard deviation overflows float64$",
+        ):
+            fit_logistic_classifier(x, y, 2, ("a", "b"))
 
     def test_separable_blobs_high_accuracy(self):
         rng = np.random.default_rng(31)

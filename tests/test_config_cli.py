@@ -950,6 +950,30 @@ class TestCliExitCodes:
             "error: class 0: squared sample distances overflow float64\n"
         )
 
+    def test_overflowing_standardization_is_numerical_exit(
+        self, cli_area, tmp_path, capsys
+    ):
+        # at a manifest scale of 1e160 every band value is finite, but the
+        # squared deviations behind the logistic fit's per-band standard
+        # deviations overflow float64
+        data = tmp_path / "data"
+        shutil.copytree(cli_area / "data", data)
+        manifest = data / "manifest.txt"
+        manifest.write_text(
+            re.sub(r"(?m)^scale = .*$", "scale = 1e160", manifest.read_text())
+        )
+        test_dates = ", ".join(date_of(t).isoformat() for t in range(1, 6))
+        config = tmp_path / "logistic.cfg"
+        config.write_text(
+            CLI_CONFIG.replace("classifier = index", "classifier = logistic")
+            .replace(CLI_DATES, test_dates)
+            + f"train_dates = {date_of(0).isoformat()}\nfeature_bands = green, swir1\n"
+        )
+        assert main(["run", "--config", str(config), "--out", str(tmp_path / "out")]) == 3
+        assert capsys.readouterr().err == (
+            "error: band(s) green, swir1: standard deviation overflows float64\n"
+        )
+
     def test_band_overflowing_its_scale_is_data_exit(self, cli_area, tmp_path, capsys):
         data = tmp_path / "data"
         shutil.copytree(cli_area / "data", data)
