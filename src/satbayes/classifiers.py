@@ -16,17 +16,20 @@ Three trained forms plus a pass-through:
 * `ExternalPosteriorSource` replays per-frame posterior rasters that
   some outside model produced.
 
-All classifiers expose ``frame_posterior(frame) -> (K, H*W)``, class
-major: row k holds class k for every pixel in row-major pixel order.
-Generative ones also expose ``frame_likelihood`` in the same layout.
-The built-in engines return a new C-ordered float64 buffer on every
-call, summed and normalized over classes by `core`'s column helpers,
-as in the recursion. The index, mixture and logistic engines keep
-their frame work arrays in a per-instance ``_scratch`` dict outside the
-dataclass fields (`save_model`, ``==`` and ``repr`` ignore it), so one
-instance must not be evaluated from two threads at once. Model files
-use a small versioned binary container that round-trips parameters
-bit for bit.
+Engines are evaluated through their frame methods only:
+``frame_posterior(frame) -> (K, H*W)``, class major (row k holds class
+k for every pixel in row-major pixel order), and for generative ones
+``frame_likelihood`` in the same layout. A frame's `MultibandImage` is
+finite and read-only by construction, so the engines do not check its
+pixels again; (N, B) pixel rows are the fits' input only. The built-in
+engines return a new C-ordered float64 buffer on every call, summed
+and normalized over classes by `core`'s column helpers, as in the
+recursion. The index, mixture and logistic engines keep their frame
+work arrays in a per-instance ``_scratch`` dict outside the dataclass
+fields (`save_model`, ``==`` and ``repr`` ignore it), so one instance
+must not be evaluated from two threads at once. Model files use a
+small versioned binary container that round-trips parameters bit for
+bit.
 """
 
 from __future__ import annotations
@@ -256,28 +259,11 @@ class GaussianMixture:
     def num_bands(self) -> int:
         return self.means.shape[1]
 
-    def log_density(self, x: np.ndarray) -> np.ndarray:
-        """Log mixture density at each row of x, shape (N,).
-
-        A NaN or inf in x raises ValueError.
-        """
-        arr = np.asarray(x, dtype=np.float64)
-        if arr.ndim != 2 or arr.shape[1] != self.num_bands:
-            raise ShapeError(
-                f"expected points of shape (N, {self.num_bands}), got {arr.shape}"
-            )
-        if not np.isfinite(arr).all():
-            raise ValueError("array must not contain infs or NaNs")
-        return self._log_density(np.ascontiguousarray(arr.T))
-
     def _log_density(self, xt: np.ndarray, scratch: dict | None = None) -> np.ndarray:
-        """`log_density` of unchecked band-major pixels (B, N)."""
+        """Log mixture density of unchecked band-major pixels xt (B, N) -> (N,)."""
         log_terms = _log_gaussian_matrix(xt, self.means, self.covariances, scratch)
         log_terms += np.log(self.weights)[:, np.newaxis]
         return _logsumexp_columns(log_terms, scratch)
-
-    def density(self, x: np.ndarray) -> np.ndarray:
-        return np.exp(self.log_density(x))
 
 
 def _logsumexp_columns(a: np.ndarray, scratch: dict | None = None) -> np.ndarray:
@@ -415,25 +401,10 @@ class MixtureClassifier:
     def num_classes(self) -> int:
         return len(self.mixtures)
 
-    def likelihood(self, pixels: np.ndarray) -> np.ndarray:
-        """Class-conditional densities for (N, B) pixel rows -> (K, N)."""
-        x = np.asarray(pixels, dtype=np.float64)
-        if x.ndim != 2 or x.shape[1] != len(self.bands):
-            raise ShapeError(
-                f"expected pixels of shape (N, {len(self.bands)}), got {x.shape}"
-            )
-        return self._likelihood(np.ascontiguousarray(x.T))
-
     def frame_likelihood(self, frame: Frame) -> np.ndarray:
         scratch = vars(self).setdefault("_scratch", {})
         planes = [frame.image.band(b).ravel() for b in self.bands]
-        pixels = _buffer(scratch, "pixels", (len(planes), planes[0].size))
-        return self._likelihood(np.stack(planes, out=pixels), scratch)
-
-    def _likelihood(self, xt: np.ndarray, scratch: dict | None = None) -> np.ndarray:
-        """Densities of band-major pixels (B, N), checked once, -> new (K, N)."""
-        if not np.isfinite(xt).all():
-            raise ValueError("array must not contain infs or NaNs")
+        xt = np.stack(planes, out=_buffer(scratch, "pixels", (len(planes), planes[0].size)))
         out = np.empty((self.num_classes, xt.shape[1]))
         for mix, row in zip(self.mixtures, out):
             np.exp(mix._log_density(xt, scratch), out=row)
@@ -591,30 +562,21 @@ class LogisticClassifier:
     def num_classes(self) -> int:
         return self.weights.shape[0]
 
-    def posterior(self, pixels: np.ndarray, _scratch: dict | None = None) -> np.ndarray:
-        """Softmax class probabilities for (N, B) pixel rows -> (K, N)."""
-        x = np.asarray(pixels, dtype=np.float64)
-        if x.ndim != 2 or x.shape[1] != len(self.bands):
-            raise ShapeError(
-                f"expected pixels of shape (N, {len(self.bands)}), got {x.shape}"
-            )
-        n, b = x.shape
-        aug = _buffer(_scratch, "aug", (n, b + 1))
-        std = np.subtract(x, self.feature_mean, out=aug[:, :b])
-        np.divide(std, self.feature_std, out=std)
-        aug[:, b] = 1.0
-        scores_nk = _buffer(_scratch, "scores", (n, self.num_classes))
-        scores = np.matmul(aug, self.weights.T, out=scores_nk).T.copy()
-        row = np.max(scores, axis=0, out=_buffer(_scratch, "row", (n,)))
-        scores -= row
-        np.exp(scores, out=scores)
-        return normalize_columns(scores, row)
-
     def frame_posterior(self, frame: Frame) -> np.ndarray:
         scratch = vars(self).setdefault("_scratch", {})
         planes = [frame.image.band(b).ravel() for b in self.bands]
-        pixels = _buffer(scratch, "pixels", (planes[0].size, len(planes)))
-        return self.posterior(np.stack(planes, axis=1, out=pixels), scratch)
+        n, b = planes[0].size, len(planes)
+        x = np.stack(planes, axis=1, out=_buffer(scratch, "pixels", (n, b)))
+        aug = _buffer(scratch, "aug", (n, b + 1))
+        std = np.subtract(x, self.feature_mean, out=aug[:, :b])
+        np.divide(std, self.feature_std, out=std)
+        aug[:, b] = 1.0
+        scores_nk = _buffer(scratch, "scores", (n, self.num_classes))
+        scores = np.matmul(aug, self.weights.T, out=scores_nk).T.copy()
+        row = np.max(scores, axis=0, out=_buffer(scratch, "row", (n,)))
+        scores -= row
+        np.exp(scores, out=scores)
+        return normalize_columns(scores, row)
 
 
 def fit_logistic_classifier(

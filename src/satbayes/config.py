@@ -96,6 +96,8 @@ class ExperimentConfig:
             raise ConfigError("config needs a manifest path")
         if len(self.classes) < 2 or len(set(self.classes)) != len(self.classes):
             raise ConfigError(f"bad class list: {self.classes}")
+        if len(self.classes) > 255:  # labels and cube headers hold K in one byte
+            raise ConfigError(f"at most 255 classes are supported, got {len(self.classes)}")
         if self.classifier not in CLASSIFIER_KINDS:
             raise ConfigError(
                 f"classifier must be one of {CLASSIFIER_KINDS}, got {self.classifier!r}"

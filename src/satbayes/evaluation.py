@@ -40,11 +40,15 @@ def _as_labels(raster: LabelRaster | np.ndarray) -> np.ndarray:
 def confusion_matrix(
     pred: LabelRaster | np.ndarray, truth: LabelRaster | np.ndarray, num_classes: int
 ) -> np.ndarray:
-    """Counts with truth on rows, prediction on columns."""
+    """Truth-by-prediction counts; a label outside [0, num_classes) is an error."""
     p = _as_labels(pred).ravel()
     t = _as_labels(truth).ravel()
     if p.shape != t.shape:
         raise ShapeError(f"prediction shape {p.shape} != truth shape {t.shape}")
+    for what, labels in (("prediction", p), ("truth", t)):
+        if labels.size and (labels.min() < 0 or labels.max() >= num_classes):
+            bad = labels[(labels < 0) | (labels >= num_classes)][0]
+            raise EvaluationError(f"{what} label {bad} outside [0, {num_classes})")
     counts = np.bincount(
         t.astype(np.int64) * num_classes + p.astype(np.int64),
         minlength=num_classes * num_classes,

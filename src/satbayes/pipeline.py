@@ -259,6 +259,12 @@ def parse_manifest(path: str | Path) -> StackManifest:
     names = [b for b, _ in bands]
     if len(set(names)) != len(names):
         raise ConfigError(f"{name}: duplicate band names: {names}")
+    # model files store the band count and each name's UTF-8 length in one byte
+    if len(names) > 255:
+        raise ConfigError(f"{name}: at most 255 bands are supported, got {len(names)}")
+    for band in names:
+        if len(band.encode("utf-8")) > 255:
+            raise ConfigError(f"{name}: band name {band!r} is longer than 255 UTF-8 bytes")
     if any(res <= 0 for _, res in bands):
         raise ConfigError(f"{name}: band resolutions must be > 0")
     if not frames:

@@ -49,6 +49,7 @@ from .core import (
 from .errors import (
     ConfigError,
     DegenerateLikelihoodError,
+    InvalidClassCountError,
     InvalidHyperparameterError,
     InvalidMarginalError,
     SatBayesError,
@@ -274,11 +275,12 @@ class FrameStep:
 
     `classify_stack` and `timing_bench` run it with one transition
     model, `epsilon_sweep` with one per grid value; all share the class
-    count K. Its class-major arrays are ``inst`` (K, N), the
+    count K, which the uint8 labels cap at 255 (InvalidClassCountError
+    above). Its class-major arrays are ``inst`` (K, N), the
     floor-normalized instantaneous posterior; ``post`` (E, K, N), one
     belief per transition model, uniform after construction or `reset`;
-    and the uint8 MAP ``labels`` (1 + E, N), row 0 from ``inst`` and row
-    1 + e from ``post[e]``. ``step(raw, date)`` loads one frame's (K, N)
+    and the MAP ``labels`` (1 + E, N), row 0 from ``inst`` and row 1 + e
+    from ``post[e]``. ``step(raw, date)`` loads one frame's (K, N)
     model output into ``inst`` and updates each ``post[e]`` in place.
     Validation, smoothing and the division by the marginal run once per
     call, whatever E is. An output of another shape is a ShapeError; in
@@ -300,6 +302,8 @@ class FrameStep:
         _check_lam(lam)
         self.transitions = tuple(transitions)
         k = self.transitions[0].num_classes
+        if k > 255:
+            raise InvalidClassCountError(f"at most 255 classes are supported, got {k}")
         self.lam = lam
         uniform = uniform_pmf(k)[:, np.newaxis]
         self.marginal = uniform if mode is RecursionMode.DISCRIMINATIVE else None

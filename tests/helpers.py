@@ -20,6 +20,12 @@ def make_image(bands, planes) -> MultibandImage:
     return MultibandImage(bands=tuple(bands), data=data)
 
 
+def pixel_frame(bands, pixels) -> Frame:
+    """A one-row frame whose pixels, in order, are the rows of ``pixels`` (N, B)."""
+    x = np.asarray(pixels, dtype=np.float64)
+    return Frame(date=START, image=make_image(bands, x.T[:, np.newaxis, :]))
+
+
 def make_stack(bands, frames_planes, truths=None, clouds=None) -> ImageStack:
     """Stack from per-frame band planes; truths are optional label arrays."""
     frames = []

@@ -206,7 +206,7 @@ def pixel_major_log_gaussian_matrix(
 
 
 def pixel_major_log_density(mixture, x: np.ndarray) -> np.ndarray:
-    """`GaussianMixture.log_density` over an (N, M) log-term matrix."""
+    """`GaussianMixture._log_density` over an (N, M) log-term matrix."""
     log_terms = pixel_major_log_gaussian_matrix(
         x, mixture.means, mixture.covariances
     )
@@ -214,7 +214,7 @@ def pixel_major_log_density(mixture, x: np.ndarray) -> np.ndarray:
 
 
 def pixel_major_likelihood(model, pixels: np.ndarray) -> np.ndarray:
-    """`MixtureClassifier.likelihood`: per-class densities -> (N, K)."""
+    """`MixtureClassifier.frame_likelihood`: per-class densities -> (N, K)."""
     x = np.asarray(pixels, dtype=np.float64)
     return np.stack(
         [np.exp(pixel_major_log_density(mix, x)) for mix in model.mixtures], axis=1
@@ -302,7 +302,7 @@ def pixel_major_index_posterior(classifier, values) -> np.ndarray:
 
 
 def pixel_major_softmax(model, pixels: np.ndarray) -> np.ndarray:
-    """`LogisticClassifier.posterior` over (N, K) scores."""
+    """`LogisticClassifier.frame_posterior` over (N, K) scores."""
     x = np.asarray(pixels, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != len(model.bands):
         raise ShapeError(

@@ -847,6 +847,67 @@ class TestCliExitCodes:
         assert err.startswith("error: ") and "'forest'" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize(("command", "count"), [("run", 256), ("sweep", 257)])
+    def test_more_than_255_classes_is_config_exit(
+        self, cli_area, tmp_path, capsys, command, count
+    ):
+        # label rasters and cube headers hold the class count in one byte
+        classes = ", ".join(f"c{i}" for i in range(count))
+        thresholds = ", ".join(repr(float(t)) for t in np.linspace(-1.0, 1.0, count + 1))
+        config = tmp_path / "many.cfg"
+        config.write_text(
+            CLI_CONFIG.replace("data/manifest.txt", str(cli_area / "data" / "manifest.txt"))
+            .replace("classes = land, water", f"classes = {classes}")
+            .replace("thresholds = -1, 0.13, 1", f"thresholds = {thresholds}")
+        )
+        out = tmp_path / "out"
+        argv = [command, "--config", str(config), "--out", str(out)]
+        assert main(argv + (["--eps", "0.05,0.3"] if command == "sweep" else [])) == 1
+        assert capsys.readouterr().err == (
+            f"error: at most 255 classes are supported, got {count}\n"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["ingest", "run"])
+    @pytest.mark.parametrize("case", ["long name", "256 bands"])
+    def test_band_that_a_model_file_cannot_hold_is_config_exit(
+        self, cli_area, tmp_path, capsys, case, command
+    ):
+        # model files hold the band count and each name's UTF-8 length in
+        # one byte; the extra bands reuse the green planes
+        data = tmp_path / "data"
+        shutil.copytree(cli_area / "data", data)
+        extra = ["\u00e9" * 128] if case == "long name" else [f"b{i}" for i in range(254)]
+        lines = []
+        for line in (data / "manifest.txt").read_text().splitlines():
+            if line.startswith("bands = "):
+                line += "".join(f", {band}:10.0" for band in extra)
+            elif line.startswith("frame = "):
+                green = next(t[6:] for t in line.split() if t.startswith("green="))
+                line += "".join(f" {band}={green}" for band in extra)
+            lines.append(line)
+        manifest = data / "manifest.txt"
+        manifest.write_text("\n".join(lines) + "\n")
+        test_dates = ", ".join(date_of(t).isoformat() for t in range(1, 6))
+        config = tmp_path / "logistic.cfg"
+        config.write_text(
+            CLI_CONFIG.replace("classifier = index", "classifier = logistic")
+            .replace(CLI_DATES, test_dates)
+            + f"train_dates = {date_of(0).isoformat()}\n"
+            + f"feature_bands = swir1, {extra[-1]}\n"
+        )
+        argv = {
+            "ingest": ["ingest", "--manifest", str(manifest)],
+            "run": ["run", "--config", str(config), "--out", str(tmp_path / "out")],
+        }[command]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        expect = (
+            f"band name {extra[0]!r} is longer than 255 UTF-8 bytes"
+            if case == "long name" else "at most 255 bands are supported, got 256"
+        )
+        assert err == f"error: {manifest}: {expect}\n"
+
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_non_finite_band_plane_is_data_exit(self, cli_area, tmp_path, capsys, value):
         shutil.copytree(cli_area / "data", tmp_path / "data")

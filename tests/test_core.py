@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 import oracles
-from helpers import make_image, make_stack
+from helpers import date_of, make_image, make_stack
 from satbayes.core import (
     PROB_FLOOR,
     Frame,
@@ -34,6 +34,15 @@ from satbayes.errors import (
     InvalidClassCountError,
     InvalidHyperparameterError,
     ShapeError,
+)
+from satbayes.pipeline import (
+    ManifestFrame,
+    ReferenceRegion,
+    StackManifest,
+    bias_correct,
+    crop,
+    load_stack,
+    write_band_plane,
 )
 
 
@@ -216,10 +225,37 @@ class TestMultibandImage:
         with pytest.raises(ValueError):
             make_image(("green",), [[[np.nan]]])
 
+    @pytest.mark.parametrize("value", [np.inf, -np.inf])
+    def test_rejects_infinity(self, value):
+        with pytest.raises(ValueError):
+            make_image(("green",), [[[1.0, value]]])
+
     def test_pixels_are_read_only(self):
         img = make_image(("green",), [[[1.0]]])
         with pytest.raises(ValueError):
             img.data[0, 0, 0] = 2.0
+
+    @pytest.mark.parametrize("source", ["crop", "bias_correct", "load_stack"])
+    def test_pipeline_images_are_read_only(self, tmp_path, source):
+        # the engines read frame pixels without checking them again
+        planes = np.arange(32.0).reshape(2, 4, 4)
+        region = ReferenceRegion(x=1, y=1, width=2, height=2)
+        if source == "load_stack":
+            write_band_plane(tmp_path / "g.f32", planes[0])
+            frame = ManifestFrame(date=date_of(0), band_paths=(("green", "g.f32"),))
+            manifest = StackManifest(
+                width=4, height=4, scale=1.0, bands=(("green", 10.0),),
+                frames=(frame,), base_dir=tmp_path,
+            )
+            image = load_stack(manifest).frames[0].image
+        elif source == "bias_correct":
+            stack = make_stack(("green", "swir1"), [planes, planes + 1.0])
+            image = bias_correct(stack, region).frames[1].image
+        else:
+            image = crop(make_image(("green", "swir1"), planes), region)
+        assert np.isfinite(image.data).all()
+        with pytest.raises(ValueError, match="read-only"):
+            image.data[0, 0, 0] = 2.0
 
 
 class TestFrame:

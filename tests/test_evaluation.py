@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -46,6 +47,21 @@ class TestConfusionMatrix:
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
             confusion_matrix(np.zeros(3, dtype=int), np.zeros(4, dtype=int), 2)
+
+    @pytest.mark.parametrize(
+        ("pred", "truth", "message"),
+        [
+            ([2, 0], [0, 1], "prediction label 2 outside [0, 2)"),
+            ([0, 1], [1, 2], "truth label 2 outside [0, 2)"),
+            ([0, -1], [1, 0], "prediction label -1 outside [0, 2)"),
+            ([0, 1], [-3, 0], "truth label -3 outside [0, 2)"),
+        ],
+        ids=["prediction-high", "truth-high", "prediction-negative", "truth-negative"],
+    )
+    def test_out_of_range_label_is_named(self, pred, truth, message):
+        # a label >= num_classes used to be counted under the next truth row
+        with pytest.raises(EvaluationError, match=f"^{re.escape(message)}$"):
+            confusion_matrix(np.array(pred), np.array(truth), 2)
 
 
 class TestBalancedAccuracy:

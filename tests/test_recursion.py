@@ -22,6 +22,7 @@ from satbayes.core import (
 from satbayes.errors import (
     ConfigError,
     DegenerateLikelihoodError,
+    InvalidClassCountError,
     InvalidHyperparameterError,
     InvalidMarginalError,
     ShapeError,
@@ -584,6 +585,26 @@ class TestClassifyStackTies:
             assert_array_equal(cube[:, lowest], cube[:, k - 1])  # the tie holds
         for raster in result.instantaneous_labels + result.recursive_labels:
             assert_array_equal(raster.labels, np.full((8, 8), lowest))
+
+
+class TestFrameStepClassCount:
+    """The uint8 label rows bound K: 255 classes work, more are rejected."""
+
+    @pytest.mark.parametrize("mode", list(RecursionMode))
+    def test_255_classes_label_the_last_class(self, mode):
+        step = FrameStep([build_transition_model(255, 0.05)], 0.8, mode, 2)
+        raw = np.ones((255, 2))
+        raw[254, 0] = raw[0, 1] = 1e3
+        step(raw)
+        assert step.labels.tolist() == [[254, 0], [254, 0]]
+
+    @pytest.mark.parametrize("k", [256, 257])
+    def test_more_classes_rejected(self, k):
+        transitions = [build_transition_model(k, 0.05)]
+        with pytest.raises(
+            InvalidClassCountError, match=f"^at most 255 classes are supported, got {k}$"
+        ):
+            FrameStep(transitions, 0.8, RecursionMode.DISCRIMINATIVE, 4)
 
 
 class TestFrameStepTransitionBank:
