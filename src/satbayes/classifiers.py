@@ -11,7 +11,7 @@ Three trained forms plus a pass-through:
   pixels: (M, N) component-by-pixel log terms, reduced by a max-shift
   log-sum-exp.
 * `LogisticClassifier` is a multinomial softmax over standardized band
-  values, fitted full-batch with an L2 penalty by L-BFGS on a
+  values, fitted full-batch with an L2 penalty by Newton's method on a
   class-major (K, N) objective.
 * `ExternalPosteriorSource` replays per-frame posterior rasters that
   some outside model produced.
@@ -302,19 +302,14 @@ def _log_gaussian_matrix(
     A covariance that is not positive definite raises LinAlgError; the
     pixels are not checked for NaN or inf here. The result is a ``scratch`` buffer.
     """
-    from scipy.linalg import cholesky
-    from scipy.linalg.lapack import dtrtri
-
     b, n = xt.shape
     out = _buffer(scratch, "log_terms", (means.shape[0], n))
     centred = _buffer(scratch, "centred", (b, n))
     y = _buffer(scratch, "product", (b, n))
     const = b * math.log(2.0 * math.pi)
     for j, row in enumerate(out):
-        chol = cholesky(covs[j], lower=True)
-        prec, info = dtrtri(chol, lower=1)
-        if info != 0:
-            raise np.linalg.LinAlgError(f"singular Cholesky factor (dtrtri info {info})")
+        chol = np.linalg.cholesky(covs[j])
+        prec = np.linalg.inv(chol)
         np.subtract(xt, means[j][:, np.newaxis], out=centred)
         np.matmul(prec, centred, out=y)
         y *= y
@@ -508,7 +503,8 @@ def logistic_loss_grad(
 
     ``features_aug`` is (N, B+1) with a trailing column of ones;
     ``weights_flat`` raveled from (K, B+1). Exposed as a module function
-    so the gradient can be checked against finite differences.
+    so the gradient can be checked against finite differences. On return
+    ``_scratch["scores"]`` holds the (K, N) class probabilities.
     """
     n = features_aug.shape[0]
     w = weights_flat.reshape(labels_onehot.shape[1], -1)
@@ -523,6 +519,20 @@ def logistic_loss_grad(
     grad = product @ features_aug / n
     grad[:, :-1] += 2.0 * l2 * w[:, :-1]
     return loss, grad.ravel()
+
+
+def _logistic_hessian(features_aug: np.ndarray, probs: np.ndarray, l2: float) -> np.ndarray:
+    """Exact Hessian of `logistic_loss_grad`'s loss at class probabilities
+    ``probs`` (K, N) -> (K(B+1), K(B+1)), one class pair at a time."""
+    (n, d), k = features_aug.shape, probs.shape[0]
+    hess = np.empty((k, d, k, d))
+    for a in range(k):
+        for c in range(a, k):
+            curvature = probs[a] * (float(a == c) - probs[c])  # (N,)
+            block = (features_aug.T * curvature) @ features_aug / n  # a (B+1, N) temporary
+            hess[a, :, c], hess[c, :, a] = block, block.T
+        hess[a, :-1, a, :-1] += 2.0 * l2 * np.eye(d - 1)
+    return hess.reshape(k * d, k * d)
 
 
 @dataclass(frozen=True)
@@ -588,15 +598,16 @@ def fit_logistic_classifier(
 ) -> LogisticClassifier:
     """Full-batch multinomial logistic regression on standardized features.
 
-    Weights start at zero and are optimized with L-BFGS (analytic
-    gradient) until the projected gradient norm falls below 1e-9 or
-    after 1000 iterations, so refits on reordered samples agree to high
-    precision. Training is deterministic. A band whose standard deviation
-    overflows float64 (as it does when its mean does) is a NumericalError.
+    Weights start at zero and are optimized by Newton's method (exact
+    Hessian; least-squares steps, as all biases may shift together) until
+    the largest gradient entry falls below 1e-9 or after 1000 iterations,
+    so refits on reordered samples agree to high precision. Training is
+    deterministic. A band whose standard deviation overflows float64 (as
+    it does when its mean does) is a NumericalError.
 
-    Policy for a fit that does not converge: warn, never raise. When
-    L-BFGS reports failure, a RuntimeWarning names its message, and the
-    weights it returned are used.
+    Policy for a fit that does not converge: warn, never raise. At the
+    iteration limit a RuntimeWarning gives the largest gradient entry,
+    and the last weights are used.
     """
     x = np.asarray(samples, dtype=np.float64)
     y = np.asarray(labels)
@@ -629,23 +640,30 @@ def fit_logistic_classifier(
     onehot = np.zeros((x.shape[0], num_classes))
     onehot[np.arange(x.shape[0]), y.astype(np.intp)] = 1.0
 
-    from scipy.optimize import minimize
-
-    result = minimize(
-        logistic_loss_grad,
-        np.zeros(num_classes * (len(bands) + 1)),
-        args=(aug, onehot, l2, {}),
-        method="L-BFGS-B",
-        jac=True,
-        options={"maxiter": LR_MAX_ITER, "gtol": LR_PGTOL, "ftol": 1e-16},
-    )
-    if not result.success:
+    scratch: dict = {}
+    w = np.zeros(num_classes * (len(bands) + 1))
+    loss, grad = logistic_loss_grad(w, aug, onehot, l2, scratch)
+    for _ in range(LR_MAX_ITER):
+        if np.max(np.abs(grad)) < LR_PGTOL:
+            break
+        hess = _logistic_hessian(aug, scratch["scores"].reshape(num_classes, -1), l2)
+        step = np.linalg.lstsq(hess, -grad, rcond=None)[0]
+        t, slope = 1.0, float(grad @ step)
+        while True:  # Armijo backtracking; at t = 0 the trial is w, which passes
+            trial = logistic_loss_grad(w + t * step, aug, onehot, l2, scratch)
+            # near the optimum float64 cannot resolve the fall of the loss
+            if trial[0] <= loss + 1e-4 * t * slope or np.max(np.abs(trial[1])) < LR_PGTOL:
+                break
+            t *= 0.5
+        w, (loss, grad) = w + t * step, trial
+    if np.max(np.abs(grad)) >= LR_PGTOL:
         warnings.warn(
-            f"logistic fit: L-BFGS did not converge: {result.message}",
+            f"logistic fit: Newton did not converge in {LR_MAX_ITER} iterations; "
+            f"largest gradient entry {np.max(np.abs(grad)):.3g}",
             RuntimeWarning,
             stacklevel=2,
         )
-    weights = result.x.reshape(num_classes, len(bands) + 1)
+    weights = w.reshape(num_classes, len(bands) + 1)
     return LogisticClassifier(
         bands=tuple(bands), weights=weights, feature_mean=mean, feature_std=std
     )

@@ -104,8 +104,8 @@ class ExperimentConfig:
             )
         if not (0.0 < self.epsilon < 1.0):
             raise ConfigError(f"epsilon must lie in (0, 1), got {self.epsilon}")
-        if self.lam < 0.0:
-            raise ConfigError(f"lambda must be >= 0, got {self.lam}")
+        if not (0.0 <= self.lam < float("inf")):  # NaN fails too
+            raise ConfigError(f"lambda must be finite and >= 0, got {self.lam}")
         if not self.test_dates:
             raise ConfigError("config needs at least one test date")
         if len(set(self.test_dates)) != len(self.test_dates):

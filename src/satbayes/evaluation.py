@@ -31,18 +31,24 @@ from .textio import format_float, write_lines
 # ============================================================
 
 
-def _as_labels(raster: LabelRaster | np.ndarray) -> np.ndarray:
+def _as_labels(raster: LabelRaster | np.ndarray, what: str) -> np.ndarray:
+    """The label array; a NaN, infinite or fractional label is an error."""
     if isinstance(raster, LabelRaster):
         return raster.labels
-    return np.asarray(raster)
+    labels = np.asarray(raster)
+    if labels.dtype.kind not in "biu":
+        bad = labels[~np.isfinite(labels) | (labels != np.round(labels))]
+        if bad.size:
+            raise EvaluationError(f"{what} label {bad[0]} is not an integer")
+    return labels
 
 
 def confusion_matrix(
     pred: LabelRaster | np.ndarray, truth: LabelRaster | np.ndarray, num_classes: int
 ) -> np.ndarray:
     """Truth-by-prediction counts; a label outside [0, num_classes) is an error."""
-    p = _as_labels(pred).ravel()
-    t = _as_labels(truth).ravel()
+    p = _as_labels(pred, "prediction").ravel()
+    t = _as_labels(truth, "truth").ravel()
     if p.shape != t.shape:
         raise ShapeError(f"prediction shape {p.shape} != truth shape {t.shape}")
     for what, labels in (("prediction", p), ("truth", t)):
@@ -60,8 +66,8 @@ def balanced_accuracy(
     pred: LabelRaster | np.ndarray, truth: LabelRaster | np.ndarray
 ) -> float:
     """Mean per-class recall over the classes present in the truth."""
-    p = _as_labels(pred)
-    t = _as_labels(truth)
+    p = _as_labels(pred, "prediction")
+    t = _as_labels(truth, "truth")
     if p.shape != t.shape:
         raise ShapeError(f"prediction shape {p.shape} != truth shape {t.shape}")
     if t.size == 0:
@@ -77,8 +83,8 @@ def error_map(
     pred: LabelRaster | np.ndarray, truth: LabelRaster | np.ndarray
 ) -> LabelRaster:
     """Binary raster: 1 where prediction and truth disagree."""
-    p = _as_labels(pred)
-    t = _as_labels(truth)
+    p = _as_labels(pred, "prediction")
+    t = _as_labels(truth, "truth")
     if p.shape != t.shape:
         raise ShapeError(f"prediction shape {p.shape} != truth shape {t.shape}")
     return LabelRaster((p != t).astype(np.uint8), num_classes=2)

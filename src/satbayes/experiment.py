@@ -202,12 +202,10 @@ def run_experiment(
                     error_map(labels[idx], frame.truth),
                 )
 
-    import scipy  # here, not at module level: `import satbayes.cli` stays scipy-free
     metadata = [
         f"name = {config.name}",
         f"package_version = {__version__}",
         f"numpy_version = {np.__version__}",
-        f"scipy_version = {scipy.__version__}",
         f"config_sha256_16 = {config_digest(config)}",
         f"classifier = {config.classifier}",
         f"mode = {config.mode.value}",

@@ -346,7 +346,8 @@ class FrameStep:
             raise ValueError("likelihood vector has non-finite entries")
         if lo < 0.0:
             raise ValueError("likelihood vector has negative entries")
-        total = column_sums(raw, self._kernel.total)  # finite entries >= 0
+        with np.errstate(over="ignore"):  # an overflowing sum raises below
+            total = column_sums(raw, self._kernel.total)  # finite entries >= 0
         if total.min() == 0.0:
             raise DegenerateLikelihoodError("all-zero likelihood vector")
         if total.max() == np.inf:

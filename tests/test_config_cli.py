@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import datetime as dt
+import json
 import os
 import re
 import shutil
@@ -134,6 +135,11 @@ class TestConfigParsing:
     def test_epsilon_outside_open_interval(self, eps):
         with pytest.raises(ConfigError):
             parse_config_text(config_lines(epsilon=eps))
+
+    @pytest.mark.parametrize("lam", ["nan", "inf", "-inf", "-0.5"])
+    def test_lambda_must_be_finite_and_non_negative(self, lam):
+        with pytest.raises(ConfigError, match=r"^lambda must be finite and >= 0, got "):
+            parse_config_text(config_lines(**{"lambda": lam}))
 
     def test_threshold_count_must_be_classes_plus_one(self):
         with pytest.raises(ConfigError):
@@ -798,6 +804,18 @@ class TestCliExitCodes:
         assert main(["run", "--config", str(config)]) == 1
         assert "epsilon" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("lam", ["nan", "inf"])
+    def test_non_finite_lambda_fails_before_any_work(self, cli_area, tmp_path, capsys, lam):
+        config = tmp_path / "lam.cfg"
+        config.write_text(
+            CLI_CONFIG.replace("data/manifest.txt", str(cli_area / "data" / "manifest.txt"))
+            .replace("lambda = 0.8", f"lambda = {lam}")
+        )
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(config), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: lambda must be finite and >= 0, got {lam}\n"
+        assert not out.exists()
+
     def test_run_epsilon_override_validated(self, cli_area, capsys):
         assert main(["run", "--config", str(cli_area / "exp.cfg"),
                      "--out", "unused", "--epsilon", "1.5"]) == 1
@@ -1291,3 +1309,38 @@ def test_cli_import_leaves_scipy_solvers_unloaded():
         env={**os.environ, "PYTHONPATH": src},
     )
     assert out.stdout.strip() == "[]"
+
+
+def test_every_command_runs_with_scipy_unimportable(cli_area, tmp_path):
+    """numpy is the only runtime dependency: no command may import scipy."""
+    manifest = str(cli_area / "data" / "manifest.txt")
+    test_dates = ", ".join(date_of(t).isoformat() for t in range(1, 6))
+    for engine in ("index", "gmm", "logistic"):
+        (tmp_path / f"{engine}.cfg").write_text(
+            CLI_CONFIG.replace("data/manifest.txt", manifest)
+            .replace("classifier = index", f"classifier = {engine}")
+            .replace(f"test_dates = {CLI_DATES}", f"test_dates = {test_dates}")
+            + f"train_dates = {date_of(0).isoformat()}\nfeature_bands = green, swir1\n"
+        )
+    commands = [
+        ["ingest", "--manifest", manifest],
+        ["train", "--config", "logistic.cfg", "--out", "model"],
+        *(["run", "--config", f"{e}.cfg", "--out", e] for e in ("index", "gmm", "logistic")),
+        ["sweep", "--config", "gmm.cfg", "--eps", "0.05,0.3",
+         "--algos", "index,gmm,logistic", "--out", "sweep"],
+    ]
+    code = (
+        "import json, sys\n"
+        "sys.modules['scipy'] = None  # any import of scipy now raises ImportError\n"
+        "from satbayes.cli import main\n"
+        "print(json.dumps([main(argv) for argv in json.loads(sys.argv[1])]))\n"
+    )
+    src = str(Path(__import__("satbayes").__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", code, json.dumps(commands)], capture_output=True,
+        text=True, cwd=tmp_path, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert "Traceback" not in out.stderr, out.stderr
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout.splitlines()[-1]) == [0] * len(commands), out.stderr
+    assert len((tmp_path / "sweep" / "sweep.csv").read_text().splitlines()) == 1 + 2 * 3

@@ -63,6 +63,26 @@ class TestConfusionMatrix:
         with pytest.raises(EvaluationError, match=f"^{re.escape(message)}$"):
             confusion_matrix(np.array(pred), np.array(truth), 2)
 
+    @pytest.mark.parametrize(
+        ("pred", "truth", "message"),
+        [
+            ([0.7, 1.9], [0, 1], "prediction label 0.7 is not an integer"),
+            ([0.0, 1.0], [0.0, 1.5], "truth label 1.5 is not an integer"),
+            ([0.0, np.nan], [0, 1], "prediction label nan is not an integer"),
+            ([0, 1], [np.inf, 0.0], "truth label inf is not an integer"),
+        ],
+        ids=["fraction", "truth-fraction", "nan", "inf"],
+    )
+    def test_non_integral_label_is_named(self, pred, truth, message):
+        # a fractional label used to be truncated: [0.7, 1.9] scored as [0, 1]
+        for score in (lambda p, t: confusion_matrix(p, t, 2), balanced_accuracy):
+            with pytest.raises(EvaluationError, match=f"^{re.escape(message)}$"):
+                score(np.array(pred), np.array(truth))
+
+    def test_integral_float_labels_are_counted(self):
+        matrix = confusion_matrix(np.array([0.0, 1.0, 1.0]), np.array([0.0, 0.0, 1.0]), 2)
+        assert_array_equal(matrix, [[1, 1], [0, 1]])
+
 
 class TestBalancedAccuracy:
     def test_worked_example(self):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -442,6 +443,19 @@ class TestClassifyStackErrors:
             classify_stack(stack, model, trans, 0.8, mode)
         assert type(raised.value) is error
         assert str(raised.value).startswith(f"{stack.dates[frame].isoformat()}: ")
+
+    @pytest.mark.parametrize("mode", list(RecursionMode))
+    def test_overflowing_sum_raises_without_a_warning(self, mode):
+        # under -W error a numpy overflow warning would replace the error
+        stack = _small_stack(frames=2)
+        outputs = _scripted_outputs(np.random.default_rng(4), 2, 64, 2)
+        model = _ScriptedModel(stack, outputs)
+        outputs[1] = _overflow(outputs[1])
+        trans = build_transition_model(2, 0.1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="sum overflows float64"):
+                classify_stack(stack, model, trans, 0.8, mode)
 
     def test_negative_lambda_rejected(self):
         stack = _small_stack(frames=2)
