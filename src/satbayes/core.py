@@ -4,9 +4,9 @@ The validation helpers here and `recursion`'s single-step updates take
 numpy arrays whose last axis indexes classes; engine outputs and the
 frame step are class-major, and share this module's (K, N) column
 arithmetic: `column_sums`, `normalize_columns`, `floor_normalize_columns`.
-Images and stacks are immutable containers: their arrays are
-C-contiguous float64 with the write flag cleared, so downstream code
-can share them without defensive copies.
+Images and stacks are immutable: their arrays are C-contiguous and
+read-only, so code can share them without defensive copies. An image
+keeps float32 planes as read and hands out float64 values.
 """
 
 from __future__ import annotations
@@ -224,41 +224,77 @@ class LabelRaster:
         return self.labels.shape
 
 
+def _finite_bands(planes, scale: float, shift: np.ndarray | None = None) -> np.ndarray:
+    """Per plane, whether every ``x * scale (+ shift[i])`` is finite.
+
+    The rounded affine is monotone in x for scale > 0, and np.min and
+    np.max propagate NaN, so each plane's two extremes decide exactly;
+    an empty plane counts as holding 0.
+    """
+    ends = np.array([(p.min(), p.max()) if p.size else (0, 0) for p in planes], np.float64)
+    with np.errstate(over="ignore", invalid="ignore"):
+        ends *= scale
+        if shift is not None:
+            ends += shift[:, np.newaxis]
+    return np.isfinite(ends).all(axis=1)
+
+
 @dataclass(frozen=True)
 class MultibandImage:
-    """One acquisition: band-major reflectance array of shape (bands, H, W).
+    """One acquisition: read-only band-major planes of shape (bands, H, W).
 
-    Pixel values are kept in float64 so repeated arithmetic (bias
-    correction, recursion) meets its stated tolerances; on-disk storage
-    is float32 and widened at load time.
+    The constructor copies ``data`` (an array or a list of planes); float32
+    stays float32 and other dtypes become float64. `band` and `values`
+    return float64 ``data * scale (+ shift)``, which must be finite.
     """
 
     bands: tuple[str, ...]
     data: np.ndarray
+    scale: float = 1.0
+    shift: np.ndarray | None = None  # per band, from bias correction
 
     def __post_init__(self) -> None:
         if len(self.bands) == 0:
             raise ShapeError("image needs at least one band")
         if len(set(self.bands)) != len(self.bands):
             raise ConfigError(f"duplicate band names: {self.bands}")
-        arr = np.asarray(self.data, dtype=np.float64)
+        arr = np.array(self.data)  # a list of planes is stacked by this one copy
+        arr = arr.astype(arr.dtype if arr.dtype == np.float32 else np.float64, copy=False)
         if arr.ndim != 3 or arr.shape[0] != len(self.bands):
             raise ShapeError(
                 f"expected data shape ({len(self.bands)}, H, W), got {arr.shape}"
             )
-        if not np.all(np.isfinite(arr)):
+        if not (np.isfinite(self.scale) and self.scale > 0.0):
+            raise ValueError(f"image scale must be finite and > 0, got {self.scale}")
+        shift = None if self.shift is None else np.array(self.shift, dtype=np.float64)
+        if shift is not None and shift.shape != (len(self.bands),):
+            raise ShapeError(f"shift needs shape ({len(self.bands)},), got {shift.shape}")
+        if not _finite_bands(arr, self.scale, shift).all():
             raise ValueError("image has non-finite pixel values")
         object.__setattr__(self, "data", _freeze(arr))
+        object.__setattr__(self, "shift", None if shift is None else _freeze(shift))
 
     @property
     def shape(self) -> tuple[int, int]:
         return self.data.shape[1:]
 
     def band(self, name: str) -> np.ndarray:
-        try:
-            return self.data[self.bands.index(name)]
-        except ValueError:
-            raise ConfigError(f"image has no band {name!r}") from None
+        if name not in self.bands:
+            raise ConfigError(f"image has no band {name!r}")
+        return self.values(self.bands.index(name))
+
+    def values(self, index: int | slice = slice(None)) -> np.ndarray:
+        """Fresh float64 values of the planes at ``index``, all by default."""
+        out = np.multiply(self.data[index], self.scale, dtype=np.float64)
+        if self.shift is not None:
+            out += self.shift[index, np.newaxis, np.newaxis]
+        return out
+
+    def _derive(self, **fields: np.ndarray) -> MultibandImage:
+        """A copy sharing the frozen planes, with ``fields`` swapped in unchecked."""
+        image = object.__new__(MultibandImage)
+        image.__dict__.update(self.__dict__, **{k: _freeze(v) for k, v in fields.items()})
+        return image
 
 
 @dataclass(frozen=True)

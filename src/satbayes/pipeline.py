@@ -35,7 +35,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import Frame, ImageStack, LabelRaster, MultibandImage
+from .core import Frame, ImageStack, LabelRaster, MultibandImage, _finite_bands
 from .errors import (
     BoundsError,
     ConfigError,
@@ -373,12 +373,12 @@ def write_manifest(manifest: StackManifest, path: str | Path) -> Path:
 def load_stack(manifest: StackManifest) -> ImageStack:
     """Read every frame of a manifest into memory.
 
-    Band planes are read at native resolution, nearest-neighbor
-    upsampled to the manifest grid, and multiplied by the reflectance
-    scale. Missing or mis-sized files, planes holding NaN or infinite
-    values (in the file, or once scaled), and posterior cubes holding
-    NaN, infinite or negative values raise LoadError naming the path
-    (and the date).
+    Band planes are read at native resolution and nearest-neighbor
+    upsampled to the manifest grid; each image keeps them as float32
+    and applies the reflectance scale when its values are read. Missing
+    or mis-sized files, planes holding NaN or infinite values (in the
+    file, or once scaled), and posterior cubes holding NaN, infinite or
+    negative values raise LoadError naming the path (and the date).
     """
     factors = manifest.resample_factors()
     names = manifest.band_names
@@ -396,15 +396,15 @@ def load_stack(manifest: StackManifest) -> ImageStack:
                 )
             path = manifest.base_dir / paths[band]
             plane = read_band_plane(path, height // factor, width // factor)
-            with np.errstate(over="ignore"):  # reported below
-                plane = plane.astype(np.float64) * manifest.scale
-            if not np.isfinite(plane).all():
-                raise LoadError(
-                    f"{path}: band {band!r} on {mf.date.isoformat()} "
-                    f"has non-finite values at scale {manifest.scale:g}"
-                )
             planes.append(resample_nearest(plane, factor))
-        data = np.stack(planes)
+        try:
+            image = MultibandImage(bands=names, data=planes, scale=manifest.scale)
+        except ValueError:
+            band = names[int(np.argmin(_finite_bands(planes, manifest.scale)))]
+            raise LoadError(
+                f"{manifest.base_dir / paths[band]}: band {band!r} on "
+                f"{mf.date.isoformat()} has non-finite values at scale {manifest.scale:g}"
+            ) from None
         truth = None
         if mf.truth_path is not None:
             truth = read_label_raster(manifest.base_dir / mf.truth_path)
@@ -426,7 +426,7 @@ def load_stack(manifest: StackManifest) -> ImageStack:
         frames.append(
             Frame(
                 date=mf.date,
-                image=MultibandImage(bands=names, data=data),
+                image=image,
                 cloud_fraction=mf.cloud_fraction,
                 truth=truth,
                 external_posterior=posterior,
@@ -484,10 +484,10 @@ def resample_nearest(grid: np.ndarray, factor: int) -> np.ndarray:
 
 
 def crop(image: MultibandImage, region: ReferenceRegion) -> MultibandImage:
-    """Cut a rectangle out of every band."""
+    """Cut a rectangle out of every band, sharing the planes if contiguous."""
     _check_region(region, image.shape)
     rows, cols = region.slices()
-    return MultibandImage(bands=image.bands, data=image.data[:, rows, cols])
+    return image._derive(data=image.data[:, rows, cols])
 
 
 def crop_stack(stack: ImageStack, region: ReferenceRegion) -> ImageStack:
@@ -523,7 +523,8 @@ def bias_correct(stack: ImageStack, region: ReferenceRegion) -> ImageStack:
     returned unchanged, and reapplying the correction is a no-op up to
     float64 rounding. A non-finite region mean in frame 0, or a later
     frame whose shifted values are not finite, as when its region mean
-    overflows, raises DataError naming that frame's date.
+    overflows, raises DataError naming that frame's date. Corrected
+    images share their planes and carry the shift.
     """
     if not stack.frames:
         raise DataError("cannot bias-correct an empty stack")
@@ -531,7 +532,7 @@ def bias_correct(stack: ImageStack, region: ReferenceRegion) -> ImageStack:
     rows, cols = region.slices()
     first = stack.frames[0]
     with np.errstate(over="ignore"):  # reported below
-        reference = first.image.data[:, rows, cols].mean(axis=(1, 2))
+        reference = first.image.values()[:, rows, cols].mean(axis=(1, 2))
     if not np.isfinite(reference).all():
         raise DataError(
             f"{first.date.isoformat()}: bias reference region mean is non-finite"
@@ -539,16 +540,14 @@ def bias_correct(stack: ImageStack, region: ReferenceRegion) -> ImageStack:
     frames = [first]
     for fr in stack.frames[1:]:
         with np.errstate(over="ignore", invalid="ignore"):
-            current = fr.image.data[:, rows, cols].mean(axis=(1, 2))
-            bias = reference - current
-            shifted = fr.image.data + bias[:, np.newaxis, np.newaxis]
-        if not np.isfinite(shifted).all():
+            shift = reference - fr.image.values()[:, rows, cols].mean(axis=(1, 2))
+            if fr.image.shift is not None:
+                shift += fr.image.shift
+        if not _finite_bands(fr.image.data, fr.image.scale, shift).all():
             raise DataError(
                 f"{fr.date.isoformat()}: bias-corrected frame has non-finite values"
             )
-        frames.append(
-            replace(fr, image=MultibandImage(bands=fr.image.bands, data=shifted))
-        )
+        frames.append(replace(fr, image=fr.image._derive(shift=shift)))
     return ImageStack(tuple(frames))
 
 

@@ -6,7 +6,8 @@ package's vectorized implementations. Tests compare the two routes;
 when they agree we trust both. The mixture and softmax-loss functions
 over `max_shift_logsumexp` and `per_epsilon_sweep` are instead the
 straightforward routes the package's faster code must reproduce
-exactly.
+exactly. `widened_band_values` is the float64 load chain that the
+float32 frames' `band` values must reproduce bit for bit.
 `predict_prior`, `map_decision` and `update_operation_count` are the
 textbook prior step, MAP rule and closed-form operation counts that the
 recursion tests and criterion 4 check against, and `floor_normalize` is
@@ -475,3 +476,36 @@ def per_epsilon_sweep(stack, models, modes, lam, grid):
                 inst_score = float(np.mean([s.instantaneous for s in scores]))
         instantaneous.append(inst_score)
     return accuracy, tuple(instantaneous)
+
+
+def widened_band_values(frames, scale, factors, crop=None, bias_region=None):
+    """A stack's float64 band values by the load chain of float64 images.
+
+    ``frames`` holds each date's float32 planes at native resolution,
+    ``factors`` each band's upsampling factor, and ``crop`` and
+    ``bias_region`` optional (rows, cols) slice pairs, the second in
+    cropped coordinates. Each plane is widened and scaled
+    (``astype(f64) * scale``), upsampled by repeating cells (what
+    `resample_nearest` does), the bands are stacked, the crop slice is
+    copied out, and every frame after the first gets ``data + bias``,
+    its bias being frame 0's region mean minus its own. Returns one
+    (bands, H, W) float64 array per frame.
+    """
+    stacked = []
+    for planes in frames:
+        widened = []
+        for plane, factor in zip(planes, factors):
+            values = np.asarray(plane, dtype=np.float32).astype(np.float64) * scale
+            widened.append(np.repeat(np.repeat(values, factor, axis=0), factor, axis=1))
+        data = np.stack(widened)
+        if crop is not None:
+            data = np.ascontiguousarray(data[:, crop[0], crop[1]])
+        stacked.append(data)
+    if bias_region is None:
+        return stacked
+    rows, cols = bias_region
+    reference = stacked[0][:, rows, cols].mean(axis=(1, 2))
+    return stacked[:1] + [
+        data + (reference - data[:, rows, cols].mean(axis=(1, 2)))[:, np.newaxis, np.newaxis]
+        for data in stacked[1:]
+    ]

@@ -253,9 +253,58 @@ class TestMultibandImage:
             image = bias_correct(stack, region).frames[1].image
         else:
             image = crop(make_image(("green", "swir1"), planes), region)
-        assert np.isfinite(image.data).all()
+        assert np.isfinite(image.values()).all()
         with pytest.raises(ValueError, match="read-only"):
             image.data[0, 0, 0] = 2.0
+        if image.shift is not None:
+            with pytest.raises(ValueError, match="read-only"):
+                image.shift[0] = 2.0
+
+    def test_caller_array_is_copied(self):
+        a = np.ones((1, 2, 2))
+        view = a[:]
+        img = MultibandImage(("green",), a)
+        view[0, 0, 0] = np.nan
+        assert_array_equal(img.band("green"), np.ones((2, 2)))
+        assert a.flags.writeable
+
+    @pytest.mark.parametrize(
+        "dtype, kept", [(np.float32, np.float32), (np.float64, np.float64),
+                        (np.int16, np.float64), (np.float16, np.float64)]
+    )
+    def test_planes_keep_float32_and_widen_the_rest(self, dtype, kept):
+        img = MultibandImage(("green",), np.full((1, 2, 3), 3, dtype=dtype))
+        assert img.data.dtype == kept
+        assert img.band("green").dtype == np.float64
+
+    def test_values_are_scaled_then_shifted(self):
+        data = np.array([[[0.1, -0.2]], [[0.3, 0.4]]], dtype=np.float32)
+        img = MultibandImage(("green", "swir1"), data, scale=0.37, shift=[0.5, -1e-3])
+        want = data.astype(np.float64) * 0.37 + np.array([0.5, -1e-3])[:, None, None]
+        assert img.values().tobytes() == want.tobytes()
+        assert img.band("swir1").tobytes() == want[1].tobytes()
+
+    @pytest.mark.parametrize("scale", [0.0, -1.0, np.inf, np.nan])
+    def test_rejects_bad_scale(self, scale):
+        with pytest.raises(ValueError, match="scale"):
+            MultibandImage(("green",), np.ones((1, 1, 1)), scale=scale)
+
+    def test_rejects_wrong_shift_shape(self):
+        with pytest.raises(ShapeError):
+            MultibandImage(("green",), np.ones((1, 1, 1)), shift=[0.0, 1.0])
+
+    @pytest.mark.parametrize(
+        "scale, shift",
+        [(1e308, None), (1.0, [np.inf]), (3e269, [1e308]), (3e269, [-1e308])],
+    )
+    def test_rejects_values_that_overflow(self, scale, shift):
+        data = np.array([[[-3e38, 0.0, 3e38]]], dtype=np.float32)
+        with pytest.raises(ValueError, match="^image has non-finite pixel values$"):
+            MultibandImage(("green",), data, scale=scale, shift=shift)
+
+    def test_empty_planes_are_accepted(self):
+        img = MultibandImage(("green",), np.ones((1, 0, 3), np.float32), shift=[2.0])
+        assert img.band("green").shape == (0, 3)
 
 
 class TestFrame:

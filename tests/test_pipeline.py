@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import datetime as dt
+import re
 import struct
 import warnings
 
@@ -11,6 +12,7 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from helpers import date_of, make_stack
+from oracles import widened_band_values
 from satbayes.core import LabelRaster
 from satbayes.errors import (
     BoundsError,
@@ -477,7 +479,7 @@ class TestLoadStack:
             load_stack(bad)
 
     def test_persist_reload_bit_exact(self, tmp_path):
-        # float32 planes in, float64 in memory, float32 back out
+        # float32 planes in, float64 values out, float32 back to disk
         manifest = _demo_manifest(tmp_path)
         stack = load_stack(manifest)
         out = tmp_path / "copy"
@@ -500,7 +502,96 @@ class TestLoadStack:
         )
         again = load_stack(manifest2)
         for a, b in zip(stack.frames, again.frames):
-            assert a.image.data.tobytes() == b.image.data.tobytes()
+            assert a.image.values().tobytes() == b.image.values().tobytes()
+
+    def test_planes_stay_float32_and_corrections_share_them(self, tmp_path):
+        stack = load_stack(_demo_manifest(tmp_path))
+        height, width = stack.shape
+        for frame in stack.frames:
+            assert frame.image.data.dtype == np.float32
+            assert frame.image.data.nbytes == len(stack.bands) * height * width * 4
+        out = bias_correct(stack, ReferenceRegion(x=0, y=0, width=2, height=2))
+        for before, after in zip(stack.frames, out.frames):
+            assert np.shares_memory(before.image.data, after.image.data)
+
+    def _two_band_frame(self, tmp_path, swir1, scale):
+        np.ones((1, 3), dtype="<f4").tofile(tmp_path / "g.f32")
+        np.asarray([swir1], dtype="<f4").tofile(tmp_path / "s.f32")
+        frame = ManifestFrame(
+            date=date_of(0), band_paths=(("green", "g.f32"), ("swir1", "s.f32"))
+        )
+        return StackManifest(
+            width=3, height=1, scale=scale,
+            bands=(("green", 10.0), ("swir1", 10.0)),
+            frames=(frame,), base_dir=tmp_path,
+        )
+
+    @pytest.mark.parametrize(
+        "swir1, scale",
+        [
+            ([1.0, 2.0, 3.0], 6e307),  # only the maximum overflows once scaled
+            ([-3.0, 1.0, 2.0], 6e307),  # only the minimum does
+            ([1.0, np.nan, 2.0], 1.0),
+            ([1.0, np.inf, 2.0], 1.0),
+            ([-np.inf, 1.0, 2.0], 1.0),
+        ],
+    )
+    def test_non_finite_values_name_the_plane(self, tmp_path, swir1, scale):
+        manifest = self._two_band_frame(tmp_path, swir1, scale)
+        message = (
+            f"{tmp_path / 's.f32'}: band 'swir1' on {date_of(0).isoformat()} "
+            f"has non-finite values at scale {scale:g}"
+        )
+        with pytest.raises(LoadError, match=f"^{re.escape(message)}$"):
+            load_stack(manifest)
+
+    def test_extremes_just_below_overflow_load(self, tmp_path):
+        manifest = self._two_band_frame(tmp_path, [-2.99, 0.0, 2.99], 6e307)
+        values = load_stack(manifest).frames[0].image.band("swir1")
+        assert np.isfinite(values).all() and values.max() > 1.79e308
+
+
+# float32 values the widening must carry bit for bit
+_SPECIAL_VALUES = np.array([-0.75, 0.0, -0.0, 1e-40, -1e-45, 0.3], dtype=np.float32)
+
+
+@pytest.mark.parametrize("corrected", [False, True])
+@pytest.mark.parametrize("cropped", [False, True])
+@pytest.mark.parametrize("factor", [1, 2])
+@pytest.mark.parametrize("scale", [1.0, 0.37, 1e-4])
+def test_band_values_match_the_float64_chain(tmp_path, scale, factor, cropped, corrected):
+    rng = np.random.default_rng(11)
+    factors = (1, factor)
+    planes, entries = [], []
+    for t in range(3):
+        frame = []
+        for band, f in zip(("green", "swir1"), factors):
+            plane = rng.uniform(-1.0, 1.0, size=(8 // f, 12 // f)).astype(np.float32)
+            plane[4 // f, :6] = _SPECIAL_VALUES
+            write_band_plane(tmp_path / f"f{t}_{band}.f32", plane)
+            frame.append(plane)
+        planes.append(frame)
+        entries.append(ManifestFrame(date=date_of(t), band_paths=tuple(
+            (band, f"f{t}_{band}.f32") for band in ("green", "swir1")
+        )))
+    stack = load_stack(StackManifest(
+        width=12, height=8, scale=scale,
+        bands=(("green", 10.0), ("swir1", 10.0 * factor)),
+        frames=tuple(entries), base_dir=tmp_path,
+    ))
+    crop = bias = None
+    if cropped:
+        region = ReferenceRegion(x=1, y=2, width=9, height=5)
+        stack, crop = crop_stack(stack, region), region.slices()
+    if corrected:
+        region = ReferenceRegion(x=0, y=1, width=5, height=3)
+        stack, bias = bias_correct(stack, region), region.slices()
+    expected = widened_band_values(planes, scale, factors, crop, bias)
+    for frame, values in zip(stack.frames, expected):
+        for band, want in zip(stack.bands, values):
+            got = frame.image.band(band)
+            assert got.dtype == np.float64
+            assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 # ------------------------------------------------------------------
@@ -569,7 +660,8 @@ class TestBiasCorrect:
         region = ReferenceRegion(x=0, y=0, width=6, height=6)
         out = bias_correct(stack, region)
         assert (
-            out.frames[0].image.data.tobytes() == stack.frames[0].image.data.tobytes()
+            out.frames[0].image.values().tobytes()
+            == stack.frames[0].image.values().tobytes()
         )
 
     def test_region_means_aligned(self):
@@ -589,15 +681,26 @@ class TestBiasCorrect:
         once = bias_correct(stack, region)
         twice = bias_correct(once, region)
         for a, b in zip(once.frames, twice.frames):
-            assert_allclose(a.image.data, b.image.data, atol=1e-12)
+            assert_allclose(a.image.values(), b.image.values(), atol=1e-12)
 
     def test_constant_shift_removed(self):
         stack = self._drifting_stack()
         region = ReferenceRegion(x=0, y=0, width=6, height=6)
         out = bias_correct(stack, region)
         assert_allclose(
-            out.frames[1].image.data, out.frames[0].image.data, atol=1e-12
+            out.frames[1].image.values(), out.frames[0].image.values(), atol=1e-12
         )
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_overflowing_shift_names_the_date(self, sign):
+        # the shift itself is finite; one pixel outside the region overflows
+        first, later = np.zeros((2, 2)), np.zeros((2, 2))
+        first[0, 0] = later[1, 1] = sign * 1e308
+        stack = make_stack(("green",), [[first], [later]])
+        region = ReferenceRegion(x=0, y=0, width=1, height=1)
+        message = f"{date_of(1).isoformat()}: bias-corrected frame has non-finite values"
+        with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+            bias_correct(stack, region)
 
 
     def test_overflowing_reference_names_the_first_date(self):
