@@ -594,7 +594,6 @@ def fit_logistic_classifier(
     labels: np.ndarray,
     num_classes: int,
     bands: tuple[str, ...],
-    l2: float = LR_L2,
 ) -> LogisticClassifier:
     """Full-batch multinomial logistic regression on standardized features.
 
@@ -627,8 +626,6 @@ def fit_logistic_classifier(
         raise InsufficientDataError(
             "training labels cover a single class; need at least 2"
         )
-    if l2 < 0.0:
-        raise InvalidHyperparameterError(f"l2 must be >= 0, got {l2}")
 
     with np.errstate(over="ignore", invalid="ignore"):
         mean, std = x.mean(axis=0), x.std(axis=0)
@@ -642,15 +639,15 @@ def fit_logistic_classifier(
 
     scratch: dict = {}
     w = np.zeros(num_classes * (len(bands) + 1))
-    loss, grad = logistic_loss_grad(w, aug, onehot, l2, scratch)
+    loss, grad = logistic_loss_grad(w, aug, onehot, LR_L2, scratch)
     for _ in range(LR_MAX_ITER):
         if np.max(np.abs(grad)) < LR_PGTOL:
             break
-        hess = _logistic_hessian(aug, scratch["scores"].reshape(num_classes, -1), l2)
+        hess = _logistic_hessian(aug, scratch["scores"].reshape(num_classes, -1), LR_L2)
         step = np.linalg.lstsq(hess, -grad, rcond=None)[0]
         t, slope = 1.0, float(grad @ step)
         while True:  # Armijo backtracking; at t = 0 the trial is w, which passes
-            trial = logistic_loss_grad(w + t * step, aug, onehot, l2, scratch)
+            trial = logistic_loss_grad(w + t * step, aug, onehot, LR_L2, scratch)
             # near the optimum float64 cannot resolve the fall of the loss
             if trial[0] <= loss + 1e-4 * t * slope or np.max(np.abs(trial[1])) < LR_PGTOL:
                 break

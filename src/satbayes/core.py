@@ -1,9 +1,9 @@
 """Shared value types for probabilistic time-series classification.
 
-The validation helpers here and `recursion`'s single-step updates take
-numpy arrays whose last axis indexes classes; engine outputs and the
-frame step are class-major, and share this module's (K, N) column
-arithmetic: `column_sums`, `normalize_columns`, `floor_normalize_columns`.
+`validate_pmf` checks probability vectors along an array's last axis.
+Engine outputs and the recursion are class-major, and share this
+module's (K, N) column arithmetic: `column_sums`, `normalize_columns`,
+`floor_normalize_columns`.
 Images and stacks are immutable: their arrays are C-contiguous and
 read-only, so code can share them without defensive copies. An image
 keeps float32 planes as read and hands out float64 values.
@@ -19,7 +19,6 @@ import numpy as np
 from .errors import (
     BoundsError,
     ConfigError,
-    DegenerateLikelihoodError,
     InvalidClassCountError,
     InvalidHyperparameterError,
     ShapeError,
@@ -107,25 +106,6 @@ def floor_normalize_columns(
     """Floor at PROB_FLOOR, then `normalize_columns`; in place unless ``out``."""
     floored = np.maximum(x, PROB_FLOOR, out=x if out is None else out)
     return normalize_columns(floored, total)
-
-
-def validate_likelihood(values: np.ndarray) -> np.ndarray:
-    """Check likelihood vectors: finite, non-negative, not all zero.
-
-    Likelihoods are unnormalized densities, so no sum constraint; an
-    all-zero row carries no class information and raises
-    DegenerateLikelihoodError.
-    """
-    arr = np.asarray(values, dtype=np.float64)
-    if arr.ndim == 0 or arr.shape[-1] < 2:
-        raise ShapeError(f"likelihood vector needs a class axis, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("likelihood vector has non-finite entries")
-    if np.any(arr < 0.0):
-        raise ValueError("likelihood vector has negative entries")
-    if np.any(arr.max(axis=-1) == 0.0):
-        raise DegenerateLikelihoodError("all-zero likelihood vector")
-    return arr
 
 
 # ============================================================

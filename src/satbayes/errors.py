@@ -70,7 +70,3 @@ class NumericalError(SatBayesError):
 
 class DegenerateLikelihoodError(NumericalError):
     """Likelihood vector is all zero; carries no class information."""
-
-
-class InvalidMarginalError(NumericalError):
-    """Marginal distribution has a non-positive entry."""

@@ -77,6 +77,7 @@ def write_band_plane(path: str | Path, values: np.ndarray) -> Path:
 
 
 def read_band_plane(path: str | Path, height: int, width: int) -> np.ndarray:
+    """The (height, width) float32 plane in ``path``, a read-only view of its bytes."""
     src = Path(path)
     blob = read_bytes(src)
     expected = 4 * height * width
@@ -85,7 +86,7 @@ def read_band_plane(path: str | Path, height: int, width: int) -> np.ndarray:
             f"{src}: expected {expected} bytes for {height}x{width} float32, "
             f"got {len(blob)}"
         )
-    return np.frombuffer(blob, dtype="<f4").reshape(height, width).copy()
+    return np.frombuffer(blob, dtype="<f4").reshape(height, width)
 
 
 def write_label_raster(path: str | Path, raster: LabelRaster) -> Path:
@@ -119,9 +120,9 @@ def read_label_raster(path: str | Path) -> LabelRaster:
     )
     if len(blob) != head + width * height:
         raise LoadError(f"{src}: expected {width * height} label bytes")
-    labels = np.frombuffer(blob[head:], dtype=np.uint8).reshape(height, width)
+    labels = np.frombuffer(blob, dtype=np.uint8, offset=head).reshape(height, width)
     try:
-        return LabelRaster(labels.copy(), num_classes=k)
+        return LabelRaster(labels, num_classes=k)
     except (ValueError, ShapeError, ConfigError) as exc:
         raise LoadError(f"{src}: {exc}") from exc
 

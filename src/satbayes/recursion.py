@@ -5,7 +5,7 @@ by propagating a per-pixel class belief through a hidden-Markov chain.
 Two update flavors are provided: a generative update that consumes
 class-conditional likelihoods, and a discriminative update that
 consumes instantaneous posterior probabilities and divides out the
-class marginals.
+uniform class marginal.
 
 All update arithmetic is one class-major kernel, `_Kernel`, on (K, N)
 float64 arrays written in place, normalized by `core` as the engines
@@ -19,9 +19,9 @@ evaluation per frame. The filter needs only the previous date's
 belief: `classify_stack` hands each date's (K, N) posteriors to a
 per-frame sink, and collects them into float64 cubes only when the
 caller passes none. The public `generative_update`,
-`discriminative_update` and `regularize` take (..., K) arrays,
-validate every input and run the same arithmetic on a transposed
-(K, M) copy.
+`discriminative_update` and `regularize` take (..., K) arrays and run
+the same arithmetic on a transposed (K, M) copy; the updates check
+its evidence with the frame step's own check, `_check_evidence`.
 """
 
 from __future__ import annotations
@@ -43,7 +43,6 @@ from .core import (
     floor_normalize_columns,
     normalize_columns,
     uniform_pmf,
-    validate_likelihood,
     validate_pmf,
 )
 from .errors import (
@@ -51,7 +50,6 @@ from .errors import (
     DegenerateLikelihoodError,
     InvalidClassCountError,
     InvalidHyperparameterError,
-    InvalidMarginalError,
     SatBayesError,
     ShapeError,
 )
@@ -69,13 +67,6 @@ class RecursionMode(enum.Enum):
 # ============================================================
 
 
-def _check_class_axis(arr: np.ndarray, num_classes: int, name: str) -> None:
-    if arr.shape[-1] != num_classes:
-        raise ShapeError(
-            f"{name} has {arr.shape[-1]} classes, transition model has {num_classes}"
-        )
-
-
 def generative_update(
     likelihood: np.ndarray,
     prev_posterior: np.ndarray,
@@ -84,41 +75,28 @@ def generative_update(
     """One recursion step from class-conditional likelihoods.
 
     Computes posterior_i proportional to likelihood_i * prior_i where the
-    prior is ``prev_posterior`` @ M, normalized over classes. Inputs
-    validate per `validate_likelihood` / `validate_pmf`; an all-zero
-    likelihood row raises DegenerateLikelihoodError.
+    prior is ``prev_posterior`` @ M, normalized over classes. Bad
+    likelihoods raise the errors of a bad `FrameStep` model output (an
+    all-zero row a DegenerateLikelihoodError); ``prev_posterior`` must
+    pass `validate_pmf`.
     """
-    lik = validate_likelihood(likelihood)
-    prev = validate_pmf(prev_posterior)
-    _check_class_axis(lik, transition.num_classes, "likelihood")
-    return _apply_update(lik, prev, transition, None)
+    return _apply_update(likelihood, prev_posterior, transition, None)
 
 
 def discriminative_update(
     inst_posterior: np.ndarray,
     prev_posterior: np.ndarray,
     transition: TransitionModel,
-    marginal: np.ndarray | None = None,
 ) -> np.ndarray:
     """One recursion step from instantaneous posterior probabilities.
 
-    Each instantaneous posterior is divided by the class marginal
-    (uniform when ``marginal`` is None) to recover a likelihood-shaped
-    weight, then combined with the propagated prior exactly as in the
-    generative update. Non-positive marginals raise
-    InvalidMarginalError.
+    Each instantaneous posterior is divided by the uniform class
+    marginal to recover a likelihood-shaped weight, then combined with
+    the propagated prior exactly as in the generative update; inputs
+    are checked as there.
     """
-    inst = validate_likelihood(inst_posterior)
-    prev = validate_pmf(prev_posterior)
-    _check_class_axis(inst, transition.num_classes, "inst_posterior")
-    if marginal is None:
-        marg = uniform_pmf(transition.num_classes)
-    else:
-        marg = np.asarray(marginal, dtype=np.float64)
-        _check_class_axis(marg, transition.num_classes, "marginal")
-        if np.any(marg <= 0.0) or not np.all(np.isfinite(marg)):
-            raise InvalidMarginalError("marginal entries must be finite and > 0")
-    return _apply_update(inst, prev, transition, marg[:, np.newaxis])
+    marginal = uniform_pmf(transition.num_classes)[:, np.newaxis]
+    return _apply_update(inst_posterior, prev_posterior, transition, marginal)
 
 
 def regularize(pmf: np.ndarray, lam: float) -> np.ndarray:
@@ -152,14 +130,48 @@ def _apply_update(
     transition: TransitionModel,
     marginal: np.ndarray | None,
 ) -> np.ndarray:
-    """`_Kernel.update` on validated (..., K) inputs; returns a (..., K) view."""
-    _check_class_axis(prev, transition.num_classes, "prev_posterior")
+    """`_Kernel.update` on (..., K) inputs after checking them; returns a (..., K) view."""
+    weights = np.asarray(weights, dtype=np.float64)
+    prev = validate_pmf(prev)
+    k = transition.num_classes
+    if weights.shape[-1:] != (k,) or prev.shape[-1] != k:
+        raise ShapeError(
+            f"the transition model has {k} classes, inputs have shapes "
+            f"{weights.shape} and {prev.shape}"
+        )
     shape = np.broadcast_shapes(weights.shape, prev.shape)
     w = _class_major(weights, shape)
     belief = _class_major(prev, shape)
     kernel = _Kernel(*w.shape)
+    _check_evidence(w, kernel.total)
     kernel.update(kernel.weigh(w, marginal), belief, transition)
     return belief.T.reshape(shape)
+
+
+def _check_evidence(raw: np.ndarray, total: np.ndarray) -> None:
+    """Raise unless every column of the (K, n) float64 ``raw`` is usable evidence.
+
+    In order: a non-finite, then a negative entry is a ValueError, an
+    all-zero column a DegenerateLikelihoodError and a column sum that
+    overflows float64 a ValueError. ``total`` is an (n,) buffer.
+    """
+    # Whole-array reductions prove every column finite, positive and far
+    # from overflowing its sum (K terms below max / 2K); the initial values
+    # let an input of zero columns pass. Otherwise the exact checks raise
+    # their error, or pass an edge case: zero entries, or huge finite sums.
+    lo, hi = raw.min(initial=np.inf), raw.max(initial=-np.inf)
+    if lo > 0.0 and hi < np.finfo(np.float64).max / (2 * raw.shape[0]):
+        return
+    if not (np.isfinite(lo) and np.isfinite(hi)):
+        raise ValueError("likelihood vector has non-finite entries")
+    if lo < 0.0:
+        raise ValueError("likelihood vector has negative entries")
+    with np.errstate(over="ignore"):  # an overflowing sum raises below
+        total = column_sums(raw, total)  # finite entries >= 0
+    if total.min() == 0.0:
+        raise DegenerateLikelihoodError("all-zero likelihood vector")
+    if total.max() == np.inf:
+        raise ValueError("likelihood vector sum overflows float64")
 
 
 class _Kernel:
@@ -308,7 +320,6 @@ class FrameStep:
         uniform = uniform_pmf(k)[:, np.newaxis]
         self.marginal = uniform if mode is RecursionMode.DISCRIMINATIVE else None
         self._shape = (k, pixels)
-        self._max_entry = np.finfo(np.float64).max / (2 * k)  # K-term sums stay finite
         self._kernel = _Kernel(k, pixels)
         self.inst = np.empty((k, pixels))
         self.post = np.empty((len(self.transitions), k, pixels))
@@ -335,23 +346,7 @@ class FrameStep:
             raise ShapeError(
                 f"model returned shape {raw.shape}, expected {self._shape}"
             )
-        # Whole-array reductions prove every pixel column finite, positive
-        # and far from overflowing its sum; the initial values let a frame
-        # of zero pixels pass. Otherwise the exact checks raise their
-        # error, or pass an edge case: zero entries, or huge finite sums.
-        lo, hi = raw.min(initial=np.inf), raw.max(initial=-np.inf)
-        if lo > 0.0 and hi < self._max_entry:
-            return raw
-        if not (np.isfinite(lo) and np.isfinite(hi)):
-            raise ValueError("likelihood vector has non-finite entries")
-        if lo < 0.0:
-            raise ValueError("likelihood vector has negative entries")
-        with np.errstate(over="ignore"):  # an overflowing sum raises below
-            total = column_sums(raw, self._kernel.total)  # finite entries >= 0
-        if total.min() == 0.0:
-            raise DegenerateLikelihoodError("all-zero likelihood vector")
-        if total.max() == np.inf:
-            raise ValueError("likelihood vector sum overflows float64")
+        _check_evidence(raw, self._kernel.total)
         return raw
 
     def _advance(self, raw: np.ndarray) -> None:

@@ -33,10 +33,9 @@ from satbayes.core import (
     TransitionModel,
     build_transition_model,
     uniform_pmf,
-    validate_likelihood,
     validate_pmf,
 )
-from satbayes.errors import ConfigError, InvalidMarginalError, ShapeError
+from satbayes.errors import ConfigError, ShapeError
 from satbayes.evaluation import frame_accuracies
 from satbayes.recursion import RecursionMode, classify_stack
 
@@ -313,6 +312,14 @@ def pixel_major_softmax(model, pixels: np.ndarray) -> np.ndarray:
     return expd / expd.sum(axis=1, keepdims=True)
 
 
+def _likelihood_vector(values: np.ndarray) -> np.ndarray:
+    """``values`` as a float64 vector: finite, non-negative and not all zero."""
+    arr = np.atleast_1d(np.asarray(values, dtype=np.float64))
+    if not np.all(np.isfinite(arr)) or np.any(arr < 0.0) or not np.any(arr > 0.0):
+        raise ValueError("likelihood vector must be finite, >= 0 and not all zero")
+    return arr
+
+
 def _check_classes(arr: np.ndarray, num_classes: int, name: str) -> None:
     if arr.shape[-1] != num_classes:
         raise ShapeError(
@@ -374,7 +381,7 @@ def counted_generative_update(
     `generative_update` and as the accounting reference for
     `update_operation_count`: each class recomputes the denominator.
     """
-    lik = validate_likelihood(np.atleast_1d(likelihood))
+    lik = _likelihood_vector(likelihood)
     prev = validate_pmf(np.atleast_1d(prev_posterior))
     if lik.ndim != 1 or prev.ndim != 1:
         raise ShapeError("counted updates take single probability vectors")
@@ -404,27 +411,20 @@ def counted_discriminative_update(
     inst_posterior: np.ndarray,
     prev_posterior: np.ndarray,
     transition: TransitionModel,
-    marginal: np.ndarray | None = None,
 ) -> tuple[np.ndarray, int]:
     """Scalar-loop discriminative update returning (posterior, op count).
 
     Identical accounting to `counted_generative_update` plus one
-    division per denominator term for the posterior/marginal ratio.
+    division per denominator term for the ratio to the uniform marginal.
     """
-    inst = validate_likelihood(np.atleast_1d(inst_posterior))
+    inst = _likelihood_vector(inst_posterior)
     prev = validate_pmf(np.atleast_1d(prev_posterior))
     if inst.ndim != 1 or prev.ndim != 1:
         raise ShapeError("counted updates take single probability vectors")
     m = transition.matrix
     k = transition.num_classes
     _check_classes(inst, k, "inst_posterior")
-    if marginal is None:
-        marg = uniform_pmf(k)
-    else:
-        marg = np.asarray(marginal, dtype=np.float64)
-        _check_classes(marg, k, "marginal")
-        if np.any(marg <= 0.0) or not np.all(np.isfinite(marg)):
-            raise InvalidMarginalError("marginal entries must be finite and > 0")
+    marg = uniform_pmf(k)
     ops = 0
     posterior = np.empty(k)
     for i in range(k):

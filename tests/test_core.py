@@ -24,13 +24,11 @@ from satbayes.core import (
     floor_normalize_columns,
     normalize_columns,
     uniform_pmf,
-    validate_likelihood,
     validate_pmf,
 )
 from satbayes.errors import (
     BoundsError,
     ConfigError,
-    DegenerateLikelihoodError,
     InvalidClassCountError,
     InvalidHyperparameterError,
     ShapeError,
@@ -79,12 +77,6 @@ class TestProbabilityVectors:
         # one pixel per column: (1, 1) and (0, 5)
         out = floor_normalize_columns(np.array([[1.0, 0.0], [1.0, 5.0]]))
         assert_allclose(out.sum(axis=0), 1.0, atol=1e-15)
-
-    def test_likelihood_all_zero_rejected(self):
-        with pytest.raises(DegenerateLikelihoodError):
-            validate_likelihood(np.array([0.0, 0.0]))
-        with pytest.raises(ValueError):
-            validate_likelihood(np.array([0.1, -0.2]))
 
     @given(st.integers(min_value=2, max_value=8), st.integers(min_value=0, max_value=2**31))
     @settings(max_examples=50, deadline=None)

@@ -25,7 +25,6 @@ from satbayes.errors import (
     DegenerateLikelihoodError,
     InvalidClassCountError,
     InvalidHyperparameterError,
-    InvalidMarginalError,
     ShapeError,
 )
 from satbayes.evaluation import epsilon_sweep
@@ -140,22 +139,6 @@ class TestDiscriminativeUpdate:
         prev = random_pmfs(rng, 40, 2)
         post = discriminative_update(inst, prev, model)
         assert_allclose(post, inst, atol=1e-12)
-
-    def test_explicit_marginal_matches_ratio_oracle(self):
-        model = build_transition_model(3, 0.2)
-        inst = np.array([0.5, 0.3, 0.2])
-        prev = np.array([0.2, 0.5, 0.3])
-        marg = np.array([0.6, 0.3, 0.1])
-        post = discriminative_update(inst, prev, model, marginal=marg)
-        expect = oracles.enumerate_posterior(prev, model.matrix, [inst / marg])
-        assert_allclose(post, expect, atol=1e-12)
-
-    @pytest.mark.parametrize("bad", [[0.0, 1.0], [-0.1, 1.1], [np.inf, 1.0]])
-    def test_bad_marginal_rejected(self, bad):
-        with pytest.raises(InvalidMarginalError):
-            discriminative_update(
-                np.array([0.6, 0.4]), np.array([0.5, 0.5]), T2, marginal=np.array(bad)
-            )
 
     def test_chain_matches_enumeration(self):
         rng = np.random.default_rng(77)
@@ -487,6 +470,29 @@ class TestEpsilonSweepErrors:
             epsilon_sweep(stack, {"m": model}, {"m": mode}, 0.8, [0.05, 0.2, 0.4])
         assert type(swept.value) is type(expected.value)
         assert str(swept.value) == str(expected.value)
+
+
+class TestSingleStepErrors:
+    """The (..., K) single-step updates reject bad evidence as `FrameStep` does."""
+
+    @pytest.mark.parametrize("mode", list(RecursionMode))
+    @pytest.mark.parametrize("case", ["nan", "negative", "zero_row", "overflow", "precedence"])
+    def test_same_error_as_frame_step(self, case, mode):
+        corrupt, error, _ = BAD_FRAMES[case]
+        raw = corrupt(_scripted_outputs(np.random.default_rng(6), 1, 64, 2)[0])
+        trans = build_transition_model(2, 0.1)
+        update = (
+            generative_update if mode is RecursionMode.GENERATIVE
+            else discriminative_update
+        )
+        with pytest.raises(error) as stepped:
+            FrameStep([trans], 0.8, mode, 64)(raw)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(error) as updated:
+                update(raw.T, uniform_pmf(2), trans)
+        assert type(updated.value) is type(stepped.value)
+        assert str(updated.value) == str(stepped.value)
 
 
 class TestClassifyStackAcceptsEdgeOutputs:
