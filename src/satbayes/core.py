@@ -263,9 +263,11 @@ class MultibandImage:
             raise ConfigError(f"image has no band {name!r}")
         return self.values(self.bands.index(name))
 
-    def values(self, index: int | slice = slice(None)) -> np.ndarray:
-        """Fresh float64 values of the planes at ``index``, all by default."""
-        out = np.multiply(self.data[index], self.scale, dtype=np.float64)
+    def values(
+        self, index: int | slice = slice(None), rows: slice = slice(None)
+    ) -> np.ndarray:
+        """Fresh float64 values of the planes at ``index`` on ``rows``, all by default."""
+        out = np.multiply(self.data[index, rows], self.scale, dtype=np.float64)
         if self.shift is not None:
             out += self.shift[index, np.newaxis, np.newaxis]
         return out

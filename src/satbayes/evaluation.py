@@ -191,7 +191,7 @@ def epsilon_sweep(
         evaluate = model_output(model, modes[name])
         transitions = [build_transition_model(model.num_classes, e) for e in eps]
         scores = []  # per truth frame: instantaneous, then one per epsilon
-        step = FrameStep(transitions, lam, modes[name], pixels)
+        step = FrameStep(transitions, lam, pixels)
         for frame in stack.frames:
             step(evaluate(frame), frame.date)
             if frame.truth is not None:
@@ -265,8 +265,7 @@ def timing_bench(
     pixels = height * width
     records = []
     for name, model in models.items():
-        mode = modes[name]
-        evaluate = model_output(model, mode)
+        evaluate = model_output(model, modes[name])
         outputs = [evaluate(frame) for frame in stack.frames]
 
         evaluate(stack.frames[0])  # warmup
@@ -277,7 +276,7 @@ def timing_bench(
             baseline_samples.append(time.perf_counter() - start)
 
         step_samples = np.empty((repetitions, len(outputs)))
-        step = FrameStep([transition], lam, mode, pixels)
+        step = FrameStep([transition], lam, pixels)
         for rep in range(repetitions):
             step.reset()
             for t, (raw, date) in enumerate(zip(outputs, stack.dates)):

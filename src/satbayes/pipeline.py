@@ -531,9 +531,11 @@ def bias_correct(stack: ImageStack, region: ReferenceRegion) -> ImageStack:
         raise DataError("cannot bias-correct an empty stack")
     _check_region(region, stack.shape)
     rows, cols = region.slices()
+    # only the region's rows are widened to float64; the mean then reads a
+    # view with the whole frame's strides, so it sums in the same order
     first = stack.frames[0]
     with np.errstate(over="ignore"):  # reported below
-        reference = first.image.values()[:, rows, cols].mean(axis=(1, 2))
+        reference = first.image.values(rows=rows)[:, :, cols].mean(axis=(1, 2))
     if not np.isfinite(reference).all():
         raise DataError(
             f"{first.date.isoformat()}: bias reference region mean is non-finite"
@@ -541,7 +543,7 @@ def bias_correct(stack: ImageStack, region: ReferenceRegion) -> ImageStack:
     frames = [first]
     for fr in stack.frames[1:]:
         with np.errstate(over="ignore", invalid="ignore"):
-            shift = reference - fr.image.values()[:, rows, cols].mean(axis=(1, 2))
+            shift = reference - fr.image.values(rows=rows)[:, :, cols].mean(axis=(1, 2))
             if fr.image.shift is not None:
                 shift += fr.image.shift
         if not _finite_bands(fr.image.data, fr.image.scale, shift).all():

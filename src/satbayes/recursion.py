@@ -2,10 +2,10 @@
 
 Turns any instantaneous per-pixel classifier into an online classifier
 by propagating a per-pixel class belief through a hidden-Markov chain.
-Two update flavors are provided: a generative update that consumes
-class-conditional likelihoods, and a discriminative update that
-consumes instantaneous posterior probabilities and divides out the
-uniform class marginal.
+Class-conditional likelihoods (generative mode) and instantaneous
+posteriors (discriminative mode) go through one update: dividing a
+posterior by the uniform class marginal scales it by K, which the
+update's normalization cancels, so that division is not done.
 
 All update arithmetic is one class-major kernel, `_Kernel`, on (K, N)
 float64 arrays written in place, normalized by `core` as the engines
@@ -42,7 +42,6 @@ from .core import (
     column_sums,
     floor_normalize_columns,
     normalize_columns,
-    uniform_pmf,
     validate_pmf,
 )
 from .errors import (
@@ -56,7 +55,7 @@ from .errors import (
 
 
 class RecursionMode(enum.Enum):
-    """Which instantaneous output the recursion consumes."""
+    """Which instantaneous output feeds the one recursion update (`model_output`)."""
 
     GENERATIVE = "generative"          # class-conditional likelihoods
     DISCRIMINATIVE = "discriminative"  # instantaneous posteriors
@@ -78,9 +77,23 @@ def generative_update(
     prior is ``prev_posterior`` @ M, normalized over classes. Bad
     likelihoods raise the errors of a bad `FrameStep` model output (an
     all-zero row a DegenerateLikelihoodError); ``prev_posterior`` must
-    pass `validate_pmf`.
+    pass `validate_pmf`. Returns a (..., K) view.
     """
-    return _apply_update(likelihood, prev_posterior, transition, None)
+    likelihood = np.asarray(likelihood, dtype=np.float64)
+    prev = validate_pmf(prev_posterior)
+    k = transition.num_classes
+    if likelihood.shape[-1:] != (k,) or prev.shape[-1] != k:
+        raise ShapeError(
+            f"the transition model has {k} classes, inputs have shapes "
+            f"{likelihood.shape} and {prev.shape}"
+        )
+    shape = np.broadcast_shapes(likelihood.shape, prev.shape)
+    weights = _class_major(likelihood, shape)
+    belief = _class_major(prev, shape)
+    kernel = _Kernel(*weights.shape)
+    _check_evidence(weights, kernel.total)
+    kernel.update(weights, belief, transition)
+    return belief.T.reshape(shape)
 
 
 def discriminative_update(
@@ -90,13 +103,12 @@ def discriminative_update(
 ) -> np.ndarray:
     """One recursion step from instantaneous posterior probabilities.
 
-    Each instantaneous posterior is divided by the uniform class
-    marginal to recover a likelihood-shaped weight, then combined with
-    the propagated prior exactly as in the generative update; inputs
-    are checked as there.
+    The paper divides each posterior by the class marginal p(c) before
+    weighing the prior. The marginal is uniform, so that division scales
+    a pixel's weights by K and the normalization cancels it: the step is
+    `generative_update`, with its checks.
     """
-    marginal = uniform_pmf(transition.num_classes)[:, np.newaxis]
-    return _apply_update(inst_posterior, prev_posterior, transition, marginal)
+    return generative_update(inst_posterior, prev_posterior, transition)
 
 
 def regularize(pmf: np.ndarray, lam: float) -> np.ndarray:
@@ -122,30 +134,6 @@ def _check_lam(lam: float) -> None:
 def _class_major(arr: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """Contiguous (K, M) copy of ``arr`` broadcast to ``shape`` (..., K)."""
     return np.array(np.broadcast_to(arr, shape).reshape(-1, shape[-1]).T, order="C")
-
-
-def _apply_update(
-    weights: np.ndarray,
-    prev: np.ndarray,
-    transition: TransitionModel,
-    marginal: np.ndarray | None,
-) -> np.ndarray:
-    """`_Kernel.update` on (..., K) inputs after checking them; returns a (..., K) view."""
-    weights = np.asarray(weights, dtype=np.float64)
-    prev = validate_pmf(prev)
-    k = transition.num_classes
-    if weights.shape[-1:] != (k,) or prev.shape[-1] != k:
-        raise ShapeError(
-            f"the transition model has {k} classes, inputs have shapes "
-            f"{weights.shape} and {prev.shape}"
-        )
-    shape = np.broadcast_shapes(weights.shape, prev.shape)
-    w = _class_major(weights, shape)
-    belief = _class_major(prev, shape)
-    kernel = _Kernel(*w.shape)
-    _check_evidence(w, kernel.total)
-    kernel.update(kernel.weigh(w, marginal), belief, transition)
-    return belief.T.reshape(shape)
 
 
 def _check_evidence(raw: np.ndarray, total: np.ndarray) -> None:
@@ -195,16 +183,6 @@ class _Kernel:
         """`regularize` (``lam`` > 0) of every column of ``pmf``, into scratch."""
         np.add(pmf, lam, out=self.scratch)
         return normalize_columns(self.scratch, total=self.total)
-
-    def weigh(self, pmf: np.ndarray, marginal: np.ndarray | None) -> np.ndarray:
-        """Evidence weights: ``pmf`` / ``marginal`` into scratch.
-
-        ``marginal`` is a (K, 1) column, or None for the generative step,
-        which weighs by ``pmf`` itself.
-        """
-        if marginal is None:
-            return pmf
-        return np.divide(pmf, marginal, out=self.scratch)
 
     def update(
         self, weights: np.ndarray, belief: np.ndarray, transition: TransitionModel
@@ -272,7 +250,10 @@ class StackClassification:
 def model_output(
     model: FrameModel, mode: RecursionMode
 ) -> Callable[[Frame], np.ndarray]:
-    """The model method whose (K, N) output feeds a recursion in ``mode``."""
+    """The model method whose (K, N) output feeds a recursion in ``mode``.
+
+    The mode decides nothing else: `FrameStep` updates alike on either output.
+    """
     if mode is RecursionMode.DISCRIMINATIVE:
         return model.frame_posterior
     if not hasattr(model, "frame_likelihood"):
@@ -292,23 +273,23 @@ class FrameStep:
     floor-normalized instantaneous posterior; ``post`` (E, K, N), one
     belief per transition model, uniform after construction or `reset`;
     and the MAP ``labels`` (1 + E, N), row 0 from ``inst`` and row 1 + e
-    from ``post[e]``. ``step(raw, date)`` loads one frame's (K, N)
-    model output into ``inst`` and updates each ``post[e]`` in place.
-    Validation, smoothing and the division by the marginal run once per
-    call, whatever E is. An output of another shape is a ShapeError; in
-    one of the right shape, a non-finite, then a negative entry is a
-    ValueError, an all-zero pixel column a DegenerateLikelihoodError and
-    an overflowing column sum a ValueError. Given the frame's ``date``,
-    the message starts with its ISO form and the error keeps its type,
-    and the state is left as it was. The step is serial: one `_Kernel`
-    over all N pixel columns holds its scratch.
+    from ``post[e]``. ``step(raw, date)`` floor-normalizes one frame's
+    (K, N) evidence, likelihoods or posteriors alike, into ``inst``,
+    smooths it and updates each ``post[e]`` in place. Validation and
+    smoothing run once per call, whatever E is. An output of another
+    shape is a ShapeError; in one of the right shape, a non-finite, then
+    a negative entry is a ValueError, an all-zero pixel column a
+    DegenerateLikelihoodError and an overflowing column sum a
+    ValueError. Given the frame's ``date``, the message starts with its
+    ISO form and the error keeps its type, and the state is left as it
+    was. The step is serial: one `_Kernel` over all N pixel columns
+    holds its scratch.
     """
 
     def __init__(
         self,
         transitions: Sequence[TransitionModel],
         lam: float,
-        mode: RecursionMode,
         pixels: int,
     ) -> None:
         _check_lam(lam)
@@ -317,8 +298,6 @@ class FrameStep:
         if k > 255:
             raise InvalidClassCountError(f"at most 255 classes are supported, got {k}")
         self.lam = lam
-        uniform = uniform_pmf(k)[:, np.newaxis]
-        self.marginal = uniform if mode is RecursionMode.DISCRIMINATIVE else None
         self._shape = (k, pixels)
         self._kernel = _Kernel(k, pixels)
         self.inst = np.empty((k, pixels))
@@ -353,8 +332,7 @@ class FrameStep:
         kernel, inst = self._kernel, self.inst
         floor_normalize_columns(raw, inst, kernel.total)
         kernel.decide(inst, self.labels[0])
-        smoothed = kernel.smooth(inst, self.lam) if self.lam else inst
-        weights = kernel.weigh(smoothed, self.marginal)  # scratch, or inst itself
+        weights = kernel.smooth(inst, self.lam) if self.lam else inst
         for e, transition in enumerate(self.transitions):
             kernel.update(weights, self.post[e], transition)
             kernel.decide(self.post[e], self.labels[1 + e])
@@ -402,7 +380,7 @@ def classify_stack(
             cubes[1, t] = inst
 
     labels = np.empty((t_total, 2, n), dtype=np.uint8)  # instantaneous, recursive
-    step = FrameStep([transition], lam, mode, n)
+    step = FrameStep([transition], lam, n)
     for t, frame in enumerate(stack.frames):
         step(evaluate(frame), frame.date)
         labels[t] = step.labels

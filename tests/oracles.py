@@ -8,6 +8,9 @@ over `max_shift_logsumexp` and `per_epsilon_sweep` are instead the
 straightforward routes the package's faster code must reproduce
 exactly. `widened_band_values` is the float64 load chain that the
 float32 frames' `band` values must reproduce bit for bit.
+`whole_frame_bias_shifts` takes `bias_correct`'s region means over
+each whole frame's float64 values, which its row-only widening must
+reproduce bit for bit.
 `predict_prior`, `map_decision` and `update_operation_count` are the
 textbook prior step, MAP rule and closed-form operation counts that the
 recursion tests and criterion 4 check against, and `floor_normalize` is
@@ -509,3 +512,19 @@ def widened_band_values(frames, scale, factors, crop=None, bias_region=None):
         data + (reference - data[:, rows, cols].mean(axis=(1, 2)))[:, np.newaxis, np.newaxis]
         for data in stacked[1:]
     ]
+
+
+def whole_frame_bias_shifts(images, rows, cols):
+    """The per-band shift `bias_correct` gives each image after the first.
+
+    Region means are taken over the float64 values of each whole frame,
+    ``values()[:, rows, cols]``; a later image's own shift is added back.
+    """
+    reference = images[0].values()[:, rows, cols].mean(axis=(1, 2))
+    shifts = []
+    for image in images[1:]:
+        shift = reference - image.values()[:, rows, cols].mean(axis=(1, 2))
+        if image.shift is not None:
+            shift += image.shift
+        shifts.append(shift)
+    return shifts

@@ -12,8 +12,8 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from helpers import date_of, make_stack
-from oracles import widened_band_values
-from satbayes.core import LabelRaster
+from oracles import whole_frame_bias_shifts, widened_band_values
+from satbayes.core import Frame, ImageStack, LabelRaster, MultibandImage
 from satbayes.errors import (
     BoundsError,
     ConfigError,
@@ -712,6 +712,40 @@ class TestBiasCorrect:
         region = ReferenceRegion(x=0, y=0, width=6, height=6)
         with pytest.raises(DataError, match=rf"^{date_of(0).isoformat()}: .*non-finite"):
             bias_correct(stack, region)
+
+
+class TestBiasCorrectRegionMeans:
+    """Region means over the region's rows equal those over the whole frame, bit for bit."""
+
+    @staticmethod
+    def _image(rng, bands, shape, scale, shifted):
+        data = rng.uniform(-2.0, 3.0, size=(bands, *shape)).astype(np.float32)
+        shift = rng.normal(0.0, 0.5, size=bands) if shifted else None
+        return MultibandImage(tuple(f"b{i}" for i in range(bands)), data, scale, shift)
+
+    @pytest.mark.parametrize("scale", [1.0, 0.37, 1e-4])
+    @pytest.mark.parametrize("seed", range(8))
+    def test_shifts_match_whole_frame_oracle(self, seed, scale):
+        rng = np.random.default_rng(seed)
+        for case in range(12):
+            height, width = (int(v) for v in rng.integers(1, 160, size=2))
+            region_height = int(rng.integers(1, height + 1))
+            # full-width and single-column regions as well as random ones
+            region_width = [width, 1, int(rng.integers(1, width + 1))][case % 3]
+            region = ReferenceRegion(
+                x=int(rng.integers(0, width - region_width + 1)),
+                y=int(rng.integers(0, height - region_height + 1)),
+                width=region_width,
+                height=region_height,
+            )
+            bands = int(rng.integers(1, 4))
+            images = [self._image(rng, bands, (height, width), scale, shifted=case % 2 == 1)
+                      for _ in range(3)]
+            stack = ImageStack(tuple(Frame(date_of(t), im) for t, im in enumerate(images)))
+            out = bias_correct(stack, region)
+            expected = whole_frame_bias_shifts(images, *region.slices())
+            for frame, shift in zip(out.frames[1:], expected):
+                assert frame.image.shift.tobytes() == shift.tobytes()
 
 
 class TestFilterFrames:

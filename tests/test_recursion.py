@@ -130,7 +130,7 @@ class TestDiscriminativeUpdate:
             prev = random_pmfs(rng, 1, k)[0]
             a = discriminative_update(inst, prev, model)
             b = generative_update(inst, prev, model)
-            assert_allclose(a, b, atol=1e-12)
+            assert_array_equal(a, b)
 
     def test_half_epsilon_reduces_to_instantaneous(self):
         rng = np.random.default_rng(4)
@@ -147,7 +147,7 @@ class TestDiscriminativeUpdate:
         state = uniform_pmf(3)
         for inst in insts:
             state = discriminative_update(inst, state, model)
-        # uniform marginal rescales each step weight by K; drops out
+        # the uniform marginal would rescale each step weight by K; it drops out
         expect = oracles.enumerate_posterior(uniform_pmf(3), model.matrix, insts)
         assert_allclose(state, expect, atol=1e-10)
 
@@ -472,6 +472,38 @@ class TestEpsilonSweepErrors:
         assert str(swept.value) == str(expected.value)
 
 
+class TestModesShareOneUpdate:
+    """Fed the same (K, N) evidence, both modes give the same filter, bit for bit."""
+
+    @staticmethod
+    def _scene(k):
+        rng = np.random.default_rng(90 + k)
+        planes = [[rng.uniform(0.0, 1.0, size=(8, 8))] for _ in range(5)]
+        truths = [np.arange(64).reshape(8, 8) % k] * 5
+        stack = make_stack(("gray",), planes, truths=truths)
+        return stack, _ScriptedModel(stack, _scripted_outputs(rng, 5, 64, k))
+
+    @pytest.mark.parametrize("k", [2, 3, 5])
+    def test_classify_stack(self, k):
+        stack, model = self._scene(k)
+        trans = build_transition_model(k, 0.1)
+        gen, disc = (classify_stack(stack, model, trans, 0.8, mode)
+                     for mode in (RecursionMode.GENERATIVE, RecursionMode.DISCRIMINATIVE))
+        for name in ("recursive_posteriors", "instantaneous_posteriors"):
+            assert getattr(gen, name).tobytes() == getattr(disc, name).tobytes()
+        for a, b in zip(gen.recursive_labels + gen.instantaneous_labels,
+                        disc.recursive_labels + disc.instantaneous_labels):
+            assert_array_equal(a.labels, b.labels)
+
+    @pytest.mark.parametrize("k", [2, 3, 5])
+    def test_epsilon_sweep(self, k):
+        stack, model = self._scene(k)
+        gen, disc = (epsilon_sweep(stack, {"m": model}, {"m": mode}, 0.8, [0.01, 0.1, 0.4])
+                     for mode in (RecursionMode.GENERATIVE, RecursionMode.DISCRIMINATIVE))
+        assert gen.recursive_accuracy.tobytes() == disc.recursive_accuracy.tobytes()
+        assert gen.instantaneous_accuracy == disc.instantaneous_accuracy
+
+
 class TestSingleStepErrors:
     """The (..., K) single-step updates reject bad evidence as `FrameStep` does."""
 
@@ -486,7 +518,7 @@ class TestSingleStepErrors:
             else discriminative_update
         )
         with pytest.raises(error) as stepped:
-            FrameStep([trans], 0.8, mode, 64)(raw)
+            FrameStep([trans], 0.8, 64)(raw)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(error) as updated:
@@ -610,9 +642,8 @@ class TestClassifyStackTies:
 class TestFrameStepClassCount:
     """The uint8 label rows bound K: 255 classes work, more are rejected."""
 
-    @pytest.mark.parametrize("mode", list(RecursionMode))
-    def test_255_classes_label_the_last_class(self, mode):
-        step = FrameStep([build_transition_model(255, 0.05)], 0.8, mode, 2)
+    def test_255_classes_label_the_last_class(self):
+        step = FrameStep([build_transition_model(255, 0.05)], 0.8, 2)
         raw = np.ones((255, 2))
         raw[254, 0] = raw[0, 1] = 1e3
         step(raw)
@@ -624,7 +655,7 @@ class TestFrameStepClassCount:
         with pytest.raises(
             InvalidClassCountError, match=f"^at most 255 classes are supported, got {k}$"
         ):
-            FrameStep(transitions, 0.8, RecursionMode.DISCRIMINATIVE, 4)
+            FrameStep(transitions, 0.8, 4)
 
 
 class TestFrameStepTransitionBank:
@@ -633,7 +664,7 @@ class TestFrameStepTransitionBank:
     EPSILONS = (0.01, 0.07, 0.3)
 
     @staticmethod
-    def _run(outputs, k, mode):
+    def _run(outputs, k):
         pixels = outputs[0].shape[1]
         transitions = [build_transition_model(k, e) for e in
                        TestFrameStepTransitionBank.EPSILONS]
@@ -641,7 +672,7 @@ class TestFrameStepTransitionBank:
         insts = np.empty((len(outputs), k, pixels))
         posts = np.empty((len(outputs), e_count, k, pixels))
         labels = np.empty((len(outputs), 1 + e_count, pixels), dtype=np.uint8)
-        step = FrameStep(transitions, 0.8, mode, pixels)
+        step = FrameStep(transitions, 0.8, pixels)
         for t, raw in enumerate(outputs):
             step(raw)
             insts[t], posts[t], labels[t] = step.inst, step.post, step.labels
@@ -653,7 +684,7 @@ class TestFrameStepTransitionBank:
     def test_each_belief_equals_classify_stack(self, k, mode):
         stack = _small_stack(frames=5, side=9)
         outputs = _scripted_outputs(np.random.default_rng(50 + k), 5, 81, k)
-        insts, posts, labels = self._run(outputs, k, mode)
+        insts, posts, labels = self._run(outputs, k)
         for e, epsilon in enumerate(self.EPSILONS):
             trans = build_transition_model(k, epsilon)
             ref = classify_stack(stack, _ScriptedModel(stack, outputs), trans, 0.8, mode)
@@ -664,14 +695,12 @@ class TestFrameStepTransitionBank:
                 assert_array_equal(labels[t, 0], inst_labels)
                 assert_array_equal(labels[t, 1 + e], ref.recursive_labels[t].labels.ravel())
 
-    @pytest.mark.parametrize(
-        "k,mode", [(2, RecursionMode.DISCRIMINATIVE), (3, RecursionMode.GENERATIVE)]
-    )
-    def test_pixel_slices_match_whole_step(self, k, mode):
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_pixel_slices_match_whole_step(self, k):
         outputs = _scripted_outputs(np.random.default_rng(60 + k), 4, 81, k)
-        whole = self._run(outputs, k, mode)
+        whole = self._run(outputs, k)
         for cut in (slice(0, 1), slice(1, 40), slice(40, 81)):
-            part = self._run([out[:, cut] for out in outputs], k, mode)
+            part = self._run([out[:, cut] for out in outputs], k)
             for got, full in zip(part, whole):
                 assert got.tobytes() == np.ascontiguousarray(full[..., cut]).tobytes()
 
@@ -684,21 +713,20 @@ class TestFrameStepMatchesEnumeration:
         k=st.integers(min_value=2, max_value=6),
         steps=st.integers(min_value=1, max_value=5),
         bank=st.integers(min_value=1, max_value=3),
-        mode=st.sampled_from(list(RecursionMode)),
     )
     @settings(max_examples=100, deadline=None)
-    def test_every_belief_matches_enumeration(self, seed, k, steps, bank, mode):
+    def test_every_belief_matches_enumeration(self, seed, k, steps, bank):
         rng = np.random.default_rng(seed)
         pixels = 3
         transitions = [
             build_transition_model(k, float(rng.uniform(0.01, 0.6))) for _ in range(bank)
         ]
         outputs = [rng.uniform(0.05, 1.0, size=(k, pixels)) for _ in range(steps)]
-        step = FrameStep(transitions, 0.0, mode, pixels)
+        step = FrameStep(transitions, 0.0, pixels)
         for raw in outputs:
             step(raw)
-        # each frame's normalization and the uniform marginal rescale a
-        # step's weights, which drops out of the enumerated posterior
+        # each frame's normalization rescales a step's weights, which
+        # drops out of the enumerated posterior
         for e, transition in enumerate(transitions):
             for p in range(pixels):
                 expect = oracles.enumerate_posterior(
@@ -721,21 +749,19 @@ class TestFrameStepState:
             states.append(b"".join(a.tobytes() for a in (step.inst, step.post, step.labels)))
         return states
 
-    @pytest.mark.parametrize("mode", list(RecursionMode))
-    def test_reset_then_frames_equals_fresh_step(self, mode):
+    def test_reset_then_frames_equals_fresh_step(self):
         outputs = _scripted_outputs(np.random.default_rng(70), 4, 49, 3)
-        fresh = self._states(FrameStep(self.TRANSITIONS, 0.8, mode, 49), outputs, self.DATES)
-        step = FrameStep(self.TRANSITIONS, 0.8, mode, 49)
+        fresh = self._states(FrameStep(self.TRANSITIONS, 0.8, 49), outputs, self.DATES)
+        step = FrameStep(self.TRANSITIONS, 0.8, 49)
         self._states(step, outputs[::-1], self.DATES)  # some other history
         step.reset()
         assert self._states(step, outputs, self.DATES) == fresh
 
-    @pytest.mark.parametrize("mode", list(RecursionMode))
-    def test_bad_frame_leaves_beliefs_as_they_were(self, mode):
+    def test_bad_frame_leaves_beliefs_as_they_were(self):
         outputs = _scripted_outputs(np.random.default_rng(71), 4, 49, 3)
         bad = outputs[1].copy()
         bad[:, 6] = np.nan
-        step = FrameStep(self.TRANSITIONS, 0.8, mode, 49)
+        step = FrameStep(self.TRANSITIONS, 0.8, 49)
         step(outputs[0], self.DATES[0])
         after_first = step.post.copy()
         with pytest.raises(ValueError, match=rf"^{self.DATES[1].isoformat()}: .*non-finite"):
@@ -744,7 +770,7 @@ class TestFrameStepState:
         # the good frames continue as if the bad one had never been offered
         kept = [0, 2, 3]
         reference = self._states(
-            FrameStep(self.TRANSITIONS, 0.8, mode, 49),
+            FrameStep(self.TRANSITIONS, 0.8, 49),
             [outputs[t] for t in kept], [self.DATES[t] for t in kept],
         )
         assert self._states(step, outputs[2:], self.DATES[2:]) == reference[1:]
@@ -753,11 +779,10 @@ class TestFrameStepState:
 class TestFrameStepNormalization:
     """`FrameStep.inst` is the C-ordered pixel-major floor-normalization, bit for bit."""
 
-    @pytest.mark.parametrize("mode", list(RecursionMode))
     @pytest.mark.parametrize("k", [2, 3, 5, 8, 9, 16])
-    def test_inst_equals_pixel_major_oracle(self, k, mode):
+    def test_inst_equals_pixel_major_oracle(self, k):
         rng = np.random.default_rng(80 + k)
-        step = FrameStep([build_transition_model(k, 0.1)], 0.8, mode, 301)
+        step = FrameStep([build_transition_model(k, 0.1)], 0.8, 301)
         for _ in range(3):
             raw = rng.uniform(0.0, 1.0, size=(k, 301))
             # some columns near the floor: entries just above, at, or below it
