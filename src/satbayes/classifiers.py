@@ -7,9 +7,9 @@ Three trained forms plus a pass-through:
   classifies pixels from their index value alone.
 * `MixtureClassifier` holds one full-covariance Gaussian mixture per
   class over raw band values; fitting is plain EM with k-means++
-  seeding. EM and the mixture density run class-major on band-major
-  pixels: (M, N) component-by-pixel log terms, reduced by a max-shift
-  log-sum-exp.
+  seeding. Both take a class's (M, N) log terms as one GEMM of natural
+  parameters with the pixels' features [1, d, vech(d dᵀ)], reduced by a
+  max-shift log-sum-exp.
 * `LogisticClassifier` is a multinomial softmax over standardized band
   values, fitted full-batch with an L2 penalty by Newton's method on a
   class-major (K, N) objective.
@@ -24,12 +24,12 @@ finite and read-only by construction, so the engines do not check its
 pixels again; (N, B) pixel rows are the fits' input only. The built-in
 engines return a new C-ordered float64 buffer on every call, summed
 and normalized over classes by `core`'s column helpers, as in the
-recursion. The index, mixture and logistic engines keep their frame
-work arrays in a per-instance ``_scratch`` dict outside the dataclass
-fields (`save_model`, ``==`` and ``repr`` ignore it), so one instance
-must not be evaluated from two threads at once. Model files use a
-small versioned binary container that round-trips parameters bit for
-bit.
+recursion. The index and logistic engines keep their frame work
+arrays in a per-instance ``_scratch`` dict outside the dataclass fields
+(`save_model`, ``==`` and ``repr`` ignore it), so one such instance
+must not be evaluated from two threads at once; the mixture engine
+keeps none. Model files use a small versioned binary container that
+round-trips parameters bit for bit.
 """
 
 from __future__ import annotations
@@ -259,11 +259,29 @@ class GaussianMixture:
     def num_bands(self) -> int:
         return self.means.shape[1]
 
-    def _log_density(self, xt: np.ndarray, scratch: dict | None = None) -> np.ndarray:
-        """Log mixture density of unchecked band-major pixels xt (B, N) -> (N,)."""
-        log_terms = _log_gaussian_matrix(xt, self.means, self.covariances, scratch)
-        log_terms += np.log(self.weights)[:, np.newaxis]
-        return _logsumexp_columns(log_terms, scratch)
+    def _coefficients(self, center: np.ndarray) -> np.ndarray:
+        """Natural parameters a (M, Q), log(w_m N(x | mean_m, cov_m)) = a_m · T(x)
+        for the `_features` T at ``center`` (PRML §2.4). With L = cholesky(cov),
+        R = L⁻¹, P = Rᵀ R and z = R (mean - center), a_m = [log w_m - (B log 2π
+        + log det + zᵀz) / 2, Rᵀ z, -P_ii / 2 and -P_ij for i < j]. A covariance
+        that is not positive definite raises LinAlgError."""
+        upper = np.triu_indices(self.num_bands)
+        chol = np.linalg.cholesky(self.covariances)
+        root = np.linalg.inv(chol)
+        z = (root @ (self.means - center)[:, :, np.newaxis])[:, :, 0]
+        log_det = 2.0 * np.sum(np.log(np.diagonal(chol, axis1=1, axis2=2)), axis=1)
+        const = self.num_bands * math.log(2.0 * math.pi) + log_det + np.sum(z * z, axis=1)
+        quad = (root.transpose(0, 2, 1) @ root)[:, upper[0], upper[1]]
+        quad *= np.where(upper[0] == upper[1], -0.5, -1.0)
+        linear = (z[:, np.newaxis, :] @ root)[:, 0]
+        return np.column_stack([np.log(self.weights) - 0.5 * const, linear, quad])
+
+    def _log_density(self, xt: np.ndarray | list[np.ndarray]) -> np.ndarray:
+        """Log mixture density of unchecked band-major pixels xt (B, N) -> (N,), the
+        features centred at the mixture's mean: at a component mean, terms of
+        about zᵀz / 2 cancel, z its whitened offset from that centre."""
+        center = self.weights @ self.means
+        return _mixture_terms(self._coefficients(center), _features(xt, center))[2]
 
 
 def _logsumexp_columns(a: np.ndarray, scratch: dict | None = None) -> np.ndarray:
@@ -289,34 +307,35 @@ def _logsumexp_columns(a: np.ndarray, scratch: dict | None = None) -> np.ndarray
     return out
 
 
-def _log_gaussian_matrix(
-    xt: np.ndarray, means: np.ndarray, covs: np.ndarray, scratch: dict | None = None
-) -> np.ndarray:
-    """Log N(x | mean_m, cov_m) for band-major pixels xt (B, N) -> (M, N).
-
-    Each component's Mahalanobis term is the squared norm of
-    ``prec @ (xt - mean)``, where ``prec`` is the inverse of the lower
-    Cholesky factor of its covariance: one (B, B) by (B, N) matmul in
-    place of a triangular solve. The pixels are centred before the
-    product, so a cluster far from the origin keeps its precision.
-    A covariance that is not positive definite raises LinAlgError; the
-    pixels are not checked for NaN or inf here. The result is a ``scratch`` buffer.
-    """
-    b, n = xt.shape
-    out = _buffer(scratch, "log_terms", (means.shape[0], n))
-    centred = _buffer(scratch, "centred", (b, n))
-    y = _buffer(scratch, "product", (b, n))
-    const = b * math.log(2.0 * math.pi)
-    for j, row in enumerate(out):
-        chol = np.linalg.cholesky(covs[j])
-        prec = np.linalg.inv(chol)
-        np.subtract(xt, means[j][:, np.newaxis], out=centred)
-        np.matmul(prec, centred, out=y)
-        y *= y
-        column_sums(y, row)  # the Mahalanobis terms
-        row += const + 2.0 * np.sum(np.log(np.diag(chol)))
-        row *= -0.5
+def _features(xt: np.ndarray | list[np.ndarray], center: np.ndarray) -> np.ndarray:
+    """T = [1, d, vech(d dᵀ)] of band-major pixels xt (B rows of N), d = x - center,
+    -> (Q, N), Q = 1 + B + B(B+1)/2; overflows are left inf for `_mixture_terms`."""
+    b = len(center)
+    out = np.empty((1 + b + b * (b + 1) // 2, len(xt[0])))
+    out[0] = 1.0
+    with np.errstate(over="ignore"):
+        for i in range(b):
+            np.subtract(xt[i], center[i], out=out[1 + i])
+        for row, (i, j) in enumerate(zip(*np.triu_indices(b)), start=1 + b):
+            np.multiply(out[1 + i], out[1 + j], out=out[row])
     return out
+
+
+def _mixture_terms(coef: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, ...]:
+    """One GEMM and one exp over features t (Q, N) -> (terms, sums, log_norm):
+    the (M, N) log terms ``coef @ t`` less their column max, exponentiated in
+    place, their column sums and the log density ``log(sums) + max``; ``terms /
+    sums`` are the responsibilities. A log term that is not finite stands for an
+    overflow far below any float: it counts as -inf, without a warning."""
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        terms = coef @ t
+        top = np.max(terms, axis=0)
+        if not np.isfinite(top).all():
+            terms[~np.isfinite(terms)] = -np.inf
+            top = np.max(terms, axis=0).clip(min=-np.finfo(np.float64).max)
+        terms -= top
+        sums = column_sums(np.exp(terms, out=terms))
+        return terms, sums, np.log(sums) + top
 
 
 def _kmeans_pp_centers(x: np.ndarray, m: int, rng: np.random.Generator) -> np.ndarray:
@@ -341,37 +360,34 @@ def _em_converged(trace: list[float]) -> bool:
 def _fit_single_mixture(
     x: np.ndarray, components: int, rng: np.random.Generator
 ) -> tuple[GaussianMixture, list[float]]:
-    """Class-major EM fit of one class's mixture -> (model, mean-LL trace)."""
+    """EM fit of one class's mixture -> (model, mean-LL trace), on expected
+    sufficient statistics (PRML §9.2-9.4) of features T centred at the class
+    mean: each E-step is `_mixture_terms`, each M-step one ``resp @ Tᵀ``
+    giving weights, means m and second moments S₂, with covariances S₂ - m mᵀ."""
     n, b = x.shape
-    xt = np.ascontiguousarray(x.T)
-    scratch: dict = {}  # the E-step's buffers; "centred" and "product" the M-step's too
-    centred = _buffer(scratch, "centred", (b, n))
-    weighted = _buffer(scratch, "product", (b, n))
-    eye = np.eye(b)
-    means = _kmeans_pp_centers(x, components, rng)
-    base_cov = np.atleast_2d(np.cov(x.T, bias=True)) + COV_JITTER * eye
+    upper = np.triu_indices(b)
+    center = x.mean(axis=0)
+    t = _features(x.T, center)
+    base_cov = np.atleast_2d(np.cov(x.T, bias=True)) + COV_JITTER * np.eye(b)
     covs = np.repeat(base_cov[np.newaxis], components, axis=0)
     weights = np.full(components, 1.0 / components)
-
+    mix = GaussianMixture(weights, _kmeans_pp_centers(x, components, rng), covs)
     trace: list[float] = []
     for _ in range(EM_MAX_ITER):
-        log_terms = _log_gaussian_matrix(xt, means, covs, scratch)
-        log_terms += np.log(weights)[:, np.newaxis]
-        log_norm = _logsumexp_columns(log_terms, scratch)
+        resp, sums, log_norm = _mixture_terms(mix._coefficients(center), t)
         trace.append(float(np.mean(log_norm)))
         if _em_converged(trace):
             break
-        log_terms -= log_norm
-        resp = np.exp(log_terms, out=log_terms)
-        bulk = resp.sum(axis=1) + 10.0 * np.finfo(np.float64).tiny
-        weights = bulk / n
-        means = (resp @ x) / bulk[:, np.newaxis]
-        covs = np.empty_like(covs)
-        for j in range(components):
-            np.subtract(xt, means[j][:, np.newaxis], out=centred)
-            np.multiply(centred, resp[j], out=weighted)
-            covs[j] = weighted @ centred.T / bulk[j] + COV_JITTER * eye
-    return GaussianMixture(weights, means, covs), trace
+        # per component: the sums of 1, d and vech(d dᵀ) weighted by responsibility
+        stats = np.divide(resp, sums, out=resp) @ t.T
+        bulk = stats[:, :1] + 10.0 * np.finfo(np.float64).tiny
+        moments = stats / bulk
+        shift = moments[:, 1 : 1 + b]
+        covs = np.empty((components, b, b))
+        covs[:, upper[0], upper[1]] = covs[:, upper[1], upper[0]] = moments[:, 1 + b :]
+        covs -= shift[:, :, np.newaxis] * shift[:, np.newaxis, :]
+        mix = GaussianMixture(bulk[:, 0] / n, center + shift, covs + COV_JITTER * np.eye(b))
+    return mix, trace
 
 
 @dataclass(frozen=True)
@@ -397,13 +413,8 @@ class MixtureClassifier:
         return len(self.mixtures)
 
     def frame_likelihood(self, frame: Frame) -> np.ndarray:
-        scratch = vars(self).setdefault("_scratch", {})
         planes = [frame.image.band(b).ravel() for b in self.bands]
-        xt = np.stack(planes, out=_buffer(scratch, "pixels", (len(planes), planes[0].size)))
-        out = np.empty((self.num_classes, xt.shape[1]))
-        for mix, row in zip(self.mixtures, out):
-            np.exp(mix._log_density(xt, scratch), out=row)
-        return out
+        return np.stack([np.exp(mix._log_density(planes)) for mix in self.mixtures])
 
     def frame_posterior(self, frame: Frame) -> np.ndarray:
         # Posterior under a uniform class prior.
@@ -460,8 +471,7 @@ def fit_mixture_classifier(
             raise NumericalError(f"class {k}: squared sample distances overflow float64")
         classes.append(x)
     rng = np.random.default_rng(seed)
-    mixtures = []
-    traces = []
+    mixtures, traces = [], []
     for k, x in enumerate(classes):
         try:
             mix, trace = _fit_single_mixture(x, components, rng)
@@ -762,20 +772,16 @@ def save_model(path: str | Path, model: AnyClassifier) -> Path:
         parts.append(_pack_floats(np.asarray(model.thresholds)))
         parts.append(_pack_floats(model.means))
         parts.append(_pack_floats(model.sigmas))
-    elif isinstance(model, MixtureClassifier):
+    else:  # the band-based engines: mixture or logistic
         parts.append(struct.pack("<BB", model.num_classes, len(model.bands)))
         parts.append(_pack_bands(model.bands))
-        for mix in model.mixtures:
-            parts.append(struct.pack("<B", mix.weights.shape[0]))
-            parts.append(_pack_floats(mix.weights))
-            parts.append(_pack_floats(mix.means))
-            parts.append(_pack_floats(mix.covariances))
-    else:
-        parts.append(struct.pack("<BB", model.num_classes, len(model.bands)))
-        parts.append(_pack_bands(model.bands))
-        parts.append(_pack_floats(model.weights))
-        parts.append(_pack_floats(model.feature_mean))
-        parts.append(_pack_floats(model.feature_std))
+        if isinstance(model, MixtureClassifier):
+            for mix in model.mixtures:
+                parts.append(struct.pack("<B", mix.weights.shape[0]))
+                parts += [_pack_floats(a) for a in (mix.weights, mix.means, mix.covariances)]
+        else:
+            arrays = (model.weights, model.feature_mean, model.feature_std)
+            parts += [_pack_floats(a) for a in arrays]
     return write_bytes(path, b"".join(parts))
 
 
@@ -805,12 +811,11 @@ def load_model(path: str | Path) -> AnyClassifier:
             means=means,
             sigmas=sigmas,
         )
-    if kind == 2:
-        k = rd.u8()
-        b = rd.u8()
-        bands = rd.bands()
+    if kind in (2, 3):
+        k, b, bands = rd.u8(), rd.u8(), rd.bands()
         if len(bands) != b:
             raise LoadError(f"{src}: band list does not match band count")
+    if kind == 2:
         mixtures = []
         for _ in range(k):
             m = rd.u8()
@@ -820,11 +825,6 @@ def load_model(path: str | Path) -> AnyClassifier:
             mixtures.append(GaussianMixture(weights, means, covs))
         return MixtureClassifier(bands=bands, mixtures=tuple(mixtures))
     if kind == 3:
-        k = rd.u8()
-        b = rd.u8()
-        bands = rd.bands()
-        if len(bands) != b:
-            raise LoadError(f"{src}: band list does not match band count")
         weights = rd.floats(k * (b + 1)).reshape(k, b + 1)
         mean = rd.floats(b)
         std = rd.floats(b)

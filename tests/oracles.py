@@ -3,10 +3,13 @@
 Most of this is written the slow, obvious way (explicit loops,
 textbook formulas, brute-force enumeration) and shares no code with the
 package's vectorized implementations. Tests compare the two routes;
-when they agree we trust both. The mixture and softmax-loss functions
-over `max_shift_logsumexp` and `per_epsilon_sweep` are instead the
+when they agree we trust both. The softmax-loss functions over
+`max_shift_logsumexp` and `per_epsilon_sweep` are instead the
 straightforward routes the package's faster code must reproduce
-exactly. `widened_band_values` is the float64 load chain that the
+exactly. The mixture functions over `max_shift_logsumexp` evaluate each
+Gaussian directly; the package's natural-parameter form rounds
+differently, so it matches them to stated tolerances, not bit for bit.
+`widened_band_values` is the float64 load chain that the
 float32 frames' `band` values must reproduce bit for bit.
 `whole_frame_bias_shifts` takes `bias_correct`'s region means over
 each whole frame's float64 values, which its row-only widening must
@@ -162,16 +165,20 @@ def softmax_loss_by_hand(
 # mixtures and softmax loss over a max-shift log-sum-exp
 # ------------------------------------------------------------------
 #
-# The package's mixture density, EM and softmax loss, written with
-# numpy alone. The mixture density and the EM E-step run pixel-major:
-# (N, M) log-term matrices, each row reduced by `max_shift_logsumexp`.
-# Each component's Mahalanobis term is the squared norm of the centred
-# pixels times the transposed inverse Cholesky factor, the same
-# products the package forms band-major as prec @ (x - mean).T. The EM
-# M-step and the softmax loss form their sums and matmuls on the same
-# class-major and band-major operands as the package, because BLAS
-# rounds by operand layout. The package code must reproduce all of
-# them exactly. Only the k-means++ seeding is shared with the package.
+# The mixture density, EM and softmax loss, written with numpy alone.
+# The mixture density and the EM E-step run pixel-major: (N, M)
+# log-term matrices, each row reduced by `max_shift_logsumexp`. Each
+# component's Mahalanobis term is the squared norm of the pixels,
+# centred at its mean, times the transposed inverse Cholesky factor;
+# the EM M-step weighs the pixels, centred at each new mean, by the
+# responsibilities. The package instead takes every log term as one
+# product of natural parameters with the features [1, d, vech(d dᵀ)]
+# and its M-step from their weighted sums, so its mixture results
+# match these to the tolerances stated in the tests. The softmax loss
+# forms its sums and matmuls on the same class-major and band-major
+# operands as the package, because BLAS rounds by operand layout, and
+# the package must reproduce it exactly. Only the k-means++ seeding is
+# shared with the package.
 
 def max_shift_logsumexp(a: np.ndarray) -> np.ndarray:
     """log(sum(exp(a), axis=1)) of an (N, M) array: shift each row by its max.
