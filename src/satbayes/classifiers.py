@@ -24,12 +24,14 @@ finite and read-only by construction, so the engines do not check its
 pixels again; (N, B) pixel rows are the fits' input only. The built-in
 engines return a new C-ordered float64 buffer on every call, summed
 and normalized over classes by `core`'s column helpers, as in the
-recursion. The index and logistic engines keep their frame work
-arrays in a per-instance ``_scratch`` dict outside the dataclass fields
-(`save_model`, ``==`` and ``repr`` ignore it), so one such instance
-must not be evaluated from two threads at once; the mixture engine
-keeps none. Model files use a small versioned binary container that
-round-trips parameters bit for bit.
+recursion. Only the index engine keeps frame work arrays between
+calls, its index and flag planes, in a per-instance ``_scratch`` dict
+outside the dataclass fields (`save_model`, ``==`` and ``repr`` ignore
+it): without them a 512x512 index run took 7-24% longer on a 2-vCPU
+Xeon. So one index engine instance must not be evaluated from two
+threads at once; the other engines and the fits keep no scratch. Model
+files use a small versioned binary container that round-trips
+parameters bit for bit; loading checks them as the constructors do.
 """
 
 from __future__ import annotations
@@ -115,8 +117,7 @@ def spectral_index(
     safe = np.add(a, b, out=_buffer(_scratch, "index", a.shape))
     flags = np.equal(safe, 0.0, out=_buffer(_scratch, "flags", a.shape, bool))
     np.copyto(safe, 1.0, where=flags)
-    values = np.subtract(a, b, out=_buffer(_scratch, "work", a.shape))
-    values = np.divide(values, safe, out=safe)
+    values = np.divide(np.subtract(a, b, out=a), safe, out=safe)  # a is a fresh plane
     np.copyto(values, 0.0, where=flags)
     return values, flags
 
@@ -170,8 +171,10 @@ class IndexClassifier:
     Class j gets a Gaussian centered in the j-th threshold interval:
     mean at the interval midpoint, standard deviation half the interval
     length. Posteriors are the normalized Gaussian densities of the
-    pixel's index value, computed one class row at a time into a (K, n)
-    buffer; bit for bit the transpose of the broadcast (n, K) expression.
+    pixel's index value, one class row at a time in place in a (K, n)
+    buffer. Their exponent ``(z²)·(-0.5)`` gives, after ``exp``, the
+    broadcast (n, K) ``(-0.5·z)·z`` bit for bit, even where z² overflows
+    or is subnormal.
     """
 
     kind: SpectralIndexKind
@@ -200,25 +203,23 @@ class IndexClassifier:
     def num_classes(self) -> int:
         return len(self.thresholds) - 1
 
-    def posterior_from_index(
-        self, values: np.ndarray | float, _scratch: dict | None = None
-    ) -> np.ndarray:
+    def posterior_from_index(self, values: np.ndarray | float) -> np.ndarray:
         """Posterior probabilities for index values of any shape -> (K, ...)."""
         y = np.asarray(values, dtype=np.float64)
         flat = y.reshape(-1)
         dens = np.empty((self.num_classes, flat.size))
-        z = _buffer(_scratch, "work", (flat.size,))
-        for row, mean, sigma in zip(dens, self.means, self.sigmas):
-            np.divide(np.subtract(flat, mean, out=z), sigma, out=z)
-            np.multiply(np.multiply(z, -0.5, out=row), z, out=row)
-            np.divide(np.exp(row, out=row), sigma * math.sqrt(2.0 * math.pi), out=row)
+        with np.errstate(over="ignore"):  # z² = inf: density 0, as after (-0.5·z)·z
+            for row, mean, sigma in zip(dens, self.means, self.sigmas):
+                np.divide(np.subtract(flat, mean, out=row), sigma, out=row)
+                np.multiply(np.square(row, out=row), -0.5, out=row)
+                np.divide(np.exp(row, out=row), sigma * math.sqrt(2.0 * math.pi), out=row)
         floor_normalize_columns(dens)
         return dens.reshape(dens.shape[0], *y.shape)
 
     def frame_posterior(self, frame: Frame) -> np.ndarray:
         scratch = vars(self).setdefault("_scratch", {})
         values, _ = spectral_index(frame.image, self.kind, scratch)
-        return self.posterior_from_index(values.ravel(), scratch)
+        return self.posterior_from_index(values.ravel())
 
 
 # ============================================================
@@ -284,22 +285,18 @@ class GaussianMixture:
         return _mixture_terms(self._coefficients(center), _features(xt, center))[2]
 
 
-def _logsumexp_columns(a: np.ndarray, scratch: dict | None = None) -> np.ndarray:
+def _logsumexp_columns(a: np.ndarray) -> np.ndarray:
     """log(sum(exp(a), axis=0)) of an (M, N) array -> (N,).
 
     The plain max-shift: ``log(sum(exp(a - max))) + max`` per column,
     the sum taken by `column_sums`, so each column equals the same steps
     on a row of the (N, M) transpose. Columns whose result is not
     finite (an inf or NaN entry, or all entries -inf) fall back to
-    ``log(sum(exp(a)))``, where summation order cannot matter. The
-    result is ``scratch``'s "log_norm"; its "shifted" is free on return.
+    ``log(sum(exp(a)))``, where summation order cannot matter.
     """
-    a_max = np.max(a, axis=0, out=_buffer(scratch, "shift", a.shape[1:]))
-    out = _buffer(scratch, "log_norm", a.shape[1:])
+    a_max = np.max(a, axis=0)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        shifted = np.subtract(a, a_max, out=_buffer(scratch, "shifted", a.shape))
-        out = column_sums(np.exp(shifted, out=shifted), out)
-        np.log(out, out=out)
+        out = np.log(column_sums(np.exp(a - a_max)))
         out += a_max
         bad = ~np.isfinite(out)
         if bad.any():
@@ -507,28 +504,27 @@ def logistic_loss_grad(
     features_aug: np.ndarray,
     labels_onehot: np.ndarray,
     l2: float,
-    _scratch: dict | None = None,
-) -> tuple[float, np.ndarray]:
-    """Mean cross-entropy plus L2 penalty (bias column excluded), with gradient.
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """Mean cross-entropy plus L2 penalty (bias column excluded), with
+    gradient and the (K, N) class probabilities -> (loss, grad, probs).
 
     ``features_aug`` is (N, B+1) with a trailing column of ones;
     ``weights_flat`` raveled from (K, B+1). Exposed as a module function
-    so the gradient can be checked against finite differences. On return
-    ``_scratch["scores"]`` holds the (K, N) class probabilities.
+    so the gradient can be checked against finite differences; the fit
+    takes its Hessian at ``probs``. Every array is allocated per call,
+    so calls share no state.
     """
     n = features_aug.shape[0]
     w = weights_flat.reshape(labels_onehot.shape[1], -1)
     onehot = labels_onehot.T
-    log_probs = _buffer(_scratch, "scores", onehot.shape)
-    np.matmul(w, features_aug.T, out=log_probs)
-    log_probs -= _logsumexp_columns(log_probs, _scratch)
-    product = _buffer(_scratch, "shifted", onehot.shape)  # free after the log-sum-exp
-    loss = -float(np.sum(np.multiply(onehot, log_probs, out=product))) / n
+    log_probs = w @ features_aug.T
+    log_probs -= _logsumexp_columns(log_probs)
+    loss = -float(np.sum(onehot * log_probs)) / n
     loss += l2 * float(np.sum(w[:, :-1] ** 2))
-    np.subtract(np.exp(log_probs, out=log_probs), onehot, out=product)
-    grad = product @ features_aug / n
+    probs = np.exp(log_probs, out=log_probs)
+    grad = (probs - onehot) @ features_aug / n
     grad[:, :-1] += 2.0 * l2 * w[:, :-1]
-    return loss, grad.ravel()
+    return loss, grad.ravel(), probs
 
 
 def _logistic_hessian(features_aug: np.ndarray, probs: np.ndarray, l2: float) -> np.ndarray:
@@ -583,17 +579,12 @@ class LogisticClassifier:
         return self.weights.shape[0]
 
     def frame_posterior(self, frame: Frame) -> np.ndarray:
-        scratch = vars(self).setdefault("_scratch", {})
-        planes = [frame.image.band(b).ravel() for b in self.bands]
-        n, b = planes[0].size, len(planes)
-        x = np.stack(planes, axis=1, out=_buffer(scratch, "pixels", (n, b)))
-        aug = _buffer(scratch, "aug", (n, b + 1))
-        std = np.subtract(x, self.feature_mean, out=aug[:, :b])
+        x = np.stack([frame.image.band(b).ravel() for b in self.bands], axis=1)
+        aug = np.ones((len(x), len(self.bands) + 1))
+        std = np.subtract(x, self.feature_mean, out=aug[:, :-1])
         np.divide(std, self.feature_std, out=std)
-        aug[:, b] = 1.0
-        scores_nk = _buffer(scratch, "scores", (n, self.num_classes))
-        scores = np.matmul(aug, self.weights.T, out=scores_nk).T.copy()
-        row = np.max(scores, axis=0, out=_buffer(scratch, "row", (n,)))
+        scores = (aug @ self.weights.T).T.copy()
+        row = np.max(scores, axis=0)
         scores -= row
         np.exp(scores, out=scores)
         return normalize_columns(scores, row)
@@ -647,22 +638,21 @@ def fit_logistic_classifier(
     onehot = np.zeros((x.shape[0], num_classes))
     onehot[np.arange(x.shape[0]), y.astype(np.intp)] = 1.0
 
-    scratch: dict = {}
     w = np.zeros(num_classes * (len(bands) + 1))
-    loss, grad = logistic_loss_grad(w, aug, onehot, LR_L2, scratch)
+    loss, grad, probs = logistic_loss_grad(w, aug, onehot, LR_L2)
     for _ in range(LR_MAX_ITER):
         if np.max(np.abs(grad)) < LR_PGTOL:
             break
-        hess = _logistic_hessian(aug, scratch["scores"].reshape(num_classes, -1), LR_L2)
+        hess = _logistic_hessian(aug, probs, LR_L2)
         step = np.linalg.lstsq(hess, -grad, rcond=None)[0]
         t, slope = 1.0, float(grad @ step)
         while True:  # Armijo backtracking; at t = 0 the trial is w, which passes
-            trial = logistic_loss_grad(w + t * step, aug, onehot, LR_L2, scratch)
+            trial = logistic_loss_grad(w + t * step, aug, onehot, LR_L2)
             # near the optimum float64 cannot resolve the fall of the loss
             if trial[0] <= loss + 1e-4 * t * slope or np.max(np.abs(trial[1])) < LR_PGTOL:
                 break
             t *= 0.5
-        w, (loss, grad) = w + t * step, trial
+        w, (loss, grad, probs) = w + t * step, trial
     if np.max(np.abs(grad)) >= LR_PGTOL:
         warnings.warn(
             f"logistic fit: Newton did not converge in {LR_MAX_ITER} iterations; "
@@ -752,7 +742,10 @@ class _Reader:
         return self.take(1)[0]
 
     def floats(self, count: int) -> np.ndarray:
-        return np.frombuffer(self.take(8 * count), dtype="<f8").copy()
+        values = np.frombuffer(self.take(8 * count), dtype="<f8").copy()
+        if not np.isfinite(values).all():
+            raise LoadError(f"{self.path}: model file holds a non-finite value")
+        return values
 
     def bands(self) -> tuple[str, ...]:
         count = self.u8()
@@ -786,7 +779,9 @@ def save_model(path: str | Path, model: AnyClassifier) -> Path:
 
 
 def load_model(path: str | Path) -> AnyClassifier:
-    """Read a classifier back from the model container, bit for bit."""
+    """Read a classifier back from the model container, bit for bit. A file
+    holding a non-finite value, index means and sigmas that its thresholds do
+    not give, or parameters a constructor rejects raises LoadError."""
     src = Path(path)
     rd = _Reader(read_bytes(src), src)
     if rd.take(4) != MODEL_MAGIC:
@@ -794,27 +789,30 @@ def load_model(path: str | Path) -> AnyClassifier:
     version = rd.u8()
     if version != MODEL_VERSION:
         raise LoadError(f"{src}: unsupported model version {version}")
+    try:
+        return _read_model(rd)
+    except (ValueError, ShapeError, ConfigError) as exc:
+        raise LoadError(f"{src}: {exc}") from exc
+
+
+def _read_model(rd: _Reader) -> AnyClassifier:
+    """The model after the container header, built by its constructor."""
     kind = rd.u8()
     if kind == 1:
         k = rd.u8()
         index_kind = {v: key for key, v in _INDEX_CODES.items()}.get(rd.u8())
         if index_kind is None:
-            raise LoadError(f"{src}: unknown spectral index code")
+            raise LoadError(f"{rd.path}: unknown spectral index code")
         thresholds = rd.floats(k + 1)
-        means = rd.floats(k)
-        sigmas = rd.floats(k)
-        means.flags.writeable = False
-        sigmas.flags.writeable = False
-        return IndexClassifier(
-            kind=index_kind,
-            thresholds=tuple(float(t) for t in thresholds),
-            means=means,
-            sigmas=sigmas,
-        )
+        means, sigmas = rd.floats(k), rd.floats(k)
+        model = IndexClassifier.from_thresholds(tuple(thresholds), index_kind)
+        if not (np.array_equal(means, model.means) and np.array_equal(sigmas, model.sigmas)):
+            raise LoadError(f"{rd.path}: class means and sigmas do not match the thresholds")
+        return model
     if kind in (2, 3):
         k, b, bands = rd.u8(), rd.u8(), rd.bands()
         if len(bands) != b:
-            raise LoadError(f"{src}: band list does not match band count")
+            raise LoadError(f"{rd.path}: band list does not match band count")
     if kind == 2:
         mixtures = []
         for _ in range(k):
@@ -826,9 +824,5 @@ def load_model(path: str | Path) -> AnyClassifier:
         return MixtureClassifier(bands=bands, mixtures=tuple(mixtures))
     if kind == 3:
         weights = rd.floats(k * (b + 1)).reshape(k, b + 1)
-        mean = rd.floats(b)
-        std = rd.floats(b)
-        return LogisticClassifier(
-            bands=bands, weights=weights, feature_mean=mean, feature_std=std
-        )
-    raise LoadError(f"{src}: unknown model kind {kind}")
+        return LogisticClassifier(bands, weights, rd.floats(b), rd.floats(b))
+    raise LoadError(f"{rd.path}: unknown model kind {kind}")

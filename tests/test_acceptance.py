@@ -481,7 +481,7 @@ def test_c10_training_oracles(benchmark_stack):
         onehot = np.zeros((n, k))
         onehot[np.arange(n), rng.integers(0, k, size=n)] = 1.0
         w0 = 0.1 * rng.normal(size=k * (num_bands + 1))
-        _, grad = logistic_loss_grad(w0, aug, onehot, 1e-4)
+        _, grad, _ = logistic_loss_grad(w0, aug, onehot, 1e-4)
         numeric = oracles.central_difference_gradient(
             lambda w: logistic_loss_grad(w, aug, onehot, 1e-4)[0], w0
         )

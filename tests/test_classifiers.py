@@ -5,8 +5,13 @@ from __future__ import annotations
 import dataclasses
 import datetime as dt
 import math
+import re
+import struct
+import sys
+import threading
 import tracemalloc
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -613,7 +618,7 @@ class TestClassMajorMatchesPixelMajor:
         onehot[np.arange(n), rng.integers(num_classes, size=n)] = 1.0
         for scale in (0.0, 0.5, 30.0):
             w = rng.normal(scale=scale, size=num_classes * (b + 1))
-            loss, grad = logistic_loss_grad(w, aug, onehot, 1e-4)
+            loss, grad, _ = logistic_loss_grad(w, aug, onehot, 1e-4)
             expect_loss, expect_grad = oracles.reference_logistic_loss_grad(w, aug, onehot, 1e-4)
             assert loss == expect_loss
             assert_array_equal(grad, expect_grad)
@@ -628,7 +633,8 @@ INDEX_TAUS = {
 
 def _index_values(classifier, rng):
     """Thresholds, class centers, values inside and outside [-1, 1], and
-    values far enough out that every class density underflows to 0."""
+    values far enough out that every class density underflows to 0: at
+    z = ±1.5e154 against each class z² overflows and (-0.5·z)·z does not."""
     return np.concatenate(
         [
             classifier.thresholds,
@@ -636,8 +642,22 @@ def _index_values(classifier, rng):
             rng.uniform(-1.0, 1.0, size=300),
             rng.uniform(-3.0, 3.0, size=40),
             [0.0, -0.0, -1.5, 1.5, -40.0, 40.0, 1e6],
+            [1.4e154, -1.4e154, 2e154, 1e300, -1e300, np.inf, -np.inf],
+            classifier.means + 1.5e154 * classifier.sigmas,
+            classifier.means - 1.5e154 * classifier.sigmas,
         ]
     )
+
+
+def _assert_index_posterior_pinned(classifier, probe):
+    """`posterior_from_index` equals the pixel-major oracle bit for bit,
+    and no warning escapes it."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = classifier.posterior_from_index(probe)
+    with np.errstate(over="ignore"):  # the oracle's (-0.5·z)·z may overflow
+        expect = oracles.pixel_major_index_posterior(classifier, probe)
+    assert_array_equal(got, np.moveaxis(expect, -1, 0), strict=True)
 
 
 def _frame(bands, planes, **side):
@@ -665,11 +685,19 @@ class TestEngineOutputsMatchPixelMajor:
         probes = [values, values[:340].reshape(17, 20)]
         probes += [float(v) for v in values[: 2 * k + 1]] + [np.float64(values[-1])]
         for probe in probes:
-            assert_array_equal(
-                classifier.posterior_from_index(probe),
-                np.moveaxis(oracles.pixel_major_index_posterior(classifier, probe), -1, 0),
-                strict=True,
-            )
+            _assert_index_posterior_pinned(classifier, probe)
+
+    def test_index_posterior_where_z_squared_is_subnormal(self):
+        # against the class whose mean is exactly 0, z = 2y and z² is
+        # subnormal: z² · (-0.5) rounds twice, (-0.5·z)·z once, and on a
+        # quarter of these values the two differ before exp
+        classifier = IndexClassifier.from_thresholds(
+            (-1.0, -0.5, 0.5, 1.0), SpectralIndexKind.NDVI
+        )
+        assert classifier.means[1] == 0.0
+        values = np.concatenate([[1e-160, -1e-160, 5e-324], np.geomspace(1e-162, 1e-158, 40)])
+        for probe in (values, 1e-160):
+            _assert_index_posterior_pinned(classifier, probe)
 
     @pytest.mark.parametrize("k", [2, 3, 9])
     def test_index_frame_posterior(self, k):
@@ -801,8 +829,9 @@ def _scratch_engine(name):
 
 
 class TestFrameScratch:
-    """The index and logistic engines reuse per-instance frame scratch,
-    the mixture engine keeps none; all return fresh C-ordered arrays."""
+    """The index engine reuses per-instance frame scratch, its index and
+    flag planes; the logistic and mixture engines keep none and can be
+    shared between threads; all return fresh C-ordered arrays."""
 
     @pytest.mark.parametrize("name", SCRATCH_ENGINES)
     def test_consecutive_outputs_are_fresh(self, name):
@@ -814,7 +843,9 @@ class TestFrameScratch:
         ]
         outputs = [getattr(model, method)(frame) for frame in frames]
         assert not np.shares_memory(outputs[0], outputs[1])
-        if name.startswith("gmm"):
+        if name == "index":
+            assert set(vars(model)["_scratch"]) == {"index", "flags"}
+        else:
             assert "_scratch" not in vars(model)
         for frame, output in zip(frames, outputs):
             assert output.flags.c_contiguous
@@ -836,12 +867,41 @@ class TestFrameScratch:
             )
 
     def test_scratch_is_not_a_field(self):
-        model, method = _scratch_engine("logistic")
+        model, method = _scratch_engine("index")
         before = repr(model)
         getattr(model, method)(_frame(SCRATCH_BANDS, np.full((2, 4, 4), 0.2)))
         assert "_scratch" in vars(model)
         assert repr(model) == before
         assert "_scratch" not in {f.name for f in dataclasses.fields(model)}
+
+    @pytest.mark.parametrize("name", ["gmm likelihood", "gmm posterior", "logistic"])
+    def test_engine_shared_between_threads(self, name):
+        # four threads, each on its own frame, switching every microsecond
+        model, method = _scratch_engine(name)
+        rng = np.random.default_rng(94)
+        frames = [
+            _frame(SCRATCH_BANDS, rng.uniform(0.0, 0.5, size=(2, 96, 96)))
+            for _ in range(4)
+        ]
+        serial = [getattr(model, method)(frame) for frame in frames]
+        start = threading.Barrier(len(frames), timeout=60)
+
+        def evaluate(frame):
+            start.wait()
+            return [getattr(model, method)(frame) for _ in range(10)]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=len(frames)) as pool:
+                futures = [pool.submit(evaluate, frame) for frame in frames]
+                runs = [future.result(timeout=60) for future in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        for expect, outputs in zip(serial, runs):
+            for output in outputs:
+                assert_array_equal(output, expect, strict=True)
+        assert "_scratch" not in vars(model)
 
     @pytest.mark.parametrize("fit", ["gmm", "logistic"])
     def test_fit_scratch_is_freed_on_return(self, fit):
@@ -928,7 +988,7 @@ class TestLogisticFit:
         def loss_only(w):
             return logistic_loss_grad(w, aug, onehot, 1e-4)[0]
 
-        _, grad = logistic_loss_grad(point, aug, onehot, 1e-4)
+        _, grad, _ = logistic_loss_grad(point, aug, onehot, 1e-4)
         numeric = oracles.central_difference_gradient(loss_only, point)
         assert_allclose(grad, numeric, rtol=1e-5, atol=1e-10)
 
@@ -949,7 +1009,7 @@ class TestLogisticFit:
         def loss_only(w):
             return logistic_loss_grad(w, aug, onehot, 1e-4)[0]
 
-        _, grad = logistic_loss_grad(point, aug, onehot, 1e-4)
+        _, grad, _ = logistic_loss_grad(point, aug, onehot, 1e-4)
         numeric = oracles.central_difference_gradient(loss_only, point)
         assert_allclose(grad, numeric, rtol=1e-5, atol=1e-6)
 
@@ -960,7 +1020,7 @@ class TestLogisticFit:
         onehot = np.zeros((x.shape[0], 2))
         onehot[np.arange(x.shape[0]), y] = 1.0
         w = rng.normal(scale=0.3, size=(2, 3))
-        loss, _ = logistic_loss_grad(w.ravel(), aug, onehot, 1e-4)
+        loss, _, _ = logistic_loss_grad(w.ravel(), aug, onehot, 1e-4)
         assert loss == pytest.approx(
             oracles.softmax_loss_by_hand(w, aug, y, 1e-4), abs=1e-12
         )
@@ -1084,3 +1144,60 @@ class TestModelRoundTrip:
         path.write_bytes(b"NOPE" + bytes(64))
         with pytest.raises(LoadError):
             load_model(path)
+
+    # a model file the engines cannot use is a LoadError naming the path
+
+    def _assert_rejected(self, path, reason):
+        with pytest.raises(LoadError, match="^" + re.escape(f"{path}: {reason}")):
+            load_model(path)
+
+    def test_index_thresholds_out_of_order_rejected(self, tmp_path):
+        model = IndexClassifier(
+            kind=SpectralIndexKind.NDVI,
+            thresholds=(-1.0, 5.0, 1.0),
+            means=np.array([2.0, 3.0]),
+            sigmas=np.array([3.0, 2.0]),
+        )
+        path = save_model(tmp_path / "sic.model", model)
+        self._assert_rejected(path, "thresholds must strictly increase")
+
+    def test_index_nan_sigma_rejected(self, tmp_path):
+        model = IndexClassifier.from_thresholds(WATER_TAU, SpectralIndexKind.MNDWI)
+        model = dataclasses.replace(model, sigmas=np.array([np.nan, 0.435]))
+        path = save_model(tmp_path / "sic.model", model)
+        self._assert_rejected(path, "model file holds a non-finite value")
+
+    def test_index_means_not_from_thresholds_rejected(self, tmp_path):
+        model = IndexClassifier.from_thresholds(WATER_TAU, SpectralIndexKind.MNDWI)
+        model = dataclasses.replace(model, means=model.means + 0.01)
+        path = save_model(tmp_path / "sic.model", model)
+        self._assert_rejected(path, "class means and sigmas do not match the thresholds")
+
+    def test_mixture_nan_covariance_rejected(self, tmp_path):
+        good = GaussianMixture(np.ones(1), np.zeros((1, 2)), np.eye(2)[np.newaxis])
+        bad = GaussianMixture(np.ones(1), np.ones((1, 2)), np.full((1, 2, 2), np.nan))
+        model = MixtureClassifier(bands=("a", "b"), mixtures=(good, bad))
+        path = save_model(tmp_path / "gmm.model", model)
+        self._assert_rejected(path, "model file holds a non-finite value")
+
+    def test_logistic_nan_std_rejected(self, tmp_path):
+        model = LogisticClassifier(
+            bands=("a", "b"),
+            weights=np.zeros((2, 3)),
+            feature_mean=np.zeros(2),
+            feature_std=np.array([1.0, np.nan]),
+        )
+        path = save_model(tmp_path / "lr.model", model)
+        self._assert_rejected(path, "model file holds a non-finite value")
+
+    def test_logistic_negative_std_rejected(self, tmp_path):
+        model = LogisticClassifier(
+            bands=("a", "b"),
+            weights=np.zeros((2, 3)),
+            feature_mean=np.zeros(2),
+            feature_std=np.ones(2),
+        )
+        path = save_model(tmp_path / "lr.model", model)
+        # feature_std is the file's last value
+        path.write_bytes(path.read_bytes()[:-8] + struct.pack("<d", -1.0))
+        self._assert_rejected(path, "feature_std entries must be > 0")
