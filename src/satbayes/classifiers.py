@@ -24,14 +24,12 @@ finite and read-only by construction, so the engines do not check its
 pixels again; (N, B) pixel rows are the fits' input only. The built-in
 engines return a new C-ordered float64 buffer on every call, summed
 and normalized over classes by `core`'s column helpers, as in the
-recursion. Only the index engine keeps frame work arrays between
-calls, its index and flag planes, in a per-instance ``_scratch`` dict
-outside the dataclass fields (`save_model`, ``==`` and ``repr`` ignore
-it): without them a 512x512 index run took 7-24% longer on a 2-vCPU
-Xeon. So one index engine instance must not be evaluated from two
-threads at once; the other engines and the fits keep no scratch. Model
-files use a small versioned binary container that round-trips
-parameters bit for bit; loading checks them as the constructors do.
+recursion. No engine or fit keeps work arrays between calls: the
+recursion evaluates each date in row tiles of about 32k pixels, where
+fresh arrays cost nothing measurable, and one instance serves all of
+its worker threads at once. Model files use a small versioned binary
+container that round-trips parameters bit for bit; loading checks them
+as the constructors do.
 """
 
 from __future__ import annotations
@@ -90,32 +88,19 @@ _INDEX_BANDS = {
 }
 
 
-def _buffer(
-    scratch: dict | None, name: str, shape: tuple[int, ...], dtype: type = np.float64
-) -> np.ndarray:
-    """Work array ``scratch[name]`` as ``shape``, reallocated when its size
-    changes; a new array when ``scratch`` is None."""
-    scratch = {} if scratch is None else scratch
-    buf = scratch.get(name)
-    if buf is None or buf.size != math.prod(shape):
-        buf = scratch[name] = np.empty(math.prod(shape), dtype)
-    return buf.reshape(shape)
-
-
 def spectral_index(
-    image: MultibandImage, kind: SpectralIndexKind, _scratch: dict | None = None
+    image: MultibandImage, kind: SpectralIndexKind
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-pixel normalized-difference index value and zero-denominator flags.
 
     Flagged pixels (band sum exactly zero) get index value 0.0 so they
-    fall into whichever class owns that point of the index axis. Given
-    ``_scratch``, both results are its buffers.
+    fall into whichever class owns that point of the index axis.
     """
     first, second = kind.band_pair
     a = image.band(first)
     b = image.band(second)
-    safe = np.add(a, b, out=_buffer(_scratch, "index", a.shape))
-    flags = np.equal(safe, 0.0, out=_buffer(_scratch, "flags", a.shape, bool))
+    safe = np.add(a, b)
+    flags = safe == 0.0
     np.copyto(safe, 1.0, where=flags)
     values = np.divide(np.subtract(a, b, out=a), safe, out=safe)  # a is a fresh plane
     np.copyto(values, 0.0, where=flags)
@@ -217,8 +202,7 @@ class IndexClassifier:
         return dens.reshape(dens.shape[0], *y.shape)
 
     def frame_posterior(self, frame: Frame) -> np.ndarray:
-        scratch = vars(self).setdefault("_scratch", {})
-        values, _ = spectral_index(frame.image, self.kind, scratch)
+        values, _ = spectral_index(frame.image, self.kind)
         return self.posterior_from_index(values.ravel())
 
 
@@ -781,7 +765,9 @@ def save_model(path: str | Path, model: AnyClassifier) -> Path:
 def load_model(path: str | Path) -> AnyClassifier:
     """Read a classifier back from the model container, bit for bit. A file
     holding a non-finite value, index means and sigmas that its thresholds do
-    not give, or parameters a constructor rejects raises LoadError."""
+    not give, a mixture without components, with a weight <= 0 or a covariance
+    that is not positive definite, or parameters a constructor rejects raises
+    LoadError."""
     src = Path(path)
     rd = _Reader(read_bytes(src), src)
     if rd.take(4) != MODEL_MAGIC:
@@ -815,11 +801,21 @@ def _read_model(rd: _Reader) -> AnyClassifier:
             raise LoadError(f"{rd.path}: band list does not match band count")
     if kind == 2:
         mixtures = []
-        for _ in range(k):
+        for c in range(k):
             m = rd.u8()
             weights = rd.floats(m)
             means = rd.floats(m * b).reshape(m, b)
             covs = rd.floats(m * b * b).reshape(m, b, b)
+            if m == 0:
+                raise LoadError(f"{rd.path}: class {c} mixture has no components")
+            if np.any(weights <= 0.0):
+                raise LoadError(f"{rd.path}: class {c} mixture weights must be > 0")
+            try:
+                np.linalg.cholesky(covs)
+            except np.linalg.LinAlgError:
+                raise LoadError(
+                    f"{rd.path}: class {c} mixture covariance is not positive definite"
+                ) from None
             mixtures.append(GaussianMixture(weights, means, covs))
         return MixtureClassifier(bands=bands, mixtures=tuple(mixtures))
     if kind == 3:

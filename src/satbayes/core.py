@@ -4,7 +4,7 @@
 Engine outputs and the recursion are class-major, and share this
 module's (K, N) column arithmetic: `column_sums`, `normalize_columns`,
 `floor_normalize_columns`.
-Images and stacks are immutable: their arrays are C-contiguous and
+Images and stacks are immutable: their planes are C-contiguous and
 read-only, so code can share them without defensive copies. An image
 keeps float32 planes as read and hands out float64 values.
 """
@@ -174,6 +174,13 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return out
 
 
+def _view(obj, **fields):
+    """A copy of the frozen dataclass ``obj`` with ``fields`` swapped in unchecked."""
+    out = object.__new__(type(obj))
+    out.__dict__.update(vars(obj), **fields)
+    return out
+
+
 @dataclass(frozen=True)
 class LabelRaster:
     """Per-pixel class indices stored as uint8, shape (height, width)."""
@@ -274,9 +281,7 @@ class MultibandImage:
 
     def _derive(self, **fields: np.ndarray) -> MultibandImage:
         """A copy sharing the frozen planes, with ``fields`` swapped in unchecked."""
-        image = object.__new__(MultibandImage)
-        image.__dict__.update(self.__dict__, **{k: _freeze(v) for k, v in fields.items()})
-        return image
+        return _view(self, **{k: _freeze(v) for k, v in fields.items()})
 
 
 @dataclass(frozen=True)
@@ -304,6 +309,16 @@ class Frame:
                     f"image shape {self.image.shape}"
                 )
             object.__setattr__(self, "external_posterior", _freeze(post))
+
+    def _row_band(self, rows: slice) -> Frame:
+        """The frame on a band of rows, as read-only views of its checked arrays."""
+        truth, post = self.truth, self.external_posterior
+        return _view(
+            self,
+            image=_view(self.image, data=self.image.data[:, rows]),
+            truth=None if truth is None else _view(truth, labels=truth.labels[rows]),
+            external_posterior=None if post is None else post[:, rows],
+        )
 
 
 @dataclass(frozen=True)

@@ -22,6 +22,8 @@ from .recursion import (
     RecursionMode,
     StackClassification,
     TransitionModel,
+    _TilePool,
+    _workers,
     model_output,
 )
 from .textio import format_float, write_lines
@@ -169,9 +171,10 @@ def epsilon_sweep(
     balanced accuracy over the stack's ground-truth frames. The sweep is
     one pass over the frames per model: one `FrameStep` advances a
     belief per grid value from a single model evaluation per frame, and
-    labels are scored as they come. Scores equal those of one
-    `classify_stack` run per grid value, bit for bit, and a bad model
-    output raises the same error, naming the frame's date.
+    labels are scored as they come. Each date is evaluated and stepped
+    in row tiles on worker threads, as in `classify_stack`. Scores equal
+    those of one `classify_stack` run per grid value, bit for bit, and a
+    bad model output raises the same error, naming the frame's date.
     """
     eps = check_epsilon_grid(grid)
     if not models:
@@ -186,22 +189,23 @@ def epsilon_sweep(
     algorithms = tuple(models)
     accuracy = np.zeros((len(algorithms), len(eps)))
     instantaneous = []
-    for a, name in enumerate(algorithms):
-        model = models[name]
-        evaluate = model_output(model, modes[name])
-        transitions = [build_transition_model(model.num_classes, e) for e in eps]
-        scores = []  # per truth frame: instantaneous, then one per epsilon
-        step = FrameStep(transitions, lam, pixels)
-        for frame in stack.frames:
-            step(evaluate(frame), frame.date)
-            if frame.truth is not None:
-                scores.append([
-                    balanced_accuracy(row.reshape(height, width), frame.truth)
-                    for row in step.labels
-                ])
-        means = [float(np.mean(column)) for column in zip(*scores)]
-        instantaneous.append(means[0])
-        accuracy[a] = means[1:]
+    with _TilePool(_workers()) as pool:
+        for a, name in enumerate(algorithms):
+            model = models[name]
+            evaluate = model_output(model, modes[name])
+            transitions = [build_transition_model(model.num_classes, e) for e in eps]
+            scores = []  # per truth frame: instantaneous, then one per epsilon
+            step = FrameStep(transitions, lam, pixels, width, pool)
+            for frame in stack.frames:
+                step(lambda rows: evaluate(frame._row_band(rows)), frame.date)
+                if frame.truth is not None:
+                    scores.append([
+                        balanced_accuracy(row.reshape(height, width), frame.truth)
+                        for row in step.labels
+                    ])
+            means = [float(np.mean(column)) for column in zip(*scores)]
+            instantaneous.append(means[0])
+            accuracy[a] = means[1:]
     return SweepResult(
         grid=eps,
         algorithms=algorithms,
@@ -219,10 +223,11 @@ def epsilon_sweep(
 class TimingRecord:
     """Wall-time medians for one algorithm on one stack.
 
-    ``baseline_seconds`` times one full-frame instantaneous model
-    evaluation; ``recursion_seconds`` times one `FrameStep` call (the
-    step `classify_stack` runs per frame: validation, smoothing, update
-    and MAP decision) given a precomputed model output;
+    ``baseline_seconds`` times one instantaneous model evaluation of a
+    frame, over its row tiles on the worker threads as `classify_stack`
+    does; ``recursion_seconds`` times one `FrameStep` call (the step
+    `classify_stack` runs per frame: validation, smoothing, update and
+    MAP decision, tile by tile) given a precomputed model output;
     ``step_seconds[t]`` is the per-step median at step index t across
     repetitions.
     """
@@ -253,8 +258,9 @@ def timing_bench(
     Model outputs are computed once outside the timed region, so the
     recursion numbers isolate the recursion step. One `FrameStep` per
     algorithm is `reset` before each repetition, so repetitions reuse its
-    buffers. Medians over ``repetitions`` (>= 3) keep scheduler noise
-    out.
+    buffers. The evaluations and steps run on one thread pool, with the
+    tiles and workers of `classify_stack`. Medians over ``repetitions``
+    (>= 3) keep scheduler noise out.
     """
     check_repetitions(repetitions)
     if not stack.frames:
@@ -263,39 +269,44 @@ def timing_bench(
         raise ConfigError("models and modes must list the same algorithms")
     height, width = stack.shape
     pixels = height * width
+    first = stack.frames[0]
     records = []
-    for name, model in models.items():
-        evaluate = model_output(model, modes[name])
-        outputs = [evaluate(frame) for frame in stack.frames]
+    with _TilePool(_workers()) as pool:
+        for name, model in models.items():
+            evaluate = model_output(model, modes[name])
+            outputs = [evaluate(frame) for frame in stack.frames]
+            step = FrameStep([transition], lam, pixels, width, pool)
 
-        evaluate(stack.frames[0])  # warmup
-        baseline_samples = []
-        for _ in range(repetitions):
-            start = time.perf_counter()
-            evaluate(stack.frames[0])
-            baseline_samples.append(time.perf_counter() - start)
+            def baseline() -> None:
+                pool.map(lambda w, i: evaluate(first._row_band(step.rows[i])), len(step.rows))
 
-        step_samples = np.empty((repetitions, len(outputs)))
-        step = FrameStep([transition], lam, pixels)
-        for rep in range(repetitions):
-            step.reset()
-            for t, (raw, date) in enumerate(zip(outputs, stack.dates)):
+            baseline()  # warmup
+            baseline_samples = []
+            for _ in range(repetitions):
                 start = time.perf_counter()
-                step(raw, date)
-                step_samples[rep, t] = time.perf_counter() - start
+                baseline()
+                baseline_samples.append(time.perf_counter() - start)
 
-        records.append(
-            TimingRecord(
-                algorithm=name,
-                baseline_seconds=float(np.median(baseline_samples)),
-                recursion_seconds=float(np.median(step_samples)),
-                step_seconds=tuple(
-                    float(v) for v in np.median(step_samples, axis=0)
-                ),
-                pixels=pixels,
-                repetitions=repetitions,
+            step_samples = np.empty((repetitions, len(outputs)))
+            for rep in range(repetitions):
+                step.reset()
+                for t, (raw, date) in enumerate(zip(outputs, stack.dates)):
+                    start = time.perf_counter()
+                    step(raw, date)
+                    step_samples[rep, t] = time.perf_counter() - start
+
+            records.append(
+                TimingRecord(
+                    algorithm=name,
+                    baseline_seconds=float(np.median(baseline_samples)),
+                    recursion_seconds=float(np.median(step_samples)),
+                    step_seconds=tuple(
+                        float(v) for v in np.median(step_samples, axis=0)
+                    ),
+                    pixels=pixels,
+                    repetitions=repetitions,
+                )
             )
-        )
     return tuple(records)
 
 

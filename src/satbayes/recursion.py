@@ -7,30 +7,33 @@ posteriors (discriminative mode) go through one update: dividing a
 posterior by the uniform class marginal scales it by K, which the
 update's normalization cancels, so that division is not done.
 
-All update arithmetic is one class-major kernel, `_Kernel`, on (K, N)
+All update arithmetic is one class-major kernel, `_Kernel`, on (K, n)
 float64 arrays written in place, normalized by `core` as the engines
-are. `FrameStep` owns the filter state and runs the kernel once per
-frame, serially over all N pixels, for `classify_stack`,
-`timing_bench` and `epsilon_sweep`: it validates the model's (K, N)
-output once, floors it into its (K, N) ``inst``, and updates one
-(K, N) belief per transition model in place, so a sweep over E
+are. `FrameStep` owns the filter state for `classify_stack`,
+`timing_bench` and `epsilon_sweep`. Pixels are independent, so it
+works through each date in row tiles of about 32k pixels, which stay
+in cache, on one worker thread per CPU of the process's affinity mask.
+It validates each tile's (K, n) model output, and only once all passed
+updates one belief per transition model in place: a sweep over E
 transition probabilities is a bank of E filters sharing one model
-evaluation per frame. The filter needs only the previous date's
-belief: `classify_stack` hands each date's (K, N) posteriors to a
-per-frame sink, and collects them into float64 cubes only when the
-caller passes none. The public `generative_update`,
-`discriminative_update` and `regularize` take (..., K) arrays and run
-the same arithmetic on a transposed (K, M) copy; the updates check
-its evidence with the frame step's own check, `_check_evidence`.
+evaluation. No result depends on the tiling or the worker count. The
+filter needs only the previous date's belief: `classify_stack` hands
+each date's (K, N) posteriors to a per-frame sink, and collects them
+into float64 cubes only when the caller passes none. The public
+`generative_update`, `discriminative_update` and `regularize` take
+(..., K) arrays and run the same arithmetic on a transposed (K, M)
+copy; the updates check its evidence with the frame step's own check,
+`_evidence_fault`.
 """
 
 from __future__ import annotations
 
 import datetime as dt
 import enum
+import os
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
-from typing import Protocol
+from typing import NoReturn, Protocol
 
 import numpy as np
 
@@ -91,7 +94,9 @@ def generative_update(
     weights = _class_major(likelihood, shape)
     belief = _class_major(prev, shape)
     kernel = _Kernel(*weights.shape)
-    _check_evidence(weights, kernel.total)
+    fault = _evidence_fault(weights, kernel.total)
+    if fault < len(_FAULTS):
+        raise _fault_error(fault)
     kernel.update(weights, belief, transition)
     return belief.T.reshape(shape)
 
@@ -136,30 +141,37 @@ def _class_major(arr: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return np.array(np.broadcast_to(arr, shape).reshape(-1, shape[-1]).T, order="C")
 
 
-def _check_evidence(raw: np.ndarray, total: np.ndarray) -> None:
-    """Raise unless every column of the (K, n) float64 ``raw`` is usable evidence.
+# A model output's faults, in the order the check reports them
+_FAULTS = (
+    (ValueError, "likelihood vector has non-finite entries"),
+    (ValueError, "likelihood vector has negative entries"),
+    (DegenerateLikelihoodError, "all-zero likelihood vector"),
+    (ValueError, "likelihood vector sum overflows float64"),
+)
 
-    In order: a non-finite, then a negative entry is a ValueError, an
-    all-zero column a DegenerateLikelihoodError and a column sum that
-    overflows float64 a ValueError. ``total`` is an (n,) buffer.
-    """
+
+def _evidence_fault(raw: np.ndarray, total: np.ndarray) -> int:
+    """Index in `_FAULTS` of the first fault of the (K, n) float64 ``raw``,
+    len(_FAULTS) if every column is usable evidence; ``total`` is an (n,) buffer."""
     # Whole-array reductions prove every column finite, positive and far
     # from overflowing its sum (K terms below max / 2K); the initial values
-    # let an input of zero columns pass. Otherwise the exact checks raise
-    # their error, or pass an edge case: zero entries, or huge finite sums.
+    # let an input of zero columns pass. Otherwise the exact checks find
+    # the fault, or pass an edge case: zero entries, or huge finite sums.
     lo, hi = raw.min(initial=np.inf), raw.max(initial=-np.inf)
     if lo > 0.0 and hi < np.finfo(np.float64).max / (2 * raw.shape[0]):
-        return
+        return len(_FAULTS)
     if not (np.isfinite(lo) and np.isfinite(hi)):
-        raise ValueError("likelihood vector has non-finite entries")
+        return 0
     if lo < 0.0:
-        raise ValueError("likelihood vector has negative entries")
-    with np.errstate(over="ignore"):  # an overflowing sum raises below
+        return 1
+    with np.errstate(over="ignore"):  # an overflowing sum is the last fault
         total = column_sums(raw, total)  # finite entries >= 0
-    if total.min() == 0.0:
-        raise DegenerateLikelihoodError("all-zero likelihood vector")
-    if total.max() == np.inf:
-        raise ValueError("likelihood vector sum overflows float64")
+    return 2 if total.min() == 0.0 else 3 if total.max() == np.inf else len(_FAULTS)
+
+
+def _fault_error(fault: int) -> Exception:
+    error, message = _FAULTS[fault]
+    return error(message)
 
 
 class _Kernel:
@@ -167,7 +179,8 @@ class _Kernel:
 
     Row c holds class c for n pixels, so each operation is one
     vectorized pass per class, written with ``out=`` into the caller's
-    arrays or this kernel's n-pixel scratch. Columns are normalized by
+    arrays or the first n of the ``pixels`` columns of this kernel's
+    scratch. Columns are normalized by
     `core.normalize_columns` into the ``total`` row, so they round
     exactly like a normalization over the last axis of the (n, K) layout.
     """
@@ -181,16 +194,18 @@ class _Kernel:
 
     def smooth(self, pmf: np.ndarray, lam: float) -> np.ndarray:
         """`regularize` (``lam`` > 0) of every column of ``pmf``, into scratch."""
-        np.add(pmf, lam, out=self.scratch)
-        return normalize_columns(self.scratch, total=self.total)
+        n = pmf.shape[1]
+        np.add(pmf, lam, out=self.scratch[:, :n])
+        return normalize_columns(self.scratch[:, :n], total=self.total[:n])
 
     def update(
         self, weights: np.ndarray, belief: np.ndarray, transition: TransitionModel
     ) -> None:
         """``belief`` = floor-normalized weights * M^T belief, in place."""
-        np.matmul(transition.matrix.T, belief, out=self.prior)
-        np.multiply(self.prior, weights, out=belief)
-        floor_normalize_columns(belief, total=self.total)
+        prior = self.prior[:, : belief.shape[1]]
+        np.matmul(transition.matrix.T, belief, out=prior)
+        np.multiply(prior, weights, out=belief)
+        floor_normalize_columns(belief, total=self.total[: belief.shape[1]])
 
     def decide(self, pmf: np.ndarray, labels: np.ndarray) -> None:
         """MAP class per column into uint8 ``labels``; ties -> lowest index.
@@ -198,19 +213,69 @@ class _Kernel:
         Equals ``argmax(axis=0)`` without its strided per-pixel scan:
         where class c beats the running maximum, add (c - label).
         """
-        best, step = self.total, self.label_step
+        n = pmf.shape[1]
+        best, step, greater = self.total[:n], self.label_step[:n], self.greater[:n]
         labels.fill(0)
         np.copyto(best, pmf[0])
         for c in range(1, pmf.shape[0]):
-            np.greater(pmf[c], best, out=self.greater)
+            np.greater(pmf[c], best, out=greater)
             np.maximum(best, pmf[c], out=best)
-            np.multiply(np.subtract(c, labels, out=step), self.greater, out=step)
+            np.multiply(np.subtract(c, labels, out=step), greater, out=step)
             np.add(labels, step, out=labels)
 
 
 # ============================================================
-# whole-stack classification
+# row tiles on worker threads
 # ============================================================
+
+_TILE_PIXELS = 32768  # about this many pixels per row tile; its passes stay in cache
+
+
+def _workers() -> int:
+    """Tile workers: one per CPU this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+class _TilePool:
+    """The calling thread and ``workers - 1`` pool threads, stopped by ``with``.
+
+    ``map(task, tiles)`` runs ``task(w, i)`` for every tile i, worker w taking
+    tiles w, w + W, ... (W = min(workers, tiles)); once all are done, the
+    first worker's error, if any, propagates.
+    """
+
+    def __init__(self, workers: int) -> None:
+        self.workers = workers
+        self._threads = None
+        if workers > 1:
+            from concurrent.futures import ThreadPoolExecutor  # not at CLI import time
+
+            self._threads = ThreadPoolExecutor(workers - 1)
+
+    def map(self, task: Callable[[int, int], object], tiles: int) -> None:
+        count = min(self.workers, tiles)
+
+        def share(w: int) -> None:
+            for i in range(w, tiles, count):
+                task(w, i)
+
+        futures = [self._threads.submit(share, w) for w in range(1, count)]
+        try:
+            share(0)
+        finally:
+            for future in futures:
+                future.exception()  # waits; a worker's error is raised below
+        for future in futures:
+            future.result()
+
+    def __enter__(self) -> _TilePool:
+        return self
+
+    def __exit__(self, *exc: object) -> None:
+        if self._threads is not None:
+            self._threads.shutdown()
 
 
 class FrameModel(Protocol):
@@ -221,7 +286,9 @@ class FrameModel(Protocol):
     pixel in row-major pixel order. Generative models additionally
     provide ``frame_likelihood`` with the same shape holding
     class-conditional densities. Any real dtype and memory layout is
-    accepted; `FrameStep` reads the values as float64.
+    accepted; `FrameStep` reads the values as float64. The recursion
+    calls them on frames that each hold one band of a date's rows, from
+    several threads at once.
     """
 
     @property
@@ -275,15 +342,19 @@ class FrameStep:
     and the MAP ``labels`` (1 + E, N), row 0 from ``inst`` and row 1 + e
     from ``post[e]``. ``step(raw, date)`` floor-normalizes one frame's
     (K, N) evidence, likelihoods or posteriors alike, into ``inst``,
-    smooths it and updates each ``post[e]`` in place. Validation and
-    smoothing run once per call, whatever E is. An output of another
-    shape is a ShapeError; in one of the right shape, a non-finite, then
-    a negative entry is a ValueError, an all-zero pixel column a
-    DegenerateLikelihoodError and an overflowing column sum a
-    ValueError. Given the frame's ``date``, the message starts with its
-    ISO form and the error keeps its type, and the state is left as it
-    was. The step is serial: one `_Kernel` over all N pixel columns
-    holds its scratch.
+    smooths it and updates each ``post[e]`` in place; ``raw`` may also
+    be a function from a slice of rows to their (K, n) output.
+
+    The N pixels are rows of ``width``, stepped in the row tiles
+    ``rows`` of about `_TILE_PIXELS` pixels on ``pool`` (default: serial).
+    Every tile is checked first, then, only if all passed, each worker
+    advances its tiles with its own tile-sized `_Kernel`. A model's error
+    propagates as it is. An output of another shape is a ShapeError; in
+    one of the right shape, a non-finite, then a negative entry in any
+    tile is a ValueError, an all-zero pixel column a
+    DegenerateLikelihoodError and an overflowing column sum a ValueError.
+    Given the frame's ``date``, the message starts with its ISO form and
+    the error keeps its type, and the state is left as it was.
     """
 
     def __init__(
@@ -291,15 +362,25 @@ class FrameStep:
         transitions: Sequence[TransitionModel],
         lam: float,
         pixels: int,
+        width: int = 1,
+        pool: _TilePool | None = None,
     ) -> None:
         _check_lam(lam)
         self.transitions = tuple(transitions)
         k = self.transitions[0].num_classes
         if k > 255:
             raise InvalidClassCountError(f"at most 255 classes are supported, got {k}")
+        width = max(width, 1)  # a frame without columns has no pixels
+        if pixels % width:
+            raise ShapeError(f"{pixels} pixels do not make rows of {width}")
         self.lam = lam
         self._shape = (k, pixels)
-        self._kernel = _Kernel(k, pixels)
+        self._pool = pool or _TilePool(1)
+        height, rows = pixels // width, max(1, _TILE_PIXELS // width)
+        self.rows = [slice(r, min(r + rows, height)) for r in range(0, max(height, 1), rows)]
+        self._cols = [slice(r.start * width, r.stop * width) for r in self.rows]
+        workers = min(self._pool.workers, len(self.rows))
+        self._kernels = [_Kernel(k, self._cols[0].stop) for _ in range(workers)]
         self.inst = np.empty((k, pixels))
         self.post = np.empty((len(self.transitions), k, pixels))
         self.labels = np.empty((1 + len(self.transitions), pixels), dtype=np.uint8)
@@ -309,33 +390,50 @@ class FrameStep:
         """Start every belief again from the uniform prior."""
         self.post.fill(1.0 / self.post.shape[1])
 
-    def __call__(self, raw: np.ndarray, date: dt.date | None = None) -> None:
-        try:
-            raw = self._check(raw)
-        except (ValueError, SatBayesError) as exc:
-            if date is None:
-                raise
-            raise type(exc)(f"{date.isoformat()}: {exc}") from exc
-        self._advance(raw)
+    def __call__(
+        self, raw: np.ndarray | Callable[[slice], np.ndarray], date: dt.date | None = None
+    ) -> None:
+        whole = None if callable(raw) else np.asarray(raw)
+        if whole is not None and whole.shape != self._shape:
+            message = f"model returned shape {whole.shape}, expected {self._shape}"
+            _raise_dated(ShapeError(message), date)
+        outputs, faults = [None] * len(self.rows), []  # faults: (rank, tile, error)
 
-    def _check(self, raw: np.ndarray) -> np.ndarray:
-        """The model output as float64, once it passes validation."""
-        raw = np.asarray(raw, dtype=np.float64)
-        if raw.shape != self._shape:
-            raise ShapeError(
-                f"model returned shape {raw.shape}, expected {self._shape}"
-            )
-        _check_evidence(raw, self._kernel.total)
-        return raw
+        def check(w: int, i: int) -> None:
+            # a model's own error propagates as it is
+            out = raw(self.rows[i]) if whole is None else whole[:, self._cols[i]]
+            shape = (self._shape[0], self._cols[i].stop - self._cols[i].start)
+            try:
+                outputs[i] = out = np.asarray(out, dtype=np.float64)
+                if out.shape != shape:
+                    raise ShapeError(f"model returned shape {out.shape}, expected {shape}")
+            except (ValueError, SatBayesError) as exc:
+                faults.append((-1, i, exc))
+                return
+            fault = _evidence_fault(out, self._kernels[w].total[: shape[1]])
+            if fault < len(_FAULTS):
+                faults.append((fault, i, _fault_error(fault)))
 
-    def _advance(self, raw: np.ndarray) -> None:
-        kernel, inst = self._kernel, self.inst
-        floor_normalize_columns(raw, inst, kernel.total)
-        kernel.decide(inst, self.labels[0])
+        self._pool.map(check, len(self.rows))
+        if faults:
+            _raise_dated(min(faults)[2], date)
+        self._pool.map(lambda w, i: self._advance(w, outputs[i], self._cols[i]), len(self.rows))
+
+    def _advance(self, w: int, raw: np.ndarray, cols: slice) -> None:
+        kernel, inst = self._kernels[w], self.inst[:, cols]
+        floor_normalize_columns(raw, inst, kernel.total[: raw.shape[1]])
+        kernel.decide(inst, self.labels[0, cols])
         weights = kernel.smooth(inst, self.lam) if self.lam else inst
         for e, transition in enumerate(self.transitions):
-            kernel.update(weights, self.post[e], transition)
-            kernel.decide(self.post[e], self.labels[1 + e])
+            kernel.update(weights, self.post[e, :, cols], transition)
+            kernel.decide(self.post[e, :, cols], self.labels[1 + e, cols])
+
+
+def _raise_dated(exc: Exception, date: dt.date | None) -> NoReturn:
+    """Raise ``exc``, its message prefixed with ``date`` in ISO form if given."""
+    if date is None:
+        raise exc
+    raise type(exc)(f"{date.isoformat()}: {exc}") from exc
 
 
 def classify_stack(
@@ -359,7 +457,10 @@ def classify_stack(
     valid only during the call. Without a sink they are collected into
     the returned float64 cubes; with one, the cube fields are None and
     only the uint8 labels are kept. A bad model output raises the error
-    of `FrameStep`, prefixed with the frame's ISO date.
+    of `FrameStep`, prefixed with the frame's ISO date. The model is
+    evaluated on the `FrameStep` row tiles, as `Frame` row bands, by one
+    worker thread per CPU this process may run on, so its frame method
+    must be safe to call from several threads at once.
     """
     k = model.num_classes
     if k != transition.num_classes:
@@ -380,11 +481,12 @@ def classify_stack(
             cubes[1, t] = inst
 
     labels = np.empty((t_total, 2, n), dtype=np.uint8)  # instantaneous, recursive
-    step = FrameStep([transition], lam, n)
-    for t, frame in enumerate(stack.frames):
-        step(evaluate(frame), frame.date)
-        labels[t] = step.labels
-        sink(t, step.inst, step.post[0])
+    with _TilePool(_workers()) as pool:
+        step = FrameStep([transition], lam, n, width, pool)
+        for t, frame in enumerate(stack.frames):
+            step(lambda rows: evaluate(frame._row_band(rows)), frame.date)
+            labels[t] = step.labels
+            sink(t, step.inst, step.post[0])
 
     def rasters(row: int) -> tuple[LabelRaster, ...]:
         return tuple(LabelRaster(v.reshape(height, width), k) for v in labels[:, row])

@@ -829,9 +829,8 @@ def _scratch_engine(name):
 
 
 class TestFrameScratch:
-    """The index engine reuses per-instance frame scratch, its index and
-    flag planes; the logistic and mixture engines keep none and can be
-    shared between threads; all return fresh C-ordered arrays."""
+    """No engine keeps frame scratch: each returns fresh C-ordered arrays
+    and one instance can be shared between threads."""
 
     @pytest.mark.parametrize("name", SCRATCH_ENGINES)
     def test_consecutive_outputs_are_fresh(self, name):
@@ -843,16 +842,11 @@ class TestFrameScratch:
         ]
         outputs = [getattr(model, method)(frame) for frame in frames]
         assert not np.shares_memory(outputs[0], outputs[1])
-        if name == "index":
-            assert set(vars(model)["_scratch"]) == {"index", "flags"}
-        else:
-            assert "_scratch" not in vars(model)
+        assert "_scratch" not in vars(model)
         for frame, output in zip(frames, outputs):
             assert output.flags.c_contiguous
             fresh = dataclasses.replace(model)
             assert_array_equal(output, getattr(fresh, method)(frame), strict=True)
-            for buf in vars(model).get("_scratch", {}).values():
-                assert not np.shares_memory(output, buf)
 
     @pytest.mark.parametrize("name", SCRATCH_ENGINES)
     def test_pixel_count_change_matches_fresh_instances(self, name):
@@ -866,15 +860,14 @@ class TestFrameScratch:
                 getattr(model, method)(frame), getattr(fresh, method)(frame), strict=True
             )
 
-    def test_scratch_is_not_a_field(self):
-        model, method = _scratch_engine("index")
-        before = repr(model)
+    @pytest.mark.parametrize("name", SCRATCH_ENGINES)
+    def test_evaluation_leaves_the_instance_as_it_was(self, name):
+        model, method = _scratch_engine(name)
+        before = (repr(model), set(vars(model)))
         getattr(model, method)(_frame(SCRATCH_BANDS, np.full((2, 4, 4), 0.2)))
-        assert "_scratch" in vars(model)
-        assert repr(model) == before
-        assert "_scratch" not in {f.name for f in dataclasses.fields(model)}
+        assert (repr(model), set(vars(model))) == before
 
-    @pytest.mark.parametrize("name", ["gmm likelihood", "gmm posterior", "logistic"])
+    @pytest.mark.parametrize("name", SCRATCH_ENGINES)
     def test_engine_shared_between_threads(self, name):
         # four threads, each on its own frame, switching every microsecond
         model, method = _scratch_engine(name)
@@ -1179,6 +1172,31 @@ class TestModelRoundTrip:
         model = MixtureClassifier(bands=("a", "b"), mixtures=(good, bad))
         path = save_model(tmp_path / "gmm.model", model)
         self._assert_rejected(path, "model file holds a non-finite value")
+
+    @pytest.mark.parametrize("case", ["negative_weight", "negative_covariance", "no_components"])
+    def test_unusable_mixture_rejected(self, tmp_path, case):
+        # each loaded before, and failed or warned only once evaluated
+        eye = np.eye(2)[np.newaxis]
+        good = GaussianMixture(np.ones(1), np.zeros((1, 2)), eye)
+        bad, reason = {
+            "negative_weight": (
+                GaussianMixture(np.array([-1.0]), np.zeros((1, 2)), eye),
+                "class 1 mixture weights must be > 0",
+            ),
+            "negative_covariance": (
+                GaussianMixture(np.ones(1), np.zeros((1, 2)), -eye),
+                "class 1 mixture covariance is not positive definite",
+            ),
+            "no_components": (
+                GaussianMixture(np.zeros(0), np.zeros((0, 2)), np.zeros((0, 2, 2))),
+                "class 1 mixture has no components",
+            ),
+        }[case]
+        model = MixtureClassifier(bands=("a", "b"), mixtures=(good, bad))
+        path = save_model(tmp_path / "gmm.model", model)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            self._assert_rejected(path, reason)
 
     def test_logistic_nan_std_rejected(self, tmp_path):
         model = LogisticClassifier(

@@ -1296,19 +1296,25 @@ class TestRunStreamsPosteriors:
         assert cube.shape == (frames, k, side, side)
 
 
-def test_cli_import_leaves_scipy_solvers_unloaded():
-    """`import satbayes.cli` must not pay for scipy's solvers; they load on use."""
-    code = (
-        "import sys, satbayes.cli; "
-        "print(sorted(m for m in ('scipy.linalg', 'scipy.optimize', 'scipy.special') "
-        "if m in sys.modules))"
-    )
+def _loaded_by_cli_import(modules):
+    """Which of ``modules`` a fresh ``import satbayes.cli`` loads."""
+    code = f"import sys, satbayes.cli; print(sorted(m for m in {modules!r} if m in sys.modules))"
     src = str(Path(__import__("satbayes").__file__).resolve().parents[1])
     out = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True,
         env={**os.environ, "PYTHONPATH": src},
     )
-    assert out.stdout.strip() == "[]"
+    return out.stdout.strip()
+
+
+def test_cli_import_leaves_scipy_solvers_unloaded():
+    """`import satbayes.cli` must not pay for scipy's solvers; they load on use."""
+    assert _loaded_by_cli_import(("scipy.linalg", "scipy.optimize", "scipy.special")) == "[]"
+
+
+def test_cli_import_leaves_the_tile_pool_unloaded():
+    """The tile workers' thread pool loads when a command first builds one."""
+    assert _loaded_by_cli_import(("concurrent.futures",)) == "[]"
 
 
 def test_every_command_runs_with_scipy_unimportable(cli_area, tmp_path):

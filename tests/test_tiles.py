@@ -1,0 +1,209 @@
+"""Row tiles: every tiling and worker count gives the single-tile results, bit for bit."""
+
+from __future__ import annotations
+
+import os
+import sys
+import threading
+import time
+
+import numpy as np
+import pytest
+
+from helpers import date_of
+from satbayes import recursion
+from satbayes.classifiers import (
+    ExternalPosteriorSource,
+    IndexClassifier,
+    SpectralIndexKind,
+    fit_logistic_classifier,
+    fit_mixture_classifier,
+)
+from satbayes.core import Frame, ImageStack, LabelRaster, MultibandImage, build_transition_model
+from satbayes.errors import DegenerateLikelihoodError
+from satbayes.evaluation import epsilon_sweep
+from satbayes.recursion import FrameStep, RecursionMode, classify_stack
+
+BANDS = ("nir", "red")
+HEIGHT, WIDTH, DATES, K = 70, 9, 4, 3
+TILE_HEIGHTS = [1, 7, 64, HEIGHT]
+GRID = [0.01, 0.1, 0.4]
+ENGINES = {  # name: (model key, mode)
+    "index": ("index", RecursionMode.DISCRIMINATIVE),
+    "gmm generative": ("gmm", RecursionMode.GENERATIVE),
+    "gmm discriminative": ("gmm", RecursionMode.DISCRIMINATIVE),
+    "logistic": ("logistic", RecursionMode.DISCRIMINATIVE),
+    "external": ("external", RecursionMode.DISCRIMINATIVE),
+}
+
+
+def _frame(t, rng, posterior=None):
+    planes = rng.uniform(0.0, 0.5, size=(len(BANDS), HEIGHT, WIDTH))
+    if posterior is None:
+        posterior = rng.uniform(0.01, 1.0, size=(K, HEIGHT, WIDTH))
+        posterior /= posterior.sum(axis=0)
+    truth = LabelRaster(rng.integers(0, K, size=(HEIGHT, WIDTH)), K)
+    return Frame(
+        date=date_of(t),
+        image=MultibandImage(BANDS, planes),
+        truth=truth,
+        external_posterior=posterior,
+    )
+
+
+@pytest.fixture(scope="module")
+def scene():
+    rng = np.random.default_rng(120)
+    stack = ImageStack(tuple(_frame(t, rng) for t in range(DATES)))
+    centers = [(0.1, 0.4), (0.4, 0.1), (0.3, 0.3)]
+    x = np.concatenate([rng.normal(c, 0.05, size=(60, 2)) for c in centers])
+    y = np.repeat(np.arange(K), 60)
+    models = {
+        "index": IndexClassifier.from_thresholds((-1.0, -0.05, 0.35, 1.0), SpectralIndexKind.NDVI),
+        "gmm": fit_mixture_classifier([x[y == c] for c in range(K)], BANDS, components=2),
+        "logistic": fit_logistic_classifier(x, y, K, BANDS),
+        "external": ExternalPosteriorSource(K),
+    }
+    return stack, models
+
+
+def _tiled(monkeypatch, height, workers):
+    monkeypatch.setattr(recursion, "_TILE_PIXELS", height * WIDTH)
+    monkeypatch.setattr(recursion, "_workers", lambda: workers)
+
+
+def _outputs(stack, model, mode):
+    trans = build_transition_model(K, 0.05)
+    run = classify_stack(stack, model, trans, 0.8, mode)
+    sweep = epsilon_sweep(stack, {"m": model}, {"m": mode}, 0.8, GRID)
+    labels = [r.labels for r in run.recursive_labels + run.instantaneous_labels]
+    return (
+        run.recursive_posteriors.tobytes(),
+        run.instantaneous_posteriors.tobytes(),
+        np.stack(labels).tobytes(),
+        sweep.recursive_accuracy.tobytes(),
+        sweep.instantaneous_accuracy,
+    )
+
+
+class TestTilesMatchOneTile:
+    """`classify_stack` cubes and labels and `epsilon_sweep` scores do not
+    depend on the tile height or the worker count."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("height", TILE_HEIGHTS)
+    @pytest.mark.parametrize("engine", sorted(ENGINES))
+    def test_bit_identical(self, scene, monkeypatch, engine, height, workers):
+        stack, models = scene
+        key, mode = ENGINES[engine]
+        _tiled(monkeypatch, HEIGHT, 1)
+        expect = _outputs(stack, models[key], mode)
+        _tiled(monkeypatch, height, workers)
+        assert _outputs(stack, models[key], mode) == expect
+
+    def test_more_workers_than_cores_switching_every_microsecond(self, scene, monkeypatch):
+        stack, models = scene
+        _tiled(monkeypatch, HEIGHT, 1)
+        expect = _outputs(stack, models["gmm"], RecursionMode.GENERATIVE)
+        _tiled(monkeypatch, 1, 2 * len(os.sched_getaffinity(0)) + 1)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = _outputs(stack, models["gmm"], RecursionMode.GENERATIVE)
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == expect
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_model_sees_row_bands_on_every_worker(self, scene, monkeypatch, workers):
+        stack, models = scene
+        seen = []
+
+        class Recorder:
+            num_classes = K
+
+            def frame_posterior(self, frame):
+                seen.append((frame.image.shape, frame.truth.shape, threading.get_ident()))
+                return models["external"].frame_posterior(frame)
+
+        _tiled(monkeypatch, 7, workers)
+        classify_stack(
+            stack, Recorder(), build_transition_model(K, 0.05), 0.8,
+            RecursionMode.DISCRIMINATIVE,
+        )
+        assert len(seen) == DATES * 10
+        assert {image for image, _, _ in seen} == {(7, WIDTH)}
+        assert {truth for _, truth, _ in seen} == {(7, WIDTH)}
+        assert len({thread for _, _, thread in seen}) == workers
+
+
+class TestTileErrors:
+    """A bad date raises the whole-frame error and leaves every tile's state."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_lowest_fault_over_all_tiles(self, scene, monkeypatch, workers):
+        stack, _ = scene
+        rng = np.random.default_rng(121)
+        posterior = np.full((K, HEIGHT, WIDTH), 1.0 / K)
+        posterior[1, 2, 3] = -0.5  # tile 0: rows 0-6
+        posterior[0, 23, 4] = np.nan  # tile 3: rows 21-27
+        frames = list(stack.frames)
+        frames[2] = _frame(2, rng, posterior)
+        bad = ImageStack(tuple(frames))
+        trans = build_transition_model(K, 0.05)
+        model = ExternalPosteriorSource(K)
+        messages = []
+        for height, count in ((HEIGHT, 1), (7, workers)):
+            _tiled(monkeypatch, height, count)
+            with pytest.raises(ValueError) as raised:
+                classify_stack(bad, model, trans, 0.8, RecursionMode.DISCRIMINATIVE)
+            assert type(raised.value) is ValueError
+            messages.append(str(raised.value))
+        assert messages[1] == messages[0]
+        assert messages[0] == f"{date_of(2).isoformat()}: likelihood vector has non-finite entries"
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_failing_tile_leaves_every_tile(self, monkeypatch, workers):
+        _tiled(monkeypatch, 7, workers)
+        rng = np.random.default_rng(122)
+        pixels = HEIGHT * WIDTH
+        good = rng.uniform(0.01, 1.0, size=(K, pixels))
+        bad = rng.uniform(0.01, 1.0, size=(K, pixels))
+        bad[:, 5 * 7 * WIDTH + 2] = 0.0  # one all-zero pixel column in tile 5
+        transitions = [build_transition_model(K, e) for e in GRID]
+        with recursion._TilePool(recursion._workers()) as pool:
+            step = FrameStep(transitions, 0.8, pixels, WIDTH, pool)
+            step(good, date_of(0))
+            before = [a.tobytes() for a in (step.inst, step.post, step.labels)]
+            with pytest.raises(DegenerateLikelihoodError, match=r"^2021-01-15: all-zero"):
+                step(lambda rows: bad[:, rows.start * WIDTH : rows.stop * WIDTH], date_of(1))
+            assert [a.tobytes() for a in (step.inst, step.post, step.labels)] == before
+
+
+class TestTilePool:
+    def test_workers_follow_the_cpu_affinity(self):
+        assert recursion._workers() == len(os.sched_getaffinity(0))
+
+    def test_error_waits_for_every_worker(self):
+        done = []
+
+        def task(w, i):
+            if w == 0:
+                raise RuntimeError(f"tile {i}")
+            time.sleep(0.05)
+            done.append(i)
+
+        raised = []
+
+        def run():
+            with recursion._TilePool(2) as pool:
+                try:
+                    pool.map(task, 4)
+                except RuntimeError as exc:
+                    raised.append((str(exc), sorted(done)))
+
+        runner = threading.Thread(target=run)
+        runner.start()
+        runner.join(timeout=60)
+        assert not runner.is_alive()
+        assert raised == [("tile 0", [1, 3])]
