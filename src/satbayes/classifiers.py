@@ -563,7 +563,7 @@ class LogisticClassifier:
         return self.weights.shape[0]
 
     def frame_posterior(self, frame: Frame) -> np.ndarray:
-        x = np.stack([frame.image.band(b).ravel() for b in self.bands], axis=1)
+        x = _frame_matrix(frame.image, self.bands)
         aug = np.ones((len(x), len(self.bands) + 1))
         std = np.subtract(x, self.feature_mean, out=aug[:, :-1])
         np.divide(std, self.feature_std, out=std)

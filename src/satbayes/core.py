@@ -310,15 +310,16 @@ class Frame:
                 )
             object.__setattr__(self, "external_posterior", _freeze(post))
 
-    def _row_band(self, rows: slice) -> Frame:
-        """The frame on a band of rows, as read-only views of its checked arrays."""
+    def window(self, rows: slice = slice(None), cols: slice = slice(None)) -> Frame:
+        """The frame on ``rows`` by ``cols``, unchecked: the image shares the
+        planes, the truth and posterior are C-contiguous and read-only."""
         truth, post = self.truth, self.external_posterior
-        return _view(
-            self,
-            image=_view(self.image, data=self.image.data[:, rows]),
-            truth=None if truth is None else _view(truth, labels=truth.labels[rows]),
-            external_posterior=None if post is None else post[:, rows],
-        )
+        if truth is not None:
+            truth = _view(truth, labels=_freeze(truth.labels[rows, cols]))
+        if post is not None:
+            post = _freeze(post[:, rows, cols])
+        image = _view(self.image, data=self.image.data[:, rows, cols])
+        return _view(self, image=image, truth=truth, external_posterior=post)
 
 
 @dataclass(frozen=True)

@@ -22,8 +22,6 @@ from .recursion import (
     RecursionMode,
     StackClassification,
     TransitionModel,
-    _TilePool,
-    _workers,
     model_output,
 )
 from .textio import format_float, write_lines
@@ -57,11 +55,10 @@ def confusion_matrix(
         if labels.size and (labels.min() < 0 or labels.max() >= num_classes):
             bad = labels[(labels < 0) | (labels >= num_classes)][0]
             raise EvaluationError(f"{what} label {bad} outside [0, {num_classes})")
-    counts = np.bincount(
-        t.astype(np.int64) * num_classes + p.astype(np.int64),
-        minlength=num_classes * num_classes,
-    )
-    return counts.reshape(num_classes, num_classes)
+    index = t.astype(np.intp)  # the one widened copy: truth * K + prediction
+    index *= num_classes
+    np.add(index, p, out=index, casting="unsafe")  # integral labels, checked above
+    return np.bincount(index, minlength=num_classes**2).reshape(num_classes, num_classes)
 
 
 def balanced_accuracy(
@@ -172,9 +169,10 @@ def epsilon_sweep(
     one pass over the frames per model: one `FrameStep` advances a
     belief per grid value from a single model evaluation per frame, and
     labels are scored as they come. Each date is evaluated and stepped
-    in row tiles on worker threads, as in `classify_stack`. Scores equal
-    those of one `classify_stack` run per grid value, bit for bit, and a
-    bad model output raises the same error, naming the frame's date.
+    in the step's row tiles on its workers, as in `classify_stack`.
+    Scores equal those of one `classify_stack` run per grid value, bit
+    for bit, and a bad model output raises the same error, naming the
+    frame's date.
     """
     eps = check_epsilon_grid(grid)
     if not models:
@@ -189,23 +187,22 @@ def epsilon_sweep(
     algorithms = tuple(models)
     accuracy = np.zeros((len(algorithms), len(eps)))
     instantaneous = []
-    with _TilePool(_workers()) as pool:
-        for a, name in enumerate(algorithms):
-            model = models[name]
-            evaluate = model_output(model, modes[name])
-            transitions = [build_transition_model(model.num_classes, e) for e in eps]
-            scores = []  # per truth frame: instantaneous, then one per epsilon
-            step = FrameStep(transitions, lam, pixels, width, pool)
+    for a, name in enumerate(algorithms):
+        model = models[name]
+        evaluate = model_output(model, modes[name])
+        transitions = [build_transition_model(model.num_classes, e) for e in eps]
+        scores = []  # per truth frame: instantaneous, then one per epsilon
+        with FrameStep(transitions, lam, pixels, width) as step:
             for frame in stack.frames:
-                step(lambda rows: evaluate(frame._row_band(rows)), frame.date)
+                step(lambda rows: evaluate(frame.window(rows)), frame.date)
                 if frame.truth is not None:
                     scores.append([
                         balanced_accuracy(row.reshape(height, width), frame.truth)
                         for row in step.labels
                     ])
-            means = [float(np.mean(column)) for column in zip(*scores)]
-            instantaneous.append(means[0])
-            accuracy[a] = means[1:]
+        means = [float(np.mean(column)) for column in zip(*scores)]
+        instantaneous.append(means[0])
+        accuracy[a] = means[1:]
     return SweepResult(
         grid=eps,
         algorithms=algorithms,
@@ -224,10 +221,11 @@ class TimingRecord:
     """Wall-time medians for one algorithm on one stack.
 
     ``baseline_seconds`` times one instantaneous model evaluation of a
-    frame, over its row tiles on the worker threads as `classify_stack`
-    does; ``recursion_seconds`` times one `FrameStep` call (the step
-    `classify_stack` runs per frame: validation, smoothing, update and
-    MAP decision, tile by tile) given a precomputed model output;
+    frame, over the `FrameStep` row tiles on its workers as
+    `classify_stack` does; ``recursion_seconds`` times one `FrameStep`
+    call (the step `classify_stack` runs per frame: validation,
+    smoothing, update and MAP decision, tile by tile) given a
+    precomputed model output;
     ``step_seconds[t]`` is the per-step median at step index t across
     repetitions.
     """
@@ -258,9 +256,9 @@ def timing_bench(
     Model outputs are computed once outside the timed region, so the
     recursion numbers isolate the recursion step. One `FrameStep` per
     algorithm is `reset` before each repetition, so repetitions reuse its
-    buffers. The evaluations and steps run on one thread pool, with the
-    tiles and workers of `classify_stack`. Medians over ``repetitions``
-    (>= 3) keep scheduler noise out.
+    buffers. The baseline evaluations and the steps run on the step's
+    own row tiles and workers, as in `classify_stack`. Medians over
+    ``repetitions`` (>= 3) keep scheduler noise out.
     """
     check_repetitions(repetitions)
     if not stack.frames:
@@ -271,23 +269,21 @@ def timing_bench(
     pixels = height * width
     first = stack.frames[0]
     records = []
-    with _TilePool(_workers()) as pool:
-        for name, model in models.items():
-            evaluate = model_output(model, modes[name])
-            outputs = [evaluate(frame) for frame in stack.frames]
-            step = FrameStep([transition], lam, pixels, width, pool)
+    for name, model in models.items():
+        evaluate = model_output(model, modes[name])
+        outputs = [evaluate(frame) for frame in stack.frames]
+        baseline_samples = []
+        step_samples = np.empty((repetitions, len(outputs)))
+        with FrameStep([transition], lam, pixels, width) as step:
 
-            def baseline() -> None:
-                pool.map(lambda w, i: evaluate(first._row_band(step.rows[i])), len(step.rows))
+            def baseline(w: int, i: int) -> None:
+                evaluate(first.window(step.rows[i]))
 
-            baseline()  # warmup
-            baseline_samples = []
+            step.map(baseline)  # warmup
             for _ in range(repetitions):
                 start = time.perf_counter()
-                baseline()
+                step.map(baseline)
                 baseline_samples.append(time.perf_counter() - start)
-
-            step_samples = np.empty((repetitions, len(outputs)))
             for rep in range(repetitions):
                 step.reset()
                 for t, (raw, date) in enumerate(zip(outputs, stack.dates)):
@@ -295,18 +291,16 @@ def timing_bench(
                     step(raw, date)
                     step_samples[rep, t] = time.perf_counter() - start
 
-            records.append(
-                TimingRecord(
-                    algorithm=name,
-                    baseline_seconds=float(np.median(baseline_samples)),
-                    recursion_seconds=float(np.median(step_samples)),
-                    step_seconds=tuple(
-                        float(v) for v in np.median(step_samples, axis=0)
-                    ),
-                    pixels=pixels,
-                    repetitions=repetitions,
-                )
+        records.append(
+            TimingRecord(
+                algorithm=name,
+                baseline_seconds=float(np.median(baseline_samples)),
+                recursion_seconds=float(np.median(step_samples)),
+                step_seconds=tuple(float(v) for v in np.median(step_samples, axis=0)),
+                pixels=pixels,
+                repetitions=repetitions,
             )
+        )
     return tuple(records)
 
 

@@ -492,27 +492,10 @@ def crop(image: MultibandImage, region: ReferenceRegion) -> MultibandImage:
 
 
 def crop_stack(stack: ImageStack, region: ReferenceRegion) -> ImageStack:
-    """Crop images and any attached truth/posterior rasters alike."""
-    rows, cols = region.slices()
-    frames = []
-    for fr in stack.frames:
-        truth = fr.truth
-        if truth is not None:
-            _check_region(region, truth.shape)
-            truth = LabelRaster(truth.labels[rows, cols], truth.num_classes)
-        posterior = fr.external_posterior
-        if posterior is not None:
-            posterior = posterior[:, rows, cols]
-        frames.append(
-            Frame(
-                date=fr.date,
-                image=crop(fr.image, region),
-                cloud_fraction=fr.cloud_fraction,
-                truth=truth,
-                external_posterior=posterior,
-            )
-        )
-    return ImageStack(tuple(frames))
+    """Each frame's `Frame.window` on ``region``: images, truth and posterior alike."""
+    if stack.frames:
+        _check_region(region, stack.shape)
+    return ImageStack(tuple(fr.window(*region.slices()) for fr in stack.frames))
 
 
 def bias_correct(stack: ImageStack, region: ReferenceRegion) -> ImageStack:

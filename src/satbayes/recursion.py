@@ -9,21 +9,23 @@ update's normalization cancels, so that division is not done.
 
 All update arithmetic is one class-major kernel, `_Kernel`, on (K, n)
 float64 arrays written in place, normalized by `core` as the engines
-are. `FrameStep` owns the filter state for `classify_stack`,
-`timing_bench` and `epsilon_sweep`. Pixels are independent, so it
-works through each date in row tiles of about 32k pixels, which stay
-in cache, on one worker thread per CPU of the process's affinity mask.
-It validates each tile's (K, n) model output, and only once all passed
-updates one belief per transition model in place: a sweep over E
-transition probabilities is a bank of E filters sharing one model
-evaluation. No result depends on the tiling or the worker count. The
-filter needs only the previous date's belief: `classify_stack` hands
-each date's (K, N) posteriors to a per-frame sink, and collects them
-into float64 cubes only when the caller passes none. The public
-`generative_update`, `discriminative_update` and `regularize` take
-(..., K) arrays and run the same arithmetic on a transposed (K, M)
-copy; the updates check its evidence with the frame step's own check,
-`_evidence_fault`.
+are. `FrameStep` owns the filter state and its workers for
+`classify_stack`, `timing_bench` and `epsilon_sweep`, each one ``with``
+block over it. Pixels are independent, so it works through each date
+in row tiles of about 32k pixels, which stay in cache, on one worker
+per CPU of the process's affinity mask: the calling thread and a pool
+that the block shuts down. The model sees a tile as a `Frame.window`
+of its rows. It validates each tile's (K, n) model output, and only
+once all passed updates one belief per transition model in place: a
+sweep over E transition probabilities is a bank of E filters sharing
+one model evaluation. No result depends on the tiling or the worker
+count. The filter needs only the previous date's belief:
+`classify_stack` hands each date's (K, N) posteriors to a per-frame
+sink, and collects them into float64 cubes only when the caller passes
+none. The public `generative_update`, `discriminative_update` and
+`regularize` take (..., K) arrays and run the same arithmetic on a
+transposed (K, M) copy; the updates check its evidence with the frame
+step's own check, `_evidence_fault`.
 """
 
 from __future__ import annotations
@@ -238,46 +240,6 @@ def _workers() -> int:
     return os.cpu_count() or 1
 
 
-class _TilePool:
-    """The calling thread and ``workers - 1`` pool threads, stopped by ``with``.
-
-    ``map(task, tiles)`` runs ``task(w, i)`` for every tile i, worker w taking
-    tiles w, w + W, ... (W = min(workers, tiles)); once all are done, the
-    first worker's error, if any, propagates.
-    """
-
-    def __init__(self, workers: int) -> None:
-        self.workers = workers
-        self._threads = None
-        if workers > 1:
-            from concurrent.futures import ThreadPoolExecutor  # not at CLI import time
-
-            self._threads = ThreadPoolExecutor(workers - 1)
-
-    def map(self, task: Callable[[int, int], object], tiles: int) -> None:
-        count = min(self.workers, tiles)
-
-        def share(w: int) -> None:
-            for i in range(w, tiles, count):
-                task(w, i)
-
-        futures = [self._threads.submit(share, w) for w in range(1, count)]
-        try:
-            share(0)
-        finally:
-            for future in futures:
-                future.exception()  # waits; a worker's error is raised below
-        for future in futures:
-            future.result()
-
-    def __enter__(self) -> _TilePool:
-        return self
-
-    def __exit__(self, *exc: object) -> None:
-        if self._threads is not None:
-            self._threads.shutdown()
-
-
 class FrameModel(Protocol):
     """Instantaneous classifier usable by `classify_stack`.
 
@@ -287,8 +249,8 @@ class FrameModel(Protocol):
     provide ``frame_likelihood`` with the same shape holding
     class-conditional densities. Any real dtype and memory layout is
     accepted; `FrameStep` reads the values as float64. The recursion
-    calls them on frames that each hold one band of a date's rows, from
-    several threads at once.
+    calls them on `Frame.window` views of a date's rows, from several
+    threads at once.
     """
 
     @property
@@ -346,24 +308,22 @@ class FrameStep:
     be a function from a slice of rows to their (K, n) output.
 
     The N pixels are rows of ``width``, stepped in the row tiles
-    ``rows`` of about `_TILE_PIXELS` pixels on ``pool`` (default: serial).
-    Every tile is checked first, then, only if all passed, each worker
-    advances its tiles with its own tile-sized `_Kernel`. A model's error
-    propagates as it is. An output of another shape is a ShapeError; in
-    one of the right shape, a non-finite, then a negative entry in any
-    tile is a ValueError, an all-zero pixel column a
-    DegenerateLikelihoodError and an overflowing column sum a ValueError.
-    Given the frame's ``date``, the message starts with its ISO form and
-    the error keeps its type, and the state is left as it was.
+    ``rows`` of about `_TILE_PIXELS` pixels by `map`, on one worker per
+    CPU this process may run on and at most one per tile: the calling
+    thread and, if there are more, the threads of a pool that the
+    step's ``with`` block shuts down. Every tile is checked first, then,
+    only if all passed, each worker advances its tiles with its own
+    tile-sized `_Kernel`. A model's error propagates as it is. An output
+    of another shape is a ShapeError; in one of the right shape, a
+    non-finite, then a negative entry in any tile is a ValueError, an
+    all-zero pixel column a DegenerateLikelihoodError and an overflowing
+    column sum a ValueError. Given the frame's ``date``, the message
+    starts with its ISO form and the error keeps its type, and the state
+    is left as it was.
     """
 
     def __init__(
-        self,
-        transitions: Sequence[TransitionModel],
-        lam: float,
-        pixels: int,
-        width: int = 1,
-        pool: _TilePool | None = None,
+        self, transitions: Sequence[TransitionModel], lam: float, pixels: int, width: int = 1
     ) -> None:
         _check_lam(lam)
         self.transitions = tuple(transitions)
@@ -375,20 +335,50 @@ class FrameStep:
             raise ShapeError(f"{pixels} pixels do not make rows of {width}")
         self.lam = lam
         self._shape = (k, pixels)
-        self._pool = pool or _TilePool(1)
         height, rows = pixels // width, max(1, _TILE_PIXELS // width)
         self.rows = [slice(r, min(r + rows, height)) for r in range(0, max(height, 1), rows)]
         self._cols = [slice(r.start * width, r.stop * width) for r in self.rows]
-        workers = min(self._pool.workers, len(self.rows))
+        workers = min(_workers(), len(self.rows))
         self._kernels = [_Kernel(k, self._cols[0].stop) for _ in range(workers)]
         self.inst = np.empty((k, pixels))
         self.post = np.empty((len(self.transitions), k, pixels))
         self.labels = np.empty((1 + len(self.transitions), pixels), dtype=np.uint8)
         self.reset()
+        self._threads = None
+        if workers > 1:
+            from concurrent.futures import ThreadPoolExecutor  # not at CLI import time
+
+            self._threads = ThreadPoolExecutor(workers - 1)
+
+    def __enter__(self) -> FrameStep:
+        return self
+
+    def __exit__(self, *exc: object) -> None:
+        if self._threads is not None:
+            self._threads.shutdown()
 
     def reset(self) -> None:
         """Start every belief again from the uniform prior."""
         self.post.fill(1.0 / self.post.shape[1])
+
+    def map(self, task: Callable[[int, int], object]) -> None:
+        """Run ``task(w, i)`` for every tile i, worker w taking tiles w, w + W, ...
+        with the calling thread as worker 0; once all are done, the first
+        worker's error, if any, propagates."""
+        count, tiles = len(self._kernels), len(self.rows)
+
+        def share(w: int) -> None:
+            for i in range(w, tiles, count):
+                task(w, i)
+
+        futures = [self._threads.submit(share, w) for w in range(1, count)]
+        try:
+            share(0)
+        finally:
+            for future in futures:
+                future.exception()  # waits; a worker's error is raised below
+        for future in futures:
+            future.result()
 
     def __call__(
         self, raw: np.ndarray | Callable[[slice], np.ndarray], date: dt.date | None = None
@@ -414,10 +404,10 @@ class FrameStep:
             if fault < len(_FAULTS):
                 faults.append((fault, i, _fault_error(fault)))
 
-        self._pool.map(check, len(self.rows))
+        self.map(check)
         if faults:
             _raise_dated(min(faults)[2], date)
-        self._pool.map(lambda w, i: self._advance(w, outputs[i], self._cols[i]), len(self.rows))
+        self.map(lambda w, i: self._advance(w, outputs[i], self._cols[i]))
 
     def _advance(self, w: int, raw: np.ndarray, cols: slice) -> None:
         kernel, inst = self._kernels[w], self.inst[:, cols]
@@ -458,7 +448,7 @@ def classify_stack(
     the returned float64 cubes; with one, the cube fields are None and
     only the uint8 labels are kept. A bad model output raises the error
     of `FrameStep`, prefixed with the frame's ISO date. The model is
-    evaluated on the `FrameStep` row tiles, as `Frame` row bands, by one
+    evaluated on the `FrameStep` row tiles, as `Frame` windows, by one
     worker thread per CPU this process may run on, so its frame method
     must be safe to call from several threads at once.
     """
@@ -481,10 +471,9 @@ def classify_stack(
             cubes[1, t] = inst
 
     labels = np.empty((t_total, 2, n), dtype=np.uint8)  # instantaneous, recursive
-    with _TilePool(_workers()) as pool:
-        step = FrameStep([transition], lam, n, width, pool)
+    with FrameStep([transition], lam, n, width) as step:
         for t, frame in enumerate(stack.frames):
-            step(lambda rows: evaluate(frame._row_band(rows)), frame.date)
+            step(lambda rows: evaluate(frame.window(rows)), frame.date)
             labels[t] = step.labels
             sink(t, step.inst, step.post[0])
 

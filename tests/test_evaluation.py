@@ -79,6 +79,13 @@ class TestConfusionMatrix:
             with pytest.raises(EvaluationError, match=f"^{re.escape(message)}$"):
                 score(np.array(pred), np.array(truth))
 
+    def test_255_classes_match_a_scatter_count(self):
+        rng = np.random.default_rng(30)
+        pred, truth = rng.integers(0, 255, size=(2, 64, 64), dtype=np.uint8)
+        expected = np.zeros((255, 255), dtype=np.int64)
+        np.add.at(expected, (truth.ravel(), pred.ravel()), 1)
+        assert_array_equal(confusion_matrix(pred, truth, 255), expected)
+
     def test_integral_float_labels_are_counted(self):
         matrix = confusion_matrix(np.array([0.0, 1.0, 1.0]), np.array([0.0, 0.0, 1.0]), 2)
         assert_array_equal(matrix, [[1, 1], [0, 1]])

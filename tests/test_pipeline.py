@@ -27,6 +27,7 @@ from satbayes.pipeline import (
     ReferenceRegion,
     StackManifest,
     bias_correct,
+    crop,
     crop_stack,
     filter_frames,
     load_stack,
@@ -646,6 +647,35 @@ class TestCrop:
         region = ReferenceRegion(x=1, y=0, width=2, height=3)
         cropped = crop_stack(stack, region)
         assert_array_equal(cropped.frames[0].truth.labels, truth[0:3, 1:3])
+
+
+    def test_column_window_keeps_truth_and_posterior_contiguous(self):
+        rng = np.random.default_rng(8)
+        h, w = 5, 6
+        frames = []
+        for t in range(2):
+            post = rng.uniform(0.1, 1.0, size=(3, h, w))
+            frames.append(Frame(
+                date=date_of(t),
+                image=MultibandImage(("green", "swir1"), rng.uniform(size=(2, h, w))),
+                truth=LabelRaster(rng.integers(0, 3, size=(h, w)), 3),
+                external_posterior=post / post.sum(axis=0),
+            ))
+        stack = ImageStack(tuple(frames))
+        region = ReferenceRegion(x=1, y=0, width=w - 2, height=h)
+        cropped = crop_stack(stack, region)
+        cols = slice(1, w - 1)
+        for fr, cut in zip(stack.frames, cropped.frames):
+            labels, post = cut.truth.labels, cut.external_posterior
+            for got in (labels, post):
+                assert got.flags.c_contiguous and not got.flags.writeable
+            assert_array_equal(labels, fr.truth.labels[:, cols])
+            assert_array_equal(post, fr.external_posterior[:, :, cols])
+            assert (cut.date, cut.truth.num_classes) == (fr.date, 3)
+            want = crop(fr.image, region)
+            assert cut.image.bands == want.bands
+            assert_array_equal(cut.image.data, want.data)
+            assert_array_equal(cut.image.values(), want.values())
 
 
 class TestBiasCorrect:

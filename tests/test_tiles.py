@@ -21,7 +21,7 @@ from satbayes.classifiers import (
 )
 from satbayes.core import Frame, ImageStack, LabelRaster, MultibandImage, build_transition_model
 from satbayes.errors import DegenerateLikelihoodError
-from satbayes.evaluation import epsilon_sweep
+from satbayes.evaluation import epsilon_sweep, timing_bench
 from satbayes.recursion import FrameStep, RecursionMode, classify_stack
 
 BANDS = ("nir", "red")
@@ -171,8 +171,7 @@ class TestTileErrors:
         bad = rng.uniform(0.01, 1.0, size=(K, pixels))
         bad[:, 5 * 7 * WIDTH + 2] = 0.0  # one all-zero pixel column in tile 5
         transitions = [build_transition_model(K, e) for e in GRID]
-        with recursion._TilePool(recursion._workers()) as pool:
-            step = FrameStep(transitions, 0.8, pixels, WIDTH, pool)
+        with FrameStep(transitions, 0.8, pixels, WIDTH) as step:
             step(good, date_of(0))
             before = [a.tobytes() for a in (step.inst, step.post, step.labels)]
             with pytest.raises(DegenerateLikelihoodError, match=r"^2021-01-15: all-zero"):
@@ -180,11 +179,12 @@ class TestTileErrors:
             assert [a.tobytes() for a in (step.inst, step.post, step.labels)] == before
 
 
-class TestTilePool:
+class TestTileWorkers:
     def test_workers_follow_the_cpu_affinity(self):
         assert recursion._workers() == len(os.sched_getaffinity(0))
 
-    def test_error_waits_for_every_worker(self):
+    def test_error_waits_for_every_worker(self, monkeypatch):
+        _tiled(monkeypatch, 1, 2)
         done = []
 
         def task(w, i):
@@ -196,9 +196,9 @@ class TestTilePool:
         raised = []
 
         def run():
-            with recursion._TilePool(2) as pool:
+            with FrameStep([build_transition_model(K, 0.05)], 0.8, 4 * WIDTH, WIDTH) as step:
                 try:
-                    pool.map(task, 4)
+                    step.map(task)
                 except RuntimeError as exc:
                     raised.append((str(exc), sorted(done)))
 
@@ -207,3 +207,33 @@ class TestTilePool:
         runner.join(timeout=60)
         assert not runner.is_alive()
         assert raised == [("tile 0", [1, 3])]
+
+    @pytest.mark.parametrize("fails", [False, True], ids=["returns", "raises"])
+    def test_no_thread_outlives_a_call(self, scene, monkeypatch, fails):
+        stack, models = scene
+
+        class TileFailure:
+            num_classes = K
+
+            def frame_posterior(self, frame):
+                # whole frames pass, so timing_bench fails inside its step
+                if fails and frame.image.shape[0] < HEIGHT:
+                    raise RuntimeError("tile")
+                return models["external"].frame_posterior(frame)
+
+        _tiled(monkeypatch, 7, 2)
+        model, mode = TileFailure(), RecursionMode.DISCRIMINATIVE
+        trans = build_transition_model(K, 0.05)
+        calls = [
+            lambda: classify_stack(stack, model, trans, 0.8, mode),
+            lambda: epsilon_sweep(stack, {"m": model}, {"m": mode}, 0.8, GRID),
+            lambda: timing_bench(stack, {"m": model}, {"m": mode}, trans, 0.8, 3),
+        ]
+        for call in calls:
+            before = threading.active_count()
+            if fails:
+                with pytest.raises(RuntimeError, match="^tile$"):
+                    call()
+            else:
+                call()
+            assert threading.active_count() == before
