@@ -24,12 +24,12 @@ finite and read-only by construction, so the engines do not check its
 pixels again; (N, B) pixel rows are the fits' input only. The built-in
 engines return a new C-ordered float64 buffer on every call, summed
 and normalized over classes by `core`'s column helpers, as in the
-recursion. No engine or fit keeps work arrays between calls: the
-recursion evaluates each date in row tiles of about 32k pixels, where
-fresh arrays cost nothing measurable, and one instance serves all of
-its worker threads at once. Model files use a small versioned binary
-container that round-trips parameters bit for bit; loading checks them
-as the constructors do.
+recursion. Nothing in the package keeps work arrays between calls, so
+no engine or fit does: the recursion evaluates each date in row tiles
+of about 32k pixels, where fresh arrays cost nothing measurable, and
+one instance serves all of its worker threads at once. Model files use
+a small versioned binary container that round-trips parameters bit for
+bit; loading checks them as the constructors do.
 """
 
 from __future__ import annotations
@@ -568,10 +568,9 @@ class LogisticClassifier:
         std = np.subtract(x, self.feature_mean, out=aug[:, :-1])
         np.divide(std, self.feature_std, out=std)
         scores = (aug @ self.weights.T).T.copy()
-        row = np.max(scores, axis=0)
-        scores -= row
+        scores -= np.max(scores, axis=0)
         np.exp(scores, out=scores)
-        return normalize_columns(scores, row)
+        return normalize_columns(scores)
 
 
 def fit_logistic_classifier(

@@ -64,48 +64,41 @@ def validate_pmf(values: np.ndarray) -> np.ndarray:
     return arr
 
 
-def column_sums(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def column_sums(a: np.ndarray) -> np.ndarray:
     """Sum an (R, N) array over its R rows in numpy's pairwise order -> (N,).
 
     numpy sums a contiguous run of R values left to right when R < 8,
     in eight interleaved partial sums when 8 <= R <= 128, and by halves
     above that. Following the same order here keeps each column's sum
     bit-identical to summing the rows of the C-ordered (N, R) transpose,
-    while every step runs over whole rows of N values. The sum goes
-    into ``out`` when given; for R >= 8 the partial sums are allocated.
+    while every step runs over whole rows of N values.
     """
     r = a.shape[0]
     if r < 8:
-        return np.sum(a, axis=0, out=out)
+        return np.sum(a, axis=0)
     if r > 128:
         half = r // 2 - (r // 2) % 8
-        return np.add(column_sums(a[:half]), column_sums(a[half:]), out=out)
+        return column_sums(a[:half]) + column_sums(a[half:])
     stop = r - r % 8
     part = a[:8].copy()
     for i in range(8, stop, 8):
         part += a[i : i + 8]
     part[0::2] += part[1::2]  # (p0 + p1), (p2 + p3), (p4 + p5), (p6 + p7)
     part[0::4] += part[2::4]  # ((p0 + p1) + (p2 + p3)), ((p4 + p5) + (p6 + p7))
-    out = np.add(part[0], part[4], out=out)
+    out = part[0] + part[4]
     for row in a[stop:]:
         out += row
     return out
 
 
-def normalize_columns(x: np.ndarray, total: np.ndarray | None = None) -> np.ndarray:
-    """Divide each (K, N) column by its `column_sums` in place; returns ``x``.
-
-    ``total`` is an optional (N,) buffer for the sums.
-    """
-    return np.divide(x, column_sums(x, total), out=x)
+def normalize_columns(x: np.ndarray) -> np.ndarray:
+    """Divide each (K, N) column by its `column_sums` in place; returns ``x``."""
+    return np.divide(x, column_sums(x), out=x)
 
 
-def floor_normalize_columns(
-    x: np.ndarray, out: np.ndarray | None = None, total: np.ndarray | None = None
-) -> np.ndarray:
+def floor_normalize_columns(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Floor at PROB_FLOOR, then `normalize_columns`; in place unless ``out``."""
-    floored = np.maximum(x, PROB_FLOOR, out=x if out is None else out)
-    return normalize_columns(floored, total)
+    return normalize_columns(np.maximum(x, PROB_FLOOR, out=x if out is None else out))
 
 
 # ============================================================

@@ -47,10 +47,11 @@ def confusion_matrix(
     pred: LabelRaster | np.ndarray, truth: LabelRaster | np.ndarray, num_classes: int
 ) -> np.ndarray:
     """Truth-by-prediction counts; a label outside [0, num_classes) is an error."""
-    p = _as_labels(pred, "prediction").ravel()
-    t = _as_labels(truth, "truth").ravel()
+    p = _as_labels(pred, "prediction")
+    t = _as_labels(truth, "truth")
     if p.shape != t.shape:
         raise ShapeError(f"prediction shape {p.shape} != truth shape {t.shape}")
+    p, t = p.ravel(), t.ravel()
     for what, labels in (("prediction", p), ("truth", t)):
         if labels.size and (labels.min() < 0 or labels.max() >= num_classes):
             bad = labels[(labels < 0) | (labels >= num_classes)][0]
@@ -256,7 +257,7 @@ def timing_bench(
     Model outputs are computed once outside the timed region, so the
     recursion numbers isolate the recursion step. One `FrameStep` per
     algorithm is `reset` before each repetition, so repetitions reuse its
-    buffers. The baseline evaluations and the steps run on the step's
+    filter state. The baseline evaluations and the steps run on the step's
     own row tiles and workers, as in `classify_stack`. Medians over
     ``repetitions`` (>= 3) keep scheduler noise out.
     """
@@ -276,7 +277,7 @@ def timing_bench(
         step_samples = np.empty((repetitions, len(outputs)))
         with FrameStep([transition], lam, pixels, width) as step:
 
-            def baseline(w: int, i: int) -> None:
+            def baseline(i: int) -> None:
                 evaluate(first.window(step.rows[i]))
 
             step.map(baseline)  # warmup

@@ -7,25 +7,27 @@ posteriors (discriminative mode) go through one update: dividing a
 posterior by the uniform class marginal scales it by K, which the
 update's normalization cancels, so that division is not done.
 
-All update arithmetic is one class-major kernel, `_Kernel`, on (K, n)
-float64 arrays written in place, normalized by `core` as the engines
-are. `FrameStep` owns the filter state and its workers for
-`classify_stack`, `timing_bench` and `epsilon_sweep`, each one ``with``
-block over it. Pixels are independent, so it works through each date
-in row tiles of about 32k pixels, which stay in cache, on one worker
-per CPU of the process's affinity mask: the calling thread and a pool
-that the block shuts down. The model sees a tile as a `Frame.window`
-of its rows. It validates each tile's (K, n) model output, and only
-once all passed updates one belief per transition model in place: a
-sweep over E transition probabilities is a bank of E filters sharing
-one model evaluation. No result depends on the tiling or the worker
-count. The filter needs only the previous date's belief:
-`classify_stack` hands each date's (K, N) posteriors to a per-frame
-sink, and collects them into float64 cubes only when the caller passes
-none. The public `generative_update`, `discriminative_update` and
-`regularize` take (..., K) arrays and run the same arithmetic on a
-transposed (K, M) copy; the updates check its evidence with the frame
-step's own check, `_evidence_fault`.
+All update arithmetic is three class-major functions, `_smooth`,
+`_update` and `_decide`, on (K, n) float64 arrays, normalized by `core`
+as the engines are. Nothing in the package keeps work arrays between
+calls: they allocate theirs per call, and `FrameStep` holds only the
+filter state and its workers for `classify_stack`, `timing_bench` and
+`epsilon_sweep`, each one ``with`` block over it. Pixels are
+independent, so it works through each date in row tiles of about 32k
+pixels, which stay in cache, on one worker per CPU of the process's
+affinity mask: the calling thread and a pool that the block shuts
+down. The model sees a tile as a `Frame.window` of its rows. It
+validates each tile's (K, n) model output, and only once all passed
+updates one belief per transition model in place: a sweep over E
+transition probabilities is a bank of E filters sharing one model
+evaluation. No result depends on the tiling or the worker count. The
+filter needs only the previous date's belief: `classify_stack` hands
+each date's (K, N) posteriors to a per-frame sink, and collects them
+into float64 cubes only when the caller passes none. The public
+`generative_update`, `discriminative_update` and `regularize` take
+(..., K) arrays and run the same functions on a transposed (K, M)
+copy; the updates check its evidence with the frame step's own check,
+`_evidence_fault`.
 """
 
 from __future__ import annotations
@@ -95,11 +97,10 @@ def generative_update(
     shape = np.broadcast_shapes(likelihood.shape, prev.shape)
     weights = _class_major(likelihood, shape)
     belief = _class_major(prev, shape)
-    kernel = _Kernel(*weights.shape)
-    fault = _evidence_fault(weights, kernel.total)
+    fault = _evidence_fault(weights)
     if fault < len(_FAULTS):
         raise _fault_error(fault)
-    kernel.update(weights, belief, transition)
+    _update(weights, belief, transition)
     return belief.T.reshape(shape)
 
 
@@ -128,9 +129,7 @@ def regularize(pmf: np.ndarray, lam: float) -> np.ndarray:
     arr = validate_pmf(pmf)
     if lam == 0.0:
         return arr
-    pmf_cm = _class_major(arr, arr.shape)
-    pmf_cm += lam
-    return normalize_columns(pmf_cm).T.reshape(arr.shape)
+    return _smooth(_class_major(arr, arr.shape), lam).T.reshape(arr.shape)
 
 
 def _check_lam(lam: float) -> None:
@@ -152,9 +151,9 @@ _FAULTS = (
 )
 
 
-def _evidence_fault(raw: np.ndarray, total: np.ndarray) -> int:
+def _evidence_fault(raw: np.ndarray) -> int:
     """Index in `_FAULTS` of the first fault of the (K, n) float64 ``raw``,
-    len(_FAULTS) if every column is usable evidence; ``total`` is an (n,) buffer."""
+    len(_FAULTS) if every column is usable evidence."""
     # Whole-array reductions prove every column finite, positive and far
     # from overflowing its sum (K terms below max / 2K); the initial values
     # let an input of zero columns pass. Otherwise the exact checks find
@@ -167,7 +166,7 @@ def _evidence_fault(raw: np.ndarray, total: np.ndarray) -> int:
     if lo < 0.0:
         return 1
     with np.errstate(over="ignore"):  # an overflowing sum is the last fault
-        total = column_sums(raw, total)  # finite entries >= 0
+        total = column_sums(raw)  # finite entries >= 0
     return 2 if total.min() == 0.0 else 3 if total.max() == np.inf else len(_FAULTS)
 
 
@@ -176,54 +175,36 @@ def _fault_error(fault: int) -> Exception:
     return error(message)
 
 
-class _Kernel:
-    """The update arithmetic, on class-major (K, n) float64 arrays.
+# The update arithmetic, on class-major (K, n) float64 arrays: row c
+# holds class c for n pixels, so each operation is one vectorized pass
+# per class. Columns are normalized by `core.normalize_columns`, so they
+# round exactly like a normalization over the last axis of the (n, K)
+# layout.
 
-    Row c holds class c for n pixels, so each operation is one
-    vectorized pass per class, written with ``out=`` into the caller's
-    arrays or the first n of the ``pixels`` columns of this kernel's
-    scratch. Columns are normalized by
-    `core.normalize_columns` into the ``total`` row, so they round
-    exactly like a normalization over the last axis of the (n, K) layout.
+
+def _smooth(pmf: np.ndarray, lam: float) -> np.ndarray:
+    """`regularize` (``lam`` > 0) of every column of ``pmf``, into a new array."""
+    return normalize_columns(np.add(pmf, lam))
+
+
+def _update(weights: np.ndarray, belief: np.ndarray, transition: TransitionModel) -> None:
+    """``belief`` = floor-normalized weights * M^T belief, in place."""
+    np.multiply(np.matmul(transition.matrix.T, belief), weights, out=belief)
+    floor_normalize_columns(belief)
+
+
+def _decide(pmf: np.ndarray, labels: np.ndarray) -> None:
+    """MAP class per column into uint8 ``labels``; ties -> lowest index.
+
+    Equals ``argmax(axis=0)`` without its strided per-pixel scan:
+    where class c beats the running maximum, add (c - label).
     """
-
-    def __init__(self, num_classes: int, pixels: int) -> None:
-        self.scratch = np.empty((num_classes, pixels))
-        self.prior = np.empty((num_classes, pixels))
-        self.total = np.empty(pixels)
-        self.greater = np.empty(pixels, dtype=np.bool_)
-        self.label_step = np.empty(pixels, dtype=np.uint8)
-
-    def smooth(self, pmf: np.ndarray, lam: float) -> np.ndarray:
-        """`regularize` (``lam`` > 0) of every column of ``pmf``, into scratch."""
-        n = pmf.shape[1]
-        np.add(pmf, lam, out=self.scratch[:, :n])
-        return normalize_columns(self.scratch[:, :n], total=self.total[:n])
-
-    def update(
-        self, weights: np.ndarray, belief: np.ndarray, transition: TransitionModel
-    ) -> None:
-        """``belief`` = floor-normalized weights * M^T belief, in place."""
-        prior = self.prior[:, : belief.shape[1]]
-        np.matmul(transition.matrix.T, belief, out=prior)
-        np.multiply(prior, weights, out=belief)
-        floor_normalize_columns(belief, total=self.total[: belief.shape[1]])
-
-    def decide(self, pmf: np.ndarray, labels: np.ndarray) -> None:
-        """MAP class per column into uint8 ``labels``; ties -> lowest index.
-
-        Equals ``argmax(axis=0)`` without its strided per-pixel scan:
-        where class c beats the running maximum, add (c - label).
-        """
-        n = pmf.shape[1]
-        best, step, greater = self.total[:n], self.label_step[:n], self.greater[:n]
-        labels.fill(0)
-        np.copyto(best, pmf[0])
-        for c in range(1, pmf.shape[0]):
-            np.greater(pmf[c], best, out=greater)
-            np.maximum(best, pmf[c], out=best)
-            np.multiply(np.subtract(c, labels, out=step), greater, out=step)
-            np.add(labels, step, out=labels)
+    labels.fill(0)
+    best = pmf[0].copy()
+    for c in range(1, pmf.shape[0]):
+        greater = pmf[c] > best
+        np.maximum(best, pmf[c], out=best)
+        labels += (c - labels) * greater
 
 
 # ============================================================
@@ -296,30 +277,30 @@ class FrameStep:
     """The per-frame recursion step, sole owner of the filter state.
 
     `classify_stack` and `timing_bench` run it with one transition
-    model, `epsilon_sweep` with one per grid value; all share the class
-    count K, which the uint8 labels cap at 255 (InvalidClassCountError
-    above). Its class-major arrays are ``inst`` (K, N), the
-    floor-normalized instantaneous posterior; ``post`` (E, K, N), one
-    belief per transition model, uniform after construction or `reset`;
-    and the MAP ``labels`` (1 + E, N), row 0 from ``inst`` and row 1 + e
-    from ``post[e]``. ``step(raw, date)`` floor-normalizes one frame's
-    (K, N) evidence, likelihoods or posteriors alike, into ``inst``,
-    smooths it and updates each ``post[e]`` in place; ``raw`` may also
-    be a function from a slice of rows to their (K, n) output.
+    model, `epsilon_sweep` with one per grid value; all must share the
+    class count K (a ConfigError otherwise, or without any), which the
+    uint8 labels cap at 255 (InvalidClassCountError above). Its state is
+    three class-major arrays: ``inst`` (K, N), the floor-normalized
+    instantaneous posterior; ``post`` (E, K, N), one belief per
+    transition model, uniform after construction or `reset`; and the
+    MAP ``labels`` (1 + E, N), row 0 from ``inst`` and row 1 + e from
+    ``post[e]``. ``step(raw, date)`` floor-normalizes one frame's (K, N)
+    evidence, likelihoods or posteriors alike, into ``inst``, smooths it
+    and updates each ``post[e]`` in place; ``raw`` may also be a
+    function from a slice of rows to their (K, n) output.
 
     The N pixels are rows of ``width``, stepped in the row tiles
     ``rows`` of about `_TILE_PIXELS` pixels by `map`, on one worker per
     CPU this process may run on and at most one per tile: the calling
     thread and, if there are more, the threads of a pool that the
     step's ``with`` block shuts down. Every tile is checked first, then,
-    only if all passed, each worker advances its tiles with its own
-    tile-sized `_Kernel`. A model's error propagates as it is. An output
-    of another shape is a ShapeError; in one of the right shape, a
-    non-finite, then a negative entry in any tile is a ValueError, an
-    all-zero pixel column a DegenerateLikelihoodError and an overflowing
-    column sum a ValueError. Given the frame's ``date``, the message
-    starts with its ISO form and the error keeps its type, and the state
-    is left as it was.
+    only if all passed, advanced. A model's error propagates as it is.
+    An output of another shape is a ShapeError; in one of the right
+    shape, a non-finite, then a negative entry in any tile is a
+    ValueError, an all-zero pixel column a DegenerateLikelihoodError and
+    an overflowing column sum a ValueError. Given the frame's ``date``,
+    the message starts with its ISO form and the error keeps its type,
+    and the state is left as it was.
     """
 
     def __init__(
@@ -327,7 +308,10 @@ class FrameStep:
     ) -> None:
         _check_lam(lam)
         self.transitions = tuple(transitions)
-        k = self.transitions[0].num_classes
+        counts = [t.num_classes for t in self.transitions]
+        if len(set(counts)) != 1:
+            raise ConfigError(f"transition models must share one class count, got {counts}")
+        k = counts[0]
         if k > 255:
             raise InvalidClassCountError(f"at most 255 classes are supported, got {k}")
         width = max(width, 1)  # a frame without columns has no pixels
@@ -338,17 +322,16 @@ class FrameStep:
         height, rows = pixels // width, max(1, _TILE_PIXELS // width)
         self.rows = [slice(r, min(r + rows, height)) for r in range(0, max(height, 1), rows)]
         self._cols = [slice(r.start * width, r.stop * width) for r in self.rows]
-        workers = min(_workers(), len(self.rows))
-        self._kernels = [_Kernel(k, self._cols[0].stop) for _ in range(workers)]
         self.inst = np.empty((k, pixels))
         self.post = np.empty((len(self.transitions), k, pixels))
         self.labels = np.empty((1 + len(self.transitions), pixels), dtype=np.uint8)
         self.reset()
+        self._workers = min(_workers(), len(self.rows))
         self._threads = None
-        if workers > 1:
+        if self._workers > 1:
             from concurrent.futures import ThreadPoolExecutor  # not at CLI import time
 
-            self._threads = ThreadPoolExecutor(workers - 1)
+            self._threads = ThreadPoolExecutor(self._workers - 1)
 
     def __enter__(self) -> FrameStep:
         return self
@@ -361,15 +344,15 @@ class FrameStep:
         """Start every belief again from the uniform prior."""
         self.post.fill(1.0 / self.post.shape[1])
 
-    def map(self, task: Callable[[int, int], object]) -> None:
-        """Run ``task(w, i)`` for every tile i, worker w taking tiles w, w + W, ...
+    def map(self, task: Callable[[int], object]) -> None:
+        """Run ``task(i)`` for every tile i, worker w taking tiles w, w + W, ...
         with the calling thread as worker 0; once all are done, the first
         worker's error, if any, propagates."""
-        count, tiles = len(self._kernels), len(self.rows)
+        count, tiles = self._workers, len(self.rows)
 
         def share(w: int) -> None:
             for i in range(w, tiles, count):
-                task(w, i)
+                task(i)
 
         futures = [self._threads.submit(share, w) for w in range(1, count)]
         try:
@@ -389,7 +372,7 @@ class FrameStep:
             _raise_dated(ShapeError(message), date)
         outputs, faults = [None] * len(self.rows), []  # faults: (rank, tile, error)
 
-        def check(w: int, i: int) -> None:
+        def check(i: int) -> None:
             # a model's own error propagates as it is
             out = raw(self.rows[i]) if whole is None else whole[:, self._cols[i]]
             shape = (self._shape[0], self._cols[i].stop - self._cols[i].start)
@@ -400,23 +383,22 @@ class FrameStep:
             except (ValueError, SatBayesError) as exc:
                 faults.append((-1, i, exc))
                 return
-            fault = _evidence_fault(out, self._kernels[w].total[: shape[1]])
+            fault = _evidence_fault(out)
             if fault < len(_FAULTS):
                 faults.append((fault, i, _fault_error(fault)))
 
         self.map(check)
         if faults:
             _raise_dated(min(faults)[2], date)
-        self.map(lambda w, i: self._advance(w, outputs[i], self._cols[i]))
+        self.map(lambda i: self._advance(outputs[i], self._cols[i]))
 
-    def _advance(self, w: int, raw: np.ndarray, cols: slice) -> None:
-        kernel, inst = self._kernels[w], self.inst[:, cols]
-        floor_normalize_columns(raw, inst, kernel.total[: raw.shape[1]])
-        kernel.decide(inst, self.labels[0, cols])
-        weights = kernel.smooth(inst, self.lam) if self.lam else inst
+    def _advance(self, raw: np.ndarray, cols: slice) -> None:
+        inst = floor_normalize_columns(raw, self.inst[:, cols])
+        _decide(inst, self.labels[0, cols])
+        weights = _smooth(inst, self.lam) if self.lam else inst
         for e, transition in enumerate(self.transitions):
-            kernel.update(weights, self.post[e, :, cols], transition)
-            kernel.decide(self.post[e, :, cols], self.labels[1 + e, cols])
+            _update(weights, self.post[e, :, cols], transition)
+            _decide(self.post[e, :, cols], self.labels[1 + e, cols])
 
 
 def _raise_dated(exc: Exception, date: dt.date | None) -> NoReturn:

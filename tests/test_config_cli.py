@@ -333,6 +333,11 @@ class TestShippedPresets:
         assert config.lam == lam
         assert config.mode is RecursionMode.DISCRIMINATIVE
 
+    @pytest.mark.parametrize("preset", sorted(PRESET_TABLE))
+    def test_preset_round_trips(self, preset):
+        config = parse_config(PRESET_DIR / f"{preset}.cfg")
+        assert parse_config_text(serialize_config(config)) == config
+
 
 # ============================================================
 # Synthetic stack generator contracts

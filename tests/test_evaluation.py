@@ -44,9 +44,22 @@ class TestConfusionMatrix:
         matrix = confusion_matrix(pred, truth, 2)
         assert_array_equal(matrix, [[1, 1], [1, 2]])
 
-    def test_shape_mismatch(self):
-        with pytest.raises(ShapeError):
-            confusion_matrix(np.zeros(3, dtype=int), np.zeros(4, dtype=int), 2)
+    # the transposed raster has the same six pixels, but none pairs up
+    @pytest.mark.parametrize(
+        ("pred", "truth"),
+        [
+            (np.zeros(3, dtype=int), np.zeros(4, dtype=int)),
+            (np.array([[0, 1, 0], [1, 0, 1]]), np.array([[0, 1], [0, 1], [0, 1]])),
+        ],
+        ids=["length", "transposed"],
+    )
+    def test_shape_mismatch(self, pred, truth):
+        message = f"prediction shape {pred.shape} != truth shape {truth.shape}"
+        message = f"^{re.escape(message)}$"
+        with pytest.raises(ShapeError, match=message):
+            confusion_matrix(pred, truth, 2)
+        with pytest.raises(ShapeError, match=message):
+            balanced_accuracy(pred, truth)
 
     @pytest.mark.parametrize(
         ("pred", "truth", "message"),

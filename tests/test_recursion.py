@@ -13,6 +13,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 import oracles
 from helpers import date_of, make_stack, random_pmfs
+from satbayes import recursion
 from satbayes.core import (
     PROB_FLOOR,
     TransitionModel,
@@ -658,6 +659,21 @@ class TestFrameStepClassCount:
             FrameStep(transitions, 0.8, 4)
 
 
+class TestFrameStepTransitionModels:
+    """A step needs transition models, all of one class count (ConfigError, exit 1)."""
+
+    def test_none_rejected(self):
+        with pytest.raises(ConfigError, match=r"one class count, got \[\]$") as raised:
+            FrameStep([], 0.8, 4)
+        assert raised.value.exit_code == 1
+
+    def test_mixed_class_counts_rejected(self):
+        transitions = [build_transition_model(k, 0.05) for k in (3, 3, 2)]
+        with pytest.raises(ConfigError, match=r"one class count, got \[3, 3, 2\]$") as raised:
+            FrameStep(transitions, 0.8, 4)
+        assert raised.value.exit_code == 1
+
+
 class TestFrameStepTransitionBank:
     """E transition models in one `FrameStep` each match an E = 1 run."""
 
@@ -774,6 +790,27 @@ class TestFrameStepState:
             [outputs[t] for t in kept], [self.DATES[t] for t in kept],
         )
         assert self._states(step, outputs[2:], self.DATES[2:]) == reference[1:]
+
+
+class TestFrameStepHoldsOnlyTheFilterState:
+    """No arrays but ``inst``, ``post`` and ``labels`` live in a `FrameStep`,
+    whatever its tiles and workers: its lists and tuples hold only sizes,
+    tile slices and transition models, no per-worker work arrays."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_only_state_arrays(self, monkeypatch, workers):
+        monkeypatch.setattr(recursion, "_TILE_PIXELS", 7)
+        monkeypatch.setattr(recursion, "_workers", lambda: workers)
+        transitions = [build_transition_model(3, e) for e in (0.02, 0.2)]
+        with FrameStep(transitions, 0.8, 49, 7) as step:
+            for raw in _scripted_outputs(np.random.default_rng(72), 2, 49, 3):
+                step(raw)
+        state = vars(step)
+        arrays = {name for name, value in state.items() if isinstance(value, np.ndarray)}
+        assert arrays == {"inst", "post", "labels"}
+        for name, value in state.items():
+            if isinstance(value, (list, tuple)):
+                assert all(isinstance(v, (int, slice, TransitionModel)) for v in value), name
 
 
 class TestFrameStepNormalization:

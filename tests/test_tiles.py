@@ -187,8 +187,8 @@ class TestTileWorkers:
         _tiled(monkeypatch, 1, 2)
         done = []
 
-        def task(w, i):
-            if w == 0:
+        def task(i):
+            if i % 2 == 0:  # worker 0's tiles
                 raise RuntimeError(f"tile {i}")
             time.sleep(0.05)
             done.append(i)
