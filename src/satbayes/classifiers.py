@@ -35,6 +35,7 @@ bit; loading checks them as the constructors do.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 import struct
 import warnings
@@ -144,6 +145,19 @@ def _frame_matrix(image: MultibandImage, bands: tuple[str, ...]) -> np.ndarray:
     return np.stack([image.band(b).ravel() for b in bands], axis=1)
 
 
+@functools.cache
+def _upper(size: int) -> tuple[np.ndarray, np.ndarray]:
+    """``np.triu_indices(size)`` as read-only arrays, built once per size."""
+    rows, cols = np.triu_indices(size)
+    rows.flags.writeable = cols.flags.writeable = False
+    return rows, cols
+
+
+# Training passes walk their N samples in blocks of this many, so that a
+# block's features and work arrays stay in a core's L2 cache.
+_FIT_BLOCK = 8192
+
+
 # ============================================================
 # index classifier
 # ============================================================
@@ -250,7 +264,7 @@ class GaussianMixture:
         R = L⁻¹, P = Rᵀ R and z = R (mean - center), a_m = [log w_m - (B log 2π
         + log det + zᵀz) / 2, Rᵀ z, -P_ii / 2 and -P_ij for i < j]. A covariance
         that is not positive definite raises LinAlgError."""
-        upper = np.triu_indices(self.num_bands)
+        upper = _upper(self.num_bands)
         chol = np.linalg.cholesky(self.covariances)
         root = np.linalg.inv(chol)
         z = (root @ (self.means - center)[:, :, np.newaxis])[:, :, 0]
@@ -297,7 +311,7 @@ def _features(xt: np.ndarray | list[np.ndarray], center: np.ndarray) -> np.ndarr
     with np.errstate(over="ignore"):
         for i in range(b):
             np.subtract(xt[i], center[i], out=out[1 + i])
-        for row, (i, j) in enumerate(zip(*np.triu_indices(b)), start=1 + b):
+        for row, (i, j) in enumerate(zip(*_upper(b)), start=1 + b):
             np.multiply(out[1 + i], out[1 + j], out=out[row])
     return out
 
@@ -343,24 +357,33 @@ def _fit_single_mixture(
 ) -> tuple[GaussianMixture, list[float]]:
     """EM fit of one class's mixture -> (model, mean-LL trace), on expected
     sufficient statistics (PRML §9.2-9.4) of features T centred at the class
-    mean: each E-step is `_mixture_terms`, each M-step one ``resp @ Tᵀ``
-    giving weights, means m and second moments S₂, with covariances S₂ - m mᵀ."""
+    mean. Each iteration is one pass over T's columns in blocks of
+    `_FIT_BLOCK`, in order: per block, the E-step `_mixture_terms` and the
+    block's ``resp @ Tᵀ``, added to the log-likelihood total and the (M, Q)
+    statistics. The M-step then gives weights, means m and second moments S₂,
+    with covariances S₂ - m mᵀ."""
     n, b = x.shape
-    upper = np.triu_indices(b)
+    upper = _upper(b)
     center = x.mean(axis=0)
     t = _features(x.T, center)
+    blocks = [t[:, i : i + _FIT_BLOCK] for i in range(0, n, _FIT_BLOCK)]
     base_cov = np.atleast_2d(np.cov(x.T, bias=True)) + COV_JITTER * np.eye(b)
     covs = np.repeat(base_cov[np.newaxis], components, axis=0)
     weights = np.full(components, 1.0 / components)
     mix = GaussianMixture(weights, _kmeans_pp_centers(x, components, rng), covs)
     trace: list[float] = []
     for _ in range(EM_MAX_ITER):
-        resp, sums, log_norm = _mixture_terms(mix._coefficients(center), t)
-        trace.append(float(np.mean(log_norm)))
+        coef = mix._coefficients(center)
+        total = 0.0
+        # per component: the sums of 1, d and vech(d dᵀ) weighted by responsibility
+        stats = np.zeros((components, len(t)))
+        for blk in blocks:
+            resp, sums, log_norm = _mixture_terms(coef, blk)
+            total += np.sum(log_norm)
+            stats += np.divide(resp, sums, out=resp) @ blk.T
+        trace.append(float(total / n))
         if _em_converged(trace):
             break
-        # per component: the sums of 1, d and vech(d dᵀ) weighted by responsibility
-        stats = np.divide(resp, sums, out=resp) @ t.T
         bulk = stats[:, :1] + 10.0 * np.finfo(np.float64).tiny
         moments = stats / bulk
         shift = moments[:, 1 : 1 + b]
@@ -414,6 +437,9 @@ def fit_mixture_classifier(
     (n_k, len(bands)); each is fitted with ``components`` components.
     Seeding is k-means++ driven by ``seed``; EM stops when the mean
     log-likelihood improves by less than 1e-6 or after 200 iterations.
+    Each iteration is one pass over the class's samples in blocks of
+    8192 (`_FIT_BLOCK`), taken in order; the cut depends only on the
+    sample count.
     Each class must supply at least 10 * components * len(bands)
     samples, all finite, whose summed squared distances fit in float64.
     Before any class is fitted, thinner classes raise
@@ -513,16 +539,34 @@ def logistic_loss_grad(
 
 def _logistic_hessian(features_aug: np.ndarray, probs: np.ndarray, l2: float) -> np.ndarray:
     """Exact Hessian of `logistic_loss_grad`'s loss at class probabilities
-    ``probs`` (K, N) -> (K(B+1), K(B+1)), one class pair at a time."""
+    ``probs`` (K, N) -> (K·D, K·D), D = B+1. Block (a, c) is the mean over the
+    samples x of ``p_a(δ_ac - p_c) x xᵀ``. For each run of `_FIT_BLOCK`
+    samples, in order, one GEMM of their vech(x xᵀ) rows (D(D+1)/2 of them)
+    and their curvature rows ``p_a(δ_ac - p_c)`` (K(K+1)/2 of them) adds to
+    the upper triangles of all blocks; no whole-N temporary is built."""
     (n, d), k = features_aug.shape, probs.shape[0]
-    hess = np.empty((k, d, k, d))
-    for a in range(k):
-        for c in range(a, k):
-            curvature = probs[a] * (float(a == c) - probs[c])  # (N,)
-            block = (features_aug.T * curvature) @ features_aug / n  # a (B+1, N) temporary
-            hess[a, :, c], hess[c, :, a] = block, block.T
-        hess[a, :-1, a, :-1] += 2.0 * l2 * np.eye(d - 1)
-    return hess.reshape(k * d, k * d)
+    rows, cols = _upper(d)
+    first, second = _upper(k)
+    acc = np.zeros((len(rows), len(first)))
+    for start in range(0, n, _FIT_BLOCK):
+        xt = features_aug[start : start + _FIT_BLOCK].T
+        p = probs[:, start : start + _FIT_BLOCK]
+        outer = np.empty((len(rows), xt.shape[1]))
+        for q, (i, j) in enumerate(zip(rows, cols)):
+            np.multiply(xt[i], xt[j], out=outer[q])
+        curvature = np.empty((len(first), xt.shape[1]))
+        for r, (a, c) in enumerate(zip(first, second)):
+            np.multiply(p[a], float(a == c) - p[c], out=curvature[r])
+        acc += outer @ curvature.T
+    acc /= n
+    blocks = np.empty((len(first), d, d))
+    blocks[:, rows, cols] = blocks[:, cols, rows] = acc.T
+    hess = np.empty((k, k, d, d))
+    hess[first, second] = hess[second, first] = blocks
+    hess = hess.transpose(0, 2, 1, 3).reshape(k * d, k * d)
+    penalty = np.arange(k * d) % d != d - 1  # the weights, not the biases
+    hess[penalty, penalty] += 2.0 * l2
+    return hess
 
 
 @dataclass(frozen=True)
@@ -585,8 +629,11 @@ def fit_logistic_classifier(
     Hessian; least-squares steps, as all biases may shift together) until
     the largest gradient entry falls below 1e-9 or after 1000 iterations,
     so refits on reordered samples agree to high precision. Training is
-    deterministic. A band whose standard deviation overflows float64 (as
-    it does when its mean does) is a NumericalError.
+    deterministic. A label that is not a whole class index in
+    [0, num_classes) and a band holding a NaN or inf sample are a
+    DataError naming the label or the bands; a finite band whose standard
+    deviation overflows float64 (as it does when its mean does) is a
+    NumericalError.
 
     Policy for a fit that does not converge: warn, never raise. At the
     iteration limit a RuntimeWarning gives the largest gradient entry,
@@ -604,6 +651,13 @@ def fit_logistic_classifier(
         raise ShapeError(f"labels shape {y.shape} != ({x.shape[0]},)")
     if x.shape[0] == 0:
         raise InsufficientDataError("no training samples")
+    finite = np.isfinite(x).all(axis=0)
+    if not finite.all():
+        names = ", ".join(np.array(bands)[~finite])
+        raise DataError(f"band(s) {names}: training samples contain non-finite values")
+    if not np.array_equal(np.trunc(y), y):  # NaN too; no (N,) mask outlives the check
+        bad = y[np.trunc(y) != y][0]
+        raise DataError(f"labels must be whole class indices, got {bad}")
     if np.any(y < 0) or np.any(y >= num_classes):
         raise DataError(f"labels must lie in [0, {num_classes})")
     if np.unique(y).size < 2:

@@ -9,6 +9,9 @@ straightforward routes the package's faster code must reproduce
 exactly. The mixture functions over `max_shift_logsumexp` evaluate each
 Gaussian directly; the package's natural-parameter form rounds
 differently, so it matches them to stated tolerances, not bit for bit.
+`reference_logistic_hessian` builds the softmax loss's Hessian one
+class pair at a time, against which the package's blocked one-GEMM
+form is checked to a stated tolerance.
 `widened_band_values` is the float64 load chain that the
 float32 frames' `band` values must reproduce bit for bit.
 `whole_frame_bias_shifts` takes `bias_correct`'s region means over
@@ -290,6 +293,23 @@ def reference_logistic_loss_grad(
     grad = (np.exp(log_probs) - labels_onehot.T) @ features_aug / n
     grad[:, :-1] += 2.0 * l2 * w[:, :-1]
     return loss, grad.ravel()
+
+
+def reference_logistic_hessian(
+    features_aug: np.ndarray, probs: np.ndarray, l2: float
+) -> np.ndarray:
+    """Hessian of `logistic_loss_grad`'s loss, one class pair at a time:
+    block (a, c) is ``(Xᵀ diag(p_a(δ_ac - p_c)) X) / N`` over the (N, D)
+    features X, plus ``2·l2`` on the weight (not bias) diagonal."""
+    (n, d), k = features_aug.shape, probs.shape[0]
+    hess = np.empty((k, d, k, d))
+    for a in range(k):
+        for c in range(a, k):
+            curvature = probs[a] * (float(a == c) - probs[c])
+            block = (features_aug.T * curvature) @ features_aug / n
+            hess[a, :, c], hess[c, :, a] = block, block.T
+        hess[a, :-1, a, :-1] += 2.0 * l2 * np.eye(d - 1)
+    return hess.reshape(k * d, k * d)
 
 
 # ------------------------------------------------------------------

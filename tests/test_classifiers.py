@@ -18,6 +18,7 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 import oracles
+import satbayes.classifiers as classifiers
 from helpers import make_image, pixel_frame
 from satbayes.classifiers import (
     EM_MAX_ITER,
@@ -574,6 +575,27 @@ class TestClassMajorMatchesPixelMajor:
         model = fit_mixture_classifier(samples, bands, components=components, seed=seed)
         _assert_matches_reference(model, samples, components, seed)
 
+    @pytest.mark.parametrize("seed", [0, 4, 11])
+    @pytest.mark.parametrize("num_bands", [1, 2, 3])
+    @pytest.mark.parametrize("components", [1, 2, 3])
+    def test_fit_mixture_classifier_in_blocks(self, monkeypatch, components, num_bands, seed):
+        # 120, 205 and 333 samples make 2, 4 and 6 blocks of 64, each
+        # with a remainder: the per-block sums match the reference at
+        # the same tolerances and the same trace lengths
+        monkeypatch.setattr(classifiers, "_FIT_BLOCK", 64)
+        rng = np.random.default_rng(100 + seed)
+        samples = _clustered_classes(rng, num_bands, (120, 205, 333))
+        bands = tuple(f"b{i}" for i in range(num_bands))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            model = fit_mixture_classifier(samples, bands, components=components, seed=seed)
+        _assert_matches_reference(model, samples, components, seed)
+        # trace lengths match the reference's: a class warns exactly when
+        # its reference fit ran to the limit
+        limited = [k for k, ll in enumerate(model.ll_traces) if len(ll) == EM_MAX_ITER]
+        warned = [int(re.match(r"class (\d+): EM stopped", str(w.message))[1]) for w in caught]
+        assert warned == limited
+
     def test_wide_mixture(self):
         # 9 bands and 9 components: numpy sums runs of 8 or more values
         # pairwise, not left to right.
@@ -937,7 +959,7 @@ def _blobs(rng, centers, count, spread=0.3):
 
 
 class TestLogisticFit:
-    def test_lbfgs_failure_warns_and_keeps_the_fit(self, monkeypatch):
+    def test_newton_failure_warns_and_keeps_the_fit(self, monkeypatch):
         import satbayes.classifiers as classifiers
 
         rng = np.random.default_rng(30)
@@ -962,6 +984,36 @@ class TestLogisticFit:
             match=r"^band\(s\) b: standard deviation overflows float64$",
         ):
             fit_logistic_classifier(x, y, 2, ("a", "b"))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_samples_name_the_band(self, bad):
+        # checked before the standard deviations, whose overflow is a
+        # NumericalError
+        rng = np.random.default_rng(33)
+        x, y = _blobs(rng, [(0.0, 0.0, 0.0), (1.0, 0.5, 0.5)], 100)
+        x[7, 1] = x[40, 2] = bad
+        with pytest.raises(
+            DataError,
+            match=r"^band\(s\) b, c: training samples contain non-finite values$",
+        ):
+            fit_logistic_classifier(x, y, 2, ("a", "b", "c"))
+
+    @pytest.mark.parametrize("bad", [0.5, 1.25, np.nan])
+    def test_fractional_labels_rejected(self, bad):
+        # astype(intp) would have read 0.5 as class 0
+        rng = np.random.default_rng(38)
+        x, y = _blobs(rng, [(0.0, 0.0), (1.0, 0.5)], 20)
+        labels = y.astype(np.float64)
+        labels[3] = bad
+        with pytest.raises(DataError, match=r"^labels must be whole class indices"):
+            fit_logistic_classifier(x, labels, 2, ("a", "b"))
+
+    def test_whole_float_labels_fit_as_integers(self):
+        rng = np.random.default_rng(38)
+        x, y = _blobs(rng, [(0.0, 0.0), (1.0, 0.5)], 20)
+        expect = fit_logistic_classifier(x, y, 2, ("a", "b"))
+        model = fit_logistic_classifier(x, y.astype(np.float64), 2, ("a", "b"))
+        assert_array_equal(model.weights, expect.weights)
 
     def test_separable_blobs_high_accuracy(self):
         rng = np.random.default_rng(31)
@@ -1080,6 +1132,59 @@ class TestLogisticFit:
         labels = np.array([0, 1, 2] * 10)
         with pytest.raises(DataError):
             fit_logistic_classifier(rng.normal(size=(30, 2)), labels, 2, ("a", "b"))
+
+
+def _softmax_point(rng, n, num_bands, num_classes, scale=0.5):
+    """Augmented features (n, B+1), one-hot labels and random weights."""
+    aug = np.hstack([rng.normal(size=(n, num_bands)), np.ones((n, 1))])
+    onehot = np.zeros((n, num_classes))
+    onehot[np.arange(n), rng.integers(num_classes, size=n)] = 1.0
+    w = rng.normal(scale=scale, size=num_classes * (num_bands + 1))
+    return aug, onehot, w
+
+
+class TestLogisticHessian:
+    """The blocked one-GEMM Hessian against the per-pair oracle, its own
+    symmetry and the gradient's central differences."""
+
+    @pytest.mark.parametrize("num_classes", [2, 3, 9])
+    def test_matches_per_pair_reference(self, num_classes):
+        # three blocks and a remainder
+        n = 3 * classifiers._FIT_BLOCK + 17
+        aug, onehot, w = _softmax_point(np.random.default_rng(60 + num_classes), n, 3, num_classes)
+        probs = logistic_loss_grad(w, aug, onehot, 1e-4)[2]
+        got = classifiers._logistic_hessian(aug, probs, 1e-4)
+        expect = oracles.reference_logistic_hessian(aug, probs, 1e-4)
+        assert got.shape == expect.shape == (4 * num_classes, 4 * num_classes)
+        assert_allclose(got, expect, rtol=0.0, atol=1e-14 * np.max(np.abs(expect)))
+        assert_array_equal(got, got.T)
+
+    @pytest.mark.parametrize("num_classes", [2, 3])
+    def test_matches_central_differences_of_the_gradient(self, monkeypatch, num_classes):
+        monkeypatch.setattr(classifiers, "_FIT_BLOCK", 64)
+        aug, onehot, w = _softmax_point(np.random.default_rng(70), 3 * 64 + 17, 2, num_classes)
+        probs = logistic_loss_grad(w, aug, onehot, 1e-4)[2]
+        hess = classifiers._logistic_hessian(aug, probs, 1e-4)
+        for i in range(len(w)):
+            def entry(point):
+                return logistic_loss_grad(point, aug, onehot, 1e-4)[1][i]
+
+            numeric = oracles.central_difference_gradient(entry, w)
+            assert_allclose(hess[i], numeric, rtol=1e-5, atol=1e-8)
+
+    def test_working_memory_stays_per_block(self):
+        # the per-pair form held a (B+1, N) temporary: 5.1 MiB here
+        aug, onehot, w = _softmax_point(np.random.default_rng(80), 131_072, 3, 3)
+        probs = logistic_loss_grad(w, aug, onehot, 1e-4)[2]
+        classifiers._logistic_hessian(aug[:100], probs[:, :100], 1e-4)  # first-call caches
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            classifiers._logistic_hessian(aug, probs, 1e-4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - before < 2.5 * 2**20
 
 
 # ------------------------------------------------------------------
