@@ -58,7 +58,7 @@ from .pipeline import (
     resample_nearest,
     split_dates,
 )
-from .recursion import RecursionMode, classify_stack, regularize
+from .recursion import classify_stack, regularize
 from .synth import SynthSpec, generate_synthetic, parse_synth_spec
 
 __all__ = [
@@ -74,7 +74,6 @@ __all__ = [
     "MixtureClassifier",
     "MultibandImage",
     "NumericalError",
-    "RecursionMode",
     "ReferenceRegion",
     "SatBayesError",
     "SpectralIndexKind",

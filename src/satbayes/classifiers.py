@@ -16,20 +16,23 @@ Three trained forms plus a pass-through:
 * `ExternalPosteriorSource` replays per-frame posterior rasters that
   some outside model produced.
 
-Engines are evaluated through their frame methods only:
+Engines are evaluated through one frame method only:
 ``frame_posterior(frame) -> (K, H*W)``, class major (row k holds class
-k for every pixel in row-major pixel order), and for generative ones
-``frame_likelihood`` in the same layout. A frame's `MultibandImage` is
-finite and read-only by construction, so the engines do not check its
-pixels again; (N, B) pixel rows are the fits' input only. The built-in
-engines return a new C-ordered float64 buffer on every call, summed
-and normalized over classes by `core`'s column helpers, as in the
-recursion. Nothing in the package keeps work arrays between calls, so
-no engine or fit does: the recursion evaluates each date in row tiles
-of about 32k pixels, where fresh arrays cost nothing measurable, and
-one instance serves all of its worker threads at once. Model files use
-a small versioned binary container that round-trips parameters bit for
-bit; loading checks them as the constructors do.
+k for every pixel in row-major pixel order), holding non-negative class
+weights proportional, per pixel, to the posterior under the uniform
+class prior: the mixture engine returns its class-conditional
+densities, the others posteriors. A frame's `MultibandImage` is finite
+and read-only by construction, so the engines do not check its pixels
+again; (N, B) pixel rows are the fits' input only. The index, mixture
+and logistic engines return a new C-ordered float64 buffer on every
+call; their sums and normalizations over classes use `core`'s column
+helpers, as the recursion does. Nothing in the package keeps work
+arrays between calls, so no engine or fit does: the recursion evaluates
+each date in row tiles of about 32k pixels, where fresh arrays cost
+nothing measurable, and one instance serves all of its worker threads
+at once. Model files use a small versioned binary container that
+round-trips parameters bit for bit; loading checks them as the
+constructors do.
 """
 
 from __future__ import annotations
@@ -416,13 +419,11 @@ class MixtureClassifier:
     def num_classes(self) -> int:
         return len(self.mixtures)
 
-    def frame_likelihood(self, frame: Frame) -> np.ndarray:
+    def frame_posterior(self, frame: Frame) -> np.ndarray:
+        # The class-conditional densities: proportional, per pixel, to the
+        # posterior under a uniform class prior.
         planes = [frame.image.band(b).ravel() for b in self.bands]
         return np.stack([np.exp(mix._log_density(planes)) for mix in self.mixtures])
-
-    def frame_posterior(self, frame: Frame) -> np.ndarray:
-        # Posterior under a uniform class prior.
-        return floor_normalize_columns(self.frame_likelihood(frame))
 
 
 def fit_mixture_classifier(

@@ -34,12 +34,7 @@ from .evaluation import (
     write_bench_table,
     write_sweep_table,
 )
-from .experiment import (
-    build_classifier,
-    classifier_mode,
-    prepare_stacks,
-    run_experiment,
-)
+from .experiment import build_classifier, prepare_stacks, run_experiment
 from .pipeline import (
     load_stack,
     parse_manifest,
@@ -140,10 +135,12 @@ def _cmd_run(args: argparse.Namespace) -> None:
 
 
 def _prepare_models(args: argparse.Namespace, config: ExperimentConfig):
-    """Output directory, test stack, and a model and mode per --algos kind."""
+    """Output directory, test stack, and a model per --algos kind."""
     algos = (config.classifier,)
-    if args.algos:
+    if args.algos is not None:
         algos = tuple(a.strip() for a in args.algos.split(",") if a.strip())
+        if not algos:
+            raise ConfigError(f"--algos lists no classifier kind: {args.algos!r}")
     for kind in algos:
         if kind not in CLASSIFIER_KINDS:
             raise ConfigError(
@@ -153,8 +150,7 @@ def _prepare_models(args: argparse.Namespace, config: ExperimentConfig):
     out = make_dirs(args.out)
     prepared = prepare_stacks(config)
     models = {kind: build_classifier(config, kind, prepared.train) for kind in algos}
-    modes = {kind: classifier_mode(config, kind) for kind in algos}
-    return out, prepared.test, models, modes
+    return out, prepared.test, models
 
 
 def _cmd_sweep(args: argparse.Namespace) -> None:
@@ -164,8 +160,8 @@ def _cmd_sweep(args: argparse.Namespace) -> None:
     except ValueError:
         raise ConfigError(f"bad --eps list: {args.eps!r}") from None
     check_epsilon_grid(grid)
-    out, test, models, modes = _prepare_models(args, config)
-    result = epsilon_sweep(test, models, modes, config.lam, grid)
+    out, test, models = _prepare_models(args, config)
+    result = epsilon_sweep(test, models, config.lam, grid)
     write_sweep_table(result, out / "sweep.csv")
     summary = []
     for idx, name in enumerate(result.algorithms):
@@ -183,11 +179,9 @@ def _cmd_sweep(args: argparse.Namespace) -> None:
 def _cmd_bench(args: argparse.Namespace) -> None:
     config = parse_config(args.config)
     check_repetitions(args.reps)
-    out, test, models, modes = _prepare_models(args, config)
+    out, test, models = _prepare_models(args, config)
     transition = build_transition_model(len(config.classes), config.epsilon)
-    records = timing_bench(
-        test, models, modes, transition, config.lam, repetitions=args.reps
-    )
+    records = timing_bench(test, models, transition, config.lam, repetitions=args.reps)
     write_bench_table(records, out / "bench.csv")
     step_lines = ["algorithm,step,seconds"]
     for record in records:

@@ -6,7 +6,6 @@ A config file is ``key = value`` text (see `textio`). Example::
     manifest = stacks/charles/manifest.txt
     classes = land, water
     classifier = gmm            # index | gmm | logistic | external
-    mode = generative           # optional; gmm defaults generative
     index = mndwi               # index kind used for thresholds/pseudo-labels
     thresholds = -1, 0.13, 1
     epsilon = 0.05
@@ -23,7 +22,8 @@ A config file is ``key = value`` text (see `textio`). Example::
 
 Paths are kept as written and resolved against the config file's
 directory at run time, so serializing a parsed config reproduces the
-original values exactly.
+original values exactly. The retired key ``mode`` is accepted with any
+value and ignored, with one warning; it is never serialized.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ from pathlib import Path
 from .classifiers import SpectralIndexKind
 from .errors import ConfigError
 from .pipeline import ReferenceRegion
-from .recursion import RecursionMode
 from .textio import (
     Key,
     format_float,
@@ -60,14 +59,6 @@ DEFAULT_LAMBDA = 0.8
 DEFAULT_GMM_COMPONENTS = 3
 
 
-def default_mode(classifier: str) -> RecursionMode:
-    return (
-        RecursionMode.GENERATIVE
-        if classifier == "gmm"
-        else RecursionMode.DISCRIMINATIVE
-    )
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     manifest: str
@@ -77,7 +68,6 @@ class ExperimentConfig:
     seed: int
     test_dates: tuple[dt.date, ...]
     name: str = "experiment"
-    mode: RecursionMode | None = None
     index: SpectralIndexKind | None = None
     thresholds: tuple[float, ...] | None = None
     lam: float = DEFAULT_LAMBDA
@@ -137,12 +127,6 @@ class ExperimentConfig:
             raise ConfigError(
                 f"cloud_threshold must lie in [0, 1], got {self.cloud_threshold}"
             )
-        mode = self.mode or default_mode(self.classifier)
-        if mode is RecursionMode.GENERATIVE and self.classifier != "gmm":
-            raise ConfigError(
-                f"classifier {self.classifier!r} has no generative form"
-            )
-        object.__setattr__(self, "mode", mode)
 
     def resolved_manifest(self) -> Path:
         path = Path(self.manifest)
@@ -195,7 +179,6 @@ CONFIG_KEYS = {
     "manifest": Key("manifest", parse_text, required=True),
     "classes": Key("classes", parse_list, ", ".join, required=True),
     "classifier": Key("classifier", parse_text, required=True),
-    "mode": Key("mode", _member(RecursionMode), _VALUE),
     "epsilon": Key("epsilon", parse_float, format_float, required=True),
     "lambda": Key("lam", parse_float, format_float),
     "seed": Key("seed", parse_int, required=True),
@@ -212,10 +195,14 @@ CONFIG_KEYS = {
     "out": Key("out", parse_text),
 }
 
+# Keys that no longer have an effect: accepted with a warning, never written.
+RETIRED_KEYS = ("mode",)
+
 
 def parse_config_text(text: str, source: str = "<str>") -> ExperimentConfig:
     missing = "missing required keys: {}"
-    return ExperimentConfig(**parse_keys(text, CONFIG_KEYS, "config", missing, source))
+    values = parse_keys(text, CONFIG_KEYS, "config", missing, source, RETIRED_KEYS)
+    return ExperimentConfig(**values)
 
 
 def parse_config(path: str | Path) -> ExperimentConfig:

@@ -17,13 +17,7 @@ import numpy as np
 
 from .core import ImageStack, LabelRaster, build_transition_model
 from .errors import ConfigError, EvaluationError, ShapeError
-from .recursion import (
-    FrameStep,
-    RecursionMode,
-    StackClassification,
-    TransitionModel,
-    model_output,
-)
+from .recursion import FrameStep, StackClassification, TransitionModel
 from .textio import format_float, write_lines
 
 # ============================================================
@@ -158,7 +152,6 @@ def check_epsilon_grid(grid: Sequence[float]) -> tuple[float, ...]:
 def epsilon_sweep(
     stack: ImageStack,
     models: Mapping[str, object],
-    modes: Mapping[str, RecursionMode],
     lam: float,
     grid: Sequence[float],
 ) -> SweepResult:
@@ -178,8 +171,6 @@ def epsilon_sweep(
     eps = check_epsilon_grid(grid)
     if not models:
         raise ConfigError("no models to sweep")
-    if set(models) != set(modes):
-        raise ConfigError("models and modes must list the same algorithms")
     if not any(fr.truth is not None for fr in stack.frames):
         raise EvaluationError("no frames carry ground truth")
 
@@ -190,12 +181,11 @@ def epsilon_sweep(
     instantaneous = []
     for a, name in enumerate(algorithms):
         model = models[name]
-        evaluate = model_output(model, modes[name])
         transitions = [build_transition_model(model.num_classes, e) for e in eps]
         scores = []  # per truth frame: instantaneous, then one per epsilon
         with FrameStep(transitions, lam, pixels, width) as step:
             for frame in stack.frames:
-                step(lambda rows: evaluate(frame.window(rows)), frame.date)
+                step(lambda rows: model.frame_posterior(frame.window(rows)), frame.date)
                 if frame.truth is not None:
                     scores.append([
                         balanced_accuracy(row.reshape(height, width), frame.truth)
@@ -247,7 +237,6 @@ def check_repetitions(repetitions: int) -> None:
 def timing_bench(
     stack: ImageStack,
     models: Mapping[str, object],
-    modes: Mapping[str, RecursionMode],
     transition: TransitionModel,
     lam: float,
     repetitions: int = 5,
@@ -264,21 +253,18 @@ def timing_bench(
     check_repetitions(repetitions)
     if not stack.frames:
         raise EvaluationError("cannot bench an empty stack")
-    if set(models) != set(modes):
-        raise ConfigError("models and modes must list the same algorithms")
     height, width = stack.shape
     pixels = height * width
     first = stack.frames[0]
     records = []
     for name, model in models.items():
-        evaluate = model_output(model, modes[name])
-        outputs = [evaluate(frame) for frame in stack.frames]
+        outputs = [model.frame_posterior(frame) for frame in stack.frames]
         baseline_samples = []
         step_samples = np.empty((repetitions, len(outputs)))
         with FrameStep([transition], lam, pixels, width) as step:
 
             def baseline(i: int) -> None:
-                evaluate(first.window(step.rows[i]))
+                model.frame_posterior(first.window(step.rows[i]))
 
             step.map(baseline)  # warmup
             for _ in range(repetitions):

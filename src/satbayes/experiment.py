@@ -29,7 +29,7 @@ from .classifiers import (
     pseudo_labels,
     save_model,
 )
-from .config import ExperimentConfig, default_mode, serialize_config
+from .config import ExperimentConfig, serialize_config
 from .core import ImageStack, build_transition_model
 from .errors import ConfigError, DataError
 from .evaluation import (
@@ -50,7 +50,7 @@ from .pipeline import (
     write_label_raster,
     write_posterior_cube,  # noqa: F401  (perfbench/tracing.py wraps this name)
 )
-from .recursion import RecursionMode, StackClassification, classify_stack
+from .recursion import StackClassification, classify_stack
 from .textio import make_dirs, write_lines
 
 
@@ -116,17 +116,6 @@ def build_classifier(config: ExperimentConfig, kind: str, train: ImageStack):
     return fit_logistic_classifier(pixels, labels, num_classes=k, bands=bands)
 
 
-def classifier_mode(config: ExperimentConfig, kind: str) -> RecursionMode:
-    """Recursion mode for one classifier kind under this config.
-
-    The config's explicit mode applies to the config's own classifier;
-    any other kind swept alongside falls back to its natural mode.
-    """
-    if kind == config.classifier:
-        return config.mode
-    return default_mode(kind)
-
-
 def config_digest(config: ExperimentConfig) -> str:
     return hashlib.sha256(serialize_config(config).encode()).hexdigest()[:16]
 
@@ -175,7 +164,7 @@ def run_experiment(
             write_inst(inst.reshape(shape[1:]))
 
         classification = classify_stack(
-            prepared.test, model, transition, config.lam, config.mode, sink=sink
+            prepared.test, model, transition, config.lam, sink=sink
         )
 
     tracks = (
@@ -208,7 +197,6 @@ def run_experiment(
         f"numpy_version = {np.__version__}",
         f"config_sha256_16 = {config_digest(config)}",
         f"classifier = {config.classifier}",
-        f"mode = {config.mode.value}",
         f"epsilon = {eps!r}",
         f"lambda = {config.lam!r}",
         f"seed = {config.seed}",

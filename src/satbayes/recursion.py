@@ -2,10 +2,12 @@
 
 Turns any instantaneous per-pixel classifier into an online classifier
 by propagating a per-pixel class belief through a hidden-Markov chain.
-Class-conditional likelihoods (generative mode) and instantaneous
-posteriors (discriminative mode) go through one update: dividing a
-posterior by the uniform class marginal scales it by K, which the
-update's normalization cancels, so that division is not done.
+The model feeds the step through one method, ``frame_posterior``: its
+(K, n) output is any non-negative per-pixel scale of the posterior under
+the uniform class prior. Class-conditional likelihoods and instantaneous
+posteriors are both that, and dividing a posterior by the uniform class
+marginal scales it by K: the update's normalization cancels each such
+scale, so one update serves both and that division is not done.
 
 All update arithmetic is three class-major functions, `_smooth`,
 `_update` and `_decide`, on (K, n) float64 arrays, normalized by `core`
@@ -33,7 +35,6 @@ copy; the updates check its evidence with the frame step's own check,
 from __future__ import annotations
 
 import datetime as dt
-import enum
 import os
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
@@ -59,13 +60,6 @@ from .errors import (
     SatBayesError,
     ShapeError,
 )
-
-
-class RecursionMode(enum.Enum):
-    """Which instantaneous output feeds the one recursion update (`model_output`)."""
-
-    GENERATIVE = "generative"          # class-conditional likelihoods
-    DISCRIMINATIVE = "discriminative"  # instantaneous posteriors
 
 
 # ============================================================
@@ -224,14 +218,15 @@ def _workers() -> int:
 class FrameModel(Protocol):
     """Instantaneous classifier usable by `classify_stack`.
 
-    ``frame_posterior`` must return per-pixel posterior probabilities of
-    shape (num_classes, H*W), class major: row k holds class k for every
-    pixel in row-major pixel order. Generative models additionally
-    provide ``frame_likelihood`` with the same shape holding
-    class-conditional densities. Any real dtype and memory layout is
-    accepted; `FrameStep` reads the values as float64. The recursion
-    calls them on `Frame.window` views of a date's rows, from several
-    threads at once.
+    ``frame_posterior`` must return non-negative class weights of shape
+    (num_classes, H*W), class major: row k holds class k for every pixel
+    in row-major pixel order. Each pixel's column need only be
+    proportional to its posterior under the uniform class prior, so
+    normalized posteriors and class-conditional likelihoods both serve:
+    `FrameStep` floor-normalizes every column, which cancels the scale.
+    Any real dtype and memory layout is accepted; `FrameStep` reads the
+    values as float64. The recursion calls the method on `Frame.window`
+    views of a date's rows, from several threads at once.
     """
 
     @property
@@ -257,22 +252,6 @@ class StackClassification:
     instantaneous_labels: tuple[LabelRaster, ...]
 
 
-def model_output(
-    model: FrameModel, mode: RecursionMode
-) -> Callable[[Frame], np.ndarray]:
-    """The model method whose (K, N) output feeds a recursion in ``mode``.
-
-    The mode decides nothing else: `FrameStep` updates alike on either output.
-    """
-    if mode is RecursionMode.DISCRIMINATIVE:
-        return model.frame_posterior
-    if not hasattr(model, "frame_likelihood"):
-        raise ConfigError(
-            "generative recursion needs a likelihood-producing classifier"
-        )
-    return model.frame_likelihood
-
-
 class FrameStep:
     """The per-frame recursion step, sole owner of the filter state.
 
@@ -285,7 +264,7 @@ class FrameStep:
     transition model, uniform after construction or `reset`; and the
     MAP ``labels`` (1 + E, N), row 0 from ``inst`` and row 1 + e from
     ``post[e]``. ``step(raw, date)`` floor-normalizes one frame's (K, N)
-    evidence, likelihoods or posteriors alike, into ``inst``, smooths it
+    class weights (`FrameModel`) into ``inst``, smooths it
     and updates each ``post[e]`` in place; ``raw`` may also be a
     function from a slice of rows to their (K, n) output.
 
@@ -413,12 +392,11 @@ def classify_stack(
     model: FrameModel,
     transition: TransitionModel,
     lam: float,
-    mode: RecursionMode,
     sink: Callable[[int, np.ndarray, np.ndarray], None] | None = None,
 ) -> StackClassification:
     """Run the recursion over a whole stack, frame by frame.
 
-    For each date the model's instantaneous output is row-normalized,
+    For each date the model's ``frame_posterior`` is floor-normalized,
     smoothed with `regularize`, and folded into the running per-pixel
     belief (initialized uniform) by one `FrameStep`, which updates that
     belief in place. Both the recursive and the raw instantaneous
@@ -439,7 +417,6 @@ def classify_stack(
         raise ConfigError(
             f"model has {k} classes, transition model {transition.num_classes}"
         )
-    evaluate = model_output(model, mode)
     height, width = stack.shape
     n = height * width
     t_total = len(stack)
@@ -455,7 +432,7 @@ def classify_stack(
     labels = np.empty((t_total, 2, n), dtype=np.uint8)  # instantaneous, recursive
     with FrameStep([transition], lam, n, width) as step:
         for t, frame in enumerate(stack.frames):
-            step(lambda rows: evaluate(frame.window(rows)), frame.date)
+            step(lambda rows: model.frame_posterior(frame.window(rows)), frame.date)
             labels[t] = step.labels
             sink(t, step.inst, step.post[0])
 

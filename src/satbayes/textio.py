@@ -11,12 +11,14 @@ one pair per line, ``#`` starts a comment, blank lines are skipped.
 Each format declares its keys once, as a table of `Key`s; `parse_keys`
 rejects an unknown key, a repeat of a key that does not repeat, and a
 missing required key with a `ConfigError` (exit 1) naming the file or
-line. Floats are written with ``repr`` so values round-trip exactly.
+line; a retired key is skipped with one warning that it has no effect.
+Floats are written with ``repr`` so values round-trip exactly.
 """
 
 from __future__ import annotations
 
 import datetime as dt
+import warnings
 from collections.abc import Callable, Iterator, Mapping, Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -90,12 +92,14 @@ class Key:
 
 
 def parse_keys(
-    text: str, keys: Mapping[str, Key], kind: str, missing: str, source: str
+    text: str, keys: Mapping[str, Key], kind: str, missing: str, source: str,
+    retired: Sequence[str] = (),
 ) -> dict[str, Any]:
     """Field values of a ``kind`` document; absent optional keys are left out.
 
     ``missing`` is the message for absent required keys, formatted with
-    the list of those keys as the document writes them.
+    the list of those keys as the document writes them. A ``retired``
+    key is accepted with any value and ignored, with a warning.
     """
     values: dict[str, Any] = {k.field: () for k in keys.values() if k.repeats}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -108,6 +112,9 @@ def parse_keys(
         name, value = (part.strip() for part in line.split("=", 1))
         if not name:
             raise ConfigError(f"{where}: empty key")
+        if name in retired:
+            warnings.warn(f"{kind} key {name!r} has no effect", stacklevel=2)
+            continue
         key = keys.get(name)
         if key is None:
             raise ConfigError(f"{where}: unknown {kind} key {name!r}")

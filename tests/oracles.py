@@ -46,7 +46,7 @@ from satbayes.core import (
 )
 from satbayes.errors import ConfigError, ShapeError
 from satbayes.evaluation import frame_accuracies
-from satbayes.recursion import RecursionMode, classify_stack
+from satbayes.recursion import classify_stack
 
 
 def floor_normalize(values: np.ndarray) -> np.ndarray:
@@ -223,7 +223,7 @@ def pixel_major_log_density(mixture, x: np.ndarray) -> np.ndarray:
 
 
 def pixel_major_likelihood(model, pixels: np.ndarray) -> np.ndarray:
-    """`MixtureClassifier.frame_likelihood`: per-class densities -> (N, K)."""
+    """`MixtureClassifier.frame_posterior`: per-class densities -> (N, K)."""
     x = np.asarray(pixels, dtype=np.float64)
     return np.stack(
         [np.exp(pixel_major_log_density(mix, x)) for mix in model.mixtures], axis=1
@@ -380,23 +380,25 @@ def map_decision(posterior: np.ndarray) -> np.ndarray | int:
     return int(result) if arr.ndim == 1 else result
 
 
-def update_operation_count(num_classes: int, mode: RecursionMode) -> int:
+def update_operation_count(num_classes: int, evidence: str) -> int:
     """Closed-form per-pixel floating-point operation count of one update.
 
-    Counts multiply-accumulates, multiplies, and divides of the naive
-    scalar step, in which each class recomputes the shared denominator
-    (that recomputation is what the closed forms describe). The scalar
-    reference loops below count their operations the same way and must
-    reproduce these numbers.
+    ``evidence`` is the paper's input to the step: ``"likelihood"``
+    (its generative form) or ``"posterior"`` (its discriminative form,
+    which divides by the class marginal). Counts multiply-accumulates,
+    multiplies, and divides of the naive scalar step, in which each class
+    recomputes the shared denominator (that recomputation is what the
+    closed forms describe). The scalar reference loops below count their
+    operations the same way and must reproduce these numbers.
     """
     k = int(num_classes)
     if k < 2:
         raise ConfigError(f"need at least 2 classes, got {num_classes}")
-    if mode is RecursionMode.GENERATIVE:
+    if evidence == "likelihood":
         return k * (k * k + k + 2)
-    if mode is RecursionMode.DISCRIMINATIVE:
+    if evidence == "posterior":
         return k * (k * (k + 1) + k + 2)
-    raise ConfigError(f"unknown recursion mode: {mode!r}")
+    raise ConfigError(f"unknown evidence kind: {evidence!r}")
 
 
 def counted_generative_update(
@@ -479,7 +481,7 @@ def counted_discriminative_update(
     return posterior, ops
 
 
-def per_epsilon_sweep(stack, models, modes, lam, grid):
+def per_epsilon_sweep(stack, models, lam, grid):
     """The epsilon sweep as one full `classify_stack` run per grid value.
 
     Unlike the rest of this module it reuses package code: it is the
@@ -499,7 +501,7 @@ def per_epsilon_sweep(stack, models, modes, lam, grid):
             transition = build_transition_model(
                 models[name].num_classes, epsilon
             )
-            result = classify_stack(stack, models[name], transition, lam, modes[name])
+            result = classify_stack(stack, models[name], transition, lam)
             scores = frame_accuracies(result, stack)
             accuracy[a, e] = float(np.mean([s.recursive for s in scores]))
             if inst_score is None:

@@ -43,12 +43,7 @@ from satbayes.pipeline import (
     write_label_raster,
     write_posterior_cube,
 )
-from satbayes.recursion import (
-    RecursionMode,
-    classify_stack,
-    generative_update,
-    regularize,
-)
+from satbayes.recursion import classify_stack, generative_update, regularize
 from satbayes.synth import generate_synthetic, parse_synth_spec
 
 import oracles
@@ -141,17 +136,10 @@ def _benchmark_models(stack):
     return _CACHE["models"]
 
 
-MODES = {
-    "sic": RecursionMode.DISCRIMINATIVE,
-    "gmm": RecursionMode.GENERATIVE,
-    "logistic": RecursionMode.DISCRIMINATIVE,
-}
-
-
 def _benchmark_sweep(stack):
     if "sweep" not in _CACHE:
         _CACHE["sweep"] = epsilon_sweep(
-            stack, _benchmark_models(stack), MODES, 0.8, SWEEP_GRID
+            stack, _benchmark_models(stack), 0.8, SWEEP_GRID
         )
     return _CACHE["sweep"]
 
@@ -203,10 +191,7 @@ def test_c03_half_transition_probability_reduction(benchmark_stack):
             WATER_THRESHOLDS, SpectralIndexKind.MNDWI
         )
         transition = build_transition_model(2, 0.5)
-        result = classify_stack(
-            benchmark_stack, model, transition, 0.0,
-            RecursionMode.DISCRIMINATIVE,
-        )
+        result = classify_stack(benchmark_stack, model, transition, 0.0)
         decisions_ok = all(
             np.array_equal(rec.labels, inst.labels)
             for rec, inst in zip(result.recursive_labels,
@@ -224,9 +209,9 @@ def test_c04_operation_count_formulas():
     with _Clock() as clock:
         ok = True
         for k in range(2, 11):
-            ok &= oracles.update_operation_count(k, RecursionMode.GENERATIVE) \
+            ok &= oracles.update_operation_count(k, "likelihood") \
                 == k**3 + k**2 + 2 * k
-            ok &= oracles.update_operation_count(k, RecursionMode.DISCRIMINATIVE) \
+            ok &= oracles.update_operation_count(k, "posterior") \
                 == k**3 + 2 * k**2 + 2 * k
         for k in (2, 3):
             transition = build_transition_model(k, 0.1)
@@ -236,10 +221,8 @@ def test_c04_operation_count_formulas():
             _, disc_ops = oracles.counted_discriminative_update(
                 random_pmfs(rng, 1, k)[0], prev, transition
             )
-            ok &= gen_ops == oracles.update_operation_count(k, RecursionMode.GENERATIVE)
-            ok &= disc_ops == oracles.update_operation_count(
-                k, RecursionMode.DISCRIMINATIVE
-            )
+            ok &= gen_ops == oracles.update_operation_count(k, "likelihood")
+            ok &= disc_ops == oracles.update_operation_count(k, "posterior")
     verdict(4, "per-step operation-count formulas", ok, clock.seconds)
 
 
@@ -257,8 +240,7 @@ def test_c05_recursion_recovers_corrupted_frames(benchmark_stack):
         for name, model in models.items():
             best = sweep.best_epsilon(name)
             result = classify_stack(
-                benchmark_stack, model,
-                build_transition_model(2, best), 0.8, MODES[name],
+                benchmark_stack, model, build_transition_model(2, best), 0.8
             )
             scores = frame_accuracies(result, benchmark_stack)
             corrupted = [s for s in scores if s.date in corrupted_dates]
@@ -350,8 +332,7 @@ def test_c08_constant_step_cost(tmp_path):
             "logistic": fit_logistic_classifier(x, y, 2, bands=BANDS),
         }
         records = timing_bench(
-            stack, models, MODES,
-            build_transition_model(2, 0.05), 0.8, repetitions=11,
+            stack, models, build_transition_model(2, 0.05), 0.8, repetitions=11
         )
         ok = True
         for record in records:

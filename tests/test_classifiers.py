@@ -37,7 +37,7 @@ from satbayes.classifiers import (
     spectral_index,
     _logsumexp_columns,
 )
-from satbayes.core import Frame
+from satbayes.core import Frame, floor_normalize_columns
 from satbayes.errors import (
     ConfigError,
     DataError,
@@ -208,7 +208,7 @@ class TestIndexClassifier:
         img = make_image(("green", "swir1"), [[[0.3, 0.1]], [[0.05, 0.3]]])
         classifier = IndexClassifier.from_thresholds(WATER_TAU, SpectralIndexKind.MNDWI)
         values, _ = spectral_index(img, SpectralIndexKind.MNDWI)
-        from satbayes.core import Frame
+        from satbayes.core import Frame, floor_normalize_columns
         import datetime as dt
 
         frame = Frame(date=dt.date(2021, 1, 1), image=img)
@@ -399,17 +399,21 @@ class TestMixtureFit:
                 [np.empty((0, 1)), rng.normal(size=(50, 1))], ("gray",), components=1
             )
 
-    def test_likelihood_vs_posterior_normalization(self):
+    def test_frame_posterior_is_the_class_likelihood(self):
+        # unnormalized: proportional, per pixel, to the uniform-prior posterior
         rng = np.random.default_rng(29)
         data = [rng.normal(0, 0.4, size=(120, 1)), rng.normal(2, 0.4, size=(120, 1))]
         model = fit_mixture_classifier(data, ("gray",), components=1, seed=0)
         pixels = rng.normal(1.0, 1.0, size=(30, 1))
         frame = _frame(("gray",), [pixels.reshape(5, 6)])
-        lik = model.frame_likelihood(frame)
+        lik = model.frame_posterior(frame)
         assert lik.min() >= 0.0
         assert lik.shape == (2, 30)
+        planes = [frame.image.band("gray").ravel()]
+        expect = np.stack([np.exp(mix._log_density(planes)) for mix in model.mixtures])
+        assert_array_equal(lik, expect, strict=True)
         norm = lik / lik.sum(axis=0, keepdims=True)
-        assert_allclose(model.frame_posterior(frame), norm, atol=1e-12)
+        assert_allclose(floor_normalize_columns(lik), norm, atol=1e-12)
 
     def test_em_at_iteration_limit_warns_and_keeps_the_fit(self):
         # class 0 of this scene is still improving after EM_MAX_ITER iterations
@@ -622,7 +626,7 @@ class TestClassMajorMatchesPixelMajor:
         rtol = WIDE_LOG_RTOL if num_bands == 9 else LOG_RTOL
         expect = oracles.pixel_major_likelihood(model, pixels).T
         assert (expect == 0.0).any()
-        _assert_log_close(_likelihood(model, pixels), expect, rtol)
+        _assert_log_close(_posterior(model, pixels), expect, rtol)
         for mix in model.mixtures:
             assert_allclose(
                 _log_density(mix, pixels),
@@ -689,11 +693,6 @@ def _frame(bands, planes, **side):
 def _posterior(model, pixels):
     """An engine's ``frame_posterior`` at the rows of ``pixels`` (N, B)."""
     return model.frame_posterior(pixel_frame(model.bands, pixels))
-
-
-def _likelihood(model, pixels):
-    """An engine's ``frame_likelihood`` at the rows of ``pixels`` (N, B)."""
-    return model.frame_likelihood(pixel_frame(model.bands, pixels))
 
 
 class TestEngineOutputsMatchPixelMajor:
@@ -766,10 +765,12 @@ class TestEngineOutputsMatchPixelMajor:
         pixels = planes.reshape(2, -1).T
         expect = oracles.pixel_major_likelihood(model, pixels)
         assert (expect[:4] == 0.0).all()
-        _assert_log_close(_likelihood(model, pixels), expect.T, LOG_RTOL)
-        _assert_log_close(model.frame_likelihood(frame), expect.T, LOG_RTOL)
+        _assert_log_close(_posterior(model, pixels), expect.T, LOG_RTOL)
+        _assert_log_close(model.frame_posterior(frame), expect.T, LOG_RTOL)
         _assert_log_close(
-            model.frame_posterior(frame), oracles.floor_normalize(expect).T, LOG_RTOL
+            floor_normalize_columns(model.frame_posterior(frame)),
+            oracles.floor_normalize(expect).T,
+            LOG_RTOL,
         )
 
     def test_wide_mixture_posterior(self):
@@ -784,9 +785,11 @@ class TestEngineOutputsMatchPixelMajor:
         frame = _frame(("a",), planes)
         expect = oracles.pixel_major_likelihood(model, planes.reshape(1, -1).T)
         assert (expect[:3] == 0.0).all()
-        _assert_log_close(model.frame_likelihood(frame), expect.T, LOG_RTOL)
+        _assert_log_close(model.frame_posterior(frame), expect.T, LOG_RTOL)
         _assert_log_close(
-            model.frame_posterior(frame), oracles.floor_normalize(expect).T, LOG_RTOL
+            floor_normalize_columns(model.frame_posterior(frame)),
+            oracles.floor_normalize(expect).T,
+            LOG_RTOL,
         )
 
     def test_overflowing_features_have_density_zero(self):
@@ -801,8 +804,8 @@ class TestEngineOutputsMatchPixelMajor:
         pixels[: len(far)] = far
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            likelihood = _likelihood(model, pixels)
-            posterior = _posterior(model, pixels)
+            likelihood = _posterior(model, pixels)
+            posterior = floor_normalize_columns(likelihood.copy())
         assert_array_equal(likelihood[:, : len(far)], 0.0)
         assert_allclose(posterior[:, : len(far)], 1.0 / 3.0, rtol=1e-15)
         expect = oracles.pixel_major_likelihood(model, pixels[len(far) :])
@@ -820,8 +823,7 @@ class TestEngineOutputsMatchPixelMajor:
         logistic = fit_logistic_classifier(x, y, 3, bands)
         outputs = {
             "index": index.frame_posterior(frame),
-            "gmm likelihood": gmm.frame_likelihood(frame),
-            "gmm posterior": gmm.frame_posterior(frame),
+            "gmm": gmm.frame_posterior(frame),
             "logistic": logistic.frame_posterior(frame),
             "external": ExternalPosteriorSource(3).frame_posterior(frame),
         }
@@ -832,11 +834,11 @@ class TestEngineOutputsMatchPixelMajor:
 
 
 SCRATCH_BANDS = ("nir", "red")
-SCRATCH_ENGINES = ["index", "gmm likelihood", "gmm posterior", "logistic"]
+SCRATCH_ENGINES = ["index", "gmm", "logistic"]
 
 
 def _scratch_engine(name):
-    """A fitted engine and the name of its frame method."""
+    """A fitted engine."""
     rng = np.random.default_rng(90)
     x, y = _blobs(rng, [(0.1, 0.4), (0.4, 0.1), (0.3, 0.3)], 60, spread=0.05)
     if name == "index":
@@ -847,7 +849,7 @@ def _scratch_engine(name):
         model = fit_mixture_classifier(
             [x[y == c] for c in range(3)], SCRATCH_BANDS, components=2
         )
-    return model, "frame_likelihood" if name == "gmm likelihood" else "frame_posterior"
+    return model
 
 
 class TestFrameScratch:
@@ -856,54 +858,54 @@ class TestFrameScratch:
 
     @pytest.mark.parametrize("name", SCRATCH_ENGINES)
     def test_consecutive_outputs_are_fresh(self, name):
-        model, method = _scratch_engine(name)
+        model = _scratch_engine(name)
         rng = np.random.default_rng(91)
         frames = [
             _frame(SCRATCH_BANDS, rng.uniform(0.0, 0.5, size=(2, 16, 16)))
             for _ in range(2)
         ]
-        outputs = [getattr(model, method)(frame) for frame in frames]
+        outputs = [model.frame_posterior(frame) for frame in frames]
         assert not np.shares_memory(outputs[0], outputs[1])
         assert "_scratch" not in vars(model)
         for frame, output in zip(frames, outputs):
             assert output.flags.c_contiguous
             fresh = dataclasses.replace(model)
-            assert_array_equal(output, getattr(fresh, method)(frame), strict=True)
+            assert_array_equal(output, fresh.frame_posterior(frame), strict=True)
 
     @pytest.mark.parametrize("name", SCRATCH_ENGINES)
     def test_pixel_count_change_matches_fresh_instances(self, name):
-        model, method = _scratch_engine(name)
+        model = _scratch_engine(name)
         planes = np.random.default_rng(92).uniform(0.0, 0.5, size=(2, 16, 16))
         full = _frame(SCRATCH_BANDS, planes)
         crop = _frame(SCRATCH_BANDS, planes[:, 4:12, 4:12])
         for frame in (full, crop, full):
             fresh = dataclasses.replace(model)
             assert_array_equal(
-                getattr(model, method)(frame), getattr(fresh, method)(frame), strict=True
+                model.frame_posterior(frame), fresh.frame_posterior(frame), strict=True
             )
 
     @pytest.mark.parametrize("name", SCRATCH_ENGINES)
     def test_evaluation_leaves_the_instance_as_it_was(self, name):
-        model, method = _scratch_engine(name)
+        model = _scratch_engine(name)
         before = (repr(model), set(vars(model)))
-        getattr(model, method)(_frame(SCRATCH_BANDS, np.full((2, 4, 4), 0.2)))
+        model.frame_posterior(_frame(SCRATCH_BANDS, np.full((2, 4, 4), 0.2)))
         assert (repr(model), set(vars(model))) == before
 
     @pytest.mark.parametrize("name", SCRATCH_ENGINES)
     def test_engine_shared_between_threads(self, name):
         # four threads, each on its own frame, switching every microsecond
-        model, method = _scratch_engine(name)
+        model = _scratch_engine(name)
         rng = np.random.default_rng(94)
         frames = [
             _frame(SCRATCH_BANDS, rng.uniform(0.0, 0.5, size=(2, 96, 96)))
             for _ in range(4)
         ]
-        serial = [getattr(model, method)(frame) for frame in frames]
+        serial = [model.frame_posterior(frame) for frame in frames]
         start = threading.Barrier(len(frames), timeout=60)
 
         def evaluate(frame):
             start.wait()
-            return [getattr(model, method)(frame) for _ in range(10)]
+            return [model.frame_posterior(frame) for _ in range(10)]
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -1211,7 +1213,7 @@ class TestModelRoundTrip:
         assert isinstance(loaded, MixtureClassifier)
         assert loaded.bands == model.bands
         probe = rng.normal(2, 2, size=(40, 2))
-        assert_array_equal(_likelihood(loaded, probe), _likelihood(model, probe))
+        assert_array_equal(_posterior(loaded, probe), _posterior(model, probe))
         for a, b in zip(loaded.mixtures, model.mixtures):
             assert_array_equal(a.weights, b.weights)
             assert_array_equal(a.means, b.means)

@@ -23,6 +23,7 @@ from satbayes.cli import main
 from satbayes.config import (
     CONFIG_KEYS,
     DEFAULT_LAMBDA,
+    RETIRED_KEYS,
     ExperimentConfig,
     parse_config,
     parse_config_text,
@@ -30,14 +31,13 @@ from satbayes.config import (
 )
 from satbayes.errors import ConfigError
 from satbayes.evaluation import balanced_accuracy
-from satbayes.experiment import run_experiment
+from satbayes.experiment import config_digest, run_experiment
 from satbayes.pipeline import (
     ReferenceRegion,
     read_label_raster,
     read_posterior_cube,
     write_posterior_cube,
 )
-from satbayes.recursion import RecursionMode
 from satbayes.synth import SYNTH_KEYS, generate_synthetic, parse_synth_spec
 
 from helpers import date_of
@@ -59,7 +59,6 @@ name = demo
 manifest = data/manifest.txt
 classes = land, water
 classifier = gmm
-mode = generative
 epsilon = 0.02
 lambda = 0.8
 seed = 9
@@ -102,7 +101,6 @@ class TestConfigParsing:
         assert config.name == "experiment"
         assert config.classes == ("land", "water")
         assert config.lam == DEFAULT_LAMBDA
-        assert config.mode is RecursionMode.DISCRIMINATIVE
         assert config.test_dates == (dt.date(2021, 1, 5), dt.date(2021, 1, 15))
 
     def test_full_round_trip(self):
@@ -149,24 +147,21 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="train_dates"):
             parse_config_text(config_lines(classifier="logistic"))
 
-    def test_generative_mode_requires_gmm(self):
-        with pytest.raises(ConfigError):
-            parse_config_text(config_lines(mode="generative"))
+    @pytest.mark.parametrize("value", ["generative", "discriminative", "sideways", ""])
+    def test_retired_mode_key_is_ignored_with_a_warning(self, value):
+        with pytest.warns(UserWarning, match=r"^config key 'mode' has no effect$"):
+            config = parse_config_text(config_lines(mode=value))
+        assert config == parse_config_text(MINIMAL)
 
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ConfigError, match="unknown mode"):
-            parse_config_text(config_lines(mode="sideways"))
-
-    def test_default_mode_per_classifier(self):
-        assert parse_config_text(MINIMAL).mode is RecursionMode.DISCRIMINATIVE
-        gmm = parse_config_text(
-            config_lines(classifier="gmm", train_dates="2021-02-14")
-        )
-        assert gmm.mode is RecursionMode.GENERATIVE
-        logistic = parse_config_text(
-            config_lines(classifier="logistic", train_dates="2021-02-14")
-        )
-        assert logistic.mode is RecursionMode.DISCRIMINATIVE
+    @pytest.mark.parametrize("classifier", ["index", "gmm", "logistic", "external"])
+    def test_retired_mode_key_is_never_serialized(self, classifier):
+        text = config_lines(classifier=classifier, train_dates="2021-02-14")
+        with pytest.warns(UserWarning, match="'mode' has no effect"):
+            with_key = parse_config_text(text + "mode = generative\n")
+        without = parse_config_text(text)
+        assert serialize_config(with_key) == serialize_config(without)
+        assert "mode" not in serialize_config(without)
+        assert config_digest(with_key) == config_digest(without)
 
     def test_train_test_overlap_rejected(self):
         with pytest.raises(ConfigError):
@@ -219,7 +214,7 @@ class TestConfigText:
         # the text feeds `config_sha256_16` in run.txt: it must not drift
         assert serialize_config(parse_config_text(FULL)) == (
             "name = demo\nmanifest = data/manifest.txt\nclasses = land, water\n"
-            "classifier = gmm\nmode = generative\nepsilon = 0.02\nlambda = 0.8\n"
+            "classifier = gmm\nepsilon = 0.02\nlambda = 0.8\n"
             "seed = 9\nindex = mndwi\nthresholds = -1.0, 0.13, 1.0\n"
             "train_dates = 2021-01-05\ntest_dates = 2021-01-15, 2021-01-25\n"
             "feature_bands = green, swir1\ngmm_components = 2\ncrop = 4 8 16 12\n"
@@ -228,7 +223,7 @@ class TestConfigText:
         )
         assert serialize_config(parse_config_text(MINIMAL)) == (
             "name = experiment\nmanifest = data/manifest.txt\n"
-            "classes = land, water\nclassifier = index\nmode = discriminative\n"
+            "classes = land, water\nclassifier = index\n"
             "epsilon = 0.05\nlambda = 0.8\nseed = 3\nindex = mndwi\n"
             "thresholds = -1.0, 0.13, 1.0\ntest_dates = 2021-01-05, 2021-01-15\n"
             "gmm_components = 3\n"
@@ -263,11 +258,10 @@ class TestConfigText:
             parse_config_text(MINIMAL + extra + "\n")
         assert str(info.value) == message
 
-    @pytest.mark.parametrize("key, value", [("index", "ndsi"), ("mode", "sideways")])
-    def test_unknown_choice_names_the_line(self, key, value):
+    def test_unknown_choice_names_the_line(self):
         with pytest.raises(ConfigError) as info:
-            parse_config_text(config_lines(**{key: value}))
-        assert str(info.value).endswith(f": unknown {key} {value!r}")
+            parse_config_text(config_lines(index="ndsi"))
+        assert str(info.value).endswith(": unknown index 'ndsi'")
         assert str(info.value).startswith("<str>:")
 
     def test_missing_keys_listed_in_order(self):
@@ -295,7 +289,7 @@ def test_readme_config_table_lists_every_config_key():
         for row in rows if row.startswith("| `")
         for key in re.findall(r"`(\w+)`", row.split("|")[1])
     ]
-    assert sorted(listed) == sorted(CONFIG_KEYS)
+    assert sorted(listed) == sorted([*CONFIG_KEYS, *RETIRED_KEYS])
 
 
 PRESET_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -331,7 +325,6 @@ class TestShippedPresets:
         assert config.thresholds == thresholds
         assert config.epsilon == epsilon
         assert config.lam == lam
-        assert config.mode is RecursionMode.DISCRIMINATIVE
 
     @pytest.mark.parametrize("preset", sorted(PRESET_TABLE))
     def test_preset_round_trips(self, preset):
@@ -651,6 +644,20 @@ class TestCliWorkflow:
         assert "pixels = 400" in run_text
         assert str(out) not in run_text
 
+    def test_retired_mode_key_warns_once_and_changes_nothing(
+        self, cli_area, tmp_path, capsys
+    ):
+        text = CLI_CONFIG.replace("data/manifest.txt", str(cli_area / "data" / "manifest.txt"))
+        config, retired = tmp_path / "exp.cfg", tmp_path / "exp_mode.cfg"
+        config.write_text(text)
+        retired.write_text(text + "mode = generative\n")
+        assert main(["run", "--config", str(config), "--out", str(tmp_path / "a")]) == 0
+        capsys.readouterr()
+        assert main(["run", "--config", str(retired), "--out", str(tmp_path / "b")]) == 0
+        err = capsys.readouterr().err
+        assert err == "warning: config key 'mode' has no effect\n"
+        assert tree_bytes(tmp_path / "b") == tree_bytes(tmp_path / "a")
+
     def test_rerun_is_bit_identical(self, cli_area, tmp_path):
         config = str(cli_area / "exp.cfg")
         assert main(["run", "--config", config, "--out", str(tmp_path / "a")]) == 0
@@ -868,6 +875,22 @@ class TestCliExitCodes:
                      "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "'forest'" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["sweep", "--eps", "0.1,0.5"], ["bench", "--reps", "3"]],
+        ids=["sweep", "bench"],
+    )
+    @pytest.mark.parametrize("algos", [",", " , ", ""])
+    def test_empty_algos_list_fails_before_any_work(self, tmp_path, capsys, argv, algos):
+        # the manifest does not exist: the list check must fire first
+        out = tmp_path / "never"
+        config = write_bad_config(tmp_path)
+        assert main([*argv, "--config", str(config), "--algos", algos,
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: --algos") and len(err.splitlines()) == 1
         assert not out.exists()
 
     @pytest.mark.parametrize(("command", "count"), [("run", 256), ("sweep", 257)])

@@ -30,7 +30,7 @@ from satbayes.evaluation import (
     write_bench_table,
     write_sweep_table,
 )
-from satbayes.recursion import RecursionMode, classify_stack
+from satbayes.recursion import classify_stack
 
 
 def _sic():
@@ -172,7 +172,6 @@ class TestFrameAccuracies:
             _sic(),
             build_transition_model(2, 0.1),
             0.8,
-            RecursionMode.DISCRIMINATIVE,
         )
         scores = frame_accuracies(result, partial)
         assert [s.date for s in scores] == [partial.dates[0], partial.dates[2]]
@@ -180,7 +179,7 @@ class TestFrameAccuracies:
     def test_no_truth_rejected(self):
         stack = make_stack(("green", "swir1"), [[np.full((2, 2), 0.2), np.full((2, 2), 0.1)]])
         result = classify_stack(
-            stack, _sic(), build_transition_model(2, 0.1), 0.0, RecursionMode.DISCRIMINATIVE
+            stack, _sic(), build_transition_model(2, 0.1), 0.0
         )
         with pytest.raises(EvaluationError):
             frame_accuracies(result, stack)
@@ -191,7 +190,6 @@ class TestEpsilonSweep:
         result = epsilon_sweep(
             benchmark_stack,
             {"sic": _sic()},
-            {"sic": RecursionMode.DISCRIMINATIVE},
             lam=0.8,
             grid=[0.01, 0.5],
         )
@@ -201,7 +199,6 @@ class TestEpsilonSweep:
     def test_deterministic(self, benchmark_stack):
         kwargs = dict(
             models={"sic": _sic()},
-            modes={"sic": RecursionMode.DISCRIMINATIVE},
             lam=0.8,
             grid=[0.05, 0.2],
         )
@@ -228,7 +225,6 @@ class TestEpsilonSweep:
             epsilon_sweep(
                 benchmark_stack,
                 {"sic": _sic()},
-                {"sic": RecursionMode.DISCRIMINATIVE},
                 lam=0.8,
                 grid=grid,
             )
@@ -241,17 +237,6 @@ class TestEpsilonSweep:
             epsilon_sweep(
                 stack,
                 {"sic": _sic()},
-                {"sic": RecursionMode.DISCRIMINATIVE},
-                lam=0.8,
-                grid=[0.1],
-            )
-
-    def test_mismatched_modes_rejected(self, benchmark_stack):
-        with pytest.raises(ConfigError):
-            epsilon_sweep(
-                benchmark_stack,
-                {"sic": _sic()},
-                {"other": RecursionMode.DISCRIMINATIVE},
                 lam=0.8,
                 grid=[0.1],
             )
@@ -286,7 +271,6 @@ class TestEpsilonSweepMatchesPerEpsilonRuns:
         stack = _drop_truth(benchmark_stack) if partial_truth else benchmark_stack
         kwargs = dict(
             models={"sic": _sic(), "gmm": _gmm()},
-            modes={"sic": RecursionMode.DISCRIMINATIVE, "gmm": RecursionMode.GENERATIVE},
             lam=lam,
             grid=[0.001, 0.05, 0.3, 0.5, 0.7],
         )
@@ -304,7 +288,6 @@ class TestTimingBench:
         records = timing_bench(
             benchmark_stack,
             {"sic": _sic()},
-            {"sic": RecursionMode.DISCRIMINATIVE},
             transition=build_transition_model(2, 0.1),
             lam=0.8,
             repetitions=3,
@@ -328,7 +311,6 @@ class TestTimingBench:
             timing_bench(
                 benchmark_stack,
                 {"sic": _sic()},
-                {"sic": RecursionMode.DISCRIMINATIVE},
                 transition=build_transition_model(2, 0.1),
                 lam=0.8,
                 repetitions=2,
@@ -342,7 +324,6 @@ class TestTableWriters:
             _sic(),
             build_transition_model(2, 0.05),
             0.8,
-            RecursionMode.DISCRIMINATIVE,
         )
         scores = frame_accuracies(result, benchmark_stack)
         path = write_accuracy_table(scores, tmp_path / "acc.csv")
@@ -358,7 +339,6 @@ class TestTableWriters:
         result = epsilon_sweep(
             benchmark_stack,
             {"sic": _sic()},
-            {"sic": RecursionMode.DISCRIMINATIVE},
             lam=0.8,
             grid=[0.05, 0.2],
         )

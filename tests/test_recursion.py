@@ -31,7 +31,6 @@ from satbayes.errors import (
 from satbayes.evaluation import epsilon_sweep
 from satbayes.recursion import (
     FrameStep,
-    RecursionMode,
     classify_stack,
     discriminative_update,
     generative_update,
@@ -208,10 +207,10 @@ class TestMapDecision:
 class TestOperationCounts:
     @pytest.mark.parametrize("k", range(2, 11))
     def test_formulas(self, k):
-        assert oracles.update_operation_count(k, RecursionMode.GENERATIVE) == (
+        assert oracles.update_operation_count(k, "likelihood") == (
             k**3 + k**2 + 2 * k
         )
-        assert oracles.update_operation_count(k, RecursionMode.DISCRIMINATIVE) == (
+        assert oracles.update_operation_count(k, "posterior") == (
             k**3 + 2 * k**2 + 2 * k
         )
 
@@ -222,12 +221,10 @@ class TestOperationCounts:
         lik = rng.uniform(0.1, 1.0, size=k)
         prev = random_pmfs(rng, 1, k)[0]
         _, gen_ops = oracles.counted_generative_update(lik, prev, model)
-        assert gen_ops == oracles.update_operation_count(k, RecursionMode.GENERATIVE)
+        assert gen_ops == oracles.update_operation_count(k, "likelihood")
         inst = random_pmfs(rng, 1, k)[0]
         _, disc_ops = oracles.counted_discriminative_update(inst, prev, model)
-        assert disc_ops == oracles.update_operation_count(
-            k, RecursionMode.DISCRIMINATIVE
-        )
+        assert disc_ops == oracles.update_operation_count(k, "posterior")
 
     @pytest.mark.parametrize("k", [2, 3, 5])
     def test_instrumented_posterior_matches_vectorized(self, k):
@@ -273,17 +270,11 @@ def _small_stack(frames=6, side=8, seed=0):
 
 
 class TestClassifyStack:
-    def test_generative_mode_needs_likelihood(self):
-        stack = _small_stack()
-        trans = build_transition_model(2, 0.1)
-        with pytest.raises(ConfigError):
-            classify_stack(stack, _PosteriorStub(), trans, 0.0, RecursionMode.GENERATIVE)
-
     def test_first_frame_equals_instantaneous_without_smoothing(self):
         # uniform initial belief + symmetric transition: frame 0 adds no history
         stack = _small_stack(frames=3)
         trans = build_transition_model(2, 0.2)
-        out = classify_stack(stack, _PosteriorStub(), trans, 0.0, RecursionMode.DISCRIMINATIVE)
+        out = classify_stack(stack, _PosteriorStub(), trans, 0.0)
         assert_allclose(
             out.recursive_posteriors[0], out.instantaneous_posteriors[0], atol=1e-12
         )
@@ -291,7 +282,7 @@ class TestClassifyStack:
     def test_posteriors_normalized_everywhere(self):
         stack = _small_stack(frames=5)
         trans = build_transition_model(2, 0.05)
-        out = classify_stack(stack, _PosteriorStub(), trans, 0.8, RecursionMode.DISCRIMINATIVE)
+        out = classify_stack(stack, _PosteriorStub(), trans, 0.8)
         assert_allclose(out.recursive_posteriors.sum(axis=1), 1.0, atol=1e-9)
         assert_allclose(out.instantaneous_posteriors.sum(axis=1), 1.0, atol=1e-9)
 
@@ -299,7 +290,7 @@ class TestClassifyStack:
         stack = _small_stack()
         trans = build_transition_model(2, 0.1)
         runs = [
-            classify_stack(stack, _PosteriorStub(), trans, 0.8, RecursionMode.DISCRIMINATIVE)
+            classify_stack(stack, _PosteriorStub(), trans, 0.8)
             for _ in range(2)
         ]
         assert runs[0].recursive_posteriors.tobytes() == runs[1].recursive_posteriors.tobytes()
@@ -307,7 +298,7 @@ class TestClassifyStack:
     def test_cube_layout_matches_pixel_order(self):
         stack = _small_stack(frames=2, side=4)
         trans = build_transition_model(2, 0.1)
-        out = classify_stack(stack, _PosteriorStub(), trans, 0.0, RecursionMode.DISCRIMINATIVE)
+        out = classify_stack(stack, _PosteriorStub(), trans, 0.0)
         direct = _PosteriorStub().frame_posterior(stack.frames[0])
         assert_allclose(
             out.instantaneous_posteriors[0, 1], direct[1].reshape(4, 4), atol=1e-15
@@ -317,13 +308,12 @@ class TestClassifyStack:
 class TestClassifyStackSink:
     """A sink gets each date's (K, N) posteriors; no cube is built."""
 
-    @pytest.mark.parametrize("mode", list(RecursionMode))
-    def test_sink_sees_the_collected_cubes(self, mode):
+    def test_sink_sees_the_collected_cubes(self):
         stack = _small_stack(frames=5, side=6, seed=2)
         outputs = _scripted_outputs(np.random.default_rng(9), 5, 36, 3)
         model = _ScriptedModel(stack, outputs)
         trans = build_transition_model(3, 0.1)
-        collected = classify_stack(stack, model, trans, 0.8, mode)
+        collected = classify_stack(stack, model, trans, 0.8)
         seen = []
 
         def sink(t, inst, post):
@@ -331,7 +321,7 @@ class TestClassifyStackSink:
             assert inst.dtype == post.dtype == np.float64
             seen.append((t, inst.copy(), post.copy()))
 
-        streamed = classify_stack(stack, model, trans, 0.8, mode, sink=sink)
+        streamed = classify_stack(stack, model, trans, 0.8, sink=sink)
         assert [t for t, _, _ in seen] == list(range(5))
         for t, inst, post in seen:
             inst_plane = collected.instantaneous_posteriors[t].reshape(3, 36)
@@ -352,10 +342,8 @@ class _ScriptedModel:
         self._outputs = outputs
         self.num_classes = outputs[0].shape[0]
 
-    def frame_likelihood(self, frame):
+    def frame_posterior(self, frame):
         return self._outputs[self._index[frame.date]]
-
-    frame_posterior = frame_likelihood
 
 
 def _scripted_outputs(rng, frames, pixels, k):
@@ -411,12 +399,11 @@ BAD_FRAMES = {
 
 
 class TestClassifyStackErrors:
-    """A bad model output at the first or a later frame raises the same error in every mode."""
+    """A bad model output at the first or a later frame raises the same error."""
 
     @pytest.mark.parametrize("frame", [0, 2])
-    @pytest.mark.parametrize("mode", list(RecursionMode))
     @pytest.mark.parametrize("case", sorted(BAD_FRAMES))
-    def test_bad_model_output(self, case, mode, frame):
+    def test_bad_model_output(self, case, frame):
         corrupt, error, message = BAD_FRAMES[case]
         stack = _small_stack(frames=4)
         outputs = _scripted_outputs(np.random.default_rng(3), 4, 64, 2)
@@ -424,12 +411,11 @@ class TestClassifyStackErrors:
         outputs[frame] = corrupt(outputs[frame])
         trans = build_transition_model(2, 0.1)
         with pytest.raises(error, match=message) as raised:
-            classify_stack(stack, model, trans, 0.8, mode)
+            classify_stack(stack, model, trans, 0.8)
         assert type(raised.value) is error
         assert str(raised.value).startswith(f"{stack.dates[frame].isoformat()}: ")
 
-    @pytest.mark.parametrize("mode", list(RecursionMode))
-    def test_overflowing_sum_raises_without_a_warning(self, mode):
+    def test_overflowing_sum_raises_without_a_warning(self):
         # under -W error a numpy overflow warning would replace the error
         stack = _small_stack(frames=2)
         outputs = _scripted_outputs(np.random.default_rng(4), 2, 64, 2)
@@ -439,24 +425,21 @@ class TestClassifyStackErrors:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="sum overflows float64"):
-                classify_stack(stack, model, trans, 0.8, mode)
+                classify_stack(stack, model, trans, 0.8)
 
     def test_negative_lambda_rejected(self):
         stack = _small_stack(frames=2)
         trans = build_transition_model(2, 0.1)
         with pytest.raises(InvalidHyperparameterError):
-            classify_stack(
-                stack, _PosteriorStub(), trans, -0.5, RecursionMode.DISCRIMINATIVE
-            )
+            classify_stack(stack, _PosteriorStub(), trans, -0.5)
 
 
 class TestEpsilonSweepErrors:
     """A bad model output at any frame fails the sweep as it fails `classify_stack`."""
 
     @pytest.mark.parametrize("frame", [0, 2])
-    @pytest.mark.parametrize("mode", list(RecursionMode))
     @pytest.mark.parametrize("case", sorted(BAD_FRAMES))
-    def test_same_error_as_classify_stack(self, case, mode, frame):
+    def test_same_error_as_classify_stack(self, case, frame):
         corrupt, error, _ = BAD_FRAMES[case]
         rng = np.random.default_rng(5)
         planes = [[rng.uniform(0.0, 1.0, size=(8, 8))] for _ in range(4)]
@@ -466,58 +449,26 @@ class TestEpsilonSweepErrors:
         model = _ScriptedModel(stack, outputs)  # reads K before the corruption
         outputs[frame] = corrupt(outputs[frame])
         with pytest.raises(error) as expected:
-            classify_stack(stack, model, build_transition_model(2, 0.05), 0.8, mode)
+            classify_stack(stack, model, build_transition_model(2, 0.05), 0.8)
         with pytest.raises(error) as swept:
-            epsilon_sweep(stack, {"m": model}, {"m": mode}, 0.8, [0.05, 0.2, 0.4])
+            epsilon_sweep(stack, {"m": model}, 0.8, [0.05, 0.2, 0.4])
         assert type(swept.value) is type(expected.value)
         assert str(swept.value) == str(expected.value)
 
 
-class TestModesShareOneUpdate:
-    """Fed the same (K, N) evidence, both modes give the same filter, bit for bit."""
-
-    @staticmethod
-    def _scene(k):
-        rng = np.random.default_rng(90 + k)
-        planes = [[rng.uniform(0.0, 1.0, size=(8, 8))] for _ in range(5)]
-        truths = [np.arange(64).reshape(8, 8) % k] * 5
-        stack = make_stack(("gray",), planes, truths=truths)
-        return stack, _ScriptedModel(stack, _scripted_outputs(rng, 5, 64, k))
-
-    @pytest.mark.parametrize("k", [2, 3, 5])
-    def test_classify_stack(self, k):
-        stack, model = self._scene(k)
-        trans = build_transition_model(k, 0.1)
-        gen, disc = (classify_stack(stack, model, trans, 0.8, mode)
-                     for mode in (RecursionMode.GENERATIVE, RecursionMode.DISCRIMINATIVE))
-        for name in ("recursive_posteriors", "instantaneous_posteriors"):
-            assert getattr(gen, name).tobytes() == getattr(disc, name).tobytes()
-        for a, b in zip(gen.recursive_labels + gen.instantaneous_labels,
-                        disc.recursive_labels + disc.instantaneous_labels):
-            assert_array_equal(a.labels, b.labels)
-
-    @pytest.mark.parametrize("k", [2, 3, 5])
-    def test_epsilon_sweep(self, k):
-        stack, model = self._scene(k)
-        gen, disc = (epsilon_sweep(stack, {"m": model}, {"m": mode}, 0.8, [0.01, 0.1, 0.4])
-                     for mode in (RecursionMode.GENERATIVE, RecursionMode.DISCRIMINATIVE))
-        assert gen.recursive_accuracy.tobytes() == disc.recursive_accuracy.tobytes()
-        assert gen.instantaneous_accuracy == disc.instantaneous_accuracy
+# The public single-step updates: one step, under the paper's two names
+UPDATES, UPDATE_IDS = [generative_update, discriminative_update], ["generative", "discriminative"]
 
 
 class TestSingleStepErrors:
     """The (..., K) single-step updates reject bad evidence as `FrameStep` does."""
 
-    @pytest.mark.parametrize("mode", list(RecursionMode))
+    @pytest.mark.parametrize("update", UPDATES, ids=UPDATE_IDS)
     @pytest.mark.parametrize("case", ["nan", "negative", "zero_row", "overflow", "precedence"])
-    def test_same_error_as_frame_step(self, case, mode):
+    def test_same_error_as_frame_step(self, case, update):
         corrupt, error, _ = BAD_FRAMES[case]
         raw = corrupt(_scripted_outputs(np.random.default_rng(6), 1, 64, 2)[0])
         trans = build_transition_model(2, 0.1)
-        update = (
-            generative_update if mode is RecursionMode.GENERATIVE
-            else discriminative_update
-        )
         with pytest.raises(error) as stepped:
             FrameStep([trans], 0.8, 64)(raw)
         with warnings.catch_warnings():
@@ -531,29 +482,24 @@ class TestSingleStepErrors:
 class TestClassifyStackAcceptsEdgeOutputs:
     """Valid outputs that trip the fast checks still run the normal step."""
 
-    @pytest.mark.parametrize("mode", list(RecursionMode))
-    def test_zero_entries_and_huge_rows(self, mode):
+    @pytest.mark.parametrize("update", UPDATES, ids=UPDATE_IDS)
+    def test_zero_entries_and_huge_rows(self, update):
         stack = _small_stack(frames=3)
         outputs = _scripted_outputs(np.random.default_rng(8), 3, 64, 2)
         outputs[1][0, ::3] = 0.0  # zero entries, never a whole pixel
         outputs[2][:, 5] = np.finfo(np.float64).max / 3.0  # finite pixel sum
         trans = build_transition_model(2, 0.1)
-        result = classify_stack(stack, _ScriptedModel(stack, outputs), trans, 0.8, mode)
-        update = (
-            generative_update if mode is RecursionMode.GENERATIVE
-            else discriminative_update
-        )
+        result = classify_stack(stack, _ScriptedModel(stack, outputs), trans, 0.8)
         state = uniform_pmf(2)
         for t, raw in enumerate(outputs):
             state = update(regularize(oracles.floor_normalize(raw.T), 0.8), state, trans)
             assert_array_equal(result.recursive_posteriors[t].reshape(2, 64).T, state)
 
-    @pytest.mark.parametrize("mode", list(RecursionMode))
-    def test_empty_image(self, mode):
+    def test_empty_image(self):
         stack = make_stack(("gray",), [[np.zeros((0, 4))] for _ in range(2)])
         outputs = [np.empty((2, 0)) for _ in range(2)]
         trans = build_transition_model(2, 0.1)
-        result = classify_stack(stack, _ScriptedModel(stack, outputs), trans, 0.8, mode)
+        result = classify_stack(stack, _ScriptedModel(stack, outputs), trans, 0.8)
         assert result.recursive_posteriors.shape == (2, 2, 0, 4)
         assert [r.labels.shape for r in result.recursive_labels] == [(0, 4)] * 2
 
@@ -567,9 +513,8 @@ class TestThirdPartyModelOutputs:
         "float32": lambda out: out.astype(np.float32),
     }
 
-    @pytest.mark.parametrize("mode", list(RecursionMode))
     @pytest.mark.parametrize("layout", sorted(LAYOUTS))
-    def test_same_labels_and_cubes(self, layout, mode):
+    def test_same_labels_and_cubes(self, layout):
         stack = _small_stack(frames=4)
         rng = np.random.default_rng(12)
         # float32-exact values, so the float32 output holds the same numbers
@@ -578,8 +523,8 @@ class TestThirdPartyModelOutputs:
         variants = [self.LAYOUTS[layout](out) for out in outputs]
         assert not (variants[0].flags.c_contiguous and variants[0].dtype == np.float64)
         trans = build_transition_model(3, 0.1)
-        want = classify_stack(stack, _ScriptedModel(stack, outputs), trans, 0.8, mode)
-        got = classify_stack(stack, _ScriptedModel(stack, variants), trans, 0.8, mode)
+        want = classify_stack(stack, _ScriptedModel(stack, outputs), trans, 0.8)
+        got = classify_stack(stack, _ScriptedModel(stack, variants), trans, 0.8)
         for name in ("recursive_posteriors", "instantaneous_posteriors"):
             assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
         for a, b in zip(got.recursive_labels + got.instantaneous_labels,
@@ -591,20 +536,19 @@ class TestClassifyStackPixelIndependence:
     """Each pixel is its own chain: a band of rows run alone matches the whole image."""
 
     @pytest.mark.parametrize("lam", [0.0, 0.8])
-    @pytest.mark.parametrize("mode", list(RecursionMode))
     @pytest.mark.parametrize("k", [2, 3, 5])
-    def test_row_band_matches_whole_image(self, k, mode, lam):
+    def test_row_band_matches_whole_image(self, k, lam):
         side, rows = 8, slice(3, 6)
         stack = _small_stack(frames=4, side=side)
         outputs = _scripted_outputs(np.random.default_rng(20 + k), 4, side * side, k)
         trans = build_transition_model(k, 0.1)
-        whole = classify_stack(stack, _ScriptedModel(stack, outputs), trans, lam, mode)
+        whole = classify_stack(stack, _ScriptedModel(stack, outputs), trans, lam)
 
         band_stack = make_stack(("gray",), [[np.zeros((3, side))] for _ in range(4)])
         pixels = slice(rows.start * side, rows.stop * side)
         band_outputs = [out[:, pixels] for out in outputs]
         band = classify_stack(
-            band_stack, _ScriptedModel(band_stack, band_outputs), trans, lam, mode
+            band_stack, _ScriptedModel(band_stack, band_outputs), trans, lam
         )
         for name in ("recursive_posteriors", "instantaneous_posteriors"):
             expected = getattr(whole, name)[:, :, rows]
@@ -617,7 +561,6 @@ class TestClassifyStackPixelIndependence:
 class TestClassifyStackTies:
     """Exactly tied classes take the lowest index, as ``argmax`` does."""
 
-    @pytest.mark.parametrize("mode", list(RecursionMode))
     @pytest.mark.parametrize(
         "row, matrix",
         [
@@ -628,12 +571,12 @@ class TestClassifyStackTies:
         ],
         ids=["k2", "k3"],
     )
-    def test_lowest_tied_class_wins(self, row, matrix, mode):
+    def test_lowest_tied_class_wins(self, row, matrix):
         k, lowest = len(row), row.index(max(row))
         stack = _small_stack(frames=4)
         outputs = [np.tile(np.array(row)[:, np.newaxis], (1, 64)) for _ in range(4)]
         trans = TransitionModel(np.array(matrix), change_prob=0.1)
-        result = classify_stack(stack, _ScriptedModel(stack, outputs), trans, 0.8, mode)
+        result = classify_stack(stack, _ScriptedModel(stack, outputs), trans, 0.8)
         for cube in (result.instantaneous_posteriors, result.recursive_posteriors):
             assert_array_equal(cube[:, lowest], cube[:, k - 1])  # the tie holds
         for raster in result.instantaneous_labels + result.recursive_labels:
@@ -694,16 +637,14 @@ class TestFrameStepTransitionBank:
             insts[t], posts[t], labels[t] = step.inst, step.post, step.labels
         return insts, posts, labels
 
-    @pytest.mark.parametrize(
-        "k,mode", [(2, RecursionMode.DISCRIMINATIVE), (3, RecursionMode.GENERATIVE)]
-    )
-    def test_each_belief_equals_classify_stack(self, k, mode):
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_each_belief_equals_classify_stack(self, k):
         stack = _small_stack(frames=5, side=9)
         outputs = _scripted_outputs(np.random.default_rng(50 + k), 5, 81, k)
         insts, posts, labels = self._run(outputs, k)
         for e, epsilon in enumerate(self.EPSILONS):
             trans = build_transition_model(k, epsilon)
-            ref = classify_stack(stack, _ScriptedModel(stack, outputs), trans, 0.8, mode)
+            ref = classify_stack(stack, _ScriptedModel(stack, outputs), trans, 0.8)
             assert insts.tobytes() == ref.instantaneous_posteriors.tobytes()
             assert posts[:, e].tobytes() == ref.recursive_posteriors.tobytes()
             for t in range(5):
@@ -836,11 +777,10 @@ class TestClassifyStackEquivalence:
         seed=st.integers(min_value=0, max_value=2**31),
         k=st.integers(min_value=2, max_value=5),
         frames=st.integers(min_value=1, max_value=6),
-        mode=st.sampled_from(list(RecursionMode)),
         lam=st.sampled_from([0.0, 0.8]),
     )
     @settings(max_examples=60, deadline=None)
-    def test_matches_public_step_loop(self, seed, k, frames, mode, lam):
+    def test_matches_public_step_loop(self, seed, k, frames, lam):
         rng = np.random.default_rng(seed)
         side = 4
         pixels = side * side
@@ -853,16 +793,12 @@ class TestClassifyStackEquivalence:
             outputs.append(out)
         stack = _small_stack(frames=frames, side=side, seed=seed % 1000)
         trans = build_transition_model(k, float(rng.uniform(0.01, 0.5)))
-        result = classify_stack(stack, _ScriptedModel(stack, outputs), trans, lam, mode)
+        result = classify_stack(stack, _ScriptedModel(stack, outputs), trans, lam)
 
-        update = (
-            generative_update if mode is RecursionMode.GENERATIVE
-            else discriminative_update
-        )
         state = np.broadcast_to(uniform_pmf(k), (pixels, k))
         for t, raw in enumerate(outputs):
             inst = oracles.floor_normalize(raw.T)
-            state = update(regularize(inst, lam), state, trans)
+            state = generative_update(regularize(inst, lam), state, trans)
             assert_allclose(
                 result.instantaneous_posteriors[t].reshape(k, pixels).T, inst,
                 rtol=0.0, atol=1e-12,

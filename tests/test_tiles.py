@@ -22,19 +22,13 @@ from satbayes.classifiers import (
 from satbayes.core import Frame, ImageStack, LabelRaster, MultibandImage, build_transition_model
 from satbayes.errors import DegenerateLikelihoodError
 from satbayes.evaluation import epsilon_sweep, timing_bench
-from satbayes.recursion import FrameStep, RecursionMode, classify_stack
+from satbayes.recursion import FrameStep, classify_stack
 
 BANDS = ("nir", "red")
 HEIGHT, WIDTH, DATES, K = 70, 9, 4, 3
 TILE_HEIGHTS = [1, 7, 64, HEIGHT]
 GRID = [0.01, 0.1, 0.4]
-ENGINES = {  # name: (model key, mode)
-    "index": ("index", RecursionMode.DISCRIMINATIVE),
-    "gmm generative": ("gmm", RecursionMode.GENERATIVE),
-    "gmm discriminative": ("gmm", RecursionMode.DISCRIMINATIVE),
-    "logistic": ("logistic", RecursionMode.DISCRIMINATIVE),
-    "external": ("external", RecursionMode.DISCRIMINATIVE),
-}
+ENGINES = ["external", "gmm", "index", "logistic"]
 
 
 def _frame(t, rng, posterior=None):
@@ -72,10 +66,10 @@ def _tiled(monkeypatch, height, workers):
     monkeypatch.setattr(recursion, "_workers", lambda: workers)
 
 
-def _outputs(stack, model, mode):
+def _outputs(stack, model):
     trans = build_transition_model(K, 0.05)
-    run = classify_stack(stack, model, trans, 0.8, mode)
-    sweep = epsilon_sweep(stack, {"m": model}, {"m": mode}, 0.8, GRID)
+    run = classify_stack(stack, model, trans, 0.8)
+    sweep = epsilon_sweep(stack, {"m": model}, 0.8, GRID)
     labels = [r.labels for r in run.recursive_labels + run.instantaneous_labels]
     return (
         run.recursive_posteriors.tobytes(),
@@ -92,24 +86,23 @@ class TestTilesMatchOneTile:
 
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("height", TILE_HEIGHTS)
-    @pytest.mark.parametrize("engine", sorted(ENGINES))
+    @pytest.mark.parametrize("engine", ENGINES)
     def test_bit_identical(self, scene, monkeypatch, engine, height, workers):
         stack, models = scene
-        key, mode = ENGINES[engine]
         _tiled(monkeypatch, HEIGHT, 1)
-        expect = _outputs(stack, models[key], mode)
+        expect = _outputs(stack, models[engine])
         _tiled(monkeypatch, height, workers)
-        assert _outputs(stack, models[key], mode) == expect
+        assert _outputs(stack, models[engine]) == expect
 
     def test_more_workers_than_cores_switching_every_microsecond(self, scene, monkeypatch):
         stack, models = scene
         _tiled(monkeypatch, HEIGHT, 1)
-        expect = _outputs(stack, models["gmm"], RecursionMode.GENERATIVE)
+        expect = _outputs(stack, models["gmm"])
         _tiled(monkeypatch, 1, 2 * len(os.sched_getaffinity(0)) + 1)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            got = _outputs(stack, models["gmm"], RecursionMode.GENERATIVE)
+            got = _outputs(stack, models["gmm"])
         finally:
             sys.setswitchinterval(interval)
         assert got == expect
@@ -127,14 +120,40 @@ class TestTilesMatchOneTile:
                 return models["external"].frame_posterior(frame)
 
         _tiled(monkeypatch, 7, workers)
-        classify_stack(
-            stack, Recorder(), build_transition_model(K, 0.05), 0.8,
-            RecursionMode.DISCRIMINATIVE,
-        )
+        classify_stack(stack, Recorder(), build_transition_model(K, 0.05), 0.8)
         assert len(seen) == DATES * 10
         assert {image for image, _, _ in seen} == {(7, WIDTH)}
         assert {truth for _, truth, _ in seen} == {(7, WIDTH)}
         assert len({thread for _, _, thread in seen}) == workers
+
+
+class ScaledPosteriors:
+    """A third-party model with only ``frame_posterior``: the external
+    posteriors with each pixel's column times a power of two from 2^-20
+    to 2^20, read from its nir value so that any row window agrees."""
+
+    num_classes = K
+
+    def frame_posterior(self, frame):
+        exponent = np.rint(frame.image.band("nir").ravel() * 80.0) - 20.0
+        return frame.external_posterior.reshape(K, -1) * np.exp2(exponent)
+
+
+class TestEvidenceScale:
+    """`FrameStep` reads each pixel's evidence only up to its scale, so
+    unnormalized class weights give the normalized results, bit for bit."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_scaled_posteriors_match_normalized(self, scene, monkeypatch, workers):
+        stack, models = scene
+        model = ScaledPosteriors()
+        scales = [
+            model.frame_posterior(fr) / fr.external_posterior.reshape(K, -1)
+            for fr in stack.frames
+        ]
+        assert np.min(scales) == 2.0**-20 and np.max(scales) == 2.0**20
+        _tiled(monkeypatch, 7, workers)
+        assert _outputs(stack, model) == _outputs(stack, models["external"])
 
 
 class TestTileErrors:
@@ -156,7 +175,7 @@ class TestTileErrors:
         for height, count in ((HEIGHT, 1), (7, workers)):
             _tiled(monkeypatch, height, count)
             with pytest.raises(ValueError) as raised:
-                classify_stack(bad, model, trans, 0.8, RecursionMode.DISCRIMINATIVE)
+                classify_stack(bad, model, trans, 0.8)
             assert type(raised.value) is ValueError
             messages.append(str(raised.value))
         assert messages[1] == messages[0]
@@ -222,12 +241,12 @@ class TestTileWorkers:
                 return models["external"].frame_posterior(frame)
 
         _tiled(monkeypatch, 7, 2)
-        model, mode = TileFailure(), RecursionMode.DISCRIMINATIVE
+        model = TileFailure()
         trans = build_transition_model(K, 0.05)
         calls = [
-            lambda: classify_stack(stack, model, trans, 0.8, mode),
-            lambda: epsilon_sweep(stack, {"m": model}, {"m": mode}, 0.8, GRID),
-            lambda: timing_bench(stack, {"m": model}, {"m": mode}, trans, 0.8, 3),
+            lambda: classify_stack(stack, model, trans, 0.8),
+            lambda: epsilon_sweep(stack, {"m": model}, 0.8, GRID),
+            lambda: timing_bench(stack, {"m": model}, trans, 0.8, 3),
         ]
         for call in calls:
             before = threading.active_count()
