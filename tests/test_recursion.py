@@ -305,12 +305,27 @@ class TestClassifyStack:
         )
 
 
+def _as_posterior(out):
+    return out / out.sum(axis=0)
+
+
+def _as_likelihood(out):
+    # each pixel's column times a power of two from 2^-20 to 2^20
+    return out * np.exp2(np.arange(out.shape[1]) % 41 - 20.0)
+
+
+# The two forms of evidence that `frame_posterior` may return: each pixel's
+# posterior, or class weights proportional to it, as likelihoods are
+EVIDENCE = {"likelihood": _as_likelihood, "posterior": _as_posterior}
+
+
 class TestClassifyStackSink:
     """A sink gets each date's (K, N) posteriors; no cube is built."""
 
-    def test_sink_sees_the_collected_cubes(self):
+    @pytest.mark.parametrize("evidence", sorted(EVIDENCE))
+    def test_sink_sees_the_collected_cubes(self, evidence):
         stack = _small_stack(frames=5, side=6, seed=2)
-        outputs = _scripted_outputs(np.random.default_rng(9), 5, 36, 3)
+        outputs = _scripted_outputs(np.random.default_rng(9), 5, 36, 3, evidence)
         model = _ScriptedModel(stack, outputs)
         trans = build_transition_model(3, 0.1)
         collected = classify_stack(stack, model, trans, 0.8)
@@ -346,8 +361,9 @@ class _ScriptedModel:
         return self._outputs[self._index[frame.date]]
 
 
-def _scripted_outputs(rng, frames, pixels, k):
-    return [rng.uniform(0.05, 1.0, size=(k, pixels)) for _ in range(frames)]
+def _scripted_outputs(rng, frames, pixels, k, evidence=None):
+    outputs = [rng.uniform(0.05, 1.0, size=(k, pixels)) for _ in range(frames)]
+    return outputs if evidence is None else [EVIDENCE[evidence](out) for out in outputs]
 
 
 def _nan(out):
@@ -399,14 +415,16 @@ BAD_FRAMES = {
 
 
 class TestClassifyStackErrors:
-    """A bad model output at the first or a later frame raises the same error."""
+    """A bad model output at the first or a later frame raises the same error
+    for either form of evidence."""
 
     @pytest.mark.parametrize("frame", [0, 2])
+    @pytest.mark.parametrize("evidence", sorted(EVIDENCE))
     @pytest.mark.parametrize("case", sorted(BAD_FRAMES))
-    def test_bad_model_output(self, case, frame):
+    def test_bad_model_output(self, case, evidence, frame):
         corrupt, error, message = BAD_FRAMES[case]
         stack = _small_stack(frames=4)
-        outputs = _scripted_outputs(np.random.default_rng(3), 4, 64, 2)
+        outputs = _scripted_outputs(np.random.default_rng(3), 4, 64, 2, evidence)
         model = _ScriptedModel(stack, outputs)  # reads K before the corruption
         outputs[frame] = corrupt(outputs[frame])
         trans = build_transition_model(2, 0.1)
@@ -415,10 +433,11 @@ class TestClassifyStackErrors:
         assert type(raised.value) is error
         assert str(raised.value).startswith(f"{stack.dates[frame].isoformat()}: ")
 
-    def test_overflowing_sum_raises_without_a_warning(self):
+    @pytest.mark.parametrize("evidence", sorted(EVIDENCE))
+    def test_overflowing_sum_raises_without_a_warning(self, evidence):
         # under -W error a numpy overflow warning would replace the error
         stack = _small_stack(frames=2)
-        outputs = _scripted_outputs(np.random.default_rng(4), 2, 64, 2)
+        outputs = _scripted_outputs(np.random.default_rng(4), 2, 64, 2, evidence)
         model = _ScriptedModel(stack, outputs)
         outputs[1] = _overflow(outputs[1])
         trans = build_transition_model(2, 0.1)
@@ -438,14 +457,15 @@ class TestEpsilonSweepErrors:
     """A bad model output at any frame fails the sweep as it fails `classify_stack`."""
 
     @pytest.mark.parametrize("frame", [0, 2])
+    @pytest.mark.parametrize("evidence", sorted(EVIDENCE))
     @pytest.mark.parametrize("case", sorted(BAD_FRAMES))
-    def test_same_error_as_classify_stack(self, case, frame):
+    def test_same_error_as_classify_stack(self, case, evidence, frame):
         corrupt, error, _ = BAD_FRAMES[case]
         rng = np.random.default_rng(5)
         planes = [[rng.uniform(0.0, 1.0, size=(8, 8))] for _ in range(4)]
         truths = [rng.integers(0, 2, size=(8, 8)) for _ in range(4)]
         stack = make_stack(("gray",), planes, truths=truths)
-        outputs = _scripted_outputs(rng, 4, 64, 2)
+        outputs = _scripted_outputs(rng, 4, 64, 2, evidence)
         model = _ScriptedModel(stack, outputs)  # reads K before the corruption
         outputs[frame] = corrupt(outputs[frame])
         with pytest.raises(error) as expected:
@@ -454,6 +474,40 @@ class TestEpsilonSweepErrors:
             epsilon_sweep(stack, {"m": model}, 0.8, [0.05, 0.2, 0.4])
         assert type(swept.value) is type(expected.value)
         assert str(swept.value) == str(expected.value)
+
+
+class TestEvidenceFormsShareOneFilter:
+    """Fed a pixel's posterior or that posterior times a power of two, the
+    filter gives the same results, bit for bit."""
+
+    @staticmethod
+    def _scene(k):
+        rng = np.random.default_rng(90 + k)
+        planes = [[rng.uniform(0.0, 1.0, size=(8, 8))] for _ in range(5)]
+        truths = [np.arange(64).reshape(8, 8) % k] * 5
+        stack = make_stack(("gray",), planes, truths=truths)
+        posteriors = _scripted_outputs(rng, 5, 64, k, "posterior")
+        scaled = [_as_likelihood(out) for out in posteriors]
+        return stack, _ScriptedModel(stack, posteriors), _ScriptedModel(stack, scaled)
+
+    @pytest.mark.parametrize("k", [2, 3, 5])
+    def test_classify_stack(self, k):
+        stack, posterior, scaled = self._scene(k)
+        trans = build_transition_model(k, 0.1)
+        want, got = (classify_stack(stack, model, trans, 0.8) for model in (posterior, scaled))
+        for name in ("recursive_posteriors", "instantaneous_posteriors"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+        for a, b in zip(got.recursive_labels + got.instantaneous_labels,
+                        want.recursive_labels + want.instantaneous_labels):
+            assert_array_equal(a.labels, b.labels)
+
+    @pytest.mark.parametrize("k", [2, 3, 5])
+    def test_epsilon_sweep(self, k):
+        stack, posterior, scaled = self._scene(k)
+        want, got = (epsilon_sweep(stack, {"m": model}, 0.8, [0.01, 0.1, 0.4])
+                     for model in (posterior, scaled))
+        assert got.recursive_accuracy.tobytes() == want.recursive_accuracy.tobytes()
+        assert got.instantaneous_accuracy == want.instantaneous_accuracy
 
 
 # The public single-step updates: one step, under the paper's two names
@@ -482,10 +536,11 @@ class TestSingleStepErrors:
 class TestClassifyStackAcceptsEdgeOutputs:
     """Valid outputs that trip the fast checks still run the normal step."""
 
+    @pytest.mark.parametrize("evidence", sorted(EVIDENCE))
     @pytest.mark.parametrize("update", UPDATES, ids=UPDATE_IDS)
-    def test_zero_entries_and_huge_rows(self, update):
+    def test_zero_entries_and_huge_rows(self, update, evidence):
         stack = _small_stack(frames=3)
-        outputs = _scripted_outputs(np.random.default_rng(8), 3, 64, 2)
+        outputs = _scripted_outputs(np.random.default_rng(8), 3, 64, 2, evidence)
         outputs[1][0, ::3] = 0.0  # zero entries, never a whole pixel
         outputs[2][:, 5] = np.finfo(np.float64).max / 3.0  # finite pixel sum
         trans = build_transition_model(2, 0.1)
@@ -495,9 +550,10 @@ class TestClassifyStackAcceptsEdgeOutputs:
             state = update(regularize(oracles.floor_normalize(raw.T), 0.8), state, trans)
             assert_array_equal(result.recursive_posteriors[t].reshape(2, 64).T, state)
 
-    def test_empty_image(self):
+    @pytest.mark.parametrize("evidence", sorted(EVIDENCE))
+    def test_empty_image(self, evidence):
         stack = make_stack(("gray",), [[np.zeros((0, 4))] for _ in range(2)])
-        outputs = [np.empty((2, 0)) for _ in range(2)]
+        outputs = [EVIDENCE[evidence](np.empty((2, 0))) for _ in range(2)]
         trans = build_transition_model(2, 0.1)
         result = classify_stack(stack, _ScriptedModel(stack, outputs), trans, 0.8)
         assert result.recursive_posteriors.shape == (2, 2, 0, 4)
@@ -513,13 +569,14 @@ class TestThirdPartyModelOutputs:
         "float32": lambda out: out.astype(np.float32),
     }
 
+    @pytest.mark.parametrize("evidence", sorted(EVIDENCE))
     @pytest.mark.parametrize("layout", sorted(LAYOUTS))
-    def test_same_labels_and_cubes(self, layout):
+    def test_same_labels_and_cubes(self, layout, evidence):
         stack = _small_stack(frames=4)
         rng = np.random.default_rng(12)
         # float32-exact values, so the float32 output holds the same numbers
         outputs = [out.astype(np.float32).astype(np.float64)
-                   for out in _scripted_outputs(rng, 4, 64, 3)]
+                   for out in _scripted_outputs(rng, 4, 64, 3, evidence)]
         variants = [self.LAYOUTS[layout](out) for out in outputs]
         assert not (variants[0].flags.c_contiguous and variants[0].dtype == np.float64)
         trans = build_transition_model(3, 0.1)
@@ -536,11 +593,12 @@ class TestClassifyStackPixelIndependence:
     """Each pixel is its own chain: a band of rows run alone matches the whole image."""
 
     @pytest.mark.parametrize("lam", [0.0, 0.8])
+    @pytest.mark.parametrize("evidence", sorted(EVIDENCE))
     @pytest.mark.parametrize("k", [2, 3, 5])
-    def test_row_band_matches_whole_image(self, k, lam):
+    def test_row_band_matches_whole_image(self, k, evidence, lam):
         side, rows = 8, slice(3, 6)
         stack = _small_stack(frames=4, side=side)
-        outputs = _scripted_outputs(np.random.default_rng(20 + k), 4, side * side, k)
+        outputs = _scripted_outputs(np.random.default_rng(20 + k), 4, side * side, k, evidence)
         trans = build_transition_model(k, 0.1)
         whole = classify_stack(stack, _ScriptedModel(stack, outputs), trans, lam)
 
@@ -571,10 +629,12 @@ class TestClassifyStackTies:
         ],
         ids=["k2", "k3"],
     )
-    def test_lowest_tied_class_wins(self, row, matrix):
+    @pytest.mark.parametrize("evidence", sorted(EVIDENCE))
+    def test_lowest_tied_class_wins(self, row, matrix, evidence):
         k, lowest = len(row), row.index(max(row))
         stack = _small_stack(frames=4)
-        outputs = [np.tile(np.array(row)[:, np.newaxis], (1, 64)) for _ in range(4)]
+        column = np.tile(np.array(row)[:, np.newaxis], (1, 64))
+        outputs = [EVIDENCE[evidence](column) for _ in range(4)]
         trans = TransitionModel(np.array(matrix), change_prob=0.1)
         result = classify_stack(stack, _ScriptedModel(stack, outputs), trans, 0.8)
         for cube in (result.instantaneous_posteriors, result.recursive_posteriors):

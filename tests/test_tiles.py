@@ -28,7 +28,7 @@ BANDS = ("nir", "red")
 HEIGHT, WIDTH, DATES, K = 70, 9, 4, 3
 TILE_HEIGHTS = [1, 7, 64, HEIGHT]
 GRID = [0.01, 0.1, 0.4]
-ENGINES = ["external", "gmm", "index", "logistic"]
+ENGINES = ["external", "gmm", "index", "logistic", "scaled"]
 
 
 def _frame(t, rng, posterior=None):
@@ -57,6 +57,7 @@ def scene():
         "gmm": fit_mixture_classifier([x[y == c] for c in range(K)], BANDS, components=2),
         "logistic": fit_logistic_classifier(x, y, K, BANDS),
         "external": ExternalPosteriorSource(K),
+        "scaled": ScaledPosteriors(),
     }
     return stack, models
 
