@@ -208,7 +208,7 @@ class TestIndexClassifier:
         img = make_image(("green", "swir1"), [[[0.3, 0.1]], [[0.05, 0.3]]])
         classifier = IndexClassifier.from_thresholds(WATER_TAU, SpectralIndexKind.MNDWI)
         values, _ = spectral_index(img, SpectralIndexKind.MNDWI)
-        from satbayes.core import Frame, floor_normalize_columns
+        from satbayes.core import Frame
         import datetime as dt
 
         frame = Frame(date=dt.date(2021, 1, 1), image=img)
