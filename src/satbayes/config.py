@@ -96,6 +96,10 @@ class ExperimentConfig:
             raise ConfigError(f"epsilon must lie in (0, 1), got {self.epsilon}")
         if not (0.0 <= self.lam < float("inf")):  # NaN fails too
             raise ConfigError(f"lambda must be finite and >= 0, got {self.lam}")
+        if len(self.classes) * (1.0 + self.lam) == float("inf"):  # a smoothed sum overflows
+            raise ConfigError(
+                f"lambda {self.lam} overflows the smoothed sum of {len(self.classes)} classes"
+            )
         if not self.test_dates:
             raise ConfigError("config needs at least one test date")
         if len(set(self.test_dates)) != len(self.test_dates):

@@ -2,7 +2,12 @@
 
 Balanced accuracy (mean per-class recall over the classes actually
 present in the truth raster) is the headline score everywhere, so
-class-imbalanced scenes do not reward majority-class collapse.
+class-imbalanced scenes do not reward majority-class collapse. One
+formula, `_balanced`, turns per-class hits and truth totals into that
+score: `balanced_accuracy` takes them from a confusion matrix, while
+`frame_accuracies` and `epsilon_sweep` take the counts that
+`FrameStep` made as it decided each date's labels, and scan no label
+raster.
 """
 
 from __future__ import annotations
@@ -68,9 +73,15 @@ def balanced_accuracy(
         raise EvaluationError("empty truth raster")
     num_classes = int(max(p.max(), t.max())) + 1
     matrix = confusion_matrix(p, t, num_classes)
-    idx = np.flatnonzero(matrix.sum(axis=1) > 0)
-    recalls = matrix[idx, idx] / matrix[idx].sum(axis=1)
-    return float(recalls.mean())
+    return _balanced(np.diagonal(matrix), matrix.sum(axis=1))
+
+
+def _balanced(hits: np.ndarray, totals: np.ndarray) -> float:
+    """Mean of hits[c] / totals[c] over the classes c with totals[c] > 0."""
+    idx = np.flatnonzero(totals > 0)
+    if not idx.size:
+        raise EvaluationError("empty truth raster")
+    return float(np.mean(hits[idx] / totals[idx]))
 
 
 def error_map(
@@ -99,22 +110,27 @@ class FrameScore:
 def frame_accuracies(
     classification: StackClassification, stack: ImageStack
 ) -> tuple[FrameScore, ...]:
-    """Balanced accuracy per ground-truth-carrying frame."""
+    """Balanced accuracy per ground-truth-carrying frame.
+
+    Each score comes from the counts `classify_stack` made of that
+    date's labels against the frame's truth, so ``classification`` must
+    come from ``stack``; a truth frame it holds no counts for is an
+    EvaluationError. No label raster is read.
+    """
     if classification.dates != stack.dates:
         raise ShapeError("classification and stack cover different dates")
     scores = []
-    for idx, frame in enumerate(stack.frames):
+    for frame, counts in zip(stack.frames, classification.counts):
         if frame.truth is None:
             continue
+        if counts is None:
+            raise EvaluationError(f"{frame.date.isoformat()}: classified without its truth")
+        hits, totals = counts
         scores.append(
             FrameScore(
                 date=frame.date,
-                recursive=balanced_accuracy(
-                    classification.recursive_labels[idx], frame.truth
-                ),
-                instantaneous=balanced_accuracy(
-                    classification.instantaneous_labels[idx], frame.truth
-                ),
+                recursive=_balanced(hits[1], totals),
+                instantaneous=_balanced(hits[0], totals),
             )
         )
     if not scores:
@@ -162,8 +178,10 @@ def epsilon_sweep(
     balanced accuracy over the stack's ground-truth frames. The sweep is
     one pass over the frames per model: one `FrameStep` advances a
     belief per grid value from a single model evaluation per frame, and
-    labels are scored as they come. Each date is evaluated and stepped
-    in the step's row tiles on its workers, as in `classify_stack`.
+    scores each label row from the counts its tile workers made against
+    the frame's truth, without scanning a label raster. Each date is
+    evaluated, stepped and counted in the step's row tiles on its
+    workers, as in `classify_stack`.
     Scores equal those of one `classify_stack` run per grid value, bit
     for bit, and a bad model output raises the same error, naming the
     frame's date.
@@ -185,12 +203,10 @@ def epsilon_sweep(
         scores = []  # per truth frame: instantaneous, then one per epsilon
         with FrameStep(transitions, lam, pixels, width) as step:
             for frame in stack.frames:
-                step(lambda rows: model.frame_posterior(frame.window(rows)), frame.date)
-                if frame.truth is not None:
-                    scores.append([
-                        balanced_accuracy(row.reshape(height, width), frame.truth)
-                        for row in step.labels
-                    ])
+                truth = None if frame.truth is None else frame.truth.labels.ravel()
+                step(lambda rows: model.frame_posterior(frame.window(rows)), frame.date, truth)
+                if truth is not None:
+                    scores.append([_balanced(hits, step.totals) for hits in step.hits])
         means = [float(np.mean(column)) for column in zip(*scores)]
         instantaneous.append(means[0])
         accuracy[a] = means[1:]

@@ -397,7 +397,8 @@ def load_stack(manifest: StackManifest) -> ImageStack:
                 )
             path = manifest.base_dir / paths[band]
             plane = read_band_plane(path, height // factor, width // factor)
-            planes.append(resample_nearest(plane, factor))
+            # MultibandImage copies the planes, so a native one needs no copy here
+            planes.append(plane if factor == 1 else resample_nearest(plane, factor))
         try:
             image = MultibandImage(bands=names, data=planes, scale=manifest.scale)
         except ValueError:

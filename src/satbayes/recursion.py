@@ -13,8 +13,9 @@ All update arithmetic is three class-major functions, `_smooth`,
 `_update` and `_decide`, on (K, n) float64 arrays, normalized by `core`
 as the engines are. Nothing in the package keeps work arrays between
 calls: they allocate theirs per call, and `FrameStep` holds only the
-filter state and its workers for `classify_stack`, `timing_bench` and
-`epsilon_sweep`, each one ``with`` block over it. Pixels are
+filter state, the last date's per-class counts against its truth and
+its workers for `classify_stack`, `timing_bench` and `epsilon_sweep`,
+each one ``with`` block over it. Pixels are
 independent, so it works through each date in row tiles of about 32k
 pixels, which stay in cache, on one worker per CPU of the process's
 affinity mask: the calling thread and a pool that the block shuts
@@ -22,7 +23,10 @@ down. The model sees a tile as a `Frame.window` of its rows. It
 validates each tile's (K, n) model output, and only once all passed
 updates one belief per transition model in place: a sweep over E
 transition probabilities is a bank of E filters sharing one model
-evaluation. No result depends on the tiling or the worker count. The
+evaluation. Given the date's truth, the worker that decided a tile's
+labels also counts them against the truth's window, so a date is scored
+from integer counts summed over the tiles, and no label raster is
+scanned again. No result depends on the tiling or the worker count. The
 filter needs only the previous date's belief: `classify_stack` hands
 each date's (K, N) posteriors to a per-frame sink, and collects them
 into float64 cubes only when the caller passes none. The public
@@ -118,17 +122,25 @@ def regularize(pmf: np.ndarray, lam: float) -> np.ndarray:
 
     ``lam`` = 0 returns the input unchanged (bit-exact identity); larger
     values pull the vector toward uniform without reordering classes.
+    ``lam`` must be finite and >= 0 with K * (1 + lam) finite, so that
+    no smoothed sum overflows (InvalidHyperparameterError otherwise).
     """
-    _check_lam(lam)
     arr = validate_pmf(pmf)
+    _check_lam(lam, arr.shape[-1])
     if lam == 0.0:
         return arr
     return _smooth(_class_major(arr, arr.shape), lam).T.reshape(arr.shape)
 
 
-def _check_lam(lam: float) -> None:
+def _check_lam(lam: float, k: int) -> None:
+    """``lam`` >= 0 with k * (1 + lam) finite, so no smoothed column sum
+    of k classes overflows."""
     if not np.isfinite(lam) or lam < 0.0:
         raise InvalidHyperparameterError(f"lam must be finite and >= 0, got {lam}")
+    if not np.isfinite(k * (1.0 + lam)):
+        raise InvalidHyperparameterError(
+            f"lam {lam} overflows the smoothed sum of {k} classes"
+        )
 
 
 def _class_major(arr: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -201,6 +213,27 @@ def _decide(pmf: np.ndarray, labels: np.ndarray) -> None:
         labels += (c - labels) * greater
 
 
+def _count(labels: np.ndarray, truth: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Hits (R, C) and totals (C,) of the (R, n) ``labels`` against ``truth``.
+
+    hits[r, c] counts the pixels where row r and the truth are both c,
+    totals[c] the truth's pixels of class c. C is k, or more when the
+    truth holds a label >= k: that label is a class of its own, with
+    no hits.
+    """
+    masks = [truth == c for c in range(k)]  # shared by every label row
+    totals = np.array([np.count_nonzero(mask) for mask in masks])
+    if totals.sum() != truth.size:
+        totals = np.bincount(truth, minlength=k)
+    hits = np.zeros((len(labels), len(totals)), dtype=totals.dtype)
+    equal, both = np.empty(truth.shape, dtype=bool), np.empty(truth.shape, dtype=bool)
+    for r, row in enumerate(labels):
+        np.equal(row, truth, out=equal)
+        for c, mask in enumerate(masks):
+            hits[r, c] = np.count_nonzero(np.logical_and(equal, mask, out=both))
+    return hits, totals
+
+
 # ============================================================
 # row tiles on worker threads
 # ============================================================
@@ -241,7 +274,10 @@ class StackClassification:
 
     Posterior cubes have shape (dates, classes, H, W) in float64, or
     are None when `classify_stack` handed the posteriors to a sink;
-    label lists hold one LabelRaster per date.
+    label lists hold one LabelRaster per date. ``counts`` holds, per
+    date, None if the frame carries no truth, else the `FrameStep`
+    ``(hits, totals)`` of that date's labels against its truth: hits
+    (2, C) with row 0 instantaneous and row 1 recursive, totals (C,).
     """
 
     dates: tuple[dt.date, ...]
@@ -250,6 +286,7 @@ class StackClassification:
     instantaneous_posteriors: np.ndarray | None
     recursive_labels: tuple[LabelRaster, ...]
     instantaneous_labels: tuple[LabelRaster, ...]
+    counts: tuple[tuple[np.ndarray, np.ndarray] | None, ...]
 
 
 class FrameStep:
@@ -258,15 +295,23 @@ class FrameStep:
     `classify_stack` and `timing_bench` run it with one transition
     model, `epsilon_sweep` with one per grid value; all must share the
     class count K (a ConfigError otherwise, or without any), which the
-    uint8 labels cap at 255 (InvalidClassCountError above). Its state is
+    uint8 labels cap at 255 (InvalidClassCountError above), and ``lam``
+    must pass `regularize`'s check for K classes. Its state is
     three class-major arrays: ``inst`` (K, N), the floor-normalized
     instantaneous posterior; ``post`` (E, K, N), one belief per
     transition model, uniform after construction or `reset`; and the
     MAP ``labels`` (1 + E, N), row 0 from ``inst`` and row 1 + e from
-    ``post[e]``. ``step(raw, date)`` floor-normalizes one frame's (K, N)
-    class weights (`FrameModel`) into ``inst``, smooths it
-    and updates each ``post[e]`` in place; ``raw`` may also be a
-    function from a slice of rows to their (K, n) output.
+    ``post[e]``. ``step(raw, date, truth)`` floor-normalizes one
+    frame's (K, N) class weights (`FrameModel`) into ``inst``, smooths
+    it and updates each ``post[e]`` in place; ``raw`` may also be a
+    function from a slice of rows to their (K, n) output. Given the
+    date's ``truth``, its (N,) non-negative integer labels, the step
+    also scores the date: ``hits`` (1 + E, C) counts, per label row and
+    class c, the pixels where that row and the truth are both c, and
+    ``totals`` (C,) the truth's pixels per class. C is K, or one more
+    than the largest truth label if that is K or more. Without a truth
+    both are None. They are per-date reductions: each tile's worker
+    counts its own pixels and the tiles' counts are added in tile order.
 
     The N pixels are rows of ``width``, stepped in the row tiles
     ``rows`` of about `_TILE_PIXELS` pixels by `map`, on one worker per
@@ -274,18 +319,17 @@ class FrameStep:
     thread and, if there are more, the threads of a pool that the
     step's ``with`` block shuts down. Every tile is checked first, then,
     only if all passed, advanced. A model's error propagates as it is.
-    An output of another shape is a ShapeError; in one of the right
-    shape, a non-finite, then a negative entry in any tile is a
-    ValueError, an all-zero pixel column a DegenerateLikelihoodError and
-    an overflowing column sum a ValueError. Given the frame's ``date``,
-    the message starts with its ISO form and the error keeps its type,
-    and the state is left as it was.
+    A truth, then an output, of another shape is a ShapeError; in an
+    output of the right shape, a non-finite, then a negative entry in
+    any tile is a ValueError, an all-zero pixel column a
+    DegenerateLikelihoodError and an overflowing column sum a ValueError.
+    Given the frame's ``date``, the message starts with its ISO form and
+    the error keeps its type, and the state is left as it was.
     """
 
     def __init__(
         self, transitions: Sequence[TransitionModel], lam: float, pixels: int, width: int = 1
     ) -> None:
-        _check_lam(lam)
         self.transitions = tuple(transitions)
         counts = [t.num_classes for t in self.transitions]
         if len(set(counts)) != 1:
@@ -293,6 +337,7 @@ class FrameStep:
         k = counts[0]
         if k > 255:
             raise InvalidClassCountError(f"at most 255 classes are supported, got {k}")
+        _check_lam(lam, k)
         width = max(width, 1)  # a frame without columns has no pixels
         if pixels % width:
             raise ShapeError(f"{pixels} pixels do not make rows of {width}")
@@ -304,6 +349,7 @@ class FrameStep:
         self.inst = np.empty((k, pixels))
         self.post = np.empty((len(self.transitions), k, pixels))
         self.labels = np.empty((1 + len(self.transitions), pixels), dtype=np.uint8)
+        self.hits = self.totals = None
         self.reset()
         self._workers = min(_workers(), len(self.rows))
         self._threads = None
@@ -343,8 +389,15 @@ class FrameStep:
             future.result()
 
     def __call__(
-        self, raw: np.ndarray | Callable[[slice], np.ndarray], date: dt.date | None = None
+        self,
+        raw: np.ndarray | Callable[[slice], np.ndarray],
+        date: dt.date | None = None,
+        truth: np.ndarray | None = None,
     ) -> None:
+        truth = None if truth is None else np.asarray(truth)
+        if truth is not None and truth.shape != self._shape[1:]:
+            message = f"truth has shape {truth.shape}, expected {self._shape[1:]}"
+            _raise_dated(ShapeError(message), date)
         whole = None if callable(raw) else np.asarray(raw)
         if whole is not None and whole.shape != self._shape:
             message = f"model returned shape {whole.shape}, expected {self._shape}"
@@ -369,7 +422,23 @@ class FrameStep:
         self.map(check)
         if faults:
             _raise_dated(min(faults)[2], date)
-        self.map(lambda i: self._advance(outputs[i], self._cols[i]))
+        counts = [None] * len(self.rows)  # per tile: hits, totals
+
+        def advance(i: int) -> None:
+            cols = self._cols[i]
+            self._advance(outputs[i], cols)
+            if truth is not None:
+                counts[i] = _count(self.labels[:, cols], truth[cols], self._shape[0])
+
+        self.map(advance)
+        self.hits = self.totals = None
+        if truth is not None:
+            width = max(len(totals) for _, totals in counts)
+            self.hits = np.zeros((len(self.labels), width), dtype=np.int64)
+            self.totals = np.zeros(width, dtype=np.int64)
+            for hits, totals in counts:
+                self.hits[:, : len(totals)] += hits
+                self.totals[: len(totals)] += totals
 
     def _advance(self, raw: np.ndarray, cols: slice) -> None:
         inst = floor_normalize_columns(raw, self.inst[:, cols])
@@ -400,7 +469,9 @@ def classify_stack(
     smoothed with `regularize`, and folded into the running per-pixel
     belief (initialized uniform) by one `FrameStep`, which updates that
     belief in place. Both the recursive and the raw instantaneous
-    decisions are returned so callers can compare them.
+    decisions are returned so callers can compare them, and for each
+    frame that carries truth the step's counts of both against it,
+    from which `frame_accuracies` scores the date.
 
     After each date t, ``sink(t, inst, post)`` receives the date's
     instantaneous and recursive posteriors as (K, H*W) float64 views,
@@ -430,10 +501,13 @@ def classify_stack(
             cubes[1, t] = inst
 
     labels = np.empty((t_total, 2, n), dtype=np.uint8)  # instantaneous, recursive
+    counts = []
     with FrameStep([transition], lam, n, width) as step:
         for t, frame in enumerate(stack.frames):
-            step(lambda rows: model.frame_posterior(frame.window(rows)), frame.date)
+            truth = None if frame.truth is None else frame.truth.labels.ravel()
+            step(lambda rows: model.frame_posterior(frame.window(rows)), frame.date, truth)
             labels[t] = step.labels
+            counts.append(None if truth is None else (step.hits, step.totals))
             sink(t, step.inst, step.post[0])
 
     def rasters(row: int) -> tuple[LabelRaster, ...]:
@@ -449,4 +523,5 @@ def classify_stack(
         instantaneous_posteriors=cube(1),
         recursive_labels=rasters(1),
         instantaneous_labels=rasters(0),
+        counts=tuple(counts),
     )

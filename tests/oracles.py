@@ -4,11 +4,11 @@ Most of this is written the slow, obvious way (explicit loops,
 textbook formulas, brute-force enumeration) and shares no code with the
 package's vectorized implementations. Tests compare the two routes;
 when they agree we trust both. The softmax-loss functions over
-`max_shift_logsumexp` and `per_epsilon_sweep` are instead the
-straightforward routes the package's faster code must reproduce
-exactly. The mixture functions over `max_shift_logsumexp` evaluate each
-Gaussian directly; the package's natural-parameter form rounds
-differently, so it matches them to stated tolerances, not bit for bit.
+`max_shift_logsumexp`, `rescanned_frame_scores` and `per_epsilon_sweep`
+are instead the straightforward routes the package's faster code must
+reproduce exactly. The mixture functions over `max_shift_logsumexp`
+evaluate each Gaussian directly; the package's natural-parameter form
+rounds differently, so it matches them to stated tolerances, not bit for bit.
 `reference_logistic_hessian` builds the softmax loss's Hessian one
 class pair at a time, against which the package's blocked one-GEMM
 form is checked to a stated tolerance.
@@ -45,7 +45,7 @@ from satbayes.core import (
     validate_pmf,
 )
 from satbayes.errors import ConfigError, ShapeError
-from satbayes.evaluation import frame_accuracies
+from satbayes.evaluation import FrameScore, balanced_accuracy
 from satbayes.recursion import classify_stack
 
 
@@ -481,13 +481,31 @@ def counted_discriminative_update(
     return posterior, ops
 
 
+def rescanned_frame_scores(classification, stack):
+    """`frame_accuracies` by rescanning: `balanced_accuracy` of each truth
+    frame's returned label rasters against its truth, not the step's
+    counts."""
+    return tuple(
+        FrameScore(
+            date=frame.date,
+            recursive=balanced_accuracy(classification.recursive_labels[t], frame.truth),
+            instantaneous=balanced_accuracy(
+                classification.instantaneous_labels[t], frame.truth
+            ),
+        )
+        for t, frame in enumerate(stack.frames)
+        if frame.truth is not None
+    )
+
+
 def per_epsilon_sweep(stack, models, lam, grid):
     """The epsilon sweep as one full `classify_stack` run per grid value.
 
     Unlike the rest of this module it reuses package code: it is the
     straightforward route (re-evaluate every model on every frame, build
-    both posterior cubes, score them with `frame_accuracies`) that the
-    one-pass `epsilon_sweep` must reproduce exactly. Returns the
+    both posterior cubes, score the label rasters with
+    `rescanned_frame_scores`) that the one-pass `epsilon_sweep` must
+    reproduce exactly. Returns the
     (algorithms, grid) recursive accuracy array and the per-algorithm
     instantaneous accuracies.
     """
@@ -502,7 +520,7 @@ def per_epsilon_sweep(stack, models, lam, grid):
                 models[name].num_classes, epsilon
             )
             result = classify_stack(stack, models[name], transition, lam)
-            scores = frame_accuracies(result, stack)
+            scores = rescanned_frame_scores(result, stack)
             accuracy[a, e] = float(np.mean([s.recursive for s in scores]))
             if inst_score is None:
                 inst_score = float(np.mean([s.instantaneous for s in scores]))

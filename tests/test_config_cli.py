@@ -139,6 +139,12 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match=r"^lambda must be finite and >= 0, got "):
             parse_config_text(config_lines(**{"lambda": lam}))
 
+    def test_lambda_whose_smoothed_sum_overflows(self):
+        # 2 classes: 2 * (1 + 1e308) is inf, 2 * (1 + 1e300) is not
+        with pytest.raises(ConfigError, match=r"^lambda 1e\+308 overflows the smoothed sum of 2 "):
+            parse_config_text(config_lines(**{"lambda": "1e308"}))
+        assert parse_config_text(config_lines(**{"lambda": "1e300"})).lam == 1e300
+
     def test_threshold_count_must_be_classes_plus_one(self):
         with pytest.raises(ConfigError):
             parse_config_text(config_lines(thresholds="-1, 0.1, 0.5, 1"))
@@ -826,6 +832,19 @@ class TestCliExitCodes:
         out = tmp_path / "out"
         assert main(["run", "--config", str(config), "--out", str(out)]) == 1
         assert capsys.readouterr().err == f"error: lambda must be finite and >= 0, got {lam}\n"
+        assert not out.exists()
+
+    def test_overflowing_lambda_fails_before_any_work(self, cli_area, tmp_path, capsys):
+        config = tmp_path / "lam.cfg"
+        config.write_text(
+            CLI_CONFIG.replace("data/manifest.txt", str(cli_area / "data" / "manifest.txt"))
+            .replace("lambda = 0.8", "lambda = 1e308")
+        )
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(config), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: lambda 1e+308 overflows")
+        assert "warning:" not in err
         assert not out.exists()
 
     def test_run_epsilon_override_validated(self, cli_area, capsys):

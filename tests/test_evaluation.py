@@ -10,14 +10,16 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 import oracles
-from helpers import WATER_THRESHOLDS, make_stack
+from helpers import WATER_THRESHOLDS, date_of, make_stack
+from satbayes import evaluation, recursion
 from satbayes.classifiers import (
+    ExternalPosteriorSource,
     GaussianMixture,
     IndexClassifier,
     MixtureClassifier,
     SpectralIndexKind,
 )
-from satbayes.core import ImageStack, build_transition_model
+from satbayes.core import Frame, ImageStack, LabelRaster, MultibandImage, build_transition_model
 from satbayes.errors import ConfigError, EvaluationError, ShapeError
 from satbayes.evaluation import (
     balanced_accuracy,
@@ -30,7 +32,7 @@ from satbayes.evaluation import (
     write_bench_table,
     write_sweep_table,
 )
-from satbayes.recursion import classify_stack
+from satbayes.recursion import FrameStep, classify_stack
 
 
 def _sic():
@@ -183,6 +185,125 @@ class TestFrameAccuracies:
         )
         with pytest.raises(EvaluationError):
             frame_accuracies(result, stack)
+
+
+def _external_stack(k, truth_kind, height=20, width=7, dates=4):
+    """Random external posteriors over ``k`` classes; frame 1 carries no truth.
+
+    ``truth_kind`` "mixed" draws each truth label from [0, k), "wide"
+    also puts a label k + 1 in the first row only, and "single" labels
+    every pixel k - 1. With tiles of a few rows, the wide label is in
+    the first tile alone.
+    """
+    rng = np.random.default_rng(k)
+    frames = []
+    for t in range(dates):
+        truth = rng.integers(0, k, size=(height, width))
+        if truth_kind == "wide":
+            truth[0, 3] = k + 1
+        elif truth_kind == "single":
+            truth[:] = k - 1
+        posterior = rng.uniform(0.01, 1.0, size=(k, height, width))
+        frames.append(Frame(
+            date=date_of(t),
+            image=MultibandImage(("a",), rng.uniform(size=(1, height, width))),
+            truth=None if t == 1 else LabelRaster(truth, max(k, int(truth.max()) + 1)),
+            external_posterior=posterior / posterior.sum(axis=0),
+        ))
+    return ImageStack(tuple(frames))
+
+
+class TestStepCounts:
+    """`FrameStep` counts each date's label rows against its truth, tile by
+    tile, as `confusion_matrix` would over the whole date, and
+    `frame_accuracies` and `epsilon_sweep` score from those counts alone."""
+
+    KINDS = ["mixed", "wide", "single"]
+
+    @pytest.fixture(autouse=True)
+    def tiles(self, monkeypatch):
+        monkeypatch.setattr(recursion, "_TILE_PIXELS", 3 * 7)  # 3-row tiles
+        monkeypatch.setattr(recursion, "_workers", lambda: 2)
+
+    @pytest.mark.parametrize("truth_kind", KINDS)
+    @pytest.mark.parametrize("k", [2, 3, 9])
+    def test_counts_equal_confusion_matrix(self, k, truth_kind):
+        stack = _external_stack(k, truth_kind)
+        height, width = stack.shape
+        transitions = [build_transition_model(k, e) for e in (0.01, 0.3)]
+        with FrameStep(transitions, 0.8, height * width, width) as step:
+            for frame in stack.frames:
+                raw = frame.external_posterior.reshape(k, -1)
+                if frame.truth is None:
+                    step(raw, frame.date)
+                    assert step.hits is None and step.totals is None
+                    continue
+                truth = frame.truth.labels.ravel()
+                step(raw, frame.date, truth)
+                classes = max(k, int(truth.max()) + 1)
+                assert step.hits.shape == (3, classes) and step.totals.shape == (classes,)
+                for row, hits in zip(step.labels, step.hits):
+                    matrix = confusion_matrix(row, truth, classes)
+                    assert_array_equal(hits, np.diagonal(matrix))
+                    assert_array_equal(step.totals, matrix.sum(axis=1))
+
+    @pytest.mark.parametrize("truth_kind", KINDS)
+    @pytest.mark.parametrize("k", [2, 3, 9])
+    def test_scores_equal_rescanned_labels(self, k, truth_kind):
+        stack = _external_stack(k, truth_kind)
+        model = ExternalPosteriorSource(k)
+        result = classify_stack(stack, model, build_transition_model(k, 0.05), 0.8)
+        assert result.counts[1] is None
+        scores = frame_accuracies(result, stack)
+        assert scores == oracles.rescanned_frame_scores(result, stack)
+        grid = [0.01, 0.3]
+        sweep = epsilon_sweep(stack, {"m": model}, 0.8, grid)
+        accuracy, instantaneous = oracles.per_epsilon_sweep(stack, {"m": model}, 0.8, grid)
+        assert sweep.recursive_accuracy.tolist() == accuracy.tolist()
+        assert sweep.instantaneous_accuracy == instantaneous
+
+    def test_no_label_raster_is_read_after_the_step(self, monkeypatch):
+        stack = _external_stack(3, "wide")
+        model = ExternalPosteriorSource(3)
+        result = classify_stack(stack, model, build_transition_model(3, 0.05), 0.8)
+        expect = oracles.rescanned_frame_scores(result, stack)
+
+        def scan(*args):
+            raise AssertionError("a label raster was scanned")
+
+        for name in ("balanced_accuracy", "confusion_matrix"):
+            monkeypatch.setattr(evaluation, name, scan)
+        unread = dataclasses.replace(result, recursive_labels=None, instantaneous_labels=None)
+        assert frame_accuracies(unread, stack) == expect
+        epsilon_sweep(stack, {"m": model}, 0.8, [0.05])
+
+    def test_truth_frame_classified_without_truth(self):
+        stack = _external_stack(2, "mixed")
+        bare = ImageStack(tuple(dataclasses.replace(fr, truth=None) for fr in stack.frames))
+        trans = build_transition_model(2, 0.05)
+        result = classify_stack(bare, ExternalPosteriorSource(2), trans, 0.8)
+        with pytest.raises(EvaluationError, match="classified without its truth"):
+            frame_accuracies(result, stack)
+
+    def test_empty_truth_raster(self):
+        frame = Frame(
+            date=date_of(0),
+            image=MultibandImage(("a",), np.zeros((1, 0, 5))),
+            truth=LabelRaster(np.zeros((0, 5), dtype=np.uint8), 2),
+            external_posterior=np.zeros((2, 0, 5)),
+        )
+        stack = ImageStack((frame,))
+        model = ExternalPosteriorSource(2)
+        result = classify_stack(stack, model, build_transition_model(2, 0.05), 0.8)
+        with pytest.raises(EvaluationError, match="^empty truth raster$"):
+            frame_accuracies(result, stack)
+        with pytest.raises(EvaluationError, match="^empty truth raster$"):
+            epsilon_sweep(stack, {"m": model}, 0.8, [0.05])
+
+    def test_truth_of_another_shape(self):
+        with FrameStep([build_transition_model(2, 0.05)], 0.8, 6, 3) as step:
+            with pytest.raises(ShapeError, match="truth has shape"):
+                step(np.ones((2, 6)), truth=np.zeros(5, dtype=np.uint8))
 
 
 class TestEpsilonSweep:

@@ -171,6 +171,16 @@ class TestRegularize:
         with pytest.raises(InvalidHyperparameterError):
             regularize(np.array([0.5, 0.5]), -0.1)
 
+    def test_lambda_whose_smoothed_sum_overflows_rejected(self):
+        # K * (1 + lam) overflows: the smoothed column sum would be inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidHyperparameterError, match="overflows"):
+                regularize(np.array([0.3, 0.7]), 1e308)
+            with pytest.raises(InvalidHyperparameterError, match="overflows"):
+                FrameStep([build_transition_model(2, 0.1)], 1e308, 4)
+            assert_allclose(regularize(np.array([0.3, 0.7]), 1e300), [0.5, 0.5], rtol=0.0)
+
     @given(st.integers(min_value=0, max_value=2**31), st.integers(min_value=2, max_value=6))
     @settings(max_examples=100, deadline=None)
     def test_entropy_non_decreasing_in_lambda(self, seed, k):
@@ -812,6 +822,21 @@ class TestFrameStepHoldsOnlyTheFilterState:
         for name, value in state.items():
             if isinstance(value, (list, tuple)):
                 assert all(isinstance(v, (int, slice, TransitionModel)) for v in value), name
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_scores_are_per_date_reductions(self, monkeypatch, workers):
+        monkeypatch.setattr(recursion, "_TILE_PIXELS", 7)
+        monkeypatch.setattr(recursion, "_workers", lambda: workers)
+        transitions = [build_transition_model(3, e) for e in (0.02, 0.2)]
+        truth = np.random.default_rng(73).integers(0, 3, size=49)
+        with FrameStep(transitions, 0.8, 49, 7) as step:
+            for raw in _scripted_outputs(np.random.default_rng(72), 2, 49, 3):
+                step(raw, truth=truth)
+        arrays = {n: v.shape for n, v in vars(step).items() if isinstance(v, np.ndarray)}
+        assert arrays == {
+            "inst": (3, 49), "post": (2, 3, 49), "labels": (3, 49), "hits": (3, 3), "totals": (3,)
+        }
+        assert step.totals.tolist() == np.bincount(truth).tolist()
 
 
 class TestFrameStepNormalization:

@@ -21,7 +21,7 @@ from satbayes.classifiers import (
 )
 from satbayes.core import Frame, ImageStack, LabelRaster, MultibandImage, build_transition_model
 from satbayes.errors import DegenerateLikelihoodError
-from satbayes.evaluation import epsilon_sweep, timing_bench
+from satbayes.evaluation import epsilon_sweep, frame_accuracies, timing_bench
 from satbayes.recursion import FrameStep, classify_stack
 
 BANDS = ("nir", "red")
@@ -81,6 +81,7 @@ def _outputs(stack, model):
         run.recursive_posteriors.tobytes(),
         run.instantaneous_posteriors.tobytes(),
         np.stack(labels).tobytes(),
+        frame_accuracies(run, stack),
         sweep.recursive_accuracy.tobytes(),
         sweep.instantaneous_accuracy,
     )
