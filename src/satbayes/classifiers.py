@@ -297,7 +297,8 @@ def _logsumexp_columns(a: np.ndarray) -> np.ndarray:
     """
     a_max = np.max(a, axis=0)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        out = np.log(column_sums(np.exp(a - a_max)))
+        shifted = a - a_max
+        out = np.log(column_sums(np.exp(shifted, out=shifted)))
         out += a_max
         bad = ~np.isfinite(out)
         if bad.any():

@@ -36,7 +36,7 @@ from .evaluation import (
 )
 from .experiment import build_classifier, prepare_stacks, run_experiment
 from .pipeline import (
-    load_stack,
+    open_stack,
     parse_manifest,
     read_label_raster,
     write_label_raster,
@@ -95,7 +95,9 @@ def _build_parser() -> _Parser:
 
 def _cmd_ingest(args: argparse.Namespace) -> None:
     manifest = parse_manifest(args.manifest)
-    stack = load_stack(manifest)
+    stack = open_stack(manifest)
+    for frame in stack.frames:
+        frame.load()  # validates the date's planes; none is kept
     truth_count = sum(1 for fr in stack.frames if fr.truth is not None)
     lines = [
         f"manifest = {args.manifest}",

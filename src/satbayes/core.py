@@ -6,12 +6,15 @@ module's (K, N) column arithmetic: `column_sums`, `normalize_columns`,
 `floor_normalize_columns`.
 Images and stacks are immutable: their planes are C-contiguous and
 read-only, so code can share them without defensive copies. An image
-keeps float32 planes as read and hands out float64 values.
+keeps float32 planes as read and hands out float64 values. A frame's
+image may also be a `DeferredImage`, whose planes `Frame.load` reads
+when a caller reaches that date.
 """
 
 from __future__ import annotations
 
 import datetime as dt
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -272,9 +275,50 @@ class MultibandImage:
             out += self.shift[index, np.newaxis, np.newaxis]
         return out
 
+    @classmethod
+    def _adopt(cls, bands: tuple[str, ...], data: np.ndarray, scale: float) -> MultibandImage:
+        """The image of ``data``, a C-contiguous float32 (bands, H, W) array
+        that its maker hands over: checked as the constructor checks its
+        copy, then frozen in place instead of copied."""
+        image = cls(bands, data[:, :, :0], scale)  # every check but the values'
+        if not _finite_bands(data, scale).all():
+            raise ValueError("image has non-finite pixel values")
+        return image._derive(data=data)
+
     def _derive(self, **fields: np.ndarray) -> MultibandImage:
         """A copy sharing the frozen planes, with ``fields`` swapped in unchecked."""
         return _view(self, **{k: _freeze(v) for k, v in fields.items()})
+
+
+@dataclass(frozen=True)
+class DeferredImage:
+    """A frame's image whose planes are not read yet.
+
+    It carries the band names and the window of the whole grid that
+    crops cut (``rows`` and ``cols``, ranges of grid indices), but no
+    pixels. ``read()`` returns the whole grid's validated image and its
+    external posterior, or None; `Frame.load` cuts the window from both,
+    then applies each of ``align`` (the bias corrections) in order.
+    """
+
+    bands: tuple[str, ...]
+    rows: range
+    cols: range
+    read: Callable[[], tuple[MultibandImage, np.ndarray | None]] = field(repr=False)
+    align: tuple[Callable[[Frame], Frame], ...] = ()
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return len(self.rows), len(self.cols)
+
+    @property
+    def window(self) -> tuple[slice, slice]:
+        return slice(self.rows.start, self.rows.stop), slice(self.cols.start, self.cols.stop)
+
+    @property
+    def data(self) -> np.ndarray:
+        """The window of the planes, read again at each access."""
+        return self.read()[0].data[(slice(None), *self.window)]
 
 
 @dataclass(frozen=True)
@@ -282,7 +326,7 @@ class Frame:
     """One dated entry of an image stack plus optional side data."""
 
     date: dt.date
-    image: MultibandImage
+    image: MultibandImage | DeferredImage
     cloud_fraction: float | None = None
     truth: LabelRaster | None = None
     external_posterior: np.ndarray | None = None
@@ -305,14 +349,32 @@ class Frame:
 
     def window(self, rows: slice = slice(None), cols: slice = slice(None)) -> Frame:
         """The frame on ``rows`` by ``cols``, unchecked: the image shares the
-        planes, the truth and posterior are C-contiguous and read-only."""
-        truth, post = self.truth, self.external_posterior
+        planes (a deferred one narrows its window), the truth and posterior
+        are C-contiguous and read-only."""
+        truth, post, image = self.truth, self.external_posterior, self.image
         if truth is not None:
             truth = _view(truth, labels=_freeze(truth.labels[rows, cols]))
         if post is not None:
             post = _freeze(post[:, rows, cols])
-        image = _view(self.image, data=self.image.data[:, rows, cols])
+        if isinstance(image, DeferredImage):
+            image = _view(image, rows=image.rows[rows], cols=image.cols[cols])
+        else:
+            image = _view(image, data=image.data[:, rows, cols])
         return _view(self, image=image, truth=truth, external_posterior=post)
+
+    def load(self) -> Frame:
+        """The frame with its planes in memory: itself, unless its image is a
+        `DeferredImage`, which is read, windowed and aligned now. Reading
+        raises the reader's errors; nothing is kept for a later call."""
+        deferred = self.image
+        if not isinstance(deferred, DeferredImage):
+            return self
+        image, post = deferred.read()
+        whole = Frame(self.date, image, external_posterior=post).window(*deferred.window)
+        frame = _view(self, image=whole.image, external_posterior=whole.external_posterior)
+        for align in deferred.align:
+            frame = align(frame)
+        return frame
 
 
 @dataclass(frozen=True)

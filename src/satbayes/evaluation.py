@@ -181,7 +181,8 @@ def epsilon_sweep(
     scores each label row from the counts its tile workers made against
     the frame's truth, without scanning a label raster. Each date is
     evaluated, stepped and counted in the step's row tiles on its
-    workers, as in `classify_stack`.
+    workers, as in `classify_stack`, and loaded just before, so each
+    model reads a deferred date once.
     Scores equal those of one `classify_stack` run per grid value, bit
     for bit, and a bad model output raises the same error, naming the
     frame's date.
@@ -204,6 +205,7 @@ def epsilon_sweep(
         with FrameStep(transitions, lam, pixels, width) as step:
             for frame in stack.frames:
                 truth = None if frame.truth is None else frame.truth.labels.ravel()
+                frame = frame.load()
                 step(lambda rows: model.frame_posterior(frame.window(rows)), frame.date, truth)
                 if truth is not None:
                     scores.append([_balanced(hits, step.totals) for hits in step.hits])
@@ -259,10 +261,11 @@ def timing_bench(
 ) -> tuple[TimingRecord, ...]:
     """Measure recursion overhead against the instantaneous baseline.
 
-    Model outputs are computed once outside the timed region, so the
-    recursion numbers isolate the recursion step. One `FrameStep` per
-    algorithm is `reset` before each repetition, so repetitions reuse its
-    filter state. The baseline evaluations and the steps run on the step's
+    Frames are read and model outputs computed once outside the timed
+    region, so the recursion numbers isolate the recursion step, and
+    neither number times a file read. One `FrameStep` per algorithm is
+    `reset` before each repetition, so repetitions reuse its filter
+    state. The baseline evaluations and the steps run on the step's
     own row tiles and workers, as in `classify_stack`. Medians over
     ``repetitions`` (>= 3) keep scheduler noise out.
     """
@@ -271,10 +274,10 @@ def timing_bench(
         raise EvaluationError("cannot bench an empty stack")
     height, width = stack.shape
     pixels = height * width
-    first = stack.frames[0]
+    first = stack.frames[0].load()
     records = []
     for name, model in models.items():
-        outputs = [model.frame_posterior(frame) for frame in stack.frames]
+        outputs = [model.frame_posterior(frame.load()) for frame in stack.frames]
         baseline_samples = []
         step_samples = np.empty((repetitions, len(outputs)))
         with FrameStep([transition], lam, pixels, width) as step:

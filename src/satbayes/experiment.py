@@ -5,10 +5,13 @@
 per-date accuracy tables and error maps when truth is available, the
 trained model, and a small metadata record. Each date's posterior
 planes go to the two cubes as the recursion computes them, so no
-whole-stack posterior array is held; a run that fails during the
-recursion deletes its partial cubes, and the metadata record is written
-last. Reruns with the same config and seed produce byte-identical
-artifacts; nothing time- or machine-dependent is written.
+whole-stack posterior array is held, and each date's band planes are
+read when the recursion reaches it and dropped after its step, so no
+whole-stack band array is held either. A run that fails during the
+recursion, as on a plane holding NaN, deletes its partial cubes, and
+the metadata record is written last. Reruns with the same config and
+seed produce byte-identical artifacts; nothing time- or
+machine-dependent is written.
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ from .pipeline import (
     bias_correct,
     crop_stack,
     filter_frames,
-    load_stack,
+    open_stack,
     parse_manifest,
     posterior_cube_writer,
     split_dates,
@@ -64,9 +67,15 @@ class PreparedStacks:
 
 
 def prepare_stacks(config: ExperimentConfig) -> PreparedStacks:
-    """Load and preprocess the stack: crop, bias, filter, date split."""
+    """Open and preprocess the stack: crop, bias, filter, date split.
+
+    The frames are deferred (`open_stack`): each date's planes are read
+    when a caller loads that frame, and a date that is filtered out or
+    neither trained nor tested is never read. Bias correction reads the
+    first frame's reference region now.
+    """
     manifest = parse_manifest(config.resolved_manifest())
-    stack = load_stack(manifest)
+    stack = open_stack(manifest)
     if config.crop is not None:
         stack = crop_stack(stack, config.crop)
     if config.bias_region is not None:
@@ -100,8 +109,9 @@ def build_classifier(config: ExperimentConfig, kind: str, train: ImageStack):
     pixel_blocks = []
     label_blocks = []
     for frame in train.frames:
-        labels = pseudo_labels(frame.image, config.index, config.thresholds)
-        pixel_blocks.append(_frame_matrix(frame.image, bands))
+        image = frame.load().image
+        labels = pseudo_labels(image, config.index, config.thresholds)
+        pixel_blocks.append(_frame_matrix(image, bands))
         label_blocks.append(labels.labels.ravel())
     pixels = np.concatenate(pixel_blocks, axis=0)
     labels = np.concatenate(label_blocks, axis=0)

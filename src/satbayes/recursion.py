@@ -477,11 +477,14 @@ def classify_stack(
     instantaneous and recursive posteriors as (K, H*W) float64 views,
     valid only during the call. Without a sink they are collected into
     the returned float64 cubes; with one, the cube fields are None and
-    only the uint8 labels are kept. A bad model output raises the error
-    of `FrameStep`, prefixed with the frame's ISO date. The model is
-    evaluated on the `FrameStep` row tiles, as `Frame` windows, by one
-    worker thread per CPU this process may run on, so its frame method
-    must be safe to call from several threads at once.
+    only the uint8 labels are kept. Each frame is loaded (`Frame.load`)
+    just before its step, so a deferred date's planes are read once and
+    held for that step only, and a reading error propagates as it is. A
+    bad model output raises the error of `FrameStep`, prefixed with the
+    frame's ISO date. The model is evaluated on the `FrameStep` row
+    tiles, as `Frame` windows, by one worker thread per CPU this process
+    may run on, so its frame method must be safe to call from several
+    threads at once.
     """
     k = model.num_classes
     if k != transition.num_classes:
@@ -505,6 +508,7 @@ def classify_stack(
     with FrameStep([transition], lam, n, width) as step:
         for t, frame in enumerate(stack.frames):
             truth = None if frame.truth is None else frame.truth.labels.ravel()
+            frame = frame.load()
             step(lambda rows: model.frame_posterior(frame.window(rows)), frame.date, truth)
             labels[t] = step.labels
             counts.append(None if truth is None else (step.hits, step.totals))

@@ -18,6 +18,7 @@ Floats are written with ``repr`` so values round-trip exactly.
 from __future__ import annotations
 
 import datetime as dt
+import os
 import warnings
 from collections.abc import Callable, Iterator, Mapping, Sequence
 from contextlib import contextmanager
@@ -40,6 +41,20 @@ def _failing_as(error: type[DataError], path: str | Path) -> Iterator[None]:
 def read_bytes(path: str | Path) -> bytes:
     with _failing_as(LoadError, path):
         return Path(path).read_bytes()
+
+
+def file_size(path: str | Path) -> int:
+    with _failing_as(LoadError, path):
+        return Path(path).stat().st_size
+
+
+def read_into(path: str | Path, buffer) -> int:
+    """Fill the C-contiguous ``buffer`` from ``path`` if their sizes match;
+    returns the bytes read, or the file's size if they do not match."""
+    with _failing_as(LoadError, path), Path(path).open("rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        view = memoryview(buffer).cast("B")
+        return fh.readinto(view) if size == view.nbytes else size
 
 
 def read_text(path: str | Path) -> str:
