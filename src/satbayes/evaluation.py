@@ -22,7 +22,7 @@ import numpy as np
 
 from .core import ImageStack, LabelRaster, build_transition_model
 from .errors import ConfigError, EvaluationError, ShapeError
-from .recursion import FrameStep, StackClassification, TransitionModel
+from .recursion import FrameStep, StackClassification, TransitionModel, classify_stack
 from .textio import format_float, write_lines
 
 # ============================================================
@@ -176,16 +176,13 @@ def epsilon_sweep(
     Every model in ``models`` is swept over every epsilon in ``grid``
     (strictly increasing, each within (0, 1)); the score is the mean
     balanced accuracy over the stack's ground-truth frames. The sweep is
-    one pass over the frames per model: one `FrameStep` advances a
-    belief per grid value from a single model evaluation per frame, and
-    scores each label row from the counts its tile workers made against
-    the frame's truth, without scanning a label raster. Each date is
-    evaluated, stepped and counted in the step's row tiles on its
-    workers, as in `classify_stack`, and loaded just before, so each
-    model reads a deferred date once.
-    Scores equal those of one `classify_stack` run per grid value, bit
-    for bit, and a bad model output raises the same error, naming the
-    frame's date.
+    one `classify_stack` pass per model with one transition model per
+    grid value: each date is read and the model evaluated once, a belief
+    per grid value advances from that output, and each label row is
+    scored from the counts the step made against the frame's truth,
+    without scanning a label raster. Scores equal those of one
+    `classify_stack` run per grid value, bit for bit, and a bad model
+    output raises the same error, naming the frame's date.
     """
     eps = check_epsilon_grid(grid)
     if not models:
@@ -193,22 +190,14 @@ def epsilon_sweep(
     if not any(fr.truth is not None for fr in stack.frames):
         raise EvaluationError("no frames carry ground truth")
 
-    height, width = stack.shape
-    pixels = height * width
     algorithms = tuple(models)
     accuracy = np.zeros((len(algorithms), len(eps)))
     instantaneous = []
-    for a, name in enumerate(algorithms):
-        model = models[name]
+    for a, model in enumerate(models.values()):
         transitions = [build_transition_model(model.num_classes, e) for e in eps]
-        scores = []  # per truth frame: instantaneous, then one per epsilon
-        with FrameStep(transitions, lam, pixels, width) as step:
-            for frame in stack.frames:
-                truth = None if frame.truth is None else frame.truth.labels.ravel()
-                frame = frame.load()
-                step(lambda rows: model.frame_posterior(frame.window(rows)), frame.date, truth)
-                if truth is not None:
-                    scores.append([_balanced(hits, step.totals) for hits in step.hits])
+        counts = filter(None, classify_stack(stack, model, transitions, lam).counts)
+        # per truth frame: instantaneous, then one per epsilon
+        scores = [[_balanced(row, totals) for row in hits] for hits, totals in counts]
         means = [float(np.mean(column)) for column in zip(*scores)]
         instantaneous.append(means[0])
         accuracy[a] = means[1:]
@@ -233,8 +222,8 @@ class TimingRecord:
     frame, over the `FrameStep` row tiles on its workers as
     `classify_stack` does; ``recursion_seconds`` times one `FrameStep`
     call (the step `classify_stack` runs per frame: validation,
-    smoothing, update and MAP decision, tile by tile) given a
-    precomputed model output;
+    smoothing, update and MAP decision, tile by tile) given the date's
+    model output, computed just before and outside the timed call;
     ``step_seconds[t]`` is the per-step median at step index t across
     repetitions.
     """
@@ -261,9 +250,10 @@ def timing_bench(
 ) -> tuple[TimingRecord, ...]:
     """Measure recursion overhead against the instantaneous baseline.
 
-    Frames are read and model outputs computed once outside the timed
-    region, so the recursion numbers isolate the recursion step, and
-    neither number times a file read. One `FrameStep` per algorithm is
+    In every repetition each date is read and its model output computed
+    just before its step, outside the timed region: the recursion
+    numbers isolate the step, neither number times a file read, and one
+    date's output is held at a time. One `FrameStep` per algorithm is
     `reset` before each repetition, so repetitions reuse its filter
     state. The baseline evaluations and the steps run on the step's
     own row tiles and workers, as in `classify_stack`. Medians over
@@ -277,9 +267,8 @@ def timing_bench(
     first = stack.frames[0].load()
     records = []
     for name, model in models.items():
-        outputs = [model.frame_posterior(frame.load()) for frame in stack.frames]
         baseline_samples = []
-        step_samples = np.empty((repetitions, len(outputs)))
+        step_samples = np.empty((repetitions, len(stack)))
         with FrameStep([transition], lam, pixels, width) as step:
 
             def baseline(i: int) -> None:
@@ -292,9 +281,10 @@ def timing_bench(
                 baseline_samples.append(time.perf_counter() - start)
             for rep in range(repetitions):
                 step.reset()
-                for t, (raw, date) in enumerate(zip(outputs, stack.dates)):
+                for t, frame in enumerate(stack.frames):
+                    raw = model.frame_posterior(frame.load())
                     start = time.perf_counter()
-                    step(raw, date)
+                    step(raw, frame.date)
                     step_samples[rep, t] = time.perf_counter() - start
 
         records.append(

@@ -3,13 +3,14 @@
 `run_experiment` turns one config into artifacts on disk: label rasters
 (recursive and instantaneous, one per test date), posterior cubes,
 per-date accuracy tables and error maps when truth is available, the
-trained model, and a small metadata record. Each date's posterior
-planes go to the two cubes as the recursion computes them, so no
-whole-stack posterior array is held, and each date's band planes are
-read when the recursion reaches it and dropped after its step, so no
-whole-stack band array is held either. A run that fails during the
-recursion, as on a plane holding NaN, deletes its partial cubes, and
-the metadata record is written last. Reruns with the same config and
+trained model, and a small metadata record. The run's sink on
+`classify_stack` writes each date's posterior planes to the two cubes
+and keeps its uint8 label rows for the rasters written after the loop,
+so no posterior array of the whole stack is held, nor a band array:
+each date's planes are read when the recursion reaches it and dropped
+after its step. A run that fails during the recursion, as on a plane
+holding NaN, deletes its partial cubes, and the metadata record is
+written last. Reruns with the same config and
 seed produce byte-identical artifacts; nothing time- or
 machine-dependent is written.
 """
@@ -33,7 +34,7 @@ from .classifiers import (
     save_model,
 )
 from .config import ExperimentConfig, serialize_config
-from .core import ImageStack, build_transition_model
+from .core import ImageStack, LabelRaster, build_transition_model
 from .errors import ConfigError, DataError
 from .evaluation import (
     FrameScore,
@@ -53,7 +54,7 @@ from .pipeline import (
     write_label_raster,
     write_posterior_cube,  # noqa: F401  (perfbench/tracing.py wraps this name)
 )
-from .recursion import StackClassification, classify_stack
+from .recursion import FrameStep, StackClassification, classify_stack
 from .textio import make_dirs, write_lines
 
 
@@ -132,7 +133,7 @@ def config_digest(config: ExperimentConfig) -> str:
 
 @dataclass(frozen=True)
 class ExperimentResult:
-    """What one run did; ``classification`` holds labels, not cubes."""
+    """What one run did; ``classification`` holds the per-date counts."""
 
     config: ExperimentConfig
     out_dir: Path
@@ -164,27 +165,27 @@ def run_experiment(
     prepared = prepare_stacks(config)
     model = build_classifier(config, config.classifier, prepared.train)
     transition = build_transition_model(len(config.classes), eps)
-    shape = (len(prepared.test), model.num_classes, *prepared.test.shape)
+    k = model.num_classes
+    shape = (len(prepared.test), k, *prepared.test.shape)
+    labels = np.empty((shape[0], 2, *shape[2:]), dtype=np.uint8)  # instantaneous, recursive
     cube_dir = out / "posteriors"
     with posterior_cube_writer(cube_dir / "recursive.cube", shape) as write_rec, \
             posterior_cube_writer(cube_dir / "instantaneous.cube", shape) as write_inst:
 
-        def sink(t: int, inst: np.ndarray, post: np.ndarray) -> None:
-            write_rec(post.reshape(shape[1:]))
-            write_inst(inst.reshape(shape[1:]))
+        def sink(t: int, step: FrameStep) -> None:
+            write_rec(step.post[0].reshape(shape[1:]))
+            write_inst(step.inst.reshape(shape[1:]))
+            labels[t] = step.labels.reshape(labels.shape[1:])
 
         classification = classify_stack(
-            prepared.test, model, transition, config.lam, sink=sink
+            prepared.test, model, [transition], config.lam, sink=sink
         )
 
-    tracks = (
-        ("recursive", classification.recursive_labels),
-        ("instantaneous", classification.instantaneous_labels),
-    )
-    for track, labels in tracks:
-        for date, raster in zip(classification.dates, labels):
+    tracks = (("recursive", 1), ("instantaneous", 0))
+    for track, row in tracks:
+        for date, plane in zip(classification.dates, labels[:, row]):
             tag = date.isoformat()
-            write_label_raster(out / "labels" / f"{track}_{tag}.lbl", raster)
+            write_label_raster(out / "labels" / f"{track}_{tag}.lbl", LabelRaster(plane, k))
     if config.classifier != "external":
         save_model(out / "models" / f"{config.classifier}.model", model)
 
@@ -195,10 +196,10 @@ def run_experiment(
         for idx, frame in enumerate(prepared.test.frames):
             if frame.truth is None:
                 continue
-            for track, labels in tracks:
+            for track, row in tracks:
                 write_label_raster(
                     out / "maps" / f"error_{track}_{frame.date.isoformat()}.lbl",
-                    error_map(labels[idx], frame.truth),
+                    error_map(labels[idx, row], frame.truth),
                 )
 
     metadata = [

@@ -407,7 +407,7 @@ def open_stack(manifest: StackManifest) -> ImageStack:
     and validates (the errors `load_stack` lists), and nothing is read
     for a frame that is never loaded. A grid that a band's resample factor does not
     divide is a DataError, and a missing band plane or posterior file,
-    or a plane file whose size does not fit its grid, a LoadError
+    or a plane or truth file that does not fit its grid, a LoadError
     naming the path, all raised here, before any plane is read.
     """
     factors = manifest.resample_factors()
@@ -428,7 +428,14 @@ def open_stack(manifest: StackManifest) -> ImageStack:
             file_size(manifest.base_dir / mf.posterior_path)
         truth = None
         if mf.truth_path is not None:
-            truth = read_label_raster(manifest.base_dir / mf.truth_path)
+            path = manifest.base_dir / mf.truth_path
+            truth = read_label_raster(path)
+            if truth.shape != (height, width):
+                rows, cols = truth.shape
+                raise LoadError(
+                    f"{path}: truth raster on {mf.date.isoformat()} is {cols}x{rows}, "
+                    f"not the {width}x{height} grid"
+                )
         read = partial(_read_frame, manifest, mf, factors)
         image = DeferredImage(manifest.band_names, range(height), range(width), read)
         frames.append(Frame(mf.date, image, mf.cloud_fraction, truth))
@@ -469,9 +476,11 @@ def _read_frame(
         return image, None
     path = manifest.base_dir / mf.posterior_path
     cube = read_posterior_cube(path)
-    if cube.shape[0] != 1:
+    dates, _, rows, cols = cube.shape
+    if (dates, rows, cols) != (1, height, width):
         raise LoadError(
-            f"{path}: per-frame posterior must hold exactly one date, got {cube.shape[0]}"
+            f"{path}: posterior on {mf.date.isoformat()} has shape {cube.shape}, "
+            f"not one date of the {width}x{height} grid"
         )
     if not (np.isfinite(cube) & (cube >= 0.0)).all():
         raise LoadError(
@@ -488,8 +497,9 @@ def load_stack(manifest: StackManifest) -> ImageStack:
     upsampled to the manifest grid; each image keeps them as float32
     and applies the reflectance scale when its values are read. Missing
     or mis-sized files, planes holding NaN or infinite values (in the
-    file, or once scaled), and posterior cubes holding NaN, infinite or
-    negative values raise LoadError naming the path (and the date).
+    file, or once scaled), and posterior cubes of another grid or with
+    NaN, infinite or negative values raise LoadError naming the path
+    (and the date).
     """
     return ImageStack(tuple(frame.load() for frame in open_stack(manifest).frames))
 

@@ -13,27 +13,26 @@ All update arithmetic is three class-major functions, `_smooth`,
 `_update` and `_decide`, on (K, n) float64 arrays, normalized by `core`
 as the engines are. Nothing in the package keeps work arrays between
 calls: they allocate theirs per call, and `FrameStep` holds only the
-filter state, the last date's per-class counts against its truth and
-its workers for `classify_stack`, `timing_bench` and `epsilon_sweep`,
-each one ``with`` block over it. Pixels are
-independent, so it works through each date in row tiles of about 32k
-pixels, which stay in cache, on one worker per CPU of the process's
-affinity mask: the calling thread and a pool that the block shuts
-down. The model sees a tile as a `Frame.window` of its rows. It
-validates each tile's (K, n) model output, and only once all passed
+filter state, the last date's per-class counts against its truth and its
+workers. Pixels are independent, so it works through each date in row
+tiles of about 32k pixels, which stay in cache, on one worker per CPU of
+the process's affinity mask: the calling thread and a pool that the
+step's ``with`` block shuts down. The model sees a tile as a `Frame.window` of its rows.
+It validates each tile's (K, n) model output, and only once all passed
 updates one belief per transition model in place: a sweep over E
 transition probabilities is a bank of E filters sharing one model
 evaluation. Given the date's truth, the worker that decided a tile's
 labels also counts them against the truth's window, so a date is scored
 from integer counts summed over the tiles, and no label raster is
 scanned again. No result depends on the tiling or the worker count. The
-filter needs only the previous date's belief: `classify_stack` hands
-each date's (K, N) posteriors to a per-frame sink, and collects them
-into float64 cubes only when the caller passes none. The public
-`generative_update`, `discriminative_update` and `regularize` take
-(..., K) arrays and run the same functions on a transposed (K, M)
-copy; the updates check its evidence with the frame step's own check,
-`_evidence_fault`.
+filter needs only the previous date's belief, so `classify_stack`, the
+one loop over a stack's dates, hands each date's step to a sink and
+keeps only the date's counts; `epsilon_sweep` and `run_experiment` run
+through it, and only `timing_bench`, which times the step alone, has a
+loop of its own. The public `generative_update`, `discriminative_update`
+and `regularize` take (..., K) arrays and run the same functions on a
+transposed (K, M) copy; the updates check its evidence with the frame
+step's own check, `_evidence_fault`.
 """
 
 from __future__ import annotations
@@ -49,7 +48,6 @@ import numpy as np
 from .core import (
     Frame,
     ImageStack,
-    LabelRaster,
     TransitionModel,
     column_sums,
     floor_normalize_columns,
@@ -270,33 +268,25 @@ class FrameModel(Protocol):
 
 @dataclass(frozen=True)
 class StackClassification:
-    """Output of `classify_stack` for one stack.
-
-    Posterior cubes have shape (dates, classes, H, W) in float64, or
-    are None when `classify_stack` handed the posteriors to a sink;
-    label lists hold one LabelRaster per date. ``counts`` holds, per
-    date, None if the frame carries no truth, else the `FrameStep`
-    ``(hits, totals)`` of that date's labels against its truth: hits
-    (2, C) with row 0 instantaneous and row 1 recursive, totals (C,).
-    """
+    """Output of `classify_stack`: ``counts`` holds, per date, None if the
+    frame carries no truth, else the `FrameStep` ``(hits, totals)`` of its
+    labels against that truth: hits (1 + E, C), row 0 instantaneous and
+    row 1 + e under transition model e, and totals (C,)."""
 
     dates: tuple[dt.date, ...]
     num_classes: int
-    recursive_posteriors: np.ndarray | None
-    instantaneous_posteriors: np.ndarray | None
-    recursive_labels: tuple[LabelRaster, ...]
-    instantaneous_labels: tuple[LabelRaster, ...]
     counts: tuple[tuple[np.ndarray, np.ndarray] | None, ...]
 
 
 class FrameStep:
     """The per-frame recursion step, sole owner of the filter state.
 
-    `classify_stack` and `timing_bench` run it with one transition
-    model, `epsilon_sweep` with one per grid value; all must share the
-    class count K (a ConfigError otherwise, or without any), which the
-    uint8 labels cap at 255 (InvalidClassCountError above), and ``lam``
-    must pass `regularize`'s check for K classes. Its state is
+    `classify_stack` runs it with a bank of transition models (one for
+    `run_experiment`, one per grid value for `epsilon_sweep`), and
+    `timing_bench` with one; all must share the class count K (a
+    ConfigError otherwise, or without any), which the uint8 labels cap
+    at 255 (InvalidClassCountError above), and ``lam`` must pass
+    `regularize`'s check for K classes. Its state is
     three class-major arrays: ``inst`` (K, N), the floor-normalized
     instantaneous posterior; ``post`` (E, K, N), one belief per
     transition model, uniform after construction or `reset`; and the
@@ -459,73 +449,41 @@ def _raise_dated(exc: Exception, date: dt.date | None) -> NoReturn:
 def classify_stack(
     stack: ImageStack,
     model: FrameModel,
-    transition: TransitionModel,
+    transitions: Sequence[TransitionModel],
     lam: float,
-    sink: Callable[[int, np.ndarray, np.ndarray], None] | None = None,
+    sink: Callable[[int, FrameStep], None] | None = None,
 ) -> StackClassification:
     """Run the recursion over a whole stack, frame by frame.
 
-    For each date the model's ``frame_posterior`` is floor-normalized,
-    smoothed with `regularize`, and folded into the running per-pixel
-    belief (initialized uniform) by one `FrameStep`, which updates that
-    belief in place. Both the recursive and the raw instantaneous
-    decisions are returned so callers can compare them, and for each
-    frame that carries truth the step's counts of both against it,
-    from which `frame_accuracies` scores the date.
+    One `FrameStep` holds a belief per transition model, each starting
+    uniform; the models must share the model's class count (a
+    ConfigError otherwise). For each date the model's
+    ``frame_posterior`` is floor-normalized, smoothed with `regularize`
+    and folded into every belief in place, and for each frame that
+    carries truth the step counts the instantaneous and each recursive
+    label row against it. Those counts, from which `frame_accuracies`
+    and `epsilon_sweep` score the dates, are all that is kept.
 
-    After each date t, ``sink(t, inst, post)`` receives the date's
-    instantaneous and recursive posteriors as (K, H*W) float64 views,
-    valid only during the call. Without a sink they are collected into
-    the returned float64 cubes; with one, the cube fields are None and
-    only the uint8 labels are kept. Each frame is loaded (`Frame.load`)
-    just before its step, so a deferred date's planes are read once and
-    held for that step only, and a reading error propagates as it is. A
-    bad model output raises the error of `FrameStep`, prefixed with the
-    frame's ISO date. The model is evaluated on the `FrameStep` row
-    tiles, as `Frame` windows, by one worker thread per CPU this process
-    may run on, so its frame method must be safe to call from several
-    threads at once.
+    After each date t, ``sink(t, step)`` may read the step's ``inst``
+    (K, H*W), ``post`` (E, K, H*W) and ``labels`` (1 + E, H*W) during
+    the call only: the next date overwrites them. Each frame is loaded
+    (`Frame.load`) just before its step, so a deferred date's planes are
+    read once and held for that step only, and a reading error
+    propagates as it is. A bad model output raises the error of
+    `FrameStep`, prefixed with the frame's ISO date. The model sees the
+    step's row tiles, from several threads at once (`FrameModel`).
     """
-    k = model.num_classes
-    if k != transition.num_classes:
-        raise ConfigError(
-            f"model has {k} classes, transition model {transition.num_classes}"
-        )
     height, width = stack.shape
-    n = height * width
-    t_total = len(stack)
-
-    cubes = None
-    if sink is None:
-        cubes = np.empty((2, t_total, k, n))  # recursive, instantaneous
-
-        def sink(t: int, inst: np.ndarray, post: np.ndarray) -> None:
-            cubes[0, t] = post
-            cubes[1, t] = inst
-
-    labels = np.empty((t_total, 2, n), dtype=np.uint8)  # instantaneous, recursive
     counts = []
-    with FrameStep([transition], lam, n, width) as step:
+    with FrameStep(transitions, lam, height * width, width) as step:
+        k = len(step.inst)
+        if model.num_classes != k:
+            raise ConfigError(f"model has {model.num_classes} classes, transition models {k}")
         for t, frame in enumerate(stack.frames):
             truth = None if frame.truth is None else frame.truth.labels.ravel()
             frame = frame.load()
             step(lambda rows: model.frame_posterior(frame.window(rows)), frame.date, truth)
-            labels[t] = step.labels
             counts.append(None if truth is None else (step.hits, step.totals))
-            sink(t, step.inst, step.post[0])
-
-    def rasters(row: int) -> tuple[LabelRaster, ...]:
-        return tuple(LabelRaster(v.reshape(height, width), k) for v in labels[:, row])
-
-    def cube(which: int) -> np.ndarray | None:
-        return None if cubes is None else cubes[which].reshape(t_total, k, height, width)
-
-    return StackClassification(
-        dates=stack.dates,
-        num_classes=k,
-        recursive_posteriors=cube(0),
-        instantaneous_posteriors=cube(1),
-        recursive_labels=rasters(1),
-        instantaneous_labels=rasters(0),
-        counts=tuple(counts),
-    )
+            if sink is not None:
+                sink(t, step)
+    return StackClassification(stack.dates, k, tuple(counts))

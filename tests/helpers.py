@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import datetime as dt
+from dataclasses import dataclass
 
 import numpy as np
 
 from satbayes.core import Frame, ImageStack, LabelRaster, MultibandImage
+from satbayes.recursion import classify_stack
 
 START = dt.date(2021, 1, 5)
 
@@ -44,6 +46,50 @@ def make_stack(bands, frames_planes, truths=None, clouds=None) -> ImageStack:
             )
         )
     return ImageStack(frames=tuple(frames))
+
+
+@dataclass(frozen=True)
+class CollectedStack:
+    """Every date of one `classify_stack` run: float64 posterior cubes
+    (dates, K, H, W), one label raster per date and track, and the
+    per-date counts, so `frame_accuracies` takes it as it takes the
+    run's own result."""
+
+    dates: tuple[dt.date, ...]
+    num_classes: int
+    recursive_posteriors: np.ndarray
+    instantaneous_posteriors: np.ndarray
+    recursive_labels: tuple[LabelRaster, ...]
+    instantaneous_labels: tuple[LabelRaster, ...]
+    counts: tuple
+
+
+def collect_stack(stack, model, transition, lam) -> CollectedStack:
+    """`classify_stack` under one transition model, with a sink that
+    copies each date's posteriors and labels out of the step."""
+    height, width = stack.shape
+    k, dates = model.num_classes, len(stack)
+    cubes = np.empty((2, dates, k, height * width))  # recursive, instantaneous
+    labels = np.empty((dates, 2, height * width), dtype=np.uint8)  # instantaneous, recursive
+
+    def sink(t, step):
+        cubes[0, t], cubes[1, t], labels[t] = step.post[0], step.inst, step.labels
+
+    result = classify_stack(stack, model, [transition], lam, sink)
+
+    def rasters(row):
+        return tuple(LabelRaster(v.reshape(height, width), k) for v in labels[:, row])
+
+    recursive, instantaneous = cubes.reshape(2, dates, k, height, width)
+    return CollectedStack(
+        dates=result.dates,
+        num_classes=k,
+        recursive_posteriors=recursive,
+        instantaneous_posteriors=instantaneous,
+        recursive_labels=rasters(1),
+        instantaneous_labels=rasters(0),
+        counts=result.counts,
+    )
 
 
 def random_pmfs(rng: np.random.Generator, count: int, num_classes: int) -> np.ndarray:

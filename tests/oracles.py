@@ -31,6 +31,7 @@ import math
 
 import numpy as np
 
+from helpers import collect_stack
 from satbayes.classifiers import (
     COV_JITTER,
     EM_MAX_ITER,
@@ -46,7 +47,6 @@ from satbayes.core import (
 )
 from satbayes.errors import ConfigError, ShapeError
 from satbayes.evaluation import FrameScore, balanced_accuracy
-from satbayes.recursion import classify_stack
 
 
 def floor_normalize(values: np.ndarray) -> np.ndarray:
@@ -502,8 +502,8 @@ def per_epsilon_sweep(stack, models, lam, grid):
     """The epsilon sweep as one full `classify_stack` run per grid value.
 
     Unlike the rest of this module it reuses package code: it is the
-    straightforward route (re-evaluate every model on every frame, build
-    both posterior cubes, score the label rasters with
+    straightforward route (re-evaluate every model on every frame,
+    collect both posterior cubes with `helpers.collect_stack`, score the label rasters with
     `rescanned_frame_scores`) that the one-pass `epsilon_sweep` must
     reproduce exactly. Returns the
     (algorithms, grid) recursive accuracy array and the per-algorithm
@@ -519,7 +519,7 @@ def per_epsilon_sweep(stack, models, lam, grid):
             transition = build_transition_model(
                 models[name].num_classes, epsilon
             )
-            result = classify_stack(stack, models[name], transition, lam)
+            result = collect_stack(stack, models[name], transition, lam)
             scores = rescanned_frame_scores(result, stack)
             accuracy[a, e] = float(np.mean([s.recursive for s in scores]))
             if inst_score is None:

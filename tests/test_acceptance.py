@@ -47,7 +47,7 @@ from satbayes.recursion import classify_stack, generative_update, regularize
 from satbayes.synth import generate_synthetic, parse_synth_spec
 
 import oracles
-from helpers import CORRUPTED_FRAMES, WATER_THRESHOLDS, date_of, random_pmfs
+from helpers import CORRUPTED_FRAMES, WATER_THRESHOLDS, collect_stack, date_of, random_pmfs
 
 
 # one (number, label, passed, seconds) entry per criterion; the
@@ -191,7 +191,7 @@ def test_c03_half_transition_probability_reduction(benchmark_stack):
             WATER_THRESHOLDS, SpectralIndexKind.MNDWI
         )
         transition = build_transition_model(2, 0.5)
-        result = classify_stack(benchmark_stack, model, transition, 0.0)
+        result = collect_stack(benchmark_stack, model, transition, 0.0)
         decisions_ok = all(
             np.array_equal(rec.labels, inst.labels)
             for rec, inst in zip(result.recursive_labels,
@@ -240,7 +240,7 @@ def test_c05_recursion_recovers_corrupted_frames(benchmark_stack):
         for name, model in models.items():
             best = sweep.best_epsilon(name)
             result = classify_stack(
-                benchmark_stack, model, build_transition_model(2, best), 0.8
+                benchmark_stack, model, [build_transition_model(2, best)], 0.8
             )
             scores = frame_accuracies(result, benchmark_stack)
             corrupted = [s for s in scores if s.date in corrupted_dates]

@@ -29,6 +29,7 @@ from satbayes.config import (
     parse_config_text,
     serialize_config,
 )
+from satbayes.core import LabelRaster
 from satbayes.errors import ConfigError
 from satbayes.evaluation import balanced_accuracy
 from satbayes.experiment import config_digest, run_experiment
@@ -36,6 +37,7 @@ from satbayes.pipeline import (
     ReferenceRegion,
     read_label_raster,
     read_posterior_cube,
+    write_label_raster,
     write_posterior_cube,
 )
 from satbayes.synth import SYNTH_KEYS, generate_synthetic, parse_synth_spec
@@ -1259,6 +1261,36 @@ class TestCliFileBoundary:
         )
         assert date_of(3).isoformat() in err
         assert not (tmp_path / "out" / "labels").exists()
+
+    @pytest.mark.parametrize("command", ["run", "ingest"])
+    def test_truth_raster_of_another_grid_is_data_exit(self, cli_area, tmp_path, capsys, command):
+        shutil.copytree(cli_area / "data", tmp_path / "data")
+        bad = tmp_path / "data" / "truth" / "f003.lbl"
+        write_label_raster(bad, LabelRaster(np.zeros((4, 4), dtype=np.uint8), 2))
+        (tmp_path / "exp.cfg").write_text(CLI_CONFIG)
+        out = tmp_path / "out"
+        argv = {
+            "run": ["run", "--config", tmp_path / "exp.cfg", "--out", out],
+            "ingest": ["ingest", "--manifest", tmp_path / "data" / "manifest.txt"],
+        }[command]
+        err = assert_data_exit(argv, bad, capsys)
+        assert f"truth raster on {date_of(3).isoformat()} is 4x4, not the 20x20 grid" in err
+        assert [p for p in out.rglob("*") if p.is_file()] == []
+
+    @pytest.mark.parametrize("command", ["run", "ingest"])
+    def test_posterior_of_another_grid_is_data_exit(self, cli_area, tmp_path, capsys, command):
+        config = write_external_area(cli_area, tmp_path, [1], 0.5)
+        bad = tmp_path / "data" / "post" / f"{date_of(3).isoformat()}.cube"
+        write_posterior_cube(bad, np.full((1, 2, 8, 8), 0.5))
+        out = tmp_path / "out"
+        argv = {
+            "run": ["run", "--config", config, "--out", out],
+            "ingest": ["ingest", "--manifest", tmp_path / "data" / "manifest.txt"],
+        }[command]
+        err = assert_data_exit(argv, bad, capsys)
+        message = "has shape (1, 2, 8, 8), not one date of the 20x20 grid"
+        assert f"posterior on {date_of(3).isoformat()} {message}" in err
+        assert [p for p in out.rglob("*") if p.is_file()] == []
 
 
 def write_external_area(cli_area: Path, tmp_path: Path, classes, value) -> Path:

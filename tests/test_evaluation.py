@@ -4,13 +4,14 @@ from __future__ import annotations
 
 import dataclasses
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 import oracles
-from helpers import WATER_THRESHOLDS, date_of, make_stack
+from helpers import WATER_THRESHOLDS, collect_stack, date_of, make_stack
 from satbayes import evaluation, recursion
 from satbayes.classifiers import (
     ExternalPosteriorSource,
@@ -172,7 +173,7 @@ class TestFrameAccuracies:
         result = classify_stack(
             partial,
             _sic(),
-            build_transition_model(2, 0.1),
+            [build_transition_model(2, 0.1)],
             0.8,
         )
         scores = frame_accuracies(result, partial)
@@ -181,7 +182,7 @@ class TestFrameAccuracies:
     def test_no_truth_rejected(self):
         stack = make_stack(("green", "swir1"), [[np.full((2, 2), 0.2), np.full((2, 2), 0.1)]])
         result = classify_stack(
-            stack, _sic(), build_transition_model(2, 0.1), 0.0
+            stack, _sic(), [build_transition_model(2, 0.1)], 0.0
         )
         with pytest.raises(EvaluationError):
             frame_accuracies(result, stack)
@@ -252,7 +253,7 @@ class TestStepCounts:
     def test_scores_equal_rescanned_labels(self, k, truth_kind):
         stack = _external_stack(k, truth_kind)
         model = ExternalPosteriorSource(k)
-        result = classify_stack(stack, model, build_transition_model(k, 0.05), 0.8)
+        result = collect_stack(stack, model, build_transition_model(k, 0.05), 0.8)
         assert result.counts[1] is None
         scores = frame_accuracies(result, stack)
         assert scores == oracles.rescanned_frame_scores(result, stack)
@@ -265,23 +266,23 @@ class TestStepCounts:
     def test_no_label_raster_is_read_after_the_step(self, monkeypatch):
         stack = _external_stack(3, "wide")
         model = ExternalPosteriorSource(3)
-        result = classify_stack(stack, model, build_transition_model(3, 0.05), 0.8)
-        expect = oracles.rescanned_frame_scores(result, stack)
+        trans = build_transition_model(3, 0.05)
+        expect = oracles.rescanned_frame_scores(collect_stack(stack, model, trans, 0.8), stack)
+        result = classify_stack(stack, model, [trans], 0.8)  # holds no label raster
 
         def scan(*args):
             raise AssertionError("a label raster was scanned")
 
         for name in ("balanced_accuracy", "confusion_matrix"):
             monkeypatch.setattr(evaluation, name, scan)
-        unread = dataclasses.replace(result, recursive_labels=None, instantaneous_labels=None)
-        assert frame_accuracies(unread, stack) == expect
+        assert frame_accuracies(result, stack) == expect
         epsilon_sweep(stack, {"m": model}, 0.8, [0.05])
 
     def test_truth_frame_classified_without_truth(self):
         stack = _external_stack(2, "mixed")
         bare = ImageStack(tuple(dataclasses.replace(fr, truth=None) for fr in stack.frames))
         trans = build_transition_model(2, 0.05)
-        result = classify_stack(bare, ExternalPosteriorSource(2), trans, 0.8)
+        result = classify_stack(bare, ExternalPosteriorSource(2), [trans], 0.8)
         with pytest.raises(EvaluationError, match="classified without its truth"):
             frame_accuracies(result, stack)
 
@@ -294,7 +295,7 @@ class TestStepCounts:
         )
         stack = ImageStack((frame,))
         model = ExternalPosteriorSource(2)
-        result = classify_stack(stack, model, build_transition_model(2, 0.05), 0.8)
+        result = classify_stack(stack, model, [build_transition_model(2, 0.05)], 0.8)
         with pytest.raises(EvaluationError, match="^empty truth raster$"):
             frame_accuracies(result, stack)
         with pytest.raises(EvaluationError, match="^empty truth raster$"):
@@ -427,6 +428,23 @@ class TestTimingBench:
         assert lines[1].startswith("recursion_seconds,")
         assert lines[2].startswith("baseline_seconds,")
 
+    def test_peak_memory_does_not_grow_with_the_dates(self):
+        # each date's model output is made just before its step: keeping
+        # them all breaks the bound, 18 more dates of (2, 128 x 128) float64
+        side, peaks = 128, {}
+        rng = np.random.default_rng(6)
+        trans = build_transition_model(2, 0.1)
+        for frames in (6, 24):
+            planes = [rng.uniform(0.0, 0.4, size=(2, side, side)) for _ in range(frames)]
+            stack = make_stack(("green", "swir1"), planes)
+            tracemalloc.start()
+            try:
+                timing_bench(stack, {"sic": _sic()}, trans, 0.8, repetitions=3)
+                peaks[frames] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[24] - peaks[6] < 18 * 2 * side * side * 8 / 2, peaks
+
     def test_too_few_repetitions(self, benchmark_stack):
         with pytest.raises(ConfigError):
             timing_bench(
@@ -443,7 +461,7 @@ class TestTableWriters:
         result = classify_stack(
             benchmark_stack,
             _sic(),
-            build_transition_model(2, 0.05),
+            [build_transition_model(2, 0.05)],
             0.8,
         )
         scores = frame_accuracies(result, benchmark_stack)

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -12,7 +14,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 import oracles
-from helpers import date_of, make_stack, random_pmfs
+from helpers import collect_stack, date_of, make_stack, random_pmfs
 from satbayes import recursion
 from satbayes.core import (
     PROB_FLOOR,
@@ -284,7 +286,7 @@ class TestClassifyStack:
         # uniform initial belief + symmetric transition: frame 0 adds no history
         stack = _small_stack(frames=3)
         trans = build_transition_model(2, 0.2)
-        out = classify_stack(stack, _PosteriorStub(), trans, 0.0)
+        out = collect_stack(stack, _PosteriorStub(), trans, 0.0)
         assert_allclose(
             out.recursive_posteriors[0], out.instantaneous_posteriors[0], atol=1e-12
         )
@@ -292,7 +294,7 @@ class TestClassifyStack:
     def test_posteriors_normalized_everywhere(self):
         stack = _small_stack(frames=5)
         trans = build_transition_model(2, 0.05)
-        out = classify_stack(stack, _PosteriorStub(), trans, 0.8)
+        out = collect_stack(stack, _PosteriorStub(), trans, 0.8)
         assert_allclose(out.recursive_posteriors.sum(axis=1), 1.0, atol=1e-9)
         assert_allclose(out.instantaneous_posteriors.sum(axis=1), 1.0, atol=1e-9)
 
@@ -300,7 +302,7 @@ class TestClassifyStack:
         stack = _small_stack()
         trans = build_transition_model(2, 0.1)
         runs = [
-            classify_stack(stack, _PosteriorStub(), trans, 0.8)
+            collect_stack(stack, _PosteriorStub(), trans, 0.8)
             for _ in range(2)
         ]
         assert runs[0].recursive_posteriors.tobytes() == runs[1].recursive_posteriors.tobytes()
@@ -308,7 +310,7 @@ class TestClassifyStack:
     def test_cube_layout_matches_pixel_order(self):
         stack = _small_stack(frames=2, side=4)
         trans = build_transition_model(2, 0.1)
-        out = classify_stack(stack, _PosteriorStub(), trans, 0.0)
+        out = collect_stack(stack, _PosteriorStub(), trans, 0.0)
         direct = _PosteriorStub().frame_posterior(stack.frames[0])
         assert_allclose(
             out.instantaneous_posteriors[0, 1], direct[1].reshape(4, 4), atol=1e-15
@@ -330,7 +332,8 @@ EVIDENCE = {"likelihood": _as_likelihood, "posterior": _as_posterior}
 
 
 class TestClassifyStackSink:
-    """A sink gets each date's (K, N) posteriors; no cube is built."""
+    """A sink reads each date's step during its call; the run returns only
+    the dates, the class count and the per-date counts."""
 
     @pytest.mark.parametrize("evidence", sorted(EVIDENCE))
     def test_sink_sees_the_collected_cubes(self, evidence):
@@ -338,25 +341,64 @@ class TestClassifyStackSink:
         outputs = _scripted_outputs(np.random.default_rng(9), 5, 36, 3, evidence)
         model = _ScriptedModel(stack, outputs)
         trans = build_transition_model(3, 0.1)
-        collected = classify_stack(stack, model, trans, 0.8)
+        collected = collect_stack(stack, model, trans, 0.8)
         seen = []
 
-        def sink(t, inst, post):
-            assert inst.shape == post.shape == (3, 36)
-            assert inst.dtype == post.dtype == np.float64
-            seen.append((t, inst.copy(), post.copy()))
+        def sink(t, step):
+            assert step.inst.shape == (3, 36) and step.post.shape == (1, 3, 36)
+            assert step.inst.dtype == step.post.dtype == np.float64
+            assert step.labels.shape == (2, 36) and step.labels.dtype == np.uint8
+            seen.append((t, step.inst.copy(), step.post[0].copy(), step.labels.copy()))
 
-        streamed = classify_stack(stack, model, trans, 0.8, sink=sink)
-        assert [t for t, _, _ in seen] == list(range(5))
-        for t, inst, post in seen:
+        streamed = classify_stack(stack, model, [trans], 0.8, sink=sink)
+        assert [t for t, *_ in seen] == list(range(5))
+        for t, inst, post, labels in seen:
             inst_plane = collected.instantaneous_posteriors[t].reshape(3, 36)
             assert inst.tobytes() == inst_plane.tobytes()
             assert post.tobytes() == collected.recursive_posteriors[t].reshape(3, 36).tobytes()
-        assert streamed.recursive_posteriors is None
-        assert streamed.instantaneous_posteriors is None
-        for track in ("recursive_labels", "instantaneous_labels"):
-            for got, want in zip(getattr(streamed, track), getattr(collected, track)):
-                assert_array_equal(got.labels, want.labels)
+            assert labels[0].tobytes() == collected.instantaneous_labels[t].labels.tobytes()
+            assert labels[1].tobytes() == collected.recursive_labels[t].labels.tobytes()
+        assert [f.name for f in dataclasses.fields(streamed)] == ["dates", "num_classes", "counts"]
+        assert (streamed.dates, streamed.num_classes, streamed.counts) == (stack.dates, 3, (None,) * 5)
+
+    def test_bank_sink_sees_each_single_run(self):
+        stack = _small_stack(frames=4, side=6, seed=3)
+        outputs = _scripted_outputs(np.random.default_rng(10), 4, 36, 3)
+        model = _ScriptedModel(stack, outputs)
+        epsilons = (0.01, 0.1, 0.4)
+        posts = np.empty((4, len(epsilons), 3, 36))
+        labels = np.empty((4, 1 + len(epsilons), 36), dtype=np.uint8)
+
+        def sink(t, step):
+            posts[t], labels[t] = step.post, step.labels
+
+        transitions = [build_transition_model(3, e) for e in epsilons]
+        classify_stack(stack, model, transitions, 0.8, sink=sink)
+        for e, epsilon in enumerate(epsilons):
+            ref = collect_stack(stack, model, build_transition_model(3, epsilon), 0.8)
+            assert posts[:, e].tobytes() == ref.recursive_posteriors.reshape(4, 3, 36).tobytes()
+            for t in range(4):
+                assert_array_equal(labels[t, 0], ref.instantaneous_labels[t].labels.ravel())
+                assert_array_equal(labels[t, 1 + e], ref.recursive_labels[t].labels.ravel())
+
+    def test_peak_memory_does_not_grow_with_the_dates(self):
+        # a per-date posterior plane or label row kept for the whole run
+        # breaks the bound: 18 more dates of 2 x 128 x 128 uint8 labels
+        side, peaks = 128, {}
+        rng = np.random.default_rng(4)
+        trans = build_transition_model(2, 0.1)
+        for frames in (6, 24):
+            planes = [[rng.uniform(0.0, 1.0, size=(side, side))] for _ in range(frames)]
+            truths = [np.arange(side * side).reshape(side, side) % 2] * frames
+            stack = make_stack(("gray",), planes, truths)
+            tracemalloc.start()
+            try:
+                result = classify_stack(stack, _PosteriorStub(), [trans], 0.8)
+                peaks[frames] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert sum(c is not None for c in result.counts) == frames
+        assert peaks[24] - peaks[6] < 18 * 2 * side * side / 2, peaks
 
 
 class _ScriptedModel:
@@ -439,7 +481,7 @@ class TestClassifyStackErrors:
         outputs[frame] = corrupt(outputs[frame])
         trans = build_transition_model(2, 0.1)
         with pytest.raises(error, match=message) as raised:
-            classify_stack(stack, model, trans, 0.8)
+            classify_stack(stack, model, [trans], 0.8)
         assert type(raised.value) is error
         assert str(raised.value).startswith(f"{stack.dates[frame].isoformat()}: ")
 
@@ -454,13 +496,18 @@ class TestClassifyStackErrors:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="sum overflows float64"):
-                classify_stack(stack, model, trans, 0.8)
+                classify_stack(stack, model, [trans], 0.8)
 
     def test_negative_lambda_rejected(self):
         stack = _small_stack(frames=2)
         trans = build_transition_model(2, 0.1)
         with pytest.raises(InvalidHyperparameterError):
-            classify_stack(stack, _PosteriorStub(), trans, -0.5)
+            classify_stack(stack, _PosteriorStub(), [trans], -0.5)
+
+    def test_model_of_another_class_count(self):
+        stack = _small_stack(frames=2)
+        with pytest.raises(ConfigError, match="^model has 2 classes, transition models 3$"):
+            classify_stack(stack, _PosteriorStub(), [build_transition_model(3, 0.1)], 0.8)
 
 
 class TestEpsilonSweepErrors:
@@ -479,7 +526,7 @@ class TestEpsilonSweepErrors:
         model = _ScriptedModel(stack, outputs)  # reads K before the corruption
         outputs[frame] = corrupt(outputs[frame])
         with pytest.raises(error) as expected:
-            classify_stack(stack, model, build_transition_model(2, 0.05), 0.8)
+            classify_stack(stack, model, [build_transition_model(2, 0.05)], 0.8)
         with pytest.raises(error) as swept:
             epsilon_sweep(stack, {"m": model}, 0.8, [0.05, 0.2, 0.4])
         assert type(swept.value) is type(expected.value)
@@ -504,7 +551,7 @@ class TestEvidenceFormsShareOneFilter:
     def test_classify_stack(self, k):
         stack, posterior, scaled = self._scene(k)
         trans = build_transition_model(k, 0.1)
-        want, got = (classify_stack(stack, model, trans, 0.8) for model in (posterior, scaled))
+        want, got = (collect_stack(stack, model, trans, 0.8) for model in (posterior, scaled))
         for name in ("recursive_posteriors", "instantaneous_posteriors"):
             assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
         for a, b in zip(got.recursive_labels + got.instantaneous_labels,
@@ -554,7 +601,7 @@ class TestClassifyStackAcceptsEdgeOutputs:
         outputs[1][0, ::3] = 0.0  # zero entries, never a whole pixel
         outputs[2][:, 5] = np.finfo(np.float64).max / 3.0  # finite pixel sum
         trans = build_transition_model(2, 0.1)
-        result = classify_stack(stack, _ScriptedModel(stack, outputs), trans, 0.8)
+        result = collect_stack(stack, _ScriptedModel(stack, outputs), trans, 0.8)
         state = uniform_pmf(2)
         for t, raw in enumerate(outputs):
             state = update(regularize(oracles.floor_normalize(raw.T), 0.8), state, trans)
@@ -565,7 +612,7 @@ class TestClassifyStackAcceptsEdgeOutputs:
         stack = make_stack(("gray",), [[np.zeros((0, 4))] for _ in range(2)])
         outputs = [EVIDENCE[evidence](np.empty((2, 0))) for _ in range(2)]
         trans = build_transition_model(2, 0.1)
-        result = classify_stack(stack, _ScriptedModel(stack, outputs), trans, 0.8)
+        result = collect_stack(stack, _ScriptedModel(stack, outputs), trans, 0.8)
         assert result.recursive_posteriors.shape == (2, 2, 0, 4)
         assert [r.labels.shape for r in result.recursive_labels] == [(0, 4)] * 2
 
@@ -590,8 +637,8 @@ class TestThirdPartyModelOutputs:
         variants = [self.LAYOUTS[layout](out) for out in outputs]
         assert not (variants[0].flags.c_contiguous and variants[0].dtype == np.float64)
         trans = build_transition_model(3, 0.1)
-        want = classify_stack(stack, _ScriptedModel(stack, outputs), trans, 0.8)
-        got = classify_stack(stack, _ScriptedModel(stack, variants), trans, 0.8)
+        want = collect_stack(stack, _ScriptedModel(stack, outputs), trans, 0.8)
+        got = collect_stack(stack, _ScriptedModel(stack, variants), trans, 0.8)
         for name in ("recursive_posteriors", "instantaneous_posteriors"):
             assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
         for a, b in zip(got.recursive_labels + got.instantaneous_labels,
@@ -610,12 +657,12 @@ class TestClassifyStackPixelIndependence:
         stack = _small_stack(frames=4, side=side)
         outputs = _scripted_outputs(np.random.default_rng(20 + k), 4, side * side, k, evidence)
         trans = build_transition_model(k, 0.1)
-        whole = classify_stack(stack, _ScriptedModel(stack, outputs), trans, lam)
+        whole = collect_stack(stack, _ScriptedModel(stack, outputs), trans, lam)
 
         band_stack = make_stack(("gray",), [[np.zeros((3, side))] for _ in range(4)])
         pixels = slice(rows.start * side, rows.stop * side)
         band_outputs = [out[:, pixels] for out in outputs]
-        band = classify_stack(
+        band = collect_stack(
             band_stack, _ScriptedModel(band_stack, band_outputs), trans, lam
         )
         for name in ("recursive_posteriors", "instantaneous_posteriors"):
@@ -646,7 +693,7 @@ class TestClassifyStackTies:
         column = np.tile(np.array(row)[:, np.newaxis], (1, 64))
         outputs = [EVIDENCE[evidence](column) for _ in range(4)]
         trans = TransitionModel(np.array(matrix), change_prob=0.1)
-        result = classify_stack(stack, _ScriptedModel(stack, outputs), trans, 0.8)
+        result = collect_stack(stack, _ScriptedModel(stack, outputs), trans, 0.8)
         for cube in (result.instantaneous_posteriors, result.recursive_posteriors):
             assert_array_equal(cube[:, lowest], cube[:, k - 1])  # the tie holds
         for raster in result.instantaneous_labels + result.recursive_labels:
@@ -714,7 +761,7 @@ class TestFrameStepTransitionBank:
         insts, posts, labels = self._run(outputs, k)
         for e, epsilon in enumerate(self.EPSILONS):
             trans = build_transition_model(k, epsilon)
-            ref = classify_stack(stack, _ScriptedModel(stack, outputs), trans, 0.8)
+            ref = collect_stack(stack, _ScriptedModel(stack, outputs), trans, 0.8)
             assert insts.tobytes() == ref.instantaneous_posteriors.tobytes()
             assert posts[:, e].tobytes() == ref.recursive_posteriors.tobytes()
             for t in range(5):
@@ -878,7 +925,7 @@ class TestClassifyStackEquivalence:
             outputs.append(out)
         stack = _small_stack(frames=frames, side=side, seed=seed % 1000)
         trans = build_transition_model(k, float(rng.uniform(0.01, 0.5)))
-        result = classify_stack(stack, _ScriptedModel(stack, outputs), trans, lam)
+        result = collect_stack(stack, _ScriptedModel(stack, outputs), trans, lam)
 
         state = np.broadcast_to(uniform_pmf(k), (pixels, k))
         for t, raw in enumerate(outputs):

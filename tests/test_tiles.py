@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from helpers import date_of
+from helpers import collect_stack, date_of
 from satbayes import recursion
 from satbayes.classifiers import (
     ExternalPosteriorSource,
@@ -74,7 +74,7 @@ def _tiled(monkeypatch, height, workers):
 
 def _outputs(stack, model):
     trans = build_transition_model(K, 0.05)
-    run = classify_stack(stack, model, trans, 0.8)
+    run = collect_stack(stack, model, trans, 0.8)
     sweep = epsilon_sweep(stack, {"m": model}, 0.8, GRID)
     labels = [r.labels for r in run.recursive_labels + run.instantaneous_labels]
     return (
@@ -128,7 +128,7 @@ class TestTilesMatchOneTile:
                 return models["external"].frame_posterior(frame)
 
         _tiled(monkeypatch, 7, workers)
-        classify_stack(stack, Recorder(), build_transition_model(K, 0.05), 0.8)
+        classify_stack(stack, Recorder(), [build_transition_model(K, 0.05)], 0.8)
         assert len(seen) == DATES * 10
         assert {image for image, _, _ in seen} == {(7, WIDTH)}
         assert {truth for _, truth, _ in seen} == {(7, WIDTH)}
@@ -166,7 +166,7 @@ class TestTileErrors:
         for height, count in ((HEIGHT, 1), (7, workers)):
             _tiled(monkeypatch, height, count)
             with pytest.raises(ValueError) as raised:
-                classify_stack(bad, model, trans, 0.8)
+                classify_stack(bad, model, [trans], 0.8)
             assert type(raised.value) is ValueError
             messages.append(str(raised.value))
         assert messages[1] == messages[0]
@@ -235,7 +235,7 @@ class TestTileWorkers:
         model = TileFailure()
         trans = build_transition_model(K, 0.05)
         calls = [
-            lambda: classify_stack(stack, model, trans, 0.8),
+            lambda: classify_stack(stack, model, [trans], 0.8),
             lambda: epsilon_sweep(stack, {"m": model}, 0.8, GRID),
             lambda: timing_bench(stack, {"m": model}, trans, 0.8, 3),
         ]
