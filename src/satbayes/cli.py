@@ -6,6 +6,9 @@ classifier, ``run`` executes one experiment, ``sweep`` scans transition
 probabilities, ``bench`` times the recursion against its baseline, and
 ``eval`` scores prediction rasters against truth rasters.
 
+Every command that writes files writes them through `textio.staged`,
+so a command that fails leaves its ``--out`` directory as it was.
+
 Exit codes: 0 success, 1 configuration error, 2 data error,
 3 numerical error. Errors print as one ``error:`` line on stderr, and
 warnings as one ``warning:`` line each.
@@ -16,6 +19,7 @@ from __future__ import annotations
 import argparse
 import sys
 import warnings
+from contextlib import nullcontext
 from pathlib import Path
 
 import numpy as np
@@ -42,7 +46,7 @@ from .pipeline import (
     write_label_raster,
 )
 from .synth import generate_synthetic, parse_synth_spec
-from .textio import format_float, make_dirs, write_lines
+from .textio import format_float, staged, write_lines
 
 
 class _Parser(argparse.ArgumentParser):
@@ -94,36 +98,38 @@ def _build_parser() -> _Parser:
 
 
 def _cmd_ingest(args: argparse.Namespace) -> None:
-    manifest = parse_manifest(args.manifest)
-    stack = open_stack(manifest)
-    for frame in stack.frames:
-        frame.load()  # validates the date's planes; none is kept
-    truth_count = sum(1 for fr in stack.frames if fr.truth is not None)
-    lines = [
-        f"manifest = {args.manifest}",
-        f"grid = {manifest.width}x{manifest.height}",
-        "bands = " + ", ".join(
-            f"{name}:{format_float(res)}" for name, res in manifest.bands
-        ),
-        f"frames = {len(stack)}",
-        f"dates = {stack.dates[0].isoformat()}..{stack.dates[-1].isoformat()}",
-        f"truth_frames = {truth_count}",
-        "status = ok",
-    ]
+    with staged(args.out) if args.out else nullcontext() as out:
+        manifest = parse_manifest(args.manifest)
+        stack = open_stack(manifest)
+        for frame in stack.frames:
+            frame.load()  # validates the date's planes and truth; none is kept
+        truth_count = sum(1 for fr in stack.frames if fr.has_truth)
+        lines = [
+            f"manifest = {args.manifest}",
+            f"grid = {manifest.width}x{manifest.height}",
+            "bands = " + ", ".join(
+                f"{name}:{format_float(res)}" for name, res in manifest.bands
+            ),
+            f"frames = {len(stack)}",
+            f"dates = {stack.dates[0].isoformat()}..{stack.dates[-1].isoformat()}",
+            f"truth_frames = {truth_count}",
+            "status = ok",
+        ]
+        if out is not None:
+            write_lines(out / "ingest_report.txt", lines)
     print("\n".join(lines))
-    if args.out:
-        write_lines(Path(args.out) / "ingest_report.txt", lines)
 
 
 def _cmd_train(args: argparse.Namespace) -> None:
     config = parse_config(args.config)
     if config.classifier == "external":
         raise ConfigError("classifier 'external' has nothing to train or save")
-    out = make_dirs(args.out)
-    prepared = prepare_stacks(config)
-    model = build_classifier(config, config.classifier, prepared.train)
-    path = save_model(out / "models" / f"{config.classifier}.model", model)
-    print(f"saved {path}")
+    name = Path("models") / f"{config.classifier}.model"
+    with staged(args.out) as out:
+        prepared = prepare_stacks(config)
+        model = build_classifier(config, config.classifier, prepared.train)
+        save_model(out / name, model)
+    print(f"saved {Path(args.out) / name}")
 
 
 def _cmd_run(args: argparse.Namespace) -> None:
@@ -136,8 +142,8 @@ def _cmd_run(args: argparse.Namespace) -> None:
         print(f"mean balanced accuracy: recursive={rec:.4f} instantaneous={inst:.4f}")
 
 
-def _prepare_models(args: argparse.Namespace, config: ExperimentConfig):
-    """Output directory, test stack, and a model per --algos kind."""
+def _algorithms(args: argparse.Namespace, config: ExperimentConfig) -> tuple[str, ...]:
+    """The --algos classifier kinds, by default the config's."""
     algos = (config.classifier,)
     if args.algos is not None:
         algos = tuple(a.strip() for a in args.algos.split(",") if a.strip())
@@ -149,10 +155,14 @@ def _prepare_models(args: argparse.Namespace, config: ExperimentConfig):
                 f"--algos: unknown classifier kind {kind!r}; "
                 f"expected one of {', '.join(CLASSIFIER_KINDS)}"
             )
-    out = make_dirs(args.out)
+    return algos
+
+
+def _prepare_models(config: ExperimentConfig, algos: tuple[str, ...]):
+    """The test stack and a model per classifier kind."""
     prepared = prepare_stacks(config)
     models = {kind: build_classifier(config, kind, prepared.train) for kind in algos}
-    return out, prepared.test, models
+    return prepared.test, models
 
 
 def _cmd_sweep(args: argparse.Namespace) -> None:
@@ -162,36 +172,40 @@ def _cmd_sweep(args: argparse.Namespace) -> None:
     except ValueError:
         raise ConfigError(f"bad --eps list: {args.eps!r}") from None
     check_epsilon_grid(grid)
-    out, test, models = _prepare_models(args, config)
-    result = epsilon_sweep(test, models, config.lam, grid)
-    write_sweep_table(result, out / "sweep.csv")
-    summary = []
-    for idx, name in enumerate(result.algorithms):
-        best = result.best_epsilon(name)
-        best_acc = float(np.max(result.recursive_accuracy[idx]))
-        summary.append(
-            f"{name}: best_epsilon = {format_float(best)} "
-            f"accuracy = {format_float(best_acc)} "
-            f"instantaneous = {format_float(result.instantaneous_accuracy[idx])}"
-        )
-    write_lines(out / "sweep_summary.txt", summary)
+    algos = _algorithms(args, config)
+    with staged(args.out) as out:
+        test, models = _prepare_models(config, algos)
+        result = epsilon_sweep(test, models, config.lam, grid)
+        write_sweep_table(result, out / "sweep.csv")
+        summary = []
+        for idx, name in enumerate(result.algorithms):
+            best = result.best_epsilon(name)
+            best_acc = float(np.max(result.recursive_accuracy[idx]))
+            summary.append(
+                f"{name}: best_epsilon = {format_float(best)} "
+                f"accuracy = {format_float(best_acc)} "
+                f"instantaneous = {format_float(result.instantaneous_accuracy[idx])}"
+            )
+        write_lines(out / "sweep_summary.txt", summary)
     print("\n".join(summary))
 
 
 def _cmd_bench(args: argparse.Namespace) -> None:
     config = parse_config(args.config)
     check_repetitions(args.reps)
-    out, test, models = _prepare_models(args, config)
-    transition = build_transition_model(len(config.classes), config.epsilon)
-    records = timing_bench(test, models, transition, config.lam, repetitions=args.reps)
-    write_bench_table(records, out / "bench.csv")
-    step_lines = ["algorithm,step,seconds"]
-    for record in records:
-        step_lines += [
-            f"{record.algorithm},{t + 1},{format_float(sec)}"
-            for t, sec in enumerate(record.step_seconds)
-        ]
-    write_lines(out / "bench_steps.csv", step_lines)
+    algos = _algorithms(args, config)
+    with staged(args.out) as out:
+        test, models = _prepare_models(config, algos)
+        transition = build_transition_model(len(config.classes), config.epsilon)
+        records = timing_bench(test, models, transition, config.lam, repetitions=args.reps)
+        write_bench_table(records, out / "bench.csv")
+        step_lines = ["algorithm,step,seconds"]
+        for record in records:
+            step_lines += [
+                f"{record.algorithm},{t + 1},{format_float(sec)}"
+                for t, sec in enumerate(record.step_seconds)
+            ]
+        write_lines(out / "bench_steps.csv", step_lines)
     for record in records:
         print(
             f"{record.algorithm}: recursion={record.recursion_seconds:.3e}s "
@@ -206,22 +220,22 @@ def _cmd_eval(args: argparse.Namespace) -> None:
     pred_files = sorted(pred_dir.glob("*.lbl"))
     if not pred_files:
         raise DataError(f"no .lbl prediction rasters in {pred_dir}")
-    out = make_dirs(args.out)
-    lines = ["raster,balanced_accuracy"]
-    scores = []
-    for pred_path in pred_files:
-        truth_path = truth_dir / pred_path.name
-        if not truth_path.exists():
-            raise DataError(f"no matching truth raster for {pred_path.name}")
-        pred = read_label_raster(pred_path)
-        truth = read_label_raster(truth_path)
-        score = balanced_accuracy(pred, truth)
-        scores.append(score)
-        lines.append(f"{pred_path.stem},{format_float(score)}")
-        write_label_raster(
-            out / f"error_{pred_path.stem}.lbl", error_map(pred, truth)
-        )
-    write_lines(out / "eval.csv", lines)
+    with staged(args.out) as out:
+        lines = ["raster,balanced_accuracy"]
+        scores = []
+        for pred_path in pred_files:
+            truth_path = truth_dir / pred_path.name
+            if not truth_path.exists():
+                raise DataError(f"no matching truth raster for {pred_path.name}")
+            pred = read_label_raster(pred_path)
+            truth = read_label_raster(truth_path)
+            score = balanced_accuracy(pred, truth)
+            scores.append(score)
+            lines.append(f"{pred_path.stem},{format_float(score)}")
+            write_label_raster(
+                out / f"error_{pred_path.stem}.lbl", error_map(pred, truth)
+            )
+        write_lines(out / "eval.csv", lines)
     print(f"mean balanced accuracy over {len(scores)} rasters: "
           f"{float(np.mean(scores)):.4f}")
 

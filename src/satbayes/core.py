@@ -7,8 +7,8 @@ module's (K, N) column arithmetic: `column_sums`, `normalize_columns`,
 Images and stacks are immutable: their planes are C-contiguous and
 read-only, so code can share them without defensive copies. An image
 keeps float32 planes as read and hands out float64 values. A frame's
-image may also be a `DeferredImage`, whose planes `Frame.load` reads
-when a caller reaches that date.
+image may also be a `DeferredImage`, whose planes, posterior and truth
+`Frame.load` reads when a caller reaches that date.
 """
 
 from __future__ import annotations
@@ -294,18 +294,23 @@ class MultibandImage:
 class DeferredImage:
     """A frame's image whose planes are not read yet.
 
-    It carries the band names and the window of the whole grid that
-    crops cut (``rows`` and ``cols``, ranges of grid indices), but no
-    pixels. ``read()`` returns the whole grid's validated image and its
-    external posterior, or None; `Frame.load` cuts the window from both,
-    then applies each of ``align`` (the bias corrections) in order.
+    It carries the band names, the window of the whole grid that crops
+    cut (``rows`` and ``cols``, ranges of grid indices) and whether the
+    frame has a truth raster, but no pixels. ``read()`` returns the
+    whole grid's validated image, its external posterior or None, and
+    its truth (a truth of the grid if ``has_truth``, else None);
+    `Frame.load` cuts the window from all three, then applies each of
+    ``align`` (the bias corrections) in order.
     """
 
     bands: tuple[str, ...]
     rows: range
     cols: range
-    read: Callable[[], tuple[MultibandImage, np.ndarray | None]] = field(repr=False)
+    read: Callable[
+        [], tuple[MultibandImage, np.ndarray | None, LabelRaster | None]
+    ] = field(repr=False)
     align: tuple[Callable[[Frame], Frame], ...] = ()
+    has_truth: bool = False
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -347,6 +352,12 @@ class Frame:
                 )
             object.__setattr__(self, "external_posterior", _freeze(post))
 
+    @property
+    def has_truth(self) -> bool:
+        """Whether the frame carries truth: ``truth``, or one `load` reads."""
+        image = self.image
+        return self.truth is not None or (isinstance(image, DeferredImage) and image.has_truth)
+
     def window(self, rows: slice = slice(None), cols: slice = slice(None)) -> Frame:
         """The frame on ``rows`` by ``cols``, unchecked: the image shares the
         planes (a deferred one narrows its window), the truth and posterior
@@ -364,14 +375,17 @@ class Frame:
 
     def load(self) -> Frame:
         """The frame with its planes in memory: itself, unless its image is a
-        `DeferredImage`, which is read, windowed and aligned now. Reading
-        raises the reader's errors; nothing is kept for a later call."""
+        `DeferredImage`, which is read with its posterior and truth,
+        windowed and aligned now. Reading raises the reader's errors;
+        nothing is kept for a later call."""
         deferred = self.image
         if not isinstance(deferred, DeferredImage):
             return self
-        image, post = deferred.read()
-        whole = Frame(self.date, image, external_posterior=post).window(*deferred.window)
-        frame = _view(self, image=whole.image, external_posterior=whole.external_posterior)
+        image, post, truth = deferred.read()
+        whole = Frame(self.date, image, None, truth, post).window(*deferred.window)
+        frame = _view(
+            self, image=whole.image, truth=whole.truth, external_posterior=whole.external_posterior
+        )
         for align in deferred.align:
             frame = align(frame)
         return frame

@@ -121,7 +121,7 @@ def frame_accuracies(
         raise ShapeError("classification and stack cover different dates")
     scores = []
     for frame, counts in zip(stack.frames, classification.counts):
-        if frame.truth is None:
+        if not frame.has_truth:
             continue
         if counts is None:
             raise EvaluationError(f"{frame.date.isoformat()}: classified without its truth")
@@ -187,7 +187,7 @@ def epsilon_sweep(
     eps = check_epsilon_grid(grid)
     if not models:
         raise ConfigError("no models to sweep")
-    if not any(fr.truth is not None for fr in stack.frames):
+    if not any(fr.has_truth for fr in stack.frames):
         raise EvaluationError("no frames carry ground truth")
 
     algorithms = tuple(models)

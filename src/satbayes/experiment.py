@@ -4,15 +4,17 @@
 (recursive and instantaneous, one per test date), posterior cubes,
 per-date accuracy tables and error maps when truth is available, the
 trained model, and a small metadata record. The run's sink on
-`classify_stack` writes each date's posterior planes to the two cubes
-and keeps its uint8 label rows for the rasters written after the loop,
-so no posterior array of the whole stack is held, nor a band array:
-each date's planes are read when the recursion reaches it and dropped
-after its step. A run that fails during the recursion, as on a plane
-holding NaN, deletes its partial cubes, and the metadata record is
-written last. Reruns with the same config and
-seed produce byte-identical artifacts; nothing time- or
-machine-dependent is written.
+`classify_stack` writes each date's posterior planes to the two cubes,
+its two label rasters and, for a date with truth, its two error maps,
+while the step holds that date's labels: no posterior or label array of
+the whole stack is held, nor a band or truth array, since each date's
+planes and truth are read when the recursion reaches it and dropped
+after its step. Every artifact is written under a staging directory
+(`textio.staged`) and moves into the output directory only when the run
+succeeds, so a run that fails, as on a plane holding NaN, leaves the
+output directory as it was. The metadata record is written last. Reruns
+with the same config and seed produce byte-identical artifacts; nothing
+time- or machine-dependent is written.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from .classifiers import (
     save_model,
 )
 from .config import ExperimentConfig, serialize_config
-from .core import ImageStack, LabelRaster, build_transition_model
+from .core import Frame, ImageStack, LabelRaster, build_transition_model
 from .errors import ConfigError, DataError
 from .evaluation import (
     FrameScore,
@@ -55,7 +57,7 @@ from .pipeline import (
     write_posterior_cube,  # noqa: F401  (perfbench/tracing.py wraps this name)
 )
 from .recursion import FrameStep, StackClassification, classify_stack
-from .textio import make_dirs, write_lines
+from .textio import staged, write_lines
 
 
 @dataclass(frozen=True)
@@ -70,10 +72,10 @@ class PreparedStacks:
 def prepare_stacks(config: ExperimentConfig) -> PreparedStacks:
     """Open and preprocess the stack: crop, bias, filter, date split.
 
-    The frames are deferred (`open_stack`): each date's planes are read
-    when a caller loads that frame, and a date that is filtered out or
-    neither trained nor tested is never read. Bias correction reads the
-    first frame's reference region now.
+    The frames are deferred (`open_stack`): each date's planes and truth
+    are read when a caller loads that frame, and a date that is filtered
+    out or neither trained nor tested is never read. Bias correction
+    reads the first frame's reference region now.
     """
     manifest = parse_manifest(config.resolved_manifest())
     stack = open_stack(manifest)
@@ -160,65 +162,56 @@ def run_experiment(
     eps = config.epsilon if epsilon is None else float(epsilon)
     if not (0.0 < eps < 1.0):
         raise ConfigError(f"epsilon must lie in (0, 1), got {eps}")
-    out = make_dirs(out_dir)
+    with staged(out_dir) as stage:
+        prepared = prepare_stacks(config)
+        model = build_classifier(config, config.classifier, prepared.train)
+        transition = build_transition_model(len(config.classes), eps)
+        k = model.num_classes
+        height, width = prepared.test.shape
+        shape = (len(prepared.test), k, height, width)
+        cube_dir = stage / "posteriors"
+        with posterior_cube_writer(cube_dir / "recursive.cube", shape) as write_rec, \
+                posterior_cube_writer(cube_dir / "instantaneous.cube", shape) as write_inst:
 
-    prepared = prepare_stacks(config)
-    model = build_classifier(config, config.classifier, prepared.train)
-    transition = build_transition_model(len(config.classes), eps)
-    k = model.num_classes
-    shape = (len(prepared.test), k, *prepared.test.shape)
-    labels = np.empty((shape[0], 2, *shape[2:]), dtype=np.uint8)  # instantaneous, recursive
-    cube_dir = out / "posteriors"
-    with posterior_cube_writer(cube_dir / "recursive.cube", shape) as write_rec, \
-            posterior_cube_writer(cube_dir / "instantaneous.cube", shape) as write_inst:
+            def sink(t: int, step: FrameStep, frame: Frame) -> None:
+                write_rec(step.post[0].reshape(shape[1:]))
+                write_inst(step.inst.reshape(shape[1:]))
+                tag = frame.date.isoformat()
+                for track, row in (("recursive", 1), ("instantaneous", 0)):
+                    labels = step.labels[row].reshape(height, width)
+                    raster = LabelRaster(labels, k)
+                    write_label_raster(stage / "labels" / f"{track}_{tag}.lbl", raster)
+                    if frame.truth is not None:
+                        error = error_map(labels, frame.truth)
+                        write_label_raster(stage / "maps" / f"error_{track}_{tag}.lbl", error)
 
-        def sink(t: int, step: FrameStep) -> None:
-            write_rec(step.post[0].reshape(shape[1:]))
-            write_inst(step.inst.reshape(shape[1:]))
-            labels[t] = step.labels.reshape(labels.shape[1:])
+            classification = classify_stack(
+                prepared.test, model, [transition], config.lam, sink=sink
+            )
 
-        classification = classify_stack(
-            prepared.test, model, [transition], config.lam, sink=sink
-        )
-
-    tracks = (("recursive", 1), ("instantaneous", 0))
-    for track, row in tracks:
-        for date, plane in zip(classification.dates, labels[:, row]):
-            tag = date.isoformat()
-            write_label_raster(out / "labels" / f"{track}_{tag}.lbl", LabelRaster(plane, k))
-    if config.classifier != "external":
-        save_model(out / "models" / f"{config.classifier}.model", model)
-
-    scores: tuple[FrameScore, ...] | None = None
-    if any(fr.truth is not None for fr in prepared.test.frames):
-        scores = frame_accuracies(classification, prepared.test)
-        write_accuracy_table(scores, out / "metrics" / "accuracy.csv")
-        for idx, frame in enumerate(prepared.test.frames):
-            if frame.truth is None:
-                continue
-            for track, row in tracks:
-                write_label_raster(
-                    out / "maps" / f"error_{track}_{frame.date.isoformat()}.lbl",
-                    error_map(labels[idx, row], frame.truth),
-                )
-
-    metadata = [
-        f"name = {config.name}",
-        f"package_version = {__version__}",
-        f"numpy_version = {np.__version__}",
-        f"config_sha256_16 = {config_digest(config)}",
-        f"classifier = {config.classifier}",
-        f"epsilon = {eps!r}",
-        f"lambda = {config.lam!r}",
-        f"seed = {config.seed}",
-        f"test_frames = {len(classification.dates)}",
-        f"pixels = {prepared.test.shape[0] * prepared.test.shape[1]}",
-    ]
-    write_lines(out / "run.txt", metadata)
+        if config.classifier != "external":
+            save_model(stage / "models" / f"{config.classifier}.model", model)
+        scores: tuple[FrameScore, ...] | None = None
+        if any(fr.has_truth for fr in prepared.test.frames):
+            scores = frame_accuracies(classification, prepared.test)
+            write_accuracy_table(scores, stage / "metrics" / "accuracy.csv")
+        metadata = [
+            f"name = {config.name}",
+            f"package_version = {__version__}",
+            f"numpy_version = {np.__version__}",
+            f"config_sha256_16 = {config_digest(config)}",
+            f"classifier = {config.classifier}",
+            f"epsilon = {eps!r}",
+            f"lambda = {config.lam!r}",
+            f"seed = {config.seed}",
+            f"test_frames = {len(classification.dates)}",
+            f"pixels = {height * width}",
+        ]
+        write_lines(stage / "run.txt", metadata)
 
     return ExperimentResult(
         config=config,
-        out_dir=out,
+        out_dir=Path(out_dir),
         epsilon=eps,
         classification=classification,
         scores=scores,

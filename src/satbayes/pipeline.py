@@ -7,13 +7,14 @@ grid and upsampled on load), a reflectance scale factor, and optional
 per-frame side files: ground-truth label rasters and externally
 produced posterior cubes.
 
-One reader turns a manifest frame into its validated image and
-posterior. `open_stack` checks every plane file's size and defers that
-reader to `Frame.load`, so a date's planes are read when a caller
-reaches it; `load_stack` applies it to every frame at once. Crops and
-bias corrections of a deferred stack read no plane of a later frame:
-they narrow its window and add a correction step that `Frame.load`
-applies.
+One reader turns a manifest frame into its validated image, posterior
+and truth. `open_stack` checks every plane file's size and that each
+side file exists, and defers that reader to `Frame.load`, so a date's
+planes and truth are read when a caller reaches it, and never for a
+date that no caller loads; `load_stack` applies it to every frame at
+once. Crops and bias corrections of a deferred stack read no plane of a
+later frame: they narrow its window and add a correction step that
+`Frame.load` applies.
 
 Container formats (all little-endian):
 
@@ -400,15 +401,15 @@ def write_manifest(manifest: StackManifest, path: str | Path) -> Path:
 
 
 def open_stack(manifest: StackManifest) -> ImageStack:
-    """Every frame of a manifest, with its band planes not yet read.
+    """Every frame of a manifest, with its files not yet read.
 
-    Each frame's truth raster is read now; its image is a
-    `DeferredImage`, whose planes and posterior cube `Frame.load` reads
-    and validates (the errors `load_stack` lists), and nothing is read
-    for a frame that is never loaded. A grid that a band's resample factor does not
-    divide is a DataError, and a missing band plane or posterior file,
-    or a plane or truth file that does not fit its grid, a LoadError
-    naming the path, all raised here, before any plane is read.
+    Each frame's image is a `DeferredImage`, whose planes, posterior
+    cube and truth raster `Frame.load` reads and validates (the errors
+    `load_stack` lists), and nothing is read for a frame that is never
+    loaded. A grid that a band's resample factor does not divide is a
+    DataError, and a missing band plane, truth or posterior file, or a
+    plane file that does not fit its grid, a LoadError naming the path,
+    all raised here, before any file is read.
     """
     factors = manifest.resample_factors()
     height, width = manifest.height, manifest.width
@@ -424,32 +425,36 @@ def open_stack(manifest: StackManifest) -> ImageStack:
                 )
             path = manifest.base_dir / paths[band]
             _check_plane_size(path, height // factor, width // factor, file_size(path))
-        if mf.posterior_path is not None:
-            file_size(manifest.base_dir / mf.posterior_path)
-        truth = None
-        if mf.truth_path is not None:
-            path = manifest.base_dir / mf.truth_path
-            truth = read_label_raster(path)
-            if truth.shape != (height, width):
-                rows, cols = truth.shape
-                raise LoadError(
-                    f"{path}: truth raster on {mf.date.isoformat()} is {cols}x{rows}, "
-                    f"not the {width}x{height} grid"
-                )
+        for side in (mf.posterior_path, mf.truth_path):
+            if side is not None:
+                file_size(manifest.base_dir / side)
         read = partial(_read_frame, manifest, mf, factors)
-        image = DeferredImage(manifest.band_names, range(height), range(width), read)
-        frames.append(Frame(mf.date, image, mf.cloud_fraction, truth))
+        image = DeferredImage(
+            manifest.band_names, range(height), range(width), read,
+            has_truth=mf.truth_path is not None,
+        )
+        frames.append(Frame(mf.date, image, mf.cloud_fraction))
     return ImageStack(tuple(frames))
 
 
 def _read_frame(
     manifest: StackManifest, mf: ManifestFrame, factors: dict[str, int]
-) -> tuple[MultibandImage, np.ndarray | None]:
-    """The validated image and external posterior of one frame that
-    `open_stack` checked: the one reader behind `Frame.load`."""
+) -> tuple[MultibandImage, np.ndarray | None, LabelRaster | None]:
+    """The validated image, external posterior and truth of one frame
+    that `open_stack` checked: the one reader behind `Frame.load`."""
     names = manifest.band_names
     paths = dict(mf.band_paths)
     height, width = manifest.height, manifest.width
+    truth = None
+    if mf.truth_path is not None:
+        path = manifest.base_dir / mf.truth_path
+        truth = read_label_raster(path)
+        if truth.shape != (height, width):
+            rows, cols = truth.shape
+            raise LoadError(
+                f"{path}: truth raster on {mf.date.isoformat()} is {cols}x{rows}, "
+                f"not the {width}x{height} grid"
+            )
     # Each plane is read, or upsampled, straight into the image's array. It
     # lives in an anonymous map of its own, unmapped when the frame is dropped
     # after its date's step: freed from the heap, it would let the heap shrink
@@ -473,7 +478,7 @@ def _read_frame(
             f"{mf.date.isoformat()} has non-finite values at scale {manifest.scale:g}"
         ) from None
     if mf.posterior_path is None:
-        return image, None
+        return image, None, truth
     path = manifest.base_dir / mf.posterior_path
     cube = read_posterior_cube(path)
     dates, _, rows, cols = cube.shape
@@ -486,7 +491,7 @@ def _read_frame(
         raise LoadError(
             f"{path}: posterior on {mf.date.isoformat()} has non-finite or negative values"
         )
-    return image, cube[0]
+    return image, cube[0], truth
 
 
 def load_stack(manifest: StackManifest) -> ImageStack:
@@ -497,9 +502,9 @@ def load_stack(manifest: StackManifest) -> ImageStack:
     upsampled to the manifest grid; each image keeps them as float32
     and applies the reflectance scale when its values are read. Missing
     or mis-sized files, planes holding NaN or infinite values (in the
-    file, or once scaled), and posterior cubes of another grid or with
-    NaN, infinite or negative values raise LoadError naming the path
-    (and the date).
+    file, or once scaled), bad truth rasters or ones of another grid,
+    and posterior cubes of another grid or with NaN, infinite or
+    negative values raise LoadError naming the path (and the date).
     """
     return ImageStack(tuple(frame.load() for frame in open_stack(manifest).frames))
 

@@ -451,7 +451,7 @@ def classify_stack(
     model: FrameModel,
     transitions: Sequence[TransitionModel],
     lam: float,
-    sink: Callable[[int, FrameStep], None] | None = None,
+    sink: Callable[[int, FrameStep, Frame], None] | None = None,
 ) -> StackClassification:
     """Run the recursion over a whole stack, frame by frame.
 
@@ -464,14 +464,15 @@ def classify_stack(
     label row against it. Those counts, from which `frame_accuracies`
     and `epsilon_sweep` score the dates, are all that is kept.
 
-    After each date t, ``sink(t, step)`` may read the step's ``inst``
-    (K, H*W), ``post`` (E, K, H*W) and ``labels`` (1 + E, H*W) during
-    the call only: the next date overwrites them. Each frame is loaded
-    (`Frame.load`) just before its step, so a deferred date's planes are
-    read once and held for that step only, and a reading error
-    propagates as it is. A bad model output raises the error of
-    `FrameStep`, prefixed with the frame's ISO date. The model sees the
-    step's row tiles, from several threads at once (`FrameModel`).
+    After each date t, ``sink(t, step, frame)`` gets the loaded frame
+    and may read the step's ``inst`` (K, H*W), ``post`` (E, K, H*W) and
+    ``labels`` (1 + E, H*W) during the call only: the next date
+    overwrites them. Each frame is loaded (`Frame.load`) just before its
+    step, so a deferred date's planes and truth are read once and held
+    for that step only, and a reading error propagates as it is. A bad
+    model output raises the error of `FrameStep`, prefixed with the
+    frame's ISO date. The model sees the step's row tiles, from several
+    threads at once (`FrameModel`).
     """
     height, width = stack.shape
     counts = []
@@ -480,10 +481,10 @@ def classify_stack(
         if model.num_classes != k:
             raise ConfigError(f"model has {model.num_classes} classes, transition models {k}")
         for t, frame in enumerate(stack.frames):
-            truth = None if frame.truth is None else frame.truth.labels.ravel()
             frame = frame.load()
+            truth = None if frame.truth is None else frame.truth.labels.ravel()
             step(lambda rows: model.frame_posterior(frame.window(rows)), frame.date, truth)
             counts.append(None if truth is None else (step.hits, step.totals))
             if sink is not None:
-                sink(t, step)
+                sink(t, step, frame)
     return StackClassification(stack.dates, k, tuple(counts))

@@ -28,7 +28,6 @@ The scene description is a ``key = value`` text file::
 from __future__ import annotations
 
 import datetime as dt
-from contextlib import suppress
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -52,6 +51,7 @@ from .textio import (
     parse_keys,
     parse_list,
     read_text,
+    staged,
 )
 
 SYNTH_BAND_RESOLUTION = 10.0  # synthetic bands share one nominal grid
@@ -217,7 +217,8 @@ def generate_synthetic(spec: SynthSpec, out_dir: str | Path) -> Path:
     rasters, and ``manifest.txt`` tying them together (scale 1.0, all
     bands on one grid). Fully deterministic given ``spec.seed``. A stat
     whose draws overflow float32 raises ConfigError naming its class
-    and band. A scene that fails removes the planes and rasters it wrote.
+    and band. The scene is written through `textio.staged`, so one that
+    fails leaves ``out_dir`` as it was.
     """
     out = Path(out_dir)
     rng = np.random.default_rng(spec.seed)
@@ -231,8 +232,7 @@ def generate_synthetic(spec: SynthSpec, out_dir: str | Path) -> Path:
     n = spec.height * spec.width
 
     frames = []
-    written: list[Path] = []  # removed again if the scene fails
-    try:
+    with staged(out) as stage:
         for t in range(spec.num_frames):
             truth = truths[t]
             observed_class = truth.ravel().copy()
@@ -253,12 +253,10 @@ def generate_synthetic(spec: SynthSpec, out_dir: str | Path) -> Path:
                     name = spec.classes[observed_class[np.argmax(bad)]]
                     raise ConfigError(f"stat for {name}/{band}: draws overflow float32")
                 rel = f"bands/f{t:03d}_{band}.f32"
-                written.append(out / rel)
-                write_band_plane(written[-1], values.reshape(spec.height, spec.width))
+                write_band_plane(stage / rel, values.reshape(spec.height, spec.width))
                 band_paths.append((band, rel))
             truth_rel = f"truth/f{t:03d}.lbl"
-            written.append(out / truth_rel)
-            write_label_raster(written[-1], LabelRaster(truth, num_classes=k))
+            write_label_raster(stage / truth_rel, LabelRaster(truth, num_classes=k))
             frames.append(
                 ManifestFrame(
                     date=spec.start_date + dt.timedelta(days=t * spec.cadence_days),
@@ -275,9 +273,5 @@ def generate_synthetic(spec: SynthSpec, out_dir: str | Path) -> Path:
             frames=tuple(frames),
             base_dir=out,
         )
-        return write_manifest(manifest, out / "manifest.txt")
-    except BaseException:
-        for path in written:
-            with suppress(OSError):
-                path.unlink()
-        raise
+        write_manifest(manifest, stage / "manifest.txt")
+    return out / "manifest.txt"

@@ -4,7 +4,9 @@ Every satbayes file is read and written through the helpers here, so
 one rule maps file-system failures onto the exit-code contract: a file
 that cannot be read or decoded as UTF-8 raises `LoadError`, and an
 output that cannot be created or written raises `DataError`; both exit
-2 and name the path.
+2 and name the path. A command writes its outputs through `staged`, so
+it either adds all of them to its output directory or, failing, leaves
+that directory as it was.
 
 Configs, synthetic-scene specs and manifests are ``key = value`` text:
 one pair per line, ``#`` starts a comment, blank lines are skipped.
@@ -19,6 +21,7 @@ from __future__ import annotations
 
 import datetime as dt
 import os
+import shutil
 import warnings
 from collections.abc import Callable, Iterator, Mapping, Sequence
 from contextlib import contextmanager
@@ -62,11 +65,42 @@ def read_text(path: str | Path) -> str:
         return Path(path).read_text(encoding="utf-8")
 
 
-def make_dirs(path: str | Path) -> Path:
-    """Create a directory and its missing parents."""
-    with _failing_as(DataError, path):
-        Path(path).mkdir(parents=True, exist_ok=True)
-    return Path(path)
+@contextmanager
+def staged(out: str | Path) -> Iterator[Path]:
+    """A staging directory whose entries move into ``out`` when the block succeeds.
+
+    Creates ``out/.partial`` (and ``out``), after removing a stale one
+    that a killed command left, and yields it. When the block returns,
+    each entry of it moves into ``out`` with `os.replace`: whole if
+    ``out`` has no entry of that name, file by file into a directory
+    that ``out`` already has. When the block raises, the staging
+    directory is removed, so ``out`` keeps what it held before. A
+    file-system failure here is a DataError naming ``out``.
+    """
+    out = Path(out)
+    stage = out / ".partial"
+    with _failing_as(DataError, out):
+        if stage.is_dir() and not stage.is_symlink():
+            shutil.rmtree(stage)
+        else:
+            stage.unlink(missing_ok=True)
+        stage.mkdir(parents=True)
+    try:
+        yield stage
+        with _failing_as(DataError, out):
+            _merge(stage, out)
+    finally:
+        shutil.rmtree(stage, ignore_errors=True)
+
+
+def _merge(src: Path, dst: Path) -> None:
+    """Move each entry of ``src`` into ``dst``, merging into the directories ``dst`` has."""
+    for entry in sorted(src.iterdir()):
+        target = dst / entry.name
+        if entry.is_dir() and target.is_dir():
+            _merge(entry, target)
+        else:
+            os.replace(entry, target)
 
 
 @contextmanager

@@ -72,7 +72,7 @@ def collect_stack(stack, model, transition, lam) -> CollectedStack:
     cubes = np.empty((2, dates, k, height * width))  # recursive, instantaneous
     labels = np.empty((dates, 2, height * width), dtype=np.uint8)  # instantaneous, recursive
 
-    def sink(t, step):
+    def sink(t, step, frame):
         cubes[0, t], cubes[1, t], labels[t] = step.post[0], step.inst, step.labels
 
     result = classify_stack(stack, model, [transition], lam, sink)

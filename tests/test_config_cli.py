@@ -1375,6 +1375,33 @@ class TestRunStreamsPosteriors:
         assert cube.shape == (frames, k, side, side)
 
 
+class TestStagedRunTree:
+    """`run` writes under ``--out/.partial`` and moves its files into
+    ``--out`` only when it succeeds."""
+
+    def test_failed_run_leaves_an_earlier_tree_as_it_was(self, cli_area, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cli_area / "exp.cfg"), "--out", str(out)]) == 0
+        before = tree_bytes(out)
+        assert Path("posteriors", "recursive.cube") in before
+        config = write_external_area(cli_area, tmp_path, [0, 1], 0.0)
+        assert main(["run", "--config", str(config), "--out", str(out)]) == 3
+        assert "all-zero likelihood vector" in capsys.readouterr().err
+        assert tree_bytes(out) == before
+        assert not (out / ".partial").exists()
+
+    def test_stale_partial_is_removed_by_the_next_run(self, cli_area, tmp_path):
+        clean, out = tmp_path / "clean", tmp_path / "out"
+        stale = out / ".partial"
+        (stale / "posteriors").mkdir(parents=True)
+        (stale / "posteriors" / "recursive.cube").write_bytes(b"junk")
+        (stale / "junk.txt").write_text("junk\n")
+        for target in (clean, out):
+            assert main(["run", "--config", str(cli_area / "exp.cfg"), "--out", str(target)]) == 0
+        assert not stale.exists()
+        assert tree_bytes(out) == tree_bytes(clean)
+
+
 def _loaded_by_cli_import(modules):
     """Which of ``modules`` a fresh ``import satbayes.cli`` loads."""
     code = f"import sys, satbayes.cli; print(sorted(m for m in {modules!r} if m in sys.modules))"

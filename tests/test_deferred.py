@@ -13,13 +13,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from numpy.testing import assert_array_equal
 
 from satbayes import pipeline
 from satbayes.cli import main
 from satbayes.config import parse_config
 from satbayes.core import DeferredImage, ImageStack, build_transition_model
 from satbayes.errors import DataError
-from satbayes.evaluation import timing_bench
+from satbayes.evaluation import balanced_accuracy, timing_bench
 from satbayes.experiment import build_classifier, prepare_stacks
 from satbayes.pipeline import (
     ReferenceRegion,
@@ -28,6 +29,7 @@ from satbayes.pipeline import (
     load_stack,
     open_stack,
     parse_manifest,
+    read_label_raster,
 )
 
 from helpers import date_of
@@ -224,8 +226,7 @@ class TestRunErrors:
             f"error: {plane}: band 'swir1' on {date_of(4).isoformat()} "
             "has non-finite values at scale 1\n"
         )
-        assert (out / "posteriors").is_dir()
-        assert not list(out.rglob("*.cube"))
+        assert list(out.iterdir()) == []  # the staged cubes went with the run
 
     @pytest.mark.parametrize("date", [1, 7])
     def test_nan_plane_on_an_unread_date_exits_0(self, scene, tmp_path, capsys, date):
@@ -233,6 +234,16 @@ class TestRunErrors:
         self._corrupt(tmp_path, date, np.nan)
         assert main(["run", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
         assert "error" not in capsys.readouterr().err
+
+    def test_junk_truth_on_an_unread_date_is_never_read(self, scene, tmp_path, capsys):
+        config = copy_scene(scene, tmp_path)
+        truth = tmp_path / "data" / "truth" / "f007.lbl"
+        truth.write_bytes(b"junk")
+        assert main(["run", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
+        assert "error" not in capsys.readouterr().err
+        manifest = tmp_path / "data" / "manifest.txt"
+        assert main(["ingest", "--manifest", str(manifest)]) == 2
+        assert capsys.readouterr().err == f"error: {truth}: truncated label raster header\n"
 
     def test_short_plane_exits_2_before_any_output(self, scene, tmp_path, capsys):
         config = copy_scene(scene, tmp_path)
@@ -245,6 +256,31 @@ class TestRunErrors:
             f"got {4 * 16 * 16 - 4}\n"
         )
         assert not [p for p in out.rglob("*") if p.is_file()]
+
+
+def test_cropped_bias_corrected_error_maps_use_the_truth_window(scene, tmp_path):
+    # crop x y w h = 2 1 12 14: rows 1..14 and columns 2..13 of the 16x16 grid
+    config = copy_scene(scene, tmp_path, CONFIG + "crop = 2 1 12 14\nbias_region = 0 0 5 4\n")
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(config), "--out", str(out)]) == 0
+    assert len(list((out / "maps").iterdir())) == 2 * 5
+    scores = {}
+    for t in (2, 3, 4, 5, 6):
+        truth = read_label_raster(tmp_path / "data" / "truth" / f"f{t:03d}.lbl")
+        window = truth.labels[1:15, 2:14]
+        tag = date_of(t).isoformat()
+        for track in ("recursive", "instantaneous"):
+            labels = read_label_raster(out / "labels" / f"{track}_{tag}.lbl").labels
+            error = read_label_raster(out / "maps" / f"error_{track}_{tag}.lbl")
+            assert (error.num_classes, error.shape) == (2, (14, 12))
+            assert_array_equal(error.labels, labels != window)
+            scores[tag, track] = balanced_accuracy(labels, window)
+    rows = (out / "metrics" / "accuracy.csv").read_text().splitlines()[1:]
+    assert len(rows) == 5
+    for row in rows:
+        tag, rec, inst = row.split(",")
+        assert float(rec) == scores[tag, "recursive"]
+        assert float(inst) == scores[tag, "instantaneous"]
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="reads ru_maxrss in KiB")

@@ -44,10 +44,10 @@ from satbayes.pipeline import (
     write_posterior_cube,
 )
 from satbayes.textio import (
-    make_dirs,
     open_output,
     read_bytes,
     read_text,
+    staged,
     write_bytes,
     write_lines,
 )
@@ -240,10 +240,43 @@ class TestFileBoundary:
     def test_write_below_a_file_is_data_error(self, tmp_path):
         (tmp_path / "f").write_text("")
         for path, write in ((tmp_path / "f" / "x.bin", lambda p: write_bytes(p, b"")),
-                            (tmp_path / "f" / "d", make_dirs)):
+                            (tmp_path / "f" / "d", lambda p: staged(p).__enter__())):
             with pytest.raises(DataError) as info:
                 write(path)
             assert str(info.value).startswith(f"{path}: ")
+
+    def test_staged_entries_move_whole_or_file_by_file(self, tmp_path):
+        out = tmp_path / "out"
+        (out / "keep").mkdir(parents=True)
+        (out / "keep" / "old.txt").write_text("old")
+        (out / "keep" / "same.txt").write_text("old")
+        with staged(out) as stage:
+            assert stage == out / ".partial" and stage.is_dir()
+            write_bytes(stage / "keep" / "same.txt", b"new")
+            write_bytes(stage / "fresh" / "a.txt", b"a")
+            write_bytes(stage / "top.txt", b"t")
+        tree = {str(p.relative_to(out)): p.read_bytes() for p in out.rglob("*") if p.is_file()}
+        assert tree == {
+            "keep/old.txt": b"old", "keep/same.txt": b"new", "fresh/a.txt": b"a", "top.txt": b"t"
+        }
+        assert not stage.exists()
+
+    @pytest.mark.parametrize("stale", ["dir", "file"])
+    def test_staged_failure_keeps_out_and_a_stale_stage_goes(self, tmp_path, stale):
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "a.txt").write_text("a")
+        if stale == "dir":
+            (out / ".partial" / "d").mkdir(parents=True)
+            (out / ".partial" / "d" / "junk").write_text("junk")
+        else:
+            (out / ".partial").write_text("junk")
+        with pytest.raises(ShapeError, match="not an I/O failure"):
+            with staged(out) as stage:
+                assert list(stage.iterdir()) == []
+                write_bytes(stage / "a.txt", b"b")
+                raise ShapeError("not an I/O failure")
+        assert [(p.name, p.read_text()) for p in out.iterdir()] == [("a.txt", "a")]
 
     def test_read_failures_are_load_errors(self, tmp_path):
         (tmp_path / "bad.txt").write_bytes(b"\xff\xfe")

@@ -344,7 +344,7 @@ class TestClassifyStackSink:
         collected = collect_stack(stack, model, trans, 0.8)
         seen = []
 
-        def sink(t, step):
+        def sink(t, step, frame):
             assert step.inst.shape == (3, 36) and step.post.shape == (1, 3, 36)
             assert step.inst.dtype == step.post.dtype == np.float64
             assert step.labels.shape == (2, 36) and step.labels.dtype == np.uint8
@@ -369,7 +369,7 @@ class TestClassifyStackSink:
         posts = np.empty((4, len(epsilons), 3, 36))
         labels = np.empty((4, 1 + len(epsilons), 36), dtype=np.uint8)
 
-        def sink(t, step):
+        def sink(t, step, frame):
             posts[t], labels[t] = step.post, step.labels
 
         transitions = [build_transition_model(3, e) for e in epsilons]
