@@ -30,26 +30,30 @@ from .textio import format_float, write_lines
 # ============================================================
 
 
-def _as_labels(raster: LabelRaster | np.ndarray, what: str) -> np.ndarray:
-    """The label array; a NaN, infinite or fractional label is an error."""
-    if isinstance(raster, LabelRaster):
-        return raster.labels
-    labels = np.asarray(raster)
-    if labels.dtype.kind not in "biu":
-        bad = labels[~np.isfinite(labels) | (labels != np.round(labels))]
-        if bad.size:
-            raise EvaluationError(f"{what} label {bad[0]} is not an integer")
-    return labels
+def _label_pair(
+    pred: LabelRaster | np.ndarray, truth: LabelRaster | np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The two label arrays, of one shape; a NaN, infinite or fractional label is an error."""
+    p, t = (r.labels if isinstance(r, LabelRaster) else np.asarray(r) for r in (pred, truth))
+    for what, labels in (("prediction", p), ("truth", t)):
+        if labels.dtype.kind not in "biu":
+            bad = labels[~np.isfinite(labels) | (labels != np.round(labels))]
+            if bad.size:
+                raise EvaluationError(f"{what} label {bad[0]} is not an integer")
+    if p.shape != t.shape:
+        raise ShapeError(f"prediction shape {p.shape} != truth shape {t.shape}")
+    return p, t
 
 
 def confusion_matrix(
     pred: LabelRaster | np.ndarray, truth: LabelRaster | np.ndarray, num_classes: int
 ) -> np.ndarray:
     """Truth-by-prediction counts; a label outside [0, num_classes) is an error."""
-    p = _as_labels(pred, "prediction")
-    t = _as_labels(truth, "truth")
-    if p.shape != t.shape:
-        raise ShapeError(f"prediction shape {p.shape} != truth shape {t.shape}")
+    return _confusion(*_label_pair(pred, truth), num_classes)
+
+
+def _confusion(p: np.ndarray, t: np.ndarray, num_classes: int) -> np.ndarray:
+    """`confusion_matrix` of a `_label_pair`."""
     p, t = p.ravel(), t.ravel()
     for what, labels in (("prediction", p), ("truth", t)):
         if labels.size and (labels.min() < 0 or labels.max() >= num_classes):
@@ -65,14 +69,10 @@ def balanced_accuracy(
     pred: LabelRaster | np.ndarray, truth: LabelRaster | np.ndarray
 ) -> float:
     """Mean per-class recall over the classes present in the truth."""
-    p = _as_labels(pred, "prediction")
-    t = _as_labels(truth, "truth")
-    if p.shape != t.shape:
-        raise ShapeError(f"prediction shape {p.shape} != truth shape {t.shape}")
+    p, t = _label_pair(pred, truth)
     if t.size == 0:
         raise EvaluationError("empty truth raster")
-    num_classes = int(max(p.max(), t.max())) + 1
-    matrix = confusion_matrix(p, t, num_classes)
+    matrix = _confusion(p, t, int(max(p.max(), t.max())) + 1)
     return _balanced(np.diagonal(matrix), matrix.sum(axis=1))
 
 
@@ -88,10 +88,7 @@ def error_map(
     pred: LabelRaster | np.ndarray, truth: LabelRaster | np.ndarray
 ) -> LabelRaster:
     """Binary raster: 1 where prediction and truth disagree."""
-    p = _as_labels(pred, "prediction")
-    t = _as_labels(truth, "truth")
-    if p.shape != t.shape:
-        raise ShapeError(f"prediction shape {p.shape} != truth shape {t.shape}")
+    p, t = _label_pair(pred, truth)
     return LabelRaster((p != t).astype(np.uint8), num_classes=2)
 
 
@@ -269,24 +266,23 @@ def timing_bench(
     for name, model in models.items():
         baseline_samples = []
         step_samples = np.empty((repetitions, len(stack)))
-        with FrameStep([transition], lam, pixels, width) as step:
+        step = FrameStep([transition], lam, pixels, width)
 
-            def baseline(i: int) -> None:
-                model.frame_posterior(first.window(step.rows[i]))
+        def baseline(i: int) -> None:
+            model.frame_posterior(first.window(step.rows[i]))
 
-            step.map(baseline)  # warmup
-            for _ in range(repetitions):
+        step.map(baseline)  # warmup
+        for _ in range(repetitions):
+            start = time.perf_counter()
+            step.map(baseline)
+            baseline_samples.append(time.perf_counter() - start)
+        for rep in range(repetitions):
+            step.reset()
+            for t, frame in enumerate(stack.frames):
+                raw = model.frame_posterior(frame.load())
                 start = time.perf_counter()
-                step.map(baseline)
-                baseline_samples.append(time.perf_counter() - start)
-            for rep in range(repetitions):
-                step.reset()
-                for t, frame in enumerate(stack.frames):
-                    raw = model.frame_posterior(frame.load())
-                    start = time.perf_counter()
-                    step(raw, frame.date)
-                    step_samples[rep, t] = time.perf_counter() - start
-
+                step(raw, frame.date)
+                step_samples[rep, t] = time.perf_counter() - start
         records.append(
             TimingRecord(
                 algorithm=name,

@@ -13,32 +13,32 @@ All update arithmetic is three class-major functions, `_smooth`,
 `_update` and `_decide`, on (K, n) float64 arrays, normalized by `core`
 as the engines are. Nothing in the package keeps work arrays between
 calls: they allocate theirs per call, and `FrameStep` holds only the
-filter state, the last date's per-class counts against its truth and its
-workers. Pixels are independent, so it works through each date in row
-tiles of about 32k pixels, which stay in cache, on one worker per CPU of
-the process's affinity mask: the calling thread and a pool that the
-step's ``with`` block shuts down. The model sees a tile as a `Frame.window` of its rows.
-It validates each tile's (K, n) model output, and only once all passed
-updates one belief per transition model in place: a sweep over E
-transition probabilities is a bank of E filters sharing one model
-evaluation. Given the date's truth, the worker that decided a tile's
-labels also counts them against the truth's window, so a date is scored
-from integer counts summed over the tiles, and no label raster is
-scanned again. No result depends on the tiling or the worker count. The
-filter needs only the previous date's belief, so `classify_stack`, the
-one loop over a stack's dates, hands each date's step to a sink and
-keeps only the date's counts; `epsilon_sweep` and `run_experiment` run
-through it, and only `timing_bench`, which times the step alone, has a
-loop of its own. The public `generative_update`, `discriminative_update`
-and `regularize` take (..., K) arrays and run the same functions on a
-transposed (K, M) copy; the updates check its evidence with the frame
-step's own check, `_evidence_fault`.
+filter state and the last date's per-class counts against its truth.
+Pixels are independent, so it visits each date's row tiles of about 32k
+pixels, which stay in cache, once, on one worker per CPU of the
+process's affinity mask: the calling thread and threads that the call
+starts and joins. The worker evaluates the model on the tile's rows (a
+`Frame.window`), checks the (K, n) output, updates one belief per
+transition model in place (a sweep over E transition probabilities is a
+bank of E filters sharing one model evaluation), decides the labels and,
+given the date's truth, counts them against the truth's window, so no
+label raster is scanned again. No result depends on the tiling or the
+worker count; a bad tile fails the date and leaves the state undefined
+until `reset`. The filter needs only the previous date's belief, so
+`classify_stack`, the one loop over a stack's dates, hands each date's
+step to a sink and keeps only the date's counts; `epsilon_sweep` and
+`run_experiment` run through it, and only `timing_bench`, which times
+the step alone, has a loop of its own. The public `generative_update`,
+`discriminative_update` and `regularize` take (..., K) arrays and run
+the same functions on a transposed (K, M) copy; the updates check its
+evidence with the frame step's own check, `_evidence_fault`.
 """
 
 from __future__ import annotations
 
 import datetime as dt
 import os
+import threading
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from typing import NoReturn, Protocol
@@ -286,12 +286,11 @@ class FrameStep:
     `timing_bench` with one; all must share the class count K (a
     ConfigError otherwise, or without any), which the uint8 labels cap
     at 255 (InvalidClassCountError above), and ``lam`` must pass
-    `regularize`'s check for K classes. Its state is
-    three class-major arrays: ``inst`` (K, N), the floor-normalized
-    instantaneous posterior; ``post`` (E, K, N), one belief per
-    transition model, uniform after construction or `reset`; and the
-    MAP ``labels`` (1 + E, N), row 0 from ``inst`` and row 1 + e from
-    ``post[e]``. ``step(raw, date, truth)`` floor-normalizes one
+    `regularize`'s check for K classes. Its state is three class-major
+    arrays: ``inst`` (K, N), the floor-normalized instantaneous
+    posterior; ``post`` (E, K, N), one belief per transition model,
+    uniform after construction or `reset`; and the MAP ``labels``
+    (1 + E, N), row 0 from ``inst`` and row 1 + e from ``post[e]``. ``step(raw, date, truth)`` floor-normalizes one
     frame's (K, N) class weights (`FrameModel`) into ``inst``, smooths
     it and updates each ``post[e]`` in place; ``raw`` may also be a
     function from a slice of rows to their (K, n) output. Given the
@@ -304,17 +303,18 @@ class FrameStep:
     counts its own pixels and the tiles' counts are added in tile order.
 
     The N pixels are rows of ``width``, stepped in the row tiles
-    ``rows`` of about `_TILE_PIXELS` pixels by `map`, on one worker per
-    CPU this process may run on and at most one per tile: the calling
-    thread and, if there are more, the threads of a pool that the
-    step's ``with`` block shuts down. Every tile is checked first, then,
-    only if all passed, advanced. A model's error propagates as it is.
-    A truth, then an output, of another shape is a ShapeError; in an
-    output of the right shape, a non-finite, then a negative entry in
-    any tile is a ValueError, an all-zero pixel column a
-    DegenerateLikelihoodError and an overflowing column sum a ValueError.
-    Given the frame's ``date``, the message starts with its ISO form and
-    the error keeps its type, and the state is left as it was.
+    ``rows`` of about `_TILE_PIXELS` pixels by one `map`, on one worker
+    per CPU this process may run on and at most one per tile: the
+    calling thread and threads that the call starts and joins. A worker
+    evaluates, checks, advances, decides and counts each of its tiles,
+    and visits every one even after a fault. A model's error propagates
+    as it is. A truth, then an output, of another shape is a ShapeError;
+    in an output of the right shape, a non-finite, then a negative entry
+    in any tile is a ValueError, an all-zero pixel column a
+    DegenerateLikelihoodError and an overflowing column sum a
+    ValueError. Given the frame's ``date``, the message starts with its
+    ISO form and the error keeps its type. The state is then undefined
+    until `reset`.
     """
 
     def __init__(
@@ -342,18 +342,6 @@ class FrameStep:
         self.hits = self.totals = None
         self.reset()
         self._workers = min(_workers(), len(self.rows))
-        self._threads = None
-        if self._workers > 1:
-            from concurrent.futures import ThreadPoolExecutor  # not at CLI import time
-
-            self._threads = ThreadPoolExecutor(self._workers - 1)
-
-    def __enter__(self) -> FrameStep:
-        return self
-
-    def __exit__(self, *exc: object) -> None:
-        if self._threads is not None:
-            self._threads.shutdown()
 
     def reset(self) -> None:
         """Start every belief again from the uniform prior."""
@@ -361,22 +349,29 @@ class FrameStep:
 
     def map(self, task: Callable[[int], object]) -> None:
         """Run ``task(i)`` for every tile i, worker w taking tiles w, w + W, ...
-        with the calling thread as worker 0; once all are done, the first
-        worker's error, if any, propagates."""
-        count, tiles = self._workers, len(self.rows)
+        on the calling thread for w = 0, else on a thread started here; once
+        all are joined, the lowest-numbered worker's error, if any, propagates."""
+        count, tiles, errors = self._workers, len(self.rows), {}
 
         def share(w: int) -> None:
-            for i in range(w, tiles, count):
-                task(i)
+            try:
+                for i in range(w, tiles, count):
+                    task(i)
+            except BaseException as exc:  # raised by the calling thread below
+                errors[w] = exc
 
-        futures = [self._threads.submit(share, w) for w in range(1, count)]
+        threads = []
         try:
+            for w in range(1, count):
+                thread = threading.Thread(target=share, args=(w,))
+                thread.start()
+                threads.append(thread)
             share(0)
         finally:
-            for future in futures:
-                future.exception()  # waits; a worker's error is raised below
-        for future in futures:
-            future.result()
+            for thread in threads:
+                thread.join()
+        if errors:
+            raise errors[min(errors)]
 
     def __call__(
         self,
@@ -385,21 +380,20 @@ class FrameStep:
         truth: np.ndarray | None = None,
     ) -> None:
         truth = None if truth is None else np.asarray(truth)
-        if truth is not None and truth.shape != self._shape[1:]:
-            message = f"truth has shape {truth.shape}, expected {self._shape[1:]}"
-            _raise_dated(ShapeError(message), date)
         whole = None if callable(raw) else np.asarray(raw)
-        if whole is not None and whole.shape != self._shape:
-            message = f"model returned shape {whole.shape}, expected {self._shape}"
-            _raise_dated(ShapeError(message), date)
-        outputs, faults = [None] * len(self.rows), []  # faults: (rank, tile, error)
+        for what, arr, shape in (("truth has", truth, self._shape[1:]),
+                                 ("model returned", whole, self._shape)):
+            if arr is not None and arr.shape != shape:
+                _raise_dated(ShapeError(f"{what} shape {arr.shape}, expected {shape}"), date)
+        faults, counts = [], [None] * len(self.rows)  # faults: (rank, tile, error)
 
-        def check(i: int) -> None:
+        def visit(i: int) -> None:
+            cols = self._cols[i]
             # a model's own error propagates as it is
-            out = raw(self.rows[i]) if whole is None else whole[:, self._cols[i]]
-            shape = (self._shape[0], self._cols[i].stop - self._cols[i].start)
+            out = raw(self.rows[i]) if whole is None else whole[:, cols]
+            shape = (self._shape[0], cols.stop - cols.start)
             try:
-                outputs[i] = out = np.asarray(out, dtype=np.float64)
+                out = np.asarray(out, dtype=np.float64)
                 if out.shape != shape:
                     raise ShapeError(f"model returned shape {out.shape}, expected {shape}")
             except (ValueError, SatBayesError) as exc:
@@ -408,19 +402,19 @@ class FrameStep:
             fault = _evidence_fault(out)
             if fault < len(_FAULTS):
                 faults.append((fault, i, _fault_error(fault)))
-
-        self.map(check)
-        if faults:
-            _raise_dated(min(faults)[2], date)
-        counts = [None] * len(self.rows)  # per tile: hits, totals
-
-        def advance(i: int) -> None:
-            cols = self._cols[i]
-            self._advance(outputs[i], cols)
+                return
+            inst = floor_normalize_columns(out, self.inst[:, cols])
+            _decide(inst, self.labels[0, cols])
+            weights = _smooth(inst, self.lam) if self.lam else inst
+            for e, transition in enumerate(self.transitions):
+                _update(weights, self.post[e, :, cols], transition)
+                _decide(self.post[e, :, cols], self.labels[1 + e, cols])
             if truth is not None:
                 counts[i] = _count(self.labels[:, cols], truth[cols], self._shape[0])
 
-        self.map(advance)
+        self.map(visit)
+        if faults:
+            _raise_dated(min(faults)[2], date)
         self.hits = self.totals = None
         if truth is not None:
             width = max(len(totals) for _, totals in counts)
@@ -429,14 +423,6 @@ class FrameStep:
             for hits, totals in counts:
                 self.hits[:, : len(totals)] += hits
                 self.totals[: len(totals)] += totals
-
-    def _advance(self, raw: np.ndarray, cols: slice) -> None:
-        inst = floor_normalize_columns(raw, self.inst[:, cols])
-        _decide(inst, self.labels[0, cols])
-        weights = _smooth(inst, self.lam) if self.lam else inst
-        for e, transition in enumerate(self.transitions):
-            _update(weights, self.post[e, :, cols], transition)
-            _decide(self.post[e, :, cols], self.labels[1 + e, cols])
 
 
 def _raise_dated(exc: Exception, date: dt.date | None) -> NoReturn:
@@ -476,15 +462,15 @@ def classify_stack(
     """
     height, width = stack.shape
     counts = []
-    with FrameStep(transitions, lam, height * width, width) as step:
-        k = len(step.inst)
-        if model.num_classes != k:
-            raise ConfigError(f"model has {model.num_classes} classes, transition models {k}")
-        for t, frame in enumerate(stack.frames):
-            frame = frame.load()
-            truth = None if frame.truth is None else frame.truth.labels.ravel()
-            step(lambda rows: model.frame_posterior(frame.window(rows)), frame.date, truth)
-            counts.append(None if truth is None else (step.hits, step.totals))
-            if sink is not None:
-                sink(t, step, frame)
+    step = FrameStep(transitions, lam, height * width, width)
+    k = len(step.inst)
+    if model.num_classes != k:
+        raise ConfigError(f"model has {model.num_classes} classes, transition models {k}")
+    for t, frame in enumerate(stack.frames):
+        frame = frame.load()
+        truth = None if frame.truth is None else frame.truth.labels.ravel()
+        step(lambda rows: model.frame_posterior(frame.window(rows)), frame.date, truth)
+        counts.append(None if truth is None else (step.hits, step.totals))
+        if sink is not None:
+            sink(t, step, frame)
     return StackClassification(stack.dates, k, tuple(counts))

@@ -69,28 +69,45 @@ def read_text(path: str | Path) -> str:
 def staged(out: str | Path) -> Iterator[Path]:
     """A staging directory whose entries move into ``out`` when the block succeeds.
 
-    Creates ``out/.partial`` (and ``out``), after removing a stale one
-    that a killed command left, and yields it. When the block returns,
-    each entry of it moves into ``out`` with `os.replace`: whole if
-    ``out`` has no entry of that name, file by file into a directory
-    that ``out`` already has. When the block raises, the staging
-    directory is removed, so ``out`` keeps what it held before. A
-    file-system failure here is a DataError naming ``out``.
+    Creates and yields ``out/.partial`` (and ``out``) under an exclusive
+    flock held for the whole block, so a command that finds it locked is
+    a DataError naming ``out`` and leaves it alone; an unlocked one is a
+    killed command's, and is emptied. When the block returns, each entry
+    moves into ``out`` with `os.replace`: whole if ``out`` has no entry
+    of that name, file by file into a directory that ``out`` already
+    has. When the block raises, the staging directory is removed, so
+    ``out`` keeps what it held before. A file-system failure here is a
+    DataError naming ``out``.
     """
+    import fcntl  # not at CLI import time
+
     out = Path(out)
     stage = out / ".partial"
     with _failing_as(DataError, out):
-        if stage.is_dir() and not stage.is_symlink():
-            shutil.rmtree(stage)
-        else:
-            stage.unlink(missing_ok=True)
-        stage.mkdir(parents=True)
+        if stage.is_symlink() or stage.exists() and not stage.is_dir():
+            stage.unlink()
+        stage.mkdir(parents=True, exist_ok=True)
+        fd = os.open(stage, os.O_RDONLY | os.O_DIRECTORY)
+        try:
+            fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except OSError as exc:
+            os.close(fd)
+            if isinstance(exc, BlockingIOError):
+                raise DataError(f"{out}: another command is writing into it") from None
+            raise
     try:
+        with _failing_as(DataError, out):
+            for entry in stage.iterdir():  # a stale stage's
+                if entry.is_dir() and not entry.is_symlink():
+                    shutil.rmtree(entry)
+                else:
+                    entry.unlink()
         yield stage
         with _failing_as(DataError, out):
             _merge(stage, out)
     finally:
         shutil.rmtree(stage, ignore_errors=True)
+        os.close(fd)
 
 
 def _merge(src: Path, dst: Path) -> None:

