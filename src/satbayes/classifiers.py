@@ -143,11 +143,6 @@ def _checked_thresholds(thresholds: tuple[float, ...]) -> np.ndarray:
     return tau
 
 
-def _frame_matrix(image: MultibandImage, bands: tuple[str, ...]) -> np.ndarray:
-    """Pixels of the named bands as an (H*W, len(bands)) float64 matrix."""
-    return np.stack([image.band(b).ravel() for b in bands], axis=1)
-
-
 @functools.cache
 def _upper(size: int) -> tuple[np.ndarray, np.ndarray]:
     """``np.triu_indices(size)`` as read-only arrays, built once per size."""
@@ -577,7 +572,8 @@ class LogisticClassifier:
 
     ``weights`` has shape (K, B+1); the last column is the bias on the
     standardized features. Standardization statistics come from the
-    training data and travel with the model. The softmax runs on a
+    training data and travel with the model; each band is standardized
+    straight into its column of the features. The softmax runs on a
     class-major copy of the (N, K) scores, whose matmul keeps its
     operand layout because BLAS rounding depends on it.
     """
@@ -609,10 +605,11 @@ class LogisticClassifier:
         return self.weights.shape[0]
 
     def frame_posterior(self, frame: Frame) -> np.ndarray:
-        x = _frame_matrix(frame.image, self.bands)
-        aug = np.ones((len(x), len(self.bands) + 1))
-        std = np.subtract(x, self.feature_mean, out=aug[:, :-1])
-        np.divide(std, self.feature_std, out=std)
+        image = frame.image
+        aug = np.ones((math.prod(image.shape), len(self.bands) + 1))
+        for i, name in enumerate(self.bands):
+            col = np.subtract(image.band(name).ravel(), self.feature_mean[i], out=aug[:, i])
+            np.divide(col, self.feature_std[i], out=col)
         scores = (aug @ self.weights.T).T.copy()
         scores -= np.max(scores, axis=0)
         np.exp(scores, out=scores)
@@ -631,11 +628,13 @@ def fit_logistic_classifier(
     Hessian; least-squares steps, as all biases may shift together) until
     the largest gradient entry falls below 1e-9 or after 1000 iterations,
     so refits on reordered samples agree to high precision. Training is
-    deterministic. A label that is not a whole class index in
-    [0, num_classes) and a band holding a NaN or inf sample are a
-    DataError naming the label or the bands; a finite band whose standard
-    deviation overflows float64 (as it does when its mean does) is a
-    NumericalError.
+    deterministic; per sample it holds the B+1 features, K one-hot labels
+    and K probabilities (the last step's are dropped once the Hessian has
+    used them) besides `logistic_loss_grad`'s temporaries. A label that
+    is not a whole class index in [0, num_classes) and a band holding a
+    NaN or inf sample are a DataError naming the label or the bands; a
+    finite band whose standard deviation overflows float64 (as it does
+    when its mean does) is a NumericalError.
 
     Policy for a fit that does not converge: warn, never raise. At the
     iteration limit a RuntimeWarning gives the largest gradient entry,
@@ -673,7 +672,9 @@ def fit_logistic_classifier(
         names = ", ".join(np.array(bands)[~np.isfinite(std)])
         raise NumericalError(f"band(s) {names}: standard deviation overflows float64")
     std = np.where(std == 0.0, 1.0, std)  # constant feature: leave centered
-    aug = np.hstack([(x - mean) / std, np.ones((x.shape[0], 1))])
+    aug = np.empty((x.shape[0], len(bands) + 1))
+    np.divide(np.subtract(x, mean, out=aug[:, :-1]), std, out=aug[:, :-1])
+    aug[:, -1] = 1.0
     onehot = np.zeros((x.shape[0], num_classes))
     onehot[np.arange(x.shape[0]), y.astype(np.intp)] = 1.0
 
@@ -683,15 +684,17 @@ def fit_logistic_classifier(
         if np.max(np.abs(grad)) < LR_PGTOL:
             break
         hess = _logistic_hessian(aug, probs, LR_L2)
+        del probs  # the line search holds one (K, N) probability array, not two
         step = np.linalg.lstsq(hess, -grad, rcond=None)[0]
         t, slope = 1.0, float(grad @ step)
         while True:  # Armijo backtracking; at t = 0 the trial is w, which passes
-            trial = logistic_loss_grad(w + t * step, aug, onehot, LR_L2)
+            new_loss, new_grad, probs = logistic_loss_grad(w + t * step, aug, onehot, LR_L2)
             # near the optimum float64 cannot resolve the fall of the loss
-            if trial[0] <= loss + 1e-4 * t * slope or np.max(np.abs(trial[1])) < LR_PGTOL:
+            if new_loss <= loss + 1e-4 * t * slope or np.max(np.abs(new_grad)) < LR_PGTOL:
                 break
+            del probs
             t *= 0.5
-        w, (loss, grad, probs) = w + t * step, trial
+        w, loss, grad = w + t * step, new_loss, new_grad
     if np.max(np.abs(grad)) >= LR_PGTOL:
         warnings.warn(
             f"logistic fit: Newton did not converge in {LR_MAX_ITER} iterations; "

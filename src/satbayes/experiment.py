@@ -29,7 +29,6 @@ from . import __version__
 from .classifiers import (
     ExternalPosteriorSource,
     IndexClassifier,
-    _frame_matrix,
     fit_logistic_classifier,
     fit_mixture_classifier,
     pseudo_labels,
@@ -98,7 +97,14 @@ def prepare_stacks(config: ExperimentConfig) -> PreparedStacks:
 
 
 def build_classifier(config: ExperimentConfig, kind: str, train: ImageStack):
-    """Construct (and train, if applicable) one classifier kind."""
+    """Construct (and train, if applicable) one classifier kind.
+
+    Each training date's bands and pseudo-labels go into its rows of one
+    float64 matrix and one uint8 vector, allocated once: per training
+    pixel 8 B a band (24 B at three) and 1 B of label, plus the fit's
+    work arrays. The GMM's class samples are cut out, then the matrix
+    is dropped before EM.
+    """
     k = len(config.classes)
     if kind == "index":
         return IndexClassifier.from_thresholds(config.thresholds, config.index)
@@ -109,17 +115,18 @@ def build_classifier(config: ExperimentConfig, kind: str, train: ImageStack):
     if not train.frames:
         raise DataError(f"classifier {kind!r} needs a nonempty training stack")
     bands = tuple(config.feature_bands or train.bands)
-    pixel_blocks = []
-    label_blocks = []
-    for frame in train.frames:
+    size = train.shape[0] * train.shape[1]
+    pixels = np.empty((len(train) * size, len(bands)))
+    labels = np.empty(len(train) * size, dtype=np.uint8)
+    for t, frame in enumerate(train.frames):
         image = frame.load().image
-        labels = pseudo_labels(image, config.index, config.thresholds)
-        pixel_blocks.append(_frame_matrix(image, bands))
-        label_blocks.append(labels.labels.ravel())
-    pixels = np.concatenate(pixel_blocks, axis=0)
-    labels = np.concatenate(label_blocks, axis=0)
+        rows = slice(t * size, (t + 1) * size)
+        labels[rows] = pseudo_labels(image, config.index, config.thresholds).labels.ravel()
+        for j, name in enumerate(bands):
+            pixels[rows, j] = image.band(name).ravel()
     if kind == "gmm":
         samples = [pixels[labels == c] for c in range(k)]
+        del pixels, labels
         return fit_mixture_classifier(
             samples,
             bands=bands,

@@ -17,6 +17,11 @@ float32 frames' `band` values must reproduce bit for bit.
 `whole_frame_bias_shifts` takes `bias_correct`'s region means over
 each whole frame's float64 values, which its row-only widening must
 reproduce bit for bit.
+`gathered_classifier` trains on one concatenation of per-date (H*W, B)
+pixel matrices, and `matrix_logistic_posterior` standardizes a frame's
+(H*W, B) pixel matrix: the routes that training's one preallocated
+matrix and the logistic engine's per-band columns must reproduce bit
+for bit.
 `predict_prior`, `map_decision` and `update_operation_count` are the
 textbook prior step, MAP rule and closed-form operation counts that the
 recursion tests and criterion 4 check against, and `floor_normalize` is
@@ -37,11 +42,15 @@ from satbayes.classifiers import (
     EM_MAX_ITER,
     EM_TOL,
     _kmeans_pp_centers,
+    fit_logistic_classifier,
+    fit_mixture_classifier,
+    pseudo_labels,
 )
 from satbayes.core import (
     PROB_FLOOR,
     TransitionModel,
     build_transition_model,
+    normalize_columns,
     uniform_pmf,
     validate_pmf,
 )
@@ -575,3 +584,42 @@ def whole_frame_bias_shifts(images, rows, cols):
             shift += image.shift
         shifts.append(shift)
     return shifts
+
+
+def frame_matrix(image, bands) -> np.ndarray:
+    """Pixels of the named bands as an (H*W, len(bands)) float64 matrix."""
+    return np.stack([image.band(b).ravel() for b in bands], axis=1)
+
+
+def gathered_classifier(config, kind, train):
+    """`build_classifier` for "gmm" and "logistic" by one concatenation of
+    every training date's pixel matrix and pseudo-labels."""
+    k = len(config.classes)
+    bands = tuple(config.feature_bands or train.bands)
+    pixel_blocks, label_blocks = [], []
+    for frame in train.frames:
+        image = frame.load().image
+        labels = pseudo_labels(image, config.index, config.thresholds)
+        pixel_blocks.append(frame_matrix(image, bands))
+        label_blocks.append(labels.labels.ravel())
+    pixels = np.concatenate(pixel_blocks, axis=0)
+    labels = np.concatenate(label_blocks, axis=0)
+    if kind == "gmm":
+        samples = [pixels[labels == c] for c in range(k)]
+        return fit_mixture_classifier(
+            samples, bands=bands, components=config.gmm_components, seed=config.seed
+        )
+    return fit_logistic_classifier(pixels, labels, num_classes=k, bands=bands)
+
+
+def matrix_logistic_posterior(model, frame) -> np.ndarray:
+    """`LogisticClassifier.frame_posterior` standardizing the frame's
+    (H*W, B) pixel matrix into the (H*W, B+1) features at once."""
+    x = frame_matrix(frame.image, model.bands)
+    aug = np.ones((len(x), len(model.bands) + 1))
+    std = np.subtract(x, model.feature_mean, out=aug[:, :-1])
+    np.divide(std, model.feature_std, out=std)
+    scores = (aug @ model.weights.T).T.copy()
+    scores -= np.max(scores, axis=0)
+    np.exp(scores, out=scores)
+    return normalize_columns(scores)

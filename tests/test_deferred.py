@@ -19,6 +19,7 @@ from satbayes import pipeline
 from satbayes.cli import main
 from satbayes.config import parse_config
 from satbayes.core import DeferredImage, ImageStack, build_transition_model
+from satbayes.classifiers import save_model
 from satbayes.errors import DataError
 from satbayes.evaluation import balanced_accuracy, timing_bench
 from satbayes.experiment import build_classifier, prepare_stacks
@@ -33,6 +34,7 @@ from satbayes.pipeline import (
 )
 
 from helpers import date_of
+from oracles import gathered_classifier
 
 # four bands, so a date's planes outweigh its truth and label rows
 SPEC = """\
@@ -78,6 +80,11 @@ train_dates = {dates(0)}
 test_dates = {dates(2, 3, 4, 5, 6)}
 exclude_dates = {dates(1)}
 """
+
+# three training dates, the last two bias-corrected when a region is set
+TRAIN_3 = CONFIG.replace(
+    f"train_dates = {dates(0)}", f"train_dates = {dates(0, 3, 7)}"
+).replace(f"test_dates = {dates(2, 3, 4, 5, 6)}", f"test_dates = {dates(2, 4, 5, 6)}")
 
 
 def make_scene(root: Path, frames: int = 8, size: int = 16, config: str = CONFIG) -> Path:
@@ -206,6 +213,24 @@ class TestDeferredEqualsEager:
         message = f"{date_of(1).isoformat()}: bias-corrected frame has non-finite values"
         with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
             out.frames[1].load()
+
+
+# both routes hit EM's iteration limit on this scene's unimodal classes
+@pytest.mark.filterwarnings("ignore:class .* EM stopped:RuntimeWarning")
+@pytest.mark.parametrize("kind", ["gmm", "logistic"])
+@pytest.mark.parametrize(
+    "extra", ["", "crop = 2 1 12 14\nbias_region = 0 3 7 4\n"], ids=["whole", "crop-bias"]
+)
+def test_training_matrix_matches_the_concatenated_gather(scene, tmp_path, kind, extra):
+    config = parse_config(copy_scene(scene, tmp_path, TRAIN_3 + extra))
+    train = prepare_stacks(config).train
+    assert len(train) == 3
+    assert all(isinstance(fr.image, DeferredImage) for fr in train.frames)
+    if extra:
+        assert train.frames[-1].load().image.shift is not None
+    got = save_model(tmp_path / "got.model", build_classifier(config, kind, train))
+    want = save_model(tmp_path / "want.model", gathered_classifier(config, kind, train))
+    assert got.read_bytes() == want.read_bytes()
 
 
 class TestRunErrors:

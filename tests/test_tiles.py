@@ -9,8 +9,10 @@ import time
 
 import numpy as np
 import pytest
+from numpy.testing import assert_array_equal
 
 from helpers import collect_stack, date_of
+from oracles import matrix_logistic_posterior
 from satbayes import recursion
 from satbayes.classifiers import (
     ExternalPosteriorSource,
@@ -22,6 +24,7 @@ from satbayes.classifiers import (
 from satbayes.core import Frame, ImageStack, LabelRaster, MultibandImage, build_transition_model
 from satbayes.errors import DegenerateLikelihoodError
 from satbayes.evaluation import epsilon_sweep, frame_accuracies, timing_bench
+from satbayes.pipeline import ReferenceRegion, bias_correct
 from satbayes.recursion import FrameStep, classify_stack
 
 BANDS = ("nir", "red")
@@ -135,6 +138,28 @@ class TestTilesMatchOneTile:
         assert {truth for _, truth, _, _ in seen} == {(7, WIDTH)}
         for date in stack.dates:  # each date's call starts its own threads
             assert len({thread for _, _, day, thread in seen if day == date}) == workers
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_logistic_columns_match_the_pixel_matrix_route(scene, monkeypatch, workers):
+    stack, models = scene
+    corrected = bias_correct(stack, ReferenceRegion(x=1, y=2, width=4, height=5))
+    assert corrected.frames[1].image.shift is not None
+    pairs = []
+
+    class Both:
+        num_classes = K
+
+        def frame_posterior(self, frame):
+            got = models["logistic"].frame_posterior(frame)
+            pairs.append((got, matrix_logistic_posterior(models["logistic"], frame)))
+            return got
+
+    _tiled(monkeypatch, 7, workers)
+    classify_stack(corrected, Both(), [build_transition_model(K, 0.05)], 0.8)
+    assert len(pairs) == DATES * 10
+    for got, want in pairs:
+        assert_array_equal(got, want, strict=True)
 
 
 class ScaledPosteriors:
