@@ -55,7 +55,6 @@ from .pipeline import (
     filter_frames,
     load_stack,
     parse_manifest,
-    resample_nearest,
     split_dates,
 )
 from .recursion import classify_stack, regularize
@@ -98,7 +97,6 @@ __all__ = [
     "parse_synth_spec",
     "pseudo_labels",
     "regularize",
-    "resample_nearest",
     "run_experiment",
     "save_model",
     "serialize_config",

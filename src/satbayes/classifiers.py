@@ -18,15 +18,16 @@ Three trained forms plus a pass-through:
 
 Engines are evaluated through one frame method only:
 ``frame_posterior(frame) -> (K, H*W)``, class major (row k holds class
-k for every pixel in row-major pixel order), holding non-negative class
-weights proportional, per pixel, to the posterior under the uniform
-class prior: the mixture engine returns its class-conditional
-densities, the others posteriors. A frame's `MultibandImage` is finite
-and read-only by construction, so the engines do not check its pixels
-again; (N, B) pixel rows are the fits' input only. The index, mixture
-and logistic engines return a new C-ordered float64 buffer on every
-call; their sums and normalizations over classes use `core`'s column
-helpers, as the recursion does. Nothing in the package keeps work
+k for every pixel in row-major pixel order), holding raw evidence:
+non-negative class weights proportional, per pixel, to the posterior
+under the uniform class prior (floored index densities, mixture
+densities, max-shifted softmax exponentials, an external cube as read).
+Only the recursion step normalizes or shape-checks them. A frame's
+`MultibandImage` is finite and read-only by construction, so the engines
+do not check its pixels again; (N, B) pixel rows are the fits' input
+only. The index, mixture and logistic engines return a new C-ordered
+float64 buffer on every call; their sums over classes use `core`'s
+`column_sums`, as the recursion does. Nothing in the package keeps work
 arrays between calls, so no engine or fit does: the recursion evaluates
 each date in row tiles of about 32k pixels, where fresh arrays cost
 nothing measurable, and one instance serves all of its worker threads
@@ -47,14 +48,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import (
-    Frame,
-    LabelRaster,
-    MultibandImage,
-    column_sums,
-    floor_normalize_columns,
-    normalize_columns,
-)
+from .core import PROB_FLOOR, Frame, LabelRaster, MultibandImage, column_sums
 from .errors import (
     ConfigError,
     DataError,
@@ -167,11 +161,12 @@ class IndexClassifier:
 
     Class j gets a Gaussian centered in the j-th threshold interval:
     mean at the interval midpoint, standard deviation half the interval
-    length. Posteriors are the normalized Gaussian densities of the
-    pixel's index value, one class row at a time in place in a (K, n)
-    buffer. Their exponent ``(z²)·(-0.5)`` gives, after ``exp``, the
-    broadcast (n, K) ``(-0.5·z)·z`` bit for bit, even where z² overflows
-    or is subnormal.
+    length. Its evidence is the Gaussian densities of the pixel's index
+    value, one class row at a time in place in a (K, n) buffer, floored
+    at PROB_FLOOR so that a pixel whose every density underflows runs as
+    a uniform column, not an all-zero one. The exponent ``(z²)·(-0.5)``
+    gives, after ``exp``, the broadcast (n, K) ``(-0.5·z)·z`` bit for
+    bit, even where z² overflows or is subnormal.
     """
 
     kind: SpectralIndexKind
@@ -201,7 +196,8 @@ class IndexClassifier:
         return len(self.thresholds) - 1
 
     def posterior_from_index(self, values: np.ndarray | float) -> np.ndarray:
-        """Posterior probabilities for index values of any shape -> (K, ...)."""
+        """Class densities of index values of any shape -> (K, ...), floored at
+        PROB_FLOOR: proportional to the posterior, not normalized."""
         y = np.asarray(values, dtype=np.float64)
         flat = y.reshape(-1)
         dens = np.empty((self.num_classes, flat.size))
@@ -210,7 +206,7 @@ class IndexClassifier:
                 np.divide(np.subtract(flat, mean, out=row), sigma, out=row)
                 np.multiply(np.square(row, out=row), -0.5, out=row)
                 np.divide(np.exp(row, out=row), sigma * math.sqrt(2.0 * math.pi), out=row)
-        floor_normalize_columns(dens)
+        np.maximum(dens, PROB_FLOOR, out=dens)  # an underflowed column stays usable
         return dens.reshape(dens.shape[0], *y.shape)
 
     def frame_posterior(self, frame: Frame) -> np.ndarray:
@@ -573,8 +569,9 @@ class LogisticClassifier:
     ``weights`` has shape (K, B+1); the last column is the bias on the
     standardized features. Standardization statistics come from the
     training data and travel with the model; each band is standardized
-    straight into its column of the features. The softmax runs on a
-    class-major copy of the (N, K) scores, whose matmul keeps its
+    straight into its column of the features. Its evidence is the
+    exponentials of a class-major copy of the (N, K) scores, shifted so
+    that each column's maximum is exactly 1. The matmul keeps its
     operand layout because BLAS rounding depends on it.
     """
 
@@ -612,8 +609,7 @@ class LogisticClassifier:
             np.divide(col, self.feature_std[i], out=col)
         scores = (aug @ self.weights.T).T.copy()
         scores -= np.max(scores, axis=0)
-        np.exp(scores, out=scores)
-        return normalize_columns(scores)
+        return np.exp(scores, out=scores)
 
 
 def fit_logistic_classifier(
@@ -715,26 +711,17 @@ def fit_logistic_classifier(
 
 @dataclass(frozen=True)
 class ExternalPosteriorSource:
-    """Replays posterior rasters attached to the stack's frames."""
+    """Replays posterior rasters attached to the stack's frames, as read:
+    the recursion step checks their class count, as it checks every
+    engine's output shape."""
 
     num_classes: int
-
-    def __post_init__(self) -> None:
-        if self.num_classes < 2:
-            raise InvalidClassCountError(
-                f"need at least 2 classes, got {self.num_classes}"
-            )
 
     def frame_posterior(self, frame: Frame) -> np.ndarray:
         post = frame.external_posterior
         if post is None:
             raise DataError(f"frame {frame.date} has no external posterior")
-        if post.shape[0] != self.num_classes:
-            raise ShapeError(
-                f"frame {frame.date}: posterior has {post.shape[0]} classes, "
-                f"expected {self.num_classes}"
-            )
-        return post.reshape(self.num_classes, -1)
+        return post.reshape(len(post), -1)
 
 
 # ============================================================

@@ -1,9 +1,9 @@
 """Shared value types for probabilistic time-series classification.
 
 `validate_pmf` checks probability vectors along an array's last axis.
-Engine outputs and the recursion are class-major, and share this
-module's (K, N) column arithmetic: `column_sums`, `normalize_columns`,
-`floor_normalize_columns`.
+Engine outputs and the recursion are class-major. Both sum classes with
+this module's `column_sums`; the recursion alone normalizes, with
+`normalize_columns` and `floor_normalize_columns`.
 Images and stacks are immutable: their planes are C-contiguous and
 read-only, so code can share them without defensive copies. An image
 keeps float32 planes as read and hands out float64 values. A frame's
@@ -296,18 +296,18 @@ class DeferredImage:
 
     It carries the band names, the window of the whole grid that crops
     cut (``rows`` and ``cols``, ranges of grid indices) and whether the
-    frame has a truth raster, but no pixels. ``read()`` returns the
+    frame has a truth raster, but no pixels. ``read(truth)`` returns the
     whole grid's validated image, its external posterior or None, and
-    its truth (a truth of the grid if ``has_truth``, else None);
-    `Frame.load` cuts the window from all three, then applies each of
-    ``align`` (the bias corrections) in order.
+    its truth if ``truth``, else None; `Frame.load` asks for the truth
+    if ``has_truth``, cuts the window from all three, then applies each
+    of ``align`` (the bias corrections) in order.
     """
 
     bands: tuple[str, ...]
     rows: range
     cols: range
     read: Callable[
-        [], tuple[MultibandImage, np.ndarray | None, LabelRaster | None]
+        [bool], tuple[MultibandImage, np.ndarray | None, LabelRaster | None]
     ] = field(repr=False)
     align: tuple[Callable[[Frame], Frame], ...] = ()
     has_truth: bool = False
@@ -323,7 +323,7 @@ class DeferredImage:
     @property
     def data(self) -> np.ndarray:
         """The window of the planes, read again at each access."""
-        return self.read()[0].data[(slice(None), *self.window)]
+        return self.read(False)[0].data[(slice(None), *self.window)]
 
 
 @dataclass(frozen=True)
@@ -381,7 +381,7 @@ class Frame:
         deferred = self.image
         if not isinstance(deferred, DeferredImage):
             return self
-        image, post, truth = deferred.read()
+        image, post, truth = deferred.read(deferred.has_truth)
         whole = Frame(self.date, image, None, truth, post).window(*deferred.window)
         frame = _view(
             self, image=whole.image, truth=whole.truth, external_posterior=whole.external_posterior
@@ -389,6 +389,14 @@ class Frame:
         for align in deferred.align:
             frame = align(frame)
         return frame
+
+
+def _without_truth(frame: Frame) -> Frame:
+    """``frame`` without truth: loading a deferred one reads no truth raster."""
+    image = frame.image
+    if isinstance(image, DeferredImage):
+        image = _view(image, has_truth=False)
+    return _view(frame, image=image, truth=None)
 
 
 @dataclass(frozen=True)

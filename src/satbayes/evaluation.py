@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import ImageStack, LabelRaster, build_transition_model
+from .core import ImageStack, LabelRaster, _without_truth, build_transition_model
 from .errors import ConfigError, EvaluationError, ShapeError
 from .recursion import FrameStep, StackClassification, TransitionModel, classify_stack
 from .textio import format_float, write_lines
@@ -250,18 +250,20 @@ def timing_bench(
     In every repetition each date is read and its model output computed
     just before its step, outside the timed region: the recursion
     numbers isolate the step, neither number times a file read, and one
-    date's output is held at a time. One `FrameStep` per algorithm is
-    `reset` before each repetition, so repetitions reuse its filter
-    state. The baseline evaluations and the steps run on the step's
-    own row tiles and workers, as in `classify_stack`. Medians over
-    ``repetitions`` (>= 3) keep scheduler noise out.
+    date's output is held at a time; no truth raster is read. One
+    `FrameStep` per algorithm is `reset` before each repetition, so
+    repetitions reuse its filter state. The baseline evaluations and the
+    steps run on the step's own row tiles and workers, as in
+    `classify_stack`. Medians over ``repetitions`` (>= 3) keep scheduler
+    noise out.
     """
     check_repetitions(repetitions)
     if not stack.frames:
         raise EvaluationError("cannot bench an empty stack")
     height, width = stack.shape
     pixels = height * width
-    first = stack.frames[0].load()
+    frames = [_without_truth(frame) for frame in stack.frames]  # nothing is scored
+    first = frames[0].load()
     records = []
     for name, model in models.items():
         baseline_samples = []
@@ -278,7 +280,7 @@ def timing_bench(
             baseline_samples.append(time.perf_counter() - start)
         for rep in range(repetitions):
             step.reset()
-            for t, frame in enumerate(stack.frames):
+            for t, frame in enumerate(frames):
                 raw = model.frame_posterior(frame.load())
                 start = time.perf_counter()
                 step(raw, frame.date)

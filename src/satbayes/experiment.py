@@ -35,7 +35,7 @@ from .classifiers import (
     save_model,
 )
 from .config import ExperimentConfig, serialize_config
-from .core import Frame, ImageStack, LabelRaster, build_transition_model
+from .core import Frame, ImageStack, LabelRaster, _without_truth, build_transition_model
 from .errors import ConfigError, DataError
 from .evaluation import (
     FrameScore,
@@ -103,7 +103,7 @@ def build_classifier(config: ExperimentConfig, kind: str, train: ImageStack):
     float64 matrix and one uint8 vector, allocated once: per training
     pixel 8 B a band (24 B at three) and 1 B of label, plus the fit's
     work arrays. The GMM's class samples are cut out, then the matrix
-    is dropped before EM.
+    is dropped before EM. Training reads no truth raster.
     """
     k = len(config.classes)
     if kind == "index":
@@ -119,7 +119,7 @@ def build_classifier(config: ExperimentConfig, kind: str, train: ImageStack):
     pixels = np.empty((len(train) * size, len(bands)))
     labels = np.empty(len(train) * size, dtype=np.uint8)
     for t, frame in enumerate(train.frames):
-        image = frame.load().image
+        image = _without_truth(frame).load().image
         rows = slice(t * size, (t + 1) * size)
         labels[rows] = pseudo_labels(image, config.index, config.thresholds).labels.ravel()
         for j, name in enumerate(bands):

@@ -46,7 +46,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import DeferredImage, Frame, ImageStack, LabelRaster, MultibandImage, _finite_bands
+from .core import (
+    DeferredImage, Frame, ImageStack, LabelRaster, MultibandImage, _finite_bands, _without_truth
+)
 from .errors import (
     BoundsError,
     ConfigError,
@@ -438,19 +440,20 @@ def open_stack(manifest: StackManifest) -> ImageStack:
 
 
 def _read_frame(
-    manifest: StackManifest, mf: ManifestFrame, factors: dict[str, int]
+    manifest: StackManifest, mf: ManifestFrame, factors: dict[str, int], truth: bool
 ) -> tuple[MultibandImage, np.ndarray | None, LabelRaster | None]:
-    """The validated image, external posterior and truth of one frame
-    that `open_stack` checked: the one reader behind `Frame.load`."""
+    """The validated image, external posterior and, if ``truth``, the truth
+    of one frame that `open_stack` checked: the one reader behind
+    `Frame.load`, which asks for the truth of a frame that has one."""
     names = manifest.band_names
     paths = dict(mf.band_paths)
     height, width = manifest.height, manifest.width
-    truth = None
-    if mf.truth_path is not None:
+    raster = None
+    if truth:
         path = manifest.base_dir / mf.truth_path
-        truth = read_label_raster(path)
-        if truth.shape != (height, width):
-            rows, cols = truth.shape
+        raster = read_label_raster(path)
+        if raster.shape != (height, width):
+            rows, cols = raster.shape
             raise LoadError(
                 f"{path}: truth raster on {mf.date.isoformat()} is {cols}x{rows}, "
                 f"not the {width}x{height} grid"
@@ -478,7 +481,7 @@ def _read_frame(
             f"{mf.date.isoformat()} has non-finite values at scale {manifest.scale:g}"
         ) from None
     if mf.posterior_path is None:
-        return image, None, truth
+        return image, None, raster
     path = manifest.base_dir / mf.posterior_path
     cube = read_posterior_cube(path)
     dates, _, rows, cols = cube.shape
@@ -491,7 +494,7 @@ def _read_frame(
         raise LoadError(
             f"{path}: posterior on {mf.date.isoformat()} has non-finite or negative values"
         )
-    return image, cube[0], truth
+    return image, cube[0], raster
 
 
 def load_stack(manifest: StackManifest) -> ImageStack:
@@ -545,18 +548,6 @@ def _check_region(region: ReferenceRegion, shape: tuple[int, int]) -> None:
         )
 
 
-def resample_nearest(grid: np.ndarray, factor: int) -> np.ndarray:
-    """Integer-factor nearest-neighbor upsampling (each cell repeated)."""
-    if factor < 1 or int(factor) != factor:
-        raise ConfigError(f"resample factor must be a positive integer, got {factor}")
-    arr = np.asarray(grid)
-    if arr.ndim != 2:
-        raise ShapeError(f"grid must be 2-D, got shape {arr.shape}")
-    if factor == 1:
-        return arr.copy()
-    return np.repeat(np.repeat(arr, factor, axis=0), factor, axis=1)
-
-
 def crop(image: MultibandImage, region: ReferenceRegion) -> MultibandImage:
     """Cut a rectangle out of every band, sharing the planes if contiguous."""
     _check_region(region, image.shape)
@@ -581,9 +572,10 @@ def bias_correct(stack: ImageStack, region: ReferenceRegion) -> ImageStack:
     float64 rounding. A non-finite region mean in frame 0, or a later
     frame whose shifted values are not finite, as when its region mean
     overflows, raises DataError naming that frame's date. Corrected
-    images share their planes and carry the shift. Only frame 0 is read
-    here: a later `DeferredImage` gets the correction as an ``align``
-    step, so its mean, shift and check come when `Frame.load` reads it.
+    images share their planes and carry the shift. Only frame 0's planes
+    are read here: a later `DeferredImage` gets the correction as an
+    ``align`` step, so its mean, shift and check come when `Frame.load`
+    reads it.
     """
     if not stack.frames:
         raise DataError("cannot bias-correct an empty stack")
@@ -592,8 +584,9 @@ def bias_correct(stack: ImageStack, region: ReferenceRegion) -> ImageStack:
     # only the region's rows are widened to float64; the mean then reads a
     # view with the whole frame's strides, so it sums in the same order
     first = stack.frames[0]
+    image = _without_truth(first).load().image
     with np.errstate(over="ignore"):  # reported below
-        reference = first.load().image.values(rows=rows)[:, :, cols].mean(axis=(1, 2))
+        reference = image.values(rows=rows)[:, :, cols].mean(axis=(1, 2))
     if not np.isfinite(reference).all():
         raise DataError(
             f"{first.date.isoformat()}: bias reference region mean is non-finite"

@@ -10,8 +10,9 @@ marginal scales it by K: the update's normalization cancels each such
 scale, so one update serves both and that division is not done.
 
 All update arithmetic is three class-major functions, `_smooth`,
-`_update` and `_decide`, on (K, n) float64 arrays, normalized by `core`
-as the engines are. Nothing in the package keeps work arrays between
+`_update` and `_decide`, on (K, n) float64 arrays, normalized by `core`.
+The step alone normalizes and shape-checks a model output: the engines
+hand it raw evidence. Nothing in the package keeps work arrays between
 calls: they allocate theirs per call, and `FrameStep` holds only the
 filter state and the last date's per-class counts against its truth.
 Pixels are independent, so it visits each date's row tiles of about 32k

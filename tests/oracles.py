@@ -544,8 +544,8 @@ def widened_band_values(frames, scale, factors, crop=None, bias_region=None):
     ``factors`` each band's upsampling factor, and ``crop`` and
     ``bias_region`` optional (rows, cols) slice pairs, the second in
     cropped coordinates. Each plane is widened and scaled
-    (``astype(f64) * scale``), upsampled by repeating cells (what
-    `resample_nearest` does), the bands are stacked, the crop slice is
+    (``astype(f64) * scale``), upsampled by repeating each cell, the
+    bands are stacked, the crop slice is
     copied out, and every frame after the first gets ``data + bias``,
     its bias being frame 0's region mean minus its own. Returns one
     (bands, H, W) float64 array per frame.

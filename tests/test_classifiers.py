@@ -37,7 +37,7 @@ from satbayes.classifiers import (
     spectral_index,
     _logsumexp_columns,
 )
-from satbayes.core import Frame, floor_normalize_columns
+from satbayes.core import Frame, floor_normalize_columns, normalize_columns
 from satbayes.errors import (
     ConfigError,
     DataError,
@@ -156,17 +156,18 @@ class TestIndexClassifier:
 
     def test_posterior_at_class_center(self):
         classifier = IndexClassifier.from_thresholds(WATER_TAU, SpectralIndexKind.MNDWI)
-        post = classifier.posterior_from_index(0.565)
+        post = floor_normalize_columns(classifier.posterior_from_index(0.565))
         assert post[1] == pytest.approx(0.8615, abs=1e-3)
 
     def test_posterior_at_threshold(self):
         classifier = IndexClassifier.from_thresholds(WATER_TAU, SpectralIndexKind.MNDWI)
-        post = classifier.posterior_from_index(0.13)
+        post = floor_normalize_columns(classifier.posterior_from_index(0.13))
         assert post[1] == pytest.approx(0.565, abs=1e-3)
 
     def test_symmetric_thresholds_give_even_split(self):
         classifier = IndexClassifier.from_thresholds((-1.0, 0.0, 1.0), SpectralIndexKind.NDWI)
-        assert_allclose(classifier.posterior_from_index(0.0), [0.5, 0.5], atol=1e-12)
+        post = floor_normalize_columns(classifier.posterior_from_index(0.0))
+        assert_allclose(post, [0.5, 0.5], atol=1e-12)
 
     def test_posterior_matches_density_ratio(self):
         # independent route: explicit normal densities
@@ -179,13 +180,17 @@ class TestIndexClassifier:
             for m, s in zip(classifier.means, classifier.sigmas)
         ]
         assert_allclose(
-            classifier.posterior_from_index(y), np.array(dens) / sum(dens), atol=1e-12
+            floor_normalize_columns(classifier.posterior_from_index(y)),
+            np.array(dens) / sum(dens),
+            atol=1e-12,
         )
 
     def test_posterior_normalized_for_many_values(self):
         rng = np.random.default_rng(8)
         classifier = IndexClassifier.from_thresholds(LANDCOVER_TAU, SpectralIndexKind.NDVI)
-        post = classifier.posterior_from_index(rng.uniform(-1.0, 1.0, size=1000))
+        post = floor_normalize_columns(
+            classifier.posterior_from_index(rng.uniform(-1.0, 1.0, size=1000))
+        )
         assert post.shape == (3, 1000)
         assert_allclose(post.sum(axis=0), 1.0, atol=1e-9)
         assert post.min() >= 0.0
@@ -676,11 +681,11 @@ def _index_values(classifier, rng):
 
 
 def _assert_index_posterior_pinned(classifier, probe):
-    """`posterior_from_index` equals the pixel-major oracle bit for bit,
-    and no warning escapes it."""
+    """`posterior_from_index`, floor-normalized as the step does, equals the
+    pixel-major oracle bit for bit, and no warning escapes it."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got = classifier.posterior_from_index(probe)
+        got = floor_normalize_columns(classifier.posterior_from_index(probe))
     with np.errstate(over="ignore"):  # the oracle's (-0.5·z)·z may overflow
         expect = oracles.pixel_major_index_posterior(classifier, probe)
     assert_array_equal(got, np.moveaxis(expect, -1, 0), strict=True)
@@ -696,8 +701,9 @@ def _posterior(model, pixels):
 
 
 class TestEngineOutputsMatchPixelMajor:
-    """Index and logistic outputs equal the pixel-major oracles bit for
-    bit; mixture outputs match theirs in log space to LOG_RTOL."""
+    """Index and logistic outputs, normalized as the step normalizes them,
+    equal the pixel-major oracles bit for bit; mixture outputs match
+    theirs in log space to LOG_RTOL."""
 
     @pytest.mark.parametrize("k", [2, 3, 9])
     def test_index_posterior(self, k):
@@ -733,7 +739,7 @@ class TestEngineOutputsMatchPixelMajor:
         values, flags = spectral_index(frame.image, SpectralIndexKind.NDVI)
         assert flags.sum() == 4
         assert_array_equal(
-            classifier.frame_posterior(frame),
+            floor_normalize_columns(classifier.frame_posterior(frame)),
             oracles.pixel_major_index_posterior(classifier, values.ravel()).T,
             strict=True,
         )
@@ -751,7 +757,9 @@ class TestEngineOutputsMatchPixelMajor:
                 feature_std=rng.uniform(0.05, 0.2, size=b),
             )
             assert_array_equal(
-                _posterior(model, pixels), oracles.pixel_major_softmax(model, pixels).T, strict=True
+                normalize_columns(_posterior(model, pixels)),
+                oracles.pixel_major_softmax(model, pixels).T,
+                strict=True,
             )
 
     @pytest.mark.parametrize("k", [2, 3])
@@ -1116,7 +1124,7 @@ class TestLogisticFit:
             feature_std=np.ones(2),
         )
         post = _posterior(model, np.random.default_rng(0).normal(size=(10, 2)))
-        assert_allclose(post, 1.0 / 3.0, atol=1e-15)
+        assert_allclose(normalize_columns(post), 1.0 / 3.0, atol=1e-15)
 
     def test_posterior_matches_direct_softmax(self):
         rng = np.random.default_rng(36)
@@ -1127,7 +1135,7 @@ class TestLogisticFit:
         scores = std @ model.weights[:, :-1].T + model.weights[:, -1]
         expect = np.exp(scores - scores.max(axis=1, keepdims=True))
         expect /= expect.sum(axis=1, keepdims=True)
-        assert_allclose(_posterior(model, probe), expect.T, atol=1e-12)
+        assert_allclose(normalize_columns(_posterior(model, probe)), expect.T, atol=1e-12)
 
     def test_single_class_labels_rejected(self):
         rng = np.random.default_rng(37)

@@ -1338,6 +1338,22 @@ class TestRunStreamsPosteriors:
         assert "Traceback" not in err
         assert [p for p in out.rglob("*") if p.is_file()] == []
 
+    def test_external_cube_with_an_extra_class_fails_the_step_shape_check(
+        self, cli_area, tmp_path, capsys
+    ):
+        # the engine passes the cube on as it is; the step alone checks its shape
+        config = write_external_area(cli_area, tmp_path, [1], 0.5)
+        cube = tmp_path / "data" / "post" / f"{date_of(3).isoformat()}.cube"
+        write_posterior_cube(cube, np.full((1, 3, 20, 20), 1.0 / 3.0))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(config), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert [line for line in err.splitlines() if "error:" in line] == [
+            "error: 2021-02-04: model returned shape (3, 400), expected (2, 400)"
+        ]
+        assert "Traceback" not in err
+        assert [p for p in out.rglob("*") if p.is_file()] == []
+
     def test_peak_memory_stays_below_one_cube(self, tmp_path):
         # K = 5 classes from 2 bands: each float64 posterior cube is 2.5x
         # the float64 stack, so holding either cube breaks the bound

@@ -115,6 +115,20 @@ def reads(monkeypatch):
     return counts
 
 
+@pytest.fixture
+def truth_reads(monkeypatch):
+    """Counts `read_label_raster` calls per date index."""
+    counts = collections.Counter()
+    original = pipeline.read_label_raster
+
+    def counting(path, *args, **kwargs):
+        counts[int(re.search(r"f(\d+)\.lbl", Path(path).name).group(1))] += 1
+        return original(path, *args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "read_label_raster", counting)
+    return counts
+
+
 def per_date(**reads: int) -> dict[int, int]:
     """Expected plane reads per date index: ``d3=2`` means date 3 twice."""
     return {int(k[1:]): n * len(BANDS) for k, n in reads.items() if n}
@@ -151,6 +165,46 @@ class TestReadsPerDate:
     def test_ingest_reads_every_date_once(self, scene, reads):
         assert main(["ingest", "--manifest", str(scene.parent / "data" / "manifest.txt")]) == 0
         assert dict(reads) == {t: len(BANDS) for t in range(8)}
+
+
+class TestTruthReads:
+    """Only scoring reads truth rasters: training and `bench` read none."""
+
+    @pytest.mark.parametrize("classifier", ["gmm", "logistic"])
+    def test_train_reads_no_truth(self, scene, tmp_path, truth_reads, classifier):
+        config = copy_scene(
+            scene, tmp_path, TRAIN_3.replace("classifier = index", f"classifier = {classifier}")
+        )
+        assert main(["train", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
+        assert dict(truth_reads) == {}
+
+    def test_bench_reads_no_truth(self, scene, tmp_path, truth_reads):
+        argv = ["bench", "--config", str(scene), "--reps", "3",
+                "--algos", "index,logistic", "--out", str(tmp_path / "bench")]
+        assert main(argv) == 0
+        assert dict(truth_reads) == {}
+
+    @pytest.mark.parametrize("extra", ["", "bias_region = 0 0 5 4\n"])
+    def test_run_reads_each_test_date_truth_once(self, scene, tmp_path, truth_reads, extra):
+        config = copy_scene(
+            scene, tmp_path, TRAIN_3.replace("classifier = index", "classifier = logistic") + extra
+        )
+        assert main(["run", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
+        assert dict(truth_reads) == {2: 1, 4: 1, 5: 1, 6: 1}
+
+    def test_truncated_truth_on_a_training_date(self, scene, tmp_path, capsys):
+        config = copy_scene(
+            scene, tmp_path, CONFIG.replace("classifier = index", "classifier = logistic")
+        )
+        truth = tmp_path / "data" / "truth" / "f000.lbl"  # date 0 trains
+        truth.write_bytes(truth.read_bytes()[:6])
+        for command in ("train", "run"):
+            argv = [command, "--config", str(config), "--out", str(tmp_path / command)]
+            assert main(argv) == 0
+        assert "error" not in capsys.readouterr().err
+        manifest = tmp_path / "data" / "manifest.txt"
+        assert main(["ingest", "--manifest", str(manifest)]) == 2
+        assert capsys.readouterr().err == f"error: {truth}: truncated label raster header\n"
 
 
 def test_bench_times_no_file_read(scene, monkeypatch):

@@ -36,7 +36,6 @@ from satbayes.pipeline import (
     read_band_plane,
     read_label_raster,
     read_posterior_cube,
-    resample_nearest,
     split_dates,
     write_band_plane,
     write_label_raster,
@@ -631,29 +630,6 @@ def test_band_values_match_the_float64_chain(tmp_path, scale, factor, cropped, c
 # ------------------------------------------------------------------
 # preprocessing
 # ------------------------------------------------------------------
-
-
-class TestResample:
-    def test_factor_one_identity(self):
-        grid = np.arange(12.0).reshape(3, 4)
-        assert_array_equal(resample_nearest(grid, 1), grid)
-
-    def test_block_replication(self):
-        grid = np.array([[1.0, 2.0], [3.0, 4.0]])
-        up = resample_nearest(grid, 2)
-        assert_array_equal(up, [[1, 1, 2, 2], [1, 1, 2, 2], [3, 3, 4, 4], [3, 3, 4, 4]])
-
-    @pytest.mark.parametrize("a,b", [(2, 3), (3, 2), (1, 4), (2, 2)])
-    def test_composition_exact(self, a, b):
-        rng = np.random.default_rng(3)
-        grid = rng.uniform(size=(3, 5))
-        once = resample_nearest(grid, a * b)
-        twice = resample_nearest(resample_nearest(grid, a), b)
-        assert once.tobytes() == twice.tobytes()
-
-    def test_bad_factor(self):
-        with pytest.raises(ConfigError):
-            resample_nearest(np.ones((2, 2)), 0)
 
 
 class TestCrop:

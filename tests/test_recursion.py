@@ -16,6 +16,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 import oracles
 from helpers import collect_stack, date_of, make_stack, random_pmfs
 from satbayes import recursion
+from satbayes.classifiers import IndexClassifier, SpectralIndexKind, spectral_index
 from satbayes.core import (
     PROB_FLOOR,
     TransitionModel,
@@ -615,6 +616,25 @@ class TestClassifyStackAcceptsEdgeOutputs:
         result = collect_stack(stack, _ScriptedModel(stack, outputs), trans, 0.8)
         assert result.recursive_posteriors.shape == (2, 2, 0, 4)
         assert [r.labels.shape for r in result.recursive_labels] == [(0, 4)] * 2
+
+
+class TestIndexEngineFloor:
+    """The index engine floors its densities, so a pixel whose every class
+    density underflows reaches the step as a uniform column, not as an
+    all-zero one that would end the date with DegenerateLikelihoodError."""
+
+    def test_underflowing_pixel_is_uniform(self):
+        green, swir1 = np.full((2, 3), 0.3), np.full((2, 3), 0.1)
+        green[1, 2], swir1[1, 2] = 1.0, -(1.0 - 2.0**-23)  # band sum 2^-23: index ~1.7e7
+        stack = make_stack(("green", "swir1"), [[green, swir1]] * 3)
+        model = IndexClassifier.from_thresholds((-1.0, 0.13, 1.0), SpectralIndexKind.MNDWI)
+        values, flags = spectral_index(stack.frames[0].image, SpectralIndexKind.MNDWI)
+        assert not flags.any() and values[1, 2] > 1e7
+        raw = model.frame_posterior(stack.frames[0])
+        assert (raw[:, 5] == PROB_FLOOR).all()  # every density underflowed
+        result = collect_stack(stack, model, build_transition_model(2, 0.1), 0.8)
+        assert_array_equal(result.instantaneous_posteriors[:, :, 1, 2], 0.5)
+        assert (result.instantaneous_posteriors[:, :, 0, 0] != 0.5).all()
 
 
 class TestThirdPartyModelOutputs:
