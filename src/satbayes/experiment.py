@@ -3,13 +3,16 @@
 `run_experiment` turns one config into artifacts on disk: label rasters
 (recursive and instantaneous, one per test date), posterior cubes,
 per-date accuracy tables and error maps when truth is available, the
-trained model, and a small metadata record. The run's sink on
-`classify_stack` writes each date's posterior planes to the two cubes,
-its two label rasters and, for a date with truth, its two error maps,
-while the step holds that date's labels: no posterior or label array of
-the whole stack is held, nor a band or truth array, since each date's
-planes and truth are read when the recursion reaches it and dropped
-after its step. Every artifact is written under a staging directory
+trained model, and a small metadata record. Before each date's step,
+the run's sink on `classify_stack` opens the date's two label rasters
+and, for a date with truth, its two error maps; the step's workers then
+write each tile's float32 posterior rows into the two cubes, and its
+label and error-map rows into those files, at their offsets
+(`container_writer`) while the tile is in cache. No posterior or label
+array of a whole date is held, nor a band or truth array of the whole
+stack, since each date's planes and truth are read when the recursion
+reaches it and dropped after its step. Every file is closed however the
+run ends, and every artifact is written under a staging directory
 (`textio.staged`) and moves into the output directory only when the run
 succeeds, so a run that fails, as on a plane holding NaN, leaves the
 output directory as it was. The metadata record is written last. Reruns
@@ -20,6 +23,7 @@ time- or machine-dependent is written.
 from __future__ import annotations
 
 import hashlib
+from contextlib import ExitStack
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -35,27 +39,22 @@ from .classifiers import (
     save_model,
 )
 from .config import ExperimentConfig, serialize_config
-from .core import Frame, ImageStack, LabelRaster, _without_truth, build_transition_model
+from .core import Frame, ImageStack, _without_truth, build_transition_model
 from .errors import ConfigError, DataError
-from .evaluation import (
-    FrameScore,
-    error_map,
-    frame_accuracies,
-    write_accuracy_table,
-)
+from .evaluation import FrameScore, frame_accuracies, write_accuracy_table
 from .pipeline import (
     StackManifest,
     bias_correct,
+    container_writer,
     crop_stack,
     filter_frames,
     open_stack,
     parse_manifest,
-    posterior_cube_writer,
     split_dates,
-    write_label_raster,
-    write_posterior_cube,  # noqa: F401  (perfbench/tracing.py wraps this name)
+    write_label_raster,  # noqa: F401  (perfbench/tracing.py wraps these names)
+    write_posterior_cube,  # noqa: F401
 )
-from .recursion import FrameStep, StackClassification, classify_stack
+from .recursion import StackClassification, TileSink, classify_stack
 from .textio import staged, write_lines
 
 
@@ -176,21 +175,37 @@ def run_experiment(
         k = model.num_classes
         height, width = prepared.test.shape
         shape = (len(prepared.test), k, height, width)
-        cube_dir = stage / "posteriors"
-        with posterior_cube_writer(cube_dir / "recursive.cube", shape) as write_rec, \
-                posterior_cube_writer(cube_dir / "instantaneous.cube", shape) as write_inst:
+        tracks = (("recursive", 1), ("instantaneous", 0))  # label row of each
+        with ExitStack() as files:
+            cubes = [
+                files.enter_context(container_writer(stage / f"posteriors/{track}.cube", shape))
+                for track, _ in tracks
+            ]
+            day = files.enter_context(ExitStack())  # the current date's files
 
-            def sink(t: int, step: FrameStep, frame: Frame) -> None:
-                write_rec(step.post[0].reshape(shape[1:]))
-                write_inst(step.inst.reshape(shape[1:]))
+            def sink(t: int, frame: Frame) -> TileSink:
+                day.close()
                 tag = frame.date.isoformat()
-                for track, row in (("recursive", 1), ("instantaneous", 0)):
-                    labels = step.labels[row].reshape(height, width)
-                    raster = LabelRaster(labels, k)
-                    write_label_raster(stage / "labels" / f"{track}_{tag}.lbl", raster)
-                    if frame.truth is not None:
-                        error = error_map(labels, frame.truth)
-                        write_label_raster(stage / "maps" / f"error_{track}_{tag}.lbl", error)
+
+                def raster(name: str, classes: int):
+                    writer = container_writer(stage / name, (height, width), classes)
+                    return day.enter_context(writer)
+
+                rasters = [raster(f"labels/{track}_{tag}.lbl", k) for track, _ in tracks]
+                truth = None if frame.truth is None else frame.truth.labels.reshape(-1)
+                maps = [] if truth is None else [
+                    raster(f"maps/error_{track}_{tag}.lbl", 2) for track, _ in tracks
+                ]
+
+                def tile(pixels: slice, inst, post, labels) -> None:
+                    for write, plane in zip(cubes, (post[0], inst)):
+                        write(t * k, pixels.start, plane)
+                    for (_, row), write in zip(tracks, rasters):
+                        write(0, pixels.start, labels[row])
+                    for (_, row), write in zip(tracks, maps):
+                        write(0, pixels.start, (labels[row] != truth[pixels]).view(np.uint8))
+
+                return tile
 
             classification = classify_stack(
                 prepared.test, model, [transition], config.lam, sink=sink

@@ -26,10 +26,10 @@ Container formats (all little-endian):
   u8 class count, u32 date count, then one float32 plane per
   (date, class), date-major, each row-major.
 
-Posterior cubes are written by one writer, `posterior_cube_writer`,
-which takes one date's (classes, height, width) plane at a time, so a
-caller never needs the whole cube in memory; a cube it could not finish
-is deleted.
+Both containers are a header and a fixed layout, so one writer,
+`container_writer`, writes either in blocks of (plane, pixel range) at
+their offsets: a run's tile workers write the rows they decided, and
+no caller needs a whole cube or raster in memory.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ import mmap
 import struct
 import warnings
 from collections.abc import Callable, Iterator
-from contextlib import contextmanager, suppress
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from functools import partial
 from pathlib import Path
@@ -61,7 +61,7 @@ from .textio import (
     Key,
     file_size,
     format_float,
-    open_output,
+    open_positional,
     parse_float,
     parse_int,
     parse_keys,
@@ -110,11 +110,57 @@ def _check_plane_size(path: str | Path, height: int, width: int, size: int) -> N
 
 
 def write_label_raster(path: str | Path, raster: LabelRaster) -> Path:
-    height, width = raster.shape
-    header = LABEL_MAGIC + struct.pack(
-        "<BIIB", CONTAINER_VERSION, width, height, raster.num_classes
-    )
-    return write_bytes(path, header + raster.labels.tobytes())
+    with container_writer(path, raster.shape, raster.num_classes) as write:
+        write(0, 0, raster.labels.reshape(-1))
+    return Path(path)
+
+
+@contextmanager
+def container_writer(
+    path: str | Path, shape: tuple[int, ...], num_classes: int = 0
+) -> Iterator[Callable[[int, int, np.ndarray], None]]:
+    """Write a label raster or a posterior cube in blocks, each at its offset.
+
+    ``shape`` (height, width) makes a label raster of ``num_classes``
+    classes, (dates, classes, height, width) a posterior cube, whose
+    plane t * classes + c holds class c on date t. Creates ``path`` (and
+    its parents) holding the header and yields ``write(plane, start,
+    values)``, which stores the (p, n) or (n,) ``values`` as uint8 or
+    float32 at pixels ``start`` to ``start + n`` (row-major) of planes
+    ``plane`` to ``plane + p - 1``; a block outside the container is a
+    ShapeError. Blocks that do not overlap may be written from several
+    threads at once, and the file is whole once every pixel of every
+    plane is. I/O failures are DataErrors naming ``path``.
+    """
+    if len(shape) == 2:
+        (height, width), count, dtype = shape, 1, np.dtype("u1")
+        header = LABEL_MAGIC + struct.pack(
+            "<BIIB", CONTAINER_VERSION, width, height, num_classes
+        )
+    else:
+        dates, k, height, width = shape
+        count, dtype = dates * k, np.dtype("<f4")
+        header = CUBE_MAGIC + struct.pack(
+            "<BIIBI", CONTAINER_VERSION, width, height, k, dates
+        )
+    size = height * width
+
+    def write(plane: int, start: int, values: np.ndarray) -> None:
+        block = np.asarray(values)
+        rows = np.atleast_2d(block)
+        if block.ndim not in (1, 2) or not (0 <= plane <= count - len(rows)
+                                            and 0 <= start <= size - rows.shape[1]):
+            raise ShapeError(
+                f"{path}: a block of shape {block.shape} at plane {plane}, pixel "
+                f"{start} does not fit a container of shape {tuple(shape)}"
+            )
+        for p, row in enumerate(rows, start=plane):  # one plane's row at a time
+            put(np.ascontiguousarray(row, dtype=dtype),
+                len(header) + dtype.itemsize * (p * size + start))
+
+    with open_positional(path) as put:
+        put(header, 0)
+        yield write
 
 
 def _read_container(
@@ -147,59 +193,15 @@ def read_label_raster(path: str | Path) -> LabelRaster:
         raise LoadError(f"{src}: {exc}") from exc
 
 
-@contextmanager
-def posterior_cube_writer(
-    path: str | Path, shape: tuple[int, int, int, int]
-) -> Iterator[Callable[[np.ndarray], None]]:
-    """Write a (dates, classes, height, width) cube one date at a time.
-
-    Writes the header on entry and yields ``write(plane)``, which
-    appends one (classes, height, width) plane as float32; a plane of
-    another shape, or one past the last date, raises ShapeError. On
-    exit a short plane count raises ShapeError. When the block raises,
-    the partial file is deleted and the error propagates; I/O failures
-    are DataErrors naming ``path``.
-    """
-    path = Path(path)
-    dates, k, height, width = shape
-    plane_shape = (k, height, width)
-    written = 0
-
-    def write(plane: np.ndarray) -> None:
-        nonlocal written
-        arr = np.asarray(plane)
-        if arr.shape != plane_shape or written == dates:
-            raise ShapeError(
-                f"{path}: plane {written} of shape {arr.shape} does not "
-                f"fit a cube of shape {tuple(shape)}"
-            )
-        fh.write(np.ascontiguousarray(arr, dtype="<f4"))
-        written += 1
-
-    header = CUBE_MAGIC + struct.pack(
-        "<BIIBI", CONTAINER_VERSION, width, height, k, dates
-    )
-    with open_output(path) as fh:
-        try:
-            fh.write(header)
-            yield write
-            if written != dates:
-                raise ShapeError(f"{path}: wrote {written} of {dates} dates")
-        except BaseException:
-            fh.close()
-            with suppress(OSError):
-                path.unlink()
-            raise
-
-
 def write_posterior_cube(path: str | Path, cube: np.ndarray) -> Path:
     """Cube of shape (dates, classes, height, width), stored as float32."""
     arr = np.asarray(cube)
     if arr.ndim != 4:
         raise ShapeError(f"posterior cube must be 4-D, got shape {arr.shape}")
-    with posterior_cube_writer(path, arr.shape) as write:
-        for plane in arr:
-            write(plane)
+    dates, k, height, width = arr.shape
+    with container_writer(path, arr.shape) as write:
+        for t, plane in enumerate(arr):
+            write(t * k, 0, plane.reshape(k, height * width))
     return Path(path)
 
 

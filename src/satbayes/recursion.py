@@ -14,22 +14,25 @@ All update arithmetic is three class-major functions, `_smooth`,
 The step alone normalizes and shape-checks a model output: the engines
 hand it raw evidence. Nothing in the package keeps work arrays between
 calls: they allocate theirs per call, and `FrameStep` holds only the
-filter state and the last date's per-class counts against its truth.
-Pixels are independent, so it visits each date's row tiles of about 32k
-pixels, which stay in cache, once, on one worker per CPU of the
-process's affinity mask: the calling thread and threads that the call
-starts and joins. The worker evaluates the model on the tile's rows (a
-`Frame.window`), checks the (K, n) output, updates one belief per
-transition model in place (a sweep over E transition probabilities is a
-bank of E filters sharing one model evaluation), decides the labels and,
-given the date's truth, counts them against the truth's window, so no
-label raster is scanned again. No result depends on the tiling or the
-worker count; a bad tile fails the date and leaves the state undefined
-until `reset`. The filter needs only the previous date's belief, so
-`classify_stack`, the one loop over a stack's dates, hands each date's
-step to a sink and keeps only the date's counts; `epsilon_sweep` and
-`run_experiment` run through it, and only `timing_bench`, which times
-the step alone, has a loop of its own. The public `generative_update`,
+filter state, one belief per pixel and transition model, and the last
+date's per-class counts against its truth. Pixels are independent, so
+it visits each date's row tiles of about 32k pixels, which stay in
+cache, once, on one worker per CPU of the process's affinity mask: the
+calling thread and threads that the call starts and joins. The worker
+evaluates the model on the tile's rows (a `Frame.window`), checks the
+(K, n) output and normalizes it into the tile's instantaneous
+posterior, updates one belief per transition model in place (a sweep
+over E transition probabilities is a bank of E filters sharing one
+model evaluation), decides the tile's labels, given the date's truth
+counts them against the truth's window, so no label raster is scanned
+again, and hands the tile to a sink, if any, while it is in cache. No
+result depends on the tiling or the worker count; a bad tile fails the
+date and leaves the state undefined until `reset`. The filter needs
+only the previous date's belief, so `classify_stack`, the one loop over
+a stack's dates, asks a sink for each date's tile sink and keeps only
+the date's counts; `epsilon_sweep` and `run_experiment` run through it,
+and only `timing_bench`, which times the step alone, has a loop of its
+own. The public `generative_update`,
 `discriminative_update` and `regularize` take (..., K) arrays and run
 the same functions on a transposed (K, M) copy; the updates check its
 evidence with the frame step's own check, `_evidence_fault`.
@@ -247,6 +250,11 @@ def _workers() -> int:
     return os.cpu_count() or 1
 
 
+# A tile's pixel slice, instantaneous posterior (K, n), beliefs (E, K, n)
+# and label rows (1 + E, n), handed over by the worker that advanced it
+TileSink = Callable[[slice, np.ndarray, np.ndarray, np.ndarray], object]
+
+
 class FrameModel(Protocol):
     """Instantaneous classifier usable by `classify_stack`.
 
@@ -287,17 +295,22 @@ class FrameStep:
     `timing_bench` with one; all must share the class count K (a
     ConfigError otherwise, or without any), which the uint8 labels cap
     at 255 (InvalidClassCountError above), and ``lam`` must pass
-    `regularize`'s check for K classes. Its state is three class-major
-    arrays: ``inst`` (K, N), the floor-normalized instantaneous
-    posterior; ``post`` (E, K, N), one belief per transition model,
-    uniform after construction or `reset`; and the MAP ``labels``
-    (1 + E, N), row 0 from ``inst`` and row 1 + e from ``post[e]``. ``step(raw, date, truth)`` floor-normalizes one
-    frame's (K, N) class weights (`FrameModel`) into ``inst``, smooths
-    it and updates each ``post[e]`` in place; ``raw`` may also be a
-    function from a slice of rows to their (K, n) output. Given the
-    date's ``truth``, its (N,) non-negative integer labels, the step
-    also scores the date: ``hits`` (1 + E, C) counts, per label row and
-    class c, the pixels where that row and the truth are both c, and
+    `regularize`'s check for K classes. Its state is one class-major
+    array, ``post`` (E, K, N): one belief per transition model, uniform
+    after construction or `reset`. ``step(raw, date, truth, sink)``
+    floor-normalizes one frame's (K, N) class weights (`FrameModel`)
+    into the instantaneous posterior, smooths it and updates each
+    ``post[e]`` in place; ``raw`` may also be a function from a slice of
+    rows to their (K, n) output. Each tile's MAP labels are decided into
+    (1 + E, n) uint8 rows, row 0 from the instantaneous posterior and
+    row 1 + e from ``post[e]``. The instantaneous posterior and the
+    labels are the tile's own scratch: the worker hands them to
+    ``sink(pixels, inst, post, labels)``, if given, with the tile's
+    slice of the N row-major pixels and its (E, K, n) view of ``post``,
+    which the sink may read during that call only. Given the date's
+    ``truth``, its (N,) non-negative integer labels, the step also
+    scores the date: ``hits`` (1 + E, C) counts, per label row and class
+    c, the pixels where that row and the truth are both c, and
     ``totals`` (C,) the truth's pixels per class. C is K, or one more
     than the largest truth label if that is K or more. Without a truth
     both are None. They are per-date reductions: each tile's worker
@@ -307,10 +320,11 @@ class FrameStep:
     ``rows`` of about `_TILE_PIXELS` pixels by one `map`, on one worker
     per CPU this process may run on and at most one per tile: the
     calling thread and threads that the call starts and joins. A worker
-    evaluates, checks, advances, decides and counts each of its tiles,
-    and visits every one even after a fault. A model's error propagates
-    as it is. A truth, then an output, of another shape is a ShapeError;
-    in an output of the right shape, a non-finite, then a negative entry
+    evaluates, checks, advances, decides, counts and sinks each of its
+    tiles, and visits every one even after a fault; a tile that faults
+    is not sunk. A model's or a sink's error propagates as it is. A
+    truth, then an output, of another shape is a ShapeError; in an
+    output of the right shape, a non-finite, then a negative entry
     in any tile is a ValueError, an all-zero pixel column a
     DegenerateLikelihoodError and an overflowing column sum a
     ValueError. Given the frame's ``date``, the message starts with its
@@ -337,9 +351,7 @@ class FrameStep:
         height, rows = pixels // width, max(1, _TILE_PIXELS // width)
         self.rows = [slice(r, min(r + rows, height)) for r in range(0, max(height, 1), rows)]
         self._cols = [slice(r.start * width, r.stop * width) for r in self.rows]
-        self.inst = np.empty((k, pixels))
         self.post = np.empty((len(self.transitions), k, pixels))
-        self.labels = np.empty((1 + len(self.transitions), pixels), dtype=np.uint8)
         self.hits = self.totals = None
         self.reset()
         self._workers = min(_workers(), len(self.rows))
@@ -379,6 +391,7 @@ class FrameStep:
         raw: np.ndarray | Callable[[slice], np.ndarray],
         date: dt.date | None = None,
         truth: np.ndarray | None = None,
+        sink: TileSink | None = None,
     ) -> None:
         truth = None if truth is None else np.asarray(truth)
         whole = None if callable(raw) else np.asarray(raw)
@@ -404,14 +417,18 @@ class FrameStep:
             if fault < len(_FAULTS):
                 faults.append((fault, i, _fault_error(fault)))
                 return
-            inst = floor_normalize_columns(out, self.inst[:, cols])
-            _decide(inst, self.labels[0, cols])
+            inst = floor_normalize_columns(out, np.empty(shape))
+            labels = np.empty((1 + len(self.transitions), shape[1]), dtype=np.uint8)
+            _decide(inst, labels[0])
             weights = _smooth(inst, self.lam) if self.lam else inst
+            post = self.post[:, :, cols]
             for e, transition in enumerate(self.transitions):
-                _update(weights, self.post[e, :, cols], transition)
-                _decide(self.post[e, :, cols], self.labels[1 + e, cols])
+                _update(weights, post[e], transition)
+                _decide(post[e], labels[1 + e])
             if truth is not None:
-                counts[i] = _count(self.labels[:, cols], truth[cols], self._shape[0])
+                counts[i] = _count(labels, truth[cols], self._shape[0])
+            if sink is not None:
+                sink(cols, inst, post, labels)
 
         self.map(visit)
         if faults:
@@ -419,7 +436,7 @@ class FrameStep:
         self.hits = self.totals = None
         if truth is not None:
             width = max(len(totals) for _, totals in counts)
-            self.hits = np.zeros((len(self.labels), width), dtype=np.int64)
+            self.hits = np.zeros((1 + len(self.transitions), width), dtype=np.int64)
             self.totals = np.zeros(width, dtype=np.int64)
             for hits, totals in counts:
                 self.hits[:, : len(totals)] += hits
@@ -438,7 +455,7 @@ def classify_stack(
     model: FrameModel,
     transitions: Sequence[TransitionModel],
     lam: float,
-    sink: Callable[[int, FrameStep, Frame], None] | None = None,
+    sink: Callable[[int, Frame], TileSink | None] | None = None,
 ) -> StackClassification:
     """Run the recursion over a whole stack, frame by frame.
 
@@ -451,10 +468,13 @@ def classify_stack(
     label row against it. Those counts, from which `frame_accuracies`
     and `epsilon_sweep` score the dates, are all that is kept.
 
-    After each date t, ``sink(t, step, frame)`` gets the loaded frame
-    and may read the step's ``inst`` (K, H*W), ``post`` (E, K, H*W) and
-    ``labels`` (1 + E, H*W) during the call only: the next date
-    overwrites them. Each frame is loaded (`Frame.load`) just before its
+    Before each date t's step, on the calling thread, ``sink(t, frame)``
+    gets the loaded frame and returns a tile sink or None. The step's
+    workers hand each of the date's tiles to the tile sink as they
+    finish it (`FrameStep`): its slice of the H*W row-major pixels, its
+    instantaneous posterior (K, n), its beliefs (E, K, n) and its label
+    rows (1 + E, n), from several threads at once and readable during
+    that call only. Each frame is loaded (`Frame.load`) just before its
     step, so a deferred date's planes and truth are read once and held
     for that step only, and a reading error propagates as it is. A bad
     model output raises the error of `FrameStep`, prefixed with the
@@ -464,14 +484,13 @@ def classify_stack(
     height, width = stack.shape
     counts = []
     step = FrameStep(transitions, lam, height * width, width)
-    k = len(step.inst)
+    k = step.post.shape[1]
     if model.num_classes != k:
         raise ConfigError(f"model has {model.num_classes} classes, transition models {k}")
     for t, frame in enumerate(stack.frames):
         frame = frame.load()
         truth = None if frame.truth is None else frame.truth.labels.ravel()
-        step(lambda rows: model.frame_posterior(frame.window(rows)), frame.date, truth)
+        tiles = None if sink is None else sink(t, frame)
+        step(lambda rows: model.frame_posterior(frame.window(rows)), frame.date, truth, tiles)
         counts.append(None if truth is None else (step.hits, step.totals))
-        if sink is not None:
-            sink(t, step, frame)
     return StackClassification(stack.dates, k, tuple(counts))

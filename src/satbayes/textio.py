@@ -129,6 +129,29 @@ def open_output(path: str | Path) -> Iterator[BinaryIO]:
             yield fh
 
 
+@contextmanager
+def open_positional(path: str | Path) -> Iterator[Callable[[Any, int], None]]:
+    """Create ``path`` (and its parents) empty and yield ``write(data, offset)``,
+    which puts the bytes of the C-contiguous ``data`` at ``offset`` with
+    `os.pwrite`, so threads may write disjoint ranges at once. The file is
+    closed on exit, also when the block raises."""
+    with _failing_as(DataError, path):
+        Path(path).parent.mkdir(parents=True, exist_ok=True)
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+
+    def write(data: Any, offset: int) -> None:
+        view = memoryview(data).cast("B")
+        with _failing_as(DataError, path):
+            while view:
+                done = os.pwrite(fd, view, offset)
+                view, offset = view[done:], offset + done
+
+    try:
+        yield write
+    finally:
+        os.close(fd)
+
+
 def write_bytes(path: str | Path, data: bytes) -> Path:
     with open_output(path) as fh:
         fh.write(data)

@@ -11,7 +11,7 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 import oracles
-from helpers import WATER_THRESHOLDS, collect_stack, date_of, make_stack
+from helpers import WATER_THRESHOLDS, Tiles, collect_stack, date_of, make_stack
 from satbayes import evaluation, recursion
 from satbayes.classifiers import (
     ExternalPosteriorSource,
@@ -240,10 +240,11 @@ class TestStepCounts:
                 assert step.hits is None and step.totals is None
                 continue
             truth = frame.truth.labels.ravel()
-            step(raw, frame.date, truth)
+            tiles = Tiles(step)
+            step(raw, frame.date, truth, tiles)
             classes = max(k, int(truth.max()) + 1)
             assert step.hits.shape == (3, classes) and step.totals.shape == (classes,)
-            for row, hits in zip(step.labels, step.hits):
+            for row, hits in zip(tiles.labels, step.hits):
                 matrix = confusion_matrix(row, truth, classes)
                 assert_array_equal(hits, np.diagonal(matrix))
                 assert_array_equal(step.totals, matrix.sum(axis=1))

@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import datetime as dt
+import os
 import re
 import struct
+import threading
 import warnings
 
 import numpy as np
@@ -27,12 +29,12 @@ from satbayes.pipeline import (
     ReferenceRegion,
     StackManifest,
     bias_correct,
+    container_writer,
     crop,
     crop_stack,
     filter_frames,
     load_stack,
     parse_manifest,
-    posterior_cube_writer,
     read_band_plane,
     read_label_raster,
     read_posterior_cube,
@@ -129,8 +131,13 @@ class TestPosteriorCube:
             read_posterior_cube(path)
 
 
-class TestPosteriorCubeWriter:
-    """One date's plane per write; a cube it cannot finish is deleted."""
+def _open_descriptors() -> int:
+    return len(os.listdir("/proc/self/fd"))
+
+
+class TestContainerWriter:
+    """Blocks of (plane, pixel range) land at their offsets, in any order
+    and from any thread; the file is closed however the block ends."""
 
     SHAPE = (3, 2, 4, 5)
 
@@ -144,43 +151,64 @@ class TestPosteriorCubeWriter:
             b"RBCP" + struct.pack("<BIIBI", 1, width, height, k, t)
             + cube.astype("<f4").tobytes()
         )
-        with posterior_cube_writer(tmp_path / "w.cube", cube.shape) as write:
-            for plane in cube:
-                write(plane)
+        planes = cube.reshape(t * k, height * width)
+        blocks = [(p, s) for p in range(0, t * k, 2) for s in range(0, 20, 5)]
+        with container_writer(tmp_path / "w.cube", cube.shape) as write:
+            # two row-tile workers, each writing every other block, last first
+            workers = [
+                threading.Thread(target=lambda mine: [
+                    write(p, s, planes[p : p + 2, s : s + 5]) for p, s in reversed(mine)
+                ], args=(blocks[w::2],))
+                for w in range(2)
+            ]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join()
         assert (tmp_path / "w.cube").read_bytes() == expected
         assert write_posterior_cube(tmp_path / "c.cube", cube).read_bytes() == expected
 
-    @pytest.mark.parametrize("shape", [(2, 4, 4), (3, 4, 5), (2, 20), (2, 4, 5, 1)])
-    def test_wrong_plane_shape_is_shape_error(self, tmp_path, shape):
-        path = tmp_path / "w.cube"
-        with pytest.raises(ShapeError, match="does not fit"):
-            with posterior_cube_writer(path, self.SHAPE) as write:
-                write(np.zeros(shape))
-        assert not path.exists()
+    def test_label_raster_rows(self, tmp_path):
+        labels = np.random.default_rng(5).integers(0, 3, size=(4, 5)).astype(np.uint8)
+        expected = write_label_raster(tmp_path / "r.lbl", LabelRaster(labels, 3)).read_bytes()
+        with container_writer(tmp_path / "w.lbl", labels.shape, 3) as write:
+            write(0, 10, labels.ravel()[10:])
+            write(0, 0, labels.ravel()[:10])
+        assert (tmp_path / "w.lbl").read_bytes() == expected
+        truth = np.zeros(20, dtype=np.uint8)
+        with container_writer(tmp_path / "e.lbl", labels.shape, 2) as write:
+            write(0, 0, labels.ravel() != truth)  # an error map's rows, as bools
+        assert read_label_raster(tmp_path / "e.lbl").labels.tolist() == (labels != 0).tolist()
 
-    @pytest.mark.parametrize("planes", [0, 2, 4])
-    def test_wrong_plane_count_leaves_no_file(self, tmp_path, planes):
+    @pytest.mark.parametrize(
+        "plane, start, shape",
+        [(0, 0, (2, 4, 5)), (5, 0, (2, 20)), (0, 15, (1, 6)), (-1, 0, (20,))],
+        ids=["3-d", "past-the-last-plane", "past-the-last-pixel", "negative-plane"],
+    )
+    def test_block_outside_is_shape_error(self, tmp_path, plane, start, shape):
         path = tmp_path / "w.cube"
-        cube = np.concatenate([self.cube(), self.cube()[:1]])
-        with pytest.raises(ShapeError, match=str(path)):
-            with posterior_cube_writer(path, self.SHAPE) as write:
-                for plane in cube[:planes]:
-                    write(plane)
-        assert not path.exists()
+        with container_writer(path, self.SHAPE) as write:
+            with pytest.raises(ShapeError, match=f"^{re.escape(str(path))}: .*does not fit"):
+                write(plane, start, np.zeros(shape))
+        assert path.stat().st_size == 18  # the header alone
 
-    def test_error_inside_block_propagates_and_leaves_no_file(self, tmp_path):
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+    def test_error_inside_block_propagates_and_closes_the_file(self, tmp_path):
         path = tmp_path / "w.cube"
+        before = _open_descriptors()
         with pytest.raises(KeyError, match="boom"):
-            with posterior_cube_writer(path, self.SHAPE) as write:
-                write(self.cube()[0])
+            with container_writer(path, self.SHAPE) as write:
+                assert _open_descriptors() == before + 1
+                write(0, 0, self.cube()[0].reshape(2, 20))
                 raise KeyError("boom")
-        assert not path.exists()
+        assert _open_descriptors() == before
+        assert path.stat().st_size == 18 + 2 * 20 * 4  # what was written stays
 
     def test_unwritable_path_is_data_error(self, tmp_path):
         (tmp_path / "blocker").write_text("not a directory\n")
         path = tmp_path / "blocker" / "w.cube"
         with pytest.raises(DataError, match=str(path)):
-            with posterior_cube_writer(path, self.SHAPE):
+            with container_writer(path, self.SHAPE):
                 pytest.fail("the block must not run")
 
 

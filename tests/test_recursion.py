@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 import oracles
-from helpers import collect_stack, date_of, make_stack, random_pmfs
+from helpers import Tiles, collect_stack, date_of, make_stack, random_pmfs
 from satbayes import recursion
 from satbayes.classifiers import IndexClassifier, SpectralIndexKind, spectral_index
 from satbayes.core import (
@@ -333,8 +333,9 @@ EVIDENCE = {"likelihood": _as_likelihood, "posterior": _as_posterior}
 
 
 class TestClassifyStackSink:
-    """A sink reads each date's step during its call; the run returns only
-    the dates, the class count and the per-date counts."""
+    """A sink gives each date a tile sink, which reads each tile during its
+    call; the run returns only the dates, the class count and the per-date
+    counts."""
 
     @pytest.mark.parametrize("evidence", sorted(EVIDENCE))
     def test_sink_sees_the_collected_cubes(self, evidence):
@@ -345,11 +346,21 @@ class TestClassifyStackSink:
         collected = collect_stack(stack, model, trans, 0.8)
         seen = []
 
-        def sink(t, step, frame):
-            assert step.inst.shape == (3, 36) and step.post.shape == (1, 3, 36)
-            assert step.inst.dtype == step.post.dtype == np.float64
-            assert step.labels.shape == (2, 36) and step.labels.dtype == np.uint8
-            seen.append((t, step.inst.copy(), step.post[0].copy(), step.labels.copy()))
+        def sink(t, frame):
+            assert frame.date == stack.dates[t]
+            inst, post = np.empty((3, 36)), np.empty((3, 36))
+            labels = np.empty((2, 36), dtype=np.uint8)
+            seen.append((t, inst, post, labels))
+
+            def tile(pixels, tile_inst, tile_post, tile_labels):
+                assert pixels == slice(0, 36)  # one tile
+                assert tile_inst.shape == (3, 36) and tile_post.shape == (1, 3, 36)
+                assert tile_inst.dtype == tile_post.dtype == np.float64
+                assert tile_labels.shape == (2, 36) and tile_labels.dtype == np.uint8
+                inst[:, pixels], post[:, pixels] = tile_inst, tile_post[0]
+                labels[:, pixels] = tile_labels
+
+            return tile
 
         streamed = classify_stack(stack, model, [trans], 0.8, sink=sink)
         assert [t for t, *_ in seen] == list(range(5))
@@ -370,8 +381,11 @@ class TestClassifyStackSink:
         posts = np.empty((4, len(epsilons), 3, 36))
         labels = np.empty((4, 1 + len(epsilons), 36), dtype=np.uint8)
 
-        def sink(t, step, frame):
-            posts[t], labels[t] = step.post, step.labels
+        def sink(t, frame):
+            def tile(pixels, inst, post, rows):
+                posts[t, :, :, pixels], labels[t, :, pixels] = post, rows
+
+            return tile
 
         transitions = [build_transition_model(3, e) for e in epsilons]
         classify_stack(stack, model, transitions, 0.8, sink=sink)
@@ -727,8 +741,9 @@ class TestFrameStepClassCount:
         step = FrameStep([build_transition_model(255, 0.05)], 0.8, 2)
         raw = np.ones((255, 2))
         raw[254, 0] = raw[0, 1] = 1e3
-        step(raw)
-        assert step.labels.tolist() == [[254, 0], [254, 0]]
+        tiles = Tiles(step)
+        step(raw, sink=tiles)
+        assert tiles.labels.tolist() == [[254, 0], [254, 0]]
 
     @pytest.mark.parametrize("k", [256, 257])
     def test_more_classes_rejected(self, k):
@@ -769,9 +784,10 @@ class TestFrameStepTransitionBank:
         posts = np.empty((len(outputs), e_count, k, pixels))
         labels = np.empty((len(outputs), 1 + e_count, pixels), dtype=np.uint8)
         step = FrameStep(transitions, 0.8, pixels)
+        tiles = Tiles(step)
         for t, raw in enumerate(outputs):
-            step(raw)
-            insts[t], posts[t], labels[t] = step.inst, step.post, step.labels
+            step(raw, sink=tiles)
+            insts[t], posts[t], labels[t] = tiles.inst, tiles.post, tiles.labels
         return insts, posts, labels
 
     @pytest.mark.parametrize("k", [2, 3])
@@ -837,10 +853,10 @@ class TestFrameStepState:
 
     @staticmethod
     def _states(step, outputs, dates):
-        states = []
+        states, tiles = [], Tiles(step)
         for raw, date in zip(outputs, dates):
-            step(raw, date)
-            states.append(b"".join(a.tobytes() for a in (step.inst, step.post, step.labels)))
+            step(raw, date, sink=tiles)
+            states.append(b"".join(a.tobytes() for a in (tiles.inst, step.post, tiles.labels)))
         return states
 
     def test_reset_then_frames_equals_fresh_step(self):
@@ -866,9 +882,10 @@ class TestFrameStepState:
 
 
 class TestFrameStepHoldsOnlyTheFilterState:
-    """No arrays but ``inst``, ``post`` and ``labels`` live in a `FrameStep`,
-    whatever its tiles and workers: its lists and tuples hold only sizes,
-    tile slices and transition models, no per-worker work arrays."""
+    """No array but the beliefs ``post`` lives in a `FrameStep`, whatever
+    its tiles, workers and sink: its lists and tuples hold only sizes, tile
+    slices and transition models, no per-worker work arrays, and the
+    instantaneous posterior and the labels are each tile's own."""
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_only_state_arrays(self, monkeypatch, workers):
@@ -877,10 +894,10 @@ class TestFrameStepHoldsOnlyTheFilterState:
         transitions = [build_transition_model(3, e) for e in (0.02, 0.2)]
         step = FrameStep(transitions, 0.8, 49, 7)
         for raw in _scripted_outputs(np.random.default_rng(72), 2, 49, 3):
-            step(raw)
+            step(raw, sink=Tiles(step))
         state = vars(step)
         arrays = {name for name, value in state.items() if isinstance(value, np.ndarray)}
-        assert arrays == {"inst", "post", "labels"}
+        assert arrays == {"post"}
         for name, value in state.items():
             if isinstance(value, (list, tuple)):
                 assert all(isinstance(v, (int, slice, TransitionModel)) for v in value), name
@@ -895,26 +912,26 @@ class TestFrameStepHoldsOnlyTheFilterState:
         for raw in _scripted_outputs(np.random.default_rng(72), 2, 49, 3):
             step(raw, truth=truth)
         arrays = {n: v.shape for n, v in vars(step).items() if isinstance(v, np.ndarray)}
-        assert arrays == {
-            "inst": (3, 49), "post": (2, 3, 49), "labels": (3, 49), "hits": (3, 3), "totals": (3,)
-        }
+        assert arrays == {"post": (2, 3, 49), "hits": (3, 3), "totals": (3,)}
         assert step.totals.tolist() == np.bincount(truth).tolist()
 
 
 class TestFrameStepNormalization:
-    """`FrameStep.inst` is the C-ordered pixel-major floor-normalization, bit for bit."""
+    """The step's instantaneous posterior is the C-ordered pixel-major
+    floor-normalization, bit for bit."""
 
     @pytest.mark.parametrize("k", [2, 3, 5, 8, 9, 16])
     def test_inst_equals_pixel_major_oracle(self, k):
         rng = np.random.default_rng(80 + k)
         step = FrameStep([build_transition_model(k, 0.1)], 0.8, 301)
+        tiles = Tiles(step)
         for _ in range(3):
             raw = rng.uniform(0.0, 1.0, size=(k, 301))
             # some columns near the floor: entries just above, at, or below it
             raw[:, ::5] *= PROB_FLOOR * rng.uniform(0.5, 5.0, size=(k, 61))
-            step(raw)
+            step(raw, sink=tiles)
             expect = oracles.floor_normalize(np.ascontiguousarray(raw.T)).T
-            assert_array_equal(step.inst, expect)
+            assert_array_equal(tiles.inst, expect)
 
 
 class TestClassifyStackEquivalence:

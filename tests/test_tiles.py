@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import os
+import re
+import struct
 import sys
 import threading
 import time
@@ -11,7 +13,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
 
-from helpers import collect_stack, date_of
+from helpers import Tiles, collect_stack, date_of
 from oracles import matrix_logistic_posterior
 from satbayes import recursion
 from satbayes.classifiers import (
@@ -29,10 +31,13 @@ from satbayes.core import (
     build_transition_model,
     normalize_columns,
 )
+from satbayes.config import parse_config
 from satbayes.errors import DegenerateLikelihoodError
 from satbayes.evaluation import epsilon_sweep, frame_accuracies, timing_bench
+from satbayes.experiment import build_classifier, prepare_stacks, run_experiment
 from satbayes.pipeline import ReferenceRegion, bias_correct
 from satbayes.recursion import FrameStep, classify_stack
+from satbayes.synth import generate_synthetic, parse_synth_spec
 
 BANDS = ("nir", "red")
 HEIGHT, WIDTH, DATES, K = 70, 9, 4, 3
@@ -219,10 +224,10 @@ class TestTileErrors:
         transitions = [build_transition_model(K, e) for e in GRID]
 
         def states(step):
-            out = []
+            out, tiles = [], Tiles(step)
             for t, good in enumerate(goods):
-                step(good, date_of(t))
-                out.append([a.tobytes() for a in (step.inst, step.post, step.labels)])
+                step(good, date_of(t), sink=tiles)
+                out.append([a.tobytes() for a in (tiles.inst, step.post, tiles.labels)])
             return out
 
         def tile(rows):
@@ -297,3 +302,143 @@ class TestTileWorkers:
             else:
                 call()
             assert threading.active_count() == before
+
+
+# A 13-row scene of 6-pixel rows whose date 2 has no truth raster
+RUN_HEIGHT, RUN_WIDTH, RUN_DATES, NO_TRUTH = 13, 6, 5, 2
+RUN_SPEC = f"""\
+classes = land, water
+width = {RUN_WIDTH}
+height = {RUN_HEIGHT}
+frames = {RUN_DATES}
+start_date = 2021-01-05
+cadence_days = 10
+seed = 11
+bands = green, swir1
+stat = land green 0.12 0.05
+stat = land swir1 0.28 0.05
+stat = water green 0.30 0.05
+stat = water swir1 0.06 0.05
+corrupt = 3 0.4
+"""
+RUN_CONFIG = f"""\
+name = tiles
+manifest = data/manifest.txt
+classes = land, water
+classifier = index
+index = mndwi
+thresholds = -1, 0.13, 1
+epsilon = 0.05
+lambda = 0.8
+seed = 3
+test_dates = {", ".join(date_of(t).isoformat() for t in range(RUN_DATES))}
+"""
+
+
+@pytest.fixture(scope="module")
+def run_config(tmp_path_factory):
+    root = tmp_path_factory.mktemp("run-tiles")
+    (root / "scene.txt").write_text(RUN_SPEC)
+    manifest = generate_synthetic(parse_synth_spec(root / "scene.txt"), root / "data")
+    tag = date_of(NO_TRUTH).isoformat()
+    text = re.sub(rf"(?m)^(frame = {tag}) truth=\S+", r"\1", manifest.read_text())
+    manifest.write_text(text)
+    (root / "exp.cfg").write_text(RUN_CONFIG)
+    return parse_config(root / "exp.cfg")
+
+
+def _tree(root):
+    return {str(p.relative_to(root)): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
+def _whole_frame_files(config):
+    """The run's cubes, label rasters and error maps, built from whole-frame
+    arrays and the container layouts, without the run's writer."""
+    prepared = prepare_stacks(config)
+    model = build_classifier(config, config.classifier, prepared.train)
+    transition = build_transition_model(2, config.epsilon)
+    run = collect_stack(prepared.test, model, transition, config.lam)
+    label_head = b"RBCL" + struct.pack("<BIIB", 1, RUN_WIDTH, RUN_HEIGHT, 2)
+    cube_head = b"RBCP" + struct.pack("<BIIBI", 1, RUN_WIDTH, RUN_HEIGHT, 2, RUN_DATES)
+    files = {
+        f"posteriors/{track}.cube":
+            cube_head + getattr(run, f"{track}_posteriors").astype("<f4").tobytes()
+        for track in ("recursive", "instantaneous")
+    }
+    for t, frame in enumerate(prepared.test.frames):
+        tag, truth = frame.date.isoformat(), frame.load().truth
+        for track in ("recursive", "instantaneous"):
+            labels = getattr(run, f"{track}_labels")[t].labels
+            files[f"labels/{track}_{tag}.lbl"] = label_head + labels.tobytes()
+            if truth is not None:
+                errors = (labels != truth.labels).astype(np.uint8)
+                files[f"maps/error_{track}_{tag}.lbl"] = label_head + errors.tobytes()
+    return files
+
+
+def _run_tiled(monkeypatch, config, out, height, workers):
+    monkeypatch.setattr(recursion, "_TILE_PIXELS", height * RUN_WIDTH)
+    monkeypatch.setattr(recursion, "_workers", lambda: workers)
+    run_experiment(config, out)
+    return _tree(out)
+
+
+class TestRunTreeMatchesWholeFrames:
+    """`run` writes each tile's cube, label and error-map rows in place; its
+    tree is byte-identical to one written from whole-frame arrays."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize(
+        "height", [1, 4, RUN_HEIGHT], ids=["13-tiles", "ragged", "one-tile"]
+    )
+    def test_byte_identical(self, run_config, tmp_path, monkeypatch, height, workers):
+        expect = _whole_frame_files(run_config)
+        missing = [f"maps/error_{track}_{date_of(NO_TRUTH).isoformat()}.lbl"
+                   for track in ("recursive", "instantaneous")]
+        assert len(expect) == 2 + 4 * RUN_DATES - 2 and not set(missing) & set(expect)
+        reference = _run_tiled(monkeypatch, run_config, tmp_path / "one", RUN_HEIGHT, 1)
+        got = _run_tiled(monkeypatch, run_config, tmp_path / "tiled", height, workers)
+        assert got == reference
+        assert {name: got[name] for name in expect} == expect
+        assert set(got) - set(expect) == {
+            "run.txt", "metrics/accuracy.csv", "models/index.model"
+        }
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+class TestRunFailureLeavesNothing:
+    """A run whose model fails on its last date, or on one tile of it,
+    leaves ``out`` as it was and no file descriptor open."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("fault", ["late-date", "one-tile"])
+    def test_out_and_descriptors_as_they_were(self, run_config, tmp_path, monkeypatch,
+                                              fault, workers):
+        out = tmp_path / "out"
+        (out / "labels").mkdir(parents=True)
+        (out / "labels" / "earlier.lbl").write_bytes(b"an earlier run's file")
+        before = _tree(out)
+        last, calls = date_of(RUN_DATES - 1), []
+        evaluate = IndexClassifier.frame_posterior
+
+        def failing(self, frame):
+            posterior = evaluate(self, frame)
+            if frame.date == last:
+                calls.append(frame.date)
+                if fault == "late-date":
+                    raise RuntimeError("late date")
+                if len(calls) == 2:
+                    posterior[0, 0] = np.nan
+            return posterior
+
+        monkeypatch.setattr(IndexClassifier, "frame_posterior", failing)
+        monkeypatch.setattr(recursion, "_TILE_PIXELS", 4 * RUN_WIDTH)
+        monkeypatch.setattr(recursion, "_workers", lambda: workers)
+        descriptors = sorted(os.listdir("/proc/self/fd"))
+        error = RuntimeError if fault == "late-date" else ValueError
+        with pytest.raises(error, match="late date" if fault == "late-date" else "non-finite"):
+            run_experiment(run_config, out)
+        assert calls
+        assert sorted(os.listdir("/proc/self/fd")) == descriptors
+        assert _tree(out) == before
+        assert sorted(os.listdir(out)) == ["labels"]
