@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import errno
 import os
 import re
 import struct
@@ -32,7 +33,7 @@ from satbayes.core import (
     normalize_columns,
 )
 from satbayes.config import parse_config
-from satbayes.errors import DegenerateLikelihoodError
+from satbayes.errors import DataError, DegenerateLikelihoodError
 from satbayes.evaluation import epsilon_sweep, frame_accuracies, timing_bench
 from satbayes.experiment import build_classifier, prepare_stacks, run_experiment
 from satbayes.pipeline import ReferenceRegion, bias_correct
@@ -404,22 +405,42 @@ class TestRunTreeMatchesWholeFrames:
             "run.txt", "metrics/accuracy.csv", "models/index.model"
         }
 
+    def test_more_workers_than_cores_switching_every_microsecond(
+        self, run_config, tmp_path, monkeypatch
+    ):
+        reference = _run_tiled(monkeypatch, run_config, tmp_path / "one", RUN_HEIGHT, 1)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = 2 * len(os.sched_getaffinity(0)) + 1
+            got = _run_tiled(monkeypatch, run_config, tmp_path / "tiled", 1, workers)
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == reference
+
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
 class TestRunFailureLeavesNothing:
-    """A run whose model fails on its last date, or on one tile of it,
-    leaves ``out`` as it was and no file descriptor open."""
+    """A run whose model fails on its last date or on one tile of it, or
+    whose tile write fails, leaves ``out`` as it was and no file
+    descriptor open."""
+
+    FAULTS = {
+        "late-date": (RuntimeError, "^late date$"),
+        "one-tile": (ValueError, "non-finite"),
+        "tile-write": (DataError, "No space left on device"),
+    }
 
     @pytest.mark.parametrize("workers", [1, 2])
-    @pytest.mark.parametrize("fault", ["late-date", "one-tile"])
+    @pytest.mark.parametrize("fault", sorted(FAULTS))
     def test_out_and_descriptors_as_they_were(self, run_config, tmp_path, monkeypatch,
                                               fault, workers):
         out = tmp_path / "out"
         (out / "labels").mkdir(parents=True)
         (out / "labels" / "earlier.lbl").write_bytes(b"an earlier run's file")
         before = _tree(out)
-        last, calls = date_of(RUN_DATES - 1), []
-        evaluate = IndexClassifier.frame_posterior
+        last, calls, writes = date_of(RUN_DATES - 1), [], []
+        evaluate, pwrite = IndexClassifier.frame_posterior, os.pwrite
 
         def failing(self, frame):
             posterior = evaluate(self, frame)
@@ -427,18 +448,26 @@ class TestRunFailureLeavesNothing:
                 calls.append(frame.date)
                 if fault == "late-date":
                     raise RuntimeError("late date")
-                if len(calls) == 2:
+                if fault == "one-tile" and len(calls) == 2:
                     posterior[0, 0] = np.nan
             return posterior
 
+        def failing_write(fd, data, offset):
+            writes.append(offset)
+            # 2 cube headers, then per date 4 file headers and 32 tile rows
+            if fault == "tile-write" and len(writes) == 45:  # a tile row on date 1
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            return pwrite(fd, data, offset)
+
         monkeypatch.setattr(IndexClassifier, "frame_posterior", failing)
+        monkeypatch.setattr(os, "pwrite", failing_write)
         monkeypatch.setattr(recursion, "_TILE_PIXELS", 4 * RUN_WIDTH)
         monkeypatch.setattr(recursion, "_workers", lambda: workers)
         descriptors = sorted(os.listdir("/proc/self/fd"))
-        error = RuntimeError if fault == "late-date" else ValueError
-        with pytest.raises(error, match="late date" if fault == "late-date" else "non-finite"):
+        error, message = self.FAULTS[fault]
+        with pytest.raises(error, match=message):
             run_experiment(run_config, out)
-        assert calls
+        assert calls if fault != "tile-write" else len(writes) >= 45
         assert sorted(os.listdir("/proc/self/fd")) == descriptors
         assert _tree(out) == before
         assert sorted(os.listdir(out)) == ["labels"]
