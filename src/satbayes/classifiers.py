@@ -29,7 +29,7 @@ only. The index, mixture and logistic engines return a new C-ordered
 float64 buffer on every call; their sums over classes use `core`'s
 `column_sums`, as the recursion does. Nothing in the package keeps work
 arrays between calls, so no engine or fit does: the recursion evaluates
-each date in row tiles of about 32k pixels, where fresh arrays cost
+each date in row strips of about 32k pixels, where fresh arrays cost
 nothing measurable, and one instance serves all of its worker threads
 at once. Model files use a small versioned binary container that
 round-trips parameters bit for bit; loading checks them as the

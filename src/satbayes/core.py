@@ -8,7 +8,8 @@ Images and stacks are immutable: their planes are C-contiguous and
 read-only, so code can share them without defensive copies. An image
 keeps float32 planes as read and hands out float64 values. A frame's
 image may also be a `DeferredImage`, whose planes, posterior and truth
-`Frame.load` reads when a caller reaches that date.
+`Frame.load` reads when a caller reaches that date: only the rows of the
+frame's window, so a row strip of a date reads only that strip.
 """
 
 from __future__ import annotations
@@ -266,11 +267,9 @@ class MultibandImage:
             raise ConfigError(f"image has no band {name!r}")
         return self.values(self.bands.index(name))
 
-    def values(
-        self, index: int | slice = slice(None), rows: slice = slice(None)
-    ) -> np.ndarray:
-        """Fresh float64 values of the planes at ``index`` on ``rows``, all by default."""
-        out = np.multiply(self.data[index, rows], self.scale, dtype=np.float64)
+    def values(self, index: int | slice = slice(None)) -> np.ndarray:
+        """Fresh float64 values of the planes at ``index``, all by default."""
+        out = np.multiply(self.data[index], self.scale, dtype=np.float64)
         if self.shift is not None:
             out += self.shift[index, np.newaxis, np.newaxis]
         return out
@@ -295,19 +294,21 @@ class DeferredImage:
     """A frame's image whose planes are not read yet.
 
     It carries the band names, the window of the whole grid that crops
-    cut (``rows`` and ``cols``, ranges of grid indices) and whether the
-    frame has a truth raster, but no pixels. ``read(truth)`` returns the
-    whole grid's validated image, its external posterior or None, and
-    its truth if ``truth``, else None; `Frame.load` asks for the truth
-    if ``has_truth``, cuts the window from all three, then applies each
-    of ``align`` (the bias corrections) in order.
+    and strips cut (``rows`` and ``cols``, ranges of grid indices) and
+    whether the frame has a truth raster, but no pixels. ``read(rows,
+    truth)`` returns the validated image of the grid's ``rows`` (a range)
+    at the grid's full width, their external posterior or None, and their
+    truth if ``truth``, else None; `Frame.load` reads the window's rows,
+    asks for the truth if ``has_truth``, cuts the window's columns from
+    all three, then applies each of ``align`` (the bias corrections) in
+    order.
     """
 
     bands: tuple[str, ...]
     rows: range
     cols: range
     read: Callable[
-        [bool], tuple[MultibandImage, np.ndarray | None, LabelRaster | None]
+        [range, bool], tuple[MultibandImage, np.ndarray | None, LabelRaster | None]
     ] = field(repr=False)
     align: tuple[Callable[[Frame], Frame], ...] = ()
     has_truth: bool = False
@@ -317,13 +318,13 @@ class DeferredImage:
         return len(self.rows), len(self.cols)
 
     @property
-    def window(self) -> tuple[slice, slice]:
-        return slice(self.rows.start, self.rows.stop), slice(self.cols.start, self.cols.stop)
-
-    @property
     def data(self) -> np.ndarray:
         """The window of the planes, read again at each access."""
-        return self.read(False)[0].data[(slice(None), *self.window)]
+        return self.read(self.rows, False)[0].data[:, :, _slice(self.cols)]
+
+
+def _slice(indices: range) -> slice:
+    return slice(indices.start, indices.stop)
 
 
 @dataclass(frozen=True)
@@ -375,16 +376,17 @@ class Frame:
 
     def load(self) -> Frame:
         """The frame with its planes in memory: itself, unless its image is a
-        `DeferredImage`, which is read with its posterior and truth,
-        windowed and aligned now. Reading raises the reader's errors;
-        nothing is kept for a later call."""
+        `DeferredImage`, whose window's rows are read with their posterior
+        and truth, cut to its columns and aligned now, so a window of a few
+        rows reads only those. Reading raises the reader's errors; nothing
+        is kept for a later call."""
         deferred = self.image
         if not isinstance(deferred, DeferredImage):
             return self
-        image, post, truth = deferred.read(deferred.has_truth)
-        whole = Frame(self.date, image, None, truth, post).window(*deferred.window)
+        image, post, truth = deferred.read(deferred.rows, deferred.has_truth)
+        part = Frame(self.date, image, None, truth, post).window(cols=_slice(deferred.cols))
         frame = _view(
-            self, image=whole.image, truth=whole.truth, external_posterior=whole.external_posterior
+            self, image=part.image, truth=part.truth, external_posterior=part.external_posterior
         )
         for align in deferred.align:
             frame = align(frame)

@@ -62,6 +62,11 @@ class EvaluationError(DataError):
     """Evaluation impossible, e.g. no ground truth or empty input."""
 
 
+class ModelOutputError(DataError, ValueError):
+    """A model output holds a non-finite or negative value, or a pixel's
+    class weights sum past float64; also a ValueError."""
+
+
 class NumericalError(SatBayesError):
     """Numerical contract violated at run time."""
 

@@ -174,8 +174,8 @@ def epsilon_sweep(
     (strictly increasing, each within (0, 1)); the score is the mean
     balanced accuracy over the stack's ground-truth frames. The sweep is
     one `classify_stack` pass per model with one transition model per
-    grid value: each date is read and the model evaluated once, a belief
-    per grid value advances from that output, and each label row is
+    grid value: each strip of each date is read and the model evaluated
+    on it once, a belief per grid value advances from that output, and each label row is
     scored from the counts the step made against the frame's truth,
     without scanning a label raster. Scores equal those of one
     `classify_stack` run per grid value, bit for bit, and a bad model
@@ -216,9 +216,9 @@ class TimingRecord:
     """Wall-time medians for one algorithm on one stack.
 
     ``baseline_seconds`` times one instantaneous model evaluation of a
-    frame, over the `FrameStep` row tiles on its workers as
-    `classify_stack` does; ``recursion_seconds`` times one `FrameStep`
-    call (the step `classify_stack` runs per frame: validation,
+    frame, over the row tiles of a whole-frame `FrameStep` on its
+    workers; ``recursion_seconds`` times one such `FrameStep` call (the
+    step `classify_stack` runs per strip and date: validation,
     smoothing, update and MAP decision, tile by tile) given the date's
     model output, computed just before and outside the timed call;
     ``step_seconds[t]`` is the per-step median at step index t across
@@ -252,10 +252,11 @@ def timing_bench(
     numbers isolate the step, neither number times a file read, and one
     date's output is held at a time; no truth raster is read. One
     `FrameStep` per algorithm is `reset` before each repetition, so
-    repetitions reuse its filter state. The baseline evaluations and the
-    steps run on the step's own row tiles and workers, as in
-    `classify_stack`. Medians over ``repetitions`` (>= 3) keep scheduler
-    noise out.
+    repetitions reuse its filter state. The loop is date-major over whole
+    frames, so each sample times one date: the baseline evaluations and
+    the steps run on the step's own row tiles and workers, the tiles
+    that `classify_stack`'s strips are. Medians over ``repetitions``
+    (>= 3) keep scheduler noise out.
     """
     check_repetitions(repetitions)
     if not stack.frames:

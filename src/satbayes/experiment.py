@@ -3,15 +3,18 @@
 `run_experiment` turns one config into artifacts on disk: label rasters
 (recursive and instantaneous, one per test date), posterior cubes,
 per-date accuracy tables and error maps when truth is available, the
-trained model, and a small metadata record. Before each date's step,
-the run's sink on `classify_stack` opens the date's two label rasters
-and, for a date with truth, its two error maps; the step's workers then
-write each tile's float32 posterior rows into the two cubes, and its
-label and error-map rows into those files, at their offsets
-(`container_writer`) while the tile is in cache. No posterior or label
-array of a whole date is held, nor a band or truth array of the whole
-stack, since each date's planes and truth are read when the recursion
-reaches it and dropped after its step. Every file is closed however the
+trained model, and a small metadata record. Before the recursion
+starts, the run creates every date's two label rasters and, for a date
+with truth, its two error maps, each as its header. `classify_stack`
+then runs the dates of each row strip on the strip's worker, and the
+run's sink writes each strip's float32 posterior rows into the two
+cubes, and its label and error-map rows into the date's files, at their
+offsets (`container_writer`) while the strip is in cache; a date's file
+is open only while its rows are written, so a run holds the two cubes
+and at most one date file per worker open, however many dates it has.
+No posterior, label, band or truth array of a whole date is held, since
+each strip reads only its own rows of a date and drops them after its
+step. Every file is closed however the
 run ends, and every artifact is written under a staging directory
 (`textio.staged`) and moves into the output directory only when the run
 succeeds, so a run that fails, as on a plane holding NaN, leaves the
@@ -173,37 +176,37 @@ def run_experiment(
         model = build_classifier(config, config.classifier, prepared.train)
         transition = build_transition_model(len(config.classes), eps)
         k = model.num_classes
-        height, width = prepared.test.shape
+        height, width = grid = prepared.test.shape
         shape = (len(prepared.test), k, height, width)
         tracks = (("recursive", 1), ("instantaneous", 0))  # label row of each
+        rasters = []  # per date: (path, classes) of each label raster, then each error map
+        for frame in prepared.test.frames:
+            tag = frame.date.isoformat()
+            names = [(f"labels/{track}_{tag}.lbl", k) for track, _ in tracks]
+            if frame.has_truth:
+                names += [(f"maps/error_{track}_{tag}.lbl", 2) for track, _ in tracks]
+            rasters.append([(stage / name, classes) for name, classes in names])
+            for path, classes in rasters[-1]:
+                with container_writer(path, grid, classes):
+                    pass  # the header; the strips write the rows
         with ExitStack() as files:
             cubes = [
                 files.enter_context(container_writer(stage / f"posteriors/{track}.cube", shape))
                 for track, _ in tracks
             ]
-            day = files.enter_context(ExitStack())  # the current date's files
 
             def sink(t: int, frame: Frame) -> TileSink:
-                day.close()
-                tag = frame.date.isoformat()
-
-                def raster(name: str, classes: int):
-                    writer = container_writer(stage / name, (height, width), classes)
-                    return day.enter_context(writer)
-
-                rasters = [raster(f"labels/{track}_{tag}.lbl", k) for track, _ in tracks]
                 truth = None if frame.truth is None else frame.truth.labels.reshape(-1)
-                maps = [] if truth is None else [
-                    raster(f"maps/error_{track}_{tag}.lbl", 2) for track, _ in tracks
-                ]
 
                 def tile(pixels: slice, inst, post, labels) -> None:
                     for write, plane in zip(cubes, (post[0], inst)):
                         write(t * k, pixels.start, plane)
-                    for (_, row), write in zip(tracks, rasters):
-                        write(0, pixels.start, labels[row])
-                    for (_, row), write in zip(tracks, maps):
-                        write(0, pixels.start, (labels[row] != truth[pixels]).view(np.uint8))
+                    rows = [labels[row] for _, row in tracks]
+                    if truth is not None:  # the strip's truth: its pixels are the tile's
+                        rows += [(labels[row] != truth).view(np.uint8) for _, row in tracks]
+                    for (path, classes), values in zip(rasters[t], rows):
+                        with container_writer(path, grid, classes, create=False) as write:
+                            write(0, pixels.start, values)
 
                 return tile
 

@@ -7,10 +7,12 @@ grid and upsampled on load), a reflectance scale factor, and optional
 per-frame side files: ground-truth label rasters and externally
 produced posterior cubes.
 
-One reader turns a manifest frame into its validated image, posterior
-and truth. `open_stack` checks every plane file's size and that each
-side file exists, and defers that reader to `Frame.load`, so a date's
-planes and truth are read when a caller reaches it, and never for a
+One reader turns rows of a manifest frame into their validated image,
+posterior and truth, reading only those rows of each file (the windowed
+reads of GDAL and rasterio, in numpy). `open_stack` checks every plane
+file's size and that each side file exists, and defers that reader to
+`Frame.load`, so a date's planes and truth are read when a caller
+reaches it, only in the rows of the frame's window, and never for a
 date that no caller loads; `load_stack` applies it to every frame at
 once. Crops and bias corrections of a deferred stack read no plane of a
 later frame: they narrow its window and add a correction step that
@@ -28,15 +30,17 @@ Container formats (all little-endian):
 
 Both containers are a header and a fixed layout, so one writer,
 `container_writer`, writes either in blocks of (plane, pixel range) at
-their offsets: a run's tile workers write the rows they decided, and
-no caller needs a whole cube or raster in memory.
+their offsets, and one reader reads any rows of their planes: a run's
+strip workers write the rows they decided, a frame reads the truth and
+posterior rows of its window, and no caller needs a whole cube or
+raster in memory.
 """
 
 from __future__ import annotations
 
 import datetime as dt
-import mmap
 import struct
+import threading
 import warnings
 from collections.abc import Callable, Iterator
 from contextlib import contextmanager
@@ -66,7 +70,6 @@ from .textio import (
     parse_int,
     parse_keys,
     parse_text,
-    read_bytes,
     read_into,
     read_text,
     write_bytes,
@@ -92,12 +95,18 @@ def write_band_plane(path: str | Path, values: np.ndarray) -> Path:
 
 
 def read_band_plane(
-    path: str | Path, height: int, width: int, out: np.ndarray | None = None
+    path: str | Path,
+    height: int,
+    width: int,
+    out: np.ndarray | None = None,
+    rows: slice = slice(None),
 ) -> np.ndarray:
-    """The (height, width) float32 plane in ``path``, read into ``out`` (a
-    C-contiguous float32 array of that shape) if given, else a new array."""
-    plane = np.empty((height, width), dtype=np.float32) if out is None else out
-    _check_plane_size(path, height, width, read_into(path, plane))
+    """The ``rows`` (all by default) of the (height, width) float32 plane in
+    ``path``, read from their offset into ``out`` (a C-contiguous float32
+    array of their shape) if given, else a new array."""
+    rows = range(height)[rows]
+    plane = np.empty((len(rows), width), dtype=np.float32) if out is None else out
+    _check_plane_size(path, height, width, read_into(path, plane, 4 * rows.start * width))
     return plane
 
 
@@ -117,14 +126,15 @@ def write_label_raster(path: str | Path, raster: LabelRaster) -> Path:
 
 @contextmanager
 def container_writer(
-    path: str | Path, shape: tuple[int, ...], num_classes: int = 0
+    path: str | Path, shape: tuple[int, ...], num_classes: int = 0, create: bool = True
 ) -> Iterator[Callable[[int, int, np.ndarray], None]]:
     """Write a label raster or a posterior cube in blocks, each at its offset.
 
     ``shape`` (height, width) makes a label raster of ``num_classes``
     classes, (dates, classes, height, width) a posterior cube, whose
     plane t * classes + c holds class c on date t. Creates ``path`` (and
-    its parents) holding the header and yields ``write(plane, start,
+    its parents) holding the header, or with ``create`` False opens the
+    file that an earlier call created, and yields ``write(plane, start,
     values)``, which stores the (p, n) or (n,) ``values`` as uint8 or
     float32 at pixels ``start`` to ``start + n`` (row-major) of planes
     ``plane`` to ``plane + p - 1``; a block outside the container is a
@@ -158,39 +168,58 @@ def container_writer(
             put(np.ascontiguousarray(row, dtype=dtype),
                 len(header) + dtype.itemsize * (p * size + start))
 
-    with open_positional(path) as put:
-        put(header, 0)
+    with open_positional(path, create) as put:
+        if create:
+            put(header, 0)
         yield write
 
 
-def _read_container(
-    src: Path, layout: str, magic: bytes, what: str
-) -> tuple[bytes, int, list[int]]:
-    """Blob, header size and header fields after magic and version."""
-    blob = read_bytes(src)
-    head = struct.calcsize(layout)
-    if len(blob) < head:
+def _read_header(src: Path, layout: str, magic: bytes, what: str) -> tuple[int, list[int], int]:
+    """Header size, header fields after magic and version, and file size."""
+    head = bytearray(struct.calcsize(layout))
+    size = read_into(src, head)
+    if size < len(head):
         raise LoadError(f"{src}: truncated {what} header")
-    found, version, *fields = struct.unpack(layout, blob[:head])
+    found, version, *fields = struct.unpack(layout, head)
     if found != magic:
         raise LoadError(f"{src}: not a {what} (bad magic)")
     if version != CONTAINER_VERSION:
         raise LoadError(f"{src}: unsupported {what} version {version}")
-    return blob, head, fields
+    return len(head), fields, size
 
 
-def read_label_raster(path: str | Path) -> LabelRaster:
-    src = Path(path)
-    blob, head, (width, height, k) = _read_container(
-        src, "<4sBIIB", LABEL_MAGIC, "label raster"
-    )
-    if len(blob) != head + width * height:
+def _read_rows(
+    src: Path, offset: int, dtype: str, planes: int, shape: tuple[int, int], rows: range
+) -> np.ndarray:
+    """The ``rows`` of ``planes`` consecutive (height, width) planes of
+    ``dtype`` stored from byte ``offset`` of ``src``, as (planes, rows, width)."""
+    height, width = shape
+    out = np.empty((planes, len(rows), width), dtype=dtype)
+    for p, plane in enumerate(out):
+        read_into(src, plane, offset + out.itemsize * (p * height + rows.start) * width)
+    return out
+
+
+def _label_header(src: Path) -> tuple[int, tuple[int, int], int]:
+    """Header size, (height, width) and class count of a label raster."""
+    head, (width, height, k), size = _read_header(src, "<4sBIIB", LABEL_MAGIC, "label raster")
+    if size != head + width * height:
         raise LoadError(f"{src}: expected {width * height} label bytes")
-    labels = np.frombuffer(blob, dtype=np.uint8, offset=head).reshape(height, width)
+    return head, (height, width), k
+
+
+def _label_rows(src: Path, rows: range, head: int, shape: tuple[int, int], k: int) -> LabelRaster:
+    labels = _read_rows(src, head, "u1", 1, shape, rows)[0]
     try:
         return LabelRaster(labels, num_classes=k)
     except (ValueError, ShapeError, ConfigError) as exc:
         raise LoadError(f"{src}: {exc}") from exc
+
+
+def read_label_raster(path: str | Path) -> LabelRaster:
+    src = Path(path)
+    head, shape, k = _label_header(src)
+    return _label_rows(src, range(shape[0]), head, shape, k)
 
 
 def write_posterior_cube(path: str | Path, cube: np.ndarray) -> Path:
@@ -205,16 +234,23 @@ def write_posterior_cube(path: str | Path, cube: np.ndarray) -> Path:
     return Path(path)
 
 
-def read_posterior_cube(path: str | Path) -> np.ndarray:
-    src = Path(path)
-    blob, head, (width, height, k, t) = _read_container(
+def _cube_header(src: Path) -> tuple[int, tuple[int, int, int, int]]:
+    """Header size and (dates, classes, height, width) of a posterior cube."""
+    head, (width, height, k, t), size = _read_header(
         src, "<4sBIIBI", CUBE_MAGIC, "posterior cube"
     )
     expected = head + 4 * t * k * height * width
-    if len(blob) != expected:
-        raise LoadError(f"{src}: expected {expected} bytes, got {len(blob)}")
-    data = np.frombuffer(blob[head:], dtype="<f4")
-    return data.reshape(t, k, height, width).astype(np.float64)
+    if size != expected:
+        raise LoadError(f"{src}: expected {expected} bytes, got {size}")
+    return head, (t, k, height, width)
+
+
+def read_posterior_cube(path: str | Path) -> np.ndarray:
+    src = Path(path)
+    head, shape = _cube_header(src)
+    t, k, height, width = shape
+    planes = _read_rows(src, head, "<f4", t * k, (height, width), range(height))
+    return planes.reshape(shape).astype(np.float64)
 
 
 # ============================================================
@@ -442,38 +478,38 @@ def open_stack(manifest: StackManifest) -> ImageStack:
 
 
 def _read_frame(
-    manifest: StackManifest, mf: ManifestFrame, factors: dict[str, int], truth: bool
+    manifest: StackManifest,
+    mf: ManifestFrame,
+    factors: dict[str, int],
+    rows: range,
+    truth: bool,
 ) -> tuple[MultibandImage, np.ndarray | None, LabelRaster | None]:
-    """The validated image, external posterior and, if ``truth``, the truth
-    of one frame that `open_stack` checked: the one reader behind
-    `Frame.load`, which asks for the truth of a frame that has one."""
+    """The validated image of the grid's ``rows`` at full width, their
+    external posterior and, if ``truth``, their truth, of one frame that
+    `open_stack` checked: the one reader behind `Frame.load`, which asks
+    for the truth of a frame that has one. Only those rows are read: a
+    band plane's from their offset (a resampled band's native rows that
+    cover them, upsampled, then cut), the truth raster's after its header
+    and each class plane's of the posterior cube."""
     names = manifest.band_names
     paths = dict(mf.band_paths)
-    height, width = manifest.height, manifest.width
+    height, width = grid = manifest.height, manifest.width
     raster = None
     if truth:
-        path = manifest.base_dir / mf.truth_path
-        raster = read_label_raster(path)
-        if raster.shape != (height, width):
-            rows, cols = raster.shape
-            raise LoadError(
-                f"{path}: truth raster on {mf.date.isoformat()} is {cols}x{rows}, "
-                f"not the {width}x{height} grid"
-            )
-    # Each plane is read, or upsampled, straight into the image's array. It
-    # lives in an anonymous map of its own, unmapped when the frame is dropped
-    # after its date's step: freed from the heap, it would let the heap shrink
-    # and every date fault in the step's temporaries again (twice the page
-    # faults, and 8% more wall time, on a 512x512, 30-date run).
-    size = 4 * len(names) * height * width
-    data = np.frombuffer(mmap.mmap(-1, size), np.float32).reshape(len(names), height, width)
+        raster = _read_truth(manifest.base_dir / mf.truth_path, rows, grid, mf.date)
+    data = np.empty((len(names), len(rows), width), dtype=np.float32)
     for plane, band in zip(data, names):
         f, path = factors[band], manifest.base_dir / paths[band]
         if f == 1:
-            read_band_plane(path, height, width, out=plane)
-        else:
-            native = read_band_plane(path, height // f, width // f)
-            plane.reshape(height // f, f, width // f, f)[:] = native[:, None, :, None]
+            read_band_plane(path, height, width, out=plane, rows=slice(rows.start, rows.stop))
+            continue
+        lo, hi = rows.start // f, -(-rows.stop // f)  # the native rows that cover ``rows``
+        native = read_band_plane(path, height // f, width // f, rows=slice(lo, hi))
+        aligned = len(rows) == (hi - lo) * f
+        block = plane if aligned else np.empty(((hi - lo) * f, width), dtype=np.float32)
+        block.reshape(hi - lo, f, width // f, f)[:] = native[:, None, :, None]
+        if not aligned:
+            plane[:] = block[rows.start % f :][: len(rows)]
     try:
         image = MultibandImage._adopt(names, data, manifest.scale)
     except ValueError:
@@ -485,18 +521,26 @@ def _read_frame(
     if mf.posterior_path is None:
         return image, None, raster
     path = manifest.base_dir / mf.posterior_path
-    cube = read_posterior_cube(path)
-    dates, _, rows, cols = cube.shape
-    if (dates, rows, cols) != (1, height, width):
+    head, shape = _cube_header(path)
+    dates, k, *plane_shape = shape
+    if (dates, *plane_shape) != (1, height, width):
         raise LoadError(
-            f"{path}: posterior on {mf.date.isoformat()} has shape {cube.shape}, "
+            f"{path}: posterior on {mf.date.isoformat()} has shape {shape}, "
             f"not one date of the {width}x{height} grid"
         )
-    if not (np.isfinite(cube) & (cube >= 0.0)).all():
+    return image, _read_rows(path, head, "<f4", k, grid, rows).astype(np.float64), raster
+
+
+def _read_truth(path: Path, rows: range, grid: tuple[int, int], date: dt.date) -> LabelRaster:
+    """The ``rows`` of the truth raster in ``path``, which must cover the
+    (height, width) ``grid``."""
+    head, shape, k = _label_header(path)
+    if shape != grid:
         raise LoadError(
-            f"{path}: posterior on {mf.date.isoformat()} has non-finite or negative values"
+            f"{path}: truth raster on {date.isoformat()} is {shape[1]}x{shape[0]}, "
+            f"not the {grid[1]}x{grid[0]} grid"
         )
-    return image, cube[0], raster
+    return _label_rows(path, rows, head, shape, k)
 
 
 def load_stack(manifest: StackManifest) -> ImageStack:
@@ -508,8 +552,9 @@ def load_stack(manifest: StackManifest) -> ImageStack:
     and applies the reflectance scale when its values are read. Missing
     or mis-sized files, planes holding NaN or infinite values (in the
     file, or once scaled), bad truth rasters or ones of another grid,
-    and posterior cubes of another grid or with NaN, infinite or
-    negative values raise LoadError naming the path (and the date).
+    and posterior cubes of another grid raise LoadError naming the path
+    (and the date). A posterior's values are the model output that
+    `FrameStep` checks, so a NaN, infinite or negative one fails there.
     """
     return ImageStack(tuple(frame.load() for frame in open_stack(manifest).frames))
 
@@ -574,48 +619,75 @@ def bias_correct(stack: ImageStack, region: ReferenceRegion) -> ImageStack:
     float64 rounding. A non-finite region mean in frame 0, or a later
     frame whose shifted values are not finite, as when its region mean
     overflows, raises DataError naming that frame's date. Corrected
-    images share their planes and carry the shift. Only frame 0's planes
-    are read here: a later `DeferredImage` gets the correction as an
-    ``align`` step, so its mean, shift and check come when `Frame.load`
-    reads it.
+    images share their planes and carry the shift. Only the rows of
+    frame 0 that the region spans are read here: a later
+    `DeferredImage` gets the correction as an ``align`` step, which
+    reads that date's region rows for its shift once, when a load
+    first applies it, and checks the values of each load.
     """
     if not stack.frames:
         raise DataError("cannot bias-correct an empty stack")
     _check_region(region, stack.shape)
     rows, cols = region.slices()
-    # only the region's rows are widened to float64; the mean then reads a
-    # view with the whole frame's strides, so it sums in the same order
     first = stack.frames[0]
-    image = _without_truth(first).load().image
     with np.errstate(over="ignore"):  # reported below
-        reference = image.values(rows=rows)[:, :, cols].mean(axis=(1, 2))
+        reference, _ = _region_means(first, rows, cols)
     if not np.isfinite(reference).all():
         raise DataError(
             f"{first.date.isoformat()}: bias reference region mean is non-finite"
         )
-    align = partial(_align, rows=rows, cols=cols, reference=reference)
     frames = [first]
     for fr in stack.frames[1:]:
         if isinstance(fr.image, DeferredImage):
+            align = _date_align(fr, rows, cols, reference)
             fr = replace(fr, image=replace(fr.image, align=fr.image.align + (align,)))
         else:
-            fr = align(fr)
+            fr = _shifted(fr, _shift(fr, rows, cols, reference))
         frames.append(fr)
     return ImageStack(tuple(frames))
 
 
-def _align(frame: Frame, rows: slice, cols: slice, reference: np.ndarray) -> Frame:
-    """``frame`` shifted so its region (``rows`` by ``cols``) means equal ``reference``."""
-    image = frame.image
+def _region_means(frame: Frame, rows: slice, cols: slice) -> tuple[np.ndarray, np.ndarray | None]:
+    """Per band, the mean value of ``frame`` on ``rows`` by ``cols``, read from
+    those rows alone, and the frame's shift. The rows' values are widened to
+    float64 whole and the mean reads their columns as a view, so it sums in
+    one order however the frame is held."""
+    image = _without_truth(frame).window(rows).load().image
+    return image.values()[:, :, cols].mean(axis=(1, 2)), image.shift
+
+
+def _shift(frame: Frame, rows: slice, cols: slice, reference: np.ndarray) -> np.ndarray:
+    """The shift that makes ``frame``'s means on ``rows`` by ``cols`` equal ``reference``."""
     with np.errstate(over="ignore", invalid="ignore"):
-        shift = reference - image.values(rows=rows)[:, :, cols].mean(axis=(1, 2))
-        if image.shift is not None:
-            shift += image.shift
+        means, shift = _region_means(frame, rows, cols)
+        return reference - means if shift is None else reference - means + shift
+
+
+def _shifted(frame: Frame, shift: np.ndarray) -> Frame:
+    """``frame`` carrying ``shift``, whose values must all be finite."""
+    image = frame.image
     if not _finite_bands(image.data, image.scale, shift).all():
         raise DataError(
             f"{frame.date.isoformat()}: bias-corrected frame has non-finite values"
         )
     return replace(frame, image=image._derive(shift=shift))
+
+
+def _date_align(
+    frame: Frame, rows: slice, cols: slice, reference: np.ndarray
+) -> Callable[[Frame], Frame]:
+    """The correction of the deferred ``frame`` as an ``align`` step of its
+    loads: the shift is computed once, when a load first applies it, from
+    the date's own region rows, and each load's values are checked."""
+    lock, shifts = threading.Lock(), []
+
+    def align(part: Frame) -> Frame:
+        with lock:  # strips of one date load it from several threads
+            if not shifts:
+                shifts.append(_shift(frame, rows, cols, reference))
+        return _shifted(part, shifts[0])
+
+    return align
 
 
 def filter_frames(

@@ -15,27 +15,32 @@ The step alone normalizes and shape-checks a model output: the engines
 hand it raw evidence. Nothing in the package keeps work arrays between
 calls: they allocate theirs per call, and `FrameStep` holds only the
 filter state, one belief per pixel and transition model, and the last
-date's per-class counts against its truth. Pixels are independent, so
-it visits each date's row tiles of about 32k pixels, which stay in
-cache, once, on one worker per CPU of the process's affinity mask: the
-calling thread and threads that the call starts and joins. The worker
-evaluates the model on the tile's rows (a `Frame.window`), checks the
-(K, n) output and normalizes it into the tile's instantaneous
-posterior, updates one belief per transition model in place (a sweep
-over E transition probabilities is a bank of E filters sharing one
-model evaluation), decides the tile's labels, given the date's truth
-counts them against the truth's window, so no label raster is scanned
-again, and hands the tile to a sink, if any, while it is in cache. No
-result depends on the tiling or the worker count; a bad tile fails the
-date and leaves the state undefined until `reset`. The filter needs
-only the previous date's belief, so `classify_stack`, the one loop over
-a stack's dates, asks a sink for each date's tile sink and keeps only
-the date's counts; `epsilon_sweep` and `run_experiment` run through it,
-and only `timing_bench`, which times the step alone, has a loop of its
-own. The public `generative_update`,
-`discriminative_update` and `regularize` take (..., K) arrays and run
-the same functions on a transposed (K, M) copy; the updates check its
-evidence with the frame step's own check, `_evidence_fault`.
+date's per-class counts against its truth. A step visits a frame's row
+tiles of about 32k pixels, which stay in cache, once: it evaluates the
+model on the tile's rows (a `Frame.window`), checks the (K, n) output
+and normalizes it into the tile's instantaneous posterior, updates one
+belief per transition model in place (a sweep over E transition
+probabilities is a bank of E filters sharing one model evaluation),
+decides the tile's labels, given the date's truth counts them against
+the truth's window, so no label raster is scanned again, and hands the
+tile to a sink, if any, while it is in cache; a bad tile fails the date
+and leaves the state undefined until `reset`.
+
+Each pixel's belief needs only its own belief on the previous date, so
+`classify_stack`, the one loop over a stack's dates, is strip-major:
+it cuts the rows into strips of one tile each, starts one worker per
+CPU of the process's affinity mask once per stack, and each worker
+runs every date of its own strips through a `FrameStep` of the strip,
+reading only the strip's rows of each date. The beliefs, planes, truth
+and labels held at once are a few strips' worth, however large the
+scene; only the per-date counts of each strip are kept, and no result
+depends on the strip height or the worker count. `epsilon_sweep` and
+`run_experiment` run through it, and only `timing_bench`, which times
+whole-frame steps, has a loop of its own. The public
+`generative_update`, `discriminative_update` and `regularize` take
+(..., K) arrays and run the same functions on a transposed (K, M) copy;
+the updates check its evidence with the frame step's own check,
+`_evidence_fault`.
 """
 
 from __future__ import annotations
@@ -63,6 +68,7 @@ from .errors import (
     DegenerateLikelihoodError,
     InvalidClassCountError,
     InvalidHyperparameterError,
+    ModelOutputError,
     SatBayesError,
     ShapeError,
 )
@@ -152,10 +158,10 @@ def _class_major(arr: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 # A model output's faults, in the order the check reports them
 _FAULTS = (
-    (ValueError, "likelihood vector has non-finite entries"),
-    (ValueError, "likelihood vector has negative entries"),
+    (ModelOutputError, "likelihood vector has non-finite entries"),
+    (ModelOutputError, "likelihood vector has negative entries"),
     (DegenerateLikelihoodError, "all-zero likelihood vector"),
-    (ValueError, "likelihood vector sum overflows float64"),
+    (ModelOutputError, "likelihood vector sum overflows float64"),
 )
 
 
@@ -237,10 +243,10 @@ def _count(labels: np.ndarray, truth: np.ndarray, k: int) -> tuple[np.ndarray, n
 
 
 # ============================================================
-# row tiles on worker threads
+# row tiles and strips on worker threads
 # ============================================================
 
-_TILE_PIXELS = 32768  # about this many pixels per row tile; its passes stay in cache
+_TILE_PIXELS = 32768  # about this many pixels per row tile or strip; its passes stay in cache
 
 
 def _workers() -> int:
@@ -248,6 +254,65 @@ def _workers() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
+
+
+def _row_tiles(height: int, width: int) -> list[slice]:
+    """Consecutive row slices of about `_TILE_PIXELS` pixels over ``height`` rows of ``width``."""
+    rows = max(1, _TILE_PIXELS // width)
+    return [slice(r, min(r + rows, height)) for r in range(0, max(height, 1), rows)]
+
+
+def _share(task: Callable[[int], object], count: int, workers: int) -> None:
+    """Run ``task(i)`` for i < ``count``, worker w taking w, w + W, ... on the
+    calling thread for w = 0, else on a thread started here; once all are
+    joined, the lowest-numbered worker's error, if any, propagates."""
+    errors = {}
+
+    def share(w: int) -> None:
+        try:
+            for i in range(w, count, workers):
+                task(i)
+        except BaseException as exc:  # raised by the calling thread below
+            errors[w] = exc
+
+    threads = []
+    try:
+        for w in range(1, workers):
+            thread = threading.Thread(target=share, args=(w,))
+            thread.start()
+            threads.append(thread)
+        share(0)
+    finally:
+        for thread in threads:
+            thread.join()
+    if errors:
+        raise errors[min(errors)]
+
+
+def _bank_classes(transitions: Sequence[TransitionModel], lam: float) -> int:
+    """The class count K that ``transitions`` share (a ConfigError otherwise,
+    or without any), at most 255 (InvalidClassCountError above), for which
+    ``lam`` passes `regularize`'s check."""
+    counts = [t.num_classes for t in transitions]
+    if len(set(counts)) != 1:
+        raise ConfigError(f"transition models must share one class count, got {counts}")
+    k = counts[0]
+    if k > 255:
+        raise InvalidClassCountError(f"at most 255 classes are supported, got {k}")
+    _check_lam(lam, k)
+    return k
+
+
+def _add_counts(counts: Sequence[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, np.ndarray]:
+    """The sum, in order, of (hits (R, C), totals (C,)) counts whose C may
+    differ: columns past a part's C count nothing in it."""
+    width = max(len(totals) for _, totals in counts)
+    hits = np.zeros((len(counts[0][0]), width), dtype=np.int64)
+    totals = np.zeros(width, dtype=np.int64)
+    for part_hits, part_totals in counts:
+        hits[:, : len(part_totals)] += part_hits
+        totals[: len(part_totals)] += part_totals
+    return hits, totals
 
 
 # A tile's pixel slice, instantaneous posterior (K, n), beliefs (E, K, n)
@@ -290,66 +355,61 @@ class StackClassification:
 class FrameStep:
     """The per-frame recursion step, sole owner of the filter state.
 
-    `classify_stack` runs it with a bank of transition models (one for
-    `run_experiment`, one per grid value for `epsilon_sweep`), and
-    `timing_bench` with one; all must share the class count K (a
-    ConfigError otherwise, or without any), which the uint8 labels cap
-    at 255 (InvalidClassCountError above), and ``lam`` must pass
-    `regularize`'s check for K classes. Its state is one class-major
-    array, ``post`` (E, K, N): one belief per transition model, uniform
-    after construction or `reset`. ``step(raw, date, truth, sink)``
-    floor-normalizes one frame's (K, N) class weights (`FrameModel`)
-    into the instantaneous posterior, smooths it and updates each
-    ``post[e]`` in place; ``raw`` may also be a function from a slice of
-    rows to their (K, n) output. Each tile's MAP labels are decided into
-    (1 + E, n) uint8 rows, row 0 from the instantaneous posterior and
-    row 1 + e from ``post[e]``. The instantaneous posterior and the
-    labels are the tile's own scratch: the worker hands them to
-    ``sink(pixels, inst, post, labels)``, if given, with the tile's
-    slice of the N row-major pixels and its (E, K, n) view of ``post``,
-    which the sink may read during that call only. Given the date's
-    ``truth``, its (N,) non-negative integer labels, the step also
-    scores the date: ``hits`` (1 + E, C) counts, per label row and class
-    c, the pixels where that row and the truth are both c, and
-    ``totals`` (C,) the truth's pixels per class. C is K, or one more
-    than the largest truth label if that is K or more. Without a truth
-    both are None. They are per-date reductions: each tile's worker
-    counts its own pixels and the tiles' counts are added in tile order.
+    `classify_stack` runs one per row strip with a bank of transition
+    models (one for `run_experiment`, one per grid value for
+    `epsilon_sweep`), and `timing_bench` one per frame with one; all
+    must share the class count K (a ConfigError otherwise, or without
+    any), which the uint8 labels cap at 255 (InvalidClassCountError
+    above), and ``lam`` must pass `regularize`'s check for K classes.
+    Its state is one class-major array, ``post`` (E, K, N): one belief
+    per transition model, uniform after construction or `reset`.
+    ``step(raw, date, truth, sink)`` floor-normalizes one frame's (K, N)
+    class weights (`FrameModel`) into the instantaneous posterior,
+    smooths it and updates each ``post[e]`` in place; ``raw`` may also
+    be a function from a slice of rows to their (K, n) output. Each
+    tile's MAP labels are decided into (1 + E, n) uint8 rows, row 0 from
+    the instantaneous posterior and row 1 + e from ``post[e]``. The
+    instantaneous posterior and the labels are the tile's own scratch:
+    the worker hands them to ``sink(pixels, inst, post, labels)``, if
+    given, with the tile's slice of the N row-major pixels and its
+    (E, K, n) view of ``post``, which the sink may read during that call
+    only. Given the date's ``truth``, its (N,) non-negative integer
+    labels, the step also scores the date: ``hits`` (1 + E, C) counts,
+    per label row and class c, the pixels where that row and the truth
+    are both c, and ``totals`` (C,) the truth's pixels per class. C is
+    K, or one more than the largest truth label if that is K or more.
+    Without a truth both are None. They are per-date reductions: each
+    tile's worker counts its own pixels and the tiles' counts are added
+    in tile order.
 
     The N pixels are rows of ``width``, stepped in the row tiles
     ``rows`` of about `_TILE_PIXELS` pixels by one `map`, on one worker
     per CPU this process may run on and at most one per tile: the
-    calling thread and threads that the call starts and joins. A worker
-    evaluates, checks, advances, decides, counts and sinks each of its
-    tiles, and visits every one even after a fault; a tile that faults
-    is not sunk. A model's or a sink's error propagates as it is. A
-    truth, then an output, of another shape is a ShapeError; in an
-    output of the right shape, a non-finite, then a negative entry
-    in any tile is a ValueError, an all-zero pixel column a
+    calling thread and threads that the call starts and joins, so a
+    step of one tile starts none. A worker evaluates, checks, advances,
+    decides, counts and sinks each of its tiles, and visits every one
+    even after a fault; a tile that faults is not sunk. A model's or a
+    sink's error propagates as it is. A truth, then an output, of
+    another shape is a ShapeError; in an output of the right shape, a
+    non-finite, then a negative entry in any tile is a ModelOutputError
+    (a DataError and a ValueError), an all-zero pixel column a
     DegenerateLikelihoodError and an overflowing column sum a
-    ValueError. Given the frame's ``date``, the message starts with its
-    ISO form and the error keeps its type. The state is then undefined
-    until `reset`.
+    ModelOutputError. Given the frame's ``date``, the message starts
+    with its ISO form and the error keeps its type. The state is then
+    undefined until `reset`.
     """
 
     def __init__(
         self, transitions: Sequence[TransitionModel], lam: float, pixels: int, width: int = 1
     ) -> None:
         self.transitions = tuple(transitions)
-        counts = [t.num_classes for t in self.transitions]
-        if len(set(counts)) != 1:
-            raise ConfigError(f"transition models must share one class count, got {counts}")
-        k = counts[0]
-        if k > 255:
-            raise InvalidClassCountError(f"at most 255 classes are supported, got {k}")
-        _check_lam(lam, k)
+        k = _bank_classes(self.transitions, lam)
         width = max(width, 1)  # a frame without columns has no pixels
         if pixels % width:
             raise ShapeError(f"{pixels} pixels do not make rows of {width}")
         self.lam = lam
         self._shape = (k, pixels)
-        height, rows = pixels // width, max(1, _TILE_PIXELS // width)
-        self.rows = [slice(r, min(r + rows, height)) for r in range(0, max(height, 1), rows)]
+        self.rows = _row_tiles(pixels // width, width)
         self._cols = [slice(r.start * width, r.stop * width) for r in self.rows]
         self.post = np.empty((len(self.transitions), k, pixels))
         self.hits = self.totals = None
@@ -361,30 +421,8 @@ class FrameStep:
         self.post.fill(1.0 / self.post.shape[1])
 
     def map(self, task: Callable[[int], object]) -> None:
-        """Run ``task(i)`` for every tile i, worker w taking tiles w, w + W, ...
-        on the calling thread for w = 0, else on a thread started here; once
-        all are joined, the lowest-numbered worker's error, if any, propagates."""
-        count, tiles, errors = self._workers, len(self.rows), {}
-
-        def share(w: int) -> None:
-            try:
-                for i in range(w, tiles, count):
-                    task(i)
-            except BaseException as exc:  # raised by the calling thread below
-                errors[w] = exc
-
-        threads = []
-        try:
-            for w in range(1, count):
-                thread = threading.Thread(target=share, args=(w,))
-                thread.start()
-                threads.append(thread)
-            share(0)
-        finally:
-            for thread in threads:
-                thread.join()
-        if errors:
-            raise errors[min(errors)]
+        """Run ``task(i)`` for every tile i on the step's workers (`_share`)."""
+        _share(task, len(self.rows), self._workers)
 
     def __call__(
         self,
@@ -393,12 +431,26 @@ class FrameStep:
         truth: np.ndarray | None = None,
         sink: TileSink | None = None,
     ) -> None:
+        fault = self._advance(raw, truth, sink)
+        if fault is not None:
+            _raise_dated(fault[2], date)
+
+    def _advance(
+        self,
+        raw: np.ndarray | Callable[[slice], np.ndarray],
+        truth: np.ndarray | None,
+        sink: TileSink | None,
+    ) -> tuple[int, int, Exception] | None:
+        """The step, undated: returns its first fault as (rank, tile, error)
+        instead of raising it, a lower rank first; a shape fault of the truth
+        or the whole output ranks -2, of a tile's output -1, and
+        `_evidence_fault`'s from 0."""
         truth = None if truth is None else np.asarray(truth)
         whole = None if callable(raw) else np.asarray(raw)
         for what, arr, shape in (("truth has", truth, self._shape[1:]),
                                  ("model returned", whole, self._shape)):
             if arr is not None and arr.shape != shape:
-                _raise_dated(ShapeError(f"{what} shape {arr.shape}, expected {shape}"), date)
+                return -2, 0, ShapeError(f"{what} shape {arr.shape}, expected {shape}")
         faults, counts = [], [None] * len(self.rows)  # faults: (rank, tile, error)
 
         def visit(i: int) -> None:
@@ -432,15 +484,9 @@ class FrameStep:
 
         self.map(visit)
         if faults:
-            _raise_dated(min(faults)[2], date)
-        self.hits = self.totals = None
-        if truth is not None:
-            width = max(len(totals) for _, totals in counts)
-            self.hits = np.zeros((1 + len(self.transitions), width), dtype=np.int64)
-            self.totals = np.zeros(width, dtype=np.int64)
-            for hits, totals in counts:
-                self.hits[:, : len(totals)] += hits
-                self.totals[: len(totals)] += totals
+            return min(faults, key=lambda fault: fault[:2])
+        self.hits, self.totals = (None, None) if truth is None else _add_counts(counts)
+        return None
 
 
 def _raise_dated(exc: Exception, date: dt.date | None) -> NoReturn:
@@ -457,40 +503,98 @@ def classify_stack(
     lam: float,
     sink: Callable[[int, Frame], TileSink | None] | None = None,
 ) -> StackClassification:
-    """Run the recursion over a whole stack, frame by frame.
+    """Run the recursion over a whole stack, row strip by row strip.
 
-    One `FrameStep` holds a belief per transition model, each starting
-    uniform; the models must share the model's class count (a
-    ConfigError otherwise). For each date the model's
-    ``frame_posterior`` is floor-normalized, smoothed with `regularize`
-    and folded into every belief in place, and for each frame that
-    carries truth the step counts the instantaneous and each recursive
-    label row against it. Those counts, from which `frame_accuracies`
-    and `epsilon_sweep` score the dates, are all that is kept.
+    Every belief, one per transition model, starts uniform; the models
+    must share the model's class count (a ConfigError otherwise). The H
+    rows are cut into strips of about `_TILE_PIXELS` pixels; workers,
+    one per CPU of the process's affinity mask (the calling thread and
+    threads started once for the stack), take strips w, w + W, ... and
+    run every date of each through a `FrameStep` of one tile: the
+    strip's rows of the frame are loaded (``frame.window(rows).load()``,
+    so a deferred date reads only those rows), the model's
+    ``frame_posterior`` of them is folded into every belief, and the
+    label rows are counted against the frame's truth, if it has one.
+    Those counts, added per date in strip order, are all that is kept;
+    `frame_accuracies` and `epsilon_sweep` score the dates from them.
+    No result depends on the strip height or the worker count.
 
-    Before each date t's step, on the calling thread, ``sink(t, frame)``
-    gets the loaded frame and returns a tile sink or None. The step's
-    workers hand each of the date's tiles to the tile sink as they
-    finish it (`FrameStep`): its slice of the H*W row-major pixels, its
-    instantaneous posterior (K, n), its beliefs (E, K, n) and its label
-    rows (1 + E, n), from several threads at once and readable during
-    that call only. Each frame is loaded (`Frame.load`) just before its
-    step, so a deferred date's planes and truth are read once and held
-    for that step only, and a reading error propagates as it is. A bad
-    model output raises the error of `FrameStep`, prefixed with the
-    frame's ISO date. The model sees the step's row tiles, from several
-    threads at once (`FrameModel`).
+    Before each date t of a strip, on its worker, ``sink(t, frame)``
+    gets the strip's loaded frame and returns a tile sink or None, which
+    the step hands the strip as one tile (`FrameStep`): its slice of
+    the H*W row-major pixels, which are the frame's, its instantaneous
+    posterior (K, n), beliefs (E, K, n) and label rows (1 + E, n),
+    readable during that call only. The model and the sinks see several
+    strips at once (`FrameModel`).
+
+    The error raised is the one a date-by-date pass would raise first:
+    that of the earliest failing date and, on it, a reading error
+    (`Frame.load`'s) or else a model's or a sink's error, as they are,
+    or else the lowest-ranked bad model output of `FrameStep`, prefixed
+    with the frame's ISO date; each of the lowest strip. A strip stops
+    at its first fault, or once it is past the earliest failed date.
     """
     height, width = stack.shape
-    counts = []
-    step = FrameStep(transitions, lam, height * width, width)
-    k = step.post.shape[1]
+    k = _bank_classes(transitions, lam)
     if model.num_classes != k:
         raise ConfigError(f"model has {model.num_classes} classes, transition models {k}")
-    for t, frame in enumerate(stack.frames):
-        frame = frame.load()
+    frames, strips = stack.frames, _row_tiles(height, width)
+    counts = [[None] * len(strips) for _ in frames]  # per date and strip
+    faults = []  # (date, kind, rank, strip, error), kind 0 read, 1 raised, 2 output
+    failed, lock = [len(frames)], threading.Lock()  # the earliest failed date
+
+    def visit(s: int, t: int, step: FrameStep) -> tuple[int, int, Exception] | None:
+        """Strip s on date t; returns its fault as (kind, rank, error)."""
+        rows = strips[s]
+        try:
+            frame = frames[t].window(rows).load()
+        except Exception as exc:
+            return 0, 0, exc
         truth = None if frame.truth is None else frame.truth.labels.ravel()
-        tiles = None if sink is None else sink(t, frame)
-        step(lambda rows: model.frame_posterior(frame.window(rows)), frame.date, truth, tiles)
-        counts.append(None if truth is None else (step.hits, step.totals))
-    return StackClassification(stack.dates, k, tuple(counts))
+        try:
+            tiles = None if sink is None else sink(t, frame)
+            if tiles is not None:
+                tiles = _offset(tiles, rows.start * width)
+            fault = step._advance(
+                lambda r: model.frame_posterior(frame.window(r)), truth, tiles
+            )
+        except Exception as exc:
+            return 1, 0, exc
+        if fault is not None:
+            return 2, fault[0], fault[2]
+        counts[t][s] = None if truth is None else (step.hits, step.totals)
+        return None
+
+    def run(s: int) -> None:
+        rows = strips[s]
+        step = FrameStep(transitions, lam, (rows.stop - rows.start) * width, width)
+        for t in range(len(frames)):
+            if t > failed[0]:
+                return
+            fault = visit(s, t, step)
+            if fault is not None:
+                with lock:
+                    faults.append((t, fault[0], fault[1], s, fault[2]))
+                    failed[0] = min(failed[0], t)
+                return
+
+    _share(run, len(strips), min(_workers(), len(strips)))
+    if faults:
+        t, kind, _, _, error = min(faults, key=lambda fault: fault[:4])
+        if kind == 2:
+            _raise_dated(error, frames[t].date)
+        raise error
+    return StackClassification(
+        stack.dates,
+        k,
+        tuple(None if parts[0] is None else _add_counts(parts) for parts in counts),
+    )
+
+
+def _offset(tiles: TileSink, start: int) -> TileSink:
+    """``tiles`` given pixel slices ``start`` pixels further on."""
+
+    def shifted(pixels: slice, inst: np.ndarray, post: np.ndarray, labels: np.ndarray):
+        return tiles(slice(pixels.start + start, pixels.stop + start), inst, post, labels)
+
+    return shifted

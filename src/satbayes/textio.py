@@ -51,13 +51,19 @@ def file_size(path: str | Path) -> int:
         return Path(path).stat().st_size
 
 
-def read_into(path: str | Path, buffer) -> int:
-    """Fill the C-contiguous ``buffer`` from ``path`` if their sizes match;
-    returns the bytes read, or the file's size if they do not match."""
+def read_into(path: str | Path, buffer, offset: int = 0) -> int:
+    """Fill the C-contiguous ``buffer`` with the bytes of ``path`` from
+    ``offset`` on if the file holds that many; returns the file's size,
+    or less if the file shrank while it was read."""
     with _failing_as(LoadError, path), Path(path).open("rb") as fh:
         size = os.fstat(fh.fileno()).st_size
         view = memoryview(buffer).cast("B")
-        return fh.readinto(view) if size == view.nbytes else size
+        if offset + view.nbytes <= size:
+            fh.seek(offset)
+            done = fh.readinto(view)
+            if done < view.nbytes:  # the file shrank since its size was read
+                return offset + done
+        return size
 
 
 def read_text(path: str | Path) -> str:
@@ -130,14 +136,18 @@ def open_output(path: str | Path) -> Iterator[BinaryIO]:
 
 
 @contextmanager
-def open_positional(path: str | Path) -> Iterator[Callable[[Any, int], None]]:
-    """Create ``path`` (and its parents) empty and yield ``write(data, offset)``,
-    which puts the bytes of the C-contiguous ``data`` at ``offset`` with
+def open_positional(path: str | Path, create: bool = True) -> Iterator[Callable[[Any, int], None]]:
+    """Create ``path`` (and its parents) empty, or with ``create`` False open
+    the existing file as it is, and yield ``write(data, offset)``, which
+    puts the bytes of the C-contiguous ``data`` at ``offset`` with
     `os.pwrite`, so threads may write disjoint ranges at once. The file is
     closed on exit, also when the block raises."""
     with _failing_as(DataError, path):
-        Path(path).parent.mkdir(parents=True, exist_ok=True)
-        fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+        flags = os.O_WRONLY
+        if create:
+            Path(path).parent.mkdir(parents=True, exist_ok=True)
+            flags |= os.O_CREAT | os.O_TRUNC
+        fd = os.open(path, flags, 0o666)
 
     def write(data: Any, offset: int) -> None:
         view = memoryview(data).cast("B")

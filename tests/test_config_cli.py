@@ -1255,12 +1255,13 @@ class TestCliFileBoundary:
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -0.25])
     def test_bad_external_posterior_is_data_exit(self, cli_area, tmp_path, capsys, value):
+        # the reader reads the cube's values as they are; the step's check names the fault
         config = write_external_area(cli_area, tmp_path, [1], value)
-        bad = tmp_path / "data" / "post" / f"{date_of(3).isoformat()}.cube"
-        err = assert_data_exit(
-            ["run", "--config", config, "--out", tmp_path / "out"], bad, capsys
-        )
-        assert date_of(3).isoformat() in err
+        argv = ["run", "--config", str(config), "--out", str(tmp_path / "out")]
+        assert main(argv) == 2
+        fault = "negative" if value < 0 else "non-finite"
+        err = capsys.readouterr().err
+        assert err == f"error: {date_of(3).isoformat()}: likelihood vector has {fault} entries\n"
         assert not (tmp_path / "out" / "labels").exists()
 
     @pytest.mark.parametrize("command", ["run", "ingest"])

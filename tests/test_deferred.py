@@ -117,15 +117,15 @@ def reads(monkeypatch):
 
 @pytest.fixture
 def truth_reads(monkeypatch):
-    """Counts `read_label_raster` calls per date index."""
+    """Counts a frame's truth-raster reads (`pipeline._read_truth` calls) per date index."""
     counts = collections.Counter()
-    original = pipeline.read_label_raster
+    original = pipeline._read_truth
 
     def counting(path, *args, **kwargs):
         counts[int(re.search(r"f(\d+)\.lbl", Path(path).name).group(1))] += 1
         return original(path, *args, **kwargs)
 
-    monkeypatch.setattr(pipeline, "read_label_raster", counting)
+    monkeypatch.setattr(pipeline, "_read_truth", counting)
     return counts
 
 
@@ -156,11 +156,12 @@ class TestReadsPerDate:
         assert dict(reads) == per_date(d0=1, d2=2, d3=2, d4=2, d5=2, d6=2)
 
     def test_bias_correction_reads_only_the_reference_date_more(self, scene, tmp_path, reads):
+        # and each corrected date's region rows once, for its shift
         config = copy_scene(
             scene, tmp_path, CONFIG + "crop = 2 1 12 14\nbias_region = 0 0 5 4\n"
         )
         assert main(["run", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
-        assert dict(reads) == per_date(d0=1, d2=1, d3=1, d4=1, d5=1, d6=1)
+        assert dict(reads) == per_date(d0=1, d2=2, d3=2, d4=2, d5=2, d6=2)
 
     def test_ingest_reads_every_date_once(self, scene, reads):
         assert main(["ingest", "--manifest", str(scene.parent / "data" / "manifest.txt")]) == 0
@@ -364,8 +365,7 @@ def test_cropped_bias_corrected_error_maps_use_the_truth_window(scene, tmp_path)
 
 @pytest.mark.skipif(sys.platform != "linux", reason="reads ru_maxrss in KiB")
 def test_peak_rss_does_not_grow_with_the_planes_of_more_dates(tmp_path):
-    # a date's planes live in a memory map of their own, which tracemalloc
-    # does not see, so each run's peak RSS is read from its own process
+    # each run's peak RSS is read from its own process
     src = str(Path(pipeline.__file__).resolve().parents[1])
     rss = {}
     for frames in (6, 24):

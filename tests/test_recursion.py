@@ -29,6 +29,7 @@ from satbayes.errors import (
     DegenerateLikelihoodError,
     InvalidClassCountError,
     InvalidHyperparameterError,
+    ModelOutputError,
     ShapeError,
 )
 from satbayes.evaluation import epsilon_sweep
@@ -461,11 +462,11 @@ def _zero_first_nan_last(out):
 
 
 BAD_FRAMES = {
-    "nan": (_nan, ValueError, "non-finite"),
-    "negative": (_negative, ValueError, "negative"),
+    "nan": (_nan, ModelOutputError, "non-finite"),
+    "negative": (_negative, ModelOutputError, "negative"),
     "zero_row": (_zero_pixel, DegenerateLikelihoodError, "all-zero"),
-    "overflow": (_overflow, ValueError, "sum overflows"),
-    "precedence": (_zero_first_nan_last, ValueError, "non-finite"),
+    "overflow": (_overflow, ModelOutputError, "sum overflows"),
+    "precedence": (_zero_first_nan_last, ModelOutputError, "non-finite"),
     "pixels": (lambda out: out[:, :-1], ShapeError, "model returned shape"),
     "classes": (lambda out: np.vstack([out, out[:1]]), ShapeError, "model returned shape"),
     "one_class": (lambda out: out[:1], ShapeError, "model returned shape"),

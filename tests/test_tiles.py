@@ -33,7 +33,7 @@ from satbayes.core import (
     normalize_columns,
 )
 from satbayes.config import parse_config
-from satbayes.errors import DataError, DegenerateLikelihoodError
+from satbayes.errors import DataError, DegenerateLikelihoodError, ModelOutputError
 from satbayes.evaluation import epsilon_sweep, frame_accuracies, timing_bench
 from satbayes.experiment import build_classifier, prepare_stacks, run_experiment
 from satbayes.pipeline import ReferenceRegion, bias_correct
@@ -149,7 +149,7 @@ class TestTilesMatchOneTile:
         assert len(seen) == DATES * 10
         assert {image for image, _, _, _ in seen} == {(7, WIDTH)}
         assert {truth for _, truth, _, _ in seen} == {(7, WIDTH)}
-        for date in stack.dates:  # each date's call starts its own threads
+        for date in stack.dates:  # every strip worker visits every date
             assert len({thread for _, _, day, thread in seen if day == date}) == workers
 
 
@@ -207,7 +207,7 @@ class TestTileErrors:
             _tiled(monkeypatch, height, count)
             with pytest.raises(ValueError) as raised:
                 classify_stack(bad, model, [trans], 0.8)
-            assert type(raised.value) is ValueError
+            assert type(raised.value) is ModelOutputError
             messages.append(str(raised.value))
         assert messages[1] == messages[0]
         assert messages[0] == f"{date_of(2).isoformat()}: likelihood vector has non-finite entries"
@@ -454,8 +454,9 @@ class TestRunFailureLeavesNothing:
 
         def failing_write(fd, data, offset):
             writes.append(offset)
-            # 2 cube headers, then per date 4 file headers and 32 tile rows
-            if fault == "tile-write" and len(writes) == 45:  # a tile row on date 1
+            # 20 file headers, then each strip's rows of 2 planes per cube,
+            # 2 label rasters and 2 error maps, date by date
+            if fault == "tile-write" and len(writes) == 45:  # a strip's row
                 raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
             return pwrite(fd, data, offset)
 
