@@ -45,6 +45,7 @@ from .pipeline import (
     read_label_raster,
     write_label_raster,
 )
+from .recursion import _check_evidence
 from .synth import generate_synthetic, parse_synth_spec
 from .textio import format_float, staged, write_lines
 
@@ -102,7 +103,10 @@ def _cmd_ingest(args: argparse.Namespace) -> None:
         manifest = parse_manifest(args.manifest)
         stack = open_stack(manifest)
         for frame in stack.frames:
-            frame.load()  # validates the date's planes and truth; none is kept
+            # validates the date's planes, truth and posterior as `run` does; none is kept
+            post = frame.load().external_posterior
+            if post is not None:
+                _check_evidence(post.reshape(len(post), -1), frame.date)
         truth_count = sum(1 for fr in stack.frames if fr.has_truth)
         lines = [
             f"manifest = {args.manifest}",

@@ -22,7 +22,15 @@ import numpy as np
 
 from .core import ImageStack, LabelRaster, _without_truth, build_transition_model
 from .errors import ConfigError, EvaluationError, ShapeError
-from .recursion import FrameStep, StackClassification, TransitionModel, classify_stack
+from .recursion import (
+    FrameStep,
+    StackClassification,
+    TransitionModel,
+    _raise_dated,
+    _row_tiles,
+    _share,
+    classify_stack,
+)
 from .textio import format_float, write_lines
 
 # ============================================================
@@ -216,11 +224,11 @@ class TimingRecord:
     """Wall-time medians for one algorithm on one stack.
 
     ``baseline_seconds`` times one instantaneous model evaluation of a
-    frame, over the row tiles of a whole-frame `FrameStep` on its
-    workers; ``recursion_seconds`` times one such `FrameStep` call (the
-    step `classify_stack` runs per strip and date: validation,
-    smoothing, update and MAP decision, tile by tile) given the date's
-    model output, computed just before and outside the timed call;
+    frame, strip by strip on the workers `classify_stack` uses;
+    ``recursion_seconds`` times one date's `FrameStep` calls, one per
+    strip on those workers (the steps `classify_stack` runs: validation,
+    smoothing, update and MAP decision), given the strips' model
+    outputs, computed just before and outside the timed region;
     ``step_seconds[t]`` is the per-step median at step index t across
     repetitions.
     """
@@ -247,52 +255,61 @@ def timing_bench(
 ) -> tuple[TimingRecord, ...]:
     """Measure recursion overhead against the instantaneous baseline.
 
-    In every repetition each date is read and its model output computed
-    just before its step, outside the timed region: the recursion
-    numbers isolate the step, neither number times a file read, and one
-    date's output is held at a time; no truth raster is read. One
-    `FrameStep` per algorithm is `reset` before each repetition, so
-    repetitions reuse its filter state. The loop is date-major over whole
-    frames, so each sample times one date: the baseline evaluations and
-    the steps run on the step's own row tiles and workers, the tiles
-    that `classify_stack`'s strips are. Medians over ``repetitions``
-    (>= 3) keep scheduler noise out.
+    In every repetition each date is read and its strips' model outputs
+    computed just before its steps, outside the timed region: the
+    recursion numbers isolate the steps, neither number times a file
+    read, and one date's outputs are held at a time; no truth raster is
+    read. Each repetition builds one `FrameStep` per row strip of
+    `classify_stack`, and its loop is date-major over them, so each
+    sample times one date: the baseline evaluations and the steps run
+    strip by strip on `classify_stack`'s workers, started and joined per
+    sample. A bad date raises the error `classify_stack` raises for
+    it. Medians over ``repetitions`` (>= 3) keep scheduler noise out.
     """
     check_repetitions(repetitions)
     if not stack.frames:
         raise EvaluationError("cannot bench an empty stack")
     height, width = stack.shape
-    pixels = height * width
+    strips = _row_tiles(height, width)
     frames = [_without_truth(frame) for frame in stack.frames]  # nothing is scored
     first = frames[0].load()
     records = []
     for name, model in models.items():
         baseline_samples = []
         step_samples = np.empty((repetitions, len(stack)))
-        step = FrameStep([transition], lam, pixels, width)
 
-        def baseline(i: int) -> None:
-            model.frame_posterior(first.window(step.rows[i]))
+        def baseline(s: int) -> None:
+            model.frame_posterior(first.window(strips[s]))
 
-        step.map(baseline)  # warmup
+        _share(baseline, len(strips))  # warmup
         for _ in range(repetitions):
             start = time.perf_counter()
-            step.map(baseline)
+            _share(baseline, len(strips))
             baseline_samples.append(time.perf_counter() - start)
         for rep in range(repetitions):
-            step.reset()
+            steps = [FrameStep([transition], lam, (r.stop - r.start) * width) for r in strips]
             for t, frame in enumerate(frames):
-                raw = model.frame_posterior(frame.load())
+                loaded = frame.load()
+                raws = [model.frame_posterior(loaded.window(rows)) for rows in strips]
+                faults = []  # (rank, strip, error)
+
+                def advance(s: int) -> None:
+                    rank, out = steps[s]._advance(raws[s], None)
+                    if rank is not None:
+                        faults.append((rank, s, out))
+
                 start = time.perf_counter()
-                step(raw, frame.date)
+                _share(advance, len(strips))
                 step_samples[rep, t] = time.perf_counter() - start
+                if faults:
+                    _raise_dated(min(faults, key=lambda fault: fault[:2])[2], frame.date)
         records.append(
             TimingRecord(
                 algorithm=name,
                 baseline_seconds=float(np.median(baseline_samples)),
                 recursion_seconds=float(np.median(step_samples)),
                 step_seconds=tuple(float(v) for v in np.median(step_samples, axis=0)),
-                pixels=pixels,
+                pixels=height * width,
                 repetitions=repetitions,
             )
         )

@@ -554,7 +554,8 @@ def load_stack(manifest: StackManifest) -> ImageStack:
     file, or once scaled), bad truth rasters or ones of another grid,
     and posterior cubes of another grid raise LoadError naming the path
     (and the date). A posterior's values are the model output that
-    `FrameStep` checks, so a NaN, infinite or negative one fails there.
+    `FrameStep` checks (and `ingest`, with the step's check), so a NaN,
+    infinite or negative one fails there.
     """
     return ImageStack(tuple(frame.load() for frame in open_stack(manifest).frames))
 

@@ -13,30 +13,29 @@ All update arithmetic is three class-major functions, `_smooth`,
 `_update` and `_decide`, on (K, n) float64 arrays, normalized by `core`.
 The step alone normalizes and shape-checks a model output: the engines
 hand it raw evidence. Nothing in the package keeps work arrays between
-calls: they allocate theirs per call, and `FrameStep` holds only the
+calls: they allocate theirs per call, and `FrameStep`, the step of one
+row strip of about 32k pixels, which stay in cache, holds only the
 filter state, one belief per pixel and transition model, and the last
-date's per-class counts against its truth. A step visits a frame's row
-tiles of about 32k pixels, which stay in cache, once: it evaluates the
-model on the tile's rows (a `Frame.window`), checks the (K, n) output
-and normalizes it into the tile's instantaneous posterior, updates one
-belief per transition model in place (a sweep over E transition
-probabilities is a bank of E filters sharing one model evaluation),
-decides the tile's labels, given the date's truth counts them against
-the truth's window, so no label raster is scanned again, and hands the
-tile to a sink, if any, while it is in cache; a bad tile fails the date
-and leaves the state undefined until `reset`.
+date's per-class counts against its truth. Given the strip's (K, n)
+model output, it checks it and normalizes it into the instantaneous
+posterior, updates one belief per transition model in place (a sweep
+over E transition probabilities is a bank of E filters sharing one
+model evaluation), decides the labels, given the date's truth counts
+them against it, so no label raster is scanned again, and returns the
+posterior and labels; a bad output fails the date and leaves the state
+undefined until `reset`.
 
 Each pixel's belief needs only its own belief on the previous date, so
-`classify_stack`, the one loop over a stack's dates, is strip-major:
-it cuts the rows into strips of one tile each, starts one worker per
-CPU of the process's affinity mask once per stack, and each worker
-runs every date of its own strips through a `FrameStep` of the strip,
-reading only the strip's rows of each date. The beliefs, planes, truth
-and labels held at once are a few strips' worth, however large the
-scene; only the per-date counts of each strip are kept, and no result
-depends on the strip height or the worker count. `epsilon_sweep` and
-`run_experiment` run through it, and only `timing_bench`, which times
-whole-frame steps, has a loop of its own. The public
+`classify_stack`, the loop over a stack's dates, is strip-major: it
+cuts the rows into strips, starts one worker per CPU of the process's
+affinity mask once per stack, and each worker runs every date of its
+own strips through a `FrameStep` of the strip, reading only the
+strip's rows of each date. The beliefs, planes, truth and labels held
+at once are a few strips' worth, however large the scene; only the
+per-date counts of each strip are kept, and no result depends on the
+strip height or the worker count. `epsilon_sweep` and `run_experiment`
+run through it; `timing_bench` is the one date-major loop, over one
+step per strip on the same workers. The public
 `generative_update`, `discriminative_update` and `regularize` take
 (..., K) arrays and run the same functions on a transposed (K, M) copy;
 the updates check its evidence with the frame step's own check,
@@ -103,9 +102,7 @@ def generative_update(
     shape = np.broadcast_shapes(likelihood.shape, prev.shape)
     weights = _class_major(likelihood, shape)
     belief = _class_major(prev, shape)
-    fault = _evidence_fault(weights)
-    if fault < len(_FAULTS):
-        raise _fault_error(fault)
+    _check_evidence(weights)
     _update(weights, belief, transition)
     return belief.T.reshape(shape)
 
@@ -189,6 +186,14 @@ def _fault_error(fault: int) -> Exception:
     return error(message)
 
 
+def _check_evidence(raw: np.ndarray, date: dt.date | None = None) -> None:
+    """Raise the first fault of the (K, n) float64 ``raw``, if any, as the
+    step does: prefixed with ``date`` in ISO form if given."""
+    fault = _evidence_fault(raw)
+    if fault < len(_FAULTS):
+        _raise_dated(_fault_error(fault), date)
+
+
 # The update arithmetic, on class-major (K, n) float64 arrays: row c
 # holds class c for n pixels, so each operation is one vectorized pass
 # per class. Columns are normalized by `core.normalize_columns`, so they
@@ -243,14 +248,14 @@ def _count(labels: np.ndarray, truth: np.ndarray, k: int) -> tuple[np.ndarray, n
 
 
 # ============================================================
-# row tiles and strips on worker threads
+# row strips on worker threads
 # ============================================================
 
-_TILE_PIXELS = 32768  # about this many pixels per row tile or strip; its passes stay in cache
+_TILE_PIXELS = 32768  # about this many pixels per row strip; its passes stay in cache
 
 
 def _workers() -> int:
-    """Tile workers: one per CPU this process may run on."""
+    """The CPUs this process may run on."""
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
@@ -258,14 +263,17 @@ def _workers() -> int:
 
 def _row_tiles(height: int, width: int) -> list[slice]:
     """Consecutive row slices of about `_TILE_PIXELS` pixels over ``height`` rows of ``width``."""
-    rows = max(1, _TILE_PIXELS // width)
+    rows = max(1, _TILE_PIXELS // max(width, 1))  # a grid without columns has no pixels
     return [slice(r, min(r + rows, height)) for r in range(0, max(height, 1), rows)]
 
 
-def _share(task: Callable[[int], object], count: int, workers: int) -> None:
-    """Run ``task(i)`` for i < ``count``, worker w taking w, w + W, ... on the
-    calling thread for w = 0, else on a thread started here; once all are
-    joined, the lowest-numbered worker's error, if any, propagates."""
+def _share(task: Callable[[int], object], count: int) -> None:
+    """Run ``task(i)`` for i < ``count`` on W workers, one per CPU this
+    process may run on and at most one per task: worker w takes w, w + W,
+    ... on the calling thread for w = 0, else on a thread started here;
+    once all are joined, the lowest-numbered worker's error, if any,
+    propagates."""
+    workers = min(_workers(), count)
     errors = {}
 
     def share(w: int) -> None:
@@ -315,8 +323,9 @@ def _add_counts(counts: Sequence[tuple[np.ndarray, np.ndarray]]) -> tuple[np.nda
     return hits, totals
 
 
-# A tile's pixel slice, instantaneous posterior (K, n), beliefs (E, K, n)
-# and label rows (1 + E, n), handed over by the worker that advanced it
+# A strip's slice of the grid's row-major pixels, instantaneous posterior
+# (K, n), beliefs (E, K, n) and label rows (1 + E, n), handed over by the
+# worker that advanced it
 TileSink = Callable[[slice, np.ndarray, np.ndarray, np.ndarray], object]
 
 
@@ -353,140 +362,85 @@ class StackClassification:
 
 
 class FrameStep:
-    """The per-frame recursion step, sole owner of the filter state.
+    """The recursion step of one row strip, sole owner of its filter state.
 
-    `classify_stack` runs one per row strip with a bank of transition
-    models (one for `run_experiment`, one per grid value for
-    `epsilon_sweep`), and `timing_bench` one per frame with one; all
-    must share the class count K (a ConfigError otherwise, or without
-    any), which the uint8 labels cap at 255 (InvalidClassCountError
-    above), and ``lam`` must pass `regularize`'s check for K classes.
-    Its state is one class-major array, ``post`` (E, K, N): one belief
-    per transition model, uniform after construction or `reset`.
-    ``step(raw, date, truth, sink)`` floor-normalizes one frame's (K, N)
-    class weights (`FrameModel`) into the instantaneous posterior,
-    smooths it and updates each ``post[e]`` in place; ``raw`` may also
-    be a function from a slice of rows to their (K, n) output. Each
-    tile's MAP labels are decided into (1 + E, n) uint8 rows, row 0 from
-    the instantaneous posterior and row 1 + e from ``post[e]``. The
-    instantaneous posterior and the labels are the tile's own scratch:
-    the worker hands them to ``sink(pixels, inst, post, labels)``, if
-    given, with the tile's slice of the N row-major pixels and its
-    (E, K, n) view of ``post``, which the sink may read during that call
-    only. Given the date's ``truth``, its (N,) non-negative integer
-    labels, the step also scores the date: ``hits`` (1 + E, C) counts,
-    per label row and class c, the pixels where that row and the truth
-    are both c, and ``totals`` (C,) the truth's pixels per class. C is
-    K, or one more than the largest truth label if that is K or more.
-    Without a truth both are None. They are per-date reductions: each
-    tile's worker counts its own pixels and the tiles' counts are added
-    in tile order.
+    `classify_stack` and `timing_bench` run one per row strip, with a
+    bank of transition models (one for `run_experiment` and
+    `timing_bench`, one per grid value for `epsilon_sweep`); all must
+    share the class count K (a ConfigError otherwise, or without any),
+    which the uint8 labels cap at 255 (InvalidClassCountError above),
+    and ``lam`` must pass `regularize`'s check for K classes. Its state
+    is one class-major array, ``post`` (E, K, N): one belief per
+    transition model over the strip's N pixels, uniform after
+    construction or `reset`. ``step(raw, date, truth)`` floor-normalizes
+    the strip's (K, N) class weights (`FrameModel`) into the
+    instantaneous posterior, smooths it and updates each ``post[e]`` in
+    place, decides the MAP labels into (1 + E, N) uint8 rows, row 0 from
+    the instantaneous posterior and row 1 + e from ``post[e]``, and
+    returns the instantaneous posterior and the labels: the call's own
+    scratch, which the step does not keep. Given the date's ``truth``,
+    its (N,) non-negative integer labels, the step also scores the
+    date: ``hits`` (1 + E, C) counts, per label row and class c, the
+    pixels where that row and the truth are both c, and ``totals`` (C,)
+    the truth's pixels per class. C is K, or one more than the largest
+    truth label if that is K or more. Without a truth both are None.
 
-    The N pixels are rows of ``width``, stepped in the row tiles
-    ``rows`` of about `_TILE_PIXELS` pixels by one `map`, on one worker
-    per CPU this process may run on and at most one per tile: the
-    calling thread and threads that the call starts and joins, so a
-    step of one tile starts none. A worker evaluates, checks, advances,
-    decides, counts and sinks each of its tiles, and visits every one
-    even after a fault; a tile that faults is not sunk. A model's or a
-    sink's error propagates as it is. A truth, then an output, of
-    another shape is a ShapeError; in an output of the right shape, a
-    non-finite, then a negative entry in any tile is a ModelOutputError
-    (a DataError and a ValueError), an all-zero pixel column a
-    DegenerateLikelihoodError and an overflowing column sum a
+    A truth, then an output, of another shape is a ShapeError; in an
+    output of the right shape, a non-finite, then a negative entry is a
+    ModelOutputError (a DataError and a ValueError), an all-zero pixel
+    column a DegenerateLikelihoodError and an overflowing column sum a
     ModelOutputError. Given the frame's ``date``, the message starts
     with its ISO form and the error keeps its type. The state is then
     undefined until `reset`.
     """
 
-    def __init__(
-        self, transitions: Sequence[TransitionModel], lam: float, pixels: int, width: int = 1
-    ) -> None:
+    def __init__(self, transitions: Sequence[TransitionModel], lam: float, pixels: int) -> None:
         self.transitions = tuple(transitions)
         k = _bank_classes(self.transitions, lam)
-        width = max(width, 1)  # a frame without columns has no pixels
-        if pixels % width:
-            raise ShapeError(f"{pixels} pixels do not make rows of {width}")
         self.lam = lam
-        self._shape = (k, pixels)
-        self.rows = _row_tiles(pixels // width, width)
-        self._cols = [slice(r.start * width, r.stop * width) for r in self.rows]
         self.post = np.empty((len(self.transitions), k, pixels))
         self.hits = self.totals = None
         self.reset()
-        self._workers = min(_workers(), len(self.rows))
 
     def reset(self) -> None:
         """Start every belief again from the uniform prior."""
         self.post.fill(1.0 / self.post.shape[1])
 
-    def map(self, task: Callable[[int], object]) -> None:
-        """Run ``task(i)`` for every tile i on the step's workers (`_share`)."""
-        _share(task, len(self.rows), self._workers)
-
     def __call__(
-        self,
-        raw: np.ndarray | Callable[[slice], np.ndarray],
-        date: dt.date | None = None,
-        truth: np.ndarray | None = None,
-        sink: TileSink | None = None,
-    ) -> None:
-        fault = self._advance(raw, truth, sink)
+        self, raw: np.ndarray, date: dt.date | None = None, truth: np.ndarray | None = None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        fault, out = self._advance(raw, truth)
         if fault is not None:
-            _raise_dated(fault[2], date)
+            _raise_dated(out, date)
+        return out
 
     def _advance(
-        self,
-        raw: np.ndarray | Callable[[slice], np.ndarray],
-        truth: np.ndarray | None,
-        sink: TileSink | None,
-    ) -> tuple[int, int, Exception] | None:
-        """The step, undated: returns its first fault as (rank, tile, error)
-        instead of raising it, a lower rank first; a shape fault of the truth
-        or the whole output ranks -2, of a tile's output -1, and
-        `_evidence_fault`'s from 0."""
-        truth = None if truth is None else np.asarray(truth)
-        whole = None if callable(raw) else np.asarray(raw)
-        for what, arr, shape in (("truth has", truth, self._shape[1:]),
-                                 ("model returned", whole, self._shape)):
-            if arr is not None and arr.shape != shape:
-                return -2, 0, ShapeError(f"{what} shape {arr.shape}, expected {shape}")
-        faults, counts = [], [None] * len(self.rows)  # faults: (rank, tile, error)
-
-        def visit(i: int) -> None:
-            cols = self._cols[i]
-            # a model's own error propagates as it is
-            out = raw(self.rows[i]) if whole is None else whole[:, cols]
-            shape = (self._shape[0], cols.stop - cols.start)
-            try:
-                out = np.asarray(out, dtype=np.float64)
-                if out.shape != shape:
-                    raise ShapeError(f"model returned shape {out.shape}, expected {shape}")
-            except (ValueError, SatBayesError) as exc:
-                faults.append((-1, i, exc))
-                return
-            fault = _evidence_fault(out)
-            if fault < len(_FAULTS):
-                faults.append((fault, i, _fault_error(fault)))
-                return
-            inst = floor_normalize_columns(out, np.empty(shape))
-            labels = np.empty((1 + len(self.transitions), shape[1]), dtype=np.uint8)
-            _decide(inst, labels[0])
-            weights = _smooth(inst, self.lam) if self.lam else inst
-            post = self.post[:, :, cols]
-            for e, transition in enumerate(self.transitions):
-                _update(weights, post[e], transition)
-                _decide(post[e], labels[1 + e])
-            if truth is not None:
-                counts[i] = _count(labels, truth[cols], self._shape[0])
-            if sink is not None:
-                sink(cols, inst, post, labels)
-
-        self.map(visit)
-        if faults:
-            return min(faults, key=lambda fault: fault[:2])
-        self.hits, self.totals = (None, None) if truth is None else _add_counts(counts)
-        return None
+        self, raw: np.ndarray, truth: np.ndarray | None
+    ) -> tuple[None, tuple[np.ndarray, np.ndarray]] | tuple[int, Exception]:
+        """The step, undated: (None, (inst, labels)), or its fault as (rank,
+        error) instead of raising it, for a caller that ranks the faults of
+        several strips; a shape fault ranks -1 and `_evidence_fault`'s from 0."""
+        truth, shape = None if truth is None else np.asarray(truth), self.post.shape[1:]
+        try:
+            if truth is not None and truth.shape != shape[1:]:
+                raise ShapeError(f"truth has shape {truth.shape}, expected {shape[1:]}")
+            out = np.asarray(raw, dtype=np.float64)
+            if out.shape != shape:
+                raise ShapeError(f"model returned shape {out.shape}, expected {shape}")
+        except (ValueError, SatBayesError) as exc:
+            return -1, exc
+        fault = _evidence_fault(out)
+        if fault < len(_FAULTS):
+            return fault, _fault_error(fault)
+        inst = floor_normalize_columns(out, np.empty(shape))
+        labels = np.empty((1 + len(self.transitions), shape[1]), dtype=np.uint8)
+        _decide(inst, labels[0])
+        weights = _smooth(inst, self.lam) if self.lam else inst
+        for e, transition in enumerate(self.transitions):
+            _update(weights, self.post[e], transition)
+            _decide(self.post[e], labels[1 + e])
+        self.hits, self.totals = (None, None) if truth is None else _count(labels, truth, shape[0])
+        return None, (inst, labels)
 
 
 def _raise_dated(exc: Exception, date: dt.date | None) -> NoReturn:
@@ -510,19 +464,20 @@ def classify_stack(
     rows are cut into strips of about `_TILE_PIXELS` pixels; workers,
     one per CPU of the process's affinity mask (the calling thread and
     threads started once for the stack), take strips w, w + W, ... and
-    run every date of each through a `FrameStep` of one tile: the
+    run every date of each through a `FrameStep` of the strip: the
     strip's rows of the frame are loaded (``frame.window(rows).load()``,
     so a deferred date reads only those rows), the model's
-    ``frame_posterior`` of them is folded into every belief, and the
-    label rows are counted against the frame's truth, if it has one.
+    ``frame_posterior`` of that strip frame is folded into every belief,
+    and the label rows are counted against the frame's truth, if it has
+    one.
     Those counts, added per date in strip order, are all that is kept;
     `frame_accuracies` and `epsilon_sweep` score the dates from them.
     No result depends on the strip height or the worker count.
 
     Before each date t of a strip, on its worker, ``sink(t, frame)``
     gets the strip's loaded frame and returns a tile sink or None, which
-    the step hands the strip as one tile (`FrameStep`): its slice of
-    the H*W row-major pixels, which are the frame's, its instantaneous
+    the worker hands the advanced strip: its slice of the H*W row-major
+    pixels, which are the frame's, and the step's instantaneous
     posterior (K, n), beliefs (E, K, n) and label rows (1 + E, n),
     readable during that call only. The model and the sinks see several
     strips at once (`FrameModel`).
@@ -553,21 +508,19 @@ def classify_stack(
         truth = None if frame.truth is None else frame.truth.labels.ravel()
         try:
             tiles = None if sink is None else sink(t, frame)
-            if tiles is not None:
-                tiles = _offset(tiles, rows.start * width)
-            fault = step._advance(
-                lambda r: model.frame_posterior(frame.window(r)), truth, tiles
-            )
+            fault, out = step._advance(model.frame_posterior(frame), truth)
+            if fault is None and tiles is not None:
+                tiles(slice(rows.start * width, rows.stop * width), out[0], step.post, out[1])
         except Exception as exc:
             return 1, 0, exc
         if fault is not None:
-            return 2, fault[0], fault[2]
+            return 2, fault, out
         counts[t][s] = None if truth is None else (step.hits, step.totals)
         return None
 
     def run(s: int) -> None:
         rows = strips[s]
-        step = FrameStep(transitions, lam, (rows.stop - rows.start) * width, width)
+        step = FrameStep(transitions, lam, (rows.stop - rows.start) * width)
         for t in range(len(frames)):
             if t > failed[0]:
                 return
@@ -578,7 +531,7 @@ def classify_stack(
                     failed[0] = min(failed[0], t)
                 return
 
-    _share(run, len(strips), min(_workers(), len(strips)))
+    _share(run, len(strips))
     if faults:
         t, kind, _, _, error = min(faults, key=lambda fault: fault[:4])
         if kind == 2:
@@ -590,11 +543,3 @@ def classify_stack(
         tuple(None if parts[0] is None else _add_counts(parts) for parts in counts),
     )
 
-
-def _offset(tiles: TileSink, start: int) -> TileSink:
-    """``tiles`` given pixel slices ``start`` pixels further on."""
-
-    def shifted(pixels: slice, inst: np.ndarray, post: np.ndarray, labels: np.ndarray):
-        return tiles(slice(pixels.start + start, pixels.stop + start), inst, post, labels)
-
-    return shifted

@@ -64,24 +64,9 @@ class CollectedStack:
     counts: tuple
 
 
-class Tiles:
-    """A `FrameStep` tile sink that copies each tile into whole-frame
-    ``inst`` (K, N), ``post`` (E, K, N) and ``labels`` (1 + E, N) arrays."""
-
-    def __init__(self, step):
-        e, k, pixels = step.post.shape
-        self.inst = np.empty((k, pixels))
-        self.post = np.empty((e, k, pixels))
-        self.labels = np.empty((1 + e, pixels), dtype=np.uint8)
-
-    def __call__(self, pixels, inst, post, labels):
-        self.inst[:, pixels], self.post[:, :, pixels] = inst, post
-        self.labels[:, pixels] = labels
-
-
 def collect_stack(stack, model, transition, lam) -> CollectedStack:
     """`classify_stack` under one transition model, with a sink that
-    copies each date's tiles of posteriors and labels out of the step."""
+    copies each date's strips of posteriors and labels out of the step."""
     height, width = stack.shape
     k, dates = model.num_classes, len(stack)
     cubes = np.empty((2, dates, k, height * width))  # recursive, instantaneous

@@ -1254,15 +1254,22 @@ class TestCliFileBoundary:
         assert_data_exit(argv, src, capsys)
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -0.25])
-    def test_bad_external_posterior_is_data_exit(self, cli_area, tmp_path, capsys, value):
+    @pytest.mark.parametrize("command", ["run", "ingest"])
+    def test_bad_external_posterior_is_data_exit(self, cli_area, tmp_path, capsys, command,
+                                                 value):
         # the reader reads the cube's values as they are; the step's check names the fault
         config = write_external_area(cli_area, tmp_path, [1], value)
-        argv = ["run", "--config", str(config), "--out", str(tmp_path / "out")]
+        argv = {
+            "run": ["run", "--config", str(config), "--out", str(tmp_path / "out")],
+            "ingest": ["ingest", "--manifest", str(tmp_path / "data" / "manifest.txt"),
+                       "--out", str(tmp_path / "out")],
+        }[command]
         assert main(argv) == 2
         fault = "negative" if value < 0 else "non-finite"
         err = capsys.readouterr().err
         assert err == f"error: {date_of(3).isoformat()}: likelihood vector has {fault} entries\n"
         assert not (tmp_path / "out" / "labels").exists()
+        assert [p for p in (tmp_path / "out").rglob("*") if p.is_file()] == []
 
     @pytest.mark.parametrize("command", ["run", "ingest"])
     def test_truth_raster_of_another_grid_is_data_exit(self, cli_area, tmp_path, capsys, command):

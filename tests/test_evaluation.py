@@ -11,7 +11,7 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 import oracles
-from helpers import WATER_THRESHOLDS, Tiles, collect_stack, date_of, make_stack
+from helpers import WATER_THRESHOLDS, collect_stack, date_of, make_stack
 from satbayes import evaluation, recursion
 from satbayes.classifiers import (
     ExternalPosteriorSource,
@@ -215,9 +215,9 @@ def _external_stack(k, truth_kind, height=20, width=7, dates=4):
 
 
 class TestStepCounts:
-    """`FrameStep` counts each date's label rows against its truth, tile by
-    tile, as `confusion_matrix` would over the whole date, and
-    `frame_accuracies` and `epsilon_sweep` score from those counts alone."""
+    """`FrameStep` counts each date's label rows against its truth as
+    `confusion_matrix` would, and `frame_accuracies` and `epsilon_sweep`
+    score from those counts, added over 3-row strips, alone."""
 
     KINDS = ["mixed", "wide", "single"]
 
@@ -232,7 +232,7 @@ class TestStepCounts:
         stack = _external_stack(k, truth_kind)
         height, width = stack.shape
         transitions = [build_transition_model(k, e) for e in (0.01, 0.3)]
-        step = FrameStep(transitions, 0.8, height * width, width)
+        step = FrameStep(transitions, 0.8, height * width)
         for frame in stack.frames:
             raw = frame.external_posterior.reshape(k, -1)
             if frame.truth is None:
@@ -240,11 +240,10 @@ class TestStepCounts:
                 assert step.hits is None and step.totals is None
                 continue
             truth = frame.truth.labels.ravel()
-            tiles = Tiles(step)
-            step(raw, frame.date, truth, tiles)
+            _, labels = step(raw, frame.date, truth)
             classes = max(k, int(truth.max()) + 1)
             assert step.hits.shape == (3, classes) and step.totals.shape == (classes,)
-            for row, hits in zip(tiles.labels, step.hits):
+            for row, hits in zip(labels, step.hits):
                 matrix = confusion_matrix(row, truth, classes)
                 assert_array_equal(hits, np.diagonal(matrix))
                 assert_array_equal(step.totals, matrix.sum(axis=1))
@@ -303,7 +302,7 @@ class TestStepCounts:
             epsilon_sweep(stack, {"m": model}, 0.8, [0.05])
 
     def test_truth_of_another_shape(self):
-        step = FrameStep([build_transition_model(2, 0.05)], 0.8, 6, 3)
+        step = FrameStep([build_transition_model(2, 0.05)], 0.8, 6)
         with pytest.raises(ShapeError, match="truth has shape"):
             step(np.ones((2, 6)), truth=np.zeros(5, dtype=np.uint8))
 

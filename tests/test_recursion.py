@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 import oracles
-from helpers import Tiles, collect_stack, date_of, make_stack, random_pmfs
+from helpers import collect_stack, date_of, make_stack, random_pmfs
 from satbayes import recursion
 from satbayes.classifiers import IndexClassifier, SpectralIndexKind, spectral_index
 from satbayes.core import (
@@ -32,7 +32,7 @@ from satbayes.errors import (
     ModelOutputError,
     ShapeError,
 )
-from satbayes.evaluation import epsilon_sweep
+from satbayes.evaluation import epsilon_sweep, timing_bench
 from satbayes.recursion import (
     FrameStep,
     classify_stack,
@@ -632,6 +632,16 @@ class TestClassifyStackAcceptsEdgeOutputs:
         assert result.recursive_posteriors.shape == (2, 2, 0, 4)
         assert [r.labels.shape for r in result.recursive_labels] == [(0, 4)] * 2
 
+    def test_image_without_columns(self):
+        stack = make_stack(("gray",), [[np.zeros((3, 0))] for _ in range(2)])
+        outputs = [np.empty((2, 0)) for _ in range(2)]
+        trans = build_transition_model(2, 0.1)
+        result = collect_stack(stack, _ScriptedModel(stack, outputs), trans, 0.8)
+        assert result.recursive_posteriors.shape == (2, 2, 3, 0)
+        assert [r.labels.shape for r in result.recursive_labels] == [(3, 0)] * 2
+        record = timing_bench(stack, {"m": _ScriptedModel(stack, outputs)}, trans, 0.8, 3)
+        assert record[0].pixels == 0
+
 
 class TestIndexEngineFloor:
     """The index engine floors its densities, so a pixel whose every class
@@ -742,9 +752,8 @@ class TestFrameStepClassCount:
         step = FrameStep([build_transition_model(255, 0.05)], 0.8, 2)
         raw = np.ones((255, 2))
         raw[254, 0] = raw[0, 1] = 1e3
-        tiles = Tiles(step)
-        step(raw, sink=tiles)
-        assert tiles.labels.tolist() == [[254, 0], [254, 0]]
+        _, labels = step(raw)
+        assert labels.tolist() == [[254, 0], [254, 0]]
 
     @pytest.mark.parametrize("k", [256, 257])
     def test_more_classes_rejected(self, k):
@@ -785,10 +794,9 @@ class TestFrameStepTransitionBank:
         posts = np.empty((len(outputs), e_count, k, pixels))
         labels = np.empty((len(outputs), 1 + e_count, pixels), dtype=np.uint8)
         step = FrameStep(transitions, 0.8, pixels)
-        tiles = Tiles(step)
         for t, raw in enumerate(outputs):
-            step(raw, sink=tiles)
-            insts[t], posts[t], labels[t] = tiles.inst, tiles.post, tiles.labels
+            insts[t], labels[t] = step(raw)
+            posts[t] = step.post
         return insts, posts, labels
 
     @pytest.mark.parametrize("k", [2, 3])
@@ -854,10 +862,10 @@ class TestFrameStepState:
 
     @staticmethod
     def _states(step, outputs, dates):
-        states, tiles = [], Tiles(step)
+        states = []
         for raw, date in zip(outputs, dates):
-            step(raw, date, sink=tiles)
-            states.append(b"".join(a.tobytes() for a in (tiles.inst, step.post, tiles.labels)))
+            inst, labels = step(raw, date)
+            states.append(b"".join(a.tobytes() for a in (inst, step.post, labels)))
         return states
 
     def test_reset_then_frames_equals_fresh_step(self):
@@ -884,37 +892,56 @@ class TestFrameStepState:
 
 class TestFrameStepHoldsOnlyTheFilterState:
     """No array but the beliefs ``post`` lives in a `FrameStep`, whatever
-    its tiles, workers and sink: its lists and tuples hold only sizes, tile
-    slices and transition models, no per-worker work arrays, and the
-    instantaneous posterior and the labels are each tile's own."""
+    the strips, workers and sink of the `classify_stack` run that builds
+    it: its lists and tuples hold only transition models, and the
+    instantaneous posterior and the labels are each call's own."""
+
+    TRANSITIONS = [build_transition_model(2, e) for e in (0.02, 0.2)]
+
+    @staticmethod
+    def _steps(monkeypatch, workers, truth=None):
+        """The steps of a `classify_stack` run, with a sink, over the 1-row
+        strips of a 7x7 two-date scene, and its result."""
+        monkeypatch.setattr(recursion, "_TILE_PIXELS", 7)
+        monkeypatch.setattr(recursion, "_workers", lambda: workers)
+        steps = []
+
+        class Recorded(FrameStep):
+            def __init__(self, *args):
+                super().__init__(*args)
+                steps.append(self)
+
+        monkeypatch.setattr(recursion, "FrameStep", Recorded)
+        rng = np.random.default_rng(72)
+        planes = [[rng.uniform(0.0, 1.0, size=(7, 7))] for _ in range(2)]
+        stack = make_stack(("gray",), planes, None if truth is None else [truth] * 2)
+        result = classify_stack(
+            stack, _PosteriorStub(), TestFrameStepHoldsOnlyTheFilterState.TRANSITIONS, 0.8,
+            lambda t, frame: lambda pixels, inst, post, labels: None,
+        )
+        assert len(steps) == 7
+        return steps, result
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_only_state_arrays(self, monkeypatch, workers):
-        monkeypatch.setattr(recursion, "_TILE_PIXELS", 7)
-        monkeypatch.setattr(recursion, "_workers", lambda: workers)
-        transitions = [build_transition_model(3, e) for e in (0.02, 0.2)]
-        step = FrameStep(transitions, 0.8, 49, 7)
-        for raw in _scripted_outputs(np.random.default_rng(72), 2, 49, 3):
-            step(raw, sink=Tiles(step))
-        state = vars(step)
-        arrays = {name for name, value in state.items() if isinstance(value, np.ndarray)}
-        assert arrays == {"post"}
-        for name, value in state.items():
-            if isinstance(value, (list, tuple)):
-                assert all(isinstance(v, (int, slice, TransitionModel)) for v in value), name
+        for step in self._steps(monkeypatch, workers)[0]:
+            state = vars(step)
+            arrays = {name for name, value in state.items() if isinstance(value, np.ndarray)}
+            assert arrays == {"post"}
+            for name, value in state.items():
+                if isinstance(value, (list, tuple)):
+                    assert all(isinstance(v, TransitionModel) for v in value), name
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_scores_are_per_date_reductions(self, monkeypatch, workers):
-        monkeypatch.setattr(recursion, "_TILE_PIXELS", 7)
-        monkeypatch.setattr(recursion, "_workers", lambda: workers)
-        transitions = [build_transition_model(3, e) for e in (0.02, 0.2)]
-        truth = np.random.default_rng(73).integers(0, 3, size=49)
-        step = FrameStep(transitions, 0.8, 49, 7)
-        for raw in _scripted_outputs(np.random.default_rng(72), 2, 49, 3):
-            step(raw, truth=truth)
-        arrays = {n: v.shape for n, v in vars(step).items() if isinstance(v, np.ndarray)}
-        assert arrays == {"post": (2, 3, 49), "hits": (3, 3), "totals": (3,)}
-        assert step.totals.tolist() == np.bincount(truth).tolist()
+        truth = np.random.default_rng(73).integers(0, 2, size=(7, 7))
+        steps, result = self._steps(monkeypatch, workers, truth)
+        for step in steps:
+            arrays = {n: v.shape for n, v in vars(step).items() if isinstance(v, np.ndarray)}
+            assert arrays == {"post": (2, 2, 7), "hits": (3, 2), "totals": (2,)}
+        totals = sum(step.totals for step in steps)
+        assert totals.tolist() == result.counts[1][1].tolist()
+        assert totals.tolist() == np.bincount(truth.ravel()).tolist()
 
 
 class TestFrameStepNormalization:
@@ -925,14 +952,13 @@ class TestFrameStepNormalization:
     def test_inst_equals_pixel_major_oracle(self, k):
         rng = np.random.default_rng(80 + k)
         step = FrameStep([build_transition_model(k, 0.1)], 0.8, 301)
-        tiles = Tiles(step)
         for _ in range(3):
             raw = rng.uniform(0.0, 1.0, size=(k, 301))
             # some columns near the floor: entries just above, at, or below it
             raw[:, ::5] *= PROB_FLOOR * rng.uniform(0.5, 5.0, size=(k, 61))
-            step(raw, sink=tiles)
+            inst, _ = step(raw)
             expect = oracles.floor_normalize(np.ascontiguousarray(raw.T)).T
-            assert_array_equal(tiles.inst, expect)
+            assert_array_equal(inst, expect)
 
 
 class TestClassifyStackEquivalence:

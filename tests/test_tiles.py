@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
 
-from helpers import Tiles, collect_stack, date_of
+from helpers import collect_stack, date_of
 from oracles import matrix_logistic_posterior
 from satbayes import recursion
 from satbayes.classifiers import (
@@ -33,11 +33,11 @@ from satbayes.core import (
     normalize_columns,
 )
 from satbayes.config import parse_config
-from satbayes.errors import DataError, DegenerateLikelihoodError, ModelOutputError
+from satbayes.errors import DataError, ModelOutputError
 from satbayes.evaluation import epsilon_sweep, frame_accuracies, timing_bench
 from satbayes.experiment import build_classifier, prepare_stacks, run_experiment
 from satbayes.pipeline import ReferenceRegion, bias_correct
-from satbayes.recursion import FrameStep, classify_stack
+from satbayes.recursion import classify_stack
 from satbayes.synth import generate_synthetic, parse_synth_spec
 
 BANDS = ("nir", "red")
@@ -188,7 +188,7 @@ class ScaledPosteriors:
 
 
 class TestTileErrors:
-    """A bad date raises the whole-frame error; `reset` makes the step usable again."""
+    """A bad date raises the whole-frame error, whatever the strips and workers."""
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_lowest_fault_over_all_tiles(self, scene, monkeypatch, workers):
@@ -213,36 +213,30 @@ class TestTileErrors:
         assert messages[0] == f"{date_of(2).isoformat()}: likelihood vector has non-finite entries"
 
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_failing_tile_leaves_every_tile(self, monkeypatch, workers):
-        """The bad tile fails its date after every tile was visited, and
-        after `reset` the good dates give a fresh step's states."""
+    def test_bench_raises_the_stack_error(self, scene, monkeypatch, workers):
+        """`timing_bench` raises a bad date's lowest-ranked fault, then that of
+        the lowest strip, as `classify_stack` does, not the first worker's:
+        a NaN in strip 1 wins over a negative entry in strip 0."""
+        stack, _ = scene
+        rng = np.random.default_rng(123)
+        posterior = np.full((K, HEIGHT, WIDTH), 1.0 / K)
+        posterior[1, 2, 3] = -0.5  # strip 0: rows 0-6, worker 0
+        posterior[0, 8, 4] = np.nan  # strip 1: rows 7-13, worker 1 of 2
+        frames = list(stack.frames)
+        frames[2] = _frame(2, rng, posterior)
+        bad = ImageStack(tuple(frames))
+        trans = build_transition_model(K, 0.05)
+        model = ExternalPosteriorSource(K)
         _tiled(monkeypatch, 7, workers)
-        rng = np.random.default_rng(122)
-        pixels = HEIGHT * WIDTH
-        goods = [rng.uniform(0.01, 1.0, size=(K, pixels)) for _ in range(2)]
-        bad = rng.uniform(0.01, 1.0, size=(K, pixels))
-        bad[:, 5 * 7 * WIDTH + 2] = 0.0  # one all-zero pixel column in tile 5
-        transitions = [build_transition_model(K, e) for e in GRID]
-
-        def states(step):
-            out, tiles = [], Tiles(step)
-            for t, good in enumerate(goods):
-                step(good, date_of(t), sink=tiles)
-                out.append([a.tobytes() for a in (tiles.inst, step.post, tiles.labels)])
-            return out
-
-        def tile(rows):
-            visited.append(rows.start)
-            return bad[:, rows.start * WIDTH : rows.stop * WIDTH]
-
-        fresh = states(FrameStep(transitions, 0.8, pixels, WIDTH))
-        step, visited = FrameStep(transitions, 0.8, pixels, WIDTH), []
-        step(goods[0], date_of(0))
-        with pytest.raises(DegenerateLikelihoodError, match=r"^2021-01-15: all-zero"):
-            step(tile, date_of(1))
-        assert sorted(visited) == list(range(0, HEIGHT, 7))
-        step.reset()
-        assert states(step) == fresh
+        raised = []
+        for call in (lambda: classify_stack(bad, model, [trans], 0.8),
+                     lambda: timing_bench(bad, {"m": model}, trans, 0.8, 3)):
+            with pytest.raises(ModelOutputError) as error:
+                call()
+            raised.append((type(error.value), str(error.value)))
+        assert raised[1] == raised[0] == (
+            ModelOutputError, f"{date_of(2).isoformat()}: likelihood vector has non-finite entries"
+        )
 
 
 class TestTileWorkers:
@@ -262,9 +256,8 @@ class TestTileWorkers:
         raised = []
 
         def run():
-            step = FrameStep([build_transition_model(K, 0.05)], 0.8, 4 * WIDTH, WIDTH)
             try:
-                step.map(task)
+                recursion._share(task, 4)
             except RuntimeError as exc:
                 raised.append((str(exc), sorted(done)))
 
